@@ -5,9 +5,6 @@ to stderr; machine-readable output goes to files or stdout. Every input is
 read and validated before any output file is created, and all commands are
 deterministic for fixed seeds, so re-running a command reproduces its output
 files byte for byte.
-
-The RADARCAM_THREADS environment variable caps the worker threads used for
-independent per-seed simulation work; results never depend on its value.
 """
 
 from __future__ import annotations
@@ -16,7 +13,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -60,18 +56,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 instead of argparse's default 2
         raise _UsageError(message)
-
-
-def _worker_threads() -> int:
-    raw = os.environ.get("RADARCAM_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        print(f"ignoring non-integer RADARCAM_THREADS={raw!r}", file=sys.stderr)
-        return 1
-    return max(1, value)
 
 
 def _load_json(path: str | Path) -> dict:
@@ -232,7 +216,7 @@ def cmd_simulate(args) -> int:
         cfg = ExperimentConfig.load(args.config)
     else:
         cfg = default_experiment_config()
-    result = run_experiment(cfg, workers=_worker_threads())
+    result = run_experiment(cfg)
     with open(args.output_csv, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["seed", "arm", "hit_rate", "depth_mae", "n_targets"])

@@ -9,7 +9,8 @@ image area) and shrinks with depth and feature stride:
 
 The per-pixel loss combines a cross-entropy term against the nearest depth
 bin with an L1 term on the expectation of the predicted depth distribution,
-and a target's loss is the minimum (or maximum) over its neighborhood.
+and a target's loss is the minimum (or maximum) over its neighborhood. The
+loss, its gradient and :mod:`radarcam.sim` share one selection.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import BehindCameraError, CameraIntrinsics, SensorCalibration, project_to_pixel
+from .tensor_ops import ShapeError
 
 LOG_PROB_FLOOR = 1e-12
 NORMALIZATION_TOL = 1e-5
@@ -40,6 +42,9 @@ class RadarPoint:
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
             raise ValueError(f"radar point coordinates must be finite: {self}")
+        for value in (self.rcs_dbsm, self.doppler):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"radar point RCS and Doppler must be finite: {self}")
 
 
 @dataclass(frozen=True)
@@ -49,15 +54,12 @@ class DepthBinSpec:
     d_min: float
     d_max: float
     num_bins: int
-    spacing: str = "uniform"
 
     def __post_init__(self):
         if not self.d_min < self.d_max:
             raise ValueError(f"need d_min < d_max, got [{self.d_min}, {self.d_max})")
         if self.num_bins < 1:
             raise ValueError(f"need at least one bin, got {self.num_bins}")
-        if self.spacing != "uniform":
-            raise ValueError(f"unsupported bin spacing {self.spacing!r}")
 
     @property
     def bin_width(self) -> float:
@@ -81,11 +83,11 @@ class RadiusConfig:
     fixed_r: float | None = None
 
     def __post_init__(self):
-        if self.k <= 0:
+        if not self.k > 0:
             raise ValueError(f"k must be positive, got {self.k}")
-        if self.r_max < 0:
+        if not self.r_max >= 0:
             raise ValueError(f"r_max must be non-negative, got {self.r_max}")
-        if self.fixed_r is not None and self.fixed_r < 0:
+        if self.fixed_r is not None and not self.fixed_r >= 0:
             raise ValueError(f"fixed_r must be non-negative, got {self.fixed_r}")
 
 
@@ -107,7 +109,7 @@ class LossConfig:
     strategy: str = "one-to-many"
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0:
+        if not (self.lambda1 >= 0 and self.lambda2 >= 0):
             raise ValueError("loss weights must be non-negative")
         if self.neighborhood_agg not in ("min", "max"):
             raise ValueError(f"neighborhood_agg must be min or max, got {self.neighborhood_agg!r}")
@@ -129,9 +131,11 @@ def neighborhood_radius(
     ``cfg.r_max`` so a zero ceiling degenerates cleanly to single-pixel
     supervision.
     """
-    if depth <= 0:
+    if not depth > 0:
         raise ValueError(f"depth must be positive, got {depth}")
     if rcs_dbsm is not None:
+        if not math.isfinite(rcs_dbsm):
+            raise ValueError(f"RCS must be finite, got {rcs_dbsm}")
         r = (
             cfg.k
             * math.sqrt(intrinsics.fx * intrinsics.fy)
@@ -186,23 +190,27 @@ def build_depth_targets(
     return TargetBuildResult(tuple(targets), len(points), dropped)
 
 
-def nearest_bin(d: float, spec: DepthBinSpec) -> int:
-    """Index of the bin whose midpoint is nearest to ``d``; out-of-range clamps."""
-    if not math.isfinite(d):
+def nearest_bin(d, spec: DepthBinSpec):
+    """Index of the bin whose midpoint is nearest to ``d`` (a depth or an
+    array of depths); out-of-range clamps."""
+    d = np.asarray(d, dtype=np.float64)
+    if not np.all(np.isfinite(d)):
         raise ValueError(f"depth must be finite, got {d}")
-    idx = int(math.floor((d - spec.d_min) / spec.bin_width))
-    return min(max(idx, 0), spec.num_bins - 1)
+    idx = np.clip(np.floor((d - spec.d_min) / spec.bin_width), 0, spec.num_bins - 1).astype(np.intp)
+    return int(idx) if idx.ndim == 0 else idx
 
 
 def expected_depth(dist: np.ndarray, spec: DepthBinSpec) -> float:
     """Expectation of a depth distribution over the bin midpoints."""
-    dist = np.asarray(dist, dtype=np.float64)
-    if dist.shape != (spec.num_bins,):
-        raise ValueError(f"distribution shape {dist.shape} != ({spec.num_bins},)")
-    total = float(np.sum(dist))
-    if abs(total - 1.0) > NORMALIZATION_TOL:
-        raise ValueError(f"distribution sums to {total}, outside 1 +- {NORMALIZATION_TOL}")
+    dist = validate_depth_volume(np.asarray(dist)[:, None, None], spec.num_bins)[:, 0, 0]
     return float(spec.midpoints() @ dist)
+
+
+def _depth_loss(p_gt, expectation, d_gt, cfg: LossConfig):
+    """Per-pixel loss from the ground-truth bin's probability and the expected depth."""
+    return cfg.lambda1 * -np.log(np.maximum(p_gt, LOG_PROB_FLOOR)) + cfg.lambda2 * np.abs(
+        expectation - d_gt
+    )
 
 
 def pixel_depth_loss(dist: np.ndarray, d_gt: float, spec: DepthBinSpec, cfg: LossConfig) -> float:
@@ -213,33 +221,25 @@ def pixel_depth_loss(dist: np.ndarray, d_gt: float, spec: DepthBinSpec, cfg: Los
     and the true ``d_gt``. Probabilities are floored at 1e-12 inside the log.
     """
     dist = np.asarray(dist, dtype=np.float64)
-    k = nearest_bin(d_gt, spec)
-    ce = -math.log(max(float(dist[k]), LOG_PROB_FLOOR))
-    expectation = float(spec.midpoints() @ dist)
-    return cfg.lambda1 * ce + cfg.lambda2 * abs(expectation - d_gt)
+    return float(_depth_loss(dist[nearest_bin(d_gt, spec)], spec.midpoints() @ dist, d_gt, cfg))
 
 
-def neighborhood_pixels(
-    u: int, v: int, radius: float, width: int, height: int
-) -> list[tuple[int, int]]:
-    """In-bounds pixels within the closed disk of ``radius`` around (u, v).
-
-    Returned in row-major order so index ties resolve deterministically.
-    """
-    r_int = int(math.floor(radius))
-    r_sq = radius * radius
-    pixels = []
-    for dv in range(-r_int, r_int + 1):
-        vv = v + dv
-        if not 0 <= vv < height:
-            continue
-        for du in range(-r_int, r_int + 1):
-            uu = u + du
-            if not 0 <= uu < width:
-                continue
-            if du * du + dv * dv <= r_sq:
-                pixels.append((uu, vv))
-    return pixels
+def validate_depth_volume(volume: np.ndarray, num_bins: int) -> np.ndarray:
+    """A (D, H, W) float64 stack of depth distributions: each pixel's bins are
+    non-negative and sum to 1 within ``NORMALIZATION_TOL`` (NaN fails)."""
+    volume = np.asarray(volume, dtype=np.float64)
+    if volume.ndim != 3 or volume.shape[0] != num_bins:
+        raise ShapeError(f"depth volume must be ({num_bins}, H, W), got shape {volume.shape}")
+    if volume.size:
+        sums, lowest = volume.sum(axis=0), volume.min(axis=0)
+        bad = ~(np.abs(sums - 1.0) <= NORMALIZATION_TOL) | (lowest < 0.0)
+        if bad.any():
+            v, u = np.argwhere(bad)[0]
+            raise ValueError(
+                f"depth distribution at pixel (u={u}, v={v}) is not normalized: it sums to "
+                f"{sums[v, u]:.9g} with lowest bin {lowest[v, u]:.9g}; bins must be non-negative"
+            )
+    return volume
 
 
 @dataclass(frozen=True)
@@ -257,55 +257,95 @@ class LossResult:
     per_target: tuple[TargetLoss, ...]
 
 
-def _validate_depth_map(depth_map: np.ndarray, spec: DepthBinSpec) -> np.ndarray:
-    depth_map = np.asarray(depth_map, dtype=np.float64)
-    if depth_map.ndim != 3 or depth_map.shape[0] != spec.num_bins:
+def _check_target_table(table: np.ndarray, shape: tuple[int, int] | None = None) -> None:
+    """Name the first (u, v, d_gt, radius) row without finite values and a
+    non-negative radius or, given the map ``shape`` (H, W), a pixel on it."""
+    ok = np.isfinite(table).all(axis=1) & (table[:, 3] >= 0.0)
+    if shape is not None:
+        u, v = table[:, 0], table[:, 1]
+        ok &= (0 <= u) & (u < shape[1]) & (0 <= v) & (v < shape[0])
+    if not ok.all():
+        i = int(np.argmin(ok))
+        on_map = "" if shape is None else f" and a pixel on the (H, W) = {shape} map"
         raise ValueError(
-            f"depth map must be ({spec.num_bins}, H, W), got shape {depth_map.shape}"
+            f"target {i} (u, v, d_gt, radius) = {tuple(table[i].tolist())} needs finite "
+            f"values, a non-negative radius{on_map}"
         )
-    sums = depth_map.sum(axis=0)
-    if sums.size and np.max(np.abs(sums - 1.0)) > NORMALIZATION_TOL:
-        raise ValueError("per-pixel depth distributions are not normalized")
-    return depth_map
 
 
-def _target_pixels(
-    target: DepthTarget, cfg: LossConfig, width: int, height: int
-) -> list[tuple[int, int]]:
-    if cfg.strategy == "one-to-one":
-        return [(target.u, target.v)]
-    return neighborhood_pixels(target.u, target.v, target.radius, width, height)
+def _disk_candidates(
+    table: np.ndarray, shape: tuple[int, int], strategy: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Candidate pixels ``(uu, vv, mask)``, each (N, S), of every target's disk.
 
-
-def _pixel_losses(
-    depth_map: np.ndarray,
-    pixels: list[tuple[int, int]],
-    d_gt: float,
-    midpoints: np.ndarray,
-    spec: DepthBinSpec,
-    cfg: LossConfig,
-) -> np.ndarray:
-    us = np.fromiter((p[0] for p in pixels), dtype=np.intp, count=len(pixels))
-    vs = np.fromiter((p[1] for p in pixels), dtype=np.intp, count=len(pixels))
-    dists = depth_map[:, vs, us]
-    k = nearest_bin(d_gt, spec)
-    ce = -np.log(np.maximum(dists[k], LOG_PROB_FLOOR))
-    expectation = midpoints @ dists
-    return cfg.lambda1 * ce + cfg.lambda2 * np.abs(expectation - d_gt)
-
-
-def target_pixel_losses(
-    depth_map: np.ndarray, target: DepthTarget, spec: DepthBinSpec, cfg: LossConfig
-) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Per-pixel losses over one target's neighborhood, in row-major order.
-
-    Diagnostic helper; assumes the map is already normalized.
+    One stencil of row-major offsets (``dv`` outer, ``du`` inner), as wide as
+    the largest radius but no wider than the map, serves all targets; ``mask``
+    marks the candidates on the map and in the target's closed disk.
+    One-to-one uses radius 0.
     """
-    depth_map = np.asarray(depth_map, dtype=np.float64)
-    _, height, width = depth_map.shape
-    pixels = _target_pixels(target, cfg, width, height)
-    losses = _pixel_losses(depth_map, pixels, target.d_gt, spec.midpoints(), spec, cfg)
-    return pixels, losses
+    height, width = shape
+    u = table[:, 0].astype(np.intp)[:, None]
+    v = table[:, 1].astype(np.intp)[:, None]
+    radius = table[:, 3] if strategy == "one-to-many" else np.zeros(len(table))
+    half = min(int(math.floor(radius.max(initial=0.0))), max(height, width) - 1)
+    steps = np.arange(-half, half + 1)
+    dv, du = (a.ravel() for a in np.meshgrid(steps, steps, indexing="ij"))
+    uu = u + du
+    vv = v + dv
+    mask = (
+        (du * du + dv * dv <= (radius * radius)[:, None])
+        & (0 <= uu) & (uu < width) & (0 <= vv) & (vv < height)
+    )
+    return np.where(mask, uu, u), np.where(mask, vv, v), mask
+
+
+@dataclass(frozen=True)
+class _Selection:
+    """(N, S) candidate ``costs`` (off-disk slots never win) and ``mask``;
+    (N,) selected pixels ``u``, ``v`` and their ``cost``."""
+
+    costs: np.ndarray
+    mask: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    cost: np.ndarray
+
+
+def _select_in_disks(
+    table: np.ndarray, shape: tuple[int, int], strategy: str, agg: str, cost_at
+) -> _Selection:
+    """For every (u, v, d_gt, radius) row, the pixel of its disk whose
+    ``cost_at(uu, vv)`` is lowest (``agg="min"``) or highest; ties go to the
+    first candidate in row-major order."""
+    _check_target_table(table, shape)
+    uu, vv, mask = _disk_candidates(table, shape, strategy)
+    fill = np.inf if agg == "min" else -np.inf
+    costs = np.where(mask, cost_at(uu, vv), fill)
+    pick = np.argmin(costs, axis=1) if agg == "min" else np.argmax(costs, axis=1)
+    rows = np.arange(len(table))
+    # The pick lands off the disk only when every candidate costs as much as
+    # the fill; the disk's first candidate then wins, as in any other tie.
+    pick = np.where(mask[rows, pick], pick, np.argmax(mask, axis=1))
+    return _Selection(costs, mask, uu[rows, pick], vv[rows, pick], costs[rows, pick])
+
+
+def _expectation_map(depth_map: np.ndarray, spec: DepthBinSpec) -> np.ndarray:
+    """Expected depth of every pixel, (H, W)."""
+    num_bins, height, width = depth_map.shape
+    return (spec.midpoints() @ depth_map.reshape(num_bins, -1)).reshape(height, width)
+
+
+def _loss_selection(depth_map, targets, spec: DepthBinSpec, cfg: LossConfig) -> _Selection:
+    """Score every target's disk with the per-pixel loss and select."""
+    depth_map = validate_depth_volume(depth_map, spec.num_bins)
+    table = targets_to_array(targets)
+    expectation = _expectation_map(depth_map, spec)
+
+    def cost_at(uu, vv):
+        bins = nearest_bin(table[:, 2], spec)[:, None]
+        return _depth_loss(depth_map[bins, vv, uu], expectation[vv, uu], table[:, 2:3], cfg)
+
+    return _select_in_disks(table, depth_map.shape[1:], cfg.strategy, cfg.neighborhood_agg, cost_at)
 
 
 def one_to_many_loss(
@@ -319,21 +359,16 @@ def one_to_many_loss(
     For each target the per-pixel loss is evaluated on its neighborhood and
     aggregated with min (default) or max; the one-to-one strategy restricts
     the neighborhood to the target pixel itself. An empty target list yields
-    a total of zero.
+    a total of zero. A target off the map, or with a non-finite depth or a
+    negative or non-finite radius, raises a ``ValueError`` naming its index.
     """
-    depth_map = _validate_depth_map(depth_map, spec)
-    _, height, width = depth_map.shape
-    midpoints = spec.midpoints()
-    per_target = []
-    for target in targets:
-        pixels = _target_pixels(target, cfg, width, height)
-        losses = _pixel_losses(depth_map, pixels, target.d_gt, midpoints, spec, cfg)
-        # argmin/argmax return the first occurrence; pixels are in row-major
-        # order, so ties break toward the smallest row-major index.
-        sel = int(np.argmin(losses) if cfg.neighborhood_agg == "min" else np.argmax(losses))
-        per_target.append(TargetLoss(float(losses[sel]), pixels[sel], len(pixels)))
-    total = float(np.mean([t.loss for t in per_target])) if per_target else 0.0
-    return LossResult(total, tuple(per_target))
+    sel = _loss_selection(depth_map, targets, spec, cfg)
+    per_target = tuple(
+        TargetLoss(float(loss), (int(u), int(v)), int(n))
+        for loss, u, v, n in zip(sel.cost, sel.u, sel.v, sel.mask.sum(axis=1))
+    )
+    total = float(np.mean(sel.cost)) if per_target else 0.0
+    return LossResult(total, per_target)
 
 
 def one_to_many_loss_grad(
@@ -346,32 +381,26 @@ def one_to_many_loss_grad(
 
     The distributions are treated as softmax outputs, so the gradient is a
     function of the probabilities alone. Aggregation routes each target's
-    gradient entirely to its selected (argmin or argmax) pixel.
+    gradient entirely to the pixel :func:`one_to_many_loss` selected.
     """
-    depth_map = _validate_depth_map(depth_map, spec)
-    _, height, width = depth_map.shape
-    midpoints = spec.midpoints()
+    targets = tuple(targets)
+    per_target = one_to_many_loss(depth_map, targets, spec, cfg).per_target
+    depth_map = np.asarray(depth_map, dtype=np.float64)
     grad = np.zeros_like(depth_map)
-    targets = list(targets)
     if not targets:
         return grad
-    scale = 1.0 / len(targets)
-    for target in targets:
-        pixels = _target_pixels(target, cfg, width, height)
-        losses = _pixel_losses(depth_map, pixels, target.d_gt, midpoints, spec, cfg)
-        sel = int(np.argmin(losses) if cfg.neighborhood_agg == "min" else np.argmax(losses))
-        u, v = pixels[sel]
-        p = depth_map[:, v, u]
-        k = nearest_bin(target.d_gt, spec)
-        g = np.zeros_like(p)
-        if p[k] > LOG_PROB_FLOOR:
-            one_hot = np.zeros_like(p)
-            one_hot[k] = 1.0
-            g += cfg.lambda1 * (p - one_hot)
-        expectation = float(midpoints @ p)
-        sign = math.copysign(1.0, expectation - target.d_gt) if expectation != target.d_gt else 0.0
-        g += cfg.lambda2 * sign * p * (midpoints - expectation)
-        grad[:, v, u] += scale * g
+    u, v = np.array([t.pixel for t in per_target], dtype=np.intp).T
+    d_gt = targets_to_array(targets)[:, 2]
+    bins = nearest_bin(d_gt, spec)
+    rows = np.arange(len(targets))
+    midpoints = spec.midpoints()
+    p = depth_map[:, v, u]
+    expectation = _expectation_map(depth_map, spec)[v, u]
+    p_minus_one_hot = p.copy()
+    p_minus_one_hot[bins, rows] -= 1.0
+    g = np.where(p[bins, rows] > LOG_PROB_FLOOR, cfg.lambda1 * p_minus_one_hot, 0.0)
+    g += cfg.lambda2 * np.sign(expectation - d_gt) * p * (midpoints[:, None] - expectation)
+    np.add.at(grad, (slice(None), v, u), (1.0 / len(targets)) * g)
     return grad
 
 
@@ -386,6 +415,7 @@ def targets_from_array(arr: np.ndarray) -> tuple[DepthTarget, ...]:
     arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 4:
         raise ValueError(f"target table must be (N, 4), got shape {arr.shape}")
+    _check_target_table(arr)
     return tuple(
         DepthTarget(int(round(r[0])), int(round(r[1])), float(r[2]), float(r[3])) for r in arr
     )

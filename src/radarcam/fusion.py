@@ -132,40 +132,39 @@ def csa_fusion(f_radar: np.ndarray, f_image: np.ndarray, params: CSAFusionParams
     return conv2d(np.concatenate([out_radar, out_image], axis=0), params.out_conv)
 
 
-def _conv_entry(entry: dict, root: Path) -> Conv2DParams:
-    return Conv2DParams.same(
-        lxlt.read_tensor(root / entry["weights"]), lxlt.read_tensor(root / entry["bias"])
-    )
+def _conv_entry(params: dict, name: str, root: Path) -> Conv2DParams:
+    return Conv2DParams.same(*lxlt.read_weights(params[name], root, name))
 
 
-def _mlp_entry(entry: dict, root: Path) -> MLPParams:
-    layers = tuple(
-        LinearParams(lxlt.read_tensor(root / layer["weights"]), lxlt.read_tensor(root / layer["bias"]))
-        for layer in entry["layers"]
+def _mlp_entry(params: dict, name: str, root: Path) -> MLPParams:
+    return MLPParams(
+        tuple(
+            LinearParams(*lxlt.read_weights(layer, root, f"{name}.layers[{i}]"))
+            for i, layer in enumerate(params[name]["layers"])
+        )
     )
-    return MLPParams(layers)
 
 
 def csa_params_from_manifest(manifest: dict, root: str | Path) -> CSAFusionParams:
     """Load attention-fusion parameters from a JSON manifest of LXLT files."""
     root = Path(root)
-    params = manifest["params"] if "params" in manifest else manifest
+    params = lxlt.manifest_params(manifest)
     return CSAFusionParams(
-        in_conv=_conv_entry(params["in_conv"], root),
-        channel_mlp_radar=_mlp_entry(params["channel_mlp_radar"], root),
-        channel_mlp_image=_mlp_entry(params["channel_mlp_image"], root),
-        mid_conv=_conv_entry(params["mid_conv"], root),
-        spatial_conv_radar=_conv_entry(params["spatial_conv_radar"], root),
-        spatial_conv_image=_conv_entry(params["spatial_conv_image"], root),
-        out_conv=_conv_entry(params["out_conv"], root),
+        in_conv=_conv_entry(params, "in_conv", root),
+        channel_mlp_radar=_mlp_entry(params, "channel_mlp_radar", root),
+        channel_mlp_image=_mlp_entry(params, "channel_mlp_image", root),
+        mid_conv=_conv_entry(params, "mid_conv", root),
+        spatial_conv_radar=_conv_entry(params, "spatial_conv_radar", root),
+        spatial_conv_image=_conv_entry(params, "spatial_conv_image", root),
+        out_conv=_conv_entry(params, "out_conv", root),
     )
 
 
 def concat_params_from_manifest(manifest: dict, root: str | Path) -> ConcatFusionParams:
     """Load baseline-fusion parameters from a JSON manifest of LXLT files."""
     root = Path(root)
-    params = manifest["params"] if "params" in manifest else manifest
+    params = lxlt.manifest_params(manifest)
     return ConcatFusionParams(
-        first=_conv_entry(params["first"], root),
-        second=_conv_entry(params["second"], root),
+        first=_conv_entry(params, "first", root),
+        second=_conv_entry(params, "second", root),
     )

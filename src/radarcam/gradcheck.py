@@ -17,9 +17,10 @@ from .depth_supervision import (
     DepthBinSpec,
     DepthTarget,
     LossConfig,
+    _loss_selection,
     one_to_many_loss,
     one_to_many_loss_grad,
-    target_pixel_losses,
+    targets_to_array,
 )
 from .tensor_ops import softmax
 
@@ -36,20 +37,17 @@ class GradCheckInstance:
 
 def _is_well_separated(depth_map: np.ndarray, inst: GradCheckInstance) -> bool:
     """Reject instances whose argmin/argmax or L1 terms sit near a kink."""
-    result = one_to_many_loss(depth_map, inst.targets, inst.spec, inst.cfg)
-    midpoints = inst.spec.midpoints()
-    for target, per in zip(inst.targets, result.per_target):
-        u, v = per.pixel
-        expectation = float(midpoints @ depth_map[:, v, u])
-        if abs(expectation - target.d_gt) < SELECTION_MARGIN:
-            return False
-        if per.num_pixels > 1:
-            _, losses = target_pixel_losses(depth_map, target, inst.spec, inst.cfg)
-            losses = np.sort(losses)
-            gap = losses[1] - losses[0] if inst.cfg.neighborhood_agg == "min" else losses[-1] - losses[-2]
-            if gap < SELECTION_MARGIN:
-                return False
-    return True
+    sel = _loss_selection(depth_map, inst.targets, inst.spec, inst.cfg)
+    expectation = inst.spec.midpoints() @ depth_map[:, sel.v, sel.u]
+    if np.any(np.abs(expectation - targets_to_array(inst.targets)[:, 2]) < SELECTION_MARGIN):
+        return False
+    several = sel.mask.sum(axis=1) > 1
+    if not several.any():
+        return True
+    # Off-disk slots hold +inf (min) or -inf (max), so they sort to the far end.
+    ranked = np.sort(sel.costs, axis=1)
+    gap = ranked[:, 1] - ranked[:, 0] if inst.cfg.neighborhood_agg == "min" else ranked[:, -1] - ranked[:, -2]
+    return not np.any(several & (gap < SELECTION_MARGIN))
 
 
 def random_instance(rng: np.random.Generator, max_bins: int = 16, max_size: int = 12) -> GradCheckInstance:

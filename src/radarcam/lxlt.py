@@ -81,3 +81,18 @@ def read_tensor(path: str | Path) -> np.ndarray:
         raise TensorFormatError(f"{path}: {len(blob) - expected} trailing bytes after payload")
     flat = np.frombuffer(blob, dtype="<f4", count=count, offset=dims_end)
     return flat.astype(np.float64).reshape(shape)
+
+
+def manifest_params(manifest: dict) -> dict:
+    """A JSON manifest's ``params`` object, or the manifest itself."""
+    return manifest.get("params", manifest)
+
+
+def read_weights(entry: dict, root: str | Path, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The (weights, bias) a manifest entry names; a missing key names the entry."""
+    try:
+        return read_tensor(Path(root) / entry["weights"]), read_tensor(Path(root) / entry["bias"])
+    except KeyError as exc:
+        raise ValueError(f"{name}: manifest entry is missing {exc}") from None
+    except TypeError:
+        raise ValueError(f"{name}: manifest entry must map 'weights' and 'bias' to file names") from None

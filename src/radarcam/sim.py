@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -25,8 +24,9 @@ from .depth_supervision import (
     DepthBinSpec,
     RadarPoint,
     RadiusConfig,
+    _select_in_disks,
     build_depth_targets,
-    neighborhood_pixels,
+    targets_to_array,
 )
 from .geometry import SensorCalibration, camera_axes_to_radar, radar_axes_to_camera
 
@@ -299,26 +299,15 @@ def evaluate_supervision(
     if agg not in ("min", "max"):
         raise ValueError(f"unknown aggregation {agg!r}")
     build = build_depth_targets(points, scene.calibration, scene.stride, radius_cfg)
-    height_s, width_s = scene.depth_map.shape
-    half_bin = bins.bin_width / 2.0
-    hits = 0
-    errors = []
-    for target in build.targets:
-        if strategy == "one-to-one":
-            pixels = [(target.u, target.v)]
-        else:
-            pixels = neighborhood_pixels(target.u, target.v, target.radius, width_s, height_s)
-        errs = np.array(
-            [abs(scene.depth_map[v, u] - target.d_gt) for u, v in pixels], dtype=np.float64
-        )
-        err = float(errs.min() if agg == "min" else errs.max())
-        if err <= half_bin:
-            hits += 1
-        if math.isfinite(err):
-            errors.append(err)
-    n = len(build.targets)
-    hit_rate = hits / n if n else 0.0
-    depth_mae = float(np.mean(errors)) if errors else 0.0
+    table = targets_to_array(build.targets)
+    truth = scene.depth_map
+    err = _select_in_disks(
+        table, truth.shape, strategy, agg, lambda uu, vv: np.abs(truth[vv, uu] - table[:, 2:3])
+    ).cost
+    n = len(table)
+    hit_rate = int(np.count_nonzero(err <= bins.bin_width / 2.0)) / n if n else 0.0
+    seen = err[np.isfinite(err)]
+    depth_mae = float(np.mean(seen)) if seen.size else 0.0
     return SupervisionMetrics(hit_rate, depth_mae, n)
 
 
@@ -438,20 +427,14 @@ class ExperimentResult:
     summary: dict
 
 
-def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Evaluate every arm over the seed range and summarize pairwise orderings.
 
-    Seeds are independent, so they may run on a thread pool; results are
-    aggregated in seed order, which keeps every output independent of
-    ``workers``.
+    Seeds run one after another in increasing order, and the rows come out
+    in that order, one per seed and arm.
     """
-    seeds = list(range(cfg.seed_start, cfg.seed_start + cfg.num_seeds))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_seed = list(pool.map(lambda s: _run_seed(cfg, s), seeds))
-    else:
-        per_seed = [_run_seed(cfg, s) for s in seeds]
-    rows = tuple(r for seed_rows in per_seed for r in seed_rows)
+    seeds = range(cfg.seed_start, cfg.seed_start + cfg.num_seeds)
+    rows = tuple(r for seed in seeds for r in _run_seed(cfg, seed))
 
     by_arm: dict[str, list[SupervisionMetrics]] = {arm.name: [] for arm in cfg.arms}
     for row in rows:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import CameraIntrinsics, RigidTransform, scale_intrinsics
-from .depth_supervision import NORMALIZATION_TOL, DepthBinSpec
+from .depth_supervision import DepthBinSpec, validate_depth_volume
 from . import lxlt
 from .tensor_ops import Conv2DParams, LinearParams, ShapeError, conv2d, linear, sigmoid, softmax
 
@@ -80,7 +80,7 @@ class OccupancyGrid:
         data = np.asarray(self.data, dtype=np.float64)
         if data.ndim != 3:
             raise ShapeError(f"occupancy grid must be (Z, Y, X), got shape {data.shape}")
-        if data.size and (data.min() < 0.0 or data.max() > 1.0):
+        if data.size and not (data.min() >= 0.0 and data.max() <= 1.0):
             raise ValueError("occupancy values must lie in [0, 1]")
         object.__setattr__(self, "data", data)
 
@@ -94,17 +94,9 @@ class DepthDistributionMap:
     stride: int
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        if data.ndim != 3 or data.shape[0] != self.spec.num_bins:
-            raise ShapeError(
-                f"depth volume must be ({self.spec.num_bins}, H, W), got {data.shape}"
-            )
         if self.stride < 1:
             raise ValueError(f"stride must be positive, got {self.stride}")
-        sums = data.sum(axis=0)
-        if sums.size and np.max(np.abs(sums - 1.0)) > NORMALIZATION_TOL:
-            raise ValueError("depth distribution columns must sum to 1")
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "data", validate_depth_volume(self.data, self.spec.num_bins))
 
 
 @dataclass(frozen=True)
@@ -304,35 +296,20 @@ def sample_vt(
     return out
 
 
-def _conv_from_manifest(entry: dict, root: Path, kind: str) -> Conv2DParams:
-    try:
-        weights = lxlt.read_tensor(root / entry["weights"])
-        bias = lxlt.read_tensor(root / entry["bias"])
-    except KeyError as exc:
-        raise ValueError(f"{kind}: manifest entry is missing {exc}") from None
-    return Conv2DParams.same(weights, bias)
-
-
-def _linear_from_manifest(entry: dict, root: Path, kind: str) -> LinearParams:
-    try:
-        weights = lxlt.read_tensor(root / entry["weights"])
-        bias = lxlt.read_tensor(root / entry["bias"])
-    except KeyError as exc:
-        raise ValueError(f"{kind}: manifest entry is missing {exc}") from None
-    return LinearParams(weights, bias)
-
-
 def vt_params_from_manifest(manifest: dict, root: str | Path) -> VTParams:
     """Load view-transformation parameters from a JSON manifest of LXLT files."""
     root = Path(root)
-    params = manifest["params"] if "params" in manifest else manifest
+    params = lxlt.manifest_params(manifest)
+
+    def conv(entry: dict, name: str) -> Conv2DParams:
+        return Conv2DParams.same(*lxlt.read_weights(entry, root, name))
+
     return VTParams(
-        occupancy_conv=_conv_from_manifest(params["occupancy_conv"], root, "occupancy_conv"),
-        depth_conv=_conv_from_manifest(params["depth_conv"], root, "depth_conv"),
-        embedding=_linear_from_manifest(params["embedding"], root, "embedding"),
+        occupancy_conv=conv(params["occupancy_conv"], "occupancy_conv"),
+        depth_conv=conv(params["depth_conv"], "depth_conv"),
+        embedding=LinearParams(*lxlt.read_weights(params["embedding"], root, "embedding")),
         post_convs=tuple(
-            _conv_from_manifest(entry, root, f"post_convs[{i}]")
-            for i, entry in enumerate(params["post_convs"])
+            conv(entry, f"post_convs[{i}]") for i, entry in enumerate(params["post_convs"])
         ),
         use_extrinsics_embedding=bool(params.get("use_extrinsics_embedding", False)),
     )

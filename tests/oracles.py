@@ -1,11 +1,14 @@
 """Independent brute-force reference implementations used only by tests.
 
 These deliberately avoid the vectorized code paths they verify: the
-convolution oracle is six nested loops, and the view-transformation oracle
-walks voxels one at a time through the scalar sampling primitives.
+convolution oracle is six nested loops, the view-transformation oracle
+walks voxels one at a time through the scalar sampling primitives, and the
+depth-loss oracle scores one target's disk at a time.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -90,4 +93,44 @@ def sample_vt_reference(f_pv, d_map, occupancy, grid, intrinsics, world_to_camer
     out = vol
     for conv in params.post_convs:
         out = conv2d(out, conv)
+    return out
+
+
+def disk_pixels(u: int, v: int, radius: float, width: int, height: int) -> list[tuple[int, int]]:
+    """In-bounds pixels within the closed disk of ``radius`` around (u, v),
+    in row-major order."""
+    r_int = int(math.floor(radius))
+    pixels = []
+    for dv in range(-r_int, r_int + 1):
+        for du in range(-r_int, r_int + 1):
+            uu, vv = u + du, v + dv
+            if 0 <= uu < width and 0 <= vv < height and du * du + dv * dv <= radius * radius:
+                pixels.append((uu, vv))
+    return pixels
+
+
+def target_losses_reference(depth_map, targets, spec, cfg) -> list[tuple[float, tuple[int, int], int, np.ndarray]]:
+    """Per-target loop of the neighborhood loss.
+
+    For each target: (selected loss, selected pixel, disk size, the loss of
+    every disk pixel in row-major order). The one-to-one strategy scores the
+    target pixel alone.
+    """
+    depth_map = np.asarray(depth_map, dtype=np.float64)
+    _, height, width = depth_map.shape
+    midpoints = spec.midpoints()
+    out = []
+    for t in targets:
+        if cfg.strategy == "one-to-one":
+            pixels = [(t.u, t.v)]
+        else:
+            pixels = disk_pixels(t.u, t.v, t.radius, width, height)
+        us = np.array([p[0] for p in pixels], dtype=np.intp)
+        vs = np.array([p[1] for p in pixels], dtype=np.intp)
+        dists = depth_map[:, vs, us]
+        k = min(max(int(math.floor((t.d_gt - spec.d_min) / spec.bin_width)), 0), spec.num_bins - 1)
+        ce = -np.log(np.maximum(dists[k], 1e-12))
+        losses = cfg.lambda1 * ce + cfg.lambda2 * np.abs(midpoints @ dists - t.d_gt)
+        sel = int(np.argmin(losses) if cfg.neighborhood_agg == "min" else np.argmax(losses))
+        out.append((float(losses[sel]), pixels[sel], len(pixels), losses))
     return out

@@ -14,8 +14,8 @@ from radarcam.depth_supervision import (
     RadiusConfig,
     build_depth_targets,
     expected_depth,
+    _disk_candidates,
     nearest_bin,
-    neighborhood_pixels,
     neighborhood_radius,
     one_to_many_loss,
     one_to_many_loss_grad,
@@ -32,6 +32,8 @@ from radarcam.geometry import (
 )
 from radarcam.gradcheck import analytic_grad, finite_difference_grad, random_instance, relative_error
 from radarcam.tensor_ops import softmax
+
+from oracles import target_losses_reference
 
 K = CameraIntrinsics(fx=1600.0, fy=1600.0, cx=320.0, cy=240.0)
 
@@ -217,6 +219,12 @@ class TestPixelDepthLoss:
         assert loss == pytest.approx(60.0 - self.SPEC.midpoint(49))
 
 
+def neighborhood_pixels(u, v, radius, width, height):
+    """The in-disk candidates of one target, in stencil order."""
+    uu, vv, mask = _disk_candidates(np.array([[u, v, 1.0, radius]]), (height, width), "one-to-many")
+    return [(int(a), int(b)) for a, b in zip(uu[0][mask[0]], vv[0][mask[0]])]
+
+
 class TestNeighborhoodPixels:
     def test_radius_zero_is_center_only(self):
         assert neighborhood_pixels(3, 4, 0.0, 10, 10) == [(3, 4)]
@@ -322,6 +330,146 @@ class TestOneToManyLoss:
         bad = np.full((16, 3, 3), 0.2)
         with pytest.raises(ValueError, match="normalized"):
             one_to_many_loss(bad, [], self.SPEC, LossConfig())
+
+
+@st.composite
+def loss_instances(draw):
+    """A random map, targets anywhere on it (depths past both ends of the
+    bin range included) and a loss configuration."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    num_bins = draw(st.integers(2, 12))
+    height = draw(st.integers(1, 9))
+    width = draw(st.integers(1, 9))
+    rng = np.random.default_rng(seed)
+    depth_map = softmax(rng.normal(0.0, 2.0, size=(num_bins, height, width)), axis=0)
+    targets = [
+        DepthTarget(
+            draw(st.integers(0, width - 1)),
+            draw(st.integers(0, height - 1)),
+            draw(st.floats(-2.0, num_bins + 2.0)),
+            draw(st.floats(0.0, 3.5)),
+        )
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    cfg = LossConfig(
+        lambda1=draw(st.floats(0.0, 1.0)),
+        lambda2=draw(st.floats(0.0, 1.0)),
+        neighborhood_agg=draw(st.sampled_from(["min", "max"])),
+        strategy=draw(st.sampled_from(["one-to-one", "one-to-many"])),
+    )
+    return depth_map, targets, DepthBinSpec(0.0, float(num_bins), num_bins), cfg
+
+
+class TestLossMatchesReference:
+    @given(loss_instances())
+    @settings(max_examples=150, deadline=None)
+    def test_selection_and_losses_match_the_per_target_loop(self, instance):
+        depth_map, targets, spec, cfg = instance
+        got = one_to_many_loss(depth_map, targets, spec, cfg)
+        want = target_losses_reference(depth_map, targets, spec, cfg)
+        assert len(got.per_target) == len(want)
+        for per, (loss, pixel, num_pixels, losses) in zip(got.per_target, want):
+            assert per.num_pixels == num_pixels
+            assert per.loss == pytest.approx(loss, rel=1e-12, abs=0.0)
+            ranked = np.sort(losses if cfg.neighborhood_agg == "min" else -losses)
+            if ranked.size == 1 or ranked[1] - ranked[0] > 1e-9:
+                assert per.pixel == pixel
+
+    def test_first_candidate_wins_a_tie(self):
+        spec = DepthBinSpec(0.0, 16.0, 16)
+        result = one_to_many_loss(uniform_map(16, 5, 5), [DepthTarget(2, 2, 7.0, 1.5)], spec, LossConfig())
+        assert result.per_target[0].pixel == (1, 1)
+        assert result.per_target[0].num_pixels == 9
+
+    def test_gradient_sits_on_the_selected_pixels(self):
+        rng = np.random.default_rng(11)
+        spec = DepthBinSpec(0.0, 12.0, 12)
+        depth_map = softmax(rng.normal(size=(12, 7, 7)), axis=0)
+        targets = [DepthTarget(1, 1, 3.0, 2.0), DepthTarget(5, 4, 9.5, 1.0), DepthTarget(5, 4, 2.0, 1.0)]
+        for agg in ("min", "max"):
+            cfg = LossConfig(neighborhood_agg=agg)
+            selected = {t.pixel for t in one_to_many_loss(depth_map, targets, spec, cfg).per_target}
+            grad = one_to_many_loss_grad(depth_map, targets, spec, cfg)
+            touched = {(int(u), int(v)) for v, u in zip(*np.nonzero(np.any(grad != 0.0, axis=0)))}
+            assert touched == selected
+
+
+class TestTargetValidation:
+    SPEC = DepthBinSpec(0.0, 16.0, 16)
+    GOOD = DepthTarget(1, 1, 5.0, 1.0)
+
+    @pytest.mark.parametrize("strategy", ["one-to-one", "one-to-many"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            DepthTarget(-1, 1, 5.0, 1.0),
+            DepthTarget(1, 4, 5.0, 1.0),
+            DepthTarget(4, 0, 5.0, 0.0),
+            DepthTarget(1, 1, math.nan, 1.0),
+            DepthTarget(1, 1, math.inf, 1.0),
+            DepthTarget(1, 1, 5.0, -0.5),
+            DepthTarget(1, 1, 5.0, math.nan),
+            DepthTarget(1, 1, 5.0, math.inf),
+        ],
+    )
+    def test_bad_target_is_named(self, bad, strategy):
+        cfg = LossConfig(strategy=strategy)
+        for fn in (one_to_many_loss, one_to_many_loss_grad):
+            with pytest.raises(ValueError, match="target 1 "):
+                fn(uniform_map(16, 4, 4), [self.GOOD, bad], self.SPEC, cfg)
+
+    def test_table_with_nan_depth_is_rejected(self):
+        table = np.array([[1.0, 1.0, 5.0, 1.0], [1.0, 1.0, math.nan, 1.0]])
+        with pytest.raises(ValueError, match="target 1 "):
+            targets_from_array(table)
+
+    def test_table_with_negative_radius_is_rejected(self):
+        with pytest.raises(ValueError, match="target 0 "):
+            targets_from_array(np.array([[1.0, 1.0, 5.0, -1.0]]))
+
+
+class TestDepthMapValidation:
+    SPEC = DepthBinSpec(0.0, 4.0, 4)
+
+    def test_nan_column_is_rejected(self):
+        depth_map = uniform_map(4, 3, 3)
+        depth_map[:, 2, 1] = math.nan
+        with pytest.raises(ValueError, match=r"\(u=1, v=2\) is not normalized"):
+            one_to_many_loss(depth_map, [], self.SPEC, LossConfig())
+
+    def test_negative_probabilities_are_rejected(self):
+        depth_map = uniform_map(4, 3, 3)
+        depth_map[:, 0, 0] = [1.5, -0.5, 0.0, 0.0]
+        with pytest.raises(ValueError, match="non-negative"):
+            one_to_many_loss_grad(depth_map, [], self.SPEC, LossConfig())
+
+    def test_wrong_bin_count_is_a_shape_error(self):
+        with pytest.raises(ValueError, match=r"\(4, H, W\)"):
+            one_to_many_loss(uniform_map(3, 2, 2), [], self.SPEC, LossConfig())
+
+
+class TestNonFiniteInputs:
+    def test_radar_point_rejects_non_finite_rcs_and_doppler(self):
+        with pytest.raises(ValueError, match="RCS"):
+            RadarPoint(0.0, 0.0, 10.0, rcs_dbsm=math.nan)
+        with pytest.raises(ValueError, match="Doppler"):
+            RadarPoint(0.0, 0.0, 10.0, doppler=math.inf)
+
+    def test_radius_rejects_nan_rcs(self):
+        with pytest.raises(ValueError, match="RCS"):
+            neighborhood_radius(10.0, K, 8, RadiusConfig(), rcs_dbsm=math.nan)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"k": math.nan}, {"r_max": math.nan}, {"fixed_r": math.nan}]
+    )
+    def test_radius_config_rejects_nan(self, kwargs):
+        with pytest.raises(ValueError):
+            RadiusConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [{"lambda1": math.nan}, {"lambda2": math.nan}])
+    def test_loss_config_rejects_nan(self, kwargs):
+        with pytest.raises(ValueError, match="non-negative"):
+            LossConfig(**kwargs)
 
 
 class TestLossGradient:

@@ -103,6 +103,12 @@ class TestOccupancy:
         with pytest.raises(ValueError, match="0, 1"):
             OccupancyGrid(np.full((1, 1, 1), 1.5))
 
+    def test_occupancy_grid_rejects_nan(self):
+        data = np.full((2, 2, 2), 0.5)
+        data[1, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="0, 1"):
+            OccupancyGrid(data)
+
 
 class TestDepthDistribution:
     BINS = DepthBinSpec(0.0, 40.0, 10)
@@ -299,6 +305,18 @@ class TestValidation:
         bins = DepthBinSpec(0.0, 10.0, 5)
         with pytest.raises(ValueError, match="sum"):
             DepthDistributionMap(np.full((5, 2, 2), 0.5), bins, 8)
+
+    def test_depth_map_nan_column_rejected(self):
+        data = np.full((5, 2, 2), 0.2)
+        data[:, 1, 0] = np.nan
+        with pytest.raises(ValueError, match=r"\(u=0, v=1\)"):
+            DepthDistributionMap(data, DepthBinSpec(0.0, 10.0, 5), 8)
+
+    def test_depth_map_negative_probabilities_rejected(self):
+        data = np.full((5, 2, 2), 0.2)
+        data[:, 0, 1] = [0.6, 0.6, -0.2, 0.0, 0.0]
+        with pytest.raises(ValueError, match="non-negative"):
+            DepthDistributionMap(data, DepthBinSpec(0.0, 10.0, 5), 8)
 
     def test_post_conv_count_enforced(self):
         rng = np.random.default_rng(0)
