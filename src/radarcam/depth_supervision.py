@@ -19,6 +19,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -273,79 +274,94 @@ def _check_target_table(table: np.ndarray, shape: tuple[int, int] | None = None)
         )
 
 
-def _disk_candidates(
-    table: np.ndarray, shape: tuple[int, int], strategy: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Candidate pixels ``(uu, vv, mask)``, each (N, S), of every target's disk.
+def neighborhood_pixels(
+    u: int, v: int, radius: float, width: int, height: int
+) -> list[tuple[int, int]]:
+    """In-bounds pixels within the closed disk of ``radius`` around (u, v).
 
-    One stencil of row-major offsets (``dv`` outer, ``du`` inner), as wide as
-    the largest radius but no wider than the map, serves all targets; ``mask``
-    marks the candidates on the map and in the target's closed disk.
-    One-to-one uses radius 0.
+    Returned in row-major order (``dv`` outer, ``du`` inner) so index ties
+    resolve deterministically.
     """
-    height, width = shape
-    u = table[:, 0].astype(np.intp)[:, None]
-    v = table[:, 1].astype(np.intp)[:, None]
-    radius = table[:, 3] if strategy == "one-to-many" else np.zeros(len(table))
-    half = min(int(math.floor(radius.max(initial=0.0))), max(height, width) - 1)
-    steps = np.arange(-half, half + 1)
-    dv, du = (a.ravel() for a in np.meshgrid(steps, steps, indexing="ij"))
-    uu = u + du
-    vv = v + dv
-    mask = (
-        (du * du + dv * dv <= (radius * radius)[:, None])
-        & (0 <= uu) & (uu < width) & (0 <= vv) & (vv < height)
-    )
-    return np.where(mask, uu, u), np.where(mask, vv, v), mask
+    half = math.floor(radius)
+    us = np.arange(max(u - half, 0), min(u + half, width - 1) + 1)
+    vs = np.arange(max(v - half, 0), min(v + half, height - 1) + 1)
+    vv, uu = (a.ravel() for a in np.meshgrid(vs, us, indexing="ij"))
+    inside = (uu - u) ** 2 + (vv - v) ** 2 <= radius * radius
+    return list(zip(uu[inside].tolist(), vv[inside].tolist()))
 
 
-@dataclass(frozen=True)
-class _Selection:
-    """(N, S) candidate ``costs`` (off-disk slots never win) and ``mask``;
-    (N,) selected pixels ``u``, ``v`` and their ``cost``."""
+class _Selection(NamedTuple):
+    """Per target, in table order: the selected pixel ``u``, ``v``, its
+    ``cost`` and the ``count`` of candidates in its disk. ``costs`` holds the
+    (N, S) candidate costs of every stencil group, signed so that the lowest
+    wins; off-disk slots hold +inf."""
 
-    costs: np.ndarray
-    mask: np.ndarray
     u: np.ndarray
     v: np.ndarray
     cost: np.ndarray
+    count: np.ndarray
+    costs: tuple[np.ndarray, ...]
 
 
 def _select_in_disks(
     table: np.ndarray, shape: tuple[int, int], strategy: str, agg: str, cost_at
 ) -> _Selection:
     """For every (u, v, d_gt, radius) row, the pixel of its disk whose
-    ``cost_at(uu, vv)`` is lowest (``agg="min"``) or highest; ties go to the
-    first candidate in row-major order."""
+    ``cost_at(rows, uu, vv)`` is lowest (``agg="min"``) or highest; ties go
+    to the first candidate in row-major order. One-to-one uses radius 0.
+
+    Targets are scored in groups of equal stencil half-width (the floor of
+    the radius, clipped to the map). A group's stencil is the
+    :func:`neighborhood_pixels` disk of its largest radius, so one wide disk
+    does not widen the candidates of every other target; ``mask`` marks the
+    candidates on the map and in each target's own disk.
+    """
     _check_target_table(table, shape)
-    uu, vv, mask = _disk_candidates(table, shape, strategy)
-    fill = np.inf if agg == "min" else -np.inf
-    costs = np.where(mask, cost_at(uu, vv), fill)
-    pick = np.argmin(costs, axis=1) if agg == "min" else np.argmax(costs, axis=1)
-    rows = np.arange(len(table))
-    # The pick lands off the disk only when every candidate costs as much as
-    # the fill; the disk's first candidate then wins, as in any other tie.
-    pick = np.where(mask[rows, pick], pick, np.argmax(mask, axis=1))
-    return _Selection(costs, mask, uu[rows, pick], vv[rows, pick], costs[rows, pick])
+    height, width = shape
+    radius = table[:, 3] if strategy == "one-to-many" else np.zeros(len(table))
+    halves = np.minimum(np.floor(radius), max(shape) - 1).astype(np.intp)
+    sign = 1.0 if agg == "min" else -1.0
+    u_sel, v_sel, count, cost = (np.zeros(len(table), t) for t in (np.intp, np.intp, np.intp, float))
+    groups = []
+    for half in np.unique(halves).tolist():
+        rows = np.flatnonzero(halves == half)
+        size = 2 * half + 1
+        du, dv = (np.array(neighborhood_pixels(half, half, radius[rows].max(), size, size)) - half).T
+        u, v, r = table[rows, 0:1].astype(np.intp), table[rows, 1:2].astype(np.intp), radius[rows, None]
+        uu, vv = u + du, v + dv
+        mask = (du * du + dv * dv <= r * r) & (0 <= uu) & (uu < width) & (0 <= vv) & (vv < height)
+        uu, vv = np.where(mask, uu, u), np.where(mask, vv, v)
+        costs = np.where(mask, sign * cost_at(rows, uu, vv), np.inf)
+        at = np.arange(len(rows))
+        pick = np.argmin(costs, axis=1)
+        # The pick lands off the disk only when every candidate costs +inf;
+        # the disk's first candidate then wins, as in any other tie.
+        pick = np.where(mask[at, pick], pick, np.argmax(mask, axis=1))
+        u_sel[rows], v_sel[rows] = uu[at, pick], vv[at, pick]
+        cost[rows] = sign * costs[at, pick]
+        count[rows] = mask.sum(axis=1)
+        groups.append(costs)
+    return _Selection(u_sel, v_sel, cost, count, tuple(groups))
 
 
-def _expectation_map(depth_map: np.ndarray, spec: DepthBinSpec) -> np.ndarray:
-    """Expected depth of every pixel, (H, W)."""
-    num_bins, height, width = depth_map.shape
-    return (spec.midpoints() @ depth_map.reshape(num_bins, -1)).reshape(height, width)
+def _loss_selection(depth_map, targets, spec: DepthBinSpec, cfg: LossConfig):
+    """Score every target's disk with the per-pixel loss and select.
 
-
-def _loss_selection(depth_map, targets, spec: DepthBinSpec, cfg: LossConfig) -> _Selection:
-    """Score every target's disk with the per-pixel loss and select."""
+    Returns the validated map, the (N, 4) target table, the (H, W) map of
+    expected depths and the selection, which the loss and its gradient share.
+    """
     depth_map = validate_depth_volume(depth_map, spec.num_bins)
     table = targets_to_array(targets)
-    expectation = _expectation_map(depth_map, spec)
+    shape = depth_map.shape[1:]
+    expectation = (spec.midpoints() @ depth_map.reshape(spec.num_bins, -1)).reshape(shape)
 
-    def cost_at(uu, vv):
-        bins = nearest_bin(table[:, 2], spec)[:, None]
-        return _depth_loss(depth_map[bins, vv, uu], expectation[vv, uu], table[:, 2:3], cfg)
+    def cost_at(rows, uu, vv):
+        d_gt = table[rows, 2:3]
+        p_gt = depth_map[nearest_bin(d_gt, spec), vv, uu]
+        return _depth_loss(p_gt, expectation[vv, uu], d_gt, cfg)
 
-    return _select_in_disks(table, depth_map.shape[1:], cfg.strategy, cfg.neighborhood_agg, cost_at)
+    sel = _select_in_disks(table, shape, cfg.strategy, cfg.neighborhood_agg, cost_at)
+    return depth_map, table, expectation, sel
 
 
 def one_to_many_loss(
@@ -362,10 +378,10 @@ def one_to_many_loss(
     a total of zero. A target off the map, or with a non-finite depth or a
     negative or non-finite radius, raises a ``ValueError`` naming its index.
     """
-    sel = _loss_selection(depth_map, targets, spec, cfg)
+    *_, sel = _loss_selection(depth_map, targets, spec, cfg)
+    columns = (sel.cost, sel.u, sel.v, sel.count)
     per_target = tuple(
-        TargetLoss(float(loss), (int(u), int(v)), int(n))
-        for loss, u, v, n in zip(sel.cost, sel.u, sel.v, sel.mask.sum(axis=1))
+        TargetLoss(loss, (u, v), n) for loss, u, v, n in zip(*(c.tolist() for c in columns))
     )
     total = float(np.mean(sel.cost)) if per_target else 0.0
     return LossResult(total, per_target)
@@ -381,26 +397,24 @@ def one_to_many_loss_grad(
 
     The distributions are treated as softmax outputs, so the gradient is a
     function of the probabilities alone. Aggregation routes each target's
-    gradient entirely to the pixel :func:`one_to_many_loss` selected.
+    gradient entirely to the pixel :func:`one_to_many_loss` selects; both
+    share one selection and one expectation map.
     """
-    targets = tuple(targets)
-    per_target = one_to_many_loss(depth_map, targets, spec, cfg).per_target
-    depth_map = np.asarray(depth_map, dtype=np.float64)
+    depth_map, table, expectation, sel = _loss_selection(depth_map, targets, spec, cfg)
     grad = np.zeros_like(depth_map)
-    if not targets:
+    if not len(table):
         return grad
-    u, v = np.array([t.pixel for t in per_target], dtype=np.intp).T
-    d_gt = targets_to_array(targets)[:, 2]
+    u, v, d_gt = sel.u, sel.v, table[:, 2]
     bins = nearest_bin(d_gt, spec)
-    rows = np.arange(len(targets))
+    rows = np.arange(len(table))
     midpoints = spec.midpoints()
     p = depth_map[:, v, u]
-    expectation = _expectation_map(depth_map, spec)[v, u]
+    e = expectation[v, u]
     p_minus_one_hot = p.copy()
     p_minus_one_hot[bins, rows] -= 1.0
     g = np.where(p[bins, rows] > LOG_PROB_FLOOR, cfg.lambda1 * p_minus_one_hot, 0.0)
-    g += cfg.lambda2 * np.sign(expectation - d_gt) * p * (midpoints[:, None] - expectation)
-    np.add.at(grad, (slice(None), v, u), (1.0 / len(targets)) * g)
+    g += cfg.lambda2 * np.sign(e - d_gt) * p * (midpoints[:, None] - e)
+    np.add.at(grad, (slice(None), v, u), (1.0 / len(table)) * g)
     return grad
 
 

@@ -18,7 +18,6 @@ import numpy as np
 from . import lxlt
 from .tensor_ops import (
     Conv2DParams,
-    LinearParams,
     MLPParams,
     ShapeError,
     channel_reduce,
@@ -132,39 +131,29 @@ def csa_fusion(f_radar: np.ndarray, f_image: np.ndarray, params: CSAFusionParams
     return conv2d(np.concatenate([out_radar, out_image], axis=0), params.out_conv)
 
 
-def _conv_entry(params: dict, name: str, root: Path) -> Conv2DParams:
-    return Conv2DParams.same(*lxlt.read_weights(params[name], root, name))
-
-
-def _mlp_entry(params: dict, name: str, root: Path) -> MLPParams:
-    return MLPParams(
-        tuple(
-            LinearParams(*lxlt.read_weights(layer, root, f"{name}.layers[{i}]"))
-            for i, layer in enumerate(params[name]["layers"])
-        )
-    )
+def _read_mlp(entry: dict, root: str | Path, name: str) -> MLPParams:
+    layers = enumerate(entry["layers"])
+    return MLPParams(tuple(lxlt.read_linear(layer, root, f"{name}.layers[{i}]") for i, layer in layers))
 
 
 def csa_params_from_manifest(manifest: dict, root: str | Path) -> CSAFusionParams:
     """Load attention-fusion parameters from a JSON manifest of LXLT files."""
-    root = Path(root)
     params = lxlt.manifest_params(manifest)
     return CSAFusionParams(
-        in_conv=_conv_entry(params, "in_conv", root),
-        channel_mlp_radar=_mlp_entry(params, "channel_mlp_radar", root),
-        channel_mlp_image=_mlp_entry(params, "channel_mlp_image", root),
-        mid_conv=_conv_entry(params, "mid_conv", root),
-        spatial_conv_radar=_conv_entry(params, "spatial_conv_radar", root),
-        spatial_conv_image=_conv_entry(params, "spatial_conv_image", root),
-        out_conv=_conv_entry(params, "out_conv", root),
+        in_conv=lxlt.read_conv(params["in_conv"], root, "in_conv"),
+        channel_mlp_radar=_read_mlp(params["channel_mlp_radar"], root, "channel_mlp_radar"),
+        channel_mlp_image=_read_mlp(params["channel_mlp_image"], root, "channel_mlp_image"),
+        mid_conv=lxlt.read_conv(params["mid_conv"], root, "mid_conv"),
+        spatial_conv_radar=lxlt.read_conv(params["spatial_conv_radar"], root, "spatial_conv_radar"),
+        spatial_conv_image=lxlt.read_conv(params["spatial_conv_image"], root, "spatial_conv_image"),
+        out_conv=lxlt.read_conv(params["out_conv"], root, "out_conv"),
     )
 
 
 def concat_params_from_manifest(manifest: dict, root: str | Path) -> ConcatFusionParams:
     """Load baseline-fusion parameters from a JSON manifest of LXLT files."""
-    root = Path(root)
     params = lxlt.manifest_params(manifest)
     return ConcatFusionParams(
-        first=_conv_entry(params, "first", root),
-        second=_conv_entry(params, "second", root),
+        first=lxlt.read_conv(params["first"], root, "first"),
+        second=lxlt.read_conv(params["second"], root, "second"),
     )

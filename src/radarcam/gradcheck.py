@@ -20,7 +20,6 @@ from .depth_supervision import (
     _loss_selection,
     one_to_many_loss,
     one_to_many_loss_grad,
-    targets_to_array,
 )
 from .tensor_ops import softmax
 
@@ -37,17 +36,16 @@ class GradCheckInstance:
 
 def _is_well_separated(depth_map: np.ndarray, inst: GradCheckInstance) -> bool:
     """Reject instances whose argmin/argmax or L1 terms sit near a kink."""
-    sel = _loss_selection(depth_map, inst.targets, inst.spec, inst.cfg)
-    expectation = inst.spec.midpoints() @ depth_map[:, sel.v, sel.u]
-    if np.any(np.abs(expectation - targets_to_array(inst.targets)[:, 2]) < SELECTION_MARGIN):
+    _, table, expectation, sel = _loss_selection(depth_map, inst.targets, inst.spec, inst.cfg)
+    if np.any(np.abs(expectation[sel.v, sel.u] - table[:, 2]) < SELECTION_MARGIN):
         return False
-    several = sel.mask.sum(axis=1) > 1
-    if not several.any():
-        return True
-    # Off-disk slots hold +inf (min) or -inf (max), so they sort to the far end.
-    ranked = np.sort(sel.costs, axis=1)
-    gap = ranked[:, 1] - ranked[:, 0] if inst.cfg.neighborhood_agg == "min" else ranked[:, -1] - ranked[:, -2]
-    return not np.any(several & (gap < SELECTION_MARGIN))
+    # Costs are signed so the lowest wins and off-disk slots hold +inf: the gap
+    # between the two lowest is infinite for a target with one candidate.
+    return not any(
+        np.any(np.diff(np.partition(costs, 1, axis=1)[:, :2], axis=1) < SELECTION_MARGIN)
+        for costs in sel.costs
+        if costs.shape[1] > 1
+    )
 
 
 def random_instance(rng: np.random.Generator, max_bins: int = 16, max_size: int = 12) -> GradCheckInstance:

@@ -22,6 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .tensor_ops import Conv2DParams, LinearParams
+
 MAGIC = b"LXLT"
 VERSION = 1
 DTYPE_FLOAT32 = 0
@@ -88,7 +90,7 @@ def manifest_params(manifest: dict) -> dict:
     return manifest.get("params", manifest)
 
 
-def read_weights(entry: dict, root: str | Path, name: str) -> tuple[np.ndarray, np.ndarray]:
+def _read_weights(entry: dict, root: str | Path, name: str) -> tuple[np.ndarray, np.ndarray]:
     """The (weights, bias) a manifest entry names; a missing key names the entry."""
     try:
         return read_tensor(Path(root) / entry["weights"]), read_tensor(Path(root) / entry["bias"])
@@ -96,3 +98,13 @@ def read_weights(entry: dict, root: str | Path, name: str) -> tuple[np.ndarray, 
         raise ValueError(f"{name}: manifest entry is missing {exc}") from None
     except TypeError:
         raise ValueError(f"{name}: manifest entry must map 'weights' and 'bias' to file names") from None
+
+
+def read_conv(entry: dict, root: str | Path, name: str) -> Conv2DParams:
+    """The same-padded convolution a manifest entry names."""
+    return Conv2DParams.same(*_read_weights(entry, root, name))
+
+
+def read_linear(entry: dict, root: str | Path, name: str) -> LinearParams:
+    """The linear layer a manifest entry names."""
+    return LinearParams(*_read_weights(entry, root, name))

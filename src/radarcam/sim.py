@@ -26,6 +26,7 @@ from .depth_supervision import (
     RadiusConfig,
     _select_in_disks,
     build_depth_targets,
+    neighborhood_pixels,  # noqa: F401 -- bench/tracing.py wraps the name in this module
     targets_to_array,
 )
 from .geometry import SensorCalibration, camera_axes_to_radar, radar_axes_to_camera
@@ -302,7 +303,7 @@ def evaluate_supervision(
     table = targets_to_array(build.targets)
     truth = scene.depth_map
     err = _select_in_disks(
-        table, truth.shape, strategy, agg, lambda uu, vv: np.abs(truth[vv, uu] - table[:, 2:3])
+        table, truth.shape, strategy, agg, lambda rows, uu, vv: np.abs(truth[vv, uu] - table[rows, 2:3])
     ).cost
     n = len(table)
     hit_rate = int(np.count_nonzero(err <= bins.bin_width / 2.0)) / n if n else 0.0

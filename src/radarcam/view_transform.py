@@ -298,18 +298,14 @@ def sample_vt(
 
 def vt_params_from_manifest(manifest: dict, root: str | Path) -> VTParams:
     """Load view-transformation parameters from a JSON manifest of LXLT files."""
-    root = Path(root)
     params = lxlt.manifest_params(manifest)
-
-    def conv(entry: dict, name: str) -> Conv2DParams:
-        return Conv2DParams.same(*lxlt.read_weights(entry, root, name))
-
     return VTParams(
-        occupancy_conv=conv(params["occupancy_conv"], "occupancy_conv"),
-        depth_conv=conv(params["depth_conv"], "depth_conv"),
-        embedding=LinearParams(*lxlt.read_weights(params["embedding"], root, "embedding")),
+        occupancy_conv=lxlt.read_conv(params["occupancy_conv"], root, "occupancy_conv"),
+        depth_conv=lxlt.read_conv(params["depth_conv"], root, "depth_conv"),
+        embedding=lxlt.read_linear(params["embedding"], root, "embedding"),
         post_convs=tuple(
-            conv(entry, f"post_convs[{i}]") for i, entry in enumerate(params["post_convs"])
+            lxlt.read_conv(entry, root, f"post_convs[{i}]")
+            for i, entry in enumerate(params["post_convs"])
         ),
         use_extrinsics_embedding=bool(params.get("use_extrinsics_embedding", False)),
     )

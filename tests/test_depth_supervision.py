@@ -14,8 +14,9 @@ from radarcam.depth_supervision import (
     RadiusConfig,
     build_depth_targets,
     expected_depth,
-    _disk_candidates,
+    _select_in_disks,
     nearest_bin,
+    neighborhood_pixels,
     neighborhood_radius,
     one_to_many_loss,
     one_to_many_loss_grad,
@@ -219,12 +220,6 @@ class TestPixelDepthLoss:
         assert loss == pytest.approx(60.0 - self.SPEC.midpoint(49))
 
 
-def neighborhood_pixels(u, v, radius, width, height):
-    """The in-disk candidates of one target, in stencil order."""
-    uu, vv, mask = _disk_candidates(np.array([[u, v, 1.0, radius]]), (height, width), "one-to-many")
-    return [(int(a), int(b)) for a, b in zip(uu[0][mask[0]], vv[0][mask[0]])]
-
-
 class TestNeighborhoodPixels:
     def test_radius_zero_is_center_only(self):
         assert neighborhood_pixels(3, 4, 0.0, 10, 10) == [(3, 4)]
@@ -243,6 +238,54 @@ class TestNeighborhoodPixels:
     def test_row_major_order(self):
         got = neighborhood_pixels(1, 1, 1.0, 4, 4)
         assert got == [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2)]
+
+    def test_far_radius_is_clipped_to_the_map(self):
+        got = neighborhood_pixels(1, 2, 1e12, 3, 4)
+        assert got == [(u, v) for v in range(4) for u in range(3)]
+
+
+def _selected_candidates(table, shape, strategy="one-to-many"):
+    """Run the selection with a constant cost and collect every candidate
+    grid the cost was asked for, with the target rows of each."""
+    seen = []
+
+    def cost_at(rows, uu, vv):
+        seen.append((rows, uu, vv))
+        return np.zeros(uu.shape)
+
+    sel = _select_in_disks(np.asarray(table, dtype=np.float64), shape, strategy, "min", cost_at)
+    return sel, seen
+
+
+class TestDiskStencil:
+    @given(
+        u=st.integers(0, 9),
+        v=st.integers(0, 7),
+        radii=st.lists(st.floats(0.0, 4.0), min_size=1, max_size=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_candidates_are_each_targets_own_disk(self, u, v, radii):
+        table = [[u, v, 1.0, r] for r in radii]
+        sel, seen = _selected_candidates(table, (8, 10))
+        for rows, uu, vv in seen:
+            for row, cu, cv in zip(rows, uu, vv):
+                disk = neighborhood_pixels(u, v, radii[row], 10, 8)
+                counted = {(a, b) for a, b in zip(cu.tolist(), cv.tolist())}
+                assert counted == set(disk)
+                assert sel.count[row] == len(disk)
+                # A constant cost ties everywhere: the first pixel in row-major order wins.
+                assert (sel.u[row], sel.v[row]) == disk[0]
+
+    def test_one_to_one_is_the_target_pixel(self):
+        sel, seen = _selected_candidates([[3, 2, 1.0, 5.0]], (6, 6), strategy="one-to-one")
+        assert [uu.shape for _, uu, _ in seen] == [(1, 1)]
+        assert (sel.u[0], sel.v[0], sel.count[0]) == (3, 2, 1)
+
+    def test_one_wide_disk_does_not_widen_the_others(self):
+        table = [[i % 64, i // 64, 1.0, 2.0] for i in range(199)] + [[32, 32, 1.0, 60.0]]
+        sel, seen = _selected_candidates(table, (64, 64))
+        assert sum(uu.size for _, uu, _ in seen) <= 199 * 13 + len(neighborhood_pixels(60, 60, 60.0, 121, 121))
+        assert sel.count[-1] == len(neighborhood_pixels(32, 32, 60.0, 64, 64))
 
 
 class TestOneToManyLoss:
