@@ -87,10 +87,11 @@ def cmd_depth_targets(args) -> int:
     calib = SensorCalibration.load(args.calib)
     stride = int(_layered(config, "stride", args.stride, 8))
     fixed_default = 2.0 if any(p.rcs_dbsm is None for p in points) else None
+    fixed_r = _layered(config, "fixed_r", args.fixed_r, fixed_default)
     cfg = RadiusConfig(
         k=float(_layered(config, "k", args.k, 0.1)),
         r_max=float(_layered(config, "r_max", args.r_max, 2.0)),
-        fixed_r=_layered(config, "fixed_r", args.fixed_r, fixed_default),
+        fixed_r=None if fixed_r is None else float(fixed_r),
     )
     result = build_depth_targets(points, calib, stride, cfg)
     lxlt.write_tensor(args.output, targets_to_array(result.targets))
@@ -168,7 +169,8 @@ def cmd_vt(args) -> int:
             raise ValueError(f"{args.manifest}: missing manifest key {key!r}")
     f_pv = lxlt.read_tensor(root / manifest["feature_map"])
     f_radar = lxlt.read_tensor(root / manifest["radar_bev"])
-    grid = load_grid_spec(manifest["grid"])
+    grid = manifest["grid"]
+    grid = load_grid_spec(grid if isinstance(grid, dict) else root / grid)
     calib = SensorCalibration.from_dict(
         manifest["calibration"]
         if isinstance(manifest["calibration"], dict)

@@ -23,7 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import BehindCameraError, CameraIntrinsics, SensorCalibration, project_to_pixel
+from .geometry import CameraIntrinsics, SensorCalibration, project_points
+from .geometry import project_to_pixel  # noqa: F401 -- bench/tracing.py wraps the name in this module
 from .tensor_ops import ShapeError
 
 LOG_PROB_FLOOR = 1e-12
@@ -119,34 +120,33 @@ class LossConfig:
 
 
 def neighborhood_radius(
-    depth: float,
+    depth: float | np.ndarray,
     intrinsics: CameraIntrinsics,
     stride: int,
     cfg: RadiusConfig,
-    rcs_dbsm: float | None = None,
-) -> float:
+    rcs_dbsm: float | np.ndarray | None = None,
+) -> float | np.ndarray:
     """Supervision radius in feature-map pixels for a point at ``depth`` meters.
 
     With an RCS value the radius follows the size-proportional formula above;
     without one it falls back to ``cfg.fixed_r``. Both paths clamp at
     ``cfg.r_max`` so a zero ceiling degenerates cleanly to single-pixel
-    supervision.
+    supervision. Arrays give arrays; ``np.float_power`` rounds like ``**``, ``np.power`` may not.
     """
-    if not depth > 0:
+    depth = np.asarray(depth, dtype=np.float64)
+    if not np.all(depth > 0):
         raise ValueError(f"depth must be positive, got {depth}")
     if rcs_dbsm is not None:
-        if not math.isfinite(rcs_dbsm):
+        rcs = np.asarray(rcs_dbsm, dtype=np.float64)
+        if not np.all(np.isfinite(rcs)):
             raise ValueError(f"RCS must be finite, got {rcs_dbsm}")
-        r = (
-            cfg.k
-            * math.sqrt(intrinsics.fx * intrinsics.fy)
-            / (stride * depth)
-            * 10.0 ** (rcs_dbsm / 20.0)
-        )
-        return min(cfg.r_max, r)
-    if cfg.fixed_r is None:
+        f = math.sqrt(intrinsics.fx * intrinsics.fy)
+        r = np.minimum(cfg.r_max, cfg.k * f / (stride * depth) * np.float_power(10.0, rcs / 20.0))
+    elif cfg.fixed_r is None:
         raise ValueError("point has no RCS and no fixed_r is configured")
-    return min(cfg.r_max, cfg.fixed_r)
+    else:
+        r = np.full(depth.shape, min(cfg.r_max, cfg.fixed_r), dtype=np.float64)
+    return float(r) if r.ndim == 0 else r
 
 
 @dataclass(frozen=True)
@@ -170,25 +170,21 @@ def build_depth_targets(
     """
     if stride < 1:
         raise ValueError(f"stride must be a positive integer, got {stride}")
-    width_s = calib.image_width // stride
-    height_s = calib.image_height // stride
-    targets: list[DepthTarget] = []
-    dropped = 0
-    for point in points:
-        cam = calib.radar_to_camera.apply((point.x, point.y, point.z))
-        try:
-            u, v, depth = project_to_pixel(cam, calib.intrinsics)
-        except BehindCameraError:
-            dropped += 1
-            continue
-        us = int(math.floor(u / stride))
-        vs = int(math.floor(v / stride))
-        if not (0 <= us < width_s and 0 <= vs < height_s):
-            dropped += 1
-            continue
-        radius = neighborhood_radius(depth, calib.intrinsics, stride, cfg, point.rcs_dbsm)
-        targets.append(DepthTarget(us, vs, depth, radius))
-    return TargetBuildResult(tuple(targets), len(points), dropped)
+    xyz = np.array([(p.x, p.y, p.z) for p in points], dtype=np.float64).reshape(-1, 3)
+    # RadarPoint admits only finite RCS values, so NaN marks a missing one.
+    rcs = np.array([np.nan if p.rcs_dbsm is None else p.rcs_dbsm for p in points], dtype=np.float64)
+    u, v, depth, in_front = project_points(calib.radar_to_camera.apply_many(xyz), calib.intrinsics)
+    us, vs = np.floor(u / stride), np.floor(v / stride)
+    keep = in_front & (0 <= us) & (us < calib.image_width // stride)
+    keep &= (0 <= vs) & (vs < calib.image_height // stride)
+    with_rcs, without_rcs = keep & ~np.isnan(rcs), keep & np.isnan(rcs)
+    radius = np.zeros(len(rcs))
+    radius[with_rcs] = neighborhood_radius(depth[with_rcs], calib.intrinsics, stride, cfg, rcs[with_rcs])
+    if without_rcs.any():
+        radius[without_rcs] = neighborhood_radius(depth[without_rcs], calib.intrinsics, stride, cfg)
+    columns = (us[keep].astype(np.intp), vs[keep].astype(np.intp), depth[keep], radius[keep])
+    targets = tuple(DepthTarget(*row) for row in zip(*(c.tolist() for c in columns)))
+    return TargetBuildResult(targets, len(rcs), len(rcs) - len(targets))
 
 
 def nearest_bin(d, spec: DepthBinSpec):
@@ -439,29 +435,38 @@ def read_radar_points_csv(path: str | Path) -> list[RadarPoint]:
     """Read points from a CSV with header x,y,z[,rcs_dbsm[,doppler]].
 
     The RCS and Doppler columns are optional and individual cells may be
-    empty, in which case the field is absent for that point.
+    empty or missing at the end of a row, in which case the field is absent
+    for that point. A row without x, y and z, with more fields than the
+    header or with a value that is not a finite number raises a
+    ``ValueError`` naming the file and line.
     """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        fields = reader.fieldnames
-        if fields is None or [f.strip() for f in fields[:3]] != ["x", "y", "z"]:
+        reader.fieldnames = fields = [f.strip() for f in reader.fieldnames or ()]
+        if fields[:3] != ["x", "y", "z"]:
             raise ValueError(f"{path}: expected a header starting with x,y,z")
-        extra = {f.strip() for f in fields[3:]}
+        extra = set(fields[3:])
         if not extra <= {"rcs_dbsm", "doppler"}:
             raise ValueError(f"{path}: unexpected columns {sorted(extra - {'rcs_dbsm', 'doppler'})}")
         points = []
         for row in reader:
+            where = f"{path}, line {reader.line_num}"
+            if None in row or row["z"] is None:
+                raise ValueError(f"{where}: a row needs x, y and z and at most {len(fields)} fields")
+
             def opt(name: str) -> float | None:
                 value = row.get(name)
                 return float(value) if value not in (None, "") else None
 
-            points.append(
-                RadarPoint(
+            try:
+                point = RadarPoint(
                     float(row["x"]),
                     float(row["y"]),
                     float(row["z"]),
                     rcs_dbsm=opt("rcs_dbsm"),
                     doppler=opt("doppler"),
                 )
-            )
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            points.append(point)
     return points

@@ -7,7 +7,7 @@ Axis conventions, used everywhere in this package:
   (forward, lateral, vertical). When the radar and camera share axes and
   origin, :func:`radar_axes_to_camera` maps between the two orderings.
 
-Pinhole projection: u = fx * x / z + cx, v = fy * y / z + cy, d = z.
+Pinhole projection (:func:`project_points`): u = fx * x / z + cx, v = fy * y / z + cy, d = z.
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ class CameraIntrinsics:
     cy: float
 
     def __post_init__(self):
+        for name in ("fx", "fy", "cx", "cy"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"intrinsics {name} must be finite, got {getattr(self, name)}")
         if not (self.fx > 0 and self.fy > 0):
             raise ValueError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
 
@@ -72,6 +75,9 @@ class RigidTransform:
             raise ValueError(f"rotation must be 3x3, got {r.shape}")
         if t.shape != (3,):
             raise ValueError(f"translation must be a 3-vector, got {t.shape}")
+        for name, value in (("rotation", r), ("translation", t)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} entries must be finite, got {value.tolist()}")
         if np.max(np.abs(r.T @ r - np.eye(3))) > _ORTHO_TOL:
             raise ValueError("rotation is not orthonormal within 1e-6")
         if abs(np.linalg.det(r) - 1.0) > _ORTHO_TOL:
@@ -88,7 +94,7 @@ class RigidTransform:
         m = np.asarray(m, dtype=np.float64)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got {m.shape}")
-        if np.max(np.abs(m[3] - np.array([0.0, 0.0, 0.0, 1.0]))) > 1e-9:
+        if not np.max(np.abs(m[3] - np.array([0.0, 0.0, 0.0, 1.0]))) <= 1e-9:
             raise ValueError("last row of a rigid transform matrix must be 0 0 0 1")
         return cls(m[:3, :3], m[:3, 3])
 
@@ -147,22 +153,33 @@ class AngularResolution:
     delta_phi: float
 
     def __post_init__(self):
-        if self.delta_theta < 0 or self.delta_phi < 0:
-            raise ValueError("angular resolutions must be non-negative")
+        for name in ("delta_theta", "delta_phi"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"angular resolution {name} must be finite and non-negative, got {value}")
 
     @classmethod
     def from_degrees(cls, theta_deg: float, phi_deg: float) -> "AngularResolution":
         return cls(math.radians(theta_deg), math.radians(phi_deg))
 
 
+def project_points(cam, intrinsics: CameraIntrinsics) -> tuple[np.ndarray, ...]:
+    """(u, v, depth = z, in_front) of (..., 3) camera-frame points; z <= 0 projects as z = 1."""
+    x, y, z = np.moveaxis(np.asarray(cam, dtype=np.float64), -1, 0)
+    in_front = z > 0
+    safe_z = np.where(in_front, z, 1.0)
+    with np.errstate(over="ignore"):  # a point just in front of the camera may land at infinity
+        u = intrinsics.fx * (x / safe_z) + intrinsics.cx
+        v = intrinsics.fy * (y / safe_z) + intrinsics.cy
+    return u, v, z, in_front
+
+
 def project_to_pixel(point, intrinsics: CameraIntrinsics) -> tuple[float, float, float]:
-    """Project a camera-frame point (x, y, z) to (u, v, depth)."""
-    x, y, z = float(point[0]), float(point[1]), float(point[2])
-    if z <= 0:
-        raise BehindCameraError(f"point has non-positive depth z={z}")
-    u = intrinsics.fx * (x / z) + intrinsics.cx
-    v = intrinsics.fy * (y / z) + intrinsics.cy
-    return u, v, z
+    """Project one camera-frame point (x, y, z) to (u, v, depth)."""
+    u, v, z, in_front = project_points(np.asarray(point, dtype=np.float64)[:3], intrinsics)
+    if not in_front:
+        raise BehindCameraError(f"point has non-positive depth z={float(z)}")
+    return float(u), float(v), float(z)
 
 
 def pixel_to_camera(u: float, v: float, depth: float, intrinsics: CameraIntrinsics) -> np.ndarray:
@@ -285,6 +302,9 @@ class SensorCalibration:
         raw = np.asarray(data["radar_to_camera"], dtype=np.float64)
         if raw.shape != (16,):
             raise ValueError("radar_to_camera must hold 16 row-major numbers")
+        for key in ("image_width", "image_height"):
+            if not float(data[key]).is_integer():
+                raise ValueError(f"calibration {key} must be a whole number, got {data[key]!r}")
         return cls(
             intrinsics=CameraIntrinsics(
                 float(data["fx"]), float(data["fy"]), float(data["cx"]), float(data["cy"])

@@ -13,6 +13,7 @@ Layout, all little-endian:
 Arrays are stored in single precision on disk; :func:`read_tensor` promotes
 to float64 because all in-memory computation runs in double precision.
 Zero-size dimensions are permitted (an empty target table is a valid file).
+Non-finite values are refused in both directions.
 """
 
 from __future__ import annotations
@@ -82,7 +83,12 @@ def read_tensor(path: str | Path) -> np.ndarray:
     if len(blob) > expected:
         raise TensorFormatError(f"{path}: {len(blob) - expected} trailing bytes after payload")
     flat = np.frombuffer(blob, dtype="<f4", count=count, offset=dims_end)
-    return flat.astype(np.float64).reshape(shape)
+    if not np.isfinite(flat).all():
+        raise TensorFormatError(f"{path}: payload holds non-finite values")
+    try:
+        return flat.astype(np.float64).reshape(shape)
+    except ValueError:  # an empty shape whose other sides overflow the address space
+        raise TensorFormatError(f"{path}: shape {shape} is too large to represent") from None
 
 
 def manifest_params(manifest: dict) -> dict:

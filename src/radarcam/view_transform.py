@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, RigidTransform, scale_intrinsics
+from .geometry import CameraIntrinsics, RigidTransform, project_points, scale_intrinsics
 from .depth_supervision import DepthBinSpec, validate_depth_volume
 from . import lxlt
 from .tensor_ops import Conv2DParams, LinearParams, ShapeError, conv2d, linear, sigmoid, softmax
@@ -173,15 +173,8 @@ def project_voxel_centers(
     row-major order; ``valid`` marks voxels in front of the camera. Pixel
     coordinates use the intrinsics rescaled to ``stride``.
     """
-    centers = voxel_centers(grid).reshape(3, -1)
-    cam = world_to_camera.apply_many(centers.T).T
-    z = cam[2]
-    valid = z > 0
-    safe_z = np.where(valid, z, 1.0)
-    scaled = scale_intrinsics(intrinsics, stride)
-    u = scaled.fx * (cam[0] / safe_z) + scaled.cx
-    v = scaled.fy * (cam[1] / safe_z) + scaled.cy
-    return u, v, z, valid
+    cam = world_to_camera.apply_many(voxel_centers(grid).reshape(3, -1).T)
+    return project_points(cam, scale_intrinsics(intrinsics, stride))
 
 
 def _bilinear_gather(fmap: np.ndarray, u: np.ndarray, v: np.ndarray, valid: np.ndarray) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 These deliberately avoid the vectorized code paths they verify: the
 convolution oracle is six nested loops, the view-transformation oracle
-walks voxels one at a time through the scalar sampling primitives, and the
-depth-loss oracle scores one target's disk at a time.
+walks voxels one at a time through the scalar sampling primitives, the
+depth-loss oracle scores one target's disk at a time and the target-build
+oracle projects one radar point at a time in plain Python floats.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 
 import numpy as np
 
+from radarcam.depth_supervision import DepthTarget
 from radarcam.geometry import scale_intrinsics
 from radarcam.tensor_ops import bilinear_sample, conv2d, trilinear_sample
 from radarcam.view_transform import depth_to_bin_coordinate, voxel_centers
@@ -134,3 +136,33 @@ def target_losses_reference(depth_map, targets, spec, cfg) -> list[tuple[float, 
         sel = int(np.argmin(losses) if cfg.neighborhood_agg == "min" else np.argmax(losses))
         out.append((float(losses[sel]), pixels[sel], len(pixels), losses))
     return out
+
+
+def build_depth_targets_reference(points, calib, stride, cfg) -> tuple[list[DepthTarget], int, int]:
+    """Per-point loop of the target build: (targets, num_input, num_dropped).
+
+    Each point is transformed, projected and sized with scalar float math;
+    points behind the camera or off the stride-``stride`` map are dropped.
+    """
+    r, t = calib.radar_to_camera.rotation.tolist(), calib.radar_to_camera.translation.tolist()
+    k = calib.intrinsics
+    targets, dropped = [], 0
+    for p in points:
+        x, y, z = (row[0] * p.x + row[1] * p.y + row[2] * p.z + ti for row, ti in zip(r, t))
+        if z <= 0:
+            dropped += 1
+            continue
+        us = math.floor((k.fx * (x / z) + k.cx) / stride)
+        vs = math.floor((k.fy * (y / z) + k.cy) / stride)
+        if not (0 <= us < calib.image_width // stride and 0 <= vs < calib.image_height // stride):
+            dropped += 1
+            continue
+        if p.rcs_dbsm is not None:
+            scale = 10.0 ** (p.rcs_dbsm / 20.0)
+            radius = min(cfg.r_max, cfg.k * math.sqrt(k.fx * k.fy) / (stride * z) * scale)
+        elif cfg.fixed_r is None:
+            raise ValueError("point has no RCS and no fixed_r is configured")
+        else:
+            radius = min(cfg.r_max, cfg.fixed_r)
+        targets.append(DepthTarget(us, vs, z, radius))
+    return targets, len(points), dropped

@@ -1,6 +1,7 @@
 """Tests for the command line front end, run through ``main(argv)``."""
 
 import json
+import math
 from importlib import resources
 
 import numpy as np
@@ -9,7 +10,23 @@ import pytest
 from radarcam import lxlt
 from radarcam.cli import main
 from radarcam.depth_supervision import DepthBinSpec, DepthTarget, LossConfig, one_to_many_loss, targets_to_array
+from radarcam.geometry import (
+    AngularResolution,
+    CameraIntrinsics,
+    RigidTransform,
+    SensorCalibration,
+    scale_intrinsics,
+)
 from radarcam.tensor_ops import softmax
+from radarcam.view_transform import (
+    VoxelGridSpec,
+    depth_distribution,
+    occupancy_from_bev,
+    sample_vt,
+    vt_params_from_manifest,
+)
+
+from helpers import random_vt_params
 
 
 def reduced_config(tmp_path, **overrides):
@@ -104,3 +121,117 @@ class TestLoss:
         assert main(write_loss_inputs(tmp_path, depth_map, [DepthTarget(1, 1, 3.0, 1.0)])) == 2
         assert "not normalized" in capsys.readouterr().err
         assert not (tmp_path / "per.csv").exists()
+
+
+# Radar (forward, lateral, vertical) to camera (right, down, forward) axes.
+RADAR_TO_CAMERA = RigidTransform(np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]]), np.zeros(3))
+
+
+def calibration(**overrides) -> dict:
+    data = SensorCalibration(
+        CameraIntrinsics(40.0, 40.0, 32.0, 24.0), RADAR_TO_CAMERA, 64, 48,
+        AngularResolution.from_degrees(1, 1),
+    ).to_dict()
+    data.update(overrides)
+    return data
+
+
+class TestDepthTargets:
+    POINTS = "x,y,z,rcs_dbsm\n10.0,0.5,0.25,3.5\n6.0,-1.0,0.0,\n-4.0,0.0,0.0,12.0\n"
+
+    def argv(self, tmp_path, points=POINTS, calib=None, config=None):
+        (tmp_path / "points.csv").write_text(points)
+        (tmp_path / "calib.json").write_text(json.dumps(calib or calibration()))
+        argv = [
+            "depth-targets", "--points", str(tmp_path / "points.csv"),
+            "--calib", str(tmp_path / "calib.json"), "--output", str(tmp_path / "targets.lxlt"),
+        ]
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp_path / "config.json")]
+        return argv
+
+    def test_targets_and_sidecar(self, tmp_path):
+        assert main(self.argv(tmp_path)) == 0
+        table = lxlt.read_tensor(tmp_path / "targets.lxlt")
+        assert table.shape == (2, 4)
+        assert table[1, 3] == 2.0  # the point without RCS takes the default fixed radius
+        sidecar = json.loads((tmp_path / "targets.lxlt.json").read_text())
+        assert (sidecar["num_input_points"], sidecar["num_dropped"], sidecar["num_targets"]) == (3, 1, 2)
+
+    def test_fixed_r_from_config_is_a_number(self, tmp_path):
+        assert main(self.argv(tmp_path, config={"fixed_r": "1.5", "r_max": "4"})) == 0
+        assert lxlt.read_tensor(tmp_path / "targets.lxlt")[1, 3] == 1.5
+        assert json.loads((tmp_path / "targets.lxlt.json").read_text())["fixed_r"] == 1.5
+
+    @pytest.mark.parametrize(
+        "case,message",
+        [
+            ({"calib": calibration(cx=math.nan)}, "intrinsics cx must be finite"),
+            ({"calib": calibration(fx=math.inf)}, "intrinsics fx must be finite"),
+            (
+                {"calib": calibration(radar_to_camera=[math.nan] + calibration()["radar_to_camera"][1:])},
+                "rotation entries must be finite",
+            ),
+            ({"points": "x,y,z,rcs_dbsm\n10.0,0.5,0.25,3.5\n1,2\n"}, "points.csv, line 3: a row needs"),
+            ({"points": "x,y,z\n1,2,3,4\n"}, "points.csv, line 2: a row needs"),
+            ({"points": "x,y,z\n1,2,nan\n"}, "points.csv, line 2: radar point coordinates must be finite"),
+            ({"config": {"fixed_r": "wide"}}, "'wide'"),
+        ],
+    )
+    def test_invalid_input_exits_2_without_output(self, tmp_path, case, message, capsys):
+        assert main(self.argv(tmp_path, **case)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not (tmp_path / "targets.lxlt").exists() and not (tmp_path / "targets.lxlt.json").exists()
+
+
+class TestVT:
+    def test_manifest_paths_resolve_against_the_manifest(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        c, nz, bins = 2, 2, DepthBinSpec(0.0, 16.0, 4)
+        params = random_vt_params(rng, c, nz, bins.num_bins, 3)
+
+        def write(name, array):
+            lxlt.write_tensor(inputs / name, array)
+            return name
+
+        def entry(name, layer):
+            weights, bias = write(f"{name}.w.lxlt", layer.weights), write(f"{name}.b.lxlt", layer.bias)
+            return {"weights": weights, "bias": bias}
+
+        grid = {"x": [2.0, 10.0, 4], "y": [-4.0, 4.0, 4], "z": [-1.0, 1.0, nz]}
+        (inputs / "grid.json").write_text(json.dumps(grid))
+        (inputs / "calib.json").write_text(json.dumps(calibration()))
+        manifest = {
+            "feature_map": write("f_pv.lxlt", rng.normal(size=(c, 6, 8))),
+            "radar_bev": write("radar.lxlt", rng.normal(size=(3, 4, 4))),
+            "grid": "grid.json",
+            "calibration": "calib.json",
+            "stride": 8,
+            "depth_bins": {"d_min": bins.d_min, "d_max": bins.d_max, "num_bins": bins.num_bins},
+            "params": {
+                "occupancy_conv": entry("occ", params.occupancy_conv),
+                "depth_conv": entry("depth", params.depth_conv),
+                "embedding": entry("emb", params.embedding),
+                "post_convs": [entry(f"post{i}", conv) for i, conv in enumerate(params.post_convs)],
+            },
+        }
+        (inputs / "manifest.json").write_text(json.dumps(manifest))
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert main(["vt", "--manifest", "../inputs/manifest.json", "--output", "bev.lxlt"]) == 0
+
+        loaded = vt_params_from_manifest(manifest, inputs)
+        calib = SensorCalibration.from_dict(calibration())
+        f_pv = lxlt.read_tensor(inputs / "f_pv.lxlt")
+        d_map = depth_distribution(f_pv, scale_intrinsics(calib.intrinsics, 8), loaded, bins, 8)
+        occupancy = occupancy_from_bev(lxlt.read_tensor(inputs / "radar.lxlt"), loaded)
+        want = sample_vt(
+            f_pv, d_map, occupancy, VoxelGridSpec.from_dict(grid), calib.intrinsics, RADAR_TO_CAMERA, loaded
+        )
+        assert want.shape == (c, 4, 4) and np.abs(want).max() > 0
+        np.testing.assert_array_equal(lxlt.read_tensor(elsewhere / "bev.lxlt"), want.astype(np.float32))

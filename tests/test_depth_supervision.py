@@ -34,7 +34,7 @@ from radarcam.geometry import (
 from radarcam.gradcheck import analytic_grad, finite_difference_grad, random_instance, relative_error
 from radarcam.tensor_ops import softmax
 
-from oracles import target_losses_reference
+from oracles import build_depth_targets_reference, target_losses_reference
 
 K = CameraIntrinsics(fx=1600.0, fy=1600.0, cx=320.0, cy=240.0)
 
@@ -87,6 +87,109 @@ class TestNeighborhoodRadius:
         cfg = RadiusConfig(k=0.1, r_max=0.0, fixed_r=2.0)
         assert neighborhood_radius(5.0, K, 8, cfg, rcs_dbsm=10.0) == 0.0
         assert neighborhood_radius(5.0, K, 8, cfg, rcs_dbsm=None) == 0.0
+
+    def test_arrays_match_scalar_calls(self):
+        depth = np.array([1.5, 20.0, 73.25])
+        rcs = np.array([-12.5, 0.0, 31.0])
+        cfg = RadiusConfig(k=0.3, r_max=4.0, fixed_r=1.5)
+        got = neighborhood_radius(depth, K, 4, cfg, rcs)
+        assert got.tolist() == [neighborhood_radius(d, K, 4, cfg, r) for d, r in zip(depth, rcs)]
+        assert neighborhood_radius(depth, K, 4, cfg).tolist() == [1.5, 1.5, 1.5]
+
+    def test_array_radii_round_like_python_power(self):
+        rng = np.random.default_rng(7)
+        depth, rcs = rng.uniform(0.5, 100.0, 20_000), rng.uniform(-40.0, 40.0, 20_000)
+        cfg = RadiusConfig(k=0.1, r_max=1e9)
+        got = neighborhood_radius(depth, K, 8, cfg, rcs)
+        f = math.sqrt(K.fx * K.fy)
+        want = [0.1 * f / (8 * d) * 10.0 ** (r / 20.0) for d, r in zip(depth.tolist(), rcs.tolist())]
+        assert got.tolist() == want
+
+    def test_array_errors(self):
+        with pytest.raises(ValueError, match="depth"):
+            neighborhood_radius(np.array([3.0, 0.0]), K, 8, RadiusConfig(fixed_r=1.0))
+        with pytest.raises(ValueError, match="RCS"):
+            neighborhood_radius(np.array([3.0, 4.0]), K, 8, RadiusConfig(), np.array([1.0, np.inf]))
+        with pytest.raises(ValueError, match="fixed_r"):
+            neighborhood_radius(np.array([3.0]), K, 8, RadiusConfig())
+
+
+@st.composite
+def target_build_instances(draw):
+    """Radar points with and without RCS (behind the camera, off the map
+    and on it) under a random yawed calibration, stride and radius config.
+
+    Points are drawn as an image position, as a fraction of the image size,
+    and a camera depth, and moved into the radar frame. Camera depths are 0
+    or at least 1e-3 away from it, so the per-point oracle's ``math.floor``
+    stays finite.
+    """
+    yaw = draw(st.floats(-0.6, 0.6))
+    c, s = math.cos(yaw), math.sin(yaw)
+    calib = SensorCalibration(
+        CameraIntrinsics(
+            draw(st.floats(50.0, 3000.0)), draw(st.floats(50.0, 3000.0)),
+            draw(st.floats(-50.0, 700.0)), draw(st.floats(-50.0, 500.0)),
+        ),
+        RigidTransform(
+            np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]]),
+            np.array([draw(st.floats(-5.0, 5.0)) for _ in range(3)]),
+        ),
+        draw(st.integers(1, 800)),
+        draw(st.integers(1, 600)),
+        AngularResolution.from_degrees(1.0, 1.0),
+    )
+    k, to_camera = calib.intrinsics, calib.radar_to_camera
+    points = []
+    for _ in range(draw(st.integers(0, 30))):
+        fu, fv = draw(st.floats(-0.3, 1.3)), draw(st.floats(-0.3, 1.3))
+        z = draw(st.floats(-10.0, 90.0).filter(lambda d: d == 0.0 or abs(d) > 1e-3))
+        cam = np.array([
+            (fu * calib.image_width - k.cx) * z / k.fx, (fv * calib.image_height - k.cy) * z / k.fy, z
+        ])
+        x, y, z = (to_camera.rotation.T @ (cam - to_camera.translation)).tolist()
+        points.append(RadarPoint(x, y, z, rcs_dbsm=draw(st.none() | st.floats(-40.0, 40.0))))
+    cfg = RadiusConfig(
+        k=draw(st.floats(0.01, 1.0)),
+        r_max=draw(st.floats(0.0, 50.0)),
+        fixed_r=draw(st.none() | st.floats(0.0, 10.0)),
+    )
+    return points, calib, draw(st.integers(1, 16)), cfg
+
+
+class TestBuildMatchesReference:
+    @given(target_build_instances())
+    @settings(max_examples=150, deadline=None)
+    def test_targets_match_the_per_point_loop_bitwise(self, instance):
+        points, calib, stride, cfg = instance
+        try:
+            want, num_input, num_dropped = build_depth_targets_reference(points, calib, stride, cfg)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                build_depth_targets(points, calib, stride, cfg)
+            return
+        got = build_depth_targets(points, calib, stride, cfg)
+        assert (got.num_input, got.num_dropped) == (num_input, num_dropped)
+
+        def bits(targets):
+            return [(t.u, t.v, float(t.d_gt).hex(), float(t.radius).hex()) for t in targets]
+
+        assert bits(got.targets) == bits(want)
+        assert all(type(t.u) is int and type(t.v) is int for t in got.targets)
+
+    def test_missing_fixed_r_matters_only_for_kept_points(self):
+        calib = make_calib()
+        behind, off_map = RadarPoint(0.0, 0.0, -5.0), RadarPoint(100.0, 0.0, 1.0)
+        on_map = RadarPoint(0.0, 0.0, 10.0, rcs_dbsm=3.0)
+        result = build_depth_targets([behind, off_map, on_map], calib, 8, RadiusConfig())
+        assert len(result.targets) == 1 and result.num_dropped == 2
+        with pytest.raises(ValueError, match="no fixed_r"):
+            build_depth_targets([on_map, RadarPoint(0.0, 0.0, 10.0)], calib, 8, RadiusConfig())
+
+    def test_point_at_the_camera_plane_is_dropped(self):
+        pts = [RadarPoint(1.0, 0.0, 1e-310), RadarPoint(0.0, 0.0, 0.0)]
+        result = build_depth_targets(pts, make_calib(), 8, RadiusConfig(fixed_r=1.0))
+        assert result.targets == () and result.num_dropped == 2
 
 
 class TestBuildDepthTargets:
@@ -598,6 +701,31 @@ class TestRadarCsv:
         path = tmp_path / "pts.csv"
         path.write_text("x,y,z,rcs_dbsm,doppler\n")
         assert read_radar_points_csv(path) == []
+
+    def test_padded_header_names_keep_their_columns(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_text("x, y, z, rcs_dbsm\n1,2,3,4.5\n")
+        assert read_radar_points_csv(path) == [RadarPoint(1.0, 2.0, 3.0, 4.5)]
+
+    def test_missing_trailing_optional_cells_are_absent(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_text("x,y,z,rcs_dbsm,doppler\n1,2,3\n")
+        assert read_radar_points_csv(path) == [RadarPoint(1.0, 2.0, 3.0)]
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("x,y,z,rcs_dbsm\n1,2,3,4\n1,2\n", "line 3: a row needs x, y and z"),
+            ("x,y,z\n1,2,3,4\n", "line 2: a row needs"),
+            ("x,y,z\n1,2,abc\n", "line 2: could not convert"),
+            ("x,y,z,rcs_dbsm\n1,2,3,inf\n", "line 2: radar point RCS"),
+        ],
+    )
+    def test_bad_rows_name_file_and_line(self, tmp_path, text, message):
+        path = tmp_path / "pts.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"pts.csv, {message}"):
+            read_radar_points_csv(path)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "pts.csv"

@@ -18,6 +18,7 @@ from radarcam.geometry import (
     empirical_projection_error,
     max_pixel_position_error,
     pixel_to_camera,
+    project_points,
     project_to_pixel,
     radar_axes_to_camera,
     scale_intrinsics,
@@ -41,6 +42,17 @@ class TestProjection:
             project_to_pixel((0.0, 0.0, -1.0), K)
         with pytest.raises(BehindCameraError):
             project_to_pixel((1.0, 1.0, 0.0), K)
+
+    @given(st.lists(st.tuples(st.floats(-30, 30), st.floats(-20, 20), st.floats(-5, 500)), max_size=20))
+    @settings(max_examples=100, deadline=None)
+    def test_project_points_is_the_scalar_formula_per_point(self, points):
+        cam = np.array(points, dtype=np.float64).reshape(-1, 3)
+        u, v, depth, in_front = project_points(cam, K)
+        for i, (x, y, z) in enumerate(points):
+            assert bool(in_front[i]) == (z > 0) and depth[i] == z
+            if z > 0:
+                assert (u[i], v[i]) == (K.fx * (x / z) + K.cx, K.fy * (y / z) + K.cy)
+                assert project_to_pixel((x, y, z), K) == (u[i], v[i], z)
 
     @given(
         st.floats(-30, 30), st.floats(-20, 20), st.floats(0.1, 500),
@@ -233,6 +245,31 @@ class TestSensorCalibration:
     def test_missing_keys_rejected(self):
         with pytest.raises(ValueError, match="missing"):
             SensorCalibration.from_dict({"fx": 1.0})
+
+    @pytest.mark.parametrize(
+        "key,index,value,message",
+        [
+            ("fx", None, math.inf, "fx"),
+            ("fy", None, math.inf, "fy"),
+            ("cx", None, math.nan, "cx"),
+            ("cy", None, -math.inf, "cy"),
+            ("radar_to_camera", 0, math.nan, "rotation"),
+            ("radar_to_camera", 3, math.nan, "translation"),
+            ("radar_to_camera", 12, math.nan, "last row"),
+            ("delta_theta_deg", None, math.nan, "delta_theta"),
+            ("image_width", None, math.inf, "image_width"),
+        ],
+    )
+    def test_non_finite_values_are_rejected(self, key, index, value, message):
+        data = SensorCalibration(
+            K, RigidTransform.identity(), 10, 10, AngularResolution.from_degrees(1, 1)
+        ).to_dict()
+        if index is None:
+            data[key] = value
+        else:
+            data[key][index] = value
+        with pytest.raises(ValueError, match=message):
+            SensorCalibration.from_dict(data)
 
     def test_bad_extrinsics_length_rejected(self):
         data = SensorCalibration(

@@ -1,9 +1,11 @@
 """Tests for the LXLT binary tensor format."""
 
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from radarcam import lxlt
 
@@ -73,3 +75,85 @@ def test_non_finite_values_are_refused(tmp_path):
 def test_zero_rank_is_refused(tmp_path):
     with pytest.raises(lxlt.TensorFormatError):
         lxlt.write_tensor(tmp_path / "scalar.lxlt", np.float64(1.0))
+
+
+float32_arrays = st.lists(st.integers(0, 5), min_size=1, max_size=4).flatmap(
+    lambda shape: st.lists(
+        st.floats(width=32, allow_nan=False, allow_infinity=False),
+        min_size=math.prod(shape), max_size=math.prod(shape),
+    ).map(lambda values: np.array(values, dtype=np.float64).reshape(shape))
+)
+
+
+@given(float32_arrays)
+@settings(max_examples=100, deadline=None)
+def test_roundtrip_of_any_float32_exact_array(tmp_path_factory, arr):
+    path = tmp_path_factory.mktemp("lxlt") / "t.lxlt"
+    lxlt.write_tensor(path, arr)
+    back = lxlt.read_tensor(path)
+    assert back.shape == arr.shape and back.dtype == np.float64
+    np.testing.assert_array_equal(back, arr)
+    again = path.with_name("again.lxlt")
+    lxlt.write_tensor(again, back)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def read_or_format_error(path):
+    """The array read from ``path``, or None if it raised TensorFormatError;
+    any other exception fails the test."""
+    try:
+        return lxlt.read_tensor(path)
+    except lxlt.TensorFormatError:
+        return None
+
+
+@given(float32_arrays, st.data())
+@settings(max_examples=100, deadline=None)
+def test_truncated_files_raise_format_error(tmp_path_factory, arr, data):
+    path = tmp_path_factory.mktemp("lxlt") / "t.lxlt"
+    lxlt.write_tensor(path, arr)
+    blob = path.read_bytes()
+    path.write_bytes(blob[: data.draw(st.integers(0, len(blob) - 1))])
+    with pytest.raises(lxlt.TensorFormatError):
+        lxlt.read_tensor(path)
+
+
+@given(float32_arrays, st.data())
+@settings(max_examples=150, deadline=None)
+def test_corrupted_headers_raise_format_error_or_read_consistently(tmp_path_factory, arr, data):
+    path = tmp_path_factory.mktemp("lxlt") / "t.lxlt"
+    lxlt.write_tensor(path, arr)
+    blob = bytearray(path.read_bytes())
+    header_end = 7 + 4 * arr.ndim
+    for _ in range(data.draw(st.integers(1, 4))):
+        blob[data.draw(st.integers(0, header_end - 1))] = data.draw(st.integers(0, 255))
+    path.write_bytes(bytes(blob))
+    back = read_or_format_error(path)
+    if back is not None:
+        # A corruption that still parses describes exactly the bytes present.
+        assert 7 + 4 * back.ndim + 4 * back.size == len(blob)
+        assert np.isfinite(back).all()
+
+
+@given(st.binary(max_size=64))
+@settings(max_examples=200, deadline=None)
+def test_arbitrary_bytes_raise_format_error_or_read(tmp_path_factory, blob):
+    path = tmp_path_factory.mktemp("lxlt") / "t.lxlt"
+    path.write_bytes(b"LXLT\x01\x00" + blob)
+    back = read_or_format_error(path)
+    assert back is None or 7 + 4 * back.ndim + 4 * back.size == len(blob) + 6
+
+
+def test_non_finite_payload_is_refused(tmp_path):
+    path = tmp_path / "t.lxlt"
+    lxlt.write_tensor(path, np.ones(2))
+    path.write_bytes(path.read_bytes()[:-4] + np.array([np.nan], dtype="<f4").tobytes())
+    with pytest.raises(lxlt.TensorFormatError, match="non-finite"):
+        lxlt.read_tensor(path)
+
+
+def test_empty_shape_too_large_to_represent_is_a_format_error(tmp_path):
+    path = tmp_path / "t.lxlt"
+    path.write_bytes(b"LXLT\x01\x00\x03" + struct.pack("<3I", 0, 0xFFFFFFFF, 0xFFFFFFFF))
+    with pytest.raises(lxlt.TensorFormatError, match="too large"):
+        lxlt.read_tensor(path)
