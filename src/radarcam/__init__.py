@@ -39,7 +39,6 @@ from .tensor_ops import (
     LinearParams,
     MLPParams,
     ShapeError,
-    bilinear_sample,
     channel_reduce,
     conv2d,
     global_pool,
@@ -47,7 +46,6 @@ from .tensor_ops import (
     mlp,
     sigmoid,
     softmax,
-    trilinear_sample,
 )
 from .view_transform import (
     DepthDistributionMap,

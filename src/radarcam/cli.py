@@ -34,6 +34,7 @@ from .geometry import (
     SensorCalibration,
     SphericalPoint,
     empirical_projection_error,
+    json_number,
     max_pixel_position_error,
     scale_intrinsics,
 )
@@ -41,8 +42,8 @@ from .gradcheck import run_grad_check
 from .sim import ExperimentConfig, default_experiment_config, run_experiment
 from .tensor_ops import ShapeError
 from .view_transform import (
+    VoxelGridSpec,
     depth_distribution,
-    load_grid_spec,
     occupancy_from_bev,
     sample_vt,
     vt_params_from_manifest,
@@ -72,6 +73,20 @@ def _write_json(path: str | Path, data: dict) -> None:
         fh.write("\n")
 
 
+def _manifest_file(manifest: dict, key: str, root: Path) -> Path:
+    """A file a manifest names, relative to the manifest's directory."""
+    value = manifest[key]
+    if not isinstance(value, str):
+        raise ValueError(f"manifest {key} must be a file name, got {value!r}")
+    return root / value
+
+
+def _object_or_file(manifest: dict, key: str, root: Path) -> dict:
+    """A manifest entry given inline as a JSON object or as a JSON file name."""
+    value = manifest[key]
+    return value if isinstance(value, dict) else _load_json(_manifest_file(manifest, key, root))
+
+
 def _layered(config: dict, key: str, flag_value, default):
     """Flag overrides config file overrides built-in default."""
     if flag_value is not None:
@@ -85,13 +100,13 @@ def cmd_depth_targets(args) -> int:
     config = _load_json(args.config) if args.config else {}
     points = read_radar_points_csv(args.points)
     calib = SensorCalibration.load(args.calib)
-    stride = int(_layered(config, "stride", args.stride, 8))
+    stride = json_number(_layered(config, "stride", args.stride, 8), "stride", whole=True)
     fixed_default = 2.0 if any(p.rcs_dbsm is None for p in points) else None
     fixed_r = _layered(config, "fixed_r", args.fixed_r, fixed_default)
     cfg = RadiusConfig(
-        k=float(_layered(config, "k", args.k, 0.1)),
-        r_max=float(_layered(config, "r_max", args.r_max, 2.0)),
-        fixed_r=None if fixed_r is None else float(fixed_r),
+        k=json_number(_layered(config, "k", args.k, 0.1), "k"),
+        r_max=json_number(_layered(config, "r_max", args.r_max, 2.0), "r_max"),
+        fixed_r=None if fixed_r is None else json_number(fixed_r, "fixed_r"),
     )
     result = build_depth_targets(points, calib, stride, cfg)
     lxlt.write_tensor(args.output, targets_to_array(result.targets))
@@ -167,19 +182,18 @@ def cmd_vt(args) -> int:
     for key in ("feature_map", "radar_bev", "grid", "calibration", "stride", "depth_bins"):
         if key not in manifest:
             raise ValueError(f"{args.manifest}: missing manifest key {key!r}")
-    f_pv = lxlt.read_tensor(root / manifest["feature_map"])
-    f_radar = lxlt.read_tensor(root / manifest["radar_bev"])
-    grid = manifest["grid"]
-    grid = load_grid_spec(grid if isinstance(grid, dict) else root / grid)
-    calib = SensorCalibration.from_dict(
-        manifest["calibration"]
-        if isinstance(manifest["calibration"], dict)
-        else _load_json(root / manifest["calibration"])
-    )
-    stride = int(manifest["stride"])
+    f_pv = lxlt.read_tensor(_manifest_file(manifest, "feature_map", root))
+    f_radar = lxlt.read_tensor(_manifest_file(manifest, "radar_bev", root))
+    grid = VoxelGridSpec.from_dict(_object_or_file(manifest, "grid", root))
+    calib = SensorCalibration.from_dict(_object_or_file(manifest, "calibration", root))
+    stride = json_number(manifest["stride"], "manifest stride", whole=True)
     raw_bins = manifest["depth_bins"]
+    if not isinstance(raw_bins, dict):
+        raise ValueError(f"manifest depth_bins must be a JSON object, got {raw_bins!r}")
     bins = DepthBinSpec(
-        float(raw_bins["d_min"]), float(raw_bins["d_max"]), int(raw_bins["num_bins"])
+        json_number(raw_bins["d_min"], "manifest depth_bins.d_min"),
+        json_number(raw_bins["d_max"], "manifest depth_bins.d_max"),
+        json_number(raw_bins["num_bins"], "manifest depth_bins.num_bins", whole=True),
     )
     params = vt_params_from_manifest(manifest, root)
     occupancy = occupancy_from_bev(f_radar, params)

@@ -58,10 +58,16 @@ class DepthBinSpec:
     num_bins: int
 
     def __post_init__(self):
+        for name in ("d_min", "d_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"depth bins {name} must be finite, got {getattr(self, name)}")
         if not self.d_min < self.d_max:
             raise ValueError(f"need d_min < d_max, got [{self.d_min}, {self.d_max})")
+        if not float(self.num_bins).is_integer():
+            raise ValueError(f"depth bins num_bins must be a whole number, got {self.num_bins}")
         if self.num_bins < 1:
             raise ValueError(f"need at least one bin, got {self.num_bins}")
+        object.__setattr__(self, "num_bins", int(self.num_bins))
 
     @property
     def bin_width(self) -> float:

@@ -26,6 +26,29 @@ class BehindCameraError(ValueError):
     """A point with non-positive depth cannot be projected."""
 
 
+def json_number(value, name: str, whole: bool = False) -> float | int:
+    """A JSON value as a float, or as an int when ``whole`` is set.
+
+    Numbers and numeric strings convert, and a JSON integer stays exact
+    where ``whole`` is set. Any other JSON type (list, object, boolean,
+    null), or a value with a fractional part where ``whole`` is set, raises
+    ``ValueError`` naming ``name``.
+    """
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        if whole and isinstance(value, int):
+            return value
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    if not whole:
+        return number
+    if not number.is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(number)
+
+
 @dataclass(frozen=True)
 class CameraIntrinsics:
     """Pinhole parameters in pixels."""
@@ -296,24 +319,26 @@ class SensorCalibration:
             "image_width", "image_height",
             "radar_to_camera", "delta_theta_deg", "delta_phi_deg",
         }
+        if not isinstance(data, dict):
+            raise ValueError("calibration must be a JSON object")
         missing = required - set(data)
         if missing:
             raise ValueError(f"calibration is missing keys: {sorted(missing)}")
-        raw = np.asarray(data["radar_to_camera"], dtype=np.float64)
-        if raw.shape != (16,):
+        matrix = data["radar_to_camera"]
+        if not isinstance(matrix, (list, tuple)) or len(matrix) != 16:
             raise ValueError("radar_to_camera must hold 16 row-major numbers")
-        for key in ("image_width", "image_height"):
-            if not float(data[key]).is_integer():
-                raise ValueError(f"calibration {key} must be a whole number, got {data[key]!r}")
+        raw = np.array([json_number(x, f"calibration radar_to_camera[{i}]") for i, x in enumerate(matrix)])
+
+        def number(key: str, whole: bool = False):
+            return json_number(data[key], f"calibration {key}", whole)
+
         return cls(
-            intrinsics=CameraIntrinsics(
-                float(data["fx"]), float(data["fy"]), float(data["cx"]), float(data["cy"])
-            ),
+            intrinsics=CameraIntrinsics(number("fx"), number("fy"), number("cx"), number("cy")),
             radar_to_camera=RigidTransform.from_matrix(raw.reshape(4, 4)),
-            image_width=int(data["image_width"]),
-            image_height=int(data["image_height"]),
+            image_width=number("image_width", whole=True),
+            image_height=number("image_height", whole=True),
             angular_resolution=AngularResolution.from_degrees(
-                float(data["delta_theta_deg"]), float(data["delta_phi_deg"])
+                number("delta_theta_deg"), number("delta_phi_deg")
             ),
         )
 

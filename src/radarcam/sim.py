@@ -29,7 +29,7 @@ from .depth_supervision import (
     neighborhood_pixels,  # noqa: F401 -- bench/tracing.py wraps the name in this module
     targets_to_array,
 )
-from .geometry import SensorCalibration, camera_axes_to_radar, radar_axes_to_camera
+from .geometry import SensorCalibration, camera_axes_to_radar, json_number, radar_axes_to_camera
 
 RCS_SIZE_CONSTANT_M2 = 1.0  # square meters of frontal area per 0 dBsm
 
@@ -94,7 +94,10 @@ class SceneExtents:
         ):
             if key in data:
                 value = data[key]
-                kwargs[key] = tuple(value) if isinstance(value, list) else value
+                name = f"scene {key}"
+                kwargs[key] = (
+                    tuple(json_number(x, name) for x in value) if isinstance(value, list) else json_number(value, name)
+                )
         return cls(**kwargs)
 
 
@@ -207,12 +210,12 @@ class RadarNoiseModel:
     @classmethod
     def from_dict(cls, data: dict) -> "RadarNoiseModel":
         return cls(
-            delta_theta=math.radians(float(data["delta_theta_deg"])),
-            delta_phi=math.radians(float(data["delta_phi_deg"])),
-            range_sigma=float(data.get("range_sigma", 0.0)),
-            points_base=float(data.get("points_base", 0.0)),
-            points_size_scale=float(data.get("points_size_scale", 2.0)),
-            seed=int(data.get("seed", 0)),
+            delta_theta=math.radians(json_number(data["delta_theta_deg"], "noise delta_theta_deg")),
+            delta_phi=math.radians(json_number(data["delta_phi_deg"], "noise delta_phi_deg")),
+            range_sigma=json_number(data.get("range_sigma", 0.0), "noise range_sigma"),
+            points_base=json_number(data.get("points_base", 0.0), "noise points_base"),
+            points_size_scale=json_number(data.get("points_size_scale", 2.0), "noise points_size_scale"),
+            seed=json_number(data.get("seed", 0), "noise seed", whole=True),
         )
 
     def points_for(self, obj: SceneObject) -> int:
@@ -329,9 +332,9 @@ class ExperimentArm:
             name=str(data["name"]),
             strategy=str(data["strategy"]),
             radius=RadiusConfig(
-                k=float(radius.get("k", 0.1)),
-                r_max=float(radius.get("r_max", 2.0)),
-                fixed_r=(float(radius["fixed_r"]) if "fixed_r" in radius else None),
+                k=json_number(radius.get("k", 0.1), "arm radius k"),
+                r_max=json_number(radius.get("r_max", 2.0), "arm radius r_max"),
+                fixed_r=(json_number(radius["fixed_r"], "arm radius fixed_r") if "fixed_r" in radius else None),
             ),
             agg=str(data.get("agg", "min")),
             use_rcs=bool(data.get("use_rcs", False)),
@@ -356,18 +359,26 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         bins = data["bins"]
+
+        def count(key: str, default: int) -> int:
+            return json_number(data.get(key, default), key, whole=True)
+
         return cls(
             calibration=SensorCalibration.from_dict(data["calibration"]),
-            stride=int(data["stride"]),
-            bins=DepthBinSpec(float(bins["d_min"]), float(bins["d_max"]), int(bins["num_bins"])),
+            stride=json_number(data["stride"], "stride", whole=True),
+            bins=DepthBinSpec(
+                json_number(bins["d_min"], "bins d_min"),
+                json_number(bins["d_max"], "bins d_max"),
+                json_number(bins["num_bins"], "bins num_bins", whole=True),
+            ),
             extents=SceneExtents.from_dict(data.get("scene", {})),
             noise=RadarNoiseModel.from_dict(data["noise"]),
             arms=tuple(ExperimentArm.from_dict(a) for a in data["arms"]),
-            n_objects=int(data.get("n_objects", 8)),
-            seed_start=int(data.get("seed_start", 0)),
-            num_seeds=int(data.get("num_seeds", 150)),
-            bootstrap_samples=int(data.get("bootstrap_samples", 2000)),
-            bootstrap_seed=int(data.get("bootstrap_seed", 20240901)),
+            n_objects=count("n_objects", 8),
+            seed_start=count("seed_start", 0),
+            num_seeds=count("num_seeds", 150),
+            bootstrap_samples=count("bootstrap_samples", 2000),
+            bootstrap_seed=count("bootstrap_seed", 20240901),
             orderings=tuple(
                 (str(a), str(b)) for a, b in data.get("orderings", [])
             ),

@@ -1,11 +1,10 @@
-"""Dense numeric primitives: convolution, linear maps, activations, pooling
-and continuous-coordinate sampling.
+"""Dense numeric primitives: convolution, linear maps, activations and
+pooling.
 
 All operations are pure functions, evaluate forward only and compute in
 float64 regardless of the input dtype. Feature maps follow the channels-first
-layout (C, H, W). Sampling uses the pixel-center convention: the center of
-pixel (row i, col j) sits at continuous coordinate (u=j, v=i), and
-coordinates outside the grid read as zero.
+layout (C, H, W). Continuous-coordinate sampling belongs to the view
+transformation (:mod:`radarcam.view_transform`), its only user.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class ShapeError(ValueError):
@@ -123,6 +121,12 @@ def conv2d(x: np.ndarray, params: Conv2DParams) -> np.ndarray:
 
     ``x`` is (C_in, H, W); the result is (C_out, H', W') where the output
     extent follows the usual (H + pad - k) // stride + 1 rule.
+
+    Computed as one GEMM per kernel tap over the flattened padded input: the
+    output pixel (oy, ox) sits at flat column oy * Wp + ox, and tap (ky, kx)
+    reads the contiguous columns shifted by ky * Wp + kx. The Wp - W' columns
+    at the end of each accumulator row straddle two input rows and are
+    cropped; a stride keeps every stride-th row and column.
     """
     x = _as_f64(x)
     if x.ndim != 3:
@@ -131,14 +135,22 @@ def conv2d(x: np.ndarray, params: Conv2DParams) -> np.ndarray:
     if x.shape[0] != in_ch:
         raise ShapeError(f"input has {x.shape[0]} channels, weights expect {in_ch}")
     pt, pb, pl, pr = params.padding
-    xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr)))
-    if xp.shape[1] < kh or xp.shape[2] < kw:
-        raise ShapeError(
-            f"padded input {xp.shape[1]}x{xp.shape[2]} smaller than kernel {kh}x{kw}"
-        )
-    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    windows = windows[:, :: params.stride, :: params.stride]
-    out = np.einsum("oikl,ihwkl->ohw", params.weights, windows, optimize=True)
+    xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr))) if any(params.padding) else x
+    _, hp, wp = xp.shape
+    if hp < kh or wp < kw:
+        raise ShapeError(f"padded input {hp}x{wp} smaller than kernel {kh}x{kw}")
+    flat = xp.reshape(in_ch, hp * wp)
+    out_h, out_w = hp - kh + 1, wp - kw + 1
+    span = (out_h - 1) * wp + out_w
+    acc = np.zeros((out_ch, out_h * wp), dtype=np.float64)
+    part = np.empty((out_ch, span), dtype=np.float64)
+    for ky in range(kh):
+        for kx in range(kw):
+            shift = ky * wp + kx
+            np.matmul(params.weights[:, :, ky, kx], flat[:, shift : shift + span], out=part)
+            acc[:, :span] += part
+    del part, flat, xp  # a padded copy is freed before the output is allocated
+    out = acc.reshape(out_ch, out_h, wp)[:, :: params.stride, : out_w : params.stride]
     return out + params.bias[:, None, None]
 
 
@@ -210,61 +222,3 @@ def channel_reduce(x: np.ndarray, mode: str) -> np.ndarray:
     if mode == "mean":
         return np.mean(x, axis=0, keepdims=True)
     raise ValueError(f"unknown reduction mode {mode!r}")
-
-
-def bilinear_sample(fmap: np.ndarray, uv) -> np.ndarray:
-    """Bilinear interpolation of a (C, H, W) map at continuous (u, v).
-
-    Pixel centers sit at integer coordinates; neighbors outside the grid
-    contribute zero, so a point fully outside returns the zero vector.
-    """
-    fmap = _as_f64(fmap)
-    if fmap.ndim != 3:
-        raise ShapeError(f"bilinear_sample map must be (C, H, W), got {fmap.shape}")
-    c, h, w = fmap.shape
-    u, v = float(uv[0]), float(uv[1])
-    x0 = int(np.floor(u))
-    y0 = int(np.floor(v))
-    fu = u - x0
-    fv = v - y0
-    out = np.zeros(c, dtype=np.float64)
-    for dx, dy, wt in (
-        (0, 0, (1.0 - fu) * (1.0 - fv)),
-        (1, 0, fu * (1.0 - fv)),
-        (0, 1, (1.0 - fu) * fv),
-        (1, 1, fu * fv),
-    ):
-        xi, yi = x0 + dx, y0 + dy
-        if 0 <= xi < w and 0 <= yi < h:
-            out += wt * fmap[:, yi, xi]
-    return out
-
-
-def trilinear_sample(volume: np.ndarray, uvd) -> float:
-    """Trilinear interpolation of a (D, H, W) volume at continuous (u, v, d).
-
-    The third coordinate indexes the leading (depth) axis; cell centers sit
-    at integer coordinates and out-of-bounds neighbors read as zero.
-    """
-    volume = _as_f64(volume)
-    if volume.ndim != 3:
-        raise ShapeError(f"trilinear_sample volume must be (D, H, W), got {volume.shape}")
-    d, h, w = volume.shape
-    u, v, b = float(uvd[0]), float(uvd[1]), float(uvd[2])
-    x0 = int(np.floor(u))
-    y0 = int(np.floor(v))
-    z0 = int(np.floor(b))
-    fu = u - x0
-    fv = v - y0
-    fb = b - z0
-    acc = 0.0
-    for dz in (0, 1):
-        wz = (1.0 - fb) if dz == 0 else fb
-        for dy in (0, 1):
-            wy = (1.0 - fv) if dy == 0 else fv
-            for dx in (0, 1):
-                wx = (1.0 - fu) if dx == 0 else fu
-                xi, yi, zi = x0 + dx, y0 + dy, z0 + dz
-                if 0 <= xi < w and 0 <= yi < h and 0 <= zi < d:
-                    acc += wz * wy * wx * volume[zi, yi, xi]
-    return acc

@@ -7,17 +7,24 @@ image feature is read bilinearly, its depth likelihood trilinearly from the
 depth distribution volume, and the feature is gated once by the depth
 likelihood and once by the radar occupancy. The two gated volumes are
 concatenated on channels, folded over height and mixed by a conv stack.
+
+Sampling uses the pixel-center convention: the center of pixel (row i,
+col j) sits at continuous coordinate (u=j, v=i), depth bin k's midpoint at
+bin coordinate k, and corners outside a map read as zero. Both reads go
+through one n-linear corner builder: flat corner indices into the raveled
+map plus one trailing zero cell, and per-corner weights. It is built per
+call, only for voxels with at least one in-image corner.
 """
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, RigidTransform, project_points, scale_intrinsics
+from .geometry import CameraIntrinsics, RigidTransform, json_number, project_points, scale_intrinsics
 from .depth_supervision import DepthBinSpec, validate_depth_volume
 from . import lxlt
 from .tensor_ops import Conv2DParams, LinearParams, ShapeError, conv2d, linear, sigmoid, softmax
@@ -32,18 +39,33 @@ class VoxelGridSpec:
     z: tuple[float, float, int]
 
     def __post_init__(self):
-        for name, (lo, hi, count) in (("x", self.x), ("y", self.y), ("z", self.z)):
+        for name in ("x", "y", "z"):
+            lo, hi, count = getattr(self, name)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"{name} axis extent must be finite, got [{lo}, {hi}]")
+            if not float(count).is_integer():
+                raise ValueError(f"{name} axis count must be a whole number, got {count}")
             if count < 1:
                 raise ValueError(f"{name} axis needs at least one voxel, got {count}")
             if not lo < hi:
                 raise ValueError(f"{name} axis extent must satisfy min < max, got [{lo}, {hi}]")
+            object.__setattr__(self, name, (float(lo), float(hi), int(count)))
 
     @classmethod
     def from_dict(cls, data: dict) -> "VoxelGridSpec":
         def axis(name: str) -> tuple[float, float, int]:
-            raw = data[name]
-            return float(raw[0]), float(raw[1]), int(raw[2])
+            raw = data.get(name)
+            if not isinstance(raw, (list, tuple)) or len(raw) != 3:
+                raise ValueError(f"grid {name} must be [min, max, count], got {raw!r}")
+            lo, hi, count = raw
+            return (
+                json_number(lo, f"grid {name} min"),
+                json_number(hi, f"grid {name} max"),
+                json_number(count, f"grid {name} count", whole=True),
+            )
 
+        if not isinstance(data, dict):
+            raise ValueError("a grid spec must be a JSON object")
         return cls(axis("x"), axis("y"), axis("z"))
 
     @property
@@ -177,52 +199,69 @@ def project_voxel_centers(
     return project_points(cam, scale_intrinsics(intrinsics, stride))
 
 
-def _bilinear_gather(fmap: np.ndarray, u: np.ndarray, v: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """Vectorized zero-padded bilinear read of (C, H, W) at many (u, v)."""
-    c, h, w = fmap.shape
-    x0 = np.floor(u).astype(np.intp)
-    y0 = np.floor(v).astype(np.intp)
-    fu = u - x0
-    fv = v - y0
-    out = np.zeros((c, u.shape[0]), dtype=np.float64)
-    for dx, dy, wt in (
-        (0, 0, (1.0 - fu) * (1.0 - fv)),
-        (1, 0, fu * (1.0 - fv)),
-        (0, 1, (1.0 - fu) * fv),
-        (1, 1, fu * fv),
-    ):
-        xi = x0 + dx
-        yi = y0 + dy
-        m = valid & (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
-        if np.any(m):
-            out[:, m] += wt[m] * fmap[:, yi[m], xi[m]]
+def _corners(coords: tuple[np.ndarray, ...], shape: tuple[int, ...]) -> tuple[list, list]:
+    """Flat corner indices and weights of n-linear interpolation.
+
+    ``coords`` holds one coordinate array per axis of ``shape``, leading axis
+    first, with cell centers on integers. Returns one (index, weight) array
+    pair per corner, corners ordered with the last axis varying fastest.
+    Indices address the raveled map plus one trailing zero cell at
+    ``prod(shape)``, which every corner outside the map reads. Each weight is
+    the product of its per-axis factors, leading axis to trailing.
+    """
+    size = int(np.prod(shape))
+    idx = [np.zeros(coords[0].shape, dtype=np.intp)]
+    wts = [None]
+    inside = [np.ones(coords[0].shape, dtype=bool)]
+    for coord, n in zip(coords, shape):
+        lo = np.floor(coord)
+        frac = coord - lo
+        lo = lo.astype(np.intp)
+        factors = ((lo, 1.0 - frac), (lo + 1, frac))
+        idx = [i * n + c for i in idx for c, _ in factors]
+        wts = [f if w is None else w * f for w in wts for _, f in factors]
+        inside = [ok & (c >= 0) & (c < n) for ok in inside for c, _ in factors]
+    return [np.where(ok, i, size) for i, ok in zip(idx, inside)], wts
+
+
+def _interpolate(table: np.ndarray, corners: tuple[list, list]) -> np.ndarray:
+    """Weighted sum of ``table`` rows over the corners, in corner order."""
+    idx, wts = corners
+    bcast = (-1,) + (1,) * (table.ndim - 1)
+    out = wts[0].reshape(bcast) * table[idx[0]]
+    for i, w in zip(idx[1:], wts[1:]):
+        out += w.reshape(bcast) * table[i]
     return out
 
 
-def _trilinear_gather(
-    volume: np.ndarray, u: np.ndarray, v: np.ndarray, b: np.ndarray, valid: np.ndarray
+def gather_gated(
+    f_pv: np.ndarray,
+    depth_volume: np.ndarray,
+    occupancy: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
+    b: np.ndarray,
+    valid: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized zero-padded trilinear read of (D, H, W) at many (u, v, b)."""
-    d, h, w = volume.shape
-    x0 = np.floor(u).astype(np.intp)
-    y0 = np.floor(v).astype(np.intp)
-    z0 = np.floor(b).astype(np.intp)
-    fu = u - x0
-    fv = v - y0
-    fb = b - z0
-    out = np.zeros(u.shape[0], dtype=np.float64)
-    for dz in (0, 1):
-        wz = fb if dz else (1.0 - fb)
-        for dy in (0, 1):
-            wy = fv if dy else (1.0 - fv)
-            for dx in (0, 1):
-                wx = fu if dx else (1.0 - fu)
-                xi = x0 + dx
-                yi = y0 + dy
-                zi = z0 + dz
-                m = valid & (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h) & (zi >= 0) & (zi < d)
-                if np.any(m):
-                    out[m] += (wz * wy * wx)[m] * volume[zi[m], yi[m], xi[m]]
+    """The two gated feature halves of the sampling VT at N projected points.
+
+    ``f_pv`` (C, H, W) is read bilinearly at (u, v), ``depth_volume``
+    (D, H, W) trilinearly at (u, v, b) and each feature is multiplied once by
+    that depth likelihood and once by the point's ``occupancy``; the result
+    is (2, C, N). Points not ``valid`` or without an in-image bilinear
+    corner are zero, and corners outside either map read zero.
+    """
+    c, h, w = f_pv.shape
+    out = np.zeros((2, c, u.shape[0]), dtype=np.float64)
+    sel = np.flatnonzero(valid & (u >= -1) & (u < w) & (v >= -1) & (v < h))
+    u, v, b = u[sel], v[sel], b[sel]
+    features = np.zeros((h * w + 1, c), dtype=np.float64)
+    features[:-1] = f_pv.reshape(c, h * w).T
+    f3d = _interpolate(features, _corners((v, u), (h, w)))
+    depths = np.append(depth_volume.reshape(-1), 0.0)
+    d3d = _interpolate(depths, _corners((b, v, u), depth_volume.shape))
+    out[0, :, sel] = f3d * d3d[:, None]
+    out[1, :, sel] = f3d * occupancy[sel, None]
     return out
 
 
@@ -251,18 +290,20 @@ def build_sample_volume(
     f_pv = np.asarray(f_pv, dtype=np.float64)
     if f_pv.ndim != 3:
         raise ShapeError(f"feature map must be (C, H, W), got shape {f_pv.shape}")
+    depth_volume = np.asarray(depth_volume, dtype=np.float64)
+    if depth_volume.shape != (bins.num_bins, *f_pv.shape[1:]):
+        raise ShapeError(
+            f"depth volume shape {depth_volume.shape} != (bins, H, W) "
+            f"{(bins.num_bins, *f_pv.shape[1:])} of the feature map"
+        )
     nz, ny, nx = grid.counts
     occupancy = np.asarray(occupancy, dtype=np.float64)
     if occupancy.shape != (nz, ny, nx):
         raise ShapeError(f"occupancy shape {occupancy.shape} != grid counts {(nz, ny, nx)}")
     u, v, depth, valid = project_voxel_centers(grid, intrinsics, world_to_camera, stride)
-    f3d = _bilinear_gather(f_pv, u, v, valid)
     b = depth_to_bin_coordinate(depth, bins)
-    d3d = _trilinear_gather(depth_volume, u, v, b, valid)
-    occ = occupancy.reshape(-1)
-    c = f_pv.shape[0]
-    vol = np.concatenate([f3d * d3d, f3d * occ], axis=0)
-    return vol.reshape(2 * c, nz, ny, nx).reshape(2 * c * nz, ny, nx)
+    vol = gather_gated(f_pv, depth_volume, occupancy.reshape(-1), u, v, b, valid)
+    return vol.reshape(2 * f_pv.shape[0] * nz, ny, nx)
 
 
 def sample_vt(
@@ -303,10 +344,3 @@ def vt_params_from_manifest(manifest: dict, root: str | Path) -> VTParams:
         use_extrinsics_embedding=bool(params.get("use_extrinsics_embedding", False)),
     )
 
-
-def load_grid_spec(data: dict | str | Path) -> VoxelGridSpec:
-    """Accept a grid spec as a dict or a path to its JSON file."""
-    if isinstance(data, (str, Path)):
-        with open(data) as fh:
-            data = json.load(fh)
-    return VoxelGridSpec.from_dict(data)

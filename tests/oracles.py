@@ -1,10 +1,11 @@
 """Independent brute-force reference implementations used only by tests.
 
 These deliberately avoid the vectorized code paths they verify: the
-convolution oracle is six nested loops, the view-transformation oracle
-walks voxels one at a time through the scalar sampling primitives, the
-depth-loss oracle scores one target's disk at a time and the target-build
-oracle projects one radar point at a time in plain Python floats.
+convolution oracle is six nested loops, the scalar samplers read one point's
+corners at a time, the view-transformation oracle walks voxels one at a time
+through those samplers, the depth-loss oracle scores one target's disk at a
+time and the target-build oracle projects one radar point at a time in plain
+Python floats.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from radarcam.depth_supervision import DepthTarget
 from radarcam.geometry import scale_intrinsics
-from radarcam.tensor_ops import bilinear_sample, conv2d, trilinear_sample
+from radarcam.tensor_ops import ShapeError, conv2d
 from radarcam.view_transform import depth_to_bin_coordinate, voxel_centers
 
 
@@ -46,6 +47,64 @@ def conv2d_naive(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
     return out
 
 
+def bilinear_sample(fmap: np.ndarray, uv) -> np.ndarray:
+    """Bilinear interpolation of a (C, H, W) map at continuous (u, v).
+
+    Pixel centers sit at integer coordinates; neighbors outside the grid
+    contribute zero, so a point fully outside returns the zero vector.
+    """
+    fmap = np.asarray(fmap, dtype=np.float64)
+    if fmap.ndim != 3:
+        raise ShapeError(f"bilinear_sample map must be (C, H, W), got {fmap.shape}")
+    c, h, w = fmap.shape
+    u, v = float(uv[0]), float(uv[1])
+    x0 = int(np.floor(u))
+    y0 = int(np.floor(v))
+    fu = u - x0
+    fv = v - y0
+    out = np.zeros(c, dtype=np.float64)
+    for dx, dy, wt in (
+        (0, 0, (1.0 - fu) * (1.0 - fv)),
+        (1, 0, fu * (1.0 - fv)),
+        (0, 1, (1.0 - fu) * fv),
+        (1, 1, fu * fv),
+    ):
+        xi, yi = x0 + dx, y0 + dy
+        if 0 <= xi < w and 0 <= yi < h:
+            out += wt * fmap[:, yi, xi]
+    return out
+
+
+def trilinear_sample(volume: np.ndarray, uvd) -> float:
+    """Trilinear interpolation of a (D, H, W) volume at continuous (u, v, d).
+
+    The third coordinate indexes the leading (depth) axis; cell centers sit
+    at integer coordinates and out-of-bounds neighbors read as zero.
+    """
+    volume = np.asarray(volume, dtype=np.float64)
+    if volume.ndim != 3:
+        raise ShapeError(f"trilinear_sample volume must be (D, H, W), got {volume.shape}")
+    d, h, w = volume.shape
+    u, v, b = float(uvd[0]), float(uvd[1]), float(uvd[2])
+    x0 = int(np.floor(u))
+    y0 = int(np.floor(v))
+    z0 = int(np.floor(b))
+    fu = u - x0
+    fv = v - y0
+    fb = b - z0
+    acc = 0.0
+    for dz in (0, 1):
+        wz = (1.0 - fb) if dz == 0 else fb
+        for dy in (0, 1):
+            wy = (1.0 - fv) if dy == 0 else fv
+            for dx in (0, 1):
+                wx = (1.0 - fu) if dx == 0 else fu
+                xi, yi, zi = x0 + dx, y0 + dy, z0 + dz
+                if 0 <= xi < w and 0 <= yi < h and 0 <= zi < d:
+                    acc += wz * wy * wx * volume[zi, yi, xi]
+    return acc
+
+
 def bilinear_reference(fmap: np.ndarray, u: float, v: float) -> np.ndarray:
     """Closed-form bilinear interpolation on a zero-extended grid."""
     fmap = np.asarray(fmap, dtype=np.float64)
@@ -63,12 +122,12 @@ def bilinear_reference(fmap: np.ndarray, u: float, v: float) -> np.ndarray:
     return (1 - fv) * top + fv * bottom
 
 
-def sample_vt_reference(f_pv, d_map, occupancy, grid, intrinsics, world_to_camera, params):
-    """Per-voxel loop version of the view transformation.
+def sample_volume_reference(f_pv, d_map, occupancy, grid, intrinsics, world_to_camera):
+    """Per-voxel loop version of the pre-convolution sampled volume.
 
     Projects each voxel center individually, reads the image feature and
-    depth likelihood through the scalar sampling primitives, assembles the
-    gated volume cell by cell and runs the same conv stack.
+    depth likelihood through the scalar samplers and assembles the gated
+    (2*C*Z, Y, X) volume cell by cell.
     """
     f_pv = np.asarray(f_pv, dtype=np.float64)
     c = f_pv.shape[0]
@@ -91,8 +150,13 @@ def sample_vt_reference(f_pv, d_map, occupancy, grid, intrinsics, world_to_camer
                 likelihood = trilinear_sample(d_map.data, (u, v, b))
                 top[:, k, j, i] = feat * likelihood
                 bottom[:, k, j, i] = feat * occupancy.data[k, j, i]
-    vol = np.concatenate([top, bottom], axis=0).reshape(2 * c * nz, ny, nx)
-    out = vol
+    return np.concatenate([top, bottom], axis=0).reshape(2 * c * nz, ny, nx)
+
+
+def sample_vt_reference(f_pv, d_map, occupancy, grid, intrinsics, world_to_camera, params):
+    """Per-voxel loop version of the view transformation: the reference
+    sampled volume through the same conv stack."""
+    out = sample_volume_reference(f_pv, d_map, occupancy, grid, intrinsics, world_to_camera)
     for conv in params.post_convs:
         out = conv2d(out, conv)
     return out

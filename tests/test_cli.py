@@ -71,6 +71,31 @@ class TestSimulate:
         assert "error:" in capsys.readouterr().err
         assert not csv_path.exists() and not summary.exists()
 
+    @pytest.mark.parametrize(
+        "edit_config,message",
+        [
+            (lambda data: data.update(stride=[8]), "stride must be a number, got [8]"),
+            (lambda data: data.update(num_seeds=6.5), "num_seeds must be a whole number, got 6.5"),
+            (lambda data: data["bins"].update(num_bins="many"), "bins num_bins must be a number"),
+            (lambda data: data["noise"].update(seed=[1]), "noise seed must be a number, got [1]"),
+            (lambda data: data["arms"][0]["radius"].update(k=[0.1]), "arm radius k must be a number"),
+            (lambda data: data["calibration"].update(fx=[1150.0]), "calibration fx must be a number"),
+            (lambda data: data.update(scene={"large_fraction": "half"}), "scene large_fraction must be a number"),
+            (lambda data: data.update(scene={"large_depth_range": ["a", 40]}), "scene large_depth_range must be"),
+        ],
+    )
+    def test_wrong_json_type_in_config_exits_2(self, tmp_path, edit_config, message, capsys):
+        config = reduced_config(tmp_path)
+        data = json.loads(config.read_text())
+        edit_config(data)
+        config.write_text(json.dumps(data))
+        csv_path, summary = tmp_path / "rows.csv", tmp_path / "summary.json"
+        argv = ["simulate", "--config", str(config), "--output-csv", str(csv_path), "--summary", str(summary)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not csv_path.exists() and not summary.exists()
+
 
 class TestUsage:
     @pytest.mark.parametrize("argv", [[], ["simulate"], ["loss", "--depth-map", "x"], ["no-such-command"]])
@@ -185,41 +210,74 @@ class TestDepthTargets:
         assert err.startswith("error:") and message in err
         assert not (tmp_path / "targets.lxlt").exists() and not (tmp_path / "targets.lxlt.json").exists()
 
+    @pytest.mark.parametrize(
+        "case,message",
+        [
+            ({"config": {"stride": [8]}}, "stride must be a number, got [8]"),
+            ({"config": {"stride": 8.5}}, "stride must be a whole number, got 8.5"),
+            ({"config": {"k": {"value": 0.1}}}, "k must be a number, got {'value': 0.1}"),
+            ({"config": {"r_max": True}}, "r_max must be a number, got True"),
+            ({"calib": calibration(fx=[1150.0])}, "calibration fx must be a number, got [1150.0]"),
+            ({"calib": calibration(image_width="wide")}, "calibration image_width must be a number"),
+            ({"calib": calibration(image_height=48.5)}, "calibration image_height must be a whole number"),
+            (
+                {"calib": calibration(radar_to_camera=[[0.0]] + calibration()["radar_to_camera"][1:])},
+                "calibration radar_to_camera[0] must be a number",
+            ),
+        ],
+    )
+    def test_wrong_json_type_exits_2_without_output(self, tmp_path, case, message, capsys):
+        assert main(self.argv(tmp_path, **case)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err and "Traceback" not in err
+        assert not (tmp_path / "targets.lxlt").exists() and not (tmp_path / "targets.lxlt.json").exists()
+
+
+VT_GRID = {"x": [2.0, 10.0, 4], "y": [-4.0, 4.0, 4], "z": [-1.0, 1.0, 2]}
+VT_BINS = {"d_min": 0.0, "d_max": 16.0, "num_bins": 4}
+VT_CHANNELS = 2
+
+
+def write_vt_inputs(tmp_path, rng, **overrides):
+    """LXLT inputs, grid and calibration files and a manifest naming them,
+    under ``tmp_path / "inputs"``, with ``overrides`` replacing manifest
+    keys; returns (manifest, inputs dir)."""
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    params = random_vt_params(rng, VT_CHANNELS, VT_GRID["z"][2], VT_BINS["num_bins"], 3)
+
+    def write(name, array):
+        lxlt.write_tensor(inputs / name, array)
+        return name
+
+    def entry(name, layer):
+        weights, bias = write(f"{name}.w.lxlt", layer.weights), write(f"{name}.b.lxlt", layer.bias)
+        return {"weights": weights, "bias": bias}
+
+    (inputs / "grid.json").write_text(json.dumps(VT_GRID))
+    (inputs / "calib.json").write_text(json.dumps(calibration()))
+    manifest = {
+        "feature_map": write("f_pv.lxlt", rng.normal(size=(VT_CHANNELS, 6, 8))),
+        "radar_bev": write("radar.lxlt", rng.normal(size=(3, 4, 4))),
+        "grid": "grid.json",
+        "calibration": "calib.json",
+        "stride": 8,
+        "depth_bins": VT_BINS,
+        "params": {
+            "occupancy_conv": entry("occ", params.occupancy_conv),
+            "depth_conv": entry("depth", params.depth_conv),
+            "embedding": entry("emb", params.embedding),
+            "post_convs": [entry(f"post{i}", conv) for i, conv in enumerate(params.post_convs)],
+        },
+        **overrides,
+    }
+    (inputs / "manifest.json").write_text(json.dumps(manifest))
+    return manifest, inputs
+
 
 class TestVT:
     def test_manifest_paths_resolve_against_the_manifest(self, tmp_path, monkeypatch):
-        rng = np.random.default_rng(5)
-        inputs = tmp_path / "inputs"
-        inputs.mkdir()
-        c, nz, bins = 2, 2, DepthBinSpec(0.0, 16.0, 4)
-        params = random_vt_params(rng, c, nz, bins.num_bins, 3)
-
-        def write(name, array):
-            lxlt.write_tensor(inputs / name, array)
-            return name
-
-        def entry(name, layer):
-            weights, bias = write(f"{name}.w.lxlt", layer.weights), write(f"{name}.b.lxlt", layer.bias)
-            return {"weights": weights, "bias": bias}
-
-        grid = {"x": [2.0, 10.0, 4], "y": [-4.0, 4.0, 4], "z": [-1.0, 1.0, nz]}
-        (inputs / "grid.json").write_text(json.dumps(grid))
-        (inputs / "calib.json").write_text(json.dumps(calibration()))
-        manifest = {
-            "feature_map": write("f_pv.lxlt", rng.normal(size=(c, 6, 8))),
-            "radar_bev": write("radar.lxlt", rng.normal(size=(3, 4, 4))),
-            "grid": "grid.json",
-            "calibration": "calib.json",
-            "stride": 8,
-            "depth_bins": {"d_min": bins.d_min, "d_max": bins.d_max, "num_bins": bins.num_bins},
-            "params": {
-                "occupancy_conv": entry("occ", params.occupancy_conv),
-                "depth_conv": entry("depth", params.depth_conv),
-                "embedding": entry("emb", params.embedding),
-                "post_convs": [entry(f"post{i}", conv) for i, conv in enumerate(params.post_convs)],
-            },
-        }
-        (inputs / "manifest.json").write_text(json.dumps(manifest))
+        manifest, inputs = write_vt_inputs(tmp_path, np.random.default_rng(5))
         elsewhere = tmp_path / "elsewhere"
         elsewhere.mkdir()
         monkeypatch.chdir(elsewhere)
@@ -228,10 +286,40 @@ class TestVT:
         loaded = vt_params_from_manifest(manifest, inputs)
         calib = SensorCalibration.from_dict(calibration())
         f_pv = lxlt.read_tensor(inputs / "f_pv.lxlt")
-        d_map = depth_distribution(f_pv, scale_intrinsics(calib.intrinsics, 8), loaded, bins, 8)
+        d_map = depth_distribution(
+            f_pv, scale_intrinsics(calib.intrinsics, 8), loaded, DepthBinSpec(**VT_BINS), 8
+        )
         occupancy = occupancy_from_bev(lxlt.read_tensor(inputs / "radar.lxlt"), loaded)
         want = sample_vt(
-            f_pv, d_map, occupancy, VoxelGridSpec.from_dict(grid), calib.intrinsics, RADAR_TO_CAMERA, loaded
+            f_pv, d_map, occupancy, VoxelGridSpec.from_dict(VT_GRID), calib.intrinsics, RADAR_TO_CAMERA, loaded
         )
-        assert want.shape == (c, 4, 4) and np.abs(want).max() > 0
+        assert want.shape == (VT_CHANNELS, 4, 4) and np.abs(want).max() > 0
         np.testing.assert_array_equal(lxlt.read_tensor(elsewhere / "bev.lxlt"), want.astype(np.float32))
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"stride": [8]}, "manifest stride must be a number, got [8]"),
+            ({"stride": "eight"}, "manifest stride must be a number, got 'eight'"),
+            ({"stride": 7.5}, "manifest stride must be a whole number"),
+            ({"depth_bins": {**VT_BINS, "d_min": [0.0]}}, "manifest depth_bins.d_min must be a number"),
+            ({"depth_bins": {**VT_BINS, "d_max": None}}, "manifest depth_bins.d_max must be a number"),
+            ({"depth_bins": {**VT_BINS, "num_bins": 4.5}}, "manifest depth_bins.num_bins must be a whole number"),
+            ({"depth_bins": {**VT_BINS, "num_bins": {"n": 4}}}, "manifest depth_bins.num_bins must be a number"),
+            ({"depth_bins": [0.0, 16.0, 4]}, "manifest depth_bins must be a JSON object"),
+            ({"depth_bins": {**VT_BINS, "d_max": "Infinity"}}, "depth bins d_max must be finite"),
+            ({"grid": 5}, "manifest grid must be a file name, got 5"),
+            ({"grid": {**VT_GRID, "x": [2.0, 10.0, 4.5]}}, "grid x count must be a whole number, got 4.5"),
+            ({"grid": {**VT_GRID, "y": [-4.0, 1e999, 4]}}, "y axis extent must be finite"),
+            ({"calibration": 3}, "manifest calibration must be a file name, got 3"),
+            ({"calibration": calibration(fx=[1150.0])}, "calibration fx must be a number, got [1150.0]"),
+            ({"feature_map": 7}, "manifest feature_map must be a file name, got 7"),
+        ],
+    )
+    def test_wrong_manifest_value_exits_2_without_output(self, tmp_path, overrides, message, capsys):
+        write_vt_inputs(tmp_path, np.random.default_rng(6), **overrides)
+        out = tmp_path / "bev.lxlt"
+        assert main(["vt", "--manifest", str(tmp_path / "inputs" / "manifest.json"), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err and "Traceback" not in err
+        assert not out.exists()

@@ -296,6 +296,25 @@ class TestBins:
         with pytest.raises(ValueError, match="sums"):
             expected_depth(np.full(50, 0.03), self.SPEC)
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ((0.0, math.inf, 4), "d_max must be finite"),
+            ((-math.inf, 64.0, 4), "d_min must be finite"),
+            ((math.nan, 64.0, 4), "d_min must be finite"),
+            ((0.0, 64.0, 4.9), "num_bins must be a whole number, got 4.9"),
+            ((0.0, 64.0, math.inf), "num_bins must be a whole number"),
+            ((0.0, 64.0, 0), "at least one bin"),
+        ],
+    )
+    def test_spec_rejects_non_finite_range_and_fractional_count(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            DepthBinSpec(*args)
+
+    def test_whole_float_bin_count_becomes_an_int(self):
+        spec = DepthBinSpec(0.0, 64.0, 4.0)
+        assert spec.num_bins == 4 and isinstance(spec.num_bins, int)
+
 
 class TestPixelDepthLoss:
     SPEC = DepthBinSpec(0.0, 50.0, 50)

@@ -1,5 +1,7 @@
 """Tests for the dense numeric primitives."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,6 @@ from radarcam.tensor_ops import (
     LinearParams,
     MLPParams,
     ShapeError,
-    bilinear_sample,
     channel_reduce,
     conv2d,
     global_pool,
@@ -17,10 +18,9 @@ from radarcam.tensor_ops import (
     mlp,
     sigmoid,
     softmax,
-    trilinear_sample,
 )
 
-from oracles import bilinear_reference, conv2d_naive
+from oracles import bilinear_reference, bilinear_sample, conv2d_naive, trilinear_sample
 
 
 class TestConv2D:
@@ -79,6 +79,47 @@ class TestConv2D:
         params = Conv2DParams(weights, bias, (1, 1, 1, 1), stride=2)
         want = conv2d_naive(x, weights, bias, (1, 1, 1, 1), stride=2)
         np.testing.assert_allclose(conv2d(x, params), want, rtol=1e-12, atol=1e-12)
+
+    @given(
+        st.integers(0, 3),  # kernel height index into 1, 3, 5, 7
+        st.integers(0, 3),  # kernel width index
+        st.lists(st.integers(0, 3), min_size=4, max_size=4),  # top, bottom, left, right
+        st.integers(1, 3),  # stride
+        st.integers(0, 3),  # input channels
+        st.integers(0, 3),  # output channels
+        st.integers(0, 4),  # input height beyond the smallest that fits the kernel
+        st.integers(0, 4),  # input width beyond the smallest that fits the kernel
+        st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_shifted_gemms_match_naive_oracle(self, khi, kwi, padding, stride, c_in, c_out, dh, dw, seed):
+        kh, kw = 2 * khi + 1, 2 * kwi + 1
+        pt, pb, pl, pr = padding
+        h = max(1, kh - pt - pb) + dh
+        w = max(1, kw - pl - pr) + dw
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(c_in, h, w))
+        weights = rng.normal(size=(c_out, c_in, kh, kw))
+        bias = rng.normal(size=c_out)
+        got = conv2d(x, Conv2DParams(weights, bias, tuple(padding), stride))
+        want = conv2d_naive(x, weights, bias, tuple(padding), stride)
+        assert got.shape == want.shape
+        if want.size:
+            assert np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want))) <= 1e-12
+
+    def test_peak_memory_stays_below_twice_the_padded_input(self):
+        # the shape of a post-transform conv: many folded channels mixed down
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(128, 64, 64))
+        params = Conv2DParams.same(rng.normal(size=(32, 128, 3, 3)), rng.normal(size=32))
+        padded_bytes = x.shape[0] * 66 * 66 * 8
+        tracemalloc.start()
+        try:
+            conv2d(x, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * padded_bytes
 
 
 class TestLinear:

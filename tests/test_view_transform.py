@@ -1,7 +1,10 @@
 """Tests for occupancy, depth-distribution estimation and the sampling VT."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from radarcam.depth_supervision import DepthBinSpec
 from radarcam.geometry import (
@@ -20,6 +23,7 @@ from radarcam.view_transform import (
     build_sample_volume,
     depth_distribution,
     depth_to_bin_coordinate,
+    gather_gated,
     occupancy_from_bev,
     project_voxel_centers,
     sample_vt,
@@ -27,7 +31,7 @@ from radarcam.view_transform import (
 )
 
 from helpers import identity_conv, random_vt_params, selection_conv
-from oracles import sample_vt_reference
+from oracles import bilinear_sample, sample_volume_reference, sample_vt_reference, trilinear_sample
 
 K = CameraIntrinsics(fx=100.0, fy=100.0, cx=10.0, cy=6.0)
 
@@ -67,6 +71,40 @@ class TestVoxelGrid:
             {"x": [0, 8, 4], "y": [-2, 2, 2], "z": [0, 3, 3]}
         )
         assert spec.counts == (3, 2, 4)
+
+    @pytest.mark.parametrize(
+        "axes,message",
+        [
+            ({"x": (0.0, math.inf, 4)}, "x axis extent must be finite"),
+            ({"y": (-math.inf, 2.0, 4)}, "y axis extent must be finite"),
+            ({"z": (math.nan, 2.0, 4)}, "z axis extent must be finite"),
+            ({"x": (0.0, 51.2, 8.7)}, "x axis count must be a whole number"),
+            ({"z": (0.0, 2.0, math.inf)}, "z axis count must be a whole number"),
+        ],
+    )
+    def test_non_finite_extents_and_fractional_counts_rejected(self, axes, message):
+        spec = {"x": (0.0, 8.0, 4), "y": (-2.0, 2.0, 2), "z": (0.0, 3.0, 3), **axes}
+        with pytest.raises(ValueError, match=message):
+            VoxelGridSpec(**spec)
+
+    @pytest.mark.parametrize(
+        "axes,message",
+        [
+            ({"x": [0, 51.2, 8.7]}, "grid x count must be a whole number, got 8.7"),
+            ({"y": [0, "wide", 4]}, "grid y max must be a number, got 'wide'"),
+            ({"z": [0, 2, [3]]}, r"grid z count must be a number, got \[3\]"),
+            ({"x": [0, 8]}, "grid x must be \\[min, max, count\\]"),
+            ({"y": 5}, "grid y must be"),
+        ],
+    )
+    def test_from_dict_names_the_bad_axis(self, axes, message):
+        data = {"x": [0, 8, 4], "y": [-2, 2, 2], "z": [0, 3, 3], **axes}
+        with pytest.raises(ValueError, match=message):
+            VoxelGridSpec.from_dict(data)
+
+    def test_whole_float_count_becomes_an_int(self):
+        spec = VoxelGridSpec((0, 8, 4.0), (-2, 2, 2), (0, 3, 3))
+        assert spec.x == (0.0, 8.0, 4) and isinstance(spec.x[2], int)
 
 
 class TestOccupancy:
@@ -285,6 +323,19 @@ class TestSampleVT:
             assert su == u[i] and sv == v[i] and sd == depth[i]
 
     @pytest.mark.parametrize("seed", range(4))
+    def test_volume_equals_per_voxel_reference_bitwise(self, seed):
+        # a grid that reaches behind the camera and past every image edge
+        f_pv, d_map, occupancy, _, w2c, _ = small_instance(seed, grid_counts=(6, 5, 7))
+        grid = VoxelGridSpec((-30.0, 30.0, 7), (-8.0, 8.0, 5), (-6.0, 44.0, 6))
+        occupancy = OccupancyGrid(np.random.default_rng(seed).uniform(size=grid.counts))
+        got = build_sample_volume(
+            f_pv, d_map.data, d_map.spec, d_map.stride, occupancy.data, grid, K, w2c
+        )
+        want = sample_volume_reference(f_pv, d_map, occupancy, grid, K, w2c)
+        assert 0 < np.count_nonzero(np.abs(want).sum(axis=0)) < grid.counts[1] * grid.counts[2]
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", range(4))
     def test_matches_per_voxel_reference(self, seed):
         f_pv, d_map, occupancy, grid, w2c, params = small_instance(seed)
         got = sample_vt(f_pv, d_map, occupancy, grid, K, w2c, params)
@@ -298,6 +349,61 @@ class TestSampleVT:
         np.testing.assert_allclose(
             depth_to_bin_coordinate(mids, bins), [0.0, 1.0, 2.0, 3.0], atol=1e-12
         )
+
+
+def _edge_coordinates(extent: int) -> list[float]:
+    """Coordinates on and just past both edges of an axis of ``extent`` cells."""
+    return [-1.5, -1.0, -0.5, -1e-9, 0.0, extent - 1.0, extent - 0.5, extent - 1e-9, float(extent), extent + 0.25]
+
+
+@st.composite
+def gather_instances(draw):
+    c, d, h, w = (draw(st.integers(1, n)) for n in (3, 4, 5, 5))
+    n = draw(st.integers(0, 12))
+
+    def coordinates(extent: int) -> np.ndarray:
+        value = st.one_of(st.sampled_from(_edge_coordinates(extent)), st.floats(-2.0, extent + 1.0))
+        return np.array(draw(st.lists(value, min_size=n, max_size=n)), dtype=np.float64)
+
+    u, v, b = coordinates(w), coordinates(h), coordinates(d)
+    valid = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    f_pv = rng.normal(size=(c, h, w))
+    depth_volume = rng.uniform(size=(d, h, w))
+    occupancy = rng.uniform(size=n)
+    return f_pv, depth_volume, occupancy, u, v, b, valid
+
+
+class TestGatherGated:
+    @given(gather_instances())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_scalar_samplers_bitwise(self, instance):
+        # points straddle and sit on every image edge (w-1 and h-1 included),
+        # sit behind the camera (not valid) and read bins below 0 or at and
+        # beyond D; n = 0 and all-outside draws give an empty in-image set
+        f_pv, depth_volume, occupancy, u, v, b, valid = instance
+        got = gather_gated(f_pv, depth_volume, occupancy, u, v, b, valid)
+        want = np.zeros((2, f_pv.shape[0], u.shape[0]))
+        for i in np.flatnonzero(valid):
+            feat = bilinear_sample(f_pv, (u[i], v[i]))
+            want[0, :, i] = feat * trilinear_sample(depth_volume, (u[i], v[i], b[i]))
+            want[1, :, i] = feat * occupancy[i]
+        np.testing.assert_array_equal(got, want)
+
+    def test_no_in_image_corner_gives_zero_halves(self):
+        f_pv = np.ones((2, 3, 4))
+        u = np.array([-1.5, 4.0, 1.0, 2.0, 7.0])
+        v = np.array([1.0, 1.0, -1.25, 3.0, 9.0])
+        out = gather_gated(f_pv, np.ones((2, 3, 4)), np.ones(5), u, v, np.zeros(5), np.ones(5, dtype=bool))
+        np.testing.assert_array_equal(out, np.zeros((2, 2, 5)))
+
+    def test_corner_on_last_pixel_reads_it_alone(self):
+        f_pv = np.arange(12.0).reshape(1, 3, 4)
+        depth = np.full((2, 3, 4), 0.5)
+        out = gather_gated(
+            f_pv, depth, np.array([0.25]), np.array([3.0]), np.array([2.0]), np.array([1.0]), np.array([True])
+        )
+        assert out[0, 0, 0] == 11.0 * 0.5 and out[1, 0, 0] == 11.0 * 0.25
 
 
 class TestValidation:
@@ -317,6 +423,12 @@ class TestValidation:
         data[:, 0, 1] = [0.6, 0.6, -0.2, 0.0, 0.0]
         with pytest.raises(ValueError, match="non-negative"):
             DepthDistributionMap(data, DepthBinSpec(0.0, 10.0, 5), 8)
+
+    @pytest.mark.parametrize("shape", [(5, 6, 11), (5, 7, 10), (4, 6, 10), (6, 10)])
+    def test_depth_volume_must_match_bins_and_feature_map(self, shape):
+        f_pv, d_map, occupancy, grid, w2c, _ = small_instance(0)
+        with pytest.raises(ShapeError, match="depth volume shape"):
+            build_sample_volume(f_pv, np.full(shape, 0.2), d_map.spec, d_map.stride, occupancy.data, grid, K, w2c)
 
     def test_post_conv_count_enforced(self):
         rng = np.random.default_rng(0)
