@@ -174,12 +174,24 @@ def build_depth_targets(
     (the drop count is reported). Multiple points on the same pixel each keep
     their own target; every measured depth is its own ground truth.
     """
+    # RadarPoint admits only finite RCS values, so NaN marks a missing one.
+    rows = [(p.x, p.y, p.z, np.nan if p.rcs_dbsm is None else p.rcs_dbsm) for p in points]
+    table, _ = _target_table(np.array(rows, dtype=np.float64).reshape(-1, 4), calib, stride, cfg)
+    targets = tuple(DepthTarget(int(u), int(v), d, r) for u, v, d, r in table.tolist())
+    return TargetBuildResult(targets, len(rows), len(rows) - len(targets))
+
+
+def _target_table(
+    points: np.ndarray, calib: SensorCalibration, stride: int, cfg: RadiusConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """The target build on an (N, 4) array of radar-frame rows (x, y, z,
+    rcs_dbsm), a NaN RCS marking a missing one: the (M, 4) target table
+    (u, v, d_gt, radius) of the kept points, in input order, and the (N,)
+    mask of the kept points."""
     if stride < 1:
         raise ValueError(f"stride must be a positive integer, got {stride}")
-    xyz = np.array([(p.x, p.y, p.z) for p in points], dtype=np.float64).reshape(-1, 3)
-    # RadarPoint admits only finite RCS values, so NaN marks a missing one.
-    rcs = np.array([np.nan if p.rcs_dbsm is None else p.rcs_dbsm for p in points], dtype=np.float64)
-    u, v, depth, in_front = project_points(calib.radar_to_camera.apply_many(xyz), calib.intrinsics)
+    rcs = points[:, 3]
+    u, v, depth, in_front = project_points(calib.radar_to_camera.apply_many(points[:, :3]), calib.intrinsics)
     us, vs = np.floor(u / stride), np.floor(v / stride)
     keep = in_front & (0 <= us) & (us < calib.image_width // stride)
     keep &= (0 <= vs) & (vs < calib.image_height // stride)
@@ -188,9 +200,7 @@ def build_depth_targets(
     radius[with_rcs] = neighborhood_radius(depth[with_rcs], calib.intrinsics, stride, cfg, rcs[with_rcs])
     if without_rcs.any():
         radius[without_rcs] = neighborhood_radius(depth[without_rcs], calib.intrinsics, stride, cfg)
-    columns = (us[keep].astype(np.intp), vs[keep].astype(np.intp), depth[keep], radius[keep])
-    targets = tuple(DepthTarget(*row) for row in zip(*(c.tolist() for c in columns)))
-    return TargetBuildResult(targets, len(rcs), len(rcs) - len(targets))
+    return np.stack([us[keep], vs[keep], depth[keep], radius[keep]], axis=1), keep
 
 
 def nearest_bin(d, spec: DepthBinSpec):

@@ -8,6 +8,27 @@ of each target's neighborhood still sees the true depth: one-to-many
 supervision with a size-adaptive radius should recover more targets than a
 single compromise radius, which in turn beats supervising only the struck
 pixel.
+
+The experiment is array-first across seeds. Each seed draws its scene and
+its (N, 4) radar returns; each arm then scores every seed at once, with one
+target table and one neighbourhood selection, and the per-seed metrics are
+read from each seed's slice of the result. True depth is not rendered as a
+map: the selection looks it up at its candidate pixels from the scenes'
+projected object boxes (:func:`true_depth_at`), one object at a time.
+
+Results are bit-identical to drawing and scoring one seed at a time:
+
+- ``rng.uniform(lo, hi)`` is ``lo + (hi - lo) * rng.random()`` on the same
+  stream, so a scene takes its five draws per object from one
+  ``rng.random((n_objects, 5))``, and the surface offsets come from one
+  ``rng.uniform`` over per-return half extents.
+- The measurement noise keeps three scalar draws per return, in return order:
+  ``Generator.normal`` consumes a variable number of words per sample, so a
+  batched draw would reorder the stream.
+- Trigonometry (``radians``, ``tan``, ``atan2``, ``asin``, ``sin``, ``cos``,
+  ``log10``) stays in :mod:`math` on Python floats: NumPy's vectorised
+  versions differ from libm in the last bit on some inputs.
+- A seed's mean depth error is ``np.mean`` over its own slice, as before.
 """
 
 from __future__ import annotations
@@ -22,16 +43,27 @@ import numpy as np
 
 from .depth_supervision import (
     DepthBinSpec,
-    RadarPoint,
     RadiusConfig,
     _select_in_disks,
-    build_depth_targets,
+    _target_table,
+    build_depth_targets,  # noqa: F401 -- bench/tracing.py wraps the name in this module
     neighborhood_pixels,  # noqa: F401 -- bench/tracing.py wraps the name in this module
-    targets_to_array,
 )
-from .geometry import SensorCalibration, camera_axes_to_radar, json_number, radar_axes_to_camera
+from .geometry import SensorCalibration, json_number
 
 RCS_SIZE_CONSTANT_M2 = 1.0  # square meters of frontal area per 0 dBsm
+
+
+def _json_object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
+def _json_list(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a JSON list, got {value!r}")
+    return value
 
 
 def rcs_from_size(size_m2: float) -> float:
@@ -95,20 +127,16 @@ class SceneExtents:
             if key in data:
                 value = data[key]
                 name = f"scene {key}"
-                kwargs[key] = (
-                    tuple(json_number(x, name) for x in value) if isinstance(value, list) else json_number(value, name)
-                )
+                if not key.endswith("_range"):
+                    kwargs[key] = json_number(value, name)
+                elif isinstance(value, list) and len(value) == 2:
+                    kwargs[key] = tuple(json_number(x, name) for x in value)
+                else:
+                    raise ValueError(f"{name} must be a list of two numbers, got {value!r}")
         return cls(**kwargs)
 
 
-@dataclass(frozen=True)
-class Scene:
-    """Generated objects plus the rendered true-depth map at feature stride."""
-
-    objects: tuple[SceneObject, ...]
-    depth_map: np.ndarray  # (H_s, W_s), +inf where no object is visible
-    stride: int
-    calibration: SensorCalibration
+EMPTY_BOX = (0, -1, 0, -1)  # (u0, u1, v0, v1) of an object that covers no feature cell
 
 
 def _footprint_cells(
@@ -133,26 +161,52 @@ def _footprint_cells(
     return u0, u1, v0, v1
 
 
-def render_depth_map(
-    objects, calib: SensorCalibration, stride: int
-) -> np.ndarray:
-    """Rasterize object rectangles into a true-depth map; nearest object wins.
+def true_depth_at(boxes, uu: np.ndarray, vv: np.ndarray) -> np.ndarray:
+    """True depth at feature cells (uu, vv): the depth of the nearest object
+    whose box covers the cell, +inf where none does.
 
-    A feature cell is covered when the projected rectangle touches it, which
-    keeps the rendering consistent with the floor-based pixel assignment of
-    the target builder: a point on an object always lands on a covered cell.
+    ``boxes`` yields one (..., 5) array (u0, u1, v0, v1, depth) per object,
+    broadcasting against ``uu`` and ``vv``. Objects are visited one at a
+    time, so temporaries stay the size of the queried cells.
     """
-    width_s = calib.image_width // stride
-    height_s = calib.image_height // stride
-    depth = np.full((height_s, width_s), np.inf, dtype=np.float64)
-    for obj in objects:
-        cells = _footprint_cells(obj, calib, stride)
-        if cells is None:
-            continue
-        u0, u1, v0, v1 = cells
-        region = depth[v0 : v1 + 1, u0 : u1 + 1]
-        np.minimum(region, obj.true_depth, out=region)
+    depth = np.full(np.broadcast_shapes(np.shape(uu), np.shape(vv)), np.inf)
+    for box in boxes:
+        u0, u1, v0, v1, d = np.moveaxis(box, -1, 0)
+        covered = (u0 <= uu) & (uu <= u1) & (v0 <= vv) & (vv <= v1)
+        np.minimum(depth, d, out=depth, where=covered)
     return depth
+
+
+@dataclass(frozen=True)
+class Scene:
+    """Generated objects, seen through a calibration at a feature stride.
+
+    ``boxes`` holds one row (u0, u1, v0, v1, depth) per object: the inclusive
+    feature cells its projected rectangle touches (:data:`EMPTY_BOX` when it
+    misses the map) and its true depth. A cell is covered when the rectangle
+    touches it, which keeps true depth consistent with the floor-based pixel
+    assignment of the target builder: a point on an object always lands on a
+    covered cell.
+    """
+
+    objects: tuple[SceneObject, ...]
+    stride: int
+    calibration: SensorCalibration
+    boxes: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rows = [
+            (*(_footprint_cells(obj, self.calibration, self.stride) or EMPTY_BOX), obj.true_depth)
+            for obj in self.objects
+        ]
+        object.__setattr__(self, "boxes", np.array(rows, dtype=np.float64).reshape(-1, 5))
+
+    @property
+    def depth_map(self) -> np.ndarray:
+        """The (H_s, W_s) true-depth map, +inf where no object is visible."""
+        shape = (self.calibration.image_height // self.stride, self.calibration.image_width // self.stride)
+        vv, uu = np.indices(shape)
+        return true_depth_at(self.boxes, uu, vv)
 
 
 def generate_scene(
@@ -162,26 +216,25 @@ def generate_scene(
     calib: SensorCalibration,
     stride: int,
 ) -> Scene:
-    """Deterministically sample objects and render their true-depth map."""
+    """Deterministically sample objects: per object, five uniform draws
+    (azimuth, elevation, size class, size, depth)."""
     if n_objects < 0:
         raise ValueError(f"n_objects must be non-negative, got {n_objects}")
-    rng = np.random.default_rng(seed)
+    az, el = extents.azimuth_max_deg, extents.elevation_max_deg
     objects = []
-    for _ in range(n_objects):
-        azimuth = math.radians(rng.uniform(-extents.azimuth_max_deg, extents.azimuth_max_deg))
-        elevation = math.radians(
-            rng.uniform(-extents.elevation_max_deg, extents.elevation_max_deg)
-        )
-        if rng.uniform() < extents.large_fraction:
-            size = rng.uniform(*extents.large_size_range)
-            depth = rng.uniform(*extents.large_depth_range)
+    for u_az, u_el, u_class, u_size, u_depth in np.random.default_rng(seed).random((n_objects, 5)).tolist():
+        # rng.uniform(lo, hi) is lo + (hi - lo) * u on the same stream.
+        azimuth = math.radians(-az + (az - -az) * u_az)
+        elevation = math.radians(-el + (el - -el) * u_el)
+        if u_class < extents.large_fraction:
+            (s_lo, s_hi), (d_lo, d_hi) = extents.large_size_range, extents.large_depth_range
         else:
-            size = rng.uniform(*extents.small_size_range)
-            depth = rng.uniform(*extents.small_depth_range)
+            (s_lo, s_hi), (d_lo, d_hi) = extents.small_size_range, extents.small_depth_range
+        size = s_lo + (s_hi - s_lo) * u_size
+        depth = d_lo + (d_hi - d_lo) * u_depth
         center = (depth * math.tan(azimuth), depth * math.tan(elevation), depth)
         objects.append(SceneObject(center, size, depth, rcs_from_size(size)))
-    depth_map = render_depth_map(objects, calib, stride)
-    return Scene(tuple(objects), depth_map, stride, calib)
+    return Scene(tuple(objects), stride, calib)
 
 
 @dataclass(frozen=True)
@@ -222,56 +275,38 @@ class RadarNoiseModel:
         return max(1, int(round(self.points_base + self.points_size_scale * math.sqrt(obj.size_m2))))
 
 
-def sample_surface_points(scene: Scene, model: RadarNoiseModel, rng: np.random.Generator):
-    """Noise-free returns: per object, uniform samples on its frontal rectangle.
+def simulate_radar(scene: Scene, model: RadarNoiseModel) -> np.ndarray:
+    """Noisy radar returns of a scene as (N, 4) rows (x, y, z, rcs_dbsm), in
+    object order; deterministic in ``model.seed``.
 
-    Yields (camera-frame point, source object) pairs; the draw order is fixed
-    so noisy and noise-free replays align one to one.
+    Each object yields ``model.points_for(obj)`` returns, drawn uniformly on
+    its frontal rectangle (one (dx, dy) pair per return) and then perturbed in
+    radar spherical coordinates: azimuth, elevation and range draws per return.
     """
-    samples = []
-    for obj in scene.objects:
-        half = obj.half_extent
-        cx, cy, z = obj.center
-        for _ in range(model.points_for(obj)):
-            dx = rng.uniform(-half, half)
-            dy = rng.uniform(-half, half)
-            samples.append((np.array([cx + dx, cy + dy, z]), obj))
-    return samples
-
-
-def apply_measurement_noise(
-    cam_point: np.ndarray, model: RadarNoiseModel, rng: np.random.Generator
-) -> np.ndarray:
-    """Perturb one camera-frame point in radar spherical coordinates."""
-    fwd, lat, up = camera_axes_to_radar(cam_point)
-    rho = math.sqrt(fwd * fwd + lat * lat + up * up)
-    theta = math.atan2(lat, fwd)
-    phi = math.asin(up / rho) if rho > 0 else 0.0
-    theta += rng.uniform(-model.delta_theta / 2.0, model.delta_theta / 2.0)
-    phi += rng.uniform(-model.delta_phi / 2.0, model.delta_phi / 2.0)
-    dr = rng.normal(0.0, model.range_sigma) if model.range_sigma > 0 else 0.0
-    rho += float(np.clip(dr, -3.0 * model.range_sigma, 3.0 * model.range_sigma))
-    rho = max(rho, 0.0)
-    cos_phi = math.cos(phi)
-    radar = np.array([rho * cos_phi * math.cos(theta), rho * cos_phi * math.sin(theta), rho * math.sin(phi)])
-    return radar_axes_to_camera(radar)
-
-
-def simulate_radar(scene: Scene, model: RadarNoiseModel) -> list[RadarPoint]:
-    """Simulate noisy radar returns for a scene; deterministic in the seed."""
     rng = np.random.default_rng(model.seed)
-    points = []
-    for cam_point, obj in sample_surface_points(scene, model, rng):
-        noisy = apply_measurement_noise(cam_point, model, rng)
-        points.append(
-            RadarPoint(float(noisy[0]), float(noisy[1]), float(noisy[2]), rcs_dbsm=obj.rcs_dbsm)
-        )
-    return points
-
-
-def strip_rcs(points) -> list[RadarPoint]:
-    """Drop RCS so the radius formula falls back to the fixed radius."""
-    return [replace(p, rcs_dbsm=None) for p in points]
+    counts = [model.points_for(obj) for obj in scene.objects]
+    source = np.array(
+        [(*obj.center, obj.half_extent, obj.rcs_dbsm) for obj in scene.objects], dtype=np.float64
+    ).reshape(-1, 5).repeat(counts, axis=0)
+    halves = source[:, 3:4].repeat(2, axis=1)
+    offsets = rng.uniform(-halves, halves)
+    xs, ys, zs = source[:, 0] + offsets[:, 0], source[:, 1] + offsets[:, 1], source[:, 2]
+    # A scalar rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(), at a third of the call cost.
+    theta_lo, phi_lo, sigma = -model.delta_theta / 2.0, -model.delta_phi / 2.0, model.range_sigma
+    theta_span, phi_span = model.delta_theta / 2.0 - theta_lo, model.delta_phi / 2.0 - phi_lo
+    rows = []
+    for x, y, z in zip(xs.tolist(), ys.tolist(), zs.tolist()):
+        fwd, lat, up = z, x, -y  # camera axes to radar axes
+        rho = math.sqrt(fwd * fwd + lat * lat + up * up)
+        theta = math.atan2(lat, fwd) + (theta_lo + theta_span * rng.random())
+        phi = (math.asin(up / rho) if rho > 0 else 0.0) + (phi_lo + phi_span * rng.random())
+        if sigma > 0:
+            rho += max(-3.0 * sigma, min(3.0 * sigma, rng.normal(0.0, sigma)))
+        rho = max(rho, 0.0)
+        cos_phi = math.cos(phi)
+        # Radar (forward, lateral, up) back to camera axes (lateral, -up, forward).
+        rows.append((rho * cos_phi * math.sin(theta), -(rho * math.sin(phi)), rho * cos_phi * math.cos(theta)))
+    return np.column_stack((np.array(rows, dtype=np.float64).reshape(-1, 3), source[:, 4]))
 
 
 @dataclass(frozen=True)
@@ -282,37 +317,63 @@ class SupervisionMetrics:
 
 
 def evaluate_supervision(
-    scene: Scene,
+    scenes,
     points,
     bins: DepthBinSpec,
     radius_cfg: RadiusConfig,
     strategy: str,
     agg: str = "min",
-) -> SupervisionMetrics:
-    """Score depth targets against the rendered true-depth map.
+) -> tuple[SupervisionMetrics, ...]:
+    """Score each scene's depth targets against its true depth.
+
+    ``points`` holds one (N, 4) array of radar returns (x, y, z, rcs_dbsm)
+    per scene; a NaN RCS is absent and the radius then falls back to
+    ``radius_cfg.fixed_r``. The scenes share one calibration and stride, and
+    all of them are scored in one target table and one selection.
 
     Each target selects the neighborhood pixel whose true depth is closest
     to its measured depth (``agg="min"``; ``"max"`` selects the farthest,
     modeling worst-pixel aggregation), or the struck pixel itself under the
     one-to-one strategy. A target hits when the selected pixel's true depth
     lies within half a bin of the measured depth; the mean absolute error is
-    reported over targets whose selected pixel sees any object at all.
+    reported over targets whose selected pixel sees any object at all. The
+    metrics come back one per scene, in scene order.
     """
     if strategy not in ("one-to-one", "one-to-many"):
         raise ValueError(f"unknown strategy {strategy!r}")
     if agg not in ("min", "max"):
         raise ValueError(f"unknown aggregation {agg!r}")
-    build = build_depth_targets(points, scene.calibration, scene.stride, radius_cfg)
-    table = targets_to_array(build.targets)
-    truth = scene.depth_map
-    err = _select_in_disks(
-        table, truth.shape, strategy, agg, lambda rows, uu, vv: np.abs(truth[vv, uu] - table[rows, 2:3])
-    ).cost
-    n = len(table)
-    hit_rate = int(np.count_nonzero(err <= bins.bin_width / 2.0)) / n if n else 0.0
-    seen = err[np.isfinite(err)]
-    depth_mae = float(np.mean(seen)) if seen.size else 0.0
-    return SupervisionMetrics(hit_rate, depth_mae, n)
+    if len(scenes) != len(points):
+        raise ValueError(f"need one point array per scene, got {len(points)} for {len(scenes)} scenes")
+    if not scenes:
+        return ()
+    calib, stride = scenes[0].calibration, scenes[0].stride
+    for scene in scenes:
+        same_calibration = scene.calibration is calib or scene.calibration.to_dict() == calib.to_dict()
+        if scene.stride != stride or not same_calibration:
+            raise ValueError("the scenes of one evaluation must share one calibration and stride")
+    table, keep = _target_table(np.concatenate(points).reshape(-1, 4), calib, stride, radius_cfg)
+    scene_of = np.repeat(np.arange(len(scenes)), [len(p) for p in points])[keep]
+    # One (scenes, 5) box table per object slot, padded with empty boxes.
+    boxes = np.tile(np.array([*EMPTY_BOX, np.inf]), (max(len(s.boxes) for s in scenes), len(scenes), 1))
+    for s, scene in enumerate(scenes):
+        boxes[: len(scene.boxes), s] = scene.boxes
+
+    def cost_at(rows, uu, vv):
+        at = scene_of[rows, None]
+        cost = true_depth_at((b[at] for b in boxes), uu, vv)
+        cost -= table[rows, 2:3]
+        return np.abs(cost, out=cost)
+
+    shape = (calib.image_height // stride, calib.image_width // stride)
+    err = _select_in_disks(table, shape, strategy, agg, cost_at).cost
+    counts = np.bincount(scene_of, minlength=len(scenes)).tolist()
+    hits = np.bincount(scene_of[err <= bins.bin_width / 2.0], minlength=len(scenes)).tolist()
+    out = []
+    for n, hit, seed_err in zip(counts, hits, np.split(err, np.cumsum(counts)[:-1])):
+        seen = seed_err[np.isfinite(seed_err)]
+        out.append(SupervisionMetrics(hit / n if n else 0.0, float(np.mean(seen)) if seen.size else 0.0, n))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -325,9 +386,18 @@ class ExperimentArm:
     agg: str = "min"
     use_rcs: bool = False
 
+    def __post_init__(self):
+        if self.strategy not in ("one-to-one", "one-to-many"):
+            raise ValueError(f"arm {self.name!r}: unknown strategy {self.strategy!r}")
+        if self.agg not in ("min", "max"):
+            raise ValueError(f"arm {self.name!r}: unknown aggregation {self.agg!r}")
+
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentArm":
-        radius = data.get("radius", {})
+        radius = _json_object(data.get("radius", {}), f"arm {data['name']!r} radius")
+        use_rcs = data.get("use_rcs", False)
+        if not isinstance(use_rcs, bool):
+            raise ValueError(f"arm {data['name']!r} use_rcs must be true or false, got {use_rcs!r}")
         return cls(
             name=str(data["name"]),
             strategy=str(data["strategy"]),
@@ -337,7 +407,7 @@ class ExperimentArm:
                 fixed_r=(json_number(radius["fixed_r"], "arm radius fixed_r") if "fixed_r" in radius else None),
             ),
             agg=str(data.get("agg", "min")),
-            use_rcs=bool(data.get("use_rcs", False)),
+            use_rcs=use_rcs,
         )
 
 
@@ -356,9 +426,27 @@ class ExperimentConfig:
     bootstrap_seed: int = 20240901
     orderings: tuple[tuple[str, str], ...] = field(default_factory=tuple)
 
+    def __post_init__(self):
+        for key, least in (("stride", 1), ("num_seeds", 1), ("bootstrap_samples", 1), ("n_objects", 0)):
+            if getattr(self, key) < least:
+                raise ValueError(f"{key} must be at least {least}, got {getattr(self, key)}")
+        names = [arm.name for arm in self.arms]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ValueError(f"duplicate arm name {name!r}")
+        for better, worse in self.orderings:
+            for name in (better, worse):
+                if name not in names:
+                    raise ValueError(f"ordering {better!r} >= {worse!r} names unknown arm {name!r}")
+
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        bins = data["bins"]
+        data = _json_object(data, "experiment config")
+        bins = _json_object(data["bins"], "bins")
+        orderings = _json_list(data.get("orderings", []), "orderings")
+        for i, pair in enumerate(orderings):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ValueError(f"orderings[{i}] must be a pair of arm names, got {pair!r}")
 
         def count(key: str, default: int) -> int:
             return json_number(data.get(key, default), key, whole=True)
@@ -371,17 +459,18 @@ class ExperimentConfig:
                 json_number(bins["d_max"], "bins d_max"),
                 json_number(bins["num_bins"], "bins num_bins", whole=True),
             ),
-            extents=SceneExtents.from_dict(data.get("scene", {})),
-            noise=RadarNoiseModel.from_dict(data["noise"]),
-            arms=tuple(ExperimentArm.from_dict(a) for a in data["arms"]),
+            extents=SceneExtents.from_dict(_json_object(data.get("scene", {}), "scene")),
+            noise=RadarNoiseModel.from_dict(_json_object(data["noise"], "noise")),
+            arms=tuple(
+                ExperimentArm.from_dict(_json_object(a, f"arms[{i}]"))
+                for i, a in enumerate(_json_list(data["arms"], "arms"))
+            ),
             n_objects=count("n_objects", 8),
             seed_start=count("seed_start", 0),
             num_seeds=count("num_seeds", 150),
             bootstrap_samples=count("bootstrap_samples", 2000),
             bootstrap_seed=count("bootstrap_seed", 20240901),
-            orderings=tuple(
-                (str(a), str(b)) for a, b in data.get("orderings", [])
-            ),
+            orderings=tuple((str(a), str(b)) for a, b in orderings),
         )
 
     @classmethod
@@ -401,21 +490,6 @@ class SeedResult:
     seed: int
     arm: str
     metrics: SupervisionMetrics
-
-
-def _run_seed(cfg: ExperimentConfig, seed: int) -> list[SeedResult]:
-    scene = generate_scene(seed, cfg.n_objects, cfg.extents, cfg.calibration, cfg.stride)
-    noise = replace(cfg.noise, seed=seed + 1)
-    points = simulate_radar(scene, noise)
-    stripped = strip_rcs(points)
-    out = []
-    for arm in cfg.arms:
-        arm_points = points if arm.use_rcs else stripped
-        metrics = evaluate_supervision(
-            scene, arm_points, cfg.bins, arm.radius, arm.strategy, arm.agg
-        )
-        out.append(SeedResult(seed, arm.name, metrics))
-    return out
 
 
 def bootstrap_gap(
@@ -439,18 +513,32 @@ class ExperimentResult:
     summary: dict
 
 
+def _evaluate_arms(cfg: ExperimentConfig, seeds: range) -> dict[str, tuple[SupervisionMetrics, ...]]:
+    """Per arm, one metrics row per seed. The scenes and returns are dropped
+    on return, before the bootstrap allocates its resamples."""
+    scenes = [generate_scene(seed, cfg.n_objects, cfg.extents, cfg.calibration, cfg.stride) for seed in seeds]
+    points = [simulate_radar(scene, replace(cfg.noise, seed=seed + 1)) for seed, scene in zip(seeds, scenes)]
+    # Arms without RCS see the same returns with the RCS column absent (NaN).
+    no_rcs = [np.column_stack((p[:, :3], np.full(len(p), np.nan))) for p in points]
+    return {
+        arm.name: evaluate_supervision(
+            scenes, points if arm.use_rcs else no_rcs, cfg.bins, arm.radius, arm.strategy, arm.agg
+        )
+        for arm in cfg.arms
+    }
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Evaluate every arm over the seed range and summarize pairwise orderings.
 
-    Seeds run one after another in increasing order, and the rows come out
-    in that order, one per seed and arm.
+    Each seed draws its scene and its radar returns; each arm then scores
+    all seeds at once. The rows come out one per seed and arm, seeds in
+    increasing order.
     """
     seeds = range(cfg.seed_start, cfg.seed_start + cfg.num_seeds)
-    rows = tuple(r for seed in seeds for r in _run_seed(cfg, seed))
+    by_arm = _evaluate_arms(cfg, seeds)
+    rows = tuple(SeedResult(seed, arm.name, by_arm[arm.name][i]) for i, seed in enumerate(seeds) for arm in cfg.arms)
 
-    by_arm: dict[str, list[SupervisionMetrics]] = {arm.name: [] for arm in cfg.arms}
-    for row in rows:
-        by_arm[row.arm].append(row.metrics)
     arm_summaries = {}
     for name, metrics in by_arm.items():
         arm_summaries[name] = {
@@ -461,8 +549,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     orderings = {}
     for better, worse in cfg.orderings:
-        if better not in by_arm or worse not in by_arm:
-            raise ValueError(f"ordering references unknown arm: {better!r} >= {worse!r}")
         a = np.array([m.hit_rate for m in by_arm[better]])
         b = np.array([m.hit_rate for m in by_arm[worse]])
         gap, low = bootstrap_gap(a, b, cfg.bootstrap_samples, cfg.bootstrap_seed)

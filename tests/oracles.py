@@ -4,18 +4,30 @@ These deliberately avoid the vectorized code paths they verify: the
 convolution oracle is six nested loops, the scalar samplers read one point's
 corners at a time, the view-transformation oracle walks voxels one at a time
 through those samplers, the depth-loss oracle scores one target's disk at a
-time and the target-build oracle projects one radar point at a time in plain
-Python floats.
+time, the target-build oracle projects one radar point at a time in plain
+Python floats and the experiment oracle runs one seed and arm at a time
+through scalar draws, per-return noise, rendered true-depth maps and a
+per-target disk loop.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from radarcam.depth_supervision import DepthTarget
-from radarcam.geometry import scale_intrinsics
+from radarcam.depth_supervision import DepthTarget, RadarPoint
+from radarcam.geometry import camera_axes_to_radar, radar_axes_to_camera, scale_intrinsics
+from radarcam.sim import (
+    ExperimentResult,
+    SceneObject,
+    SeedResult,
+    SupervisionMetrics,
+    _footprint_cells,
+    bootstrap_gap,
+    rcs_from_size,
+)
 from radarcam.tensor_ops import ShapeError, conv2d
 from radarcam.view_transform import depth_to_bin_coordinate, voxel_centers
 
@@ -230,3 +242,124 @@ def build_depth_targets_reference(points, calib, stride, cfg) -> tuple[list[Dept
             radius = min(cfg.r_max, cfg.fixed_r)
         targets.append(DepthTarget(us, vs, z, radius))
     return targets, len(points), dropped
+
+
+def render_depth_map(objects, calib, stride) -> np.ndarray:
+    """Rasterize object footprints into an (H_s, W_s) true-depth map;
+    the nearest object wins and uncovered cells hold +inf."""
+    depth = np.full((calib.image_height // stride, calib.image_width // stride), np.inf)
+    for obj in objects:
+        cells = _footprint_cells(obj, calib, stride)
+        if cells is None:
+            continue
+        u0, u1, v0, v1 = cells
+        region = depth[v0 : v1 + 1, u0 : u1 + 1]
+        np.minimum(region, obj.true_depth, out=region)
+    return depth
+
+
+def generate_objects_reference(seed, n_objects, extents) -> list[SceneObject]:
+    """Scene objects from five scalar ``rng.uniform`` draws each."""
+    rng = np.random.default_rng(seed)
+    objects = []
+    for _ in range(n_objects):
+        azimuth = math.radians(rng.uniform(-extents.azimuth_max_deg, extents.azimuth_max_deg))
+        elevation = math.radians(rng.uniform(-extents.elevation_max_deg, extents.elevation_max_deg))
+        if rng.uniform() < extents.large_fraction:
+            size = rng.uniform(*extents.large_size_range)
+            depth = rng.uniform(*extents.large_depth_range)
+        else:
+            size = rng.uniform(*extents.small_size_range)
+            depth = rng.uniform(*extents.small_depth_range)
+        center = (depth * math.tan(azimuth), depth * math.tan(elevation), depth)
+        objects.append(SceneObject(center, size, depth, rcs_from_size(size)))
+    return objects
+
+
+def apply_measurement_noise(cam_point, model, rng) -> np.ndarray:
+    """Perturb one camera-frame point in radar spherical coordinates."""
+    fwd, lat, up = camera_axes_to_radar(cam_point)
+    rho = math.sqrt(fwd * fwd + lat * lat + up * up)
+    theta = math.atan2(lat, fwd)
+    phi = math.asin(up / rho) if rho > 0 else 0.0
+    theta += rng.uniform(-model.delta_theta / 2.0, model.delta_theta / 2.0)
+    phi += rng.uniform(-model.delta_phi / 2.0, model.delta_phi / 2.0)
+    dr = rng.normal(0.0, model.range_sigma) if model.range_sigma > 0 else 0.0
+    rho += float(np.clip(dr, -3.0 * model.range_sigma, 3.0 * model.range_sigma))
+    rho = max(rho, 0.0)
+    cos_phi = math.cos(phi)
+    radar = np.array([rho * cos_phi * math.cos(theta), rho * cos_phi * math.sin(theta), rho * math.sin(phi)])
+    return radar_axes_to_camera(radar)
+
+
+def simulate_radar_reference(objects, model) -> list[RadarPoint]:
+    """Noisy returns one point at a time: every surface sample first (scalar
+    dx, dy per return), then each sample's noise draws."""
+    rng = np.random.default_rng(model.seed)
+    samples = []
+    for obj in objects:
+        half = obj.half_extent
+        cx, cy, z = obj.center
+        for _ in range(model.points_for(obj)):
+            dx = rng.uniform(-half, half)
+            dy = rng.uniform(-half, half)
+            samples.append((np.array([cx + dx, cy + dy, z]), obj))
+    points = []
+    for cam_point, obj in samples:
+        noisy = apply_measurement_noise(cam_point, model, rng)
+        points.append(RadarPoint(float(noisy[0]), float(noisy[1]), float(noisy[2]), rcs_dbsm=obj.rcs_dbsm))
+    return points
+
+
+def evaluate_supervision_reference(depth_map, calib, stride, points, bins, radius_cfg, strategy, agg):
+    """One scene's metrics from a per-target loop over its rendered map."""
+    targets, _, _ = build_depth_targets_reference(points, calib, stride, radius_cfg)
+    height, width = depth_map.shape
+    errors = []
+    for t in targets:
+        pixels = [(t.u, t.v)] if strategy == "one-to-one" else disk_pixels(t.u, t.v, t.radius, width, height)
+        errs = [abs(depth_map[v, u] - t.d_gt) for u, v in pixels]
+        errors.append(min(errs) if agg == "min" else max(errs))
+    finite = [e for e in errors if math.isfinite(e)]
+    hit_rate = sum(e <= bins.bin_width / 2.0 for e in errors) / len(errors) if errors else 0.0
+    return SupervisionMetrics(hit_rate, float(np.mean(finite)) if finite else 0.0, len(errors))
+
+
+def run_experiment_reference(cfg) -> ExperimentResult:
+    """The supervision experiment one seed, then one arm, at a time."""
+    rows = []
+    for seed in range(cfg.seed_start, cfg.seed_start + cfg.num_seeds):
+        objects = generate_objects_reference(seed, cfg.n_objects, cfg.extents)
+        depth_map = render_depth_map(objects, cfg.calibration, cfg.stride)
+        points = simulate_radar_reference(objects, replace(cfg.noise, seed=seed + 1))
+        stripped = [replace(p, rcs_dbsm=None) for p in points]
+        for arm in cfg.arms:
+            metrics = evaluate_supervision_reference(
+                depth_map, cfg.calibration, cfg.stride, points if arm.use_rcs else stripped,
+                cfg.bins, arm.radius, arm.strategy, arm.agg,
+            )
+            rows.append(SeedResult(seed, arm.name, metrics))
+
+    by_arm = {arm.name: [r.metrics for r in rows if r.arm == arm.name] for arm in cfg.arms}
+    arms = {
+        name: {
+            "mean_hit_rate": float(np.mean([m.hit_rate for m in metrics])),
+            "mean_depth_mae": float(np.mean([m.depth_mae for m in metrics])),
+            "mean_n_targets": float(np.mean([m.n_targets for m in metrics])),
+        }
+        for name, metrics in by_arm.items()
+    }
+    orderings = {}
+    for better, worse in cfg.orderings:
+        a = np.array([m.hit_rate for m in by_arm[better]])
+        b = np.array([m.hit_rate for m in by_arm[worse]])
+        gap, low = bootstrap_gap(a, b, cfg.bootstrap_samples, cfg.bootstrap_seed)
+        orderings[f"{better}>={worse}"] = {"gap_mean": gap, "gap_ci95_low": low, "holds": bool(low > 0.0)}
+    summary = {
+        "num_seeds": cfg.num_seeds,
+        "seed_start": cfg.seed_start,
+        "arms": arms,
+        "orderings": orderings,
+        "all_orderings_hold": bool(all(o["holds"] for o in orderings.values())),
+    }
+    return ExperimentResult(tuple(rows), summary)

@@ -1,5 +1,6 @@
 """Tests for the command line front end, run through ``main(argv)``."""
 
+import hashlib
 import json
 import math
 from importlib import resources
@@ -95,6 +96,39 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
         assert not csv_path.exists() and not summary.exists()
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("arms", 5, "arms must be a JSON list, got 5"),
+            ("arms", [5], "arms[0] must be a JSON object, got 5"),
+            ("noise", [1], "noise must be a JSON object, got [1]"),
+            ("bins", [1], "bins must be a JSON object, got [1]"),
+            ("scene", 5, "scene must be a JSON object, got 5"),
+            ("orderings", [5], "orderings[0] must be a pair of arm names, got 5"),
+            ("orderings", [["a"]], "orderings[0] must be a pair of arm names, got ['a']"),
+        ],
+    )
+    def test_wrong_container_type_in_config_exits_2(self, tmp_path, key, value, message, capsys):
+        config = reduced_config(tmp_path, **{key: value})
+        csv_path, summary = tmp_path / "rows.csv", tmp_path / "summary.json"
+        argv = ["simulate", "--config", str(config), "--output-csv", str(csv_path), "--summary", str(summary)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not csv_path.exists() and not summary.exists()
+
+    def test_packaged_experiment_output_is_pinned(self, tmp_path):
+        """sha256 of the packaged experiment's CSV (9 significant digits) and
+        summary, recorded before seeds were scored as one batch per arm."""
+        csv_path, summary = tmp_path / "rows.csv", tmp_path / "summary.json"
+        assert main(["simulate", "--output-csv", str(csv_path), "--summary", str(summary)]) == 0
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
+            "6bb55524d2bc7168704142e1005d92b66bf10f444c3f3288cdd3af7e75b04513"
+        )
+        assert hashlib.sha256(summary.read_bytes()).hexdigest() == (
+            "47e73d45c48b2ada2b46e13e7bdd99ff9d0059045fa810a903fffbf3e100a46e"
+        )
 
 
 class TestUsage:
