@@ -5,6 +5,15 @@ to stderr; machine-readable output goes to files or stdout. Every input is
 read and validated before any output file is created, and all commands are
 deterministic for fixed seeds, so re-running a command reproduces its output
 files byte for byte.
+
+Each JSON input's keys are defined by one reader: a calibration by
+``SensorCalibration.from_dict``; ``depth-targets --config`` by
+``RadiusConfig.from_dict`` plus ``stride``; ``simulate --config`` by
+``ExperimentConfig.from_dict``; a ``vt`` manifest's ``grid``, ``depth_bins``
+and layers by ``VoxelGridSpec.from_dict``, ``DepthBinSpec.from_dict`` and
+``vt_params_from_manifest``; a ``fuse`` manifest by ``csa_params_from_manifest``
+or ``concat_params_from_manifest``. An absent optional key, like an unset
+flag, takes the dataclass default; an absent required key fails as a null.
 """
 
 from __future__ import annotations
@@ -20,6 +29,8 @@ import numpy as np
 
 from . import __version__, lxlt
 from .depth_supervision import (
+    AGGREGATIONS,
+    STRATEGIES,
     DepthBinSpec,
     LossConfig,
     RadiusConfig,
@@ -35,10 +46,12 @@ from .geometry import (
     SphericalPoint,
     empirical_projection_error,
     json_number,
+    json_object,
+    load_json,
     max_pixel_position_error,
     scale_intrinsics,
 )
-from .gradcheck import run_grad_check
+from .gradcheck import MIN_BINS, MIN_SIZE, run_grad_check
 from .sim import ExperimentConfig, default_experiment_config, run_experiment
 from .tensor_ops import ShapeError
 from .view_transform import (
@@ -50,6 +63,9 @@ from .view_transform import (
 )
 
 
+DEFAULT_STRIDE = 8  # feature-map stride of depth-targets
+
+
 class _UsageError(Exception):
     pass
 
@@ -57,14 +73,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 instead of argparse's default 2
         raise _UsageError(message)
-
-
-def _load_json(path: str | Path) -> dict:
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected a JSON object at the top level")
-    return data
 
 
 def _write_json(path: str | Path, data: dict) -> None:
@@ -75,7 +83,7 @@ def _write_json(path: str | Path, data: dict) -> None:
 
 def _manifest_file(manifest: dict, key: str, root: Path) -> Path:
     """A file a manifest names, relative to the manifest's directory."""
-    value = manifest[key]
+    value = manifest.get(key)
     if not isinstance(value, str):
         raise ValueError(f"manifest {key} must be a file name, got {value!r}")
     return root / value
@@ -83,31 +91,25 @@ def _manifest_file(manifest: dict, key: str, root: Path) -> Path:
 
 def _object_or_file(manifest: dict, key: str, root: Path) -> dict:
     """A manifest entry given inline as a JSON object or as a JSON file name."""
-    value = manifest[key]
-    return value if isinstance(value, dict) else _load_json(_manifest_file(manifest, key, root))
+    value = manifest.get(key)
+    return value if isinstance(value, dict) else load_json(_manifest_file(manifest, key, root))
 
 
-def _layered(config: dict, key: str, flag_value, default):
-    """Flag overrides config file overrides built-in default."""
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        return config[key]
-    return default
+def _given(**flags) -> dict:
+    """The flags that were set on the command line."""
+    return {key: value for key, value in flags.items() if value is not None}
 
 
 def cmd_depth_targets(args) -> int:
-    config = _load_json(args.config) if args.config else {}
+    # Flags override the config file, which overrides the defaults.
+    config = load_json(args.config) if args.config else {}
+    config.update(_given(stride=args.stride, k=args.k, r_max=args.r_max, fixed_r=args.fixed_r))
     points = read_radar_points_csv(args.points)
     calib = SensorCalibration.load(args.calib)
-    stride = json_number(_layered(config, "stride", args.stride, 8), "stride", whole=True)
-    fixed_default = 2.0 if any(p.rcs_dbsm is None for p in points) else None
-    fixed_r = _layered(config, "fixed_r", args.fixed_r, fixed_default)
-    cfg = RadiusConfig(
-        k=json_number(_layered(config, "k", args.k, 0.1), "k"),
-        r_max=json_number(_layered(config, "r_max", args.r_max, 2.0), "r_max"),
-        fixed_r=None if fixed_r is None else json_number(fixed_r, "fixed_r"),
-    )
+    stride = json_number(config.get("stride", DEFAULT_STRIDE), "stride", whole=True)
+    if "fixed_r" not in config and any(p.rcs_dbsm is None for p in points):
+        config["fixed_r"] = RadiusConfig.FALLBACK_FIXED_R
+    cfg = RadiusConfig.from_dict(config)
     result = build_depth_targets(points, calib, stride, cfg)
     lxlt.write_tensor(args.output, targets_to_array(result.targets))
     sidecar = args.sidecar or (str(args.output) + ".json")
@@ -136,10 +138,7 @@ def cmd_loss(args) -> int:
     targets = targets_from_array(lxlt.read_tensor(args.targets))
     spec = DepthBinSpec(args.d_min, args.d_max, args.num_bins)
     cfg = LossConfig(
-        lambda1=args.lambda1,
-        lambda2=args.lambda2,
-        neighborhood_agg=args.agg,
-        strategy=args.strategy,
+        **_given(lambda1=args.lambda1, lambda2=args.lambda2, neighborhood_agg=args.agg, strategy=args.strategy)
     )
     result = one_to_many_loss(depth_map, targets, spec, cfg)
     if args.per_target:
@@ -162,6 +161,15 @@ def cmd_loss(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
+    for flag, value, ok, needs in (
+        ("--instances", args.instances, args.instances >= 1, "at least 1"),
+        ("--step", args.step, 0.0 < args.step < math.inf, "a positive finite number"),
+        ("--max-bins", args.max_bins, args.max_bins >= MIN_BINS, f"at least {MIN_BINS}"),
+        ("--max-size", args.max_size, args.max_size >= MIN_SIZE, f"at least {MIN_SIZE}"),
+        ("--tolerance", args.tolerance, 0.0 <= args.tolerance < math.inf, "a non-negative finite number"),
+    ):
+        if not ok:
+            raise ValueError(f"{flag} must be {needs}, got {value}")
     worst = run_grad_check(
         instances=args.instances,
         seed=args.seed,
@@ -177,37 +185,20 @@ def cmd_grad_check(args) -> int:
 
 
 def cmd_vt(args) -> int:
-    manifest = _load_json(args.manifest)
+    manifest = load_json(args.manifest)
     root = Path(args.manifest).parent
-    for key in ("feature_map", "radar_bev", "grid", "calibration", "stride", "depth_bins"):
-        if key not in manifest:
-            raise ValueError(f"{args.manifest}: missing manifest key {key!r}")
     f_pv = lxlt.read_tensor(_manifest_file(manifest, "feature_map", root))
     f_radar = lxlt.read_tensor(_manifest_file(manifest, "radar_bev", root))
     grid = VoxelGridSpec.from_dict(_object_or_file(manifest, "grid", root))
     calib = SensorCalibration.from_dict(_object_or_file(manifest, "calibration", root))
-    stride = json_number(manifest["stride"], "manifest stride", whole=True)
-    raw_bins = manifest["depth_bins"]
-    if not isinstance(raw_bins, dict):
-        raise ValueError(f"manifest depth_bins must be a JSON object, got {raw_bins!r}")
-    bins = DepthBinSpec(
-        json_number(raw_bins["d_min"], "manifest depth_bins.d_min"),
-        json_number(raw_bins["d_max"], "manifest depth_bins.d_max"),
-        json_number(raw_bins["num_bins"], "manifest depth_bins.num_bins", whole=True),
+    stride = json_number(manifest.get("stride"), "manifest stride", whole=True)
+    bins = DepthBinSpec.from_dict(
+        json_object(manifest.get("depth_bins"), "manifest depth_bins"), "manifest depth_bins."
     )
     params = vt_params_from_manifest(manifest, root)
     occupancy = occupancy_from_bev(f_radar, params)
-    d_map = depth_distribution(
-        f_pv,
-        scale_intrinsics(calib.intrinsics, stride),
-        params,
-        bins,
-        stride,
-        extrinsics=calib.radar_to_camera if params.use_extrinsics_embedding else None,
-    )
-    bev = sample_vt(
-        f_pv, d_map, occupancy, grid, calib.intrinsics, calib.radar_to_camera, params
-    )
+    d_map = depth_distribution(f_pv, scale_intrinsics(calib.intrinsics, stride), params, bins, stride)
+    bev = sample_vt(f_pv, d_map, occupancy, grid, calib.intrinsics, calib.radar_to_camera, params)
     lxlt.write_tensor(args.output, bev)
     print(f"wrote BEV map of shape {bev.shape}", file=sys.stderr)
     return 0
@@ -216,7 +207,7 @@ def cmd_vt(args) -> int:
 def cmd_fuse(args) -> int:
     f_radar = lxlt.read_tensor(args.radar)
     f_image = lxlt.read_tensor(args.image)
-    manifest = _load_json(args.params)
+    manifest = load_json(args.params)
     root = Path(args.params).parent
     if args.mode == "concat":
         fused = concat_fusion(f_radar, f_image, concat_params_from_manifest(manifest, root))
@@ -307,10 +298,10 @@ def build_parser() -> _Parser:
     p.add_argument("--points", required=True, help="radar point CSV (x,y,z[,rcs_dbsm[,doppler]])")
     p.add_argument("--calib", required=True, help="calibration JSON")
     p.add_argument("--config", help="JSON with default stride/k/r_max/fixed_r")
-    p.add_argument("--stride", type=int, help="feature-map stride (default 8)")
-    p.add_argument("--k", type=float, help="radius scale (default 0.1)")
-    p.add_argument("--r-max", type=float, help="radius ceiling in px (default 2)")
-    p.add_argument("--fixed-r", type=float, help="radius when RCS is absent (default 2)")
+    p.add_argument("--stride", type=int, help=f"feature-map stride (default {DEFAULT_STRIDE})")
+    p.add_argument("--k", type=float, help=f"radius scale (default {RadiusConfig.k})")
+    p.add_argument("--r-max", type=float, help=f"radius ceiling in px (default {RadiusConfig.r_max})")
+    p.add_argument("--fixed-r", type=float, help=f"radius without RCS (default {RadiusConfig.FALLBACK_FIXED_R})")
     p.add_argument("--output", required=True, help="output LXLT file, rows (u,v,d_gt,radius)")
     p.add_argument("--sidecar", help="config sidecar JSON (default OUTPUT.json)")
     p.set_defaults(func=cmd_depth_targets)
@@ -321,10 +312,10 @@ def build_parser() -> _Parser:
     p.add_argument("--d-min", type=float, default=0.0)
     p.add_argument("--d-max", type=float, default=64.0)
     p.add_argument("--num-bins", type=int, default=64)
-    p.add_argument("--lambda1", type=float, default=0.1)
-    p.add_argument("--lambda2", type=float, default=0.1)
-    p.add_argument("--agg", choices=("min", "max"), default="min")
-    p.add_argument("--strategy", choices=("one-to-one", "one-to-many"), default="one-to-many")
+    p.add_argument("--lambda1", type=float, help=f"cross-entropy weight (default {LossConfig.lambda1})")
+    p.add_argument("--lambda2", type=float, help=f"L1 weight (default {LossConfig.lambda2})")
+    p.add_argument("--agg", choices=AGGREGATIONS, help=f"default {LossConfig.neighborhood_agg}")
+    p.add_argument("--strategy", choices=STRATEGIES, help=f"default {LossConfig.strategy}")
     p.add_argument("--per-target", help="optional per-target CSV output")
     p.set_defaults(func=cmd_loss)
 

@@ -19,16 +19,18 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, SensorCalibration, project_points
+from .geometry import CameraIntrinsics, SensorCalibration, json_number, json_numbers, project_points
 from .geometry import project_to_pixel  # noqa: F401 -- bench/tracing.py wraps the name in this module
 from .tensor_ops import ShapeError
 
 LOG_PROB_FLOOR = 1e-12
 NORMALIZATION_TOL = 1e-5
+STRATEGIES = ("one-to-one", "one-to-many")  # supervise the struck pixel, or the best of its disk
+AGGREGATIONS = ("min", "max")  # a target's loss: its disk's lowest or highest pixel loss
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,12 @@ class DepthBinSpec:
             raise ValueError(f"need at least one bin, got {self.num_bins}")
         object.__setattr__(self, "num_bins", int(self.num_bins))
 
+    @classmethod
+    def from_dict(cls, data: dict, prefix: str = "") -> "DepthBinSpec":
+        """Bins from a JSON object; errors name each key as ``prefix + key``."""
+        keys = ("d_min", "d_max", "num_bins")
+        return cls(*(json_number(data.get(key), prefix + key, key == "num_bins") for key in keys))
+
     @property
     def bin_width(self) -> float:
         return (self.d_max - self.d_min) / self.num_bins
@@ -89,6 +97,8 @@ class RadiusConfig:
     k: float = 0.1
     r_max: float = 2.0
     fixed_r: float | None = None
+    # fixed_r of a CLI target build with points lacking RCS and no fixed_r set
+    FALLBACK_FIXED_R: ClassVar[float] = 2.0
 
     def __post_init__(self):
         if not self.k > 0:
@@ -97,6 +107,13 @@ class RadiusConfig:
             raise ValueError(f"r_max must be non-negative, got {self.r_max}")
         if self.fixed_r is not None and not self.fixed_r >= 0:
             raise ValueError(f"fixed_r must be non-negative, got {self.fixed_r}")
+
+    @classmethod
+    def from_dict(cls, data: dict, prefix: str = "") -> "RadiusConfig":
+        """Settings from a JSON object (a null ``fixed_r`` is none); errors
+        name each key as ``prefix + key``."""
+        keys = ("k", "r_max") if data.get("fixed_r") is None else ("k", "r_max", "fixed_r")
+        return cls(**json_numbers(data, prefix, keys))
 
 
 @dataclass(frozen=True)
@@ -119,9 +136,9 @@ class LossConfig:
     def __post_init__(self):
         if not (self.lambda1 >= 0 and self.lambda2 >= 0):
             raise ValueError("loss weights must be non-negative")
-        if self.neighborhood_agg not in ("min", "max"):
-            raise ValueError(f"neighborhood_agg must be min or max, got {self.neighborhood_agg!r}")
-        if self.strategy not in ("one-to-one", "one-to-many"):
+        if self.neighborhood_agg not in AGGREGATIONS:
+            raise ValueError(f"unknown aggregation {self.neighborhood_agg!r}")
+        if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
 
 

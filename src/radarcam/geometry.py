@@ -49,6 +49,32 @@ def json_number(value, name: str, whole: bool = False) -> float | int:
     return int(number)
 
 
+def json_numbers(data: dict, prefix: str, keys, whole=()) -> dict:
+    """The ``keys`` present in ``data`` as :func:`json_number` values named
+    ``prefix + key``; absent keys are left out, so dataclass defaults apply."""
+    return {key: json_number(data[key], prefix + key, key in whole) for key in keys if key in data}
+
+
+def json_object(value, name: str) -> dict:
+    """``value`` if it is a JSON object; otherwise ``ValueError`` naming ``name``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
+def json_list(value, name: str) -> list:
+    """``value`` if it is a JSON list; otherwise ``ValueError`` naming ``name``."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a JSON list, got {value!r}")
+    return value
+
+
+def load_json(path: str | Path) -> dict:
+    """The JSON object that a file holds at its top level."""
+    with open(path) as fh:
+        return json_object(json.load(fh), f"{path}: the top level")
+
+
 @dataclass(frozen=True)
 class CameraIntrinsics:
     """Pinhole parameters in pixels."""
@@ -319,8 +345,7 @@ class SensorCalibration:
             "image_width", "image_height",
             "radar_to_camera", "delta_theta_deg", "delta_phi_deg",
         }
-        if not isinstance(data, dict):
-            raise ValueError("calibration must be a JSON object")
+        json_object(data, "calibration")
         missing = required - set(data)
         if missing:
             raise ValueError(f"calibration is missing keys: {sorted(missing)}")
@@ -357,8 +382,7 @@ class SensorCalibration:
 
     @classmethod
     def load(cls, path: str | Path) -> "SensorCalibration":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(load_json(path))
 
     def save(self, path: str | Path) -> None:
         with open(path, "w") as fh:

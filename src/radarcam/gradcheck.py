@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .depth_supervision import (
+    AGGREGATIONS,
+    STRATEGIES,
     DepthBinSpec,
     DepthTarget,
     LossConfig,
@@ -24,6 +26,8 @@ from .depth_supervision import (
 from .tensor_ops import softmax
 
 SELECTION_MARGIN = 1e-3
+MIN_BINS = 4  # fewest depth bins of a random instance
+MIN_SIZE = 3  # fewest pixels per side of a random instance
 
 
 @dataclass(frozen=True)
@@ -51,9 +55,9 @@ def _is_well_separated(depth_map: np.ndarray, inst: GradCheckInstance) -> bool:
 def random_instance(rng: np.random.Generator, max_bins: int = 16, max_size: int = 12) -> GradCheckInstance:
     """A random loss instance with well-separated selections."""
     while True:
-        num_bins = int(rng.integers(4, max_bins + 1))
-        height = int(rng.integers(3, max_size + 1))
-        width = int(rng.integers(3, max_size + 1))
+        num_bins = int(rng.integers(MIN_BINS, max_bins + 1))
+        height = int(rng.integers(MIN_SIZE, max_size + 1))
+        width = int(rng.integers(MIN_SIZE, max_size + 1))
         spec = DepthBinSpec(0.0, float(num_bins), num_bins)
         logits = rng.normal(0.0, 1.0, size=(num_bins, height, width))
         n_targets = int(rng.integers(1, 4))
@@ -66,9 +70,10 @@ def random_instance(rng: np.random.Generator, max_bins: int = 16, max_size: int 
             )
             for _ in range(n_targets)
         )
+        # 70% min aggregation, 80% one-to-many
         cfg = LossConfig(
-            neighborhood_agg=("min" if rng.uniform() < 0.7 else "max"),
-            strategy=("one-to-many" if rng.uniform() < 0.8 else "one-to-one"),
+            neighborhood_agg=AGGREGATIONS[rng.uniform() >= 0.7],
+            strategy=STRATEGIES[rng.uniform() < 0.8],
         )
         inst = GradCheckInstance(logits, targets, spec, cfg)
         if _is_well_separated(softmax(logits, axis=0), inst):

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .geometry import json_object
 from .tensor_ops import Conv2DParams, LinearParams
 
 MAGIC = b"LXLT"
@@ -93,17 +94,19 @@ def read_tensor(path: str | Path) -> np.ndarray:
 
 def manifest_params(manifest: dict) -> dict:
     """A JSON manifest's ``params`` object, or the manifest itself."""
-    return manifest.get("params", manifest)
+    return json_object(manifest.get("params", manifest), "manifest params")
 
 
 def _read_weights(entry: dict, root: str | Path, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """The (weights, bias) a manifest entry names; a missing key names the entry."""
+    """The (weights, bias) a manifest entry names; a missing or malformed entry is named."""
     try:
         return read_tensor(Path(root) / entry["weights"]), read_tensor(Path(root) / entry["bias"])
     except KeyError as exc:
         raise ValueError(f"{name}: manifest entry is missing {exc}") from None
     except TypeError:
-        raise ValueError(f"{name}: manifest entry must map 'weights' and 'bias' to file names") from None
+        raise ValueError(
+            f"{name}: manifest entry must map 'weights' and 'bias' to file names, got {entry!r}"
+        ) from None
 
 
 def read_conv(entry: dict, root: str | Path, name: str) -> Conv2DParams:

@@ -42,6 +42,8 @@ from pathlib import Path
 import numpy as np
 
 from .depth_supervision import (
+    AGGREGATIONS,
+    STRATEGIES,
     DepthBinSpec,
     RadiusConfig,
     _select_in_disks,
@@ -49,21 +51,9 @@ from .depth_supervision import (
     build_depth_targets,  # noqa: F401 -- bench/tracing.py wraps the name in this module
     neighborhood_pixels,  # noqa: F401 -- bench/tracing.py wraps the name in this module
 )
-from .geometry import SensorCalibration, json_number
+from .geometry import SensorCalibration, json_list, json_number, json_numbers, json_object, load_json
 
 RCS_SIZE_CONSTANT_M2 = 1.0  # square meters of frontal area per 0 dBsm
-
-
-def _json_object(value, name: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"{name} must be a JSON object, got {value!r}")
-    return value
-
-
-def _json_list(value, name: str) -> list:
-    if not isinstance(value, list):
-        raise ValueError(f"{name} must be a JSON list, got {value!r}")
-    return value
 
 
 def rcs_from_size(size_m2: float) -> float:
@@ -118,21 +108,13 @@ class SceneExtents:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SceneExtents":
-        kwargs = {}
-        for key in (
-            "large_depth_range", "small_depth_range",
-            "azimuth_max_deg", "elevation_max_deg",
-            "large_size_range", "small_size_range", "large_fraction",
-        ):
+        kwargs = json_numbers(data, "scene ", ("azimuth_max_deg", "elevation_max_deg", "large_fraction"))
+        for key in ("large_depth_range", "small_depth_range", "large_size_range", "small_size_range"):
             if key in data:
                 value = data[key]
-                name = f"scene {key}"
-                if not key.endswith("_range"):
-                    kwargs[key] = json_number(value, name)
-                elif isinstance(value, list) and len(value) == 2:
-                    kwargs[key] = tuple(json_number(x, name) for x in value)
-                else:
-                    raise ValueError(f"{name} must be a list of two numbers, got {value!r}")
+                if not (isinstance(value, list) and len(value) == 2):
+                    raise ValueError(f"scene {key} must be a list of two numbers, got {value!r}")
+                kwargs[key] = tuple(json_number(x, f"scene {key}") for x in value)
         return cls(**kwargs)
 
 
@@ -262,13 +244,11 @@ class RadarNoiseModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RadarNoiseModel":
+        """The model from a JSON object; angular resolutions are in degrees (``*_deg``)."""
         return cls(
-            delta_theta=math.radians(json_number(data["delta_theta_deg"], "noise delta_theta_deg")),
-            delta_phi=math.radians(json_number(data["delta_phi_deg"], "noise delta_phi_deg")),
-            range_sigma=json_number(data.get("range_sigma", 0.0), "noise range_sigma"),
-            points_base=json_number(data.get("points_base", 0.0), "noise points_base"),
-            points_size_scale=json_number(data.get("points_size_scale", 2.0), "noise points_size_scale"),
-            seed=json_number(data.get("seed", 0), "noise seed", whole=True),
+            delta_theta=math.radians(json_number(data.get("delta_theta_deg"), "noise delta_theta_deg")),
+            delta_phi=math.radians(json_number(data.get("delta_phi_deg"), "noise delta_phi_deg")),
+            **json_numbers(data, "noise ", ("range_sigma", "points_base", "points_size_scale", "seed"), ("seed",)),
         )
 
     def points_for(self, obj: SceneObject) -> int:
@@ -339,9 +319,9 @@ def evaluate_supervision(
     reported over targets whose selected pixel sees any object at all. The
     metrics come back one per scene, in scene order.
     """
-    if strategy not in ("one-to-one", "one-to-many"):
+    if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    if agg not in ("min", "max"):
+    if agg not in AGGREGATIONS:
         raise ValueError(f"unknown aggregation {agg!r}")
     if len(scenes) != len(points):
         raise ValueError(f"need one point array per scene, got {len(points)} for {len(scenes)} scenes")
@@ -387,27 +367,24 @@ class ExperimentArm:
     use_rcs: bool = False
 
     def __post_init__(self):
-        if self.strategy not in ("one-to-one", "one-to-many"):
+        if not isinstance(self.name, str):
+            raise ValueError(f"arm name must be a string, got {self.name!r}")
+        if self.strategy not in STRATEGIES:
             raise ValueError(f"arm {self.name!r}: unknown strategy {self.strategy!r}")
-        if self.agg not in ("min", "max"):
+        if self.agg not in AGGREGATIONS:
             raise ValueError(f"arm {self.name!r}: unknown aggregation {self.agg!r}")
+        if not isinstance(self.use_rcs, bool):
+            raise ValueError(f"arm {self.name!r} use_rcs must be true or false, got {self.use_rcs!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentArm":
-        radius = _json_object(data.get("radius", {}), f"arm {data['name']!r} radius")
-        use_rcs = data.get("use_rcs", False)
-        if not isinstance(use_rcs, bool):
-            raise ValueError(f"arm {data['name']!r} use_rcs must be true or false, got {use_rcs!r}")
+        """An arm from a JSON object; its optional ``radius`` is a RadiusConfig object."""
+        radius = json_object(data.get("radius", {}), f"arm {data.get('name')!r} radius")
         return cls(
-            name=str(data["name"]),
-            strategy=str(data["strategy"]),
-            radius=RadiusConfig(
-                k=json_number(radius.get("k", 0.1), "arm radius k"),
-                r_max=json_number(radius.get("r_max", 2.0), "arm radius r_max"),
-                fixed_r=(json_number(radius["fixed_r"], "arm radius fixed_r") if "fixed_r" in radius else None),
-            ),
-            agg=str(data.get("agg", "min")),
-            use_rcs=use_rcs,
+            name=data.get("name"),
+            strategy=data.get("strategy"),
+            radius=RadiusConfig.from_dict(radius, "arm radius "),
+            **{key: data[key] for key in ("agg", "use_rcs") if key in data},
         )
 
 
@@ -441,42 +418,32 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        data = _json_object(data, "experiment config")
-        bins = _json_object(data["bins"], "bins")
-        orderings = _json_list(data.get("orderings", []), "orderings")
-        for i, pair in enumerate(orderings):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ValueError(f"orderings[{i}] must be a pair of arm names, got {pair!r}")
-
-        def count(key: str, default: int) -> int:
-            return json_number(data.get(key, default), key, whole=True)
-
+        """The experiment from a JSON object; ``scene``, the counts and ``orderings`` are optional."""
+        data = json_object(data, "experiment config")
+        counts = ("n_objects", "seed_start", "num_seeds", "bootstrap_samples", "bootstrap_seed")
+        kwargs = json_numbers(data, "", counts, whole=counts)
+        if "orderings" in data:
+            orderings = json_list(data["orderings"], "orderings")
+            for i, pair in enumerate(orderings):
+                if not isinstance(pair, list) or len(pair) != 2:
+                    raise ValueError(f"orderings[{i}] must be a pair of arm names, got {pair!r}")
+            kwargs["orderings"] = tuple((str(a), str(b)) for a, b in orderings)
         return cls(
-            calibration=SensorCalibration.from_dict(data["calibration"]),
-            stride=json_number(data["stride"], "stride", whole=True),
-            bins=DepthBinSpec(
-                json_number(bins["d_min"], "bins d_min"),
-                json_number(bins["d_max"], "bins d_max"),
-                json_number(bins["num_bins"], "bins num_bins", whole=True),
-            ),
-            extents=SceneExtents.from_dict(_json_object(data.get("scene", {}), "scene")),
-            noise=RadarNoiseModel.from_dict(_json_object(data["noise"], "noise")),
+            calibration=SensorCalibration.from_dict(data.get("calibration")),
+            stride=json_number(data.get("stride"), "stride", whole=True),
+            bins=DepthBinSpec.from_dict(json_object(data.get("bins"), "bins"), "bins "),
+            extents=SceneExtents.from_dict(json_object(data.get("scene", {}), "scene")),
+            noise=RadarNoiseModel.from_dict(json_object(data.get("noise"), "noise")),
             arms=tuple(
-                ExperimentArm.from_dict(_json_object(a, f"arms[{i}]"))
-                for i, a in enumerate(_json_list(data["arms"], "arms"))
+                ExperimentArm.from_dict(json_object(a, f"arms[{i}]"))
+                for i, a in enumerate(json_list(data.get("arms"), "arms"))
             ),
-            n_objects=count("n_objects", 8),
-            seed_start=count("seed_start", 0),
-            num_seeds=count("num_seeds", 150),
-            bootstrap_samples=count("bootstrap_samples", 2000),
-            bootstrap_seed=count("bootstrap_seed", 20240901),
-            orderings=tuple((str(a), str(b)) for a, b in orderings),
+            **kwargs,
         )
 
     @classmethod
     def load(cls, path: str | Path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(load_json(path))
 
 
 def default_experiment_config() -> ExperimentConfig:

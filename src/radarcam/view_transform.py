@@ -24,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, RigidTransform, json_number, project_points, scale_intrinsics
+from .geometry import CameraIntrinsics, RigidTransform, project_points, scale_intrinsics
+from .geometry import json_list, json_number, json_object
 from .depth_supervision import DepthBinSpec, validate_depth_volume
 from . import lxlt
 from .tensor_ops import Conv2DParams, LinearParams, ShapeError, conv2d, linear, sigmoid, softmax
@@ -53,6 +54,9 @@ class VoxelGridSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "VoxelGridSpec":
+        """The grid from a JSON object mapping each axis to ``[min, max, count]``."""
+        data = json_object(data, "grid")
+
         def axis(name: str) -> tuple[float, float, int]:
             raw = data.get(name)
             if not isinstance(raw, (list, tuple)) or len(raw) != 3:
@@ -64,8 +68,6 @@ class VoxelGridSpec:
                 json_number(count, f"grid {name} count", whole=True),
             )
 
-        if not isinstance(data, dict):
-            raise ValueError("a grid spec must be a JSON object")
         return cls(axis("x"), axis("y"), axis("z"))
 
     @property
@@ -129,14 +131,12 @@ class VTParams:
     depth_conv: Conv2DParams
     embedding: LinearParams
     post_convs: tuple[Conv2DParams, Conv2DParams, Conv2DParams]
-    use_extrinsics_embedding: bool = False
 
     def __post_init__(self):
-        expected_in = 25 if self.use_extrinsics_embedding else 9
-        if self.embedding.in_features != expected_in:
+        if self.embedding.in_features != 9:
             raise ShapeError(
                 f"embedding expects {self.embedding.in_features} inputs, "
-                f"needs {expected_in} for this configuration"
+                "needs 9 (the flattened inverse intrinsic matrix)"
             )
         if len(self.post_convs) != 3:
             raise ShapeError("the post-transform stack must hold exactly three convolutions")
@@ -155,26 +155,18 @@ def depth_distribution(
     params: VTParams,
     bins: DepthBinSpec,
     stride: int,
-    extrinsics: RigidTransform | None = None,
 ) -> DepthDistributionMap:
     """Estimate per-pixel depth distributions with an intrinsics embedding.
 
     ``intrinsics`` must already be rescaled to the feature stride. The
     flattened (row-major) inverse intrinsic matrix is embedded by a linear
     layer into one scale per channel, features are gated channelwise, reduced
-    to depth logits by a 1x1 conv, and normalized by softmax over bins. With
-    ``use_extrinsics_embedding`` the flattened 4x4 extrinsic matrix is
-    appended to the embedding input.
+    to depth logits by a 1x1 conv, and normalized by softmax over bins.
     """
     f_pv = np.asarray(f_pv, dtype=np.float64)
     if f_pv.ndim != 3:
         raise ShapeError(f"feature map must be (C, H, W), got shape {f_pv.shape}")
-    emb_in = intrinsics.inverse_matrix().reshape(-1)
-    if params.use_extrinsics_embedding:
-        if extrinsics is None:
-            raise ValueError("extrinsics embedding enabled but no extrinsics given")
-        emb_in = np.concatenate([emb_in, extrinsics.matrix().reshape(-1)])
-    scale = linear(emb_in, params.embedding)
+    scale = linear(intrinsics.inverse_matrix().reshape(-1), params.embedding)
     if scale.shape[0] != f_pv.shape[0]:
         raise ShapeError(
             f"embedding yields {scale.shape[0]} channels, features have {f_pv.shape[0]}"
@@ -334,13 +326,12 @@ def vt_params_from_manifest(manifest: dict, root: str | Path) -> VTParams:
     """Load view-transformation parameters from a JSON manifest of LXLT files."""
     params = lxlt.manifest_params(manifest)
     return VTParams(
-        occupancy_conv=lxlt.read_conv(params["occupancy_conv"], root, "occupancy_conv"),
-        depth_conv=lxlt.read_conv(params["depth_conv"], root, "depth_conv"),
-        embedding=lxlt.read_linear(params["embedding"], root, "embedding"),
+        occupancy_conv=lxlt.read_conv(params.get("occupancy_conv"), root, "occupancy_conv"),
+        depth_conv=lxlt.read_conv(params.get("depth_conv"), root, "depth_conv"),
+        embedding=lxlt.read_linear(params.get("embedding"), root, "embedding"),
         post_convs=tuple(
             lxlt.read_conv(entry, root, f"post_convs[{i}]")
-            for i, entry in enumerate(params["post_convs"])
+            for i, entry in enumerate(json_list(params.get("post_convs"), "post_convs"))
         ),
-        use_extrinsics_embedding=bool(params.get("use_extrinsics_embedding", False)),
     )
 

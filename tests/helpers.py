@@ -94,17 +94,14 @@ def random_vt_params(
     z: int,
     d: int,
     radar_channels: int,
-    use_extrinsics: bool = False,
 ) -> VTParams:
-    emb_in = 25 if use_extrinsics else 9
     return VTParams(
         occupancy_conv=random_conv(rng, z, radar_channels, 1),
         depth_conv=random_conv(rng, d, c, 1),
-        embedding=random_linear(rng, c, emb_in),
+        embedding=random_linear(rng, c, 9),
         post_convs=(
             random_conv(rng, c, 2 * c * z, 3),
             random_conv(rng, c, c, 3),
             random_conv(rng, c, c, 3),
         ),
-        use_extrinsics_embedding=use_extrinsics,
     )

@@ -1,5 +1,7 @@
 """Tests for the command line front end, run through ``main(argv)``."""
 
+import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -11,6 +13,7 @@ import pytest
 from radarcam import lxlt
 from radarcam.cli import main
 from radarcam.depth_supervision import DepthBinSpec, DepthTarget, LossConfig, one_to_many_loss, targets_to_array
+from radarcam.fusion import concat_fusion, concat_params_from_manifest, csa_fusion, csa_params_from_manifest
 from radarcam.geometry import (
     AngularResolution,
     CameraIntrinsics,
@@ -18,7 +21,7 @@ from radarcam.geometry import (
     SensorCalibration,
     scale_intrinsics,
 )
-from radarcam.tensor_ops import softmax
+from radarcam.tensor_ops import MLPParams, softmax
 from radarcam.view_transform import (
     VoxelGridSpec,
     depth_distribution,
@@ -27,7 +30,7 @@ from radarcam.view_transform import (
     vt_params_from_manifest,
 )
 
-from helpers import random_vt_params
+from helpers import random_concat_params, random_csa_params, random_linear, random_vt_params
 
 
 def reduced_config(tmp_path, **overrides):
@@ -118,6 +121,18 @@ class TestSimulate:
         assert err.startswith("error:") and message in err
         assert not csv_path.exists() and not summary.exists()
 
+    def test_plot_data_rows_equal_the_main_csv(self, tmp_path):
+        config = reduced_config(tmp_path)
+        csv_path, summary, plot = tmp_path / "rows.csv", tmp_path / "summary.json", tmp_path / "plot.csv"
+        argv = ["simulate", "--config", str(config), "--output-csv", str(csv_path), "--summary", str(summary)]
+        assert main(argv + ["--emit-plot-data", str(plot)]) == 0
+        rows = {(r["seed"], r["arm"]): r for r in read_csv(csv_path)}
+        tidy = read_csv(plot)
+        assert len(rows) == 6 * 4 and len(tidy) == 2 * len(rows)
+        assert {r["metric"] for r in tidy} == {"hit_rate", "depth_mae"}
+        for row in tidy:
+            assert rows[row["seed"], row["arm"]][row["metric"]] == row["value"]
+
     def test_packaged_experiment_output_is_pinned(self, tmp_path):
         """sha256 of the packaged experiment's CSV (9 significant digits) and
         summary, recorded before seeds were scored as one batch per arm."""
@@ -129,6 +144,11 @@ class TestSimulate:
         assert hashlib.sha256(summary.read_bytes()).hexdigest() == (
             "47e73d45c48b2ada2b46e13e7bdd99ff9d0059045fa810a903fffbf3e100a46e"
         )
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 class TestUsage:
@@ -164,6 +184,21 @@ class TestLoss:
         rows = (tmp_path / "per.csv").read_text().splitlines()
         assert rows[0] == "index,u,v,d_gt,radius,n_pixels,loss,selected_u,selected_v"
         assert len(rows) == 3
+
+    @pytest.mark.parametrize(
+        "flags,cfg",
+        [
+            (["--agg", "max", "--strategy", "one-to-one"], LossConfig(neighborhood_agg="max", strategy="one-to-one")),
+            (["--lambda1", "0.3"], LossConfig(lambda1=0.3)),
+            (["--lambda2", "0.7", "--agg", "max"], LossConfig(lambda2=0.7, neighborhood_agg="max")),
+        ],
+    )
+    def test_unset_flags_take_the_loss_config_defaults(self, tmp_path, flags, cfg, capsys):
+        depth_map = float32_map(2)
+        targets = [DepthTarget(1, 2, 3.25, 1.5), DepthTarget(4, 3, 6.5, 2.0), DepthTarget(0, 0, 1.0, 1.0)]
+        assert main(write_loss_inputs(tmp_path, depth_map, targets) + flags) == 0
+        want = one_to_many_loss(depth_map, targets, SPEC, cfg)
+        assert capsys.readouterr().out == f"{want.total:.12g}\n"
 
     @pytest.mark.parametrize(
         "bad", [DepthTarget(6, 0, 3.0, 1.0), DepthTarget(0, -1, 3.0, 0.0), DepthTarget(2, 2, 3.0, -1.0)]
@@ -222,6 +257,23 @@ class TestDepthTargets:
         assert main(self.argv(tmp_path, config={"fixed_r": "1.5", "r_max": "4"})) == 0
         assert lxlt.read_tensor(tmp_path / "targets.lxlt")[1, 3] == 1.5
         assert json.loads((tmp_path / "targets.lxlt.json").read_text())["fixed_r"] == 1.5
+
+    def test_flags_override_the_config_and_the_config_the_defaults(self, tmp_path):
+        argv = self.argv(tmp_path, points=self.POINTS, config={"stride": 4, "k": 0.5, "r_max": "6"})
+        assert main(argv + ["--stride", "8", "--k", "0.2"]) == 0
+        sidecar = json.loads((tmp_path / "targets.lxlt.json").read_text())
+        assert (sidecar["stride"], sidecar["k"], sidecar["r_max"], sidecar["fixed_r"]) == (8, 0.2, 6.0, 2.0)
+
+    def test_radius_defaults_come_from_radius_config(self, tmp_path):
+        points = "x,y,z,rcs_dbsm\n10.0,0.5,0.25,3.5\n"
+        assert main(self.argv(tmp_path, points=points)) == 0
+        sidecar = json.loads((tmp_path / "targets.lxlt.json").read_text())
+        assert (sidecar["stride"], sidecar["k"], sidecar["r_max"], sidecar["fixed_r"]) == (8, 0.1, 2.0, None)
+
+    def test_null_fixed_r_leaves_points_without_rcs_unsupervised(self, tmp_path, capsys):
+        assert main(self.argv(tmp_path, config={"fixed_r": None})) == 2
+        assert "no fixed_r is configured" in capsys.readouterr().err
+        assert not (tmp_path / "targets.lxlt").exists()
 
     @pytest.mark.parametrize(
         "case,message",
@@ -357,3 +409,198 @@ class TestVT:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda m: m.update(params="oops"), "manifest params must be a JSON object, got 'oops'"),
+            (lambda m: m["params"].update(post_convs=5), "post_convs must be a JSON list, got 5"),
+            (lambda m: m["params"].update(post_convs={"0": 1}), "post_convs must be a JSON list"),
+            (lambda m: m["params"].pop("depth_conv"), "depth_conv: manifest entry must map"),
+            (lambda m: m["params"]["post_convs"].__setitem__(1, [1]), "post_convs[1]: manifest entry must map"),
+            (lambda m: m.pop("stride"), "manifest stride must be a number, got None"),
+            (lambda m: m.pop("depth_bins"), "manifest depth_bins must be a JSON object, got None"),
+            (lambda m: m.pop("radar_bev"), "manifest radar_bev must be a file name, got None"),
+            (
+                lambda m: m.update(depth_bins={"d_min": 0.0, "d_max": 16.0}),
+                "manifest depth_bins.num_bins must be a number, got None",
+            ),
+            (lambda m: m.update(grid=[1]), "manifest grid must be a file name, got [1]"),
+        ],
+    )
+    def test_wrong_container_in_manifest_exits_2_without_output(self, tmp_path, edit, message, capsys):
+        manifest, inputs = write_vt_inputs(tmp_path, np.random.default_rng(7))
+        edit(manifest)
+        (inputs / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "bev.lxlt"
+        assert main(["vt", "--manifest", str(inputs / "manifest.json"), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_embedding_with_extrinsic_inputs_exits_2(self, tmp_path, capsys):
+        """A 25-input embedding (intrinsics plus a flattened 4x4 extrinsic
+        matrix) fails the embedding width check, whatever the manifest says."""
+        manifest, inputs = write_vt_inputs(tmp_path, np.random.default_rng(8), use_extrinsics_embedding=True)
+        wide = random_linear(np.random.default_rng(9), VT_CHANNELS, 25)
+        lxlt.write_tensor(inputs / "emb.w.lxlt", wide.weights)
+        out = tmp_path / "bev.lxlt"
+        assert main(["vt", "--manifest", str(inputs / "manifest.json"), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: embedding expects 25 inputs") and "Traceback" not in err
+        assert not out.exists()
+
+
+FUSE_CHANNELS = 3
+
+
+def write_fuse_inputs(tmp_path, mode, seed=0):
+    """Radar and image BEV maps and a parameter manifest for ``fuse --mode``;
+    returns (manifest, argv without --params and --output)."""
+    rng = np.random.default_rng(seed)
+    params = random_csa_params(rng, FUSE_CHANNELS) if mode == "csa" else random_concat_params(rng, FUSE_CHANNELS)
+
+    def entry(name, layer):
+        lxlt.write_tensor(tmp_path / f"{name}.w.lxlt", layer.weights)
+        lxlt.write_tensor(tmp_path / f"{name}.b.lxlt", layer.bias)
+        return {"weights": f"{name}.w.lxlt", "bias": f"{name}.b.lxlt"}
+
+    entries = {}
+    for field in dataclasses.fields(params):
+        value = getattr(params, field.name)
+        if isinstance(value, MLPParams):
+            entries[field.name] = {"layers": [entry(f"{field.name}.{i}", x) for i, x in enumerate(value.layers)]}
+        else:
+            entries[field.name] = entry(field.name, value)
+    lxlt.write_tensor(tmp_path / "radar.lxlt", rng.normal(size=(FUSE_CHANNELS, 4, 5)))
+    lxlt.write_tensor(tmp_path / "image.lxlt", rng.normal(size=(FUSE_CHANNELS, 4, 5)))
+    argv = ["fuse", "--radar", str(tmp_path / "radar.lxlt"), "--image", str(tmp_path / "image.lxlt"), "--mode", mode]
+    return {"params": entries}, argv
+
+
+class TestFuse:
+    @pytest.mark.parametrize("mode", ["csa", "concat"])
+    def test_output_equals_the_fusion_of_the_loaded_params(self, tmp_path, mode):
+        manifest, argv = write_fuse_inputs(tmp_path, mode)
+        (tmp_path / "params.json").write_text(json.dumps(manifest))
+        out = tmp_path / "fused.lxlt"
+        assert main(argv + ["--params", str(tmp_path / "params.json"), "--output", str(out)]) == 0
+        radar, image = lxlt.read_tensor(tmp_path / "radar.lxlt"), lxlt.read_tensor(tmp_path / "image.lxlt")
+        if mode == "csa":
+            want = csa_fusion(radar, image, csa_params_from_manifest(manifest, tmp_path))
+        else:
+            want = concat_fusion(radar, image, concat_params_from_manifest(manifest, tmp_path))
+        np.testing.assert_array_equal(lxlt.read_tensor(out), want.astype(np.float32))
+
+    @pytest.mark.parametrize(
+        "mode,edit,message",
+        [
+            ("csa", lambda m: m.update(params=[1]), "manifest params must be a JSON object, got [1]"),
+            ("csa", lambda m: m["params"].update(channel_mlp_radar="x"), "channel_mlp_radar must be a JSON object, got 'x'"),
+            (
+                "csa",
+                lambda m: m["params"].update(channel_mlp_radar={"layers": 5}),
+                "channel_mlp_radar.layers must be a JSON list, got 5",
+            ),
+            ("csa", lambda m: m["params"].pop("channel_mlp_image"), "channel_mlp_image must be a JSON object, got None"),
+            (
+                "csa",
+                lambda m: m["params"].pop("in_conv"),
+                "in_conv: manifest entry must map 'weights' and 'bias' to file names, got None",
+            ),
+            ("csa", lambda m: m["params"]["channel_mlp_radar"]["layers"].__setitem__(0, 3), "channel_mlp_radar.layers[0]:"),
+            ("concat", lambda m: m.update(params=[1]), "manifest params must be a JSON object, got [1]"),
+            ("concat", lambda m: m["params"].pop("second"), "second: manifest entry must map"),
+            ("concat", lambda m: m["params"].update(first=[1]), "first: manifest entry must map 'weights' and 'bias'"),
+            ("concat", lambda m: m.update(params={}), "first: manifest entry must map 'weights' and 'bias' to file names, got None"),
+        ],
+    )
+    def test_wrong_manifest_container_exits_2_without_output(self, tmp_path, mode, edit, message, capsys):
+        manifest, argv = write_fuse_inputs(tmp_path, mode)
+        edit(manifest)
+        (tmp_path / "params.json").write_text(json.dumps(manifest))
+        out = tmp_path / "fused.lxlt"
+        assert main(argv + ["--params", str(tmp_path / "params.json"), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_manifest_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        _, argv = write_fuse_inputs(tmp_path, "csa")
+        (tmp_path / "params.json").write_text("[1, 2]")
+        out = tmp_path / "fused.lxlt"
+        assert main(argv + ["--params", str(tmp_path / "params.json"), "--output", str(out)]) == 2
+        assert "params.json: the top level must be a JSON object, got [1, 2]" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestGradCheck:
+    def test_a_few_instances_pass(self, capsys):
+        assert main(["grad-check", "--instances", "2"]) == 0
+        assert float(capsys.readouterr().out) < 1e-4
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--step", "0", "--step must be a positive finite number, got 0.0"),
+            ("--step", "inf", "--step must be a positive finite number, got inf"),
+            ("--tolerance", "nan", "--tolerance must be a non-negative finite number, got nan"),
+            ("--tolerance", "-1e-4", "--tolerance must be a non-negative finite number, got -0.0001"),
+            ("--max-bins", "3", "--max-bins must be at least 4, got 3"),
+            ("--max-size", "2", "--max-size must be at least 3, got 2"),
+            ("--instances", "-3", "--instances must be at least 1, got -3"),
+            ("--instances", "0", "--instances must be at least 1, got 0"),
+        ],
+    )
+    def test_bad_flag_exits_2_naming_it(self, flag, value, message, capsys):
+        assert main(["grad-check", f"{flag}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+class TestErrorModel:
+    def argv(self, tmp_path, calib=None):
+        (tmp_path / "calib.json").write_text(json.dumps(calib or calibration()))
+        return ["error-model", "--calib", str(tmp_path / "calib.json")]
+
+    def test_output_file_equals_stdout_and_reruns_byte_identical(self, tmp_path, capsys):
+        assert main(self.argv(tmp_path)) == 0
+        stdout = capsys.readouterr().out
+        files = []
+        for name in ("a.csv", "b.csv"):
+            assert main(self.argv(tmp_path) + ["--output", str(tmp_path / name)]) == 0
+            files.append((tmp_path / name).read_bytes())
+        assert capsys.readouterr().out == ""
+        assert files[0] == files[1] == stdout.encode()
+        assert stdout.startswith("rho_m,theta_deg,phi_deg,empirical_px,e_u_px,e_v_px,e_px,rel_deviation\r\n")
+
+    def test_aligned_axes_follow_the_analytic_bound(self, tmp_path):
+        assert main(self.argv(tmp_path) + ["--output", str(tmp_path / "err.csv")]) == 0
+        rows = read_csv(tmp_path / "err.csv")
+        assert len(rows) == 5 * 9 * 3
+        assert max(float(r["rel_deviation"]) for r in rows) <= 1e-12
+
+    def test_plot_data_rows_equal_the_main_csv(self, tmp_path):
+        out, plot = tmp_path / "err.csv", tmp_path / "plot.csv"
+        assert main(self.argv(tmp_path) + ["--output", str(out), "--emit-plot-data", str(plot)]) == 0
+        rows = {(r["rho_m"], r["theta_deg"], r["phi_deg"]): r for r in read_csv(out)}
+        tidy = read_csv(plot)
+        assert len(tidy) == 2 * len(rows) == 2 * 5 * 9 * 3
+        assert {r["metric"] for r in tidy} == {"empirical_px", "rel_deviation"}
+        for row in tidy:
+            assert rows[row["rho_m"], row["theta_deg"], row["phi_deg"]][row["metric"]] == row["value"]
+
+    @pytest.mark.parametrize(
+        "calib,message",
+        [
+            (calibration(fx=[1150.0]), "calibration fx must be a number, got [1150.0]"),
+            (calibration(delta_theta_deg=None), "calibration delta_theta_deg must be a number, got None"),
+            ([1], "calib.json: the top level must be a JSON object, got [1]"),
+        ],
+    )
+    def test_bad_calibration_exits_2_without_output(self, tmp_path, calib, message, capsys):
+        out, plot = tmp_path / "err.csv", tmp_path / "plot.csv"
+        assert main(self.argv(tmp_path, calib) + ["--output", str(out), "--emit-plot-data", str(plot)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and message in captured.err and captured.out == ""
+        assert not out.exists() and not plot.exists()

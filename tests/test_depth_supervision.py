@@ -315,6 +315,45 @@ class TestBins:
         spec = DepthBinSpec(0.0, 64.0, 4.0)
         assert spec.num_bins == 4 and isinstance(spec.num_bins, int)
 
+    def test_from_dict_converts_numeric_strings(self):
+        spec = DepthBinSpec.from_dict({"d_min": "1", "d_max": 9, "num_bins": 4.0})
+        assert (spec.d_min, spec.d_max, spec.num_bins) == (1.0, 9.0, 4) and isinstance(spec.num_bins, int)
+
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            ({"d_min": [0.0], "d_max": 8, "num_bins": 4}, r"bins d_min must be a number, got \[0.0\]"),
+            ({"d_min": 0, "num_bins": 4}, "bins d_max must be a number, got None"),
+            ({"d_min": 0, "d_max": 8, "num_bins": 4.5}, "bins num_bins must be a whole number, got 4.5"),
+        ],
+    )
+    def test_from_dict_names_each_key_with_the_prefix(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            DepthBinSpec.from_dict(data, "bins ")
+
+
+class TestRadiusConfigFromDict:
+    def test_absent_keys_take_the_dataclass_defaults(self):
+        assert RadiusConfig.from_dict({}) == RadiusConfig()
+        assert RadiusConfig.from_dict({"r_max": "4", "other": "ignored"}) == RadiusConfig(r_max=4.0)
+
+    def test_null_fixed_r_means_none(self):
+        assert RadiusConfig.from_dict({"k": 0.3, "fixed_r": None}) == RadiusConfig(k=0.3)
+        assert RadiusConfig.from_dict({"fixed_r": 1}).fixed_r == 1.0
+
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            ({"k": {"value": 0.1}}, r"^arm radius k must be a number, got \{'value': 0.1\}"),
+            ({"r_max": True}, "^arm radius r_max must be a number, got True"),
+            ({"fixed_r": "wide"}, "^arm radius fixed_r must be a number, got 'wide'"),
+            ({"k": 0}, "^k must be positive"),
+        ],
+    )
+    def test_errors_name_each_key_with_the_prefix(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            RadiusConfig.from_dict(data, "arm radius ")
+
 
 class TestPixelDepthLoss:
     SPEC = DepthBinSpec(0.0, 50.0, 50)

@@ -12,8 +12,11 @@ from hypothesis import example, given, settings, strategies as st
 from radarcam.depth_supervision import DepthBinSpec, RadarPoint, RadiusConfig, build_depth_targets
 from radarcam.geometry import AngularResolution, CameraIntrinsics, RigidTransform, SensorCalibration
 from radarcam.sim import (
+    ExperimentArm,
     ExperimentConfig,
+    RadarNoiseModel,
     Scene,
+    SceneExtents,
     SceneObject,
     default_experiment_config,
     evaluate_supervision,
@@ -292,6 +295,43 @@ class TestConfigValidation:
         ],
     )
     def test_arms_and_orderings_checked_at_load(self, edit, message):
+        data = packaged_config_data()
+        edit(data)
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict(data)
+
+    def test_absent_keys_take_the_dataclass_defaults(self):
+        data = packaged_config_data()
+        minimal = {key: data[key] for key in ("calibration", "stride", "bins", "arms")}
+        minimal["noise"] = {"delta_theta_deg": 1.0, "delta_phi_deg": 2.0}
+        minimal["arms"] = [{"name": "a", "strategy": "one-to-one"}]
+        cfg = ExperimentConfig.from_dict(minimal)
+        want = ExperimentConfig(
+            calibration=cfg.calibration,
+            stride=data["stride"],
+            bins=DepthBinSpec(**data["bins"]),
+            extents=SceneExtents(),
+            noise=RadarNoiseModel(math.radians(1.0), math.radians(2.0)),
+            arms=(ExperimentArm("a", "one-to-one", RadiusConfig()),),
+        )
+        assert cfg == want
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda d: d.pop("bins"), "^bins must be a JSON object, got None"),
+            (lambda d: d.pop("arms"), "^arms must be a JSON list, got None"),
+            (lambda d: d.pop("noise"), "^noise must be a JSON object, got None"),
+            (lambda d: d.pop("calibration"), "^calibration must be a JSON object, got None"),
+            (lambda d: d.pop("stride"), "^stride must be a number, got None"),
+            (lambda d: d["bins"].pop("d_min"), "^bins d_min must be a number, got None"),
+            (lambda d: d["noise"].pop("delta_phi_deg"), "^noise delta_phi_deg must be a number, got None"),
+            (lambda d: d["arms"][0].pop("name"), "^arm name must be a string, got None"),
+            (lambda d: d["arms"][0].pop("strategy"), "^arm 'one-to-one': unknown strategy None"),
+            (lambda d: d["arms"][0].update(radius=[1]), r"^arm 'one-to-one' radius must be a JSON object, got \[1\]"),
+        ],
+    )
+    def test_absent_required_key_is_named(self, edit, message):
         data = packaged_config_data()
         edit(data)
         with pytest.raises(ValueError, match=message):

@@ -36,9 +36,9 @@ from oracles import bilinear_sample, sample_volume_reference, sample_vt_referenc
 K = CameraIntrinsics(fx=100.0, fy=100.0, cx=10.0, cy=6.0)
 
 
-def make_params(c, z, d, radar_channels, rng=None, use_extrinsics=False):
+def make_params(c, z, d, radar_channels, rng=None):
     rng = rng or np.random.default_rng(0)
-    return random_vt_params(rng, c, z, d, radar_channels, use_extrinsics)
+    return random_vt_params(rng, c, z, d, radar_channels)
 
 
 class TestVoxelGrid:
@@ -188,19 +188,6 @@ class TestDepthDistribution:
         np.testing.assert_allclose(flat8[focal], 8.0 * flat1[focal], rtol=1e-12)
         np.testing.assert_allclose(flat8[invariant], flat1[invariant], rtol=1e-12)
         assert flat8[8] == flat1[8] == 1.0
-
-    def test_extrinsics_embedding_widens_input(self):
-        rng = np.random.default_rng(3)
-        c, d = 3, 6
-        params = make_params(c=c, z=2, d=d, radar_channels=2, rng=rng, use_extrinsics=True)
-        f_pv = rng.normal(size=(c, 4, 4))
-        bins = DepthBinSpec(0.0, 40.0, d)
-        with pytest.raises(ValueError, match="extrinsics"):
-            depth_distribution(f_pv, K, params, bins, stride=8)
-        d_map = depth_distribution(
-            f_pv, K, params, bins, stride=8, extrinsics=RigidTransform.identity()
-        )
-        assert np.max(np.abs(d_map.data.sum(axis=0) - 1.0)) < 1e-6
 
     def test_channel_mismatch_rejected(self):
         params = make_params(c=3, z=2, d=6, radar_channels=2)
@@ -445,7 +432,6 @@ class TestValidation:
             VTParams(
                 occupancy_conv=Conv2DParams.same(np.zeros((2, 2, 1, 1)), np.zeros(2)),
                 depth_conv=Conv2DParams.same(np.zeros((4, 2, 1, 1)), np.zeros(4)),
-                embedding=LinearParams(np.zeros((2, 9)), np.zeros(2)),
+                embedding=LinearParams(np.zeros((2, 25)), np.zeros(2)),
                 post_convs=(identity_conv(2), identity_conv(2), identity_conv(2)),
-                use_extrinsics_embedding=True,
             )
