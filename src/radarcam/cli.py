@@ -163,6 +163,7 @@ def cmd_loss(args) -> int:
 def cmd_grad_check(args) -> int:
     for flag, value, ok, needs in (
         ("--instances", args.instances, args.instances >= 1, "at least 1"),
+        ("--seed", args.seed, args.seed >= 0, "a non-negative integer"),
         ("--step", args.step, 0.0 < args.step < math.inf, "a positive finite number"),
         ("--max-bins", args.max_bins, args.max_bins >= MIN_BINS, f"at least {MIN_BINS}"),
         ("--max-size", args.max_size, args.max_size >= MIN_SIZE, f"at least {MIN_SIZE}"),
@@ -251,6 +252,9 @@ def cmd_simulate(args) -> int:
 def cmd_error_model(args) -> int:
     calib = SensorCalibration.load(args.calib)
     res = calib.angular_resolution
+    if res.delta_theta == 0:
+        # every row's deviation is relative to fx * delta_theta
+        raise ValueError("error-model needs calibration delta_theta_deg > 0, got 0")
     e_u, e_v, e = max_pixel_position_error(calib.intrinsics, res)
     rows = []
     for rho in (5.0, 10.0, 20.0, 50.0, 100.0):

@@ -550,6 +550,7 @@ class TestGradCheck:
             ("--max-size", "2", "--max-size must be at least 3, got 2"),
             ("--instances", "-3", "--instances must be at least 1, got -3"),
             ("--instances", "0", "--instances must be at least 1, got 0"),
+            ("--seed", "-1", "--seed must be a non-negative integer, got -1"),
         ],
     )
     def test_bad_flag_exits_2_naming_it(self, flag, value, message, capsys):
@@ -595,6 +596,7 @@ class TestErrorModel:
         [
             (calibration(fx=[1150.0]), "calibration fx must be a number, got [1150.0]"),
             (calibration(delta_theta_deg=None), "calibration delta_theta_deg must be a number, got None"),
+            (calibration(delta_theta_deg=0), "error-model needs calibration delta_theta_deg > 0, got 0"),
             ([1], "calib.json: the top level must be a JSON object, got [1]"),
         ],
     )

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from radarcam.depth_supervision import DepthBinSpec
 from radarcam.geometry import (
@@ -16,16 +16,18 @@ from radarcam.geometry import (
 )
 from radarcam.tensor_ops import Conv2DParams, LinearParams, ShapeError
 from radarcam.view_transform import (
+    BAND_ROWS,
     DepthDistributionMap,
     OccupancyGrid,
     VoxelGridSpec,
     VTParams,
-    build_sample_volume,
+    band_layout,
     depth_distribution,
     depth_to_bin_coordinate,
     gather_gated,
     occupancy_from_bev,
     project_voxel_centers,
+    sample_bands,
     sample_vt,
     voxel_centers,
 )
@@ -226,6 +228,84 @@ def small_instance(seed, c=3, grid_counts=(2, 3, 4), hw=(6, 10), d=5, stride=8):
     return f_pv, d_map, occupancy, grid, world_to_camera, params
 
 
+def frustum_instance(seed, counts=(2, 48, 20), yaw_deg=0.0, first=None, c=2, d=6):
+    """A camera at the BEV origin looking along +x, as the benchmark's does.
+
+    The grid reaches behind the camera and sideways past the frustum, so the
+    frustum's wedge crosses the grid's near and far edges and leaves outer
+    rows empty, whole bands of ``BAND_ROWS`` rows among them. ``first``
+    replaces the first post-transform conv.
+    """
+    rng = np.random.default_rng(seed)
+    nz, ny, nx = counts
+    grid = VoxelGridSpec((-4.0, 20.0, nx), (-40.0, 40.0, ny), (-1.0, 1.0, nz))
+    yaw = math.radians(yaw_deg)
+    rot_z = np.array(
+        [[math.cos(yaw), -math.sin(yaw), 0.0], [math.sin(yaw), math.cos(yaw), 0.0], [0.0, 0.0, 1.0]]
+    )
+    bev_to_camera = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
+    w2c = RigidTransform(bev_to_camera @ rot_z, np.array([0.0, 0.2, 0.0]))
+    hw = (6, 10)
+    intrinsics = CameraIntrinsics(fx=5.0, fy=5.0, cx=4.5, cy=2.5)
+    bins = DepthBinSpec(0.0, 24.0, d)
+    f_pv = rng.normal(size=(c, *hw))
+    d_map = DepthDistributionMap(
+        np.transpose(rng.dirichlet(np.ones(d), size=hw), (2, 0, 1)), bins, stride=1
+    )
+    occupancy = OccupancyGrid(rng.uniform(size=counts))
+    params = random_vt_params(rng, c, nz, d, radar_channels=2)
+    if first is not None:
+        params = VTParams(
+            params.occupancy_conv, params.depth_conv, params.embedding,
+            (first(rng, c, 2 * c * nz), *params.post_convs[1:]),
+        )
+    return f_pv, d_map, occupancy, grid, intrinsics, w2c, params
+
+
+def conv_of(kh, kw, padding=None, stride=1):
+    """A random first conv of kernel kh x kw; same padding unless given."""
+
+    def make(rng, out_ch, in_ch):
+        weights = rng.normal(0.0, 0.5, size=(out_ch, in_ch, kh, kw))
+        pad = padding or ((kh - 1) // 2, (kh - 1) // 2, (kw - 1) // 2, (kw - 1) // 2)
+        return Conv2DParams(weights, rng.normal(0.0, 0.1, size=out_ch), pad, stride)
+
+    return make
+
+
+def bands_of(f_pv, d_map, occupancy, grid, intrinsics, w2c, params):
+    return sample_bands(
+        f_pv, d_map.data, d_map.spec, d_map.stride, occupancy.data, grid, intrinsics, w2c,
+        params.post_convs[0],
+    )
+
+
+def volume_window(volume, band):
+    """The band's window of a (channels, Y, X) volume, zero past the grid."""
+    (y0, y1), (x0, x1) = band.rows, band.cols
+    _, ny, nx = volume.shape
+    out = np.zeros((volume.shape[0], y1 - y0, x1 - x0))
+    ys, xs = slice(max(y0, 0), min(y1, ny)), slice(max(x0, 0), min(x1, nx))
+    out[:, ys.start - y0 : ys.stop - y0, xs.start - x0 : xs.stop - x0] = volume[:, ys, xs]
+    return out
+
+
+def assert_bands_equal_volume(layout, windows, volume):
+    """Every window equals its slice of ``volume`` bit for bit, and the
+    volume is exactly zero outside the windows."""
+    covered = np.zeros(volume.shape[1:], dtype=bool)
+    for band, window in zip(layout.bands, windows):
+        np.testing.assert_array_equal(window, volume_window(volume, band))
+        (y0, y1), (x0, x1) = band.rows, band.cols
+        covered[max(y0, 0) : y1, max(x0, 0) : x1] = True
+    assert not np.any(volume[:, ~covered])
+
+
+def scaled_error(got, want):
+    assert got.shape == want.shape
+    return np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want)))
+
+
 class TestSampleVT:
     def test_single_voxel_hand_computation(self):
         c, d = 2, 4
@@ -258,42 +338,43 @@ class TestSampleVT:
     def test_all_voxels_behind_camera_give_zero_volume(self):
         f_pv, d_map, occupancy, _, _, params = small_instance(0)
         grid = VoxelGridSpec((-1.0, 1.0, 4), (-1.0, 1.0, 3), (-30.0, -10.0, 2))
-        vol = build_sample_volume(
-            f_pv, d_map.data, d_map.spec, d_map.stride, occupancy.data, grid,
-            K, RigidTransform.identity(),
-        )
-        np.testing.assert_array_equal(vol, np.zeros_like(vol))
+        occupancy = OccupancyGrid(np.random.default_rng(0).uniform(size=grid.counts))
+        layout, windows = bands_of(f_pv, d_map, occupancy, grid, K, RigidTransform.identity(), params)
+        assert layout.bands == () and windows == []
+        assert layout.out_shape == grid.counts[1:]
+        want = sample_volume_reference(f_pv, d_map, occupancy, grid, K, RigidTransform.identity())
+        np.testing.assert_array_equal(want, np.zeros_like(want))
 
     def test_gating_halves_behave_independently(self):
         f_pv, d_map, occupancy, grid, w2c, params = small_instance(5)
         c = f_pv.shape[0]
         nz = grid.counts[0]
-        zero_occ = np.zeros_like(occupancy.data)
-        vol = build_sample_volume(
-            f_pv, d_map.data, d_map.spec, d_map.stride, zero_occ, grid, K, w2c
-        )
+        zero_occ = OccupancyGrid(np.zeros_like(occupancy.data))
+        _, windows = bands_of(f_pv, d_map, zero_occ, grid, K, w2c, params)
+        assert windows
         # occupancy half is identically zero, depth half is not
-        assert np.max(np.abs(vol[c * nz :])) == 0.0
-        assert np.max(np.abs(vol[: c * nz])) > 0.0
-        uniform = np.full_like(d_map.data, 1.0 / d_map.data.shape[0])
-        vol2 = build_sample_volume(
-            f_pv, np.zeros_like(uniform), d_map.spec, d_map.stride, zero_occ, grid, K, w2c
+        assert max(np.max(np.abs(window[c * nz :])) for window in windows) == 0.0
+        assert max(np.max(np.abs(window[: c * nz])) for window in windows) > 0.0
+        _, windows = sample_bands(
+            f_pv, np.zeros_like(d_map.data), d_map.spec, d_map.stride, zero_occ.data, grid, K, w2c,
+            params.post_convs[0],
         )
-        np.testing.assert_array_equal(vol2, np.zeros_like(vol2))
+        assert windows
+        for window in windows:
+            np.testing.assert_array_equal(window, np.zeros_like(window))
 
     def test_occupancy_scaling_is_exactly_linear(self):
-        f_pv, d_map, occupancy, grid, w2c, _ = small_instance(6)
+        f_pv, d_map, occupancy, grid, w2c, params = small_instance(6)
         c = f_pv.shape[0]
         nz = grid.counts[0]
         alpha = 0.37
-        base = build_sample_volume(
-            f_pv, d_map.data, d_map.spec, d_map.stride, occupancy.data, grid, K, w2c
-        )
-        scaled = build_sample_volume(
-            f_pv, d_map.data, d_map.spec, d_map.stride, alpha * occupancy.data, grid, K, w2c
-        )
-        np.testing.assert_array_equal(scaled[: c * nz], base[: c * nz])
-        np.testing.assert_allclose(scaled[c * nz :], alpha * base[c * nz :], atol=1e-15)
+        _, base = bands_of(f_pv, d_map, occupancy, grid, K, w2c, params)
+        scaled_occ = OccupancyGrid(alpha * occupancy.data)
+        _, scaled = bands_of(f_pv, d_map, scaled_occ, grid, K, w2c, params)
+        assert len(scaled) == len(base) > 0
+        for s_win, b_win in zip(scaled, base):
+            np.testing.assert_array_equal(s_win[: c * nz], b_win[: c * nz])
+            np.testing.assert_allclose(s_win[c * nz :], alpha * b_win[c * nz :], atol=1e-15)
 
     def test_projection_consistency_with_scalar_path(self):
         _, d_map, _, grid, w2c, _ = small_instance(7)
@@ -312,23 +393,64 @@ class TestSampleVT:
     @pytest.mark.parametrize("seed", range(4))
     def test_volume_equals_per_voxel_reference_bitwise(self, seed):
         # a grid that reaches behind the camera and past every image edge
-        f_pv, d_map, occupancy, _, w2c, _ = small_instance(seed, grid_counts=(6, 5, 7))
+        f_pv, d_map, occupancy, _, w2c, params = small_instance(seed, grid_counts=(6, 5, 7))
         grid = VoxelGridSpec((-30.0, 30.0, 7), (-8.0, 8.0, 5), (-6.0, 44.0, 6))
         occupancy = OccupancyGrid(np.random.default_rng(seed).uniform(size=grid.counts))
-        got = build_sample_volume(
-            f_pv, d_map.data, d_map.spec, d_map.stride, occupancy.data, grid, K, w2c
-        )
+        layout, windows = bands_of(f_pv, d_map, occupancy, grid, K, w2c, params)
         want = sample_volume_reference(f_pv, d_map, occupancy, grid, K, w2c)
         assert 0 < np.count_nonzero(np.abs(want).sum(axis=0)) < grid.counts[1] * grid.counts[2]
-        np.testing.assert_array_equal(got, want)
+        assert_bands_equal_volume(layout, windows, want)
+
+    @pytest.mark.parametrize("yaw_deg", [0.0, 30.0])
+    def test_many_bands_equal_per_voxel_reference_bitwise(self, yaw_deg):
+        args = frustum_instance(3, yaw_deg=yaw_deg)
+        layout, windows = bands_of(*args)
+        want = sample_volume_reference(*args[:-1])
+        # several bands, and rows of BAND_ROWS with no band at all
+        assert 2 < len(layout.bands) < -(-layout.out_shape[0] // BAND_ROWS)
+        assert_bands_equal_volume(layout, windows, want)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_per_voxel_reference(self, seed):
         f_pv, d_map, occupancy, grid, w2c, params = small_instance(seed)
         got = sample_vt(f_pv, d_map, occupancy, grid, K, w2c, params)
         want = sample_vt_reference(f_pv, d_map, occupancy, grid, K, w2c, params)
-        scale = max(1.0, np.max(np.abs(want)))
-        assert np.max(np.abs(got - want)) / scale < 1e-6
+        assert scaled_error(got, want) < 1e-12
+
+    @pytest.mark.parametrize(
+        "yaw_deg,first",
+        [
+            (0.0, None),
+            (30.0, None),
+            (-55.0, None),
+            (0.0, conv_of(1, 1)),
+            (0.0, conv_of(5, 5)),
+            (30.0, conv_of(3, 5)),
+            (0.0, conv_of(3, 3, padding=(0, 2, 2, 0))),
+            (30.0, conv_of(5, 3, padding=(3, 0, 0, 1))),
+            (0.0, conv_of(3, 3, stride=2)),
+            (30.0, conv_of(1, 1, stride=2)),
+            (0.0, conv_of(3, 5, padding=(2, 1, 0, 3), stride=2)),
+        ],
+    )
+    def test_many_bands_match_per_voxel_reference(self, yaw_deg, first):
+        args = frustum_instance(11, yaw_deg=yaw_deg, first=first)
+        layout, _ = bands_of(*args)
+        # several bands, and output rows that no band computes
+        assert len(layout.bands) > 1
+        assert sum(r1 - r0 for _, _, (r0, r1), _ in layout.bands) < layout.out_shape[0]
+        got = sample_vt(*args)
+        want = sample_vt_reference(*args)
+        assert scaled_error(got, want) < 1e-12
+
+    def test_all_voxels_behind_camera_match_per_voxel_reference(self):
+        f_pv, d_map, occupancy, _, intrinsics, w2c, params = frustum_instance(2)
+        grid = VoxelGridSpec((-30.0, -6.0, 20), (-40.0, 40.0, 48), (-1.0, 1.0, 2))
+        got = sample_vt(f_pv, d_map, occupancy, grid, intrinsics, w2c, params)
+        want = sample_vt_reference(f_pv, d_map, occupancy, grid, intrinsics, w2c, params)
+        first = params.post_convs[0]
+        assert not band_layout(np.zeros(grid.counts[1:], dtype=bool), first).bands
+        assert scaled_error(got, want) < 1e-12
 
     def test_bin_coordinate_midpoint_alignment(self):
         bins = DepthBinSpec(0.0, 40.0, 4)
@@ -336,6 +458,49 @@ class TestSampleVT:
         np.testing.assert_allclose(
             depth_to_bin_coordinate(mids, bins), [0.0, 1.0, 2.0, 3.0], atol=1e-12
         )
+
+
+@st.composite
+def layout_instances(draw):
+    ny, nx = draw(st.integers(1, 20)), draw(st.integers(1, 12))
+    cells = st.lists(st.booleans(), min_size=ny * nx, max_size=ny * nx)
+    active = np.array(draw(cells), dtype=bool).reshape(ny, nx)
+    kh, kw = draw(st.sampled_from((1, 3, 5))), draw(st.sampled_from((1, 3, 5)))
+    padding = tuple(draw(st.integers(0, 3)) for _ in range(4))
+    stride = draw(st.integers(1, 3))
+    assume(ny + padding[0] + padding[1] >= kh and nx + padding[2] + padding[3] >= kw)
+    return active, Conv2DParams(np.zeros((1, 1, kh, kw)), np.zeros(1), padding, stride)
+
+
+class TestBandLayout:
+    @given(layout_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_bands_compute_exactly_the_outputs_that_read_an_active_cell(self, instance):
+        active, conv = instance
+        _, _, kh, kw = conv.weights.shape
+        pt, pb, pl, pr = conv.padding
+        s = conv.stride
+        padded = np.pad(active, ((pt, pb), (pl, pr)))
+        out_h = (padded.shape[0] - kh) // s + 1
+        out_w = (padded.shape[1] - kw) // s + 1
+        reads = np.array(
+            [[padded[oy * s : oy * s + kh, ox * s : ox * s + kw].any() for ox in range(out_w)] for oy in range(out_h)]
+        ).reshape(out_h, out_w)
+        layout = band_layout(active, conv)
+        assert layout.out_shape == (out_h, out_w)
+        computed = np.zeros((out_h, out_w), dtype=int)
+        for (y0, y1), (x0, x1), (r0, r1), (c0, c1) in layout.bands:
+            computed[r0:r1, c0:c1] += 1
+            # a band's rows lie in one slot of BAND_ROWS rows and its window
+            # is exactly what its outputs read
+            assert r0 // BAND_ROWS == (r1 - 1) // BAND_ROWS
+            assert (y0, y1) == (r0 * s - pt, (r1 - 1) * s - pt + kh)
+            assert (x0, x1) == (c0 * s - pl, (c1 - 1) * s - pl + kw)
+            # cropped to the first and last row and column that read a cell
+            assert reads[r0].any() and reads[r1 - 1].any()
+            assert reads[r0:r1, c0].any() and reads[r0:r1, c1 - 1].any()
+        assert computed.max(initial=0) <= 1
+        assert np.all(computed[reads] == 1)
 
 
 def _edge_coordinates(extent: int) -> list[float]:
@@ -353,12 +518,11 @@ def gather_instances(draw):
         return np.array(draw(st.lists(value, min_size=n, max_size=n)), dtype=np.float64)
 
     u, v, b = coordinates(w), coordinates(h), coordinates(d)
-    valid = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     f_pv = rng.normal(size=(c, h, w))
     depth_volume = rng.uniform(size=(d, h, w))
     occupancy = rng.uniform(size=n)
-    return f_pv, depth_volume, occupancy, u, v, b, valid
+    return f_pv, depth_volume, occupancy, u, v, b
 
 
 class TestGatherGated:
@@ -366,31 +530,29 @@ class TestGatherGated:
     @settings(max_examples=150, deadline=None)
     def test_equals_scalar_samplers_bitwise(self, instance):
         # points straddle and sit on every image edge (w-1 and h-1 included),
-        # sit behind the camera (not valid) and read bins below 0 or at and
-        # beyond D; n = 0 and all-outside draws give an empty in-image set
-        f_pv, depth_volume, occupancy, u, v, b, valid = instance
-        got = gather_gated(f_pv, depth_volume, occupancy, u, v, b, valid)
-        want = np.zeros((2, f_pv.shape[0], u.shape[0]))
-        for i in np.flatnonzero(valid):
+        # miss the image by up to two pixels and read bins below 0 or at and
+        # beyond D; n = 0 and all-outside draws give no in-image corner
+        f_pv, depth_volume, occupancy, u, v, b = instance
+        got = gather_gated(f_pv, depth_volume, occupancy, u, v, b)
+        want = np.zeros((u.shape[0], 2, f_pv.shape[0]))
+        for i in range(u.shape[0]):
             feat = bilinear_sample(f_pv, (u[i], v[i]))
-            want[0, :, i] = feat * trilinear_sample(depth_volume, (u[i], v[i], b[i]))
-            want[1, :, i] = feat * occupancy[i]
+            want[i, 0] = feat * trilinear_sample(depth_volume, (u[i], v[i], b[i]))
+            want[i, 1] = feat * occupancy[i]
         np.testing.assert_array_equal(got, want)
 
     def test_no_in_image_corner_gives_zero_halves(self):
         f_pv = np.ones((2, 3, 4))
         u = np.array([-1.5, 4.0, 1.0, 2.0, 7.0])
         v = np.array([1.0, 1.0, -1.25, 3.0, 9.0])
-        out = gather_gated(f_pv, np.ones((2, 3, 4)), np.ones(5), u, v, np.zeros(5), np.ones(5, dtype=bool))
-        np.testing.assert_array_equal(out, np.zeros((2, 2, 5)))
+        out = gather_gated(f_pv, np.ones((2, 3, 4)), np.ones(5), u, v, np.zeros(5))
+        np.testing.assert_array_equal(out, np.zeros((5, 2, 2)))
 
     def test_corner_on_last_pixel_reads_it_alone(self):
         f_pv = np.arange(12.0).reshape(1, 3, 4)
         depth = np.full((2, 3, 4), 0.5)
-        out = gather_gated(
-            f_pv, depth, np.array([0.25]), np.array([3.0]), np.array([2.0]), np.array([1.0]), np.array([True])
-        )
-        assert out[0, 0, 0] == 11.0 * 0.5 and out[1, 0, 0] == 11.0 * 0.25
+        out = gather_gated(f_pv, depth, np.array([0.25]), np.array([3.0]), np.array([2.0]), np.array([1.0]))
+        assert out[0, 0, 0] == 11.0 * 0.5 and out[0, 1, 0] == 11.0 * 0.25
 
 
 class TestValidation:
@@ -413,9 +575,27 @@ class TestValidation:
 
     @pytest.mark.parametrize("shape", [(5, 6, 11), (5, 7, 10), (4, 6, 10), (6, 10)])
     def test_depth_volume_must_match_bins_and_feature_map(self, shape):
-        f_pv, d_map, occupancy, grid, w2c, _ = small_instance(0)
+        f_pv, d_map, occupancy, grid, w2c, params = small_instance(0)
         with pytest.raises(ShapeError, match="depth volume shape"):
-            build_sample_volume(f_pv, np.full(shape, 0.2), d_map.spec, d_map.stride, occupancy.data, grid, K, w2c)
+            sample_bands(
+                f_pv, np.full(shape, 0.2), d_map.spec, d_map.stride, occupancy.data, grid, K, w2c,
+                params.post_convs[0],
+            )
+
+    @pytest.mark.parametrize("behind_camera", [False, True])
+    def test_first_conv_must_take_the_sampled_channels(self, behind_camera):
+        # checked before sampling, so a frustum that misses the grid, which
+        # leaves the first conv no band to run on, fails the same way
+        f_pv, d_map, occupancy, grid, w2c, params = small_instance(0)
+        if behind_camera:
+            grid = VoxelGridSpec(grid.x, grid.y, (-30.0, -10.0, grid.counts[0]))
+        c, nz = f_pv.shape[0], grid.counts[0]
+        wide = VTParams(
+            params.occupancy_conv, params.depth_conv, params.embedding,
+            (identity_conv(2 * c * nz + 1), *params.post_convs[1:]),
+        )
+        with pytest.raises(ShapeError, match=f"sampled volume has {2 * c * nz} channels, weights expect {2 * c * nz + 1}"):
+            sample_vt(f_pv, d_map, occupancy, grid, K, w2c, wide)
 
     def test_post_conv_count_enforced(self):
         rng = np.random.default_rng(0)
