@@ -46,6 +46,12 @@ class ConcatFusionParams:
     first: Conv2DParams
     second: Conv2DParams
 
+    def __post_init__(self):
+        if self.second.in_channels != self.first.out_channels:
+            raise ShapeError(
+                f"second takes {self.second.in_channels} channels, first gives {self.first.out_channels}"
+            )
+
 
 def concat_fusion(f_radar: np.ndarray, f_image: np.ndarray, params: ConcatFusionParams) -> np.ndarray:
     """Baseline fusion: concatenate on channels, then two 3x3 convolutions."""
@@ -73,6 +79,10 @@ class CSAFusionParams:
 
     def __post_init__(self):
         c = self.in_conv.out_channels
+        for name in ("in_conv", "mid_conv", "out_conv"):
+            width = getattr(self, name).in_channels
+            if width != 2 * c:
+                raise ShapeError(f"{name} takes {width} channels, needs 2 x {c} (both modalities at in_conv's width)")
         for name, m in (("radar", self.channel_mlp_radar), ("image", self.channel_mlp_image)):
             if m.layers[0].in_features != c or m.layers[-1].out_features != c:
                 raise ShapeError(f"channel MLP ({name}) must map {c} -> ... -> {c} features")

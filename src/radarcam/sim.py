@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -100,11 +100,18 @@ class SceneExtents:
     large_fraction: float = 0.5
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"scene {f.name} must be finite, got {value}")
         if not 0.0 <= self.large_fraction <= 1.0:
             raise ValueError("large_fraction must lie in [0, 1]")
         for name, rng in (("large", self.large_depth_range), ("small", self.small_depth_range)):
             if rng[0] <= 0 or rng[0] >= rng[1]:
                 raise ValueError(f"bad {name} depth range {rng}")
+        for key in ("large_size_range", "small_size_range"):
+            if min(getattr(self, key)) <= 0:
+                raise ValueError(f"scene {key} must hold positive sizes, got {getattr(self, key)}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "SceneExtents":
@@ -237,6 +244,15 @@ class RadarNoiseModel:
     seed: int = 0
 
     def __post_init__(self):
+        for key, value in (
+            ("delta_theta_deg", math.degrees(self.delta_theta)),
+            ("delta_phi_deg", math.degrees(self.delta_phi)),
+            ("range_sigma", self.range_sigma),
+            ("points_base", self.points_base),
+            ("points_size_scale", self.points_size_scale),
+        ):
+            if not math.isfinite(value):
+                raise ValueError(f"noise {key} must be finite, got {value}")
         if self.delta_theta < 0 or self.delta_phi < 0:
             raise ValueError("angular resolutions must be non-negative")
         if self.range_sigma < 0:
@@ -244,11 +260,12 @@ class RadarNoiseModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RadarNoiseModel":
-        """The model from a JSON object; angular resolutions are in degrees (``*_deg``)."""
+        """The model from a JSON object; angular resolutions are in degrees
+        (``*_deg``). The seed is not read: each experiment seed draws its own."""
         return cls(
             delta_theta=math.radians(json_number(data.get("delta_theta_deg"), "noise delta_theta_deg")),
             delta_phi=math.radians(json_number(data.get("delta_phi_deg"), "noise delta_phi_deg")),
-            **json_numbers(data, "noise ", ("range_sigma", "points_base", "points_size_scale", "seed"), ("seed",)),
+            **json_numbers(data, "noise ", ("range_sigma", "points_base", "points_size_scale")),
         )
 
     def points_for(self, obj: SceneObject) -> int:
@@ -404,7 +421,10 @@ class ExperimentConfig:
     orderings: tuple[tuple[str, str], ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        for key, least in (("stride", 1), ("num_seeds", 1), ("bootstrap_samples", 1), ("n_objects", 0)):
+        for key, least in (
+            ("stride", 1), ("num_seeds", 1), ("bootstrap_samples", 1), ("n_objects", 0),
+            ("seed_start", 0), ("bootstrap_seed", 0),
+        ):
             if getattr(self, key) < least:
                 raise ValueError(f"{key} must be at least {least}, got {getattr(self, key)}")
         names = [arm.name for arm in self.arms]

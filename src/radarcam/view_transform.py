@@ -11,17 +11,14 @@ mixed by a conv stack.
 
 Only voxels in front of the camera with an in-image bilinear corner sample
 anything: the camera frustum, about 42% of the BEV cells at the benchmark's
-largest size. Every other cell of the volume is zero, and every output of the
-first conv whose receptive field holds only such cells equals its bias. So
-the volume is never built whole. Its rows are split into bands of
-``BAND_ROWS`` first-conv output rows; each band is cropped to the outputs
-that read a sampled cell and holds the window of the volume those outputs
-read, halo for the conv's padding included. The layout is derived per call
-from the sampled cells and from the first conv's kernel, padding and stride.
-Each frustum voxel is sampled once, and its gated rows are written into
-every window that holds it. The windows are views into one zeroed buffer,
-channels last in memory. The first conv runs on each window with no
-padding; the rest of its output is its bias.
+largest size. Every other cell of the volume is zero, so the volume is never
+built whole: each frustum voxel is sampled once, and the sampled cells are
+kept as one (M, 2*C*Z) row each. The first conv is linear, so it runs on
+those rows alone as a sparse convolution (arXiv 1711.10275): one GEMM gives
+every kernel tap's products at every cell, each tap's products are added at
+the outputs that read the cell through it, and the bias comes last. An
+output that reads no sampled cell is exactly the bias. The other convs run
+densely.
 
 Sampling uses the pixel-center convention: the center of pixel (row i,
 col j) sits at continuous coordinate (u=j, v=i), depth bin k's midpoint at
@@ -35,7 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +41,6 @@ from .depth_supervision import DepthBinSpec, validate_depth_volume
 from . import lxlt
 from .tensor_ops import Conv2DParams, LinearParams, ShapeError, conv2d, linear, sigmoid, softmax
 
-# Output rows of the first post-transform conv per band.
-BAND_ROWS = 8
 # Voxels sampled per call, so that the gather's temporaries stay in cache.
 GATHER_CHUNK = 8192
 
@@ -160,6 +154,11 @@ class VTParams:
             )
         if len(self.post_convs) != 3:
             raise ShapeError("the post-transform stack must hold exactly three convolutions")
+        for i, (prev, conv) in enumerate(zip(self.post_convs, self.post_convs[1:])):
+            if conv.in_channels != prev.out_channels:
+                raise ShapeError(
+                    f"post_convs[{i + 1}] takes {conv.in_channels} channels, post_convs[{i}] gives {prev.out_channels}"
+                )
         object.__setattr__(self, "post_convs", tuple(self.post_convs))
 
 
@@ -240,9 +239,9 @@ def _interpolate(table: np.ndarray, corners: tuple[list, list]) -> np.ndarray:
     """Weighted sum of ``table`` rows over the corners, in corner order."""
     idx, wts = corners
     bcast = (-1,) + (1,) * (table.ndim - 1)
-    out = wts[0].reshape(bcast) * table[idx[0]]
+    out = wts[0].reshape(bcast) * np.take(table, idx[0], axis=0)
     for i, w in zip(idx[1:], wts[1:]):
-        out += w.reshape(bcast) * table[i]
+        out += w.reshape(bcast) * np.take(table, i, axis=0)
     return out
 
 
@@ -282,68 +281,7 @@ def depth_to_bin_coordinate(depth: np.ndarray, spec: DepthBinSpec) -> np.ndarray
     return (np.asarray(depth, dtype=np.float64) - spec.d_min) / spec.bin_width - 0.5
 
 
-class Band(NamedTuple):
-    """One window of the first conv's input and the outputs it computes.
-
-    Each pair is a [start, stop) range. ``rows`` and ``cols`` are grid rows
-    and columns; they reach past the grid by the conv's padding, where the
-    window holds zeros. ``out_rows`` and ``out_cols`` index the first conv's
-    output, which the window yields under the conv with no padding.
-    """
-
-    rows: tuple[int, int]
-    cols: tuple[int, int]
-    out_rows: tuple[int, int]
-    out_cols: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class BandLayout:
-    """The first conv's output extent and the bands that cover every output
-    with a sampled cell in its receptive field; all others equal the bias."""
-
-    out_shape: tuple[int, int]
-    bands: tuple[Band, ...]
-
-
-def band_layout(active: np.ndarray, conv: Conv2DParams) -> BandLayout:
-    """Bands of ``BAND_ROWS`` output rows of ``conv`` over a (Y, X) map whose
-    non-``active`` cells are zero.
-
-    Each band is cropped to the first and last row and column of its
-    outputs that read an active cell, and holds the input window those
-    outputs read; a band without one is dropped.
-    """
-    _, _, kh, kw = conv.weights.shape
-    pt, pb, pl, pr = conv.padding
-    s = conv.stride
-    padded = np.pad(active, ((pt, pb), (pl, pr)))
-    hp, wp = padded.shape
-    if hp < kh or wp < kw:
-        raise ShapeError(f"padded input {hp}x{wp} smaller than kernel {kh}x{kw}")
-    # active cells in each output's receptive field, from a summed-area table
-    table = np.zeros((hp + 1, wp + 1), dtype=np.intp)
-    table[1:, 1:] = padded.cumsum(axis=0).cumsum(axis=1)
-    top, left = np.arange(0, hp - kh + 1, s), np.arange(0, wp - kw + 1, s)
-    bottom, right = top + kh, left + kw
-    reads = (
-        table[bottom[:, None], right] - table[top[:, None], right]
-        - table[bottom[:, None], left] + table[top[:, None], left]
-    ) > 0
-    bands = []
-    for first in range(0, reads.shape[0], BAND_ROWS):
-        block = reads[first : first + BAND_ROWS]
-        rows, cols = np.flatnonzero(block.any(axis=1)), np.flatnonzero(block.any(axis=0))
-        if rows.size == 0:
-            continue
-        r0, r1 = first + int(rows[0]), first + int(rows[-1]) + 1
-        c0, c1 = int(cols[0]), int(cols[-1]) + 1
-        window = ((r0 * s - pt, (r1 - 1) * s - pt + kh), (c0 * s - pl, (c1 - 1) * s - pl + kw))
-        bands.append(Band(*window, (r0, r1), (c0, c1)))
-    return BandLayout(reads.shape, tuple(bands))
-
-
-def sample_bands(
+def sample_cells(
     f_pv: np.ndarray,
     depth_volume: np.ndarray,
     bins: DepthBinSpec,
@@ -352,14 +290,15 @@ def sample_bands(
     grid: VoxelGridSpec,
     intrinsics: CameraIntrinsics,
     world_to_camera: RigidTransform,
-    conv: Conv2DParams,
-) -> tuple[BandLayout, list[np.ndarray]]:
-    """The sampled volume as the windows of ``conv``'s band layout.
+    in_channels: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sampled volume at the BEV cells that hold a sampled voxel.
 
-    Returns the layout and one (2*C*Z, rows, cols) window per band: the
-    window of the (2*C*Z, Y, X) sampled volume (depth-gated half first,
-    channel c's Z heights together), zero past the grid. Every window is a
-    view into one zeroed buffer.
+    Returns the raveled (Y, X) indices of those cells in ascending order and
+    their (M, 2*C*Z) rows of the (2*C*Z, Y, X) sampled volume: depth-gated
+    half first, channel c's Z heights together. Every other cell of the
+    volume is zero. ``in_channels``, the first conv's input width, must be
+    2*C*Z; it is checked before anything is sampled.
     """
     f_pv = np.asarray(f_pv, dtype=np.float64)
     if f_pv.ndim != 3:
@@ -367,36 +306,59 @@ def sample_bands(
     depth_volume = np.asarray(depth_volume, dtype=np.float64)
     c, h, w = f_pv.shape
     if depth_volume.shape != (bins.num_bins, h, w):
-        raise ShapeError(
-            f"depth volume shape {depth_volume.shape} != (bins, H, W) "
-            f"{(bins.num_bins, h, w)} of the feature map"
-        )
+        raise ShapeError(f"depth volume shape {depth_volume.shape} != (bins, H, W) {(bins.num_bins, h, w)}")
     nz, ny, nx = grid.counts
     occupancy = np.asarray(occupancy, dtype=np.float64)
     if occupancy.shape != (nz, ny, nx):
         raise ShapeError(f"occupancy shape {occupancy.shape} != grid counts {(nz, ny, nx)}")
-    if conv.in_channels != 2 * c * nz:
-        raise ShapeError(f"sampled volume has {2 * c * nz} channels, weights expect {conv.in_channels}")
+    if in_channels != 2 * c * nz:
+        raise ShapeError(f"sampled volume has {2 * c * nz} channels, weights expect {in_channels}")
     u, v, depth, valid = project_voxel_centers(grid, intrinsics, world_to_camera, stride)
     # voxels in front of the camera with at least one in-image bilinear corner
-    inside = valid & (u >= -1) & (u < w) & (v >= -1) & (v < h)
-    layout = band_layout(inside.reshape(nz, ny, nx).any(axis=0), conv)
-    # the sampled voxels by BEV cell, then height: each band's voxels are a run
-    cell, z = np.nonzero(inside.reshape(nz, ny * nx).T)
+    inside = (valid & (u >= -1) & (u < w) & (v >= -1) & (v < h)).reshape(nz, ny * nx)
+    cells = np.flatnonzero(inside.any(axis=0))
+    # the sampled voxels by BEV cell, then height
+    cell, z = np.nonzero(inside.T)
     voxel = z * (ny * nx) + cell
-    y, x = np.divmod(cell, nx)
     b = depth_to_bin_coordinate(depth[voxel], bins)
-    rows = gather_gated(f_pv, depth_volume, occupancy.reshape(-1)[voxel], u[voxel], v[voxel], b)
-    sizes = [2 * c * nz * (y1 - y0) * (x1 - x0) for (y0, y1), (x0, x1), _, _ in layout.bands]
-    buffer = np.zeros(sum(sizes), dtype=np.float64)
-    windows = []
-    for ((y0, y1), (x0, x1), _, _), flat in zip(layout.bands, np.split(buffer, np.cumsum(sizes)[:-1])):
-        lo, hi = np.searchsorted(y, (y0, y1))
-        pick = np.arange(lo, hi)[(x[lo:hi] >= x0) & (x[lo:hi] < x1)]
-        cells = flat.reshape((y1 - y0) * (x1 - x0), 2, c, nz)
-        cells[(y[pick] - y0) * (x1 - x0) + x[pick] - x0, :, :, z[pick]] = rows[pick]
-        windows.append(flat.reshape(y1 - y0, x1 - x0, 2 * c * nz).transpose(2, 0, 1))
-    return layout, windows
+    gathered = gather_gated(f_pv, depth_volume, occupancy.reshape(-1)[voxel], u[voxel], v[voxel], b)
+    rows = np.zeros((cells.size, 2, c, nz), dtype=np.float64)
+    rows[np.searchsorted(cells, cell), :, :, z] = gathered
+    return cells, rows.reshape(cells.size, 2 * c * nz)
+
+
+def conv2d_cells(cells: np.ndarray, rows: np.ndarray, shape: tuple[int, int], conv: Conv2DParams) -> np.ndarray:
+    """:func:`conv2d` of a (C_in, Y, X) map that is zero off ``cells``.
+
+    ``cells`` holds raveled (Y, X) indices and ``rows`` their (M, C_in)
+    inputs. One GEMM gives every kernel tap's (C_out, M) products. The tap
+    (ky, kx) of the cell at (y, x) reaches output ((y + pt - ky) / s,
+    (x + pl - kx) / s) where both divide evenly and land in range; the taps
+    are added in :func:`conv2d`'s order and the bias last. An output that
+    reads no cell is therefore exactly the bias. The products come from a
+    GEMM of another shape than :func:`conv2d`'s, so results agree with it to
+    rounding, not bit for bit.
+    """
+    ny, nx = shape
+    out_ch, in_ch, kh, kw = conv.weights.shape
+    pt, pb, pl, pr = conv.padding
+    s = conv.stride
+    hp, wp = ny + pt + pb, nx + pl + pr
+    if hp < kh or wp < kw:
+        raise ShapeError(f"padded input {hp}x{wp} smaller than kernel {kh}x{kw}")
+    out_h, out_w = (hp - kh) // s + 1, (wp - kw) // s + 1
+    products = conv.weights.transpose(2, 3, 0, 1).reshape(kh * kw * out_ch, in_ch) @ rows.T
+    y, x = np.divmod(cells, nx)
+    acc = np.zeros((out_ch, out_h * out_w), dtype=np.float64)
+    for ky in range(kh):
+        oy, ry = np.divmod(y + pt - ky, s)
+        for kx in range(kw):
+            ox, rx = np.divmod(x + pl - kx, s)
+            hit = np.flatnonzero((ry == 0) & (rx == 0) & (oy >= 0) & (oy < out_h) & (ox >= 0) & (ox < out_w))
+            tap = (ky * kw + kx) * out_ch
+            acc[:, oy[hit] * out_w + ox[hit]] += products[tap : tap + out_ch, hit]
+    acc += conv.bias[:, None]
+    return acc.reshape(out_ch, out_h, out_w)
 
 
 def sample_vt(
@@ -411,19 +373,15 @@ def sample_vt(
     """Occupancy-assisted depth-based sampling view transformation.
 
     Returns the (C, Y, X) BEV feature map produced by running the sampled
-    volume through the three-convolution mixing stack; the first conv runs
-    on the bands alone and its other outputs take its bias.
+    volume through the three-convolution mixing stack; the first conv reads
+    the sampled cells alone.
     """
     first, *rest = params.post_convs
-    layout, windows = sample_bands(
+    cells, rows = sample_cells(
         f_pv, d_map.data, d_map.spec, d_map.stride, occupancy.data,
-        grid, intrinsics, world_to_camera, first,
+        grid, intrinsics, world_to_camera, first.in_channels,
     )
-    out = np.empty((first.out_channels, *layout.out_shape), dtype=np.float64)
-    out[:] = first.bias[:, None, None]
-    unpadded = Conv2DParams(first.weights, first.bias, stride=first.stride)
-    for band, window in zip(layout.bands, windows):
-        out[:, slice(*band.out_rows), slice(*band.out_cols)] = conv2d(window, unpadded)
+    out = conv2d_cells(cells, rows, grid.counts[1:], first)
     for conv in rest:
         out = conv2d(out, conv)
     return out

@@ -81,7 +81,6 @@ class TestSimulate:
             (lambda data: data.update(stride=[8]), "stride must be a number, got [8]"),
             (lambda data: data.update(num_seeds=6.5), "num_seeds must be a whole number, got 6.5"),
             (lambda data: data["bins"].update(num_bins="many"), "bins num_bins must be a number"),
-            (lambda data: data["noise"].update(seed=[1]), "noise seed must be a number, got [1]"),
             (lambda data: data["arms"][0]["radius"].update(k=[0.1]), "arm radius k must be a number"),
             (lambda data: data["calibration"].update(fx=[1150.0]), "calibration fx must be a number"),
             (lambda data: data.update(scene={"large_fraction": "half"}), "scene large_fraction must be a number"),
@@ -98,6 +97,35 @@ class TestSimulate:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+        assert not csv_path.exists() and not summary.exists()
+
+    @pytest.mark.parametrize(
+        "edit_config,key",
+        [
+            (lambda data: data["noise"].update(range_sigma=math.nan), "noise range_sigma"),
+            (lambda data: data["noise"].update(delta_theta_deg=math.nan), "noise delta_theta_deg"),
+            (lambda data: data["noise"].update(delta_phi_deg=-math.inf), "noise delta_phi_deg"),
+            (lambda data: data["noise"].update(points_base=math.nan), "noise points_base"),
+            (lambda data: data["noise"].update(points_size_scale=math.inf), "noise points_size_scale"),
+            (lambda data: data["scene"].update(small_size_range=[0.2, math.inf]), "scene small_size_range"),
+            (lambda data: data["scene"].update(large_size_range=[0.0, 9.0]), "scene large_size_range"),
+            (lambda data: data["scene"].update(azimuth_max_deg=math.nan), "scene azimuth_max_deg"),
+            (lambda data: data["scene"].update(large_depth_range=[math.nan, 40.0]), "scene large_depth_range"),
+            (lambda data: data.update(seed_start=-3), "seed_start"),
+            (lambda data: data.update(bootstrap_seed=-1), "bootstrap_seed"),
+        ],
+    )
+    def test_non_finite_or_out_of_range_value_exits_2_naming_the_key(self, tmp_path, edit_config, key, capsys):
+        # json writes and reads NaN and Infinity literals
+        config = reduced_config(tmp_path)
+        data = json.loads(config.read_text())
+        edit_config(data)
+        config.write_text(json.dumps(data))
+        csv_path, summary = tmp_path / "rows.csv", tmp_path / "summary.json"
+        argv = ["simulate", "--config", str(config), "--output-csv", str(csv_path), "--summary", str(summary)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must ") and "Traceback" not in err
         assert not csv_path.exists() and not summary.exists()
 
     @pytest.mark.parametrize(
@@ -438,6 +466,16 @@ class TestVT:
         assert err.startswith("error:") and message in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_post_conv_that_does_not_chain_exits_2_naming_it(self, tmp_path, capsys):
+        _, inputs = write_vt_inputs(tmp_path, np.random.default_rng(10))
+        wide = np.random.default_rng(11).normal(size=(VT_CHANNELS, VT_CHANNELS + 1, 3, 3))
+        lxlt.write_tensor(inputs / "post1.w.lxlt", wide)
+        out = tmp_path / "bev.lxlt"
+        assert main(["vt", "--manifest", str(inputs / "manifest.json"), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: post_convs[1] takes {VT_CHANNELS + 1} channels, post_convs[0] gives {VT_CHANNELS}")
+        assert not out.exists()
+
     def test_embedding_with_extrinsic_inputs_exits_2(self, tmp_path, capsys):
         """A 25-input embedding (intrinsics plus a flattened 4x4 extrinsic
         matrix) fails the embedding width check, whatever the manifest says."""
@@ -523,6 +561,23 @@ class TestFuse:
         assert main(argv + ["--params", str(tmp_path / "params.json"), "--output", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "mode,layer,message",
+        [
+            ("csa", "mid_conv", f"mid_conv takes {FUSE_CHANNELS + 2} channels, needs 2 x {FUSE_CHANNELS}"),
+            ("concat", "second", f"second takes {FUSE_CHANNELS + 2} channels, first gives {FUSE_CHANNELS}"),
+        ],
+    )
+    def test_layer_of_the_wrong_width_exits_2_naming_it(self, tmp_path, mode, layer, message, capsys):
+        manifest, argv = write_fuse_inputs(tmp_path, mode)
+        (tmp_path / "params.json").write_text(json.dumps(manifest))
+        wide = np.random.default_rng(1).normal(size=(FUSE_CHANNELS, FUSE_CHANNELS + 2, 3, 3))
+        lxlt.write_tensor(tmp_path / f"{layer}.w.lxlt", wide)
+        out = tmp_path / "fused.lxlt"
+        assert main(argv + ["--params", str(tmp_path / "params.json"), "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists()
 
     def test_manifest_that_is_not_an_object_exits_2(self, tmp_path, capsys):

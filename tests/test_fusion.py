@@ -58,6 +58,11 @@ class TestConcatFusion:
             concat_fusion(np.zeros((C, Y, X)), np.zeros((C, Y, X + 1)), params)
 
 
+    def test_second_conv_must_take_the_first_conv_output(self):
+        with pytest.raises(ShapeError, match=f"second takes {C + 1} channels, first gives {C}"):
+            ConcatFusionParams(zero_conv(C, 2 * C, 3), zero_conv(C, C + 1, 3))
+
+
 class TestChannelAttention:
     def test_zero_params_halve_the_features(self):
         f_r, f_i = random_maps(3)
@@ -228,6 +233,12 @@ class TestCSAFusion:
                 spatial_conv_image=params.spatial_conv_image,
                 out_conv=params.out_conv,
             )
+
+
+    @pytest.mark.parametrize("name", ["in_conv", "mid_conv", "out_conv"])
+    def test_mixing_convs_take_both_modalities(self, name):
+        with pytest.raises(ShapeError, match=rf"{name} takes {2 * C - 1} channels, needs 2 x {C}"):
+            dataclasses.replace(zero_csa_params(C), **{name: zero_conv(C, 2 * C - 1, 3)})
 
 
 def write_csa_manifest(root, params: CSAFusionParams) -> dict:

@@ -316,6 +316,12 @@ class TestConfigValidation:
         )
         assert cfg == want
 
+    def test_noise_seed_key_is_not_read(self):
+        # every experiment seed draws its returns from its own noise seed
+        data = packaged_config_data()
+        data["noise"]["seed"] = -1
+        assert ExperimentConfig.from_dict(data).noise == ExperimentConfig.from_dict(packaged_config_data()).noise
+
     @pytest.mark.parametrize(
         "edit,message",
         [

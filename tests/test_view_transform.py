@@ -16,24 +16,23 @@ from radarcam.geometry import (
 )
 from radarcam.tensor_ops import Conv2DParams, LinearParams, ShapeError
 from radarcam.view_transform import (
-    BAND_ROWS,
     DepthDistributionMap,
     OccupancyGrid,
     VoxelGridSpec,
     VTParams,
-    band_layout,
+    conv2d_cells,
     depth_distribution,
     depth_to_bin_coordinate,
     gather_gated,
     occupancy_from_bev,
     project_voxel_centers,
-    sample_bands,
+    sample_cells,
     sample_vt,
     voxel_centers,
 )
 
 from helpers import identity_conv, random_vt_params, selection_conv
-from oracles import bilinear_sample, sample_volume_reference, sample_vt_reference, trilinear_sample
+from oracles import bilinear_sample, conv2d_naive, sample_volume_reference, sample_vt_reference, trilinear_sample
 
 K = CameraIntrinsics(fx=100.0, fy=100.0, cx=10.0, cy=6.0)
 
@@ -232,9 +231,9 @@ def frustum_instance(seed, counts=(2, 48, 20), yaw_deg=0.0, first=None, c=2, d=6
     """A camera at the BEV origin looking along +x, as the benchmark's does.
 
     The grid reaches behind the camera and sideways past the frustum, so the
-    frustum's wedge crosses the grid's near and far edges and leaves outer
-    rows empty, whole bands of ``BAND_ROWS`` rows among them. ``first``
-    replaces the first post-transform conv.
+    frustum's wedge crosses the grid's near and far edges and leaves whole
+    outer rows without a sampled cell. ``first`` replaces the first
+    post-transform conv.
     """
     rng = np.random.default_rng(seed)
     nz, ny, nx = counts
@@ -273,32 +272,20 @@ def conv_of(kh, kw, padding=None, stride=1):
     return make
 
 
-def bands_of(f_pv, d_map, occupancy, grid, intrinsics, w2c, params):
-    return sample_bands(
+def cells_of(f_pv, d_map, occupancy, grid, intrinsics, w2c, params):
+    return sample_cells(
         f_pv, d_map.data, d_map.spec, d_map.stride, occupancy.data, grid, intrinsics, w2c,
-        params.post_convs[0],
+        params.post_convs[0].in_channels,
     )
 
 
-def volume_window(volume, band):
-    """The band's window of a (channels, Y, X) volume, zero past the grid."""
-    (y0, y1), (x0, x1) = band.rows, band.cols
-    _, ny, nx = volume.shape
-    out = np.zeros((volume.shape[0], y1 - y0, x1 - x0))
-    ys, xs = slice(max(y0, 0), min(y1, ny)), slice(max(x0, 0), min(x1, nx))
-    out[:, ys.start - y0 : ys.stop - y0, xs.start - x0 : xs.stop - x0] = volume[:, ys, xs]
-    return out
-
-
-def assert_bands_equal_volume(layout, windows, volume):
-    """Every window equals its slice of ``volume`` bit for bit, and the
-    volume is exactly zero outside the windows."""
-    covered = np.zeros(volume.shape[1:], dtype=bool)
-    for band, window in zip(layout.bands, windows):
-        np.testing.assert_array_equal(window, volume_window(volume, band))
-        (y0, y1), (x0, x1) = band.rows, band.cols
-        covered[max(y0, 0) : y1, max(x0, 0) : x1] = True
-    assert not np.any(volume[:, ~covered])
+def assert_cells_equal_volume(cells, rows, volume):
+    """The rows equal ``volume``'s columns at ``cells`` bit for bit, and the
+    volume is exactly zero at every other cell."""
+    flat = volume.reshape(volume.shape[0], -1)
+    assert np.all(np.diff(cells) > 0)
+    np.testing.assert_array_equal(rows, flat[:, cells].T)
+    assert not np.any(np.delete(flat, cells, axis=1))
 
 
 def scaled_error(got, want):
@@ -339,9 +326,8 @@ class TestSampleVT:
         f_pv, d_map, occupancy, _, _, params = small_instance(0)
         grid = VoxelGridSpec((-1.0, 1.0, 4), (-1.0, 1.0, 3), (-30.0, -10.0, 2))
         occupancy = OccupancyGrid(np.random.default_rng(0).uniform(size=grid.counts))
-        layout, windows = bands_of(f_pv, d_map, occupancy, grid, K, RigidTransform.identity(), params)
-        assert layout.bands == () and windows == []
-        assert layout.out_shape == grid.counts[1:]
+        cells, rows = cells_of(f_pv, d_map, occupancy, grid, K, RigidTransform.identity(), params)
+        assert cells.shape == (0,) and rows.shape == (0, 2 * f_pv.shape[0] * grid.counts[0])
         want = sample_volume_reference(f_pv, d_map, occupancy, grid, K, RigidTransform.identity())
         np.testing.assert_array_equal(want, np.zeros_like(want))
 
@@ -350,31 +336,30 @@ class TestSampleVT:
         c = f_pv.shape[0]
         nz = grid.counts[0]
         zero_occ = OccupancyGrid(np.zeros_like(occupancy.data))
-        _, windows = bands_of(f_pv, d_map, zero_occ, grid, K, w2c, params)
-        assert windows
+        cells, rows = cells_of(f_pv, d_map, zero_occ, grid, K, w2c, params)
+        assert cells.size
         # occupancy half is identically zero, depth half is not
-        assert max(np.max(np.abs(window[c * nz :])) for window in windows) == 0.0
-        assert max(np.max(np.abs(window[: c * nz])) for window in windows) > 0.0
-        _, windows = sample_bands(
+        assert np.max(np.abs(rows[:, c * nz :])) == 0.0
+        assert np.max(np.abs(rows[:, : c * nz])) > 0.0
+        cells, rows = sample_cells(
             f_pv, np.zeros_like(d_map.data), d_map.spec, d_map.stride, zero_occ.data, grid, K, w2c,
-            params.post_convs[0],
+            params.post_convs[0].in_channels,
         )
-        assert windows
-        for window in windows:
-            np.testing.assert_array_equal(window, np.zeros_like(window))
+        assert cells.size
+        np.testing.assert_array_equal(rows, np.zeros_like(rows))
 
     def test_occupancy_scaling_is_exactly_linear(self):
         f_pv, d_map, occupancy, grid, w2c, params = small_instance(6)
         c = f_pv.shape[0]
         nz = grid.counts[0]
         alpha = 0.37
-        _, base = bands_of(f_pv, d_map, occupancy, grid, K, w2c, params)
+        base_cells, base = cells_of(f_pv, d_map, occupancy, grid, K, w2c, params)
         scaled_occ = OccupancyGrid(alpha * occupancy.data)
-        _, scaled = bands_of(f_pv, d_map, scaled_occ, grid, K, w2c, params)
-        assert len(scaled) == len(base) > 0
-        for s_win, b_win in zip(scaled, base):
-            np.testing.assert_array_equal(s_win[: c * nz], b_win[: c * nz])
-            np.testing.assert_allclose(s_win[c * nz :], alpha * b_win[c * nz :], atol=1e-15)
+        cells, scaled = cells_of(f_pv, d_map, scaled_occ, grid, K, w2c, params)
+        assert base_cells.size
+        np.testing.assert_array_equal(cells, base_cells)
+        np.testing.assert_array_equal(scaled[:, : c * nz], base[:, : c * nz])
+        np.testing.assert_allclose(scaled[:, c * nz :], alpha * base[:, c * nz :], atol=1e-15)
 
     def test_projection_consistency_with_scalar_path(self):
         _, d_map, _, grid, w2c, _ = small_instance(7)
@@ -396,19 +381,20 @@ class TestSampleVT:
         f_pv, d_map, occupancy, _, w2c, params = small_instance(seed, grid_counts=(6, 5, 7))
         grid = VoxelGridSpec((-30.0, 30.0, 7), (-8.0, 8.0, 5), (-6.0, 44.0, 6))
         occupancy = OccupancyGrid(np.random.default_rng(seed).uniform(size=grid.counts))
-        layout, windows = bands_of(f_pv, d_map, occupancy, grid, K, w2c, params)
+        cells, rows = cells_of(f_pv, d_map, occupancy, grid, K, w2c, params)
         want = sample_volume_reference(f_pv, d_map, occupancy, grid, K, w2c)
         assert 0 < np.count_nonzero(np.abs(want).sum(axis=0)) < grid.counts[1] * grid.counts[2]
-        assert_bands_equal_volume(layout, windows, want)
+        assert_cells_equal_volume(cells, rows, want)
 
     @pytest.mark.parametrize("yaw_deg", [0.0, 30.0])
-    def test_many_bands_equal_per_voxel_reference_bitwise(self, yaw_deg):
+    def test_frustum_cells_equal_per_voxel_reference_bitwise(self, yaw_deg):
         args = frustum_instance(3, yaw_deg=yaw_deg)
-        layout, windows = bands_of(*args)
+        cells, rows = cells_of(*args)
         want = sample_volume_reference(*args[:-1])
-        # several bands, and rows of BAND_ROWS with no band at all
-        assert 2 < len(layout.bands) < -(-layout.out_shape[0] // BAND_ROWS)
-        assert_bands_equal_volume(layout, windows, want)
+        # the frustum leaves whole rows of the grid without a sampled cell
+        _, ny, nx = args[3].counts
+        assert 0 < len(np.unique(cells // nx)) < ny
+        assert_cells_equal_volume(cells, rows, want)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_per_voxel_reference(self, seed):
@@ -433,12 +419,12 @@ class TestSampleVT:
             (0.0, conv_of(3, 5, padding=(2, 1, 0, 3), stride=2)),
         ],
     )
-    def test_many_bands_match_per_voxel_reference(self, yaw_deg, first):
+    def test_frustum_matches_per_voxel_reference(self, yaw_deg, first):
         args = frustum_instance(11, yaw_deg=yaw_deg, first=first)
-        layout, _ = bands_of(*args)
-        # several bands, and output rows that no band computes
-        assert len(layout.bands) > 1
-        assert sum(r1 - r0 for _, _, (r0, r1), _ in layout.bands) < layout.out_shape[0]
+        cells, _ = cells_of(*args)
+        # the frustum covers part of the grid, so the first conv has outputs
+        # that read no sampled cell
+        assert 0 < cells.size < np.prod(args[3].counts[1:])
         got = sample_vt(*args)
         want = sample_vt_reference(*args)
         assert scaled_error(got, want) < 1e-12
@@ -448,8 +434,11 @@ class TestSampleVT:
         grid = VoxelGridSpec((-30.0, -6.0, 20), (-40.0, 40.0, 48), (-1.0, 1.0, 2))
         got = sample_vt(f_pv, d_map, occupancy, grid, intrinsics, w2c, params)
         want = sample_vt_reference(f_pv, d_map, occupancy, grid, intrinsics, w2c, params)
-        first = params.post_convs[0]
-        assert not band_layout(np.zeros(grid.counts[1:], dtype=bool), first).bands
+        cells, _ = sample_cells(
+            f_pv, d_map.data, d_map.spec, d_map.stride, occupancy.data, grid, intrinsics, w2c,
+            params.post_convs[0].in_channels,
+        )
+        assert cells.size == 0
         assert scaled_error(got, want) < 1e-12
 
     def test_bin_coordinate_midpoint_alignment(self):
@@ -461,46 +450,44 @@ class TestSampleVT:
 
 
 @st.composite
-def layout_instances(draw):
-    ny, nx = draw(st.integers(1, 20)), draw(st.integers(1, 12))
-    cells = st.lists(st.booleans(), min_size=ny * nx, max_size=ny * nx)
-    active = np.array(draw(cells), dtype=bool).reshape(ny, nx)
+def sparse_conv_instances(draw):
+    ny, nx = draw(st.integers(1, 12)), draw(st.integers(1, 10))
+    mask = st.lists(st.booleans(), min_size=ny * nx, max_size=ny * nx)
+    active = np.array(draw(mask), dtype=bool).reshape(ny, nx)
     kh, kw = draw(st.sampled_from((1, 3, 5))), draw(st.sampled_from((1, 3, 5)))
     padding = tuple(draw(st.integers(0, 3)) for _ in range(4))
     stride = draw(st.integers(1, 3))
     assume(ny + padding[0] + padding[1] >= kh and nx + padding[2] + padding[3] >= kw)
-    return active, Conv2DParams(np.zeros((1, 1, kh, kw)), np.zeros(1), padding, stride)
+    in_ch, out_ch = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    x = rng.normal(size=(in_ch, ny, nx)) * active
+    conv = Conv2DParams(rng.normal(size=(out_ch, in_ch, kh, kw)), rng.normal(size=out_ch), padding, stride)
+    return x, active, conv
 
 
-class TestBandLayout:
-    @given(layout_instances())
-    @settings(max_examples=200, deadline=None)
-    def test_bands_compute_exactly_the_outputs_that_read_an_active_cell(self, instance):
-        active, conv = instance
+class TestConv2DCells:
+    @given(sparse_conv_instances())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_oracle_and_leaves_unread_outputs_at_the_bias(self, instance):
+        x, active, conv = instance
+        cells = np.flatnonzero(active)
+        got = conv2d_cells(cells, x.reshape(x.shape[0], -1)[:, cells].T, active.shape, conv)
+        want = conv2d_naive(x, conv.weights, conv.bias, conv.padding, conv.stride)
+        assert scaled_error(got, want) < 1e-12
+        # outputs whose receptive field holds no active cell are the bias, bit for bit
         _, _, kh, kw = conv.weights.shape
         pt, pb, pl, pr = conv.padding
         s = conv.stride
         padded = np.pad(active, ((pt, pb), (pl, pr)))
-        out_h = (padded.shape[0] - kh) // s + 1
-        out_w = (padded.shape[1] - kw) // s + 1
         reads = np.array(
-            [[padded[oy * s : oy * s + kh, ox * s : ox * s + kw].any() for ox in range(out_w)] for oy in range(out_h)]
-        ).reshape(out_h, out_w)
-        layout = band_layout(active, conv)
-        assert layout.out_shape == (out_h, out_w)
-        computed = np.zeros((out_h, out_w), dtype=int)
-        for (y0, y1), (x0, x1), (r0, r1), (c0, c1) in layout.bands:
-            computed[r0:r1, c0:c1] += 1
-            # a band's rows lie in one slot of BAND_ROWS rows and its window
-            # is exactly what its outputs read
-            assert r0 // BAND_ROWS == (r1 - 1) // BAND_ROWS
-            assert (y0, y1) == (r0 * s - pt, (r1 - 1) * s - pt + kh)
-            assert (x0, x1) == (c0 * s - pl, (c1 - 1) * s - pl + kw)
-            # cropped to the first and last row and column that read a cell
-            assert reads[r0].any() and reads[r1 - 1].any()
-            assert reads[r0:r1, c0].any() and reads[r0:r1, c1 - 1].any()
-        assert computed.max(initial=0) <= 1
-        assert np.all(computed[reads] == 1)
+            [[padded[oy * s : oy * s + kh, ox * s : ox * s + kw].any() for ox in range(got.shape[2])] for oy in range(got.shape[1])]
+        ).reshape(got.shape[1:])
+        assert np.all(got[:, ~reads] == conv.bias[:, None])
+
+    def test_kernel_larger_than_the_padded_grid_is_rejected(self):
+        conv = Conv2DParams(np.ones((1, 2, 5, 3)), np.zeros(1), (1, 1, 0, 0))
+        with pytest.raises(ShapeError, match="padded input 4x3 smaller than kernel 5x3"):
+            conv2d_cells(np.array([0, 4]), np.ones((2, 2)), (2, 3), conv)
 
 
 def _edge_coordinates(extent: int) -> list[float]:
@@ -577,22 +564,22 @@ class TestValidation:
     def test_depth_volume_must_match_bins_and_feature_map(self, shape):
         f_pv, d_map, occupancy, grid, w2c, params = small_instance(0)
         with pytest.raises(ShapeError, match="depth volume shape"):
-            sample_bands(
+            sample_cells(
                 f_pv, np.full(shape, 0.2), d_map.spec, d_map.stride, occupancy.data, grid, K, w2c,
-                params.post_convs[0],
+                params.post_convs[0].in_channels,
             )
 
     @pytest.mark.parametrize("behind_camera", [False, True])
     def test_first_conv_must_take_the_sampled_channels(self, behind_camera):
         # checked before sampling, so a frustum that misses the grid, which
-        # leaves the first conv no band to run on, fails the same way
+        # leaves the first conv no sampled cell to read, fails the same way
         f_pv, d_map, occupancy, grid, w2c, params = small_instance(0)
         if behind_camera:
             grid = VoxelGridSpec(grid.x, grid.y, (-30.0, -10.0, grid.counts[0]))
         c, nz = f_pv.shape[0], grid.counts[0]
         wide = VTParams(
             params.occupancy_conv, params.depth_conv, params.embedding,
-            (identity_conv(2 * c * nz + 1), *params.post_convs[1:]),
+            (selection_conv(2 * c * nz + 1, c, offset=0), *params.post_convs[1:]),
         )
         with pytest.raises(ShapeError, match=f"sampled volume has {2 * c * nz} channels, weights expect {2 * c * nz + 1}"):
             sample_vt(f_pv, d_map, occupancy, grid, K, w2c, wide)
@@ -605,6 +592,18 @@ class TestValidation:
                 depth_conv=Conv2DParams.same(np.zeros((4, 2, 1, 1)), np.zeros(4)),
                 embedding=LinearParams(np.zeros((2, 9)), np.zeros(2)),
                 post_convs=(identity_conv(2), identity_conv(2)),
+            )
+
+    @pytest.mark.parametrize("wide", [1, 2])
+    def test_post_conv_stack_must_chain(self, wide):
+        post_convs = [identity_conv(2), identity_conv(2), identity_conv(2)]
+        post_convs[wide] = selection_conv(3, 2, offset=0)
+        with pytest.raises(ShapeError, match=rf"post_convs\[{wide}\] takes 3 channels, post_convs\[{wide - 1}\] gives 2"):
+            VTParams(
+                occupancy_conv=Conv2DParams.same(np.zeros((2, 2, 1, 1)), np.zeros(2)),
+                depth_conv=Conv2DParams.same(np.zeros((4, 2, 1, 1)), np.zeros(4)),
+                embedding=LinearParams(np.zeros((2, 9)), np.zeros(2)),
+                post_convs=tuple(post_convs),
             )
 
     def test_embedding_width_enforced(self):
