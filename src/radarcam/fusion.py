@@ -5,7 +5,9 @@ The attention fusion predicts per-modality channel weights from globally
 pooled mixed features (shared MLP over average and max pooling, one MLP per
 modality) and per-modality spatial weight maps from channel statistics of
 the mixed channel-attended features. Both gates are sigmoids, so every
-weight lies strictly inside (0, 1) for finite inputs.
+weight lies in [0, 1]: in float64 a sigmoid rounds to exactly 1 for logits
+above about 37 (``sigmoid(40.0) == 1.0``) and to exactly 0 below about -745
+(``sigmoid(-746.0) == 0.0``).
 """
 
 from __future__ import annotations

@@ -190,14 +190,11 @@ def softmax(x: np.ndarray, axis: int) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Elementwise logistic function, stable for large |x|."""
+    """Elementwise logistic function, stable for large |x|: exp only ever
+    sees -|x|, so it cannot overflow."""
     x = _as_f64(x)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def global_pool(x: np.ndarray, mode: str) -> np.ndarray:

@@ -12,13 +12,17 @@ mixed by a conv stack.
 Only voxels in front of the camera with an in-image bilinear corner sample
 anything: the camera frustum, about 42% of the BEV cells at the benchmark's
 largest size. Every other cell of the volume is zero, so the volume is never
-built whole: each frustum voxel is sampled once, and the sampled cells are
-kept as one (M, 2*C*Z) row each. The first conv is linear, so it runs on
-those rows alone as a sparse convolution (arXiv 1711.10275): one GEMM gives
-every kernel tap's products at every cell, each tap's products are added at
-the outputs that read the cell through it, and the bias comes last. An
-output that reads no sampled cell is exactly the bias. The other convs run
-densely.
+built whole: every voxel of the M cells that hold a frustum voxel is
+gathered, cell-major then height, and the gather's output is then the first
+conv's (M, Z*2*C) GEMM rows in (z, half, c) order, with no copy or scatter.
+A voxel of such a cell outside the frustum reads no map and samples exact
+zeros. The first conv's input channels are permuted once to the rows'
+order, and as the conv is linear it runs on those rows alone as a sparse
+convolution (arXiv 1711.10275): one GEMM gives every kernel tap's products
+at every cell, each tap's products are added at a constant shift into a
+stride-1 accumulator with a margin, the accumulator is cropped and
+subsampled by the stride, and the bias comes last. An output that reads no
+sampled cell is exactly the bias. The other convs run densely.
 
 Sampling uses the pixel-center convention: the center of pixel (row i,
 col j) sits at continuous coordinate (u=j, v=i), depth bin k's midpoint at
@@ -30,7 +34,7 @@ map plus one trailing zero cell, and per-corner weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -295,10 +299,13 @@ def sample_cells(
     """The sampled volume at the BEV cells that hold a sampled voxel.
 
     Returns the raveled (Y, X) indices of those cells in ascending order and
-    their (M, 2*C*Z) rows of the (2*C*Z, Y, X) sampled volume: depth-gated
-    half first, channel c's Z heights together. Every other cell of the
-    volume is zero. ``in_channels``, the first conv's input width, must be
-    2*C*Z; it is checked before anything is sampled.
+    their (M, Z*2*C) rows in (z, half, c) order: each height's depth-gated
+    then occupancy-gated features. Every voxel of such a cell is gathered,
+    cell-major then height, so the gather's (M*Z, 2, C) output is the rows
+    with no copy; a voxel outside the frustum reads every corner off both
+    maps and so samples exact zeros. Every other cell of the volume is zero.
+    ``in_channels``, the first conv's input width, must be 2*C*Z; it is
+    checked before anything is sampled.
     """
     f_pv = np.asarray(f_pv, dtype=np.float64)
     if f_pv.ndim != 3:
@@ -315,50 +322,52 @@ def sample_cells(
         raise ShapeError(f"sampled volume has {2 * c * nz} channels, weights expect {in_channels}")
     u, v, depth, valid = project_voxel_centers(grid, intrinsics, world_to_camera, stride)
     # voxels in front of the camera with at least one in-image bilinear corner
-    inside = (valid & (u >= -1) & (u < w) & (v >= -1) & (v < h)).reshape(nz, ny * nx)
-    cells = np.flatnonzero(inside.any(axis=0))
-    # the sampled voxels by BEV cell, then height
-    cell, z = np.nonzero(inside.T)
-    voxel = z * (ny * nx) + cell
-    b = depth_to_bin_coordinate(depth[voxel], bins)
-    gathered = gather_gated(f_pv, depth_volume, occupancy.reshape(-1)[voxel], u[voxel], v[voxel], b)
-    rows = np.zeros((cells.size, 2, c, nz), dtype=np.float64)
-    rows[np.searchsorted(cells, cell), :, :, z] = gathered
-    return cells, rows.reshape(cells.size, 2 * c * nz)
+    inside = valid & (u >= -1) & (u < w) & (v >= -1) & (v < h)
+    cells = np.flatnonzero(inside.reshape(nz, ny * nx).any(axis=0))
+    # every voxel of those cells, by cell, then height
+    voxel = (cells[:, None] + np.arange(nz) * (ny * nx)).reshape(-1)
+    keep = inside[voxel]
+    # -2 puts both corners of every axis off the maps, so no coordinate of a
+    # voxel behind the camera or at an infinite pixel reaches the gather
+    u, v = np.where(keep, u[voxel], -2.0), np.where(keep, v[voxel], -2.0)
+    b = np.where(keep, depth_to_bin_coordinate(depth[voxel], bins), -2.0)
+    gathered = gather_gated(f_pv, depth_volume, np.where(keep, occupancy.reshape(-1)[voxel], 0.0), u, v, b)
+    return cells, gathered.reshape(cells.size, nz * 2 * c)
 
 
 def conv2d_cells(cells: np.ndarray, rows: np.ndarray, shape: tuple[int, int], conv: Conv2DParams) -> np.ndarray:
     """:func:`conv2d` of a (C_in, Y, X) map that is zero off ``cells``.
 
     ``cells`` holds raveled (Y, X) indices and ``rows`` their (M, C_in)
-    inputs. One GEMM gives every kernel tap's (C_out, M) products. The tap
-    (ky, kx) of the cell at (y, x) reaches output ((y + pt - ky) / s,
-    (x + pl - kx) / s) where both divide evenly and land in range; the taps
-    are added in :func:`conv2d`'s order and the bias last. An output that
-    reads no cell is therefore exactly the bias. The products come from a
-    GEMM of another shape than :func:`conv2d`'s, so results agree with it to
-    rounding, not bit for bit.
+    inputs. One GEMM gives every kernel tap's (C_out, M) products. They are
+    added at stride 1 into a flat accumulator laid out like :func:`conv2d`'s,
+    Wp columns a row, behind a margin of kh - 1 rows and kw - 1 columns: the
+    tap (ky, kx) of every cell lands at the cell's padded flat index minus
+    ky * Wp + kx, so each tap is one shifted add with no mask. A product that
+    falls off the left edge wraps into the straddling columns that the crop
+    drops, and one that falls above the top into the margin. The result is
+    cropped, subsampled by the stride and the bias added last, as in
+    :func:`conv2d`; an output that reads no cell is therefore exactly the
+    bias. The products come from a GEMM of another shape than
+    :func:`conv2d`'s, so results agree with it to rounding, not bit for bit.
     """
     ny, nx = shape
     out_ch, in_ch, kh, kw = conv.weights.shape
     pt, pb, pl, pr = conv.padding
-    s = conv.stride
     hp, wp = ny + pt + pb, nx + pl + pr
     if hp < kh or wp < kw:
         raise ShapeError(f"padded input {hp}x{wp} smaller than kernel {kh}x{kw}")
-    out_h, out_w = (hp - kh) // s + 1, (wp - kw) // s + 1
+    out_h, out_w = hp - kh + 1, wp - kw + 1
     products = conv.weights.transpose(2, 3, 0, 1).reshape(kh * kw * out_ch, in_ch) @ rows.T
-    y, x = np.divmod(cells, nx)
-    acc = np.zeros((out_ch, out_h * out_w), dtype=np.float64)
+    margin = (kh - 1) * wp + kw - 1
+    dest = cells + (cells // nx) * (pl + pr) + (margin + pt * wp + pl)
+    acc = np.zeros((out_ch, margin + hp * wp), dtype=np.float64)
     for ky in range(kh):
-        oy, ry = np.divmod(y + pt - ky, s)
         for kx in range(kw):
-            ox, rx = np.divmod(x + pl - kx, s)
-            hit = np.flatnonzero((ry == 0) & (rx == 0) & (oy >= 0) & (oy < out_h) & (ox >= 0) & (ox < out_w))
             tap = (ky * kw + kx) * out_ch
-            acc[:, oy[hit] * out_w + ox[hit]] += products[tap : tap + out_ch, hit]
-    acc += conv.bias[:, None]
-    return acc.reshape(out_ch, out_h, out_w)
+            acc[:, dest - (ky * wp + kx)] += products[tap : tap + out_ch]
+    out = acc[:, margin : margin + out_h * wp].reshape(out_ch, out_h, wp)
+    return out[:, :: conv.stride, : out_w : conv.stride] + conv.bias[:, None, None]
 
 
 def sample_vt(
@@ -374,14 +383,20 @@ def sample_vt(
 
     Returns the (C, Y, X) BEV feature map produced by running the sampled
     volume through the three-convolution mixing stack; the first conv reads
-    the sampled cells alone.
+    the sampled cells alone, its input channels permuted from the volume's
+    (half, c, z) order to the rows' (z, half, c) order.
     """
     first, *rest = params.post_convs
     cells, rows = sample_cells(
         f_pv, d_map.data, d_map.spec, d_map.stride, occupancy.data,
         grid, intrinsics, world_to_camera, first.in_channels,
     )
-    out = conv2d_cells(cells, rows, grid.counts[1:], first)
+    nz, ny, nx = grid.counts
+    out_ch, _, kh, kw = first.weights.shape
+    weights = first.weights.reshape(out_ch, 2, -1, nz, kh, kw).transpose(0, 3, 1, 2, 4, 5)
+    first = replace(first, weights=weights.reshape(first.weights.shape))
+    out = conv2d_cells(cells, rows, (ny, nx), first)
+    del rows  # freed before the dense convs allocate
     for conv in rest:
         out = conv2d(out, conv)
     return out

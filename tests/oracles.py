@@ -1,7 +1,8 @@
 """Independent brute-force reference implementations used only by tests.
 
 These deliberately avoid the vectorized code paths they verify: the
-convolution oracle is six nested loops, the scalar samplers read one point's
+convolution oracle is six nested loops, the sigmoid oracle splits its input
+by boolean masks, the scalar samplers read one point's
 corners at a time, the view-transformation oracle walks voxels one at a time
 through those samplers, the depth-loss oracle scores one target's disk at a
 time, the target-build oracle projects one radar point at a time in plain
@@ -56,6 +57,18 @@ def conv2d_naive(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
                             if 0 <= yy < h and 0 <= xx < w:
                                 acc += weights[o, i, ky, kx] * x[i, yy, xx]
                 out[o, oy, ox] = acc + bias[o]
+    return out
+
+
+def sigmoid_two_branch(x: np.ndarray) -> np.ndarray:
+    """Logistic function by boolean masks: 1 / (1 + exp(-x)) where x >= 0,
+    exp(x) / (1 + exp(x)) elsewhere."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
     return out
 
 

@@ -1,5 +1,6 @@
 """Tests for the dense numeric primitives."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,9 @@ from radarcam.tensor_ops import (
     softmax,
 )
 
-from oracles import bilinear_reference, bilinear_sample, conv2d_naive, trilinear_sample
+from oracles import bilinear_reference, bilinear_sample, conv2d_naive, sigmoid_two_branch, trilinear_sample
+
+SIGMOID_SPECIALS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 40.0, -746.0)
 
 
 class TestConv2D:
@@ -204,6 +207,23 @@ class TestSigmoid:
     def test_symmetry(self, x):
         pair = sigmoid(np.array([x, -x]))
         assert pair.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @given(st.lists(st.one_of(st.floats(-800, 800), st.sampled_from(SIGMOID_SPECIALS)), max_size=20))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_two_branch_oracle_bitwise(self, xs):
+        x = np.array(xs, dtype=np.float64)
+        got, want = sigmoid(x), sigmoid_two_branch(x)
+        assert got.shape == want.shape
+        # NaN stays NaN (its sign bit is not part of the contract); every other
+        # value matches bit for bit, the sign of zero included
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+        keep = ~np.isnan(want)
+        np.testing.assert_array_equal(got[keep].view(np.int64), want[keep].view(np.int64))
+
+    def test_saturates_to_the_closed_unit_interval_in_float64(self):
+        # the gates of attention fusion reach both ends of [0, 1]
+        assert sigmoid(np.array(40.0)) == 1.0
+        assert sigmoid(np.array(-746.0)) == 0.0
 
 
 class TestPooling:

@@ -1,6 +1,7 @@
 """Tests for occupancy, depth-distribution estimation and the sampling VT."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -279,12 +280,19 @@ def cells_of(f_pv, d_map, occupancy, grid, intrinsics, w2c, params):
     )
 
 
-def assert_cells_equal_volume(cells, rows, volume):
-    """The rows equal ``volume``'s columns at ``cells`` bit for bit, and the
-    volume is exactly zero at every other cell."""
+def halves(rows, nz):
+    """The (M, Z, 2, C) view of (M, Z*2*C) rows: height, then gating half."""
+    return rows.reshape(rows.shape[0], nz, 2, -1)
+
+
+def assert_cells_equal_volume(cells, rows, volume, nz):
+    """The rows equal ``volume``'s columns at ``cells`` bit for bit, once
+    permuted from the volume's (half, c, z) channels to the rows' (z, half,
+    c), and the volume is exactly zero at every other cell."""
     flat = volume.reshape(volume.shape[0], -1)
     assert np.all(np.diff(cells) > 0)
-    np.testing.assert_array_equal(rows, flat[:, cells].T)
+    want = flat[:, cells].T.reshape(cells.size, 2, -1, nz).transpose(0, 3, 1, 2)
+    np.testing.assert_array_equal(halves(rows, nz), want)
     assert not np.any(np.delete(flat, cells, axis=1))
 
 
@@ -333,14 +341,13 @@ class TestSampleVT:
 
     def test_gating_halves_behave_independently(self):
         f_pv, d_map, occupancy, grid, w2c, params = small_instance(5)
-        c = f_pv.shape[0]
         nz = grid.counts[0]
         zero_occ = OccupancyGrid(np.zeros_like(occupancy.data))
         cells, rows = cells_of(f_pv, d_map, zero_occ, grid, K, w2c, params)
         assert cells.size
         # occupancy half is identically zero, depth half is not
-        assert np.max(np.abs(rows[:, c * nz :])) == 0.0
-        assert np.max(np.abs(rows[:, : c * nz])) > 0.0
+        assert np.max(np.abs(halves(rows, nz)[:, :, 1])) == 0.0
+        assert np.max(np.abs(halves(rows, nz)[:, :, 0])) > 0.0
         cells, rows = sample_cells(
             f_pv, np.zeros_like(d_map.data), d_map.spec, d_map.stride, zero_occ.data, grid, K, w2c,
             params.post_convs[0].in_channels,
@@ -350,7 +357,6 @@ class TestSampleVT:
 
     def test_occupancy_scaling_is_exactly_linear(self):
         f_pv, d_map, occupancy, grid, w2c, params = small_instance(6)
-        c = f_pv.shape[0]
         nz = grid.counts[0]
         alpha = 0.37
         base_cells, base = cells_of(f_pv, d_map, occupancy, grid, K, w2c, params)
@@ -358,8 +364,32 @@ class TestSampleVT:
         cells, scaled = cells_of(f_pv, d_map, scaled_occ, grid, K, w2c, params)
         assert base_cells.size
         np.testing.assert_array_equal(cells, base_cells)
-        np.testing.assert_array_equal(scaled[:, : c * nz], base[:, : c * nz])
-        np.testing.assert_allclose(scaled[:, c * nz :], alpha * base[:, c * nz :], atol=1e-15)
+        base, scaled = halves(base, nz), halves(scaled, nz)
+        np.testing.assert_array_equal(scaled[:, :, 0], base[:, :, 0])
+        np.testing.assert_allclose(scaled[:, :, 1], alpha * base[:, :, 1], atol=1e-15)
+
+    def test_voxels_behind_the_camera_or_at_an_infinite_pixel_sample_zero(self):
+        # one cell, three heights: the camera's depth axis is the grid's z,
+        # tilted by a subnormal angle, so the z = -1 voxel sits behind the
+        # camera, the z = 0 voxel at a subnormal depth whose pixel overflows
+        # to infinity, and the z = 1 voxel inside the image
+        f_pv, d_map, occupancy, _, _, params = small_instance(9, grid_counts=(3, 1, 1))
+        grid = VoxelGridSpec((0.0, 0.5, 1), (0.0, 0.5, 1), (-1.5, 1.5, 3))
+        tilt = 1e-310
+        w2c = RigidTransform(np.array([[1.0, 0.0, -tilt], [0.0, 1.0, 0.0], [tilt, 0.0, 1.0]]), np.zeros(3))
+        u, v, depth, valid = project_voxel_centers(grid, K, w2c, d_map.stride)
+        assert valid.tolist() == [False, True, True] and np.isinf(u[1]) and np.isinf(v[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cells, rows = cells_of(f_pv, d_map, occupancy, grid, K, w2c, params)
+            out = sample_vt(f_pv, d_map, occupancy, grid, K, w2c, params)
+        assert cells.tolist() == [0] and np.all(np.isfinite(out))
+        by_height = halves(rows, 3)[0]
+        np.testing.assert_array_equal(by_height[:2], np.zeros_like(by_height[:2]))
+        b = depth_to_bin_coordinate(depth[2:], d_map.spec)
+        want = gather_gated(f_pv, d_map.data, occupancy.data.reshape(-1)[2:], u[2:], v[2:], b)
+        assert np.any(want)
+        np.testing.assert_array_equal(by_height[2], want[0])
 
     def test_projection_consistency_with_scalar_path(self):
         _, d_map, _, grid, w2c, _ = small_instance(7)
@@ -384,7 +414,7 @@ class TestSampleVT:
         cells, rows = cells_of(f_pv, d_map, occupancy, grid, K, w2c, params)
         want = sample_volume_reference(f_pv, d_map, occupancy, grid, K, w2c)
         assert 0 < np.count_nonzero(np.abs(want).sum(axis=0)) < grid.counts[1] * grid.counts[2]
-        assert_cells_equal_volume(cells, rows, want)
+        assert_cells_equal_volume(cells, rows, want, grid.counts[0])
 
     @pytest.mark.parametrize("yaw_deg", [0.0, 30.0])
     def test_frustum_cells_equal_per_voxel_reference_bitwise(self, yaw_deg):
@@ -394,7 +424,7 @@ class TestSampleVT:
         # the frustum leaves whole rows of the grid without a sampled cell
         _, ny, nx = args[3].counts
         assert 0 < len(np.unique(cells // nx)) < ny
-        assert_cells_equal_volume(cells, rows, want)
+        assert_cells_equal_volume(cells, rows, want, args[3].counts[0])
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_per_voxel_reference(self, seed):
