@@ -333,11 +333,17 @@ class _Selection(NamedTuple):
 
 
 def _select_in_disks(
-    table: np.ndarray, shape: tuple[int, int], strategy: str, agg: str, cost_at
-) -> _Selection:
-    """For every (u, v, d_gt, radius) row, the pixel of its disk whose
-    ``cost_at(rows, uu, vv)`` is lowest (``agg="min"``) or highest; ties go
-    to the first candidate in row-major order. One-to-one uses radius 0.
+    table: np.ndarray, shape: tuple[int, int], picks: tuple[tuple[str, str], ...], cost_at
+) -> tuple[_Selection, ...]:
+    """For every (u, v, d_gt, radius) row, one selection per (strategy, agg)
+    pick: the pixel of its disk whose ``cost_at(rows, uu, vv)`` is lowest
+    (``agg="min"``) or highest, ties going to the first candidate in
+    row-major order; or, under one-to-one, the struck pixel itself.
+
+    The candidates are scored once for all picks: each target's one-to-many
+    disk when any pick is one-to-many, else the struck pixel alone. A
+    one-to-one pick reads the disk's centre candidate; ``cost_at`` is
+    elementwise, so that cost is the one the pixel alone would get.
 
     Targets are scored in groups of equal stencil half-width (the floor of
     the radius, clipped to the map). A group's stencil is the
@@ -347,30 +353,41 @@ def _select_in_disks(
     """
     _check_target_table(table, shape)
     height, width = shape
-    radius = table[:, 3] if strategy == "one-to-many" else np.zeros(len(table))
+    many = any(strategy == "one-to-many" for strategy, _ in picks)
+    radius = table[:, 3] if many else np.zeros(len(table))
     halves = np.minimum(np.floor(radius), max(shape) - 1).astype(np.intp)
-    sign = 1.0 if agg == "min" else -1.0
-    u_sel, v_sel, count, cost = (np.zeros(len(table), t) for t in (np.intp, np.intp, np.intp, float))
-    groups = []
+    selections = [
+        _Selection(*(np.zeros(len(table), t) for t in (np.intp, np.intp, float, np.intp)), [])
+        for _ in picks
+    ]
     for half in np.unique(halves).tolist():
         rows = np.flatnonzero(halves == half)
         size = 2 * half + 1
         du, dv = (np.array(neighborhood_pixels(half, half, radius[rows].max(), size, size)) - half).T
+        # A disk is point-symmetric, so its centre is its middle candidate.
+        centre = len(du) // 2
         u, v, r = table[rows, 0:1].astype(np.intp), table[rows, 1:2].astype(np.intp), radius[rows, None]
         uu, vv = u + du, v + dv
         mask = (du * du + dv * dv <= r * r) & (0 <= uu) & (uu < width) & (0 <= vv) & (vv < height)
         uu, vv = np.where(mask, uu, u), np.where(mask, vv, v)
-        costs = np.where(mask, sign * cost_at(rows, uu, vv), np.inf)
+        raw = cost_at(rows, uu, vv)
         at = np.arange(len(rows))
-        pick = np.argmin(costs, axis=1)
-        # The pick lands off the disk only when every candidate costs +inf;
-        # the disk's first candidate then wins, as in any other tie.
-        pick = np.where(mask[at, pick], pick, np.argmax(mask, axis=1))
-        u_sel[rows], v_sel[rows] = uu[at, pick], vv[at, pick]
-        cost[rows] = sign * costs[at, pick]
-        count[rows] = mask.sum(axis=1)
-        groups.append(costs)
-    return _Selection(u_sel, v_sel, cost, count, tuple(groups))
+        for (strategy, agg), sel in zip(picks, selections):
+            sign = 1.0 if agg == "min" else -1.0
+            if strategy == "one-to-one":
+                costs = sign * raw[:, centre : centre + 1]
+                sel.u[rows], sel.v[rows], sel.cost[rows], sel.count[rows] = u[:, 0], v[:, 0], raw[:, centre], 1
+            else:
+                costs = np.where(mask, sign * raw, np.inf)
+                pick = np.argmin(costs, axis=1)
+                # The pick lands off the disk only when every candidate costs
+                # +inf; the disk's first candidate then wins, as in any other tie.
+                pick = np.where(mask[at, pick], pick, np.argmax(mask, axis=1))
+                sel.u[rows], sel.v[rows] = uu[at, pick], vv[at, pick]
+                sel.cost[rows] = sign * costs[at, pick]
+                sel.count[rows] = mask.sum(axis=1)
+            sel.costs.append(costs)
+    return tuple(sel._replace(costs=tuple(sel.costs)) for sel in selections)
 
 
 def _loss_selection(depth_map, targets, spec: DepthBinSpec, cfg: LossConfig):
@@ -389,7 +406,7 @@ def _loss_selection(depth_map, targets, spec: DepthBinSpec, cfg: LossConfig):
         p_gt = depth_map[nearest_bin(d_gt, spec), vv, uu]
         return _depth_loss(p_gt, expectation[vv, uu], d_gt, cfg)
 
-    sel = _select_in_disks(table, shape, cfg.strategy, cfg.neighborhood_agg, cost_at)
+    (sel,) = _select_in_disks(table, shape, ((cfg.strategy, cfg.neighborhood_agg),), cost_at)
     return depth_map, table, expectation, sel
 
 

@@ -13,7 +13,8 @@ Layout, all little-endian:
 Arrays are stored in single precision on disk; :func:`read_tensor` promotes
 to float64 because all in-memory computation runs in double precision.
 Zero-size dimensions are permitted (an empty target table is a valid file).
-Non-finite values are refused in both directions.
+Non-finite values are refused in both directions, and so are values that
+overflow float32 when written.
 """
 
 from __future__ import annotations
@@ -38,23 +39,28 @@ class TensorFormatError(ValueError):
 
 
 def write_tensor(path: str | Path, array: np.ndarray) -> None:
-    """Serialize ``array`` to ``path``, casting the payload to float32."""
+    """Serialize ``array`` to ``path``, casting the payload to float32.
+
+    Nothing is written when a value is NaN, infinite or beyond the float32
+    range."""
     arr = np.asarray(array, dtype=np.float64)
     if arr.ndim < 1 or arr.ndim > 255:
         raise TensorFormatError(f"rank {arr.ndim} outside the supported 1..255 range")
-    arr = np.ascontiguousarray(arr)
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise TensorFormatError("refusing to write non-finite values")
     for dim in arr.shape:
         if dim > 0xFFFFFFFF:
             raise TensorFormatError(f"dimension {dim} does not fit in uint32")
+    # A finite value beyond the float32 range casts to +-inf, so one check
+    # of the cast payload refuses NaN, infinities and overflow alike.
+    with np.errstate(over="ignore"):
+        payload = np.ascontiguousarray(arr, dtype="<f4")
+    if not np.isfinite(payload).all():
+        raise TensorFormatError("refusing to write values that are non-finite or outside the float32 range")
     header = _HEADER.pack(MAGIC, VERSION, DTYPE_FLOAT32, arr.ndim)
     dims = struct.pack(f"<{arr.ndim}I", *arr.shape)
-    payload = arr.astype("<f4").tobytes(order="C")
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(dims)
-        fh.write(payload)
+        fh.write(payload.tobytes())
 
 
 def read_tensor(path: str | Path) -> np.ndarray:

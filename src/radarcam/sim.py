@@ -10,11 +10,15 @@ single compromise radius, which in turn beats supervising only the struck
 pixel.
 
 The experiment is array-first across seeds. Each seed draws its scene and
-its (N, 4) radar returns; each arm then scores every seed at once, with one
-target table and one neighbourhood selection, and the per-seed metrics are
-read from each seed's slice of the result. True depth is not rendered as a
-map: the selection looks it up at its candidate pixels from the scenes'
-projected object boxes (:func:`true_depth_at`), one object at a time.
+its (N, 4) radar returns. The arms are grouped by radius settings and RCS
+use, which fix the target table; each group scores every seed at once, with
+one target table and one neighbourhood selection whose candidate costs
+serve all of its (strategy, agg) picks. A one-to-one pick reads the centre
+of each target's disk. The per-seed metrics are read from each seed's slice
+of the result. True depth is not rendered as a map: the selection looks it
+up at its candidate pixels from the scenes' projected object boxes
+(:func:`true_depth_at`), one object at a time. All orderings are
+bootstrapped over one resample index.
 
 Results are bit-identical to drawing and scoring one seed at a time:
 
@@ -29,6 +33,10 @@ Results are bit-identical to drawing and scoring one seed at a time:
   ``log10``) stays in :mod:`math` on Python floats: NumPy's vectorised
   versions differ from libm in the last bit on some inputs.
 - A seed's mean depth error is ``np.mean`` over its own slice, as before.
+- A one-to-one pick's cost is its disk's centre candidate: the cost is
+  elementwise, so it equals the struck pixel's cost scored alone.
+- Every ordering's resamples are one ``bootstrap_seed`` draw, the same
+  draw each ordering made on its own.
 """
 
 from __future__ import annotations
@@ -318,32 +326,35 @@ def evaluate_supervision(
     points,
     bins: DepthBinSpec,
     radius_cfg: RadiusConfig,
-    strategy: str,
-    agg: str = "min",
-) -> tuple[SupervisionMetrics, ...]:
-    """Score each scene's depth targets against its true depth.
+    picks: tuple[tuple[str, str], ...],
+) -> tuple[tuple[SupervisionMetrics, ...], ...]:
+    """Score each scene's depth targets against its true depth, once per
+    (strategy, agg) pick.
 
     ``points`` holds one (N, 4) array of radar returns (x, y, z, rcs_dbsm)
     per scene; a NaN RCS is absent and the radius then falls back to
     ``radius_cfg.fixed_r``. The scenes share one calibration and stride, and
-    all of them are scored in one target table and one selection.
+    all of them are scored in one target table and one selection, whose
+    candidates serve every pick.
 
-    Each target selects the neighborhood pixel whose true depth is closest
-    to its measured depth (``agg="min"``; ``"max"`` selects the farthest,
-    modeling worst-pixel aggregation), or the struck pixel itself under the
-    one-to-one strategy. A target hits when the selected pixel's true depth
-    lies within half a bin of the measured depth; the mean absolute error is
-    reported over targets whose selected pixel sees any object at all. The
-    metrics come back one per scene, in scene order.
+    Under a one-to-many pick each target selects the neighborhood pixel
+    whose true depth is closest to its measured depth (``agg="min"``;
+    ``"max"`` selects the farthest, modeling worst-pixel aggregation); under
+    one-to-one it reads the struck pixel, the centre of its disk. A target
+    hits when the selected pixel's true depth lies within half a bin of the
+    measured depth; the mean absolute error is reported over targets whose
+    selected pixel sees any object at all. The metrics come back one tuple
+    per pick, in pick order, each holding one row per scene in scene order.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if agg not in AGGREGATIONS:
-        raise ValueError(f"unknown aggregation {agg!r}")
+    for strategy, agg in picks:
+        if strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {strategy!r}")
+        if agg not in AGGREGATIONS:
+            raise ValueError(f"unknown aggregation {agg!r}")
     if len(scenes) != len(points):
         raise ValueError(f"need one point array per scene, got {len(points)} for {len(scenes)} scenes")
     if not scenes:
-        return ()
+        return tuple(() for _ in picks)
     calib, stride = scenes[0].calibration, scenes[0].stride
     for scene in scenes:
         same_calibration = scene.calibration is calib or scene.calibration.to_dict() == calib.to_dict()
@@ -363,13 +374,16 @@ def evaluate_supervision(
         return np.abs(cost, out=cost)
 
     shape = (calib.image_height // stride, calib.image_width // stride)
-    err = _select_in_disks(table, shape, strategy, agg, cost_at).cost
     counts = np.bincount(scene_of, minlength=len(scenes)).tolist()
-    hits = np.bincount(scene_of[err <= bins.bin_width / 2.0], minlength=len(scenes)).tolist()
     out = []
-    for n, hit, seed_err in zip(counts, hits, np.split(err, np.cumsum(counts)[:-1])):
-        seen = seed_err[np.isfinite(seed_err)]
-        out.append(SupervisionMetrics(hit / n if n else 0.0, float(np.mean(seen)) if seen.size else 0.0, n))
+    for sel in _select_in_disks(table, shape, picks, cost_at):
+        err = sel.cost
+        hits = np.bincount(scene_of[err <= bins.bin_width / 2.0], minlength=len(scenes)).tolist()
+        metrics = []
+        for n, hit, seed_err in zip(counts, hits, np.split(err, np.cumsum(counts)[:-1])):
+            seen = seed_err[np.isfinite(seed_err)]
+            metrics.append(SupervisionMetrics(hit / n if n else 0.0, float(np.mean(seen)) if seen.size else 0.0, n))
+        out.append(tuple(metrics))
     return tuple(out)
 
 
@@ -435,6 +449,9 @@ class ExperimentConfig:
             for name in (better, worse):
                 if name not in names:
                     raise ValueError(f"ordering {better!r} >= {worse!r} names unknown arm {name!r}")
+        if self.orderings and self.num_seeds < 2:
+            # One seed's bootstrap returns the gap itself as its lower bound.
+            raise ValueError(f"num_seeds must be at least 2 to bootstrap orderings, got {self.num_seeds}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -479,18 +496,28 @@ class SeedResult:
     metrics: SupervisionMetrics
 
 
-def bootstrap_gap(
-    a: np.ndarray, b: np.ndarray, n_samples: int, seed: int
-) -> tuple[float, float]:
-    """Paired bootstrap of mean(a - b): returns (mean gap, one-sided 95% lower bound)."""
+def bootstrap_index(size: int, n_samples: int, seed: int) -> np.ndarray:
+    """The (n_samples, size) resample index of a paired bootstrap over
+    ``size`` pairs, drawn from ``seed``."""
+    if n_samples < 1:
+        raise ValueError(f"the bootstrap needs at least 1 sample, got {n_samples}")
+    return np.random.default_rng(seed).integers(0, size, size=(n_samples, size))
+
+
+def bootstrap_gap(a: np.ndarray, b: np.ndarray, index: np.ndarray) -> tuple[float, float]:
+    """Paired bootstrap of mean(a - b) over the resamples of ``index`` (one
+    row of pair indices per resample, see :func:`bootstrap_index`): returns
+    (mean gap, one-sided 95% lower bound)."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1 or a.size == 0:
         raise ValueError("paired bootstrap needs two equal-length non-empty vectors")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("paired bootstrap needs finite values")
+    if index.ndim != 2 or index.shape[0] < 1 or index.shape[1] != a.size:
+        raise ValueError(f"resample index must be (n_samples >= 1, {a.size}), got shape {index.shape}")
     diffs = a - b
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, diffs.size, size=(n_samples, diffs.size))
-    samples = diffs[idx].mean(axis=1)
+    samples = diffs[index].mean(axis=1)
     return float(diffs.mean()), float(np.percentile(samples, 5.0))
 
 
@@ -501,26 +528,33 @@ class ExperimentResult:
 
 
 def _evaluate_arms(cfg: ExperimentConfig, seeds: range) -> dict[str, tuple[SupervisionMetrics, ...]]:
-    """Per arm, one metrics row per seed. The scenes and returns are dropped
+    """Per arm, in arm order, one metrics row per seed. Arms of equal radius
+    settings and RCS use share one target table, and their distinct
+    (strategy, agg) picks one selection. The scenes and returns are dropped
     on return, before the bootstrap allocates its resamples."""
     scenes = [generate_scene(seed, cfg.n_objects, cfg.extents, cfg.calibration, cfg.stride) for seed in seeds]
     points = [simulate_radar(scene, replace(cfg.noise, seed=seed + 1)) for seed, scene in zip(seeds, scenes)]
     # Arms without RCS see the same returns with the RCS column absent (NaN).
     no_rcs = [np.column_stack((p[:, :3], np.full(len(p), np.nan))) for p in points]
-    return {
-        arm.name: evaluate_supervision(
-            scenes, points if arm.use_rcs else no_rcs, cfg.bins, arm.radius, arm.strategy, arm.agg
-        )
-        for arm in cfg.arms
-    }
+    groups: dict[tuple[RadiusConfig, bool], list[ExperimentArm]] = {}
+    for arm in cfg.arms:
+        groups.setdefault((arm.radius, arm.use_rcs), []).append(arm)
+    by_arm = {}
+    for (radius, use_rcs), arms in groups.items():
+        picks = tuple(dict.fromkeys((arm.strategy, arm.agg) for arm in arms))
+        scored = evaluate_supervision(scenes, points if use_rcs else no_rcs, cfg.bins, radius, picks)
+        by_pick = dict(zip(picks, scored))
+        by_arm.update({arm.name: by_pick[arm.strategy, arm.agg] for arm in arms})
+    return {arm.name: by_arm[arm.name] for arm in cfg.arms}
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Evaluate every arm over the seed range and summarize pairwise orderings.
 
-    Each seed draws its scene and its radar returns; each arm then scores
-    all seeds at once. The rows come out one per seed and arm, seeds in
-    increasing order.
+    Each seed draws its scene and its radar returns; each group of arms
+    with equal radius settings then scores all seeds at once. The rows come
+    out one per seed and arm, seeds in increasing order. Every ordering is
+    bootstrapped over one resample index.
     """
     seeds = range(cfg.seed_start, cfg.seed_start + cfg.num_seeds)
     by_arm = _evaluate_arms(cfg, seeds)
@@ -535,10 +569,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         }
 
     orderings = {}
+    index = bootstrap_index(cfg.num_seeds, cfg.bootstrap_samples, cfg.bootstrap_seed) if cfg.orderings else None
     for better, worse in cfg.orderings:
         a = np.array([m.hit_rate for m in by_arm[better]])
         b = np.array([m.hit_rate for m in by_arm[worse]])
-        gap, low = bootstrap_gap(a, b, cfg.bootstrap_samples, cfg.bootstrap_seed)
+        gap, low = bootstrap_gap(a, b, index)
         orderings[f"{better}>={worse}"] = {
             "gap_mean": gap,
             "gap_ci95_low": low,

@@ -366,7 +366,8 @@ def run_experiment_reference(cfg) -> ExperimentResult:
     for better, worse in cfg.orderings:
         a = np.array([m.hit_rate for m in by_arm[better]])
         b = np.array([m.hit_rate for m in by_arm[worse]])
-        gap, low = bootstrap_gap(a, b, cfg.bootstrap_samples, cfg.bootstrap_seed)
+        index = np.random.default_rng(cfg.bootstrap_seed).integers(0, a.size, size=(cfg.bootstrap_samples, a.size))
+        gap, low = bootstrap_gap(a, b, index)
         orderings[f"{better}>={worse}"] = {"gap_mean": gap, "gap_ci95_low": low, "holds": bool(low > 0.0)}
     summary = {
         "num_seeds": cfg.num_seeds,

@@ -36,7 +36,7 @@ from helpers import random_concat_params, random_csa_params, random_linear, rand
 def reduced_config(tmp_path, **overrides):
     """The packaged experiment on fewer seeds and bootstrap samples."""
     data = json.loads(resources.files("radarcam").joinpath("configs/default_experiment.json").read_text())
-    data.update(num_seeds=6, bootstrap_samples=100, **overrides)
+    data.update({"num_seeds": 6, "bootstrap_samples": 100, **overrides})
     path = tmp_path / "experiment.json"
     path.write_text(json.dumps(data))
     return path
@@ -113,6 +113,8 @@ class TestSimulate:
             (lambda data: data["scene"].update(large_depth_range=[math.nan, 40.0]), "scene large_depth_range"),
             (lambda data: data.update(seed_start=-3), "seed_start"),
             (lambda data: data.update(bootstrap_seed=-1), "bootstrap_seed"),
+            # One seed's bootstrap returns the gap itself as its CI95 lower bound.
+            (lambda data: data.update(num_seeds=1), "num_seeds"),
         ],
     )
     def test_non_finite_or_out_of_range_value_exits_2_naming_the_key(self, tmp_path, edit_config, key, capsys):
@@ -148,6 +150,14 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
         assert not csv_path.exists() and not summary.exists()
+
+    def test_one_seed_runs_without_orderings(self, tmp_path):
+        config = reduced_config(tmp_path, num_seeds=1, orderings=[])
+        csv_path, summary = tmp_path / "rows.csv", tmp_path / "summary.json"
+        argv = ["simulate", "--config", str(config), "--output-csv", str(csv_path), "--summary", str(summary)]
+        assert main(argv) == 0
+        assert json.loads(summary.read_text())["orderings"] == {}
+        assert len(read_csv(csv_path)) == 4
 
     def test_plot_data_rows_equal_the_main_csv(self, tmp_path):
         config = reduced_config(tmp_path)
@@ -635,6 +645,14 @@ class TestErrorModel:
         rows = read_csv(tmp_path / "err.csv")
         assert len(rows) == 5 * 9 * 3
         assert max(float(r["rel_deviation"]) for r in rows) <= 1e-12
+
+    def test_one_seed_runs_without_orderings(self, tmp_path):
+        config = reduced_config(tmp_path, num_seeds=1, orderings=[])
+        csv_path, summary = tmp_path / "rows.csv", tmp_path / "summary.json"
+        argv = ["simulate", "--config", str(config), "--output-csv", str(csv_path), "--summary", str(summary)]
+        assert main(argv) == 0
+        assert json.loads(summary.read_text())["orderings"] == {}
+        assert len(read_csv(csv_path)) == 4
 
     def test_plot_data_rows_equal_the_main_csv(self, tmp_path):
         out, plot = tmp_path / "err.csv", tmp_path / "plot.csv"

@@ -414,7 +414,7 @@ def _selected_candidates(table, shape, strategy="one-to-many"):
         seen.append((rows, uu, vv))
         return np.zeros(uu.shape)
 
-    sel = _select_in_disks(np.asarray(table, dtype=np.float64), shape, strategy, "min", cost_at)
+    (sel,) = _select_in_disks(np.asarray(table, dtype=np.float64), shape, ((strategy, "min"),), cost_at)
     return sel, seen
 
 

@@ -72,6 +72,22 @@ def test_non_finite_values_are_refused(tmp_path):
         lxlt.write_tensor(tmp_path / "nan.lxlt", np.array([np.nan]))
 
 
+@pytest.mark.parametrize("value", [1e39, -1e39, np.finfo(np.float64).max, np.inf, -np.inf, np.nan])
+def test_values_without_a_finite_float32_are_refused_and_nothing_is_written(tmp_path, value):
+    # A cast overflow would warn, and the suite turns RuntimeWarning into an error.
+    path = tmp_path / "t.lxlt"
+    with pytest.raises(lxlt.TensorFormatError, match="non-finite or outside the float32 range"):
+        lxlt.write_tensor(path, np.array([[1.0, value], [2.0, 3.0]]))
+    assert not path.exists()
+
+
+def test_largest_float32_is_written(tmp_path):
+    path = tmp_path / "t.lxlt"
+    big = float(np.finfo(np.float32).max)
+    lxlt.write_tensor(path, np.array([big, -big]))
+    np.testing.assert_array_equal(lxlt.read_tensor(path), [big, -big])
+
+
 def test_zero_rank_is_refused(tmp_path):
     with pytest.raises(lxlt.TensorFormatError):
         lxlt.write_tensor(tmp_path / "scalar.lxlt", np.float64(1.0))

@@ -1,14 +1,18 @@
 """Tests for the synthetic supervision experiment."""
 
 import dataclasses
+import importlib.util
 import json
 import math
+from collections import Counter
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from radarcam import sim
 from radarcam.depth_supervision import DepthBinSpec, RadarPoint, RadiusConfig, build_depth_targets
 from radarcam.geometry import AngularResolution, CameraIntrinsics, RigidTransform, SensorCalibration
 from radarcam.sim import (
@@ -18,6 +22,8 @@ from radarcam.sim import (
     Scene,
     SceneExtents,
     SceneObject,
+    bootstrap_gap,
+    bootstrap_index,
     default_experiment_config,
     evaluate_supervision,
     generate_scene,
@@ -102,7 +108,7 @@ def test_every_arm_matches_the_per_target_loop(seed):
     points = simulate_radar(scene, dataclasses.replace(cfg.noise, seed=seed + 1))
     for arm in cfg.arms:
         arm_points = points if arm.use_rcs else without_rcs(points)
-        (got,) = evaluate_supervision([scene], [arm_points], cfg.bins, arm.radius, arm.strategy, arm.agg)
+        ((got,),) = evaluate_supervision([scene], [arm_points], cfg.bins, arm.radius, [(arm.strategy, arm.agg)])
         errors = evaluate_reference(scene, arm_points, cfg.bins, arm.radius, arm.strategy, arm.agg)
         finite = [e for e in errors if math.isfinite(e)]
         assert got.n_targets == len(errors)
@@ -133,14 +139,14 @@ class TestEvaluateSupervision:
         [("one-to-one", "min", 0.0), ("one-to-many", "min", 1.0), ("one-to-many", "max", 0.0)],
     )
     def test_neighbor_rescues_a_miss(self, strategy, agg, hit_rate):
-        (got,) = evaluate_supervision(
-            [tiny_scene()], [self.POINTS], self.BINS, RadiusConfig(fixed_r=1.0), strategy, agg
+        ((got,),) = evaluate_supervision(
+            [tiny_scene()], [self.POINTS], self.BINS, RadiusConfig(fixed_r=1.0), [(strategy, agg)]
         )
         assert (got.hit_rate, got.depth_mae, got.n_targets) == (hit_rate, 0.0, 1)
 
     def test_no_points(self):
-        (got,) = evaluate_supervision(
-            [tiny_scene()], [np.empty((0, 4))], self.BINS, RadiusConfig(fixed_r=1.0), "one-to-many"
+        ((got,),) = evaluate_supervision(
+            [tiny_scene()], [np.empty((0, 4))], self.BINS, RadiusConfig(fixed_r=1.0), [("one-to-many", "min")]
         )
         assert (got.hit_rate, got.depth_mae, got.n_targets) == (0.0, 0.0, 0)
 
@@ -148,7 +154,7 @@ class TestEvaluateSupervision:
     def test_unknown_options_rejected(self, strategy, agg):
         with pytest.raises(ValueError, match="unknown"):
             evaluate_supervision(
-                [tiny_scene()], [self.POINTS], self.BINS, RadiusConfig(fixed_r=1.0), strategy, agg
+                [tiny_scene()], [self.POINTS], self.BINS, RadiusConfig(fixed_r=1.0), [(strategy, agg)]
             )
 
     def test_scenes_are_scored_independently(self):
@@ -159,20 +165,20 @@ class TestEvaluateSupervision:
         points = [simulate_radar(scene, dataclasses.replace(cfg.noise, seed=9)) for scene in scenes]
         points[2] = points[2][:0]
         arm = cfg.arms[2]
-        got = evaluate_supervision(scenes, points, cfg.bins, arm.radius, arm.strategy, arm.agg)
-        alone = [evaluate_supervision([s], [p], cfg.bins, arm.radius, arm.strategy, arm.agg)[0] for s, p in zip(scenes, points)]
+        (got,) = evaluate_supervision(scenes, points, cfg.bins, arm.radius, [(arm.strategy, arm.agg)])
+        alone = [evaluate_supervision([s], [p], cfg.bins, arm.radius, [(arm.strategy, arm.agg)])[0][0] for s, p in zip(scenes, points)]
         assert got == tuple(alone)
         assert got[2].n_targets == 0
 
     def test_one_point_array_per_scene(self):
         with pytest.raises(ValueError, match="one point array per scene"):
-            evaluate_supervision([tiny_scene()], [], self.BINS, RadiusConfig(fixed_r=1.0), "one-to-many")
+            evaluate_supervision([tiny_scene()], [], self.BINS, RadiusConfig(fixed_r=1.0), [("one-to-many", "min")])
 
     def test_scenes_share_one_calibration_and_stride(self):
         scene = tiny_scene()
         other = Scene(scene.objects, 2, scene.calibration)
         with pytest.raises(ValueError, match="share one calibration and stride"):
-            evaluate_supervision([scene, other], [self.POINTS] * 2, self.BINS, RadiusConfig(fixed_r=1.0), "one-to-many")
+            evaluate_supervision([scene, other], [self.POINTS] * 2, self.BINS, RadiusConfig(fixed_r=1.0), [("one-to-many", "min")])
 
 
 class TestTrueDepth:
@@ -237,6 +243,117 @@ class TestMatchesPerSeedReference:
         assert run_experiment(cfg) == run_experiment_reference(cfg)
 
 
+class TestArmsGroupedByRadius:
+    """Arms of equal radius settings and RCS use share one target table and
+    one selection; the results still equal the per-arm reference bit for bit."""
+
+    DYNAMIC = RadiusConfig(k=0.1, r_max=2.0)
+    SHARED = RadiusConfig(k=0.3, r_max=3.0, fixed_r=1.5)
+    ARMS = (
+        ExperimentArm("dynamic", "one-to-many", DYNAMIC, use_rcs=True),
+        ExperimentArm("dynamic-twin", "one-to-many", DYNAMIC, use_rcs=True),
+        ExperimentArm("one-to-one-max", "one-to-one", SHARED, agg="max"),
+        ExperimentArm("one-to-one", "one-to-one", SHARED),
+        ExperimentArm("shared-many-max", "one-to-many", SHARED, agg="max"),
+        ExperimentArm("one-to-one-rcs", "one-to-one", SHARED, use_rcs=True),
+        ExperimentArm("shared-many-rcs", "one-to-many", SHARED, use_rcs=True),
+        # alone in its group: the candidates are the struck pixels only
+        ExperimentArm("one-to-one-alone", "one-to-one", RadiusConfig(k=0.5, r_max=6.0), use_rcs=True),
+    )
+    ORDERINGS = (
+        ("dynamic", "one-to-one"),
+        ("dynamic", "one-to-one"),
+        ("one-to-one", "dynamic"),
+        ("shared-many-rcs", "one-to-one-rcs"),
+        ("dynamic-twin", "shared-many-max"),
+    )
+
+    @pytest.mark.parametrize("seed_start,n_objects", [(0, 8), (977, 12), (150 * (301 * 10**6 + 1), 3)])
+    def test_equals_the_per_arm_reference(self, seed_start, n_objects):
+        cfg = small_config(arms=self.ARMS, orderings=self.ORDERINGS, seed_start=seed_start, n_objects=n_objects)
+        result = run_experiment(cfg)
+        assert result == run_experiment_reference(cfg)
+        by_arm = {name: [r.metrics for r in result.rows if r.arm == name] for name in result.summary["arms"]}
+        assert by_arm["dynamic"] == by_arm["dynamic-twin"]
+        assert by_arm["one-to-one"] == by_arm["one-to-one-max"]
+        assert list(result.summary["arms"]) == [arm.name for arm in self.ARMS]
+        orderings = result.summary["orderings"]
+        assert orderings["dynamic>=one-to-one"]["gap_mean"] == -orderings["one-to-one>=dynamic"]["gap_mean"]
+
+    def test_packaged_run_scores_two_candidate_sets_and_draws_one_index(self, monkeypatch):
+        calls, indices = Counter(), []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        def gap(a, b, index):
+            indices.append(index)
+            return bootstrap_gap(a, b, index)
+
+        monkeypatch.setattr(sim, "_select_in_disks", counted("_select_in_disks", sim._select_in_disks))
+        monkeypatch.setattr(sim, "bootstrap_index", counted("bootstrap_index", sim.bootstrap_index))
+        monkeypatch.setattr(sim, "bootstrap_gap", gap)
+        cfg = default_experiment_config()
+        run_experiment(cfg)
+        assert calls == {"_select_in_disks": 2, "bootstrap_index": 1}
+        assert len(indices) == len(cfg.orderings) == 3
+        assert all(index is indices[0] for index in indices)
+
+    def test_calls_every_span_the_bench_tracer_wraps(self, monkeypatch):
+        """The traced ``sim.*`` metrics stay live. ``build_depth_targets``
+        is the exception: the experiment builds its targets through the
+        array core ``_target_table``."""
+        path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("bench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        names = [attr for module, attr, _ in tracing.SPANS if module == "radarcam.sim"]
+        names = [name for name in names if name != "build_depth_targets"]
+        assert {"generate_scene", "simulate_radar", "evaluate_supervision", "bootstrap_gap"} <= set(names)
+        calls = Counter()
+        for name in names:
+            def wrapper(*args, _name=name, _fn=getattr(sim, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(sim, name, wrapper)
+        run_experiment(small_config())
+        assert set(calls) == set(names)
+
+
+class TestBootstrap:
+    def test_one_index_serves_every_ordering_as_separate_draws_would(self):
+        rng = np.random.default_rng(4)
+        a, b = rng.random(30), rng.random(30)
+        index = bootstrap_index(30, 500, 11)
+        for x, y in ((a, b), (b, a), (a, a)):
+            again = np.random.default_rng(11).integers(0, 30, size=(500, 30))
+            assert bootstrap_gap(x, y, index) == bootstrap_gap(x, y, again)
+
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_needs_at_least_one_sample(self, n_samples):
+        with pytest.raises(ValueError, match="at least 1 sample"):
+            bootstrap_index(5, n_samples, 0)
+        with pytest.raises(ValueError, match="resample index must be"):
+            bootstrap_gap(np.ones(5), np.zeros(5), np.zeros((0, 5), dtype=np.intp))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_non_finite_values_are_refused(self, bad, side):
+        values = {"a": np.ones(4), "b": np.zeros(4)}
+        values[side][2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            bootstrap_gap(values["a"], values["b"], bootstrap_index(4, 10, 0))
+
+    def test_index_must_resample_the_pairs(self):
+        with pytest.raises(ValueError, match=r"resample index must be \(n_samples >= 1, 4\)"):
+            bootstrap_gap(np.ones(4), np.zeros(4), bootstrap_index(5, 10, 0))
+
+
 class TestDrawsMatchTheScalarPipeline:
     """The batched draws equal the scalar draws bit for bit, so a NumPy
     release that changes either fails here, not in the packaged hit rates."""
@@ -292,6 +409,7 @@ class TestConfigValidation:
             (lambda d: d.update(bootstrap_samples=0), "bootstrap_samples must be at least 1, got 0"),
             (lambda d: d.update(stride=0), "stride must be at least 1, got 0"),
             (lambda d: d.update(n_objects=-1), "n_objects must be at least 0, got -1"),
+            (lambda d: d.update(num_seeds=1), "num_seeds must be at least 2 to bootstrap orderings, got 1"),
         ],
     )
     def test_arms_and_orderings_checked_at_load(self, edit, message):
