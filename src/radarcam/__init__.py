@@ -18,7 +18,6 @@ from .geometry import (
     project_to_pixel,
     scale_intrinsics,
     spherical_to_cartesian,
-    transform_point,
 )
 from .depth_supervision import (
     DepthBinSpec,
@@ -70,7 +69,6 @@ from .sim import (
     RadarNoiseModel,
     Scene,
     SceneExtents,
-    SceneObject,
     SupervisionMetrics,
     evaluate_supervision,
     generate_scene,

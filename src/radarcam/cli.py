@@ -255,6 +255,11 @@ def cmd_error_model(args) -> int:
     if res.delta_theta == 0:
         # every row's deviation is relative to fx * delta_theta
         raise ValueError("error-model needs calibration delta_theta_deg > 0, got 0")
+    if not np.array_equal(calib.radar_to_camera.matrix(), np.eye(4)):
+        # empirical_projection_error places the radar at the camera, axes aligned
+        raise ValueError(
+            "error-model models a radar at the camera's origin and axes: calibration radar_to_camera must be the identity"
+        )
     e_u, e_v, e = max_pixel_position_error(calib.intrinsics, res)
     rows = []
     for rho in (5.0, 10.0, 20.0, 50.0, 100.0):

@@ -230,10 +230,23 @@ def nearest_bin(d, spec: DepthBinSpec):
     return int(idx) if idx.ndim == 0 else idx
 
 
+def _expectations(volume: np.ndarray, spec: DepthBinSpec) -> np.ndarray:
+    """Expected depth of every distribution in a (D, ...) stack.
+
+    The bins are summed one by one in order, so a pixel's value does not
+    depend on the size of the map around it; a BLAS product rounds by block
+    and would give the same pixel different last bits in different maps.
+    """
+    out = np.zeros(volume.shape[1:])
+    for midpoint, probs in zip(spec.midpoints(), volume):
+        out += midpoint * probs
+    return out
+
+
 def expected_depth(dist: np.ndarray, spec: DepthBinSpec) -> float:
     """Expectation of a depth distribution over the bin midpoints."""
     dist = validate_depth_volume(np.asarray(dist)[:, None, None], spec.num_bins)[:, 0, 0]
-    return float(spec.midpoints() @ dist)
+    return float(_expectations(dist, spec))
 
 
 def _depth_loss(p_gt, expectation, d_gt, cfg: LossConfig):
@@ -251,7 +264,7 @@ def pixel_depth_loss(dist: np.ndarray, d_gt: float, spec: DepthBinSpec, cfg: Los
     and the true ``d_gt``. Probabilities are floored at 1e-12 inside the log.
     """
     dist = np.asarray(dist, dtype=np.float64)
-    return float(_depth_loss(dist[nearest_bin(d_gt, spec)], spec.midpoints() @ dist, d_gt, cfg))
+    return float(_depth_loss(dist[nearest_bin(d_gt, spec)], _expectations(dist, spec), d_gt, cfg))
 
 
 def validate_depth_volume(volume: np.ndarray, num_bins: int) -> np.ndarray:
@@ -399,7 +412,7 @@ def _loss_selection(depth_map, targets, spec: DepthBinSpec, cfg: LossConfig):
     depth_map = validate_depth_volume(depth_map, spec.num_bins)
     table = targets_to_array(targets)
     shape = depth_map.shape[1:]
-    expectation = (spec.midpoints() @ depth_map.reshape(spec.num_bins, -1)).reshape(shape)
+    expectation = _expectations(depth_map, spec)
 
     def cost_at(rows, uu, vv):
         d_gt = table[rows, 2:3]

@@ -153,6 +153,11 @@ class RigidTransform:
         m[:3, 3] = self.translation
         return m
 
+    def inverse(self) -> "RigidTransform":
+        """The transform that undoes this one: R^T p - R^T t."""
+        rotation = self.rotation.T
+        return RigidTransform(rotation, -(rotation @ self.translation))
+
     def apply(self, point) -> np.ndarray:
         """R p + t for a single 3-vector."""
         return self.apply_many(np.asarray(point, dtype=np.float64).reshape(1, 3))[0]
@@ -238,11 +243,6 @@ def pixel_to_camera(u: float, v: float, depth: float, intrinsics: CameraIntrinsi
     x = (u - intrinsics.cx) * depth / intrinsics.fx
     y = (v - intrinsics.cy) * depth / intrinsics.fy
     return np.array([x, y, depth], dtype=np.float64)
-
-
-def transform_point(point, transform: RigidTransform) -> np.ndarray:
-    """Apply a rigid transform to a single point."""
-    return transform.apply(point)
 
 
 def spherical_to_cartesian(p: SphericalPoint) -> np.ndarray:

@@ -9,30 +9,43 @@ supervision with a size-adaptive radius should recover more targets than a
 single compromise radius, which in turn beats supervising only the struck
 pixel.
 
-The experiment is array-first across seeds. Each seed draws its scene and
-its (N, 4) radar returns. The arms are grouped by radius settings and RCS
-use, which fix the target table; each group scores every seed at once, with
-one target table and one neighbourhood selection whose candidate costs
-serve all of its (strategy, agg) picks. A one-to-one pick reads the centre
-of each target's disk. The per-seed metrics are read from each seed's slice
-of the result. True depth is not rendered as a map: the selection looks it
-up at its candidate pixels from the scenes' projected object boxes
-(:func:`true_depth_at`), one object at a time. All orderings are
+The experiment is array-first across the seeds of a run. One :class:`Scene`
+holds every seed's objects as an (S, n_objects, 5) table (camera-frame
+centre x, y, depth; frontal area; RCS), filled in one vector pass, and
+:func:`simulate_radar` returns every seed's radar returns as one (N, 4)
+table plus per-seed counts. The batch spans the run, not one scene: at ~8
+objects a scene, NumPy's per-call overhead costs more than the scalar
+Python it would replace. The arms are grouped by radius settings and RCS
+use, which fix the target table; each group scores every seed in one target
+table and one neighbourhood selection whose candidate costs serve all of
+its (strategy, agg) picks, a one-to-one pick reading the centre of each
+target's disk. True depth is not rendered as a map: the selection looks it
+up at its candidate pixels from the scene's object boxes
+(:func:`true_depth_at`), one object slot at a time. All orderings are
 bootstrapped over one resample index.
+
+Objects live in the camera frame, and the noise is applied in spherical
+coordinates about the camera. :func:`simulate_radar` then maps the returns
+into the radar frame with the inverse of ``radar_to_camera``, so the target
+build's one ``radar_to_camera`` lands them back on their objects; under the
+identity mount the inverse changes no bit.
 
 Results are bit-identical to drawing and scoring one seed at a time:
 
 - ``rng.uniform(lo, hi)`` is ``lo + (hi - lo) * rng.random()`` on the same
-  stream, so a scene takes its five draws per object from one
+  stream, so a seed takes its five draws per object from one
   ``rng.random((n_objects, 5))``, and the surface offsets come from one
   ``rng.uniform`` over per-return half extents.
+- ``+ - * /``, ``sqrt`` and ``floor`` are correctly rounded in NumPy as in
+  Python floats, so the vector pass over the table equals the per-object
+  arithmetic.
 - The measurement noise keeps three scalar draws per return, in return order:
   ``Generator.normal`` consumes a variable number of words per sample, so a
   batched draw would reorder the stream.
 - Trigonometry (``radians``, ``tan``, ``atan2``, ``asin``, ``sin``, ``cos``,
   ``log10``) stays in :mod:`math` on Python floats: NumPy's vectorised
   versions differ from libm in the last bit on some inputs.
-- A seed's mean depth error is ``np.mean`` over its own slice, as before.
+- A seed's mean depth error is ``np.mean`` over its own slice.
 - A one-to-one pick's cost is its disk's centre candidate: the cost is
   elementwise, so it equals the struck pixel's cost scored alone.
 - Every ordering's resamples are one ``bootstrap_seed`` draw, the same
@@ -43,7 +56,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -69,24 +82,6 @@ def rcs_from_size(size_m2: float) -> float:
     if size_m2 <= 0:
         raise ValueError(f"object size must be positive, got {size_m2}")
     return 10.0 * math.log10(size_m2 / RCS_SIZE_CONSTANT_M2)
-
-
-@dataclass(frozen=True)
-class SceneObject:
-    """A frontal rectangle: camera-frame center, footprint area and depth."""
-
-    center: tuple[float, float, float]
-    size_m2: float
-    true_depth: float
-    rcs_dbsm: float
-
-    def __post_init__(self):
-        if self.size_m2 <= 0 or self.true_depth <= 0:
-            raise ValueError("object size and depth must be positive")
-
-    @property
-    def half_extent(self) -> float:
-        return math.sqrt(self.size_m2) / 2.0
 
 
 @dataclass(frozen=True)
@@ -136,28 +131,6 @@ class SceneExtents:
 EMPTY_BOX = (0, -1, 0, -1)  # (u0, u1, v0, v1) of an object that covers no feature cell
 
 
-def _footprint_cells(
-    obj: SceneObject, calib: SensorCalibration, stride: int
-) -> tuple[int, int, int, int] | None:
-    """Inclusive (u0, u1, v0, v1) feature cells touched by the projected rect."""
-    cx, cy, z = obj.center
-    half = obj.half_extent
-    fx, fy = calib.intrinsics.fx, calib.intrinsics.fy
-    u_lo = (fx * (cx - half) / z + calib.intrinsics.cx) / stride
-    u_hi = (fx * (cx + half) / z + calib.intrinsics.cx) / stride
-    v_lo = (fy * (cy - half) / z + calib.intrinsics.cy) / stride
-    v_hi = (fy * (cy + half) / z + calib.intrinsics.cy) / stride
-    width_s = calib.image_width // stride
-    height_s = calib.image_height // stride
-    u0 = max(0, int(math.floor(u_lo)))
-    u1 = min(width_s - 1, int(math.floor(u_hi)))
-    v0 = max(0, int(math.floor(v_lo)))
-    v1 = min(height_s - 1, int(math.floor(v_hi)))
-    if u0 > u1 or v0 > v1:
-        return None
-    return u0, u1, v0, v1
-
-
 def true_depth_at(boxes, uu: np.ndarray, vv: np.ndarray) -> np.ndarray:
     """True depth at feature cells (uu, vv): the depth of the nearest object
     whose box covers the cell, +inf where none does.
@@ -174,64 +147,79 @@ def true_depth_at(boxes, uu: np.ndarray, vv: np.ndarray) -> np.ndarray:
     return depth
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scene:
-    """Generated objects, seen through a calibration at a feature stride.
+    """Generated objects of S seeds, seen through one calibration at one
+    feature stride.
 
-    ``boxes`` holds one row (u0, u1, v0, v1, depth) per object: the inclusive
-    feature cells its projected rectangle touches (:data:`EMPTY_BOX` when it
-    misses the map) and its true depth. A cell is covered when the rectangle
-    touches it, which keeps true depth consistent with the floor-based pixel
-    assignment of the target builder: a point on an object always lands on a
-    covered cell.
+    ``table`` is (S, n_objects, 5), one row per object: its camera-frame
+    centre (x, y, depth), its frontal area in m² and its RCS in dBsm.
+    ``boxes`` is (S, n_objects, 5), one row (u0, u1, v0, v1, depth) per
+    object: the inclusive feature cells its projected rectangle touches
+    (:data:`EMPTY_BOX` when it misses the map) and its true depth. A cell is
+    covered when the rectangle touches it, which keeps true depth consistent
+    with the floor-based pixel assignment of the target builder: a point on
+    an object always lands on a covered cell.
     """
 
-    objects: tuple[SceneObject, ...]
+    table: np.ndarray
     stride: int
     calibration: SensorCalibration
-    boxes: np.ndarray = field(init=False, repr=False, compare=False)
+    boxes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        rows = [
-            (*(_footprint_cells(obj, self.calibration, self.stride) or EMPTY_BOX), obj.true_depth)
-            for obj in self.objects
-        ]
-        object.__setattr__(self, "boxes", np.array(rows, dtype=np.float64).reshape(-1, 5))
+        table = np.asarray(self.table, dtype=np.float64)
+        if table.ndim != 3 or table.shape[2] != 5:
+            raise ValueError(f"scene table must be (seeds, objects, 5), got shape {table.shape}")
+        if not (table[..., 2:4] > 0).all():
+            raise ValueError("object size and depth must be positive")
+        x, y, depth = table[..., 0], table[..., 1], table[..., 2]
+        half = np.sqrt(table[..., 3]) / 2.0
+        k, s = self.calibration.intrinsics, self.stride
+        u0 = np.maximum(0.0, np.floor((k.fx * (x - half) / depth + k.cx) / s))
+        u1 = np.minimum(self.calibration.image_width // s - 1, np.floor((k.fx * (x + half) / depth + k.cx) / s))
+        v0 = np.maximum(0.0, np.floor((k.fy * (y - half) / depth + k.cy) / s))
+        v1 = np.minimum(self.calibration.image_height // s - 1, np.floor((k.fy * (y + half) / depth + k.cy) / s))
+        boxes = np.stack([u0, u1, v0, v1, depth], axis=-1)
+        boxes[(u0 > u1) | (v0 > v1), :4] = EMPTY_BOX
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "boxes", boxes)
 
     @property
     def depth_map(self) -> np.ndarray:
-        """The (H_s, W_s) true-depth map, +inf where no object is visible."""
+        """The (S, H_s, W_s) true-depth maps, +inf where no object is visible."""
         shape = (self.calibration.image_height // self.stride, self.calibration.image_width // self.stride)
-        vv, uu = np.indices(shape)
-        return true_depth_at(self.boxes, uu, vv)
+        _, vv, uu = np.indices((len(self.table), *shape))
+        return true_depth_at(self.boxes[:, :, None, None].swapaxes(0, 1), uu, vv)
 
 
 def generate_scene(
-    seed: int,
+    seeds,
     n_objects: int,
     extents: SceneExtents,
     calib: SensorCalibration,
     stride: int,
 ) -> Scene:
-    """Deterministically sample objects: per object, five uniform draws
-    (azimuth, elevation, size class, size, depth)."""
+    """Deterministically sample ``n_objects`` objects for each seed: per
+    object, five uniform draws (azimuth, elevation, size class, size, depth)
+    from ``default_rng(seed)``. Row s of the scene holds ``seeds[s]``."""
     if n_objects < 0:
         raise ValueError(f"n_objects must be non-negative, got {n_objects}")
+    draws = np.array([np.random.default_rng(seed).random((n_objects, 5)) for seed in seeds])
+    u_az, u_el, u_class, u_size, u_depth = np.moveaxis(draws.reshape(len(seeds), n_objects, 5), -1, 0)
+
+    def uniform(bounds, u):  # rng.uniform(lo, hi) is lo + (hi - lo) * u on the same stream
+        lo, hi = bounds
+        return lo + (hi - lo) * u
+
+    large = u_class < extents.large_fraction
+    size = np.where(large, uniform(extents.large_size_range, u_size), uniform(extents.small_size_range, u_size))
+    depth = np.where(large, uniform(extents.large_depth_range, u_depth), uniform(extents.small_depth_range, u_depth))
     az, el = extents.azimuth_max_deg, extents.elevation_max_deg
-    objects = []
-    for u_az, u_el, u_class, u_size, u_depth in np.random.default_rng(seed).random((n_objects, 5)).tolist():
-        # rng.uniform(lo, hi) is lo + (hi - lo) * u on the same stream.
-        azimuth = math.radians(-az + (az - -az) * u_az)
-        elevation = math.radians(-el + (el - -el) * u_el)
-        if u_class < extents.large_fraction:
-            (s_lo, s_hi), (d_lo, d_hi) = extents.large_size_range, extents.large_depth_range
-        else:
-            (s_lo, s_hi), (d_lo, d_hi) = extents.small_size_range, extents.small_depth_range
-        size = s_lo + (s_hi - s_lo) * u_size
-        depth = d_lo + (d_hi - d_lo) * u_depth
-        center = (depth * math.tan(azimuth), depth * math.tan(elevation), depth)
-        objects.append(SceneObject(center, size, depth, rcs_from_size(size)))
-    return Scene(tuple(objects), stride, calib)
+    angles = np.stack([uniform((-az, az), u_az), uniform((-el, el), u_el)])
+    tan = np.array([math.tan(math.radians(a)) for a in angles.ravel().tolist()]).reshape(angles.shape)
+    rcs = np.array([rcs_from_size(s) for s in size.ravel().tolist()]).reshape(size.shape)
+    return Scene(np.stack([depth * tan[0], depth * tan[1], depth, size, rcs], axis=-1), stride, calib)
 
 
 @dataclass(frozen=True)
@@ -249,7 +237,6 @@ class RadarNoiseModel:
     range_sigma: float = 0.0
     points_base: float = 0.0
     points_size_scale: float = 2.0
-    seed: int = 0
 
     def __post_init__(self):
         for key, value in (
@@ -269,49 +256,59 @@ class RadarNoiseModel:
     @classmethod
     def from_dict(cls, data: dict) -> "RadarNoiseModel":
         """The model from a JSON object; angular resolutions are in degrees
-        (``*_deg``). The seed is not read: each experiment seed draws its own."""
+        (``*_deg``). No seed is read: each experiment seed draws its own."""
         return cls(
             delta_theta=math.radians(json_number(data.get("delta_theta_deg"), "noise delta_theta_deg")),
             delta_phi=math.radians(json_number(data.get("delta_phi_deg"), "noise delta_phi_deg")),
             **json_numbers(data, "noise ", ("range_sigma", "points_base", "points_size_scale")),
         )
 
-    def points_for(self, obj: SceneObject) -> int:
-        return max(1, int(round(self.points_base + self.points_size_scale * math.sqrt(obj.size_m2))))
+    def points_for(self, size_m2: np.ndarray) -> np.ndarray:
+        """The number of returns of objects of the given frontal areas, at least one each."""
+        return np.maximum(1, np.rint(self.points_base + self.points_size_scale * np.sqrt(size_m2))).astype(np.intp)
 
 
-def simulate_radar(scene: Scene, model: RadarNoiseModel) -> np.ndarray:
-    """Noisy radar returns of a scene as (N, 4) rows (x, y, z, rcs_dbsm), in
-    object order; deterministic in ``model.seed``.
+def simulate_radar(scene: Scene, model: RadarNoiseModel, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Noisy radar returns of every seed of a scene: (N, 4) rows (x, y, z,
+    rcs_dbsm) in the radar frame of ``scene.calibration``, seed by seed and
+    in object order within a seed, and the (S,) count of each seed's
+    returns. Seed s draws its returns from ``default_rng(seeds[s])``.
 
-    Each object yields ``model.points_for(obj)`` returns, drawn uniformly on
-    its frontal rectangle (one (dx, dy) pair per return) and then perturbed in
-    radar spherical coordinates: azimuth, elevation and range draws per return.
+    Each object yields ``model.points_for`` of its size returns, drawn
+    uniformly on its frontal rectangle (one (dx, dy) pair per return) and
+    then perturbed in spherical coordinates about the camera: azimuth,
+    elevation and range draws per return. The camera-frame results are
+    mapped into the radar frame with the inverse of ``radar_to_camera``.
     """
-    rng = np.random.default_rng(model.seed)
-    counts = [model.points_for(obj) for obj in scene.objects]
-    source = np.array(
-        [(*obj.center, obj.half_extent, obj.rcs_dbsm) for obj in scene.objects], dtype=np.float64
-    ).reshape(-1, 5).repeat(counts, axis=0)
-    halves = source[:, 3:4].repeat(2, axis=1)
-    offsets = rng.uniform(-halves, halves)
-    xs, ys, zs = source[:, 0] + offsets[:, 0], source[:, 1] + offsets[:, 1], source[:, 2]
+    if len(seeds) != len(scene.table):
+        raise ValueError(f"need one noise seed per scene seed, got {len(seeds)} for {len(scene.table)}")
+    counts = model.points_for(scene.table[..., 3])
+    source = scene.table.reshape(-1, 5).repeat(counts.ravel(), axis=0)
+    halves = (np.sqrt(source[:, 3:4]) / 2.0).repeat(2, axis=1)
+    per_seed = counts.sum(axis=1)
+    bounds = np.cumsum(per_seed)[:-1]
     # A scalar rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(), at a third of the call cost.
     theta_lo, phi_lo, sigma = -model.delta_theta / 2.0, -model.delta_phi / 2.0, model.range_sigma
     theta_span, phi_span = model.delta_theta / 2.0 - theta_lo, model.delta_phi / 2.0 - phi_lo
     rows = []
-    for x, y, z in zip(xs.tolist(), ys.tolist(), zs.tolist()):
-        fwd, lat, up = z, x, -y  # camera axes to radar axes
-        rho = math.sqrt(fwd * fwd + lat * lat + up * up)
-        theta = math.atan2(lat, fwd) + (theta_lo + theta_span * rng.random())
-        phi = (math.asin(up / rho) if rho > 0 else 0.0) + (phi_lo + phi_span * rng.random())
-        if sigma > 0:
-            rho += max(-3.0 * sigma, min(3.0 * sigma, rng.normal(0.0, sigma)))
-        rho = max(rho, 0.0)
-        cos_phi = math.cos(phi)
-        # Radar (forward, lateral, up) back to camera axes (lateral, -up, forward).
-        rows.append((rho * cos_phi * math.sin(theta), -(rho * math.sin(phi)), rho * cos_phi * math.cos(theta)))
-    return np.column_stack((np.array(rows, dtype=np.float64).reshape(-1, 3), source[:, 4]))
+    for seed, src, half in zip(seeds, np.split(source, bounds), np.split(halves, bounds)):
+        rng = np.random.default_rng(seed)
+        offsets = rng.uniform(-half, half)
+        xs, ys = (src[:, 0] + offsets[:, 0]).tolist(), (src[:, 1] + offsets[:, 1]).tolist()
+        for x, y, z in zip(xs, ys, src[:, 2].tolist()):
+            fwd, lat, up = z, x, -y  # camera axes to radar axes
+            rho = math.sqrt(fwd * fwd + lat * lat + up * up)
+            theta = math.atan2(lat, fwd) + (theta_lo + theta_span * rng.random())
+            phi = (math.asin(up / rho) if rho > 0 else 0.0) + (phi_lo + phi_span * rng.random())
+            if sigma > 0:
+                rho += max(-3.0 * sigma, min(3.0 * sigma, rng.normal(0.0, sigma)))
+            rho = max(rho, 0.0)
+            cos_phi = math.cos(phi)
+            # Radar (forward, lateral, up) back to camera axes (lateral, -up, forward).
+            rows.append((rho * cos_phi * math.sin(theta), -(rho * math.sin(phi)), rho * cos_phi * math.cos(theta)))
+    camera = np.array(rows, dtype=np.float64).reshape(-1, 3)
+    radar = scene.calibration.radar_to_camera.inverse().apply_many(camera)
+    return np.column_stack((radar, source[:, 4])), per_seed
 
 
 @dataclass(frozen=True)
@@ -322,20 +319,21 @@ class SupervisionMetrics:
 
 
 def evaluate_supervision(
-    scenes,
-    points,
+    scene: Scene,
+    points: np.ndarray,
+    counts,
     bins: DepthBinSpec,
     radius_cfg: RadiusConfig,
     picks: tuple[tuple[str, str], ...],
 ) -> tuple[tuple[SupervisionMetrics, ...], ...]:
-    """Score each scene's depth targets against its true depth, once per
+    """Score each seed's depth targets against its true depth, once per
     (strategy, agg) pick.
 
-    ``points`` holds one (N, 4) array of radar returns (x, y, z, rcs_dbsm)
-    per scene; a NaN RCS is absent and the radius then falls back to
-    ``radius_cfg.fixed_r``. The scenes share one calibration and stride, and
-    all of them are scored in one target table and one selection, whose
-    candidates serve every pick.
+    ``points`` holds the (N, 4) radar returns (x, y, z, rcs_dbsm) of every
+    seed of ``scene``, seed by seed, and ``counts`` the number of returns of
+    each seed; a NaN RCS is absent and the radius then falls back to
+    ``radius_cfg.fixed_r``. All seeds are scored in one target table and one
+    selection, whose candidates serve every pick.
 
     Under a one-to-many pick each target selects the neighborhood pixel
     whose true depth is closest to its measured depth (``agg="min"``;
@@ -344,43 +342,35 @@ def evaluate_supervision(
     hits when the selected pixel's true depth lies within half a bin of the
     measured depth; the mean absolute error is reported over targets whose
     selected pixel sees any object at all. The metrics come back one tuple
-    per pick, in pick order, each holding one row per scene in scene order.
+    per pick, in pick order, each holding one row per seed in seed order.
     """
     for strategy, agg in picks:
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
         if agg not in AGGREGATIONS:
             raise ValueError(f"unknown aggregation {agg!r}")
-    if len(scenes) != len(points):
-        raise ValueError(f"need one point array per scene, got {len(points)} for {len(scenes)} scenes")
-    if not scenes:
-        return tuple(() for _ in picks)
-    calib, stride = scenes[0].calibration, scenes[0].stride
-    for scene in scenes:
-        same_calibration = scene.calibration is calib or scene.calibration.to_dict() == calib.to_dict()
-        if scene.stride != stride or not same_calibration:
-            raise ValueError("the scenes of one evaluation must share one calibration and stride")
-    table, keep = _target_table(np.concatenate(points).reshape(-1, 4), calib, stride, radius_cfg)
-    scene_of = np.repeat(np.arange(len(scenes)), [len(p) for p in points])[keep]
-    # One (scenes, 5) box table per object slot, padded with empty boxes.
-    boxes = np.tile(np.array([*EMPTY_BOX, np.inf]), (max(len(s.boxes) for s in scenes), len(scenes), 1))
-    for s, scene in enumerate(scenes):
-        boxes[: len(scene.boxes), s] = scene.boxes
+    n_seeds = len(scene.table)
+    if len(counts) != n_seeds or np.sum(counts) != len(points) or np.shape(points)[1:] != (4,):
+        raise ValueError(f"need (N, 4) returns and one return count per seed summing to N, got {counts} for {n_seeds}")
+    calib, stride = scene.calibration, scene.stride
+    table, keep = _target_table(points, calib, stride, radius_cfg)
+    seed_of = np.repeat(np.arange(n_seeds), counts)[keep]
+    boxes = scene.boxes.swapaxes(0, 1)  # one (seeds, 5) box table per object slot
 
     def cost_at(rows, uu, vv):
-        at = scene_of[rows, None]
+        at = seed_of[rows, None]
         cost = true_depth_at((b[at] for b in boxes), uu, vv)
         cost -= table[rows, 2:3]
         return np.abs(cost, out=cost)
 
     shape = (calib.image_height // stride, calib.image_width // stride)
-    counts = np.bincount(scene_of, minlength=len(scenes)).tolist()
+    n_targets = np.bincount(seed_of, minlength=n_seeds).tolist()
     out = []
     for sel in _select_in_disks(table, shape, picks, cost_at):
         err = sel.cost
-        hits = np.bincount(scene_of[err <= bins.bin_width / 2.0], minlength=len(scenes)).tolist()
+        hits = np.bincount(seed_of[err <= bins.bin_width / 2.0], minlength=n_seeds).tolist()
         metrics = []
-        for n, hit, seed_err in zip(counts, hits, np.split(err, np.cumsum(counts)[:-1])):
+        for n, hit, seed_err in zip(n_targets, hits, np.split(err, np.cumsum(n_targets)[:-1])):
             seen = seed_err[np.isfinite(seed_err)]
             metrics.append(SupervisionMetrics(hit / n if n else 0.0, float(np.mean(seen)) if seen.size else 0.0, n))
         out.append(tuple(metrics))
@@ -530,19 +520,19 @@ class ExperimentResult:
 def _evaluate_arms(cfg: ExperimentConfig, seeds: range) -> dict[str, tuple[SupervisionMetrics, ...]]:
     """Per arm, in arm order, one metrics row per seed. Arms of equal radius
     settings and RCS use share one target table, and their distinct
-    (strategy, agg) picks one selection. The scenes and returns are dropped
+    (strategy, agg) picks one selection. The scene and returns are dropped
     on return, before the bootstrap allocates its resamples."""
-    scenes = [generate_scene(seed, cfg.n_objects, cfg.extents, cfg.calibration, cfg.stride) for seed in seeds]
-    points = [simulate_radar(scene, replace(cfg.noise, seed=seed + 1)) for seed, scene in zip(seeds, scenes)]
+    scene = generate_scene(seeds, cfg.n_objects, cfg.extents, cfg.calibration, cfg.stride)
+    points, counts = simulate_radar(scene, cfg.noise, [seed + 1 for seed in seeds])
     # Arms without RCS see the same returns with the RCS column absent (NaN).
-    no_rcs = [np.column_stack((p[:, :3], np.full(len(p), np.nan))) for p in points]
+    no_rcs = None if all(arm.use_rcs for arm in cfg.arms) else np.column_stack((points[:, :3], np.full(len(points), np.nan)))
     groups: dict[tuple[RadiusConfig, bool], list[ExperimentArm]] = {}
     for arm in cfg.arms:
         groups.setdefault((arm.radius, arm.use_rcs), []).append(arm)
     by_arm = {}
     for (radius, use_rcs), arms in groups.items():
         picks = tuple(dict.fromkeys((arm.strategy, arm.agg) for arm in arms))
-        scored = evaluate_supervision(scenes, points if use_rcs else no_rcs, cfg.bins, radius, picks)
+        scored = evaluate_supervision(scene, points if use_rcs else no_rcs, counts, cfg.bins, radius, picks)
         by_pick = dict(zip(picks, scored))
         by_arm.update({arm.name: by_pick[arm.strategy, arm.agg] for arm in arms})
     return {arm.name: by_arm[arm.name] for arm in cfg.arms}
@@ -551,8 +541,9 @@ def _evaluate_arms(cfg: ExperimentConfig, seeds: range) -> dict[str, tuple[Super
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Evaluate every arm over the seed range and summarize pairwise orderings.
 
-    Each seed draws its scene and its radar returns; each group of arms
-    with equal radius settings then scores all seeds at once. The rows come
+    One scene table holds every seed's objects and one table every seed's
+    radar returns, each seed drawing from its own generator; each group of
+    arms with equal radius settings then scores all seeds at once. The rows come
     out one per seed and arm, seeds in increasing order. Every ordering is
     bootstrapped over one resample index.
     """

@@ -2,8 +2,8 @@
 
 These deliberately avoid the vectorized code paths they verify: the
 convolution oracle is six nested loops, the sigmoid oracle splits its input
-by boolean masks, the scalar samplers read one point's
-corners at a time, the view-transformation oracle walks voxels one at a time
+by boolean masks, the footprint oracle projects one scene object at a time
+in Python floats, the scalar samplers read one point's corners at a time, the view-transformation oracle walks voxels one at a time
 through those samplers, the depth-loss oracle scores one target's disk at a
 time, the target-build oracle projects one radar point at a time in plain
 Python floats and the experiment oracle runs one seed and arm at a time
@@ -15,20 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
 from radarcam.depth_supervision import DepthTarget, RadarPoint
 from radarcam.geometry import camera_axes_to_radar, radar_axes_to_camera, scale_intrinsics
-from radarcam.sim import (
-    ExperimentResult,
-    SceneObject,
-    SeedResult,
-    SupervisionMetrics,
-    _footprint_cells,
-    bootstrap_gap,
-    rcs_from_size,
-)
+from radarcam.sim import EMPTY_BOX, ExperimentResult, SeedResult, SupervisionMetrics, bootstrap_gap, rcs_from_size
 from radarcam.tensor_ops import ShapeError, conv2d
 from radarcam.view_transform import depth_to_bin_coordinate, voxel_centers
 
@@ -221,7 +214,10 @@ def target_losses_reference(depth_map, targets, spec, cfg) -> list[tuple[float, 
         dists = depth_map[:, vs, us]
         k = min(max(int(math.floor((t.d_gt - spec.d_min) / spec.bin_width)), 0), spec.num_bins - 1)
         ce = -np.log(np.maximum(dists[k], 1e-12))
-        losses = cfg.lambda1 * ce + cfg.lambda2 * np.abs(midpoints @ dists - t.d_gt)
+        # Bin by bin in order: the expectation's last bit then does not
+        # hang on how many pixels the disk holds.
+        expectation = sum(m * p for m, p in zip(midpoints, dists))
+        losses = cfg.lambda1 * ce + cfg.lambda2 * np.abs(expectation - t.d_gt)
         sel = int(np.argmin(losses) if cfg.neighborhood_agg == "min" else np.argmax(losses))
         out.append((float(losses[sel]), pixels[sel], len(pixels), losses))
     return out
@@ -257,12 +253,64 @@ def build_depth_targets_reference(points, calib, stride, cfg) -> tuple[list[Dept
     return targets, len(points), dropped
 
 
+class SceneObject(NamedTuple):
+    """A frontal rectangle: camera-frame center, footprint area and depth.
+
+    A named tuple, not a dataclass: the bench loads this file without
+    registering it in ``sys.modules``, where ``dataclass`` looks it up.
+    """
+
+    center: tuple[float, float, float]
+    size_m2: float
+    true_depth: float
+    rcs_dbsm: float
+
+    @property
+    def half_extent(self) -> float:
+        return math.sqrt(self.size_m2) / 2.0
+
+    def as_row(self) -> tuple[float, ...]:
+        """The object as a scene table row (x, y, depth, size_m2, rcs_dbsm)."""
+        return (self.center[0], self.center[1], self.true_depth, self.size_m2, self.rcs_dbsm)
+
+
+def footprint_cells(obj: SceneObject, calib, stride: int) -> tuple[int, int, int, int] | None:
+    """Inclusive (u0, u1, v0, v1) feature cells touched by the projected
+    rect, in scalar Python floats; None where it touches none."""
+    cx, cy, z = obj.center
+    half = obj.half_extent
+    fx, fy = calib.intrinsics.fx, calib.intrinsics.fy
+    u_lo = (fx * (cx - half) / z + calib.intrinsics.cx) / stride
+    u_hi = (fx * (cx + half) / z + calib.intrinsics.cx) / stride
+    v_lo = (fy * (cy - half) / z + calib.intrinsics.cy) / stride
+    v_hi = (fy * (cy + half) / z + calib.intrinsics.cy) / stride
+    width_s = calib.image_width // stride
+    height_s = calib.image_height // stride
+    u0 = max(0, int(math.floor(u_lo)))
+    u1 = min(width_s - 1, int(math.floor(u_hi)))
+    v0 = max(0, int(math.floor(v_lo)))
+    v1 = min(height_s - 1, int(math.floor(v_hi)))
+    if u0 > u1 or v0 > v1:
+        return None
+    return u0, u1, v0, v1
+
+
+def box_rows_reference(objects, calib, stride) -> list[tuple[float, ...]]:
+    """One (u0, u1, v0, v1, depth) row per object, :data:`EMPTY_BOX` where it misses the map."""
+    return [(*(footprint_cells(obj, calib, stride) or EMPTY_BOX), obj.true_depth) for obj in objects]
+
+
+def points_for_reference(model, obj: SceneObject) -> int:
+    """The number of returns of one object."""
+    return max(1, int(round(model.points_base + model.points_size_scale * math.sqrt(obj.size_m2))))
+
+
 def render_depth_map(objects, calib, stride) -> np.ndarray:
     """Rasterize object footprints into an (H_s, W_s) true-depth map;
     the nearest object wins and uncovered cells hold +inf."""
     depth = np.full((calib.image_height // stride, calib.image_width // stride), np.inf)
     for obj in objects:
-        cells = _footprint_cells(obj, calib, stride)
+        cells = footprint_cells(obj, calib, stride)
         if cells is None:
             continue
         u0, u1, v0, v1 = cells
@@ -305,21 +353,23 @@ def apply_measurement_noise(cam_point, model, rng) -> np.ndarray:
     return radar_axes_to_camera(radar)
 
 
-def simulate_radar_reference(objects, model) -> list[RadarPoint]:
+def simulate_radar_reference(objects, model, seed, radar_to_camera) -> list[RadarPoint]:
     """Noisy returns one point at a time: every surface sample first (scalar
-    dx, dy per return), then each sample's noise draws."""
-    rng = np.random.default_rng(model.seed)
+    dx, dy per return), then each sample's noise draws, each noisy
+    camera-frame point mapped into the radar frame on its own."""
+    rng = np.random.default_rng(seed)
+    camera_to_radar = radar_to_camera.inverse()
     samples = []
     for obj in objects:
         half = obj.half_extent
         cx, cy, z = obj.center
-        for _ in range(model.points_for(obj)):
+        for _ in range(points_for_reference(model, obj)):
             dx = rng.uniform(-half, half)
             dy = rng.uniform(-half, half)
             samples.append((np.array([cx + dx, cy + dy, z]), obj))
     points = []
     for cam_point, obj in samples:
-        noisy = apply_measurement_noise(cam_point, model, rng)
+        noisy = camera_to_radar.apply(apply_measurement_noise(cam_point, model, rng))
         points.append(RadarPoint(float(noisy[0]), float(noisy[1]), float(noisy[2]), rcs_dbsm=obj.rcs_dbsm))
     return points
 
@@ -344,7 +394,7 @@ def run_experiment_reference(cfg) -> ExperimentResult:
     for seed in range(cfg.seed_start, cfg.seed_start + cfg.num_seeds):
         objects = generate_objects_reference(seed, cfg.n_objects, cfg.extents)
         depth_map = render_depth_map(objects, cfg.calibration, cfg.stride)
-        points = simulate_radar_reference(objects, replace(cfg.noise, seed=seed + 1))
+        points = simulate_radar_reference(objects, cfg.noise, seed + 1, cfg.calibration.radar_to_camera)
         stripped = [replace(p, rcs_dbsm=None) for p in points]
         for arm in cfg.arms:
             metrics = evaluate_supervision_reference(

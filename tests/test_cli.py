@@ -624,9 +624,22 @@ class TestGradCheck:
         assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
+def aligned_calibration(**overrides) -> dict:
+    """The test calibration with the radar at the camera's origin and axes."""
+    return calibration(radar_to_camera=[float(x) for x in np.eye(4).ravel()], **overrides)
+
+
+def yawed_shifted_mount() -> list[float]:
+    c, s = math.cos(math.radians(20.0)), math.sin(math.radians(20.0))
+    m = np.eye(4)
+    m[:3, :3] = [[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]]
+    m[0, 3] = 0.5
+    return [float(x) for x in m.ravel()]
+
+
 class TestErrorModel:
     def argv(self, tmp_path, calib=None):
-        (tmp_path / "calib.json").write_text(json.dumps(calib or calibration()))
+        (tmp_path / "calib.json").write_text(json.dumps(calib or aligned_calibration()))
         return ["error-model", "--calib", str(tmp_path / "calib.json")]
 
     def test_output_file_equals_stdout_and_reruns_byte_identical(self, tmp_path, capsys):
@@ -670,6 +683,7 @@ class TestErrorModel:
             (calibration(fx=[1150.0]), "calibration fx must be a number, got [1150.0]"),
             (calibration(delta_theta_deg=None), "calibration delta_theta_deg must be a number, got None"),
             (calibration(delta_theta_deg=0), "error-model needs calibration delta_theta_deg > 0, got 0"),
+            (calibration(radar_to_camera=yawed_shifted_mount()), "calibration radar_to_camera must be the identity"),
             ([1], "calib.json: the top level must be a JSON object, got [1]"),
         ],
     )

@@ -23,7 +23,6 @@ from radarcam.geometry import (
     radar_axes_to_camera,
     scale_intrinsics,
     spherical_to_cartesian,
-    transform_point,
 )
 
 K = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0)
@@ -77,17 +76,26 @@ class TestProjection:
 class TestRigidTransform:
     def test_identity(self):
         p = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(transform_point(p, RigidTransform.identity()), p)
+        np.testing.assert_array_equal(RigidTransform.identity().apply(p), p)
 
     def test_pure_translation(self):
         t = RigidTransform(np.eye(3), np.array([1.0, 2.0, 3.0]))
-        np.testing.assert_array_equal(transform_point(np.zeros(3), t), [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(t.apply(np.zeros(3)), [1.0, 2.0, 3.0])
 
     def test_quarter_turn_about_z(self):
         c, s = math.cos(math.pi / 2), math.sin(math.pi / 2)
         rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        out = transform_point((1.0, 0.0, 0.0), RigidTransform(rot, np.zeros(3)))
+        out = RigidTransform(rot, np.zeros(3)).apply((1.0, 0.0, 0.0))
         np.testing.assert_allclose(out, [0.0, 1.0, 0.0], atol=1e-9)
+
+    def test_inverse_undoes_the_transform(self):
+        c, s = math.cos(0.3), math.sin(0.3)
+        t = RigidTransform(np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]]), np.array([0.5, -1.0, 2.0]))
+        pts = np.random.default_rng(1).normal(size=(10, 3)) * 20.0
+        np.testing.assert_allclose(t.inverse().apply_many(t.apply_many(pts)), pts, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(t.apply_many(t.inverse().apply_many(pts)), pts, rtol=0, atol=1e-12)
+        # the identity's inverse changes no bit
+        assert RigidTransform.identity().inverse().apply_many(pts).tolist() == pts.tolist()
 
     def test_rejects_non_orthonormal_rotation(self):
         with pytest.raises(ValueError, match="orthonormal"):

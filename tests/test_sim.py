@@ -13,15 +13,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from radarcam import sim
-from radarcam.depth_supervision import DepthBinSpec, RadarPoint, RadiusConfig, build_depth_targets
+from radarcam.depth_supervision import DepthBinSpec, RadarPoint, RadiusConfig, _target_table, build_depth_targets
 from radarcam.geometry import AngularResolution, CameraIntrinsics, RigidTransform, SensorCalibration
 from radarcam.sim import (
+    EMPTY_BOX,
     ExperimentArm,
     ExperimentConfig,
     RadarNoiseModel,
     Scene,
     SceneExtents,
-    SceneObject,
     bootstrap_gap,
     bootstrap_index,
     default_experiment_config,
@@ -33,6 +33,8 @@ from radarcam.sim import (
 )
 
 from oracles import (
+    SceneObject,
+    box_rows_reference,
     disk_pixels,
     generate_objects_reference,
     render_depth_map,
@@ -88,10 +90,10 @@ def as_radar_points(points):
     return [RadarPoint(x, y, z, None if math.isnan(rcs) else rcs) for x, y, z, rcs in points.tolist()]
 
 
-def evaluate_reference(scene, points, bins, radius_cfg, strategy, agg):
+def evaluate_reference(objects, calib, stride, points, radius_cfg, strategy, agg):
     """Per-target loop over each target's disk of the rendered true depths."""
-    build = build_depth_targets(as_radar_points(points), scene.calibration, scene.stride, radius_cfg)
-    depth_map = render_depth_map(scene.objects, scene.calibration, scene.stride)
+    build = build_depth_targets(as_radar_points(points), calib, stride, radius_cfg)
+    depth_map = render_depth_map(objects, calib, stride)
     height, width = depth_map.shape
     errors = []
     for t in build.targets:
@@ -104,12 +106,13 @@ def evaluate_reference(scene, points, bins, radius_cfg, strategy, agg):
 @pytest.mark.parametrize("seed", [0, 7, 31])
 def test_every_arm_matches_the_per_target_loop(seed):
     cfg = default_experiment_config()
-    scene = generate_scene(seed, cfg.n_objects, cfg.extents, cfg.calibration, cfg.stride)
-    points = simulate_radar(scene, dataclasses.replace(cfg.noise, seed=seed + 1))
+    scene = generate_scene([seed], cfg.n_objects, cfg.extents, cfg.calibration, cfg.stride)
+    points, counts = simulate_radar(scene, cfg.noise, [seed + 1])
+    objects = generate_objects_reference(seed, cfg.n_objects, cfg.extents)
     for arm in cfg.arms:
         arm_points = points if arm.use_rcs else without_rcs(points)
-        ((got,),) = evaluate_supervision([scene], [arm_points], cfg.bins, arm.radius, [(arm.strategy, arm.agg)])
-        errors = evaluate_reference(scene, arm_points, cfg.bins, arm.radius, arm.strategy, arm.agg)
+        ((got,),) = evaluate_supervision(scene, arm_points, counts, cfg.bins, arm.radius, [(arm.strategy, arm.agg)])
+        errors = evaluate_reference(objects, cfg.calibration, cfg.stride, arm_points, arm.radius, arm.strategy, arm.agg)
         finite = [e for e in errors if math.isfinite(e)]
         assert got.n_targets == len(errors)
         assert got.hit_rate == sum(e <= cfg.bins.bin_width / 2.0 for e in errors) / len(errors)
@@ -123,9 +126,9 @@ def tiny_scene():
         AngularResolution.from_degrees(1.0, 1.0),
     )
     # Half extent 0.4 m: the rectangle spans u in [6.1, 6.9] and v in [5.1, 5.9].
-    scene = Scene((SceneObject((1.5, 0.5, 10.0), 0.64, 10.0, rcs_from_size(0.64)),), 1, calib)
-    want = np.full((10, 10), np.inf)
-    want[5, 6] = 10.0
+    scene = Scene(np.array([[[1.5, 0.5, 10.0, 0.64, rcs_from_size(0.64)]]]), 1, calib)
+    want = np.full((1, 10, 10), np.inf)
+    want[0, 5, 6] = 10.0
     np.testing.assert_array_equal(scene.depth_map, want)
     return scene
 
@@ -140,13 +143,13 @@ class TestEvaluateSupervision:
     )
     def test_neighbor_rescues_a_miss(self, strategy, agg, hit_rate):
         ((got,),) = evaluate_supervision(
-            [tiny_scene()], [self.POINTS], self.BINS, RadiusConfig(fixed_r=1.0), [(strategy, agg)]
+            tiny_scene(), self.POINTS, [1], self.BINS, RadiusConfig(fixed_r=1.0), [(strategy, agg)]
         )
         assert (got.hit_rate, got.depth_mae, got.n_targets) == (hit_rate, 0.0, 1)
 
     def test_no_points(self):
         ((got,),) = evaluate_supervision(
-            [tiny_scene()], [np.empty((0, 4))], self.BINS, RadiusConfig(fixed_r=1.0), [("one-to-many", "min")]
+            tiny_scene(), np.empty((0, 4)), [0], self.BINS, RadiusConfig(fixed_r=1.0), [("one-to-many", "min")]
         )
         assert (got.hit_rate, got.depth_mae, got.n_targets) == (0.0, 0.0, 0)
 
@@ -154,50 +157,105 @@ class TestEvaluateSupervision:
     def test_unknown_options_rejected(self, strategy, agg):
         with pytest.raises(ValueError, match="unknown"):
             evaluate_supervision(
-                [tiny_scene()], [self.POINTS], self.BINS, RadiusConfig(fixed_r=1.0), [(strategy, agg)]
+                tiny_scene(), self.POINTS, [1], self.BINS, RadiusConfig(fixed_r=1.0), [(strategy, agg)]
             )
 
-    def test_scenes_are_scored_independently(self):
-        """A batch gives each scene the metrics it gets on its own, also next
-        to a scene with more objects and one without returns."""
+    def test_a_batch_equals_each_seed_scored_alone(self):
+        """Also for a seed without returns, scored next to seeds with them."""
         cfg = default_experiment_config()
-        scenes = [generate_scene(seed, n, cfg.extents, cfg.calibration, cfg.stride) for seed, n in ((3, 8), (4, 12), (5, 2))]
-        points = [simulate_radar(scene, dataclasses.replace(cfg.noise, seed=9)) for scene in scenes]
-        points[2] = points[2][:0]
         arm = cfg.arms[2]
-        (got,) = evaluate_supervision(scenes, points, cfg.bins, arm.radius, [(arm.strategy, arm.agg)])
-        alone = [evaluate_supervision([s], [p], cfg.bins, arm.radius, [(arm.strategy, arm.agg)])[0][0] for s, p in zip(scenes, points)]
+        pick = [(arm.strategy, arm.agg)]
+        seeds = [3, 4, 5]
+        scene = generate_scene(seeds, 12, cfg.extents, cfg.calibration, cfg.stride)
+        points, counts = simulate_radar(scene, cfg.noise, [seed + 9 for seed in seeds])
+        points, counts = points[: counts[:2].sum()], [counts[0], counts[1], 0]
+        (got,) = evaluate_supervision(scene, points, counts, cfg.bins, arm.radius, pick)
+        alone = []
+        for seed, n in zip(seeds, counts):
+            one = generate_scene([seed], 12, cfg.extents, cfg.calibration, cfg.stride)
+            one_points, _ = simulate_radar(one, cfg.noise, [seed + 9])
+            alone.append(evaluate_supervision(one, one_points[:n], [n], cfg.bins, arm.radius, pick)[0][0])
         assert got == tuple(alone)
-        assert got[2].n_targets == 0
+        assert got[2].n_targets == 0 and got[0].n_targets > 0
 
-    def test_one_point_array_per_scene(self):
-        with pytest.raises(ValueError, match="one point array per scene"):
-            evaluate_supervision([tiny_scene()], [], self.BINS, RadiusConfig(fixed_r=1.0), [("one-to-many", "min")])
-
-    def test_scenes_share_one_calibration_and_stride(self):
-        scene = tiny_scene()
-        other = Scene(scene.objects, 2, scene.calibration)
-        with pytest.raises(ValueError, match="share one calibration and stride"):
-            evaluate_supervision([scene, other], [self.POINTS] * 2, self.BINS, RadiusConfig(fixed_r=1.0), [("one-to-many", "min")])
+    @pytest.mark.parametrize(
+        "points,counts",
+        [(POINTS, []), (POINTS, [2]), (POINTS, [0, 1]), (np.zeros((1, 3)), [1]), (np.zeros(4), [1])],
+    )
+    def test_counts_must_cover_the_returns(self, points, counts):
+        with pytest.raises(ValueError, match="one return count per seed"):
+            evaluate_supervision(
+                tiny_scene(), points, counts, self.BINS, RadiusConfig(fixed_r=1.0), [("one-to-many", "min")]
+            )
 
 
 class TestTrueDepth:
-    @pytest.mark.parametrize("seed", [0, 11])
-    def test_depth_map_equals_the_rendered_map(self, seed):
+    def test_depth_map_equals_the_rendered_map(self):
         cfg = default_experiment_config()
-        scene = generate_scene(seed, 12, cfg.extents, cfg.calibration, cfg.stride)
-        np.testing.assert_array_equal(scene.depth_map, render_depth_map(scene.objects, cfg.calibration, cfg.stride))
+        seeds = [0, 11]
+        scene = generate_scene(seeds, 12, cfg.extents, cfg.calibration, cfg.stride)
+        for depth_map, seed in zip(scene.depth_map, seeds):
+            objects = generate_objects_reference(seed, 12, cfg.extents)
+            np.testing.assert_array_equal(depth_map, render_depth_map(objects, cfg.calibration, cfg.stride))
 
     def test_scene_without_objects_sees_nothing(self):
         cfg = default_experiment_config()
-        scene = generate_scene(0, 0, cfg.extents, cfg.calibration, cfg.stride)
-        assert scene.boxes.shape == (0, 5) and np.isposinf(scene.depth_map).all()
+        scene = generate_scene([0, 1], 0, cfg.extents, cfg.calibration, cfg.stride)
+        assert scene.boxes.shape == (2, 0, 5) and np.isposinf(scene.depth_map).all()
+
+
+# 64 x 48 pixels: at stride 1 an object at 10 m with a 2 m side spans 8 pixels.
+SMALL_CALIBRATION = SensorCalibration(
+    CameraIntrinsics(40.0, 40.0, 32.0, 24.0), RigidTransform.identity(), 64, 48, AngularResolution.from_degrees(1, 1)
+)
+
+
+def scene_of_objects(objects, stride):
+    table = np.array([obj.as_row() for obj in objects], dtype=np.float64).reshape(1, -1, 5)
+    return Scene(table, stride, SMALL_CALIBRATION)
+
+
+class TestFootprint:
+    """The boxes of the scene table equal the scalar per-object footprint."""
+
+    @staticmethod
+    def obj(x, y, depth, size):
+        return SceneObject((x, y, depth), size, depth, rcs_from_size(size))
+
+    def test_objects_partly_and_wholly_off_the_map(self):
+        objects = [self.obj(-8.0, 0.0, 10.0, 4.0), self.obj(-20.0, 0.0, 10.0, 4.0), self.obj(0.0, 5.0, 10.0, 4.0)]
+        # u spans [-4, 4] (partly off) and [-52, -44] (wholly off); v spans [40, 48] (partly off)
+        want = [(0, 4, 20, 28, 10.0), (*EMPTY_BOX, 10.0), (28, 36, 40, 47, 10.0)]
+        np.testing.assert_array_equal(scene_of_objects(objects, 1).boxes[0], want)
+        assert box_rows_reference(objects, SMALL_CALIBRATION, 1) == want
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.floats(-40.0, 40.0), st.floats(-40.0, 40.0), st.floats(0.5, 40.0), st.floats(0.01, 400.0)
+            ),
+            max_size=12,
+        ),
+        stride=st.integers(1, 8),
+    )
+    @example(rows=[], stride=1)
+    @example(rows=[(-8.0, 0.0, 10.0, 4.0), (-20.0, 0.0, 10.0, 4.0), (0.0, 5.0, 10.0, 4.0)], stride=3)
+    @settings(max_examples=300, deadline=None)
+    def test_boxes_equal_the_scalar_footprint(self, rows, stride):
+        objects = [self.obj(*row) for row in rows]
+        want = np.array(box_rows_reference(objects, SMALL_CALIBRATION, stride), dtype=np.float64).reshape(-1, 5)
+        np.testing.assert_array_equal(scene_of_objects(objects, stride).boxes[0], want)
 
 
 def small_config(**overrides):
     """The packaged experiment on fewer seeds and bootstrap samples."""
     overrides = {"num_seeds": 8, "bootstrap_samples": 50, **overrides}
     return dataclasses.replace(default_experiment_config(), **overrides)
+
+
+def rotation_about_y(degrees):
+    c, s = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
+    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
 class TestMatchesPerSeedReference:
@@ -208,16 +266,21 @@ class TestMatchesPerSeedReference:
         cfg = small_config(seed_start=seed_start)
         assert run_experiment(cfg) == run_experiment_reference(cfg)
 
+    def test_mounted_radar(self):
+        mount = RigidTransform(rotation_about_y(3.0), np.array([0.5, -0.2, 1.0]))
+        cfg = small_config(calibration=dataclasses.replace(default_experiment_config().calibration, radar_to_camera=mount))
+        assert run_experiment(cfg) == run_experiment_reference(cfg)
+
     def test_seeds_without_targets(self):
         """No object, or no object in view: every arm reports zero targets."""
         cfg = small_config(n_objects=0)
         result = run_experiment(cfg)
         assert result == run_experiment_reference(cfg)
         assert {r.metrics.n_targets for r in result.rows} == {0}
-        behind = dataclasses.replace(
-            cfg.calibration, radar_to_camera=RigidTransform(np.diag([-1.0, 1.0, -1.0]), np.zeros(3))
-        )
-        cfg = small_config(n_objects=3, calibration=behind)
+        # The principal point far left of the image: every object lies right of the view.
+        calib = cfg.calibration
+        aside = dataclasses.replace(calib, intrinsics=dataclasses.replace(calib.intrinsics, cx=-5000.0))
+        cfg = small_config(n_objects=3, calibration=aside)
         result = run_experiment(cfg)
         assert result == run_experiment_reference(cfg)
         assert {r.metrics.n_targets for r in result.rows} == {0}
@@ -241,6 +304,37 @@ class TestMatchesPerSeedReference:
             noise=dataclasses.replace(base.noise, range_sigma=range_sigma, points_base=points_base),
         )
         assert run_experiment(cfg) == run_experiment_reference(cfg)
+
+
+class TestExtrinsics:
+    """The returns come back in the radar frame, so the target build's one
+    ``radar_to_camera`` lands them where the identity mount does."""
+
+    @pytest.mark.parametrize(
+        "mount",
+        [
+            RigidTransform(rotation_about_y(3.0), np.array([0.5, -0.2, 1.0])),
+            RigidTransform(rotation_about_y(-20.0), np.array([-0.5, 0.0, 0.0])),
+            RigidTransform(np.diag([-1.0, 1.0, -1.0]), np.zeros(3)),  # the radar faces backwards
+        ],
+    )
+    def test_mount_leaves_the_targets_in_place_at_zero_noise(self, mount):
+        cfg = default_experiment_config()
+        seeds = range(20)
+        radius = cfg.arms[2].radius
+
+        def targets(calib):
+            scene = generate_scene(seeds, cfg.n_objects, cfg.extents, calib, cfg.stride)
+            points, _ = simulate_radar(scene, RadarNoiseModel(0.0, 0.0), [seed + 1 for seed in seeds])
+            return points, *_target_table(points, calib, cfg.stride, radius)
+
+        aligned, want, want_keep = targets(cfg.calibration)
+        mounted, got, got_keep = targets(dataclasses.replace(cfg.calibration, radar_to_camera=mount))
+        assert np.abs(mounted[:, :3] - aligned[:, :3]).max() > 0.1
+        assert want_keep.sum() > 400
+        np.testing.assert_array_equal(got_keep, want_keep)
+        np.testing.assert_array_equal(got[:, :2], want[:, :2])
+        np.testing.assert_allclose(got[:, 2:], want[:, 2:], rtol=0, atol=1e-9)
 
 
 class TestArmsGroupedByRadius:
@@ -380,13 +474,23 @@ class TestDrawsMatchTheScalarPipeline:
         """Over enough draws that a vectorised trigonometric function, which
         differs from libm on about one input in two hundred, would show."""
         cfg = default_experiment_config()
-        for seed in range(0, 4000, 10):
-            scene = generate_scene(seed, 12, cfg.extents, cfg.calibration, cfg.stride)
-            assert list(scene.objects) == generate_objects_reference(seed, 12, cfg.extents), seed
-            noise = dataclasses.replace(cfg.noise, seed=seed + 1)
-            got = [x.hex() for x in simulate_radar(scene, noise).ravel().tolist()]
-            want = [x.hex() for p in simulate_radar_reference(scene.objects, noise) for x in (p.x, p.y, p.z, p.rcs_dbsm)]
-            assert got == want, seed
+        seeds = range(0, 4000, 10)
+        scene = generate_scene(seeds, 12, cfg.extents, cfg.calibration, cfg.stride)
+        points, counts = simulate_radar(scene, cfg.noise, [seed + 1 for seed in seeds])
+        objects, returns = [], []
+        for seed in seeds:
+            objects += generate_objects_reference(seed, 12, cfg.extents)
+            mount = cfg.calibration.radar_to_camera
+            returns.append(simulate_radar_reference(objects[-12:], cfg.noise, seed + 1, mount))
+
+        def hexes(rows):
+            return [float(x).hex() for row in rows for x in row]
+
+        assert hexes(scene.table.reshape(-1, 5).tolist()) == hexes(obj.as_row() for obj in objects)
+        want_boxes = box_rows_reference(objects, cfg.calibration, cfg.stride)
+        np.testing.assert_array_equal(scene.boxes.reshape(-1, 5), want_boxes)
+        assert counts.tolist() == [len(r) for r in returns]
+        assert hexes(points.tolist()) == hexes((p.x, p.y, p.z, p.rcs_dbsm) for r in returns for p in r)
 
 
 def packaged_config_data():
