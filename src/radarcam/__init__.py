@@ -14,10 +14,9 @@ from .geometry import (
     SphericalPoint,
     empirical_projection_error,
     max_pixel_position_error,
-    pixel_to_camera,
     project_to_pixel,
     scale_intrinsics,
-    spherical_to_cartesian,
+    spherical_to_camera,
 )
 from .depth_supervision import (
     DepthBinSpec,
@@ -26,12 +25,10 @@ from .depth_supervision import (
     RadarPoint,
     RadiusConfig,
     build_depth_targets,
-    expected_depth,
     nearest_bin,
     neighborhood_radius,
     one_to_many_loss,
     one_to_many_loss_grad,
-    pixel_depth_loss,
 )
 from .tensor_ops import (
     Conv2DParams,

@@ -35,20 +35,18 @@ AGGREGATIONS = ("min", "max")  # a target's loss: its disk's lowest or highest p
 
 @dataclass(frozen=True)
 class RadarPoint:
-    """A radar detection in the radar frame, with optional RCS and Doppler."""
+    """A radar detection in the radar frame, with an optional RCS."""
 
     x: float
     y: float
     z: float
     rcs_dbsm: float | None = None
-    doppler: float | None = None
 
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
             raise ValueError(f"radar point coordinates must be finite: {self}")
-        for value in (self.rcs_dbsm, self.doppler):
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"radar point RCS and Doppler must be finite: {self}")
+        if self.rcs_dbsm is not None and not math.isfinite(self.rcs_dbsm):
+            raise ValueError(f"radar point RCS must be finite: {self}")
 
 
 @dataclass(frozen=True)
@@ -134,8 +132,8 @@ class LossConfig:
     strategy: str = "one-to-many"
 
     def __post_init__(self):
-        if not (self.lambda1 >= 0 and self.lambda2 >= 0):
-            raise ValueError("loss weights must be non-negative")
+        if not (0 <= self.lambda1 < math.inf and 0 <= self.lambda2 < math.inf):
+            raise ValueError(f"loss weights must be finite and non-negative, got {self.lambda1}, {self.lambda2}")
         if self.neighborhood_agg not in AGGREGATIONS:
             raise ValueError(f"unknown aggregation {self.neighborhood_agg!r}")
         if self.strategy not in STRATEGIES:
@@ -243,28 +241,13 @@ def _expectations(volume: np.ndarray, spec: DepthBinSpec) -> np.ndarray:
     return out
 
 
-def expected_depth(dist: np.ndarray, spec: DepthBinSpec) -> float:
-    """Expectation of a depth distribution over the bin midpoints."""
-    dist = validate_depth_volume(np.asarray(dist)[:, None, None], spec.num_bins)[:, 0, 0]
-    return float(_expectations(dist, spec))
-
-
 def _depth_loss(p_gt, expectation, d_gt, cfg: LossConfig):
-    """Per-pixel loss from the ground-truth bin's probability and the expected depth."""
+    """Per-pixel loss: cross entropy against the ground-truth bin's
+    probability, floored at ``LOG_PROB_FLOOR``, plus the L1 distance of the
+    expected depth from ``d_gt``."""
     return cfg.lambda1 * -np.log(np.maximum(p_gt, LOG_PROB_FLOOR)) + cfg.lambda2 * np.abs(
         expectation - d_gt
     )
-
-
-def pixel_depth_loss(dist: np.ndarray, d_gt: float, spec: DepthBinSpec, cfg: LossConfig) -> float:
-    """Classification-plus-regression depth loss for one pixel.
-
-    Cross entropy against the bin nearest to ``d_gt`` (out-of-range depths
-    clamp to an edge bin) plus L1 between the distribution's expected depth
-    and the true ``d_gt``. Probabilities are floored at 1e-12 inside the log.
-    """
-    dist = np.asarray(dist, dtype=np.float64)
-    return float(_depth_loss(dist[nearest_bin(d_gt, spec)], _expectations(dist, spec), d_gt, cfg))
 
 
 def validate_depth_volume(volume: np.ndarray, num_bins: int) -> np.ndarray:
@@ -499,9 +482,9 @@ def read_radar_points_csv(path: str | Path) -> list[RadarPoint]:
 
     The RCS and Doppler columns are optional and individual cells may be
     empty or missing at the end of a row, in which case the field is absent
-    for that point. A row without x, y and z, with more fields than the
-    header or with a value that is not a finite number raises a
-    ``ValueError`` naming the file and line.
+    for that point. Doppler values are checked but not kept. A row without
+    x, y and z, with more fields than the header or with a value that is not
+    a finite number raises a ``ValueError`` naming the file and line.
     """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -527,8 +510,10 @@ def read_radar_points_csv(path: str | Path) -> list[RadarPoint]:
                     float(row["y"]),
                     float(row["z"]),
                     rcs_dbsm=opt("rcs_dbsm"),
-                    doppler=opt("doppler"),
                 )
+                doppler = opt("doppler")
+                if doppler is not None and not math.isfinite(doppler):
+                    raise ValueError(f"radar point Doppler must be finite, got {doppler}")
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
             points.append(point)

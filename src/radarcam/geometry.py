@@ -1,11 +1,17 @@
 """Camera and radar coordinate geometry.
 
-Axis conventions, used everywhere in this package:
+Two frames:
 
 * camera frame: x right, y down, z forward (z is the depth).
-* radar frame: returned by :func:`spherical_to_cartesian` as
-  (forward, lateral, vertical). When the radar and camera share axes and
-  origin, :func:`radar_axes_to_camera` maps between the two orderings.
+* radar frame: the caller's; a calibration's ``radar_to_camera`` is a
+  proper rotation plus translation (:class:`RigidTransform`) that maps it
+  into the camera frame.
+
+Spherical coordinates (:func:`spherical_to_camera`,
+:func:`camera_to_spherical`) are about the camera axes: azimuth turns from
+z towards x and elevation from z up towards -y. ``error-model`` and
+``simulate`` place the radar there when they model its range, azimuth and
+elevation error.
 
 Pinhole projection (:func:`project_points`): u = fx * x / z + cx, v = fy * y / z + cy, d = z.
 """
@@ -236,45 +242,18 @@ def project_to_pixel(point, intrinsics: CameraIntrinsics) -> tuple[float, float,
     return float(u), float(v), float(z)
 
 
-def pixel_to_camera(u: float, v: float, depth: float, intrinsics: CameraIntrinsics) -> np.ndarray:
-    """Invert the pinhole projection at a known depth."""
-    if depth <= 0:
-        raise BehindCameraError(f"depth must be positive, got {depth}")
-    x = (u - intrinsics.cx) * depth / intrinsics.fx
-    y = (v - intrinsics.cy) * depth / intrinsics.fy
-    return np.array([x, y, depth], dtype=np.float64)
+def spherical_to_camera(rho: float, azimuth: float, elevation: float) -> tuple[float, float, float]:
+    """Camera-frame (x, y, z) of a point at range ``rho``, ``azimuth`` (from
+    z towards x) and ``elevation`` (up, towards -y) about the camera axes."""
+    cos_el = math.cos(elevation)
+    return rho * cos_el * math.sin(azimuth), -(rho * math.sin(elevation)), rho * cos_el * math.cos(azimuth)
 
 
-def spherical_to_cartesian(p: SphericalPoint) -> np.ndarray:
-    """Radar-frame (forward, lateral, vertical) coordinates of a spherical point."""
-    cos_el = math.cos(p.elevation)
-    forward = p.range_m * cos_el * math.cos(p.azimuth)
-    lateral = p.range_m * cos_el * math.sin(p.azimuth)
-    vertical = p.range_m * math.sin(p.elevation)
-    return np.array([forward, lateral, vertical], dtype=np.float64)
-
-
-def cartesian_to_spherical(v) -> SphericalPoint:
-    """Inverse of :func:`spherical_to_cartesian` for forward > 0 points."""
-    forward, lateral, vertical = float(v[0]), float(v[1]), float(v[2])
-    rng = math.sqrt(forward * forward + lateral * lateral + vertical * vertical)
-    if rng == 0.0:
-        return SphericalPoint(0.0, 0.0, 0.0)
-    return SphericalPoint(rng, math.atan2(lateral, forward), math.asin(vertical / rng))
-
-
-def radar_axes_to_camera(v) -> np.ndarray:
-    """Reorder a radar-frame (forward, lateral, vertical) vector into camera axes.
-
-    With aligned sensors: camera x = lateral, camera y = -vertical (y points
-    down), camera z = forward.
-    """
-    return np.array([v[1], -v[2], v[0]], dtype=np.float64)
-
-
-def camera_axes_to_radar(v) -> np.ndarray:
-    """Inverse reordering of :func:`radar_axes_to_camera`."""
-    return np.array([v[2], v[0], -v[1]], dtype=np.float64)
+def camera_to_spherical(x: float, y: float, z: float) -> tuple[float, float, float]:
+    """Inverse of :func:`spherical_to_camera`: (rho, azimuth, elevation) of a
+    camera-frame point; the origin has zero angles."""
+    rho = math.sqrt(z * z + x * x + y * y)
+    return rho, math.atan2(x, z), math.asin(-y / rho) if rho > 0 else 0.0
 
 
 def scale_intrinsics(intrinsics: CameraIntrinsics, s: float) -> CameraIntrinsics:
@@ -307,14 +286,15 @@ def empirical_projection_error(
 ) -> float:
     """Horizontal pixel distance caused by one azimuth-resolution step.
 
-    The point is displaced by the worst-case lateral position error of a
-    single azimuth step, e = range * cos(elevation) * dtheta * cos(azimuth),
-    at its measured depth, and both positions are pushed through the actual
-    pinhole projection. Under aligned radar and camera axes the returned
-    distance equals fx * dtheta for every range, azimuth and elevation,
-    which is exactly the range-independence this function exists to verify.
+    The point, spherical about the camera axes, is displaced by the
+    worst-case lateral position error of a single azimuth step,
+    e = range * cos(elevation) * dtheta * cos(azimuth), at its measured
+    depth, and both positions are pushed through the actual pinhole
+    projection. The returned distance equals fx * dtheta for every range,
+    azimuth and elevation, which is exactly the range-independence this
+    function exists to verify.
     """
-    cam = radar_axes_to_camera(spherical_to_cartesian(p))
+    cam = np.array(spherical_to_camera(p.range_m, p.azimuth, p.elevation))
     lateral_error = (
         p.range_m * math.cos(p.elevation) * res.delta_theta * math.cos(p.azimuth)
     )
@@ -383,8 +363,3 @@ class SensorCalibration:
     @classmethod
     def load(cls, path: str | Path) -> "SensorCalibration":
         return cls.from_dict(load_json(path))
-
-    def save(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")

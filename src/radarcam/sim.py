@@ -72,7 +72,16 @@ from .depth_supervision import (
     build_depth_targets,  # noqa: F401 -- bench/tracing.py wraps the name in this module
     neighborhood_pixels,  # noqa: F401 -- bench/tracing.py wraps the name in this module
 )
-from .geometry import SensorCalibration, json_list, json_number, json_numbers, json_object, load_json
+from .geometry import (
+    SensorCalibration,
+    camera_to_spherical,
+    json_list,
+    json_number,
+    json_numbers,
+    json_object,
+    load_json,
+    spherical_to_camera,
+)
 
 RCS_SIZE_CONSTANT_M2 = 1.0  # square meters of frontal area per 0 dBsm
 
@@ -185,13 +194,6 @@ class Scene:
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "boxes", boxes)
 
-    @property
-    def depth_map(self) -> np.ndarray:
-        """The (S, H_s, W_s) true-depth maps, +inf where no object is visible."""
-        shape = (self.calibration.image_height // self.stride, self.calibration.image_width // self.stride)
-        _, vv, uu = np.indices((len(self.table), *shape))
-        return true_depth_at(self.boxes[:, :, None, None].swapaxes(0, 1), uu, vv)
-
 
 def generate_scene(
     seeds,
@@ -276,8 +278,9 @@ def simulate_radar(scene: Scene, model: RadarNoiseModel, seeds) -> tuple[np.ndar
 
     Each object yields ``model.points_for`` of its size returns, drawn
     uniformly on its frontal rectangle (one (dx, dy) pair per return) and
-    then perturbed in spherical coordinates about the camera: azimuth,
-    elevation and range draws per return. The camera-frame results are
+    then perturbed in spherical coordinates about the camera
+    (:func:`~radarcam.geometry.camera_to_spherical`): azimuth, elevation and
+    range draws per return. The camera-frame results are
     mapped into the radar frame with the inverse of ``radar_to_camera``.
     """
     if len(seeds) != len(scene.table):
@@ -296,16 +299,12 @@ def simulate_radar(scene: Scene, model: RadarNoiseModel, seeds) -> tuple[np.ndar
         offsets = rng.uniform(-half, half)
         xs, ys = (src[:, 0] + offsets[:, 0]).tolist(), (src[:, 1] + offsets[:, 1]).tolist()
         for x, y, z in zip(xs, ys, src[:, 2].tolist()):
-            fwd, lat, up = z, x, -y  # camera axes to radar axes
-            rho = math.sqrt(fwd * fwd + lat * lat + up * up)
-            theta = math.atan2(lat, fwd) + (theta_lo + theta_span * rng.random())
-            phi = (math.asin(up / rho) if rho > 0 else 0.0) + (phi_lo + phi_span * rng.random())
+            rho, theta, phi = camera_to_spherical(x, y, z)
+            theta += theta_lo + theta_span * rng.random()
+            phi += phi_lo + phi_span * rng.random()
             if sigma > 0:
                 rho += max(-3.0 * sigma, min(3.0 * sigma, rng.normal(0.0, sigma)))
-            rho = max(rho, 0.0)
-            cos_phi = math.cos(phi)
-            # Radar (forward, lateral, up) back to camera axes (lateral, -up, forward).
-            rows.append((rho * cos_phi * math.sin(theta), -(rho * math.sin(phi)), rho * cos_phi * math.cos(theta)))
+            rows.append(spherical_to_camera(max(rho, 0.0), theta, phi))
     camera = np.array(rows, dtype=np.float64).reshape(-1, 3)
     radar = scene.calibration.radar_to_camera.inverse().apply_many(camera)
     return np.column_stack((radar, source[:, 4])), per_seed

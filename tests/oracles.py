@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from radarcam.depth_supervision import DepthTarget, RadarPoint
-from radarcam.geometry import camera_axes_to_radar, radar_axes_to_camera, scale_intrinsics
+from radarcam.geometry import scale_intrinsics
 from radarcam.sim import EMPTY_BOX, ExperimentResult, SeedResult, SupervisionMetrics, bootstrap_gap, rcs_from_size
 from radarcam.tensor_ops import ShapeError, conv2d
 from radarcam.view_transform import depth_to_bin_coordinate, voxel_centers
@@ -338,8 +338,10 @@ def generate_objects_reference(seed, n_objects, extents) -> list[SceneObject]:
 
 
 def apply_measurement_noise(cam_point, model, rng) -> np.ndarray:
-    """Perturb one camera-frame point in radar spherical coordinates."""
-    fwd, lat, up = camera_axes_to_radar(cam_point)
+    """Perturb one camera-frame point in spherical coordinates about the
+    camera: radar forward is camera z, lateral x and up -y."""
+    x, y, z = (float(c) for c in cam_point)
+    fwd, lat, up = z, x, -y
     rho = math.sqrt(fwd * fwd + lat * lat + up * up)
     theta = math.atan2(lat, fwd)
     phi = math.asin(up / rho) if rho > 0 else 0.0
@@ -349,8 +351,8 @@ def apply_measurement_noise(cam_point, model, rng) -> np.ndarray:
     rho += float(np.clip(dr, -3.0 * model.range_sigma, 3.0 * model.range_sigma))
     rho = max(rho, 0.0)
     cos_phi = math.cos(phi)
-    radar = np.array([rho * cos_phi * math.cos(theta), rho * cos_phi * math.sin(theta), rho * math.sin(phi)])
-    return radar_axes_to_camera(radar)
+    fwd, lat, up = rho * cos_phi * math.cos(theta), rho * cos_phi * math.sin(theta), rho * math.sin(phi)
+    return np.array([lat, -up, fwd])
 
 
 def simulate_radar_reference(objects, model, seed, radar_to_camera) -> list[RadarPoint]:

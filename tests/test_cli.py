@@ -247,6 +247,14 @@ class TestLoss:
         assert "target 1 " in capsys.readouterr().err
         assert not (tmp_path / "per.csv").exists()
 
+    @pytest.mark.parametrize("flag", ["--lambda1", "--lambda2"])
+    def test_infinite_weight_exits_2_without_output(self, tmp_path, flag, capsys):
+        argv = write_loss_inputs(tmp_path, np.full((8, 3, 3), 0.125), [DepthTarget(1, 1, 3.0, 1.0)])
+        assert main(argv + [flag, "inf"]) == 2
+        captured = capsys.readouterr()
+        assert "loss weights must be finite and non-negative" in captured.err and captured.out == ""
+        assert not (tmp_path / "per.csv").exists()
+
     def test_negative_probabilities_exit_2(self, tmp_path, capsys):
         depth_map = np.full((8, 3, 3), 0.125)
         depth_map[:2, 1, 1] = [0.5, -0.25]
@@ -659,13 +667,13 @@ class TestErrorModel:
         assert len(rows) == 5 * 9 * 3
         assert max(float(r["rel_deviation"]) for r in rows) <= 1e-12
 
-    def test_one_seed_runs_without_orderings(self, tmp_path):
-        config = reduced_config(tmp_path, num_seeds=1, orderings=[])
-        csv_path, summary = tmp_path / "rows.csv", tmp_path / "summary.json"
-        argv = ["simulate", "--config", str(config), "--output-csv", str(csv_path), "--summary", str(summary)]
-        assert main(argv) == 0
-        assert json.loads(summary.read_text())["orderings"] == {}
-        assert len(read_csv(csv_path)) == 4
+    def test_aligned_output_is_pinned(self, tmp_path, capsys):
+        """sha256 of stdout on the aligned calibration, recorded before the
+        spherical convention was written once in ``geometry``."""
+        assert main(self.argv(tmp_path)) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "8be2c9ce6b02c5fa6059e7f1a747c3c9c414c87dc3dbd854f28c9883ce7d5ef7"
+        )
 
     def test_plot_data_rows_equal_the_main_csv(self, tmp_path):
         out, plot = tmp_path / "err.csv", tmp_path / "plot.csv"

@@ -13,14 +13,12 @@ from radarcam.depth_supervision import (
     RadarPoint,
     RadiusConfig,
     build_depth_targets,
-    expected_depth,
     _select_in_disks,
     nearest_bin,
     neighborhood_pixels,
     neighborhood_radius,
     one_to_many_loss,
     one_to_many_loss_grad,
-    pixel_depth_loss,
     read_radar_points_csv,
     targets_from_array,
     targets_to_array,
@@ -51,6 +49,18 @@ def make_calib(fx=1600.0, fy=1600.0, cx=320.0, cy=240.0, width=640, height=480):
 
 def uniform_map(num_bins, height, width):
     return np.full((num_bins, height, width), 1.0 / num_bins)
+
+
+def pixel_loss(dist, d_gt, spec, lambda1=0.1, lambda2=0.1):
+    """One pixel's depth loss: a one-to-one target on a 1x1 map of ``dist``."""
+    cfg = LossConfig(lambda1, lambda2, strategy="one-to-one")
+    depth_map = np.asarray(dist, dtype=np.float64).reshape(-1, 1, 1)
+    return one_to_many_loss(depth_map, [DepthTarget(0, 0, d_gt, 0.0)], spec, cfg).total
+
+
+def expected_depth(dist, spec):
+    """The expected depth of ``dist``: its L1 loss against depth 0."""
+    return pixel_loss(dist, 0.0, spec, lambda1=0.0, lambda2=1.0)
 
 
 class TestNeighborhoodRadius:
@@ -361,23 +371,20 @@ class TestPixelDepthLoss:
     def test_perfect_one_hot_is_zero(self):
         dist = np.zeros(50)
         dist[10] = 1.0
-        assert pixel_depth_loss(dist, self.SPEC.midpoint(10), self.SPEC, LossConfig()) == 0.0
+        assert pixel_loss(dist, self.SPEC.midpoint(10), self.SPEC) == 0.0
 
     def test_uniform_mid_range(self):
-        cfg = LossConfig(lambda1=0.1, lambda2=0.1)
-        loss = pixel_depth_loss(np.full(50, 0.02), 25.0, self.SPEC, cfg)
+        loss = pixel_loss(np.full(50, 0.02), 25.0, self.SPEC, lambda1=0.1, lambda2=0.1)
         assert loss == pytest.approx(0.1 * math.log(50.0), abs=1e-12)
 
     def test_zero_weights_zero_loss(self):
-        cfg = LossConfig(lambda1=0.0, lambda2=0.0)
         dist = softmax(np.random.default_rng(0).normal(size=50), axis=0)
-        assert pixel_depth_loss(dist, 13.0, self.SPEC, cfg) == 0.0
+        assert pixel_loss(dist, 13.0, self.SPEC, lambda1=0.0, lambda2=0.0) == 0.0
 
     def test_out_of_range_depth_keeps_regression_term(self):
         dist = np.zeros(50)
         dist[49] = 1.0
-        cfg = LossConfig(lambda1=0.0, lambda2=1.0)
-        loss = pixel_depth_loss(dist, 60.0, self.SPEC, cfg)
+        loss = pixel_loss(dist, 60.0, self.SPEC, lambda1=0.0, lambda2=1.0)
         assert loss == pytest.approx(60.0 - self.SPEC.midpoint(49))
 
 
@@ -653,11 +660,9 @@ class TestDepthMapValidation:
 
 
 class TestNonFiniteInputs:
-    def test_radar_point_rejects_non_finite_rcs_and_doppler(self):
+    def test_radar_point_rejects_non_finite_rcs(self):
         with pytest.raises(ValueError, match="RCS"):
             RadarPoint(0.0, 0.0, 10.0, rcs_dbsm=math.nan)
-        with pytest.raises(ValueError, match="Doppler"):
-            RadarPoint(0.0, 0.0, 10.0, doppler=math.inf)
 
     def test_radius_rejects_nan_rcs(self):
         with pytest.raises(ValueError, match="RCS"):
@@ -670,9 +675,11 @@ class TestNonFiniteInputs:
         with pytest.raises(ValueError):
             RadiusConfig(**kwargs)
 
-    @pytest.mark.parametrize("kwargs", [{"lambda1": math.nan}, {"lambda2": math.nan}])
-    def test_loss_config_rejects_nan(self, kwargs):
-        with pytest.raises(ValueError, match="non-negative"):
+    @pytest.mark.parametrize(
+        "kwargs", [{"lambda1": math.nan}, {"lambda2": math.nan}, {"lambda1": math.inf}, {"lambda2": math.inf}]
+    )
+    def test_loss_config_rejects_nan_and_infinite_weights(self, kwargs):
+        with pytest.raises(ValueError, match="finite and non-negative"):
             LossConfig(**kwargs)
 
 
@@ -747,8 +754,7 @@ class TestRadarCsv:
         path = tmp_path / "pts.csv"
         path.write_text("x,y,z,rcs_dbsm,doppler\n1.0,2.0,3.0,5.5,-0.25\n4,5,6,,\n")
         pts = read_radar_points_csv(path)
-        assert pts[0] == RadarPoint(1.0, 2.0, 3.0, 5.5, -0.25)
-        assert pts[1].rcs_dbsm is None and pts[1].doppler is None
+        assert pts == [RadarPoint(1.0, 2.0, 3.0, 5.5), RadarPoint(4.0, 5.0, 6.0)]
 
     def test_minimal_columns(self, tmp_path):
         path = tmp_path / "pts.csv"
@@ -777,6 +783,7 @@ class TestRadarCsv:
             ("x,y,z\n1,2,3,4\n", "line 2: a row needs"),
             ("x,y,z\n1,2,abc\n", "line 2: could not convert"),
             ("x,y,z,rcs_dbsm\n1,2,3,inf\n", "line 2: radar point RCS"),
+            ("x,y,z,rcs_dbsm,doppler\n1,2,3,4,inf\n", "line 2: radar point Doppler"),
         ],
     )
     def test_bad_rows_name_file_and_line(self, tmp_path, text, message):

@@ -1,5 +1,6 @@
 """Tests for projection, transforms and the radar position-error model."""
 
+import json
 import math
 
 import numpy as np
@@ -13,16 +14,13 @@ from radarcam.geometry import (
     RigidTransform,
     SensorCalibration,
     SphericalPoint,
-    camera_axes_to_radar,
-    cartesian_to_spherical,
+    camera_to_spherical,
     empirical_projection_error,
     max_pixel_position_error,
-    pixel_to_camera,
     project_points,
     project_to_pixel,
-    radar_axes_to_camera,
     scale_intrinsics,
-    spherical_to_cartesian,
+    spherical_to_camera,
 )
 
 K = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0)
@@ -59,7 +57,7 @@ class TestProjection:
     @settings(max_examples=100, deadline=None)
     def test_unproject_roundtrip(self, x, y, z):
         u, v, d = project_to_pixel((x, y, z), K)
-        back = pixel_to_camera(u, v, d, K)
+        back = ((u - K.cx) * d / K.fx, (v - K.cy) * d / K.fy, d)
         u2, v2, d2 = project_to_pixel(back, K)
         assert abs(u2 - u) < 1e-9 and abs(v2 - v) < 1e-9 and abs(d2 - d) < 1e-9
 
@@ -125,31 +123,30 @@ class TestRigidTransform:
 
 class TestSpherical:
     def test_forward_only(self):
-        out = spherical_to_cartesian(SphericalPoint(10.0, 0.0, 0.0))
-        np.testing.assert_allclose(out, [10.0, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(spherical_to_camera(10.0, 0.0, 0.0), [0.0, 0.0, 10.0], atol=1e-12)
 
     def test_near_lateral_limit(self):
         eps = 1e-6
-        out = spherical_to_cartesian(SphericalPoint(10.0, math.pi / 2 - eps, 0.0))
-        assert out[1] == pytest.approx(10.0, abs=1e-4)
+        x, _, _ = spherical_to_camera(10.0, math.pi / 2 - eps, 0.0)
+        assert x == pytest.approx(10.0, abs=1e-4)
 
     def test_thirty_degree_example(self):
-        out = spherical_to_cartesian(SphericalPoint(2.0, math.radians(30.0), 0.0))
-        assert out[0] == pytest.approx(1.7320508, abs=1e-6)
-        assert out[1] == pytest.approx(1.0, abs=1e-9)
+        x, _, z = spherical_to_camera(2.0, math.radians(30.0), 0.0)
+        assert z == pytest.approx(1.7320508, abs=1e-6)
+        assert x == pytest.approx(1.0, abs=1e-9)
 
     @given(st.floats(0.1, 200), st.floats(-1.2, 1.2), st.floats(-1.2, 1.2))
     @settings(max_examples=100, deadline=None)
     def test_spherical_roundtrip(self, rng_m, az, el):
-        p = SphericalPoint(rng_m, az, el)
-        q = cartesian_to_spherical(spherical_to_cartesian(p))
-        assert q.range_m == pytest.approx(p.range_m, rel=1e-12)
-        assert q.azimuth == pytest.approx(p.azimuth, abs=1e-12)
-        assert q.elevation == pytest.approx(p.elevation, abs=1e-12)
+        rho, azimuth, elevation = camera_to_spherical(*spherical_to_camera(rng_m, az, el))
+        assert rho == pytest.approx(rng_m, rel=1e-12)
+        assert azimuth == pytest.approx(az, abs=1e-12)
+        assert elevation == pytest.approx(el, abs=1e-12)
 
-    def test_axis_reordering_roundtrip(self):
-        v = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(camera_axes_to_radar(radar_axes_to_camera(v)), v)
+    def test_elevation_points_up_and_the_origin_has_zero_angles(self):
+        _, y, _ = spherical_to_camera(10.0, 0.0, 0.1)
+        assert y < 0.0  # camera y points down
+        assert camera_to_spherical(0.0, 0.0, 0.0) == (0.0, 0.0, 0.0)
 
     def test_invalid_angles_rejected(self):
         with pytest.raises(ValueError):
@@ -239,7 +236,7 @@ class TestSensorCalibration:
             angular_resolution=AngularResolution.from_degrees(1.0, 0.5),
         )
         path = tmp_path / "calib.json"
-        calib.save(path)
+        path.write_text(json.dumps(calib.to_dict()))
         back = SensorCalibration.load(path)
         assert back.intrinsics == calib.intrinsics
         assert back.image_width == 640

@@ -30,6 +30,7 @@ from radarcam.sim import (
     rcs_from_size,
     run_experiment,
     simulate_radar,
+    true_depth_at,
 )
 
 from oracles import (
@@ -119,6 +120,13 @@ def test_every_arm_matches_the_per_target_loop(seed):
         assert got.depth_mae == float(np.mean(finite))
 
 
+def depth_maps(scene):
+    """The (S, H_s, W_s) true-depth maps of a scene: true_depth_at over every feature cell."""
+    shape = (scene.calibration.image_height // scene.stride, scene.calibration.image_width // scene.stride)
+    _, vv, uu = np.indices((len(scene.table), *shape))
+    return true_depth_at(scene.boxes[:, :, None, None].swapaxes(0, 1), uu, vv)
+
+
 def tiny_scene():
     """A 10x10 image at stride 1 that sees one object at 10 m on pixel (6, 5) only."""
     calib = SensorCalibration(
@@ -129,7 +137,7 @@ def tiny_scene():
     scene = Scene(np.array([[[1.5, 0.5, 10.0, 0.64, rcs_from_size(0.64)]]]), 1, calib)
     want = np.full((1, 10, 10), np.inf)
     want[0, 5, 6] = 10.0
-    np.testing.assert_array_equal(scene.depth_map, want)
+    np.testing.assert_array_equal(depth_maps(scene), want)
     return scene
 
 
@@ -194,14 +202,14 @@ class TestTrueDepth:
         cfg = default_experiment_config()
         seeds = [0, 11]
         scene = generate_scene(seeds, 12, cfg.extents, cfg.calibration, cfg.stride)
-        for depth_map, seed in zip(scene.depth_map, seeds):
+        for depth_map, seed in zip(depth_maps(scene), seeds):
             objects = generate_objects_reference(seed, 12, cfg.extents)
             np.testing.assert_array_equal(depth_map, render_depth_map(objects, cfg.calibration, cfg.stride))
 
     def test_scene_without_objects_sees_nothing(self):
         cfg = default_experiment_config()
         scene = generate_scene([0, 1], 0, cfg.extents, cfg.calibration, cfg.stride)
-        assert scene.boxes.shape == (2, 0, 5) and np.isposinf(scene.depth_map).all()
+        assert scene.boxes.shape == (2, 0, 5) and np.isposinf(depth_maps(scene)).all()
 
 
 # 64 x 48 pixels: at stride 1 an object at 10 m with a 2 m side spans 8 pixels.
