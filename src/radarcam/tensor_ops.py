@@ -124,9 +124,11 @@ def conv2d(x: np.ndarray, params: Conv2DParams) -> np.ndarray:
 
     Computed as one GEMM per kernel tap over the flattened padded input: the
     output pixel (oy, ox) sits at flat column oy * Wp + ox, and tap (ky, kx)
-    reads the contiguous columns shifted by ky * Wp + kx. The Wp - W' columns
-    at the end of each accumulator row straddle two input rows and are
-    cropped; a stride keeps every stride-th row and column.
+    reads the contiguous columns shifted by ky * Wp + kx. The first tap's
+    GEMM writes the accumulator and every later tap's is added to it, so a
+    1x1 conv is one GEMM plus the bias. The Wp - W' columns at the end of
+    each accumulator row straddle two input rows and are cropped; a stride
+    keeps every stride-th row and column.
     """
     x = _as_f64(x)
     if x.ndim != 3:
@@ -142,14 +144,18 @@ def conv2d(x: np.ndarray, params: Conv2DParams) -> np.ndarray:
     flat = xp.reshape(in_ch, hp * wp)
     out_h, out_w = hp - kh + 1, wp - kw + 1
     span = (out_h - 1) * wp + out_w
-    acc = np.zeros((out_ch, out_h * wp), dtype=np.float64)
-    part = np.empty((out_ch, span), dtype=np.float64)
-    for ky in range(kh):
-        for kx in range(kw):
+    # the columns past span straddle the last row and are cropped unread
+    acc = np.empty((out_ch, out_h * wp), dtype=np.float64)
+    np.matmul(params.weights[:, :, 0, 0], flat[:, :span], out=acc[:, :span])
+    if kh * kw > 1:
+        part = np.empty((out_ch, span), dtype=np.float64)
+        for tap in range(1, kh * kw):
+            ky, kx = divmod(tap, kw)
             shift = ky * wp + kx
             np.matmul(params.weights[:, :, ky, kx], flat[:, shift : shift + span], out=part)
             acc[:, :span] += part
-    del part, flat, xp  # a padded copy is freed before the output is allocated
+        del part
+    del flat, xp  # a padded copy is freed before the output is allocated
     out = acc.reshape(out_ch, out_h, wp)[:, :: params.stride, : out_w : params.stride]
     return out + params.bias[:, None, None]
 
@@ -184,17 +190,21 @@ def softmax(x: np.ndarray, axis: int) -> np.ndarray:
     x = _as_f64(x)
     if not -x.ndim <= axis < x.ndim:
         raise ShapeError(f"axis {axis} invalid for shape {x.shape}")
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    out = x - np.max(x, axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= np.sum(out, axis=axis, keepdims=True)
+    return out
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Elementwise logistic function, stable for large |x|: exp only ever
-    sees -|x|, so it cannot overflow."""
+    sees -|x|, so it cannot overflow. The result is 1 / (1 + e) where
+    x >= 0 and e / (1 + e) elsewhere, with e = exp(-|x|)."""
     x = _as_f64(x)
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = np.where(x >= 0, 1.0, e)
+    out /= e + 1.0
+    return out
 
 
 def global_pool(x: np.ndarray, mode: str) -> np.ndarray:

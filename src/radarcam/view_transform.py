@@ -19,10 +19,12 @@ A voxel of such a cell outside the frustum reads no map and samples exact
 zeros. The first conv's input channels are permuted once to the rows'
 order, and as the conv is linear it runs on those rows alone as a sparse
 convolution (arXiv 1711.10275): one GEMM gives every kernel tap's products
-at every cell, each tap's products are added at a constant shift into a
-stride-1 accumulator with a margin, the accumulator is cropped and
-subsampled by the stride, and the bias comes last. An output that reads no
-sampled cell is exactly the bias. The other convs run densely.
+at every cell, and each tap adds its products at a constant shift into a
+stride-1 accumulator with a margin, one slice add per run of cells that are
+consecutive in the padded grid (the frustum makes one run per BEV row). The
+accumulator is cropped and subsampled by the stride, and the bias comes
+last. An output that reads no sampled cell is exactly the bias. The other
+convs run densely.
 
 Sampling uses the pixel-center convention: the center of pixel (row i,
 col j) sits at continuous coordinate (u=j, v=i), depth bin k's midpoint at
@@ -338,18 +340,20 @@ def sample_cells(
 def conv2d_cells(cells: np.ndarray, rows: np.ndarray, shape: tuple[int, int], conv: Conv2DParams) -> np.ndarray:
     """:func:`conv2d` of a (C_in, Y, X) map that is zero off ``cells``.
 
-    ``cells`` holds raveled (Y, X) indices and ``rows`` their (M, C_in)
-    inputs. One GEMM gives every kernel tap's (C_out, M) products. They are
-    added at stride 1 into a flat accumulator laid out like :func:`conv2d`'s,
-    Wp columns a row, behind a margin of kh - 1 rows and kw - 1 columns: the
-    tap (ky, kx) of every cell lands at the cell's padded flat index minus
-    ky * Wp + kx, so each tap is one shifted add with no mask. A product that
-    falls off the left edge wraps into the straddling columns that the crop
-    drops, and one that falls above the top into the margin. The result is
-    cropped, subsampled by the stride and the bias added last, as in
-    :func:`conv2d`; an output that reads no cell is therefore exactly the
-    bias. The products come from a GEMM of another shape than
-    :func:`conv2d`'s, so results agree with it to rounding, not bit for bit.
+    ``cells`` holds strictly increasing raveled (Y, X) indices and ``rows``
+    their (M, C_in) inputs. One GEMM gives every kernel tap's (C_out, M)
+    products. They are added at stride 1 into a flat accumulator laid out
+    like :func:`conv2d`'s, Wp columns a row, behind a margin of kh - 1 rows
+    and kw - 1 columns: the tap (ky, kx) of every cell lands at the cell's
+    padded flat index minus ky * Wp + kx. The cells split into runs whose
+    padded indices are consecutive, and each tap adds each run's products
+    as one slice, with no mask; the taps go in :func:`conv2d`'s order. A product that falls off the left edge wraps
+    into the straddling columns that the crop drops, and one that falls
+    above the top into the margin. The result is cropped, subsampled by the
+    stride and the bias added last, as in :func:`conv2d`; an output that
+    reads no cell is therefore exactly the bias. The products come from a
+    GEMM of another shape than :func:`conv2d`'s, so results agree with it
+    to rounding, not bit for bit.
     """
     ny, nx = shape
     out_ch, in_ch, kh, kw = conv.weights.shape
@@ -357,15 +361,29 @@ def conv2d_cells(cells: np.ndarray, rows: np.ndarray, shape: tuple[int, int], co
     hp, wp = ny + pt + pb, nx + pl + pr
     if hp < kh or wp < kw:
         raise ShapeError(f"padded input {hp}x{wp} smaller than kernel {kh}x{kw}")
+    cells = np.asarray(cells)
+    if cells.ndim != 1 or not np.issubdtype(cells.dtype, np.integer):
+        raise ShapeError(f"cells must be a 1D integer array, got {cells.dtype} of shape {cells.shape}")
+    if np.any(cells[1:] <= cells[:-1]):
+        raise ShapeError("cells must be strictly increasing")
+    if cells.size and (cells[0] < 0 or cells[-1] >= ny * nx):
+        raise ShapeError(f"cells {cells[0]}..{cells[-1]} outside [0, {ny * nx}) of the {ny}x{nx} grid")
+    if rows.shape != (cells.size, in_ch):
+        raise ShapeError(f"rows shape {rows.shape} != (cells, in_channels) {(cells.size, in_ch)}")
     out_h, out_w = hp - kh + 1, wp - kw + 1
     products = conv.weights.transpose(2, 3, 0, 1).reshape(kh * kw * out_ch, in_ch) @ rows.T
     margin = (kh - 1) * wp + kw - 1
     dest = cells + (cells // nx) * (pl + pr) + (margin + pt * wp + pl)
+    # runs of consecutive destinations; dest >= 0, so the first cell starts one
+    starts = np.flatnonzero(np.diff(dest, prepend=-2) != 1)
+    runs = list(zip(dest[starts].tolist(), starts.tolist(), [*starts[1:].tolist(), dest.size]))
     acc = np.zeros((out_ch, margin + hp * wp), dtype=np.float64)
     for ky in range(kh):
         for kx in range(kw):
-            tap = (ky * kw + kx) * out_ch
-            acc[:, dest - (ky * wp + kx)] += products[tap : tap + out_ch]
+            tap, shift = (ky * kw + kx) * out_ch, ky * wp + kx
+            for first, start, stop in runs:
+                d = first - shift
+                acc[:, d : d + stop - start] += products[tap : tap + out_ch, start:stop]
     out = acc[:, margin : margin + out_h * wp].reshape(out_ch, out_h, wp)
     return out[:, :: conv.stride, : out_w : conv.stride] + conv.bias[:, None, None]
 

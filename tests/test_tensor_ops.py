@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from radarcam.tensor_ops import (
     Conv2DParams,
@@ -24,6 +25,16 @@ from radarcam.tensor_ops import (
 from oracles import bilinear_reference, bilinear_sample, conv2d_naive, sigmoid_two_branch, trilinear_sample
 
 SIGMOID_SPECIALS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 40.0, -746.0)
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes that ``fn(*args)`` allocates, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestConv2D:
@@ -124,6 +135,16 @@ class TestConv2D:
             tracemalloc.stop()
         assert peak < 2 * padded_bytes
 
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_1x1_equals_one_gemm_plus_bias_bitwise(self, c_in, c_out, h, w, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(c_in, h, w))
+        weights, bias = rng.normal(size=(c_out, c_in, 1, 1)), rng.normal(size=c_out)
+        got = conv2d(x, Conv2DParams(weights, bias))
+        want = (weights[:, :, 0, 0] @ x.reshape(c_in, -1) + bias[:, None]).reshape(c_out, h, w)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
 
 class TestLinear:
     def test_identity(self):
@@ -190,6 +211,32 @@ class TestSoftmax:
         with pytest.raises(ShapeError):
             softmax(np.zeros((2, 2)), axis=5)
 
+    @given(
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=1, max_dims=3, max_side=6),
+            elements=st.one_of(st.floats(-50, 50), st.floats(-1e300, 1e300), st.sampled_from((-745.0, 710.0))),
+        ),
+        st.integers(0, 2),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_textbook_two_pass_form_bitwise(self, x, axis):
+        axis = axis % x.ndim
+        e = np.exp(x - np.max(x, axis=axis, keepdims=True))
+        want = e / np.sum(e, axis=axis, keepdims=True)
+        np.testing.assert_array_equal(softmax(x, axis).view(np.int64), want.view(np.int64))
+
+    def test_leaves_its_input_unchanged(self):
+        x = np.random.default_rng(5).normal(size=(4, 3, 5)) * 30
+        before = x.copy()
+        softmax(x, axis=0)
+        np.testing.assert_array_equal(x, before)
+
+    def test_peak_memory_stays_below_1_1x_a_depth_volume(self):
+        # the shape of tier-L depth logits: one output buffer and no temporary
+        x = np.random.default_rng(4).normal(size=(64, 76, 121))
+        assert traced_peak(softmax, x, 0) < 1.1 * x.nbytes
+
 
 class TestSigmoid:
     def test_zero_is_half(self):
@@ -224,6 +271,17 @@ class TestSigmoid:
         # the gates of attention fusion reach both ends of [0, 1]
         assert sigmoid(np.array(40.0)) == 1.0
         assert sigmoid(np.array(-746.0)) == 0.0
+
+    def test_leaves_its_input_unchanged(self):
+        x = np.array([-3.0, -0.0, 0.0, 2.5, 800.0, -800.0])
+        before = x.copy()
+        sigmoid(x)
+        np.testing.assert_array_equal(x.view(np.int64), before.view(np.int64))
+
+    def test_peak_memory_stays_below_3_1x_an_occupancy_map(self):
+        # the shape of tier-L occupancy logits
+        x = np.random.default_rng(6).normal(size=(8, 128, 128))
+        assert traced_peak(sigmoid, x) < 3.1 * x.nbytes
 
 
 class TestPooling:

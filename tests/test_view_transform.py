@@ -1,6 +1,7 @@
 """Tests for occupancy, depth-distribution estimation and the sampling VT."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -495,29 +496,80 @@ def sparse_conv_instances(draw):
     return x, active, conv
 
 
+def assert_sparse_conv_matches_dense(x, active, conv):
+    """``conv2d_cells`` on the active cells of ``x`` equals the dense oracle,
+    and outputs that read no active cell are exactly the bias."""
+    cells = np.flatnonzero(active)
+    got = conv2d_cells(cells, x.reshape(x.shape[0], -1)[:, cells].T, active.shape, conv)
+    want = conv2d_naive(x, conv.weights, conv.bias, conv.padding, conv.stride)
+    assert scaled_error(got, want) < 1e-12
+    # outputs whose receptive field holds no active cell are the bias, bit for bit
+    _, _, kh, kw = conv.weights.shape
+    pt, pb, pl, pr = conv.padding
+    s = conv.stride
+    padded = np.pad(active, ((pt, pb), (pl, pr)))
+    reads = np.array(
+        [[padded[oy * s : oy * s + kh, ox * s : ox * s + kw].any() for ox in range(got.shape[2])] for oy in range(got.shape[1])]
+    ).reshape(got.shape[1:])
+    assert np.all(got[:, ~reads] == conv.bias[:, None])
+
+
+# (raveled cells of a 5x6 grid, kernel side, padding, stride)
+RUN_EDGE_CASES = {
+    "run across a row boundary": ([3, 4, 5, 6, 7, 8], 3, (1, 1, 1, 1), 1),
+    "single-cell runs": ([0, 2, 9, 16, 29], 3, (1, 1, 1, 1), 1),
+    "runs on the left and right edges": ([0, 1, 10, 11, 12, 17, 24, 28, 29], 3, (1, 1, 1, 1), 1),
+    "runs on the edges with no padding": ([0, 1, 4, 5, 6, 11, 12, 13, 23, 24, 25, 29], 3, (0, 0, 0, 0), 1),
+    "full grid": (list(range(30)), 3, (1, 1, 1, 1), 1),
+    "full grid, 5x5 kernel": (list(range(30)), 5, (2, 1, 0, 2), 1),
+    "stride 2": ([1, 2, 3, 6, 7, 14, 15, 16, 17, 18, 19, 20, 27], 3, (1, 1, 1, 1), 2),
+    "stride 2, full grid": (list(range(30)), 3, (1, 1, 1, 1), 2),
+}
+
+
 class TestConv2DCells:
     @given(sparse_conv_instances())
     @settings(max_examples=150, deadline=None)
     def test_matches_dense_oracle_and_leaves_unread_outputs_at_the_bias(self, instance):
-        x, active, conv = instance
-        cells = np.flatnonzero(active)
-        got = conv2d_cells(cells, x.reshape(x.shape[0], -1)[:, cells].T, active.shape, conv)
-        want = conv2d_naive(x, conv.weights, conv.bias, conv.padding, conv.stride)
-        assert scaled_error(got, want) < 1e-12
-        # outputs whose receptive field holds no active cell are the bias, bit for bit
-        _, _, kh, kw = conv.weights.shape
-        pt, pb, pl, pr = conv.padding
-        s = conv.stride
-        padded = np.pad(active, ((pt, pb), (pl, pr)))
-        reads = np.array(
-            [[padded[oy * s : oy * s + kh, ox * s : ox * s + kw].any() for ox in range(got.shape[2])] for oy in range(got.shape[1])]
-        ).reshape(got.shape[1:])
-        assert np.all(got[:, ~reads] == conv.bias[:, None])
+        assert_sparse_conv_matches_dense(*instance)
+
+    @pytest.mark.parametrize("cells, k, padding, stride", RUN_EDGE_CASES.values(), ids=RUN_EDGE_CASES.keys())
+    def test_runs_of_cells_match_dense_oracle(self, cells, k, padding, stride):
+        rng = np.random.default_rng(7)
+        active = np.zeros(30, dtype=bool)
+        active[cells] = True
+        active = active.reshape(5, 6)
+        x = rng.normal(size=(3, 5, 6)) * active
+        conv = Conv2DParams(rng.normal(size=(2, 3, k, k)), rng.normal(size=2), padding, stride)
+        assert_sparse_conv_matches_dense(x, active, conv)
 
     def test_kernel_larger_than_the_padded_grid_is_rejected(self):
         conv = Conv2DParams(np.ones((1, 2, 5, 3)), np.zeros(1), (1, 1, 0, 0))
         with pytest.raises(ShapeError, match="padded input 4x3 smaller than kernel 5x3"):
             conv2d_cells(np.array([0, 4]), np.ones((2, 2)), (2, 3), conv)
+
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            # a buffered fancy add would keep one of the two contributions
+            ([7, 7], "cells must be strictly increasing"),
+            ([8, 7], "cells must be strictly increasing"),
+            ([-1, 7], "cells -1..7 outside [0, 16) of the 4x4 grid"),
+            ([7, 16], "cells 7..16 outside [0, 16) of the 4x4 grid"),
+            ([1.0, 7.0], "cells must be a 1D integer array, got float64 of shape (2,)"),
+        ],
+        ids=["duplicated", "decreasing", "negative", "past the grid", "not integers"],
+    )
+    def test_bad_cells_are_rejected(self, cells, message):
+        conv = Conv2DParams.same(np.ones((1, 2, 3, 3)), np.zeros(1))
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            conv2d_cells(np.array(cells), np.ones((2, 2)), (4, 4), conv)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (2,)])
+    def test_rows_must_be_one_input_row_per_cell(self, shape):
+        conv = Conv2DParams.same(np.ones((1, 2, 3, 3)), np.zeros(1))
+        with pytest.raises(ShapeError, match=re.escape(f"rows shape {shape} != (cells, in_channels) (2, 2)")):
+            conv2d_cells(np.array([1, 7]), np.ones(shape), (4, 4), conv)
 
 
 def _edge_coordinates(extent: int) -> list[float]:
