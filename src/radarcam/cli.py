@@ -1,8 +1,9 @@
 """File-based command line front end.
 
 Exit codes: 0 success, 1 usage error, 2 data or shape error. Diagnostics go
-to stderr; machine-readable output goes to files or stdout. Every input is
-read and validated before any output file is created, and all commands are
+to stderr; machine-readable output goes to files or stdout. Every output
+path is checked and every input read and validated before any output is
+written, so a command writes all of its outputs or none. All commands are
 deterministic for fixed seeds, so re-running a command reproduces its output
 files byte for byte.
 
@@ -20,8 +21,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -81,6 +84,27 @@ def _write_json(path: str | Path, data: dict) -> None:
         fh.write("\n")
 
 
+def _check_outputs(*paths) -> None:
+    """Raise the error that creating an output file would raise, for the
+    first of ``paths`` (None for an unset optional output) that is empty, is
+    a directory, or whose directory is missing or not writable."""
+    for path in paths:
+        if path is None:
+            continue
+        parent = os.path.dirname(os.path.abspath(path))
+        if not path:
+            code = errno.ENOENT
+        elif os.path.isdir(path):
+            code = errno.EISDIR
+        elif not os.path.isdir(parent):
+            code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+        elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+            code = errno.EACCES
+        else:
+            continue
+        raise OSError(code, os.strerror(code), str(path))
+
+
 def _manifest_file(manifest: dict, key: str, root: Path) -> Path:
     """A file a manifest names, relative to the manifest's directory."""
     value = manifest.get(key)
@@ -101,6 +125,8 @@ def _given(**flags) -> dict:
 
 
 def cmd_depth_targets(args) -> int:
+    sidecar = args.sidecar or (str(args.output) + ".json")
+    _check_outputs(args.output, sidecar)
     # Flags override the config file, which overrides the defaults.
     config = load_json(args.config) if args.config else {}
     config.update(_given(stride=args.stride, k=args.k, r_max=args.r_max, fixed_r=args.fixed_r))
@@ -112,7 +138,6 @@ def cmd_depth_targets(args) -> int:
     cfg = RadiusConfig.from_dict(config)
     result = build_depth_targets(points, calib, stride, cfg)
     lxlt.write_tensor(args.output, targets_to_array(result.targets))
-    sidecar = args.sidecar or (str(args.output) + ".json")
     _write_json(
         sidecar,
         {
@@ -134,6 +159,7 @@ def cmd_depth_targets(args) -> int:
 
 
 def cmd_loss(args) -> int:
+    _check_outputs(args.per_target or None)
     depth_map = lxlt.read_tensor(args.depth_map)
     targets = targets_from_array(lxlt.read_tensor(args.targets))
     spec = DepthBinSpec(args.d_min, args.d_max, args.num_bins)
@@ -186,6 +212,7 @@ def cmd_grad_check(args) -> int:
 
 
 def cmd_vt(args) -> int:
+    _check_outputs(args.output)
     manifest = load_json(args.manifest)
     root = Path(args.manifest).parent
     f_pv = lxlt.read_tensor(_manifest_file(manifest, "feature_map", root))
@@ -206,6 +233,7 @@ def cmd_vt(args) -> int:
 
 
 def cmd_fuse(args) -> int:
+    _check_outputs(args.output)
     f_radar = lxlt.read_tensor(args.radar)
     f_image = lxlt.read_tensor(args.image)
     manifest = load_json(args.params)
@@ -220,6 +248,7 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _check_outputs(args.output_csv, args.summary, args.emit_plot_data or None)
     if args.config:
         cfg = ExperimentConfig.load(args.config)
     else:
@@ -250,6 +279,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_error_model(args) -> int:
+    _check_outputs(args.output or None, args.emit_plot_data or None)
     calib = SensorCalibration.load(args.calib)
     res = calib.angular_resolution
     if res.delta_theta == 0:

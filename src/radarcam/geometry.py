@@ -242,18 +242,38 @@ def project_to_pixel(point, intrinsics: CameraIntrinsics) -> tuple[float, float,
     return float(u), float(v), float(z)
 
 
-def spherical_to_camera(rho: float, azimuth: float, elevation: float) -> tuple[float, float, float]:
-    """Camera-frame (x, y, z) of a point at range ``rho``, ``azimuth`` (from
-    z towards x) and ``elevation`` (up, towards -y) about the camera axes."""
-    cos_el = math.cos(elevation)
-    return rho * cos_el * math.sin(azimuth), -(rho * math.sin(elevation)), rho * cos_el * math.cos(azimuth)
+def per_element(fn, *arrays) -> np.ndarray:
+    """``fn`` of each element of the broadcast ``arrays``, called once per
+    element on Python floats; a 0-d result comes back as a NumPy float.
+
+    Used for :mod:`math` functions (``sin``, ``atan2``, ...): libm's
+    results are pinned, and NumPy's vectorised versions differ from them in
+    the last bit on some inputs.
+    """
+    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=np.float64) for a in arrays))
+    values = map(fn, *(a.ravel().tolist() for a in arrays))
+    return np.fromiter(values, np.float64, arrays[0].size).reshape(arrays[0].shape)[()]
 
 
-def camera_to_spherical(x: float, y: float, z: float) -> tuple[float, float, float]:
-    """Inverse of :func:`spherical_to_camera`: (rho, azimuth, elevation) of a
-    camera-frame point; the origin has zero angles."""
-    rho = math.sqrt(z * z + x * x + y * y)
-    return rho, math.atan2(x, z), math.asin(-y / rho) if rho > 0 else 0.0
+def spherical_to_camera(rho, azimuth, elevation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Camera-frame (x, y, z) of points at range ``rho``, ``azimuth`` (from
+    z towards x) and ``elevation`` (up, towards -y) about the camera axes.
+
+    Takes arrays or floats, which broadcast. ``sin`` and ``cos`` are libm's
+    (:func:`per_element`); the rest is NumPy arithmetic in scalar order.
+    """
+    rho_cos_el = rho * per_element(math.cos, elevation)
+    x = rho_cos_el * per_element(math.sin, azimuth)
+    return x, -(rho * per_element(math.sin, elevation)), rho_cos_el * per_element(math.cos, azimuth)
+
+
+def camera_to_spherical(x, y, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inverse of :func:`spherical_to_camera`: (rho, azimuth, elevation) of
+    camera-frame points, arrays or floats; the origin has zero angles."""
+    x, y, z = (np.asarray(c, dtype=np.float64) for c in (x, y, z))
+    rho = np.sqrt(z * z + x * x + y * y)
+    sine = np.divide(-y, rho, out=np.zeros(np.shape(rho)), where=rho > 0)
+    return rho, per_element(math.atan2, x, z), per_element(math.asin, sine)
 
 
 def scale_intrinsics(intrinsics: CameraIntrinsics, s: float) -> CameraIntrinsics:

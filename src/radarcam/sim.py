@@ -34,18 +34,22 @@ Results are bit-identical to drawing and scoring one seed at a time:
 
 - ``rng.uniform(lo, hi)`` is ``lo + (hi - lo) * rng.random()`` on the same
   stream, so a seed takes its five draws per object from one
-  ``rng.random((n_objects, 5))``, and the surface offsets come from one
-  ``rng.uniform`` over per-return half extents.
+  ``rng.random((n_objects, 5))``, and the surface offsets of its returns
+  from one ``rng.random((n, 2))``.
 - ``+ - * /``, ``sqrt`` and ``floor`` are correctly rounded in NumPy as in
-  Python floats, so the vector pass over the table equals the per-object
-  arithmetic.
-- The measurement noise keeps three scalar draws per return, in return order:
-  ``Generator.normal`` consumes a variable number of words per sample, so a
-  batched draw would reorder the stream.
-- Trigonometry (``radians``, ``tan``, ``atan2``, ``asin``, ``sin``, ``cos``,
-  ``log10``) stays in :mod:`math` on Python floats: NumPy's vectorised
-  versions differ from libm in the last bit on some inputs.
-- A seed's mean depth error is ``np.mean`` over its own slice.
+  Python floats, so the vector passes over the scene table and over all
+  returns equal the per-object and per-return arithmetic.
+- The measurement noise keeps its scalar draws per return, in return order
+  (``rng.random()`` twice, then ``rng.standard_normal()`` when
+  ``range_sigma > 0``): ``Generator.standard_normal`` consumes a variable
+  number of words per sample, so a batched draw would reorder the stream.
+  Only these draws are a Python loop.
+- Libm functions (``radians``, ``tan``, ``atan2``, ``asin``, ``sin``,
+  ``cos``, ``log10``) run once per element on Python floats
+  (:func:`~radarcam.geometry.per_element`): NumPy's vectorised versions
+  differ from libm in the last bit on some inputs.
+- A seed's mean depth error is ``np.add.reduce`` over its own slice divided
+  by its size, which is what ``np.mean`` computes.
 - A one-to-one pick's cost is its disk's centre candidate: the cost is
   elementwise, so it equals the struck pixel's cost scored alone.
 - Every ordering's resamples are one ``bootstrap_seed`` draw, the same
@@ -80,6 +84,7 @@ from .geometry import (
     json_numbers,
     json_object,
     load_json,
+    per_element,
     spherical_to_camera,
 )
 
@@ -219,8 +224,8 @@ def generate_scene(
     depth = np.where(large, uniform(extents.large_depth_range, u_depth), uniform(extents.small_depth_range, u_depth))
     az, el = extents.azimuth_max_deg, extents.elevation_max_deg
     angles = np.stack([uniform((-az, az), u_az), uniform((-el, el), u_el)])
-    tan = np.array([math.tan(math.radians(a)) for a in angles.ravel().tolist()]).reshape(angles.shape)
-    rcs = np.array([rcs_from_size(s) for s in size.ravel().tolist()]).reshape(size.shape)
+    tan = per_element(math.tan, per_element(math.radians, angles))
+    rcs = per_element(rcs_from_size, size)
     return Scene(np.stack([depth * tan[0], depth * tan[1], depth, size, rcs], axis=-1), stride, calib)
 
 
@@ -282,30 +287,40 @@ def simulate_radar(scene: Scene, model: RadarNoiseModel, seeds) -> tuple[np.ndar
     (:func:`~radarcam.geometry.camera_to_spherical`): azimuth, elevation and
     range draws per return. The camera-frame results are
     mapped into the radar frame with the inverse of ``radar_to_camera``.
+
+    Only the noise draws are scalar: per return ``rng.random()`` twice, then
+    ``rng.standard_normal()`` when ``range_sigma > 0``, in return order, so
+    each seed's stream is the one-point-at-a-time stream. The spherical
+    round trip, the noise and the clip run on arrays over all N returns,
+    with libm's trigonometry called once per element for the pinned bits.
     """
     if len(seeds) != len(scene.table):
         raise ValueError(f"need one noise seed per scene seed, got {len(seeds)} for {len(scene.table)}")
     counts = model.points_for(scene.table[..., 3])
     source = scene.table.reshape(-1, 5).repeat(counts.ravel(), axis=0)
-    halves = (np.sqrt(source[:, 3:4]) / 2.0).repeat(2, axis=1)
     per_seed = counts.sum(axis=1)
-    bounds = np.cumsum(per_seed)[:-1]
-    # A scalar rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(), at a third of the call cost.
-    theta_lo, phi_lo, sigma = -model.delta_theta / 2.0, -model.delta_phi / 2.0, model.range_sigma
-    theta_span, phi_span = model.delta_theta / 2.0 - theta_lo, model.delta_phi / 2.0 - phi_lo
-    rows = []
-    for seed, src, half in zip(seeds, np.split(source, bounds), np.split(halves, bounds)):
+    ends = np.cumsum(per_seed).tolist()
+    sigma = model.range_sigma
+    width = 3 if sigma > 0 else 2  # noise draws per return
+    surface, draws = np.empty((len(source), 2)), []
+    for seed, lo, hi in zip(seeds, [0, *ends], ends):
         rng = np.random.default_rng(seed)
-        offsets = rng.uniform(-half, half)
-        xs, ys = (src[:, 0] + offsets[:, 0]).tolist(), (src[:, 1] + offsets[:, 1]).tolist()
-        for x, y, z in zip(xs, ys, src[:, 2].tolist()):
-            rho, theta, phi = camera_to_spherical(x, y, z)
-            theta += theta_lo + theta_span * rng.random()
-            phi += phi_lo + phi_span * rng.random()
-            if sigma > 0:
-                rho += max(-3.0 * sigma, min(3.0 * sigma, rng.normal(0.0, sigma)))
-            rows.append(spherical_to_camera(max(rho, 0.0), theta, phi))
-    camera = np.array(rows, dtype=np.float64).reshape(-1, 3)
+        rng.random(out=surface[lo:hi])
+        fns = (rng.random, rng.random, rng.standard_normal)[:width]
+        draws += [fn() for _ in range(hi - lo) for fn in fns]
+    draws = np.array(draws, dtype=np.float64).reshape(-1, width)
+    # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random() on the same stream.
+    half = np.sqrt(source[:, 3:4]) / 2.0
+    offsets = -half + (half - -half) * surface
+    rho, theta, phi = camera_to_spherical(source[:, 0] + offsets[:, 0], source[:, 1] + offsets[:, 1], source[:, 2])
+    theta_lo, phi_lo = -model.delta_theta / 2.0, -model.delta_phi / 2.0
+    theta = theta + (theta_lo + (model.delta_theta / 2.0 - theta_lo) * draws[:, 0])
+    phi = phi + (phi_lo + (model.delta_phi / 2.0 - phi_lo) * draws[:, 1])
+    if sigma > 0:
+        # normal(0.0, sigma) is 0.0 + sigma * standard_normal(); the 0.0 only turns -0.0 into
+        # +0.0, which the sum with rho >= +0.0 cannot show.
+        rho = rho + np.clip(sigma * draws[:, 2], -3.0 * sigma, 3.0 * sigma)
+    camera = np.stack(spherical_to_camera(np.maximum(rho, 0.0), theta, phi), axis=-1)
     radar = scene.calibration.radar_to_camera.inverse().apply_many(camera)
     return np.column_stack((radar, source[:, 4])), per_seed
 
@@ -364,14 +379,18 @@ def evaluate_supervision(
 
     shape = (calib.image_height // stride, calib.image_width // stride)
     n_targets = np.bincount(seed_of, minlength=n_seeds).tolist()
+    ends = np.cumsum(n_targets).tolist()
     out = []
     for sel in _select_in_disks(table, shape, picks, cost_at):
         err = sel.cost
         hits = np.bincount(seed_of[err <= bins.bin_width / 2.0], minlength=n_seeds).tolist()
+        finite = np.isfinite(err)
         metrics = []
-        for n, hit, seed_err in zip(n_targets, hits, np.split(err, np.cumsum(n_targets)[:-1])):
-            seen = seed_err[np.isfinite(seed_err)]
-            metrics.append(SupervisionMetrics(hit / n if n else 0.0, float(np.mean(seen)) if seen.size else 0.0, n))
+        for n, hit, lo, hi in zip(n_targets, hits, [0, *ends], ends):
+            seen = err[lo:hi][finite[lo:hi]]
+            # np.add.reduce(seen) / seen.size is what np.mean(seen) computes.
+            mae = float(np.add.reduce(seen) / seen.size) if seen.size else 0.0
+            metrics.append(SupervisionMetrics(hit / n if n else 0.0, mae, n))
         out.append(tuple(metrics))
     return tuple(out)
 

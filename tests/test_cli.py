@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,6 +184,17 @@ class TestSimulate:
             "47e73d45c48b2ada2b46e13e7bdd99ff9d0059045fa810a903fffbf3e100a46e"
         )
 
+    @pytest.mark.parametrize(
+        "unwritable,path", [("--summary", "nodir/s.json"), ("--emit-plot-data", "nodir/p.csv"), ("--summary", "")]
+    )
+    def test_an_output_that_cannot_be_written_leaves_none(self, tmp_path, unwritable, path, capsys):
+        outputs = {flag: str(tmp_path / name) for flag, name in (("--output-csv", "rows.csv"), ("--summary", "s.json"))}
+        outputs[unwritable] = str(tmp_path / path) if path else ""
+        argv = ["simulate", "--config", str(reduced_config(tmp_path))]
+        assert main(argv + [x for flag, out in outputs.items() for x in (flag, out)]) == 2
+        assert f"No such file or directory: '{outputs[unwritable]}'" in capsys.readouterr().err
+        assert not any(Path(out).exists() for out in outputs.values() if out)
+
 
 def read_csv(path):
     with open(path, newline="") as fh:
@@ -262,6 +274,13 @@ class TestLoss:
         assert "not normalized" in capsys.readouterr().err
         assert not (tmp_path / "per.csv").exists()
 
+    def test_unwritable_per_target_csv_prints_no_total(self, tmp_path, capsys):
+        argv = write_loss_inputs(tmp_path, float32_map(0), [DepthTarget(1, 2, 3.25, 1.5)])
+        argv[argv.index("--per-target") + 1] = str(tmp_path / "nodir" / "per.csv")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "No such file or directory" in captured.err and captured.out == ""
+
 
 # Radar (forward, lateral, vertical) to camera (right, down, forward) axes.
 RADAR_TO_CAMERA = RigidTransform(np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]]), np.zeros(3))
@@ -319,6 +338,19 @@ class TestDepthTargets:
     def test_null_fixed_r_leaves_points_without_rcs_unsupervised(self, tmp_path, capsys):
         assert main(self.argv(tmp_path, config={"fixed_r": None})) == 2
         assert "no fixed_r is configured" in capsys.readouterr().err
+        assert not (tmp_path / "targets.lxlt").exists()
+
+    @pytest.mark.parametrize(
+        "sidecar,message",
+        [
+            ("nodir/s.json", "No such file or directory"),
+            ("points.csv/s.json", "Not a directory"),
+            (".", "Is a directory"),
+        ],
+    )
+    def test_unwritable_sidecar_leaves_no_targets(self, tmp_path, sidecar, message, capsys):
+        assert main(self.argv(tmp_path) + ["--sidecar", str(tmp_path / sidecar)]) == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "targets.lxlt").exists()
 
     @pytest.mark.parametrize(
@@ -684,6 +716,15 @@ class TestErrorModel:
         assert {r["metric"] for r in tidy} == {"empirical_px", "rel_deviation"}
         for row in tidy:
             assert rows[row["rho_m"], row["theta_deg"], row["phi_deg"]][row["metric"]] == row["value"]
+
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_unwritable_plot_data_leaves_no_table(self, tmp_path, to_file, capsys):
+        out = tmp_path / "e.csv"
+        argv = self.argv(tmp_path) + ["--emit-plot-data", str(tmp_path / "nodir" / "p.csv")]
+        assert main(argv + (["--output", str(out)] if to_file else [])) == 2
+        captured = capsys.readouterr()
+        assert "No such file or directory" in captured.err and captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "calib,message",

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from radarcam.geometry import (
     AngularResolution,
@@ -16,6 +16,7 @@ from radarcam.geometry import (
     SphericalPoint,
     camera_to_spherical,
     empirical_projection_error,
+    per_element,
     max_pixel_position_error,
     project_points,
     project_to_pixel,
@@ -153,6 +154,70 @@ class TestSpherical:
             SphericalPoint(1.0, math.pi / 2, 0.0)
         with pytest.raises(ValueError):
             SphericalPoint(-1.0, 0.0, 0.0)
+
+
+def spherical_to_camera_scalar(rho, azimuth, elevation):
+    """The scalar :mod:`math` formulas, in the operation order the array code keeps."""
+    cos_el = math.cos(elevation)
+    return rho * cos_el * math.sin(azimuth), -(rho * math.sin(elevation)), rho * cos_el * math.cos(azimuth)
+
+
+def camera_to_spherical_scalar(x, y, z):
+    rho = math.sqrt(z * z + x * x + y * y)
+    return rho, math.atan2(x, z), math.asin(-y / rho) if rho > 0 else 0.0
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+HALF_PI = math.pi / 2
+NEAR_HALF_PI = math.nextafter(HALF_PI, 0.0)
+SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+ANGLES = st.one_of(SIGNED_ZEROS, st.floats(-math.pi, math.pi), st.sampled_from([NEAR_HALF_PI, -NEAR_HALF_PI]))
+ELEVATIONS = st.one_of(
+    SIGNED_ZEROS,
+    st.floats(-HALF_PI, HALF_PI),
+    st.sampled_from([HALF_PI, -HALF_PI, NEAR_HALF_PI, -NEAR_HALF_PI]),
+)
+RANGES = st.one_of(SIGNED_ZEROS, st.floats(0.0, 1e4))
+# Away from zero, coordinates stay above 1e-6 so that y * y keeps every bit
+# and |y| / rho stays within asin's domain.
+COORDINATES = st.one_of(SIGNED_ZEROS, st.floats(1e-6, 1e4), st.floats(-1e4, -1e-6))
+
+
+class TestSphericalArraysEqualTheScalarFormulas:
+    """The array conversions call libm once per element and keep the
+    scalar operation order, so they equal the :mod:`math` formulas bit for
+    bit, for arrays and for Python floats alike."""
+
+    @given(st.lists(st.tuples(RANGES, ANGLES, ELEVATIONS), max_size=40))
+    @example([(0.0, 0.0, 0.0), (-0.0, -0.0, -0.0), (1e4, NEAR_HALF_PI, -NEAR_HALF_PI), (5.0, -0.0, HALF_PI)])
+    @settings(max_examples=200, deadline=None)
+    def test_spherical_to_camera(self, points):
+        rho, az, el = np.array(points, dtype=np.float64).reshape(-1, 3).T
+        got = np.stack(spherical_to_camera(rho, az, el), axis=-1)
+        want = [c for p in points for c in spherical_to_camera_scalar(*p)]
+        assert hexes(got.ravel()) == hexes(want)
+        for point in points:
+            assert hexes(spherical_to_camera(*point)) == hexes(spherical_to_camera_scalar(*point))
+
+    @given(st.lists(st.tuples(COORDINATES, COORDINATES, COORDINATES), max_size=40))
+    @example([(0.0, 0.0, 0.0), (-0.0, -0.0, -0.0), (-0.0, 0.0, -0.0), (0.0, -1e4, 1e-6), (-1e4, 1e4, -0.0)])
+    @settings(max_examples=200, deadline=None)
+    def test_camera_to_spherical(self, points):
+        x, y, z = np.array(points, dtype=np.float64).reshape(-1, 3).T
+        got = np.stack(camera_to_spherical(x, y, z), axis=-1)
+        want = [c for p in points for c in camera_to_spherical_scalar(*p)]
+        assert hexes(got.ravel()) == hexes(want)
+        for point in points:
+            assert hexes(camera_to_spherical(*point)) == hexes(camera_to_spherical_scalar(*point))
+
+    def test_per_element_keeps_shape_and_broadcasts(self):
+        got = per_element(math.atan2, np.ones((2, 3)), np.array([1.0, -1.0, 0.0]))
+        assert got.shape == (2, 3) and got[1, 1] == math.atan2(1.0, -1.0)
+        assert type(per_element(math.sin, 0.5)) is np.float64 and per_element(math.sin, 0.5) == math.sin(0.5)
+        assert per_element(math.cos, np.empty((0, 2))).shape == (0, 2)
 
 
 class TestScaleIntrinsics:

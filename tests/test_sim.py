@@ -501,6 +501,58 @@ class TestDrawsMatchTheScalarPipeline:
         assert hexes(points.tolist()) == hexes((p.x, p.y, p.z, p.rcs_dbsm) for r in returns for p in r)
 
 
+def reference_returns(cfg, noise, seeds, n_objects):
+    """Every seed's returns from the one-point-at-a-time oracle, with their counts."""
+    returns = [
+        simulate_radar_reference(
+            generate_objects_reference(seed, n_objects, cfg.extents), noise, seed + 1, cfg.calibration.radar_to_camera
+        )
+        for seed in seeds
+    ]
+    return [(p.x, p.y, p.z, p.rcs_dbsm) for r in returns for p in r], [len(r) for r in returns]
+
+
+class TestSimulateRadarBeyondThePackagedNoise:
+    """``simulate_radar`` equals the per-point oracle by ``float.hex`` away
+    from the packaged noise too: without range noise, with a wide range
+    noise, without angular noise, and where the range clip and
+    ``max(rho, 0)`` act."""
+
+    @pytest.mark.parametrize(
+        "range_sigma,delta_deg,depths",
+        [
+            (0.0, 1.0, None),
+            (1.5, 1.0, None),
+            (0.2, 0.0, None),
+            (1.5, 0.0, None),
+            (1.5, 1.0, (0.3, 1.2)),  # within three sigma of the camera
+        ],
+    )
+    def test_returns_equal_the_per_point_reference(self, range_sigma, delta_deg, depths):
+        base = default_experiment_config()
+        extents = base.extents
+        if depths is not None:
+            extents = dataclasses.replace(extents, large_depth_range=depths, small_depth_range=depths)
+        cfg = dataclasses.replace(base, extents=extents)
+        delta = math.radians(delta_deg)
+        noise = dataclasses.replace(base.noise, range_sigma=range_sigma, delta_theta=delta, delta_phi=delta)
+        seeds = range(0, 1000, 25)
+        scene = generate_scene(seeds, 12, cfg.extents, cfg.calibration, cfg.stride)
+        points, counts = simulate_radar(scene, noise, [seed + 1 for seed in seeds])
+        want, want_counts = reference_returns(cfg, noise, seeds, 12)
+        assert counts.tolist() == want_counts
+        assert [float(x).hex() for x in points.ravel()] == [float(x).hex() for row in want for x in row]
+        if depths is not None:
+            assert (points[:, :3] == 0.0).all(axis=1).sum() > 10  # returns clipped to the camera's origin
+
+    def test_no_objects_give_an_empty_table_and_zero_counts(self):
+        cfg = default_experiment_config()
+        scene = generate_scene([0, 1, 2], 0, cfg.extents, cfg.calibration, cfg.stride)
+        for noise in (cfg.noise, RadarNoiseModel(0.0, 0.0)):
+            points, counts = simulate_radar(scene, noise, [1, 2, 3])
+            assert points.shape == (0, 4) and counts.tolist() == [0, 0, 0]
+
+
 def packaged_config_data():
     return json.loads(resources.files("radarcam").joinpath("configs/default_experiment.json").read_text())
 
