@@ -484,9 +484,10 @@ def read_radar_points_csv(path: str | Path) -> list[RadarPoint]:
     empty or missing at the end of a row, in which case the field is absent
     for that point. Doppler values are checked but not kept. A row without
     x, y and z, with more fields than the header or with a value that is not
-    a finite number raises a ``ValueError`` naming the file and line.
+    a finite number raises a ``ValueError`` naming the file and line. The
+    file is UTF-8, with or without a byte-order mark.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         reader.fieldnames = fields = [f.strip() for f in reader.fieldnames or ()]
         if fields[:3] != ["x", "y", "z"]:

@@ -2,9 +2,12 @@
 pooling.
 
 All operations are pure functions, evaluate forward only and compute in
-float64 regardless of the input dtype. Feature maps follow the channels-first
-layout (C, H, W). Continuous-coordinate sampling belongs to the view
-transformation (:mod:`radarcam.view_transform`), its only user.
+float64 regardless of the input dtype or memory layout. Feature maps follow
+the channels-first layout (C, H, W), and :func:`conv2d` returns them
+C-contiguous. A dense convolution larger than 1x1 runs as one batched GEMM
+per kernel column over overlapping views of a row-major (H, C, W) padded
+copy, with no im2col buffer. Continuous-coordinate sampling belongs to the
+view transformation (:mod:`radarcam.view_transform`), its only user.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 
 class ShapeError(ValueError):
@@ -116,19 +120,38 @@ class MLPParams:
         object.__setattr__(self, "layers", layers)
 
 
+def _zero_padded(x: np.ndarray, padding: tuple[int, int, int, int], rows_outer: bool) -> np.ndarray:
+    """A zero-padded copy of the (C, H, W) map ``x``: (Hp, C, Wp) in memory
+    when ``rows_outer``, else (C, Hp, Wp). Only the borders are zeroed."""
+    c, h, w = x.shape
+    pt, pb, pl, pr = padding
+    hp, wp = h + pt + pb, w + pl + pr
+    buf = np.empty((hp, c, wp) if rows_outer else (c, hp, wp), dtype=np.float64)
+    view = buf.transpose(1, 0, 2) if rows_outer else buf  # (C, Hp, Wp) either way
+    view[:, :pt] = 0.0
+    view[:, pt + h :] = 0.0
+    view[:, pt : pt + h, :pl] = 0.0
+    view[:, pt : pt + h, pl + w :] = 0.0
+    view[:, pt : pt + h, pl : pl + w] = x
+    return buf
+
+
 def conv2d(x: np.ndarray, params: Conv2DParams) -> np.ndarray:
     """2D cross-correlation with zero padding.
 
-    ``x`` is (C_in, H, W); the result is (C_out, H', W') where the output
-    extent follows the usual (H + pad - k) // stride + 1 rule.
+    ``x`` is (C_in, H, W); the result is a C-contiguous (C_out, H', W') array
+    where the output extent follows the usual (H + pad - k) // stride + 1
+    rule.
 
-    Computed as one GEMM per kernel tap over the flattened padded input: the
-    output pixel (oy, ox) sits at flat column oy * Wp + ox, and tap (ky, kx)
-    reads the contiguous columns shifted by ky * Wp + kx. The first tap's
-    GEMM writes the accumulator and every later tap's is added to it, so a
-    1x1 conv is one GEMM plus the bias. The Wp - W' columns at the end of
-    each accumulator row straddle two input rows and are cropped; a stride
-    keeps every stride-th row and column.
+    A 1x1 conv is one GEMM over the (C_in, Hp·Wp) input plus the bias. A
+    larger kernel reads a zero-padded copy laid out (Hp, C_in, Wp), in which
+    one row step is C_in·Wp elements: the kernel rows (ky, c) of every
+    output row then form one K axis of stride Wp over overlapping views of
+    the copy, with no im2col buffer (MEC lowering, arXiv 1706.06873). Each
+    kernel column kx is one batched matmul, one GEMM of K = kh·C_in per
+    output row, into an (H', C_out, Wp - kw + 1) accumulator; a stride
+    skips rows in the view and columns at the end. The transpose and the bias are then
+    written to a fresh C-contiguous array.
     """
     x = _as_f64(x)
     if x.ndim != 3:
@@ -137,27 +160,30 @@ def conv2d(x: np.ndarray, params: Conv2DParams) -> np.ndarray:
     if x.shape[0] != in_ch:
         raise ShapeError(f"input has {x.shape[0]} channels, weights expect {in_ch}")
     pt, pb, pl, pr = params.padding
-    xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr))) if any(params.padding) else x
-    _, hp, wp = xp.shape
+    hp, wp = x.shape[1] + pt + pb, x.shape[2] + pl + pr
     if hp < kh or wp < kw:
         raise ShapeError(f"padded input {hp}x{wp} smaller than kernel {kh}x{kw}")
-    flat = xp.reshape(in_ch, hp * wp)
-    out_h, out_w = hp - kh + 1, wp - kw + 1
-    span = (out_h - 1) * wp + out_w
-    # the columns past span straddle the last row and are cropped unread
-    acc = np.empty((out_ch, out_h * wp), dtype=np.float64)
-    np.matmul(params.weights[:, :, 0, 0], flat[:, :span], out=acc[:, :span])
-    if kh * kw > 1:
-        part = np.empty((out_ch, span), dtype=np.float64)
-        for tap in range(1, kh * kw):
-            ky, kx = divmod(tap, kw)
-            shift = ky * wp + kx
-            np.matmul(params.weights[:, :, ky, kx], flat[:, shift : shift + span], out=part)
-            acc[:, :span] += part
-        del part
-    del flat, xp  # a padded copy is freed before the output is allocated
-    out = acc.reshape(out_ch, out_h, wp)[:, :: params.stride, : out_w : params.stride]
-    return out + params.bias[:, None, None]
+    s = params.stride
+    if kh == kw == 1:
+        xp = _zero_padded(x, params.padding, rows_outer=False) if any(params.padding) else x
+        acc = np.matmul(params.weights[:, :, 0, 0], xp.reshape(in_ch, hp * wp))
+        del xp  # a padded copy is freed before the output is allocated
+        return acc.reshape(out_ch, hp, wp)[:, ::s, ::s] + params.bias[:, None, None]
+    xp = _zero_padded(x, params.padding, rows_outer=True)
+    out_h, out_w = (hp - kh) // s + 1, wp - kw + 1
+    # w_cols[kx] is (C_out, kh·C_in), its K axis in the views' (ky, c) order
+    w_cols = params.weights.transpose(3, 0, 2, 1).reshape(kw, out_ch, kh * in_ch)
+    row, k_step, col = xp.strides
+    shape, strides = (out_h, kh * in_ch, out_w), (s * row, k_step, col)
+    acc = np.matmul(w_cols[0], as_strided(xp, shape, strides, writeable=False))
+    part = np.empty_like(acc)
+    for kx in range(1, kw):
+        np.matmul(w_cols[kx], as_strided(xp[:, :, kx:], shape, strides, writeable=False), out=part)
+        acc += part
+    del xp, part  # the padded copy is freed before the output is allocated
+    out = np.empty((out_ch, out_h, (out_w - 1) // s + 1), dtype=np.float64)
+    np.add(acc.transpose(1, 0, 2)[:, :, ::s], params.bias[:, None, None], out=out)
+    return out
 
 
 def linear(x: np.ndarray, params: LinearParams) -> np.ndarray:

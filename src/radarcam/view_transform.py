@@ -342,14 +342,15 @@ def conv2d_cells(cells: np.ndarray, rows: np.ndarray, shape: tuple[int, int], co
 
     ``cells`` holds strictly increasing raveled (Y, X) indices and ``rows``
     their (M, C_in) inputs. One GEMM gives every kernel tap's (C_out, M)
-    products. They are added at stride 1 into a flat accumulator laid out
-    like :func:`conv2d`'s, Wp columns a row, behind a margin of kh - 1 rows
-    and kw - 1 columns: the tap (ky, kx) of every cell lands at the cell's
-    padded flat index minus ky * Wp + kx. The cells split into runs whose
-    padded indices are consecutive, and each tap adds each run's products
-    as one slice, with no mask; the taps go in :func:`conv2d`'s order. A product that falls off the left edge wraps
-    into the straddling columns that the crop drops, and one that falls
-    above the top into the margin. The result is cropped, subsampled by the
+    products. They are added at stride 1 into a flat accumulator of the
+    padded map, Wp columns a row, behind a margin of kh - 1 rows and kw - 1
+    columns: the tap (ky, kx) of every cell lands at the cell's padded flat
+    index minus ky * Wp + kx. The cells split into runs whose padded
+    indices are consecutive, and each tap, in row-major (ky, kx) order,
+    adds each run's products as one slice, with no mask. A product that
+    falls off the left edge wraps into the Wp - W' columns at the end of a
+    row, which straddle two rows and are cropped, and one that falls above
+    the top into the margin. The result is cropped, subsampled by the
     stride and the bias added last, as in :func:`conv2d`; an output that
     reads no cell is therefore exactly the bias. The products come from a
     GEMM of another shape than :func:`conv2d`'s, so results agree with it

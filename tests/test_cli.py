@@ -374,6 +374,31 @@ class TestDepthTargets:
         assert err.startswith("error:") and message in err
         assert not (tmp_path / "targets.lxlt").exists() and not (tmp_path / "targets.lxlt.json").exists()
 
+    def test_points_with_a_utf8_byte_order_mark_read_as_without(self, tmp_path):
+        assert main(self.argv(tmp_path)) == 0
+        plain = lxlt.read_tensor(tmp_path / "targets.lxlt")
+        (tmp_path / "bom").mkdir()
+        argv = self.argv(tmp_path / "bom", points="\ufeff" + self.POINTS)
+        assert (tmp_path / "bom" / "points.csv").read_bytes()[:4] == b"\xef\xbb\xbfx"
+        assert main(argv) == 0
+        np.testing.assert_array_equal(lxlt.read_tensor(tmp_path / "bom" / "targets.lxlt"), plain)
+
+    @pytest.mark.parametrize("bom", ["", "\ufeff"])
+    @pytest.mark.parametrize(
+        "header,message",
+        [
+            ("x,z,y", "expected a header starting with x,y,z"),
+            ("x;y;z", "expected a header starting with x,y,z"),
+            ("", "expected a header starting with x,y,z"),
+            ("x,y,z,speed", "unexpected columns ['speed']"),
+        ],
+    )
+    def test_bad_header_exits_2_with_or_without_a_byte_order_mark(self, tmp_path, bom, header, message, capsys):
+        assert main(self.argv(tmp_path, points=f"{bom}{header}\n1,2,3\n")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not (tmp_path / "targets.lxlt").exists()
+
     @pytest.mark.parametrize(
         "case,message",
         [

@@ -14,7 +14,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from radarcam import sim
 from radarcam.depth_supervision import DepthBinSpec, RadarPoint, RadiusConfig, _target_table, build_depth_targets
-from radarcam.geometry import AngularResolution, CameraIntrinsics, RigidTransform, SensorCalibration
+from radarcam.geometry import (
+    AngularResolution,
+    CameraIntrinsics,
+    RigidTransform,
+    SensorCalibration,
+    SphericalPoint,
+    camera_to_spherical,
+    empirical_projection_error,
+    spherical_to_camera,
+)
 from radarcam.sim import (
     EMPTY_BOX,
     ExperimentArm,
@@ -499,6 +508,33 @@ class TestDrawsMatchTheScalarPipeline:
         np.testing.assert_array_equal(scene.boxes.reshape(-1, 5), want_boxes)
         assert counts.tolist() == [len(r) for r in returns]
         assert hexes(points.tolist()) == hexes((p.x, p.y, p.z, p.rcs_dbsm) for r in returns for p in r)
+
+
+class TestNoNumpyTrigonometry:
+    """The spherical geometry and the experiment call libm, never NumPy's
+    vectorised functions. NumPy's ``sin`` and ``cos`` equal libm's on some
+    hosts, so the ``float.hex`` tests alone cannot see a swap there; with
+    the NumPy functions made to raise, the swap fails on every host."""
+
+    PATCHED = ("sin", "cos", "tan", "arcsin", "arctan2", "log10")
+
+    def test_geometry_and_experiment_run_without_numpy_trigonometry(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a NumPy trigonometric or log function was called")
+
+        for name in self.PATCHED:
+            monkeypatch.setattr(np, name, refuse)
+        with pytest.raises(AssertionError):
+            np.arctan2(1.0, 1.0)
+        rho, az, el = np.array([1.0, 5.0, 40.0]), np.array([0.1, -0.3, 0.0]), np.array([0.0, 0.05, -0.2])
+        camera_to_spherical(*spherical_to_camera(rho, az, el))
+        camera_to_spherical(*spherical_to_camera(5.0, 0.1, -0.05))
+        cfg = default_experiment_config()
+        res = AngularResolution(cfg.noise.delta_theta, cfg.noise.delta_phi)
+        assert empirical_projection_error(SphericalPoint(20.0, 0.2, 0.1), res, cfg.calibration.intrinsics) > 0
+        scene = generate_scene([0, 1], 12, cfg.extents, cfg.calibration, cfg.stride)
+        points, counts = simulate_radar(scene, cfg.noise, [1, 2])
+        assert counts.sum() == len(points) > 0
 
 
 def reference_returns(cfg, noise, seeds, n_objects):

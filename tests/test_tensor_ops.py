@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from radarcam.tensor_ops import (
@@ -121,6 +121,73 @@ class TestConv2D:
         if want.size:
             assert np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want))) <= 1e-12
 
+    @given(
+        st.sampled_from(["contiguous", "transposed", "strided", "float32", "int"]),
+        st.sampled_from([(1, 1), (1, 3), (3, 1), (1, 5), (5, 1), (3, 3), (1, 7), (7, 1)]),
+        st.lists(st.integers(0, 3), min_size=4, max_size=4),  # top, bottom, left, right
+        st.integers(1, 3),  # stride
+        st.integers(0, 3),  # input channels
+        st.integers(1, 3),  # output channels
+        st.integers(0, 3),  # input height beyond the smallest that fits the kernel
+        st.integers(0, 3),  # input width beyond the smallest that fits the kernel
+        st.integers(0, 2**31 - 1),
+    )
+    @example("transposed", (3, 3), [1, 1, 1, 1], 1, 2, 2, 0, 0, 0)  # a 1x1 map
+    @example("strided", (1, 1), [0, 0, 0, 0], 1, 3, 2, 0, 0, 1)  # a 1x1 map, 1x1 kernel
+    @example("contiguous", (1, 3), [2, 0, 0, 1], 2, 0, 2, 3, 3, 2)  # no input channels
+    @example("int", (5, 1), [0, 3, 1, 0], 3, 2, 1, 3, 2, 3)
+    @settings(max_examples=80, deadline=None)
+    def test_layouts_and_dtypes_match_naive_oracle(self, layout, kernel, padding, stride, c_in, c_out, dh, dw, seed):
+        """Non-contiguous and non-float64 inputs, 1xk and kx1 kernels with
+        asymmetric padding, maps down to 1x1 and strides up to 3."""
+        kh, kw = kernel
+        pt, pb, pl, pr = padding
+        h = max(1, kh - pt - pb) + dh
+        w = max(1, kw - pl - pr) + dw
+        rng = np.random.default_rng(seed)
+        if layout == "transposed":
+            x = rng.normal(size=(c_in, w, h)).transpose(0, 2, 1)
+        elif layout == "strided":
+            x = rng.normal(size=(2 * c_in, 2 * h, 3 * w))[::2, ::2, ::3]
+        elif layout == "float32":
+            x = rng.normal(size=(c_in, h, w)).astype(np.float32)
+        elif layout == "int":
+            x = rng.integers(-9, 10, size=(c_in, h, w))
+        else:
+            x = rng.normal(size=(c_in, h, w))
+        assert x.shape == (c_in, h, w)
+        weights = rng.normal(size=(c_out, c_in, kh, kw))
+        bias = rng.normal(size=c_out)
+        got = conv2d(x, Conv2DParams(weights, bias, tuple(padding), stride))
+        want = conv2d_naive(x, weights, bias, tuple(padding), stride)
+        assert got.shape == want.shape and got.dtype == np.float64
+        # a transposed view of the accumulator would be a valid result too,
+        # but every later elementwise pass over it would run slower
+        assert got.flags.c_contiguous
+        assert np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want))) <= 1e-12
+
+    @given(
+        st.sampled_from([(1, 1), (1, 3), (3, 1), (3, 3), (5, 3), (7, 7)]),
+        st.lists(st.integers(0, 3), min_size=4, max_size=4),
+        st.integers(2, 3),  # stride
+        st.integers(0, 3),  # input channels
+        st.integers(1, 3),  # output channels
+        st.integers(0, 6),
+        st.integers(0, 6),
+        st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_stride_subsamples_the_stride_1_output_bitwise(self, kernel, padding, stride, c_in, c_out, dh, dw, seed):
+        kh, kw = kernel
+        pt, pb, pl, pr = padding
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(c_in, max(1, kh - pt - pb) + dh, max(1, kw - pl - pr) + dw))
+        weights, bias = rng.normal(size=(c_out, c_in, kh, kw)), rng.normal(size=c_out)
+        full = conv2d(x, Conv2DParams(weights, bias, tuple(padding)))[:, ::stride, ::stride]
+        got = conv2d(x, Conv2DParams(weights, bias, tuple(padding), stride))
+        assert got.shape == full.shape
+        np.testing.assert_array_equal(got.view(np.int64), full.view(np.int64))
+
     def test_peak_memory_stays_below_twice_the_padded_input(self):
         # the shape of a post-transform conv: many folded channels mixed down
         rng = np.random.default_rng(3)
@@ -134,6 +201,13 @@ class TestConv2D:
         finally:
             tracemalloc.stop()
         assert peak < 2 * padded_bytes
+
+    def test_peak_memory_at_the_csa_shape_stays_below_twice_the_padded_input(self):
+        # the shape of CSA's in_conv and mid_conv at tier L: 64 channels mixed down to 32
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(64, 128, 128))
+        params = Conv2DParams.same(rng.normal(size=(32, 64, 3, 3)), rng.normal(size=32))
+        assert traced_peak(conv2d, x, params) < 2 * x.shape[0] * 130 * 130 * 8
 
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**31 - 1))
     @settings(max_examples=40, deadline=None)
