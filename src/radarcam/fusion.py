@@ -1,18 +1,26 @@
 """BEV feature fusion: a concatenation baseline and channel/spatial
 attention fusion.
 
-The attention fusion predicts per-modality channel weights from globally
-pooled mixed features (shared MLP over average and max pooling, one MLP per
-modality) and per-modality spatial weight maps from channel statistics of
-the mixed channel-attended features. Both gates are sigmoids, so every
-weight lies in [0, 1]: in float64 a sigmoid rounds to exactly 1 for logits
-above about 37 (``sigmoid(40.0) == 1.0``) and to exactly 0 below about -745
+The attention fusion is CBAM-style (arXiv 1807.06521): per-modality channel
+gates predicted from globally pooled mixed features (shared MLP over average
+and max pooling, one MLP per modality), then per-modality spatial gate maps
+from channel statistics of the mixed channel-gated features, then a mixing
+conv over the gated maps. Both gates are sigmoids, so every weight lies in
+[0, 1]: in float64 a sigmoid rounds to exactly 1 for logits above about 37
+(``sigmoid(40.0) == 1.0``) and to exactly 0 below about -745
 (``sigmoid(-746.0) == 0.0``).
+
+No gated map is ever built. A conv is linear, so a per-channel gate in front
+of it folds into its weights, as batch norm folds into a conv (arXiv
+1712.05877): ``mid_conv`` and ``out_conv`` read the one concatenation of the
+two maps with their input channels scaled by the channel gates. The spatial
+gates, which vary per pixel, scale that concatenation in place before
+``out_conv`` reads it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +31,6 @@ from .tensor_ops import (
     Conv2DParams,
     MLPParams,
     ShapeError,
-    channel_reduce,
     conv2d,
     global_pool,
     mlp,
@@ -68,7 +75,10 @@ class CSAFusionParams:
 
     Channel MLPs bottleneck at floor(C / 3) but never below one unit; each
     modality owns one channel MLP (shared between average and max pooling)
-    and one 7x7 spatial convolution over the stacked channel max and mean.
+    and one spatial convolution over the stacked channel max and mean.
+    ``mid_conv`` and both spatial convs must keep the map size (stride 1,
+    padding summing to k - 1 on each axis), because their output gates the
+    input map pixel by pixel.
     """
 
     in_conv: Conv2DParams
@@ -94,54 +104,84 @@ class CSAFusionParams:
         ):
             if conv.in_channels != 2 or conv.out_channels != 1:
                 raise ShapeError(f"spatial conv ({name}) must map 2 channels to 1")
+        for name in ("mid_conv", "spatial_conv_radar", "spatial_conv_image"):
+            conv = getattr(self, name)
+            _, _, kh, kw = conv.weights.shape
+            pt, pb, pl, pr = conv.padding
+            if conv.stride != 1 or pt + pb != kh - 1 or pl + pr != kw - 1:
+                raise ShapeError(
+                    f"{name} must keep the map size (stride 1, padding summing to k - 1 per axis), "
+                    f"got stride {conv.stride} and padding {conv.padding} for a {kh}x{kw} kernel"
+                )
 
     @classmethod
     def bottleneck_width(cls, channels: int) -> int:
         return max(1, channels // 3)
 
 
-def channel_attention(
-    f_radar: np.ndarray, f_image: np.ndarray, params: CSAFusionParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _fold_gates(conv: Conv2DParams, w_radar: np.ndarray, w_image: np.ndarray) -> Conv2DParams:
+    """``conv`` with the channel gates folded into its input channels: the
+    same conv of the concatenation of ``w_radar * f_radar`` and
+    ``w_image * f_image``, read from the ungated concatenation."""
+    gates = np.concatenate([w_radar, w_image])
+    if gates.shape != (conv.in_channels,):
+        raise ShapeError(f"channel gates hold {gates.shape} weights, the conv takes {conv.in_channels} channels")
+    return replace(conv, weights=conv.weights * gates[:, None, None])
+
+
+def channel_attention(x: np.ndarray, params: CSAFusionParams) -> tuple[np.ndarray, np.ndarray]:
     """Per-modality channel gates predicted from the mixed feature.
 
-    Returns (mid_radar, mid_image, w_radar, w_image): the channel-attended
-    maps and the length-C gate vectors.
+    ``x`` is the (2C, Y, X) concatenation of the radar and image maps.
+    Returns (w_radar, w_image), the length-C gate vectors: each modality's
+    MLP of the average- and max-pooled ``in_conv`` output, summed, through
+    a sigmoid.
     """
-    f_radar, f_image = _check_same_shape(f_radar, f_image)
-    f_in = conv2d(np.concatenate([f_radar, f_image], axis=0), params.in_conv)
+    f_in = conv2d(x, params.in_conv)
     gap = global_pool(f_in, "avg")
     gmp = global_pool(f_in, "max")
     w_radar = sigmoid(mlp(gap, params.channel_mlp_radar) + mlp(gmp, params.channel_mlp_radar))
     w_image = sigmoid(mlp(gap, params.channel_mlp_image) + mlp(gmp, params.channel_mlp_image))
-    mid_radar = w_radar[:, None, None] * f_radar
-    mid_image = w_image[:, None, None] * f_image
-    return mid_radar, mid_image, w_radar, w_image
+    return w_radar, w_image
 
 
 def spatial_attention(
-    mid_radar: np.ndarray, mid_image: np.ndarray, params: CSAFusionParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    x: np.ndarray, w_radar: np.ndarray, w_image: np.ndarray, params: CSAFusionParams
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-modality spatial gates from channel statistics of the mixed map.
 
-    Returns (out_radar, out_image, w_radar, w_image) where the weight maps
-    are (1, Y, X) and broadcast across channels.
+    ``x`` is the ungated (2C, Y, X) concatenation and ``w_radar``,
+    ``w_image`` the channel gates, which ``mid_conv`` applies in its
+    weights. The channel max and mean of its output are stacked into one
+    (2, Y, X) map that each modality's spatial conv reads. Returns
+    (s_radar, s_image), two (1, Y, X) gate maps that broadcast across
+    channels.
     """
-    mid_radar, mid_image = _check_same_shape(mid_radar, mid_image)
-    f_mid = conv2d(np.concatenate([mid_radar, mid_image], axis=0), params.mid_conv)
-    stats = np.concatenate([channel_reduce(f_mid, "max"), channel_reduce(f_mid, "mean")], axis=0)
-    w_radar = sigmoid(conv2d(stats, params.spatial_conv_radar))
-    w_image = sigmoid(conv2d(stats, params.spatial_conv_image))
-    out_radar = w_radar * mid_radar
-    out_image = w_image * mid_image
-    return out_radar, out_image, w_radar, w_image
+    f_mid = conv2d(x, _fold_gates(params.mid_conv, w_radar, w_image))
+    stats = np.empty((2, *f_mid.shape[1:]))
+    np.max(f_mid, axis=0, out=stats[0])
+    np.mean(f_mid, axis=0, out=stats[1])
+    s_radar = sigmoid(conv2d(stats, params.spatial_conv_radar))
+    s_image = sigmoid(conv2d(stats, params.spatial_conv_image))
+    return s_radar, s_image
 
 
 def csa_fusion(f_radar: np.ndarray, f_image: np.ndarray, params: CSAFusionParams) -> np.ndarray:
-    """Channel attention, spatial attention, then a final 3x3 mixing conv."""
-    mid_radar, mid_image, _, _ = channel_attention(f_radar, f_image, params)
-    out_radar, out_image, _, _ = spatial_attention(mid_radar, mid_image, params)
-    return conv2d(np.concatenate([out_radar, out_image], axis=0), params.out_conv)
+    """Channel attention, spatial attention, then a final mixing conv.
+
+    The concatenation of ``f_radar`` and ``f_image`` is built once; the
+    spatial gates then scale it in place, half by half, and ``out_conv``
+    reads it with the channel gates folded into its weights. The inputs are
+    never written.
+    """
+    f_radar, f_image = _check_same_shape(f_radar, f_image)
+    c = f_radar.shape[0]
+    x = np.concatenate([f_radar, f_image], axis=0)
+    w_radar, w_image = channel_attention(x, params)
+    s_radar, s_image = spatial_attention(x, w_radar, w_image, params)
+    x[:c] *= s_radar
+    x[c:] *= s_image
+    return conv2d(x, _fold_gates(params.out_conv, w_radar, w_image))
 
 
 def _read_mlp(entry: dict, root: str | Path, name: str) -> MLPParams:

@@ -24,11 +24,13 @@ up at its candidate pixels from the scene's object boxes
 (:func:`true_depth_at`), one object slot at a time. All orderings are
 bootstrapped over one resample index.
 
-Objects live in the camera frame, and the noise is applied in spherical
-coordinates about the camera. :func:`simulate_radar` then maps the returns
-into the radar frame with the inverse of ``radar_to_camera``, so the target
-build's one ``radar_to_camera`` lands them back on their objects; under the
-identity mount the inverse changes no bit.
+Objects live in the camera frame. :func:`simulate_radar` maps each surface
+point into the radar frame with the inverse of ``radar_to_camera`` and
+applies the noise there, in spherical coordinates about the radar's origin,
+so a mount's lever arm and rotation shape the pixel error; the target
+build's one ``radar_to_camera`` lands the returns back near their objects.
+Under the identity mount the inverse changes no nonzero coordinate, so the
+packaged experiment is unchanged by where the noise is applied.
 
 Results are bit-identical to drawing and scoring one seed at a time:
 
@@ -282,11 +284,12 @@ def simulate_radar(scene: Scene, model: RadarNoiseModel, seeds) -> tuple[np.ndar
     returns. Seed s draws its returns from ``default_rng(seeds[s])``.
 
     Each object yields ``model.points_for`` of its size returns, drawn
-    uniformly on its frontal rectangle (one (dx, dy) pair per return) and
-    then perturbed in spherical coordinates about the camera
-    (:func:`~radarcam.geometry.camera_to_spherical`): azimuth, elevation and
-    range draws per return. The camera-frame results are
-    mapped into the radar frame with the inverse of ``radar_to_camera``.
+    uniformly on its frontal rectangle (one (dx, dy) pair per return). The
+    surface points are mapped into the radar frame with the inverse of
+    ``radar_to_camera`` and perturbed there, in spherical coordinates about
+    the radar's origin (:func:`~radarcam.geometry.camera_to_spherical`):
+    azimuth, elevation and range draws per return. So a mount's lever arm
+    and rotation change where the noise moves a return in the image.
 
     Only the noise draws are scalar: per return ``rng.random()`` twice, then
     ``rng.standard_normal()`` when ``range_sigma > 0``, in return order, so
@@ -312,7 +315,9 @@ def simulate_radar(scene: Scene, model: RadarNoiseModel, seeds) -> tuple[np.ndar
     # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random() on the same stream.
     half = np.sqrt(source[:, 3:4]) / 2.0
     offsets = -half + (half - -half) * surface
-    rho, theta, phi = camera_to_spherical(source[:, 0] + offsets[:, 0], source[:, 1] + offsets[:, 1], source[:, 2])
+    hits = np.column_stack((source[:, 0] + offsets[:, 0], source[:, 1] + offsets[:, 1], source[:, 2]))
+    radar = scene.calibration.radar_to_camera.inverse().apply_many(hits)
+    rho, theta, phi = camera_to_spherical(radar[:, 0], radar[:, 1], radar[:, 2])
     theta_lo, phi_lo = -model.delta_theta / 2.0, -model.delta_phi / 2.0
     theta = theta + (theta_lo + (model.delta_theta / 2.0 - theta_lo) * draws[:, 0])
     phi = phi + (phi_lo + (model.delta_phi / 2.0 - phi_lo) * draws[:, 1])
@@ -320,8 +325,7 @@ def simulate_radar(scene: Scene, model: RadarNoiseModel, seeds) -> tuple[np.ndar
         # normal(0.0, sigma) is 0.0 + sigma * standard_normal(); the 0.0 only turns -0.0 into
         # +0.0, which the sum with rho >= +0.0 cannot show.
         rho = rho + np.clip(sigma * draws[:, 2], -3.0 * sigma, 3.0 * sigma)
-    camera = np.stack(spherical_to_camera(np.maximum(rho, 0.0), theta, phi), axis=-1)
-    radar = scene.calibration.radar_to_camera.inverse().apply_many(camera)
+    radar = np.stack(spherical_to_camera(np.maximum(rho, 0.0), theta, phi), axis=-1)
     return np.column_stack((radar, source[:, 4])), per_seed
 
 

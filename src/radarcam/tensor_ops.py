@@ -150,8 +150,8 @@ def conv2d(x: np.ndarray, params: Conv2DParams) -> np.ndarray:
     the copy, with no im2col buffer (MEC lowering, arXiv 1706.06873). Each
     kernel column kx is one batched matmul, one GEMM of K = kh·C_in per
     output row, into an (H', C_out, Wp - kw + 1) accumulator; a stride
-    skips rows in the view and columns at the end. The transpose and the bias are then
-    written to a fresh C-contiguous array.
+    skips rows in the view and columns at the end. The transpose and the
+    bias are then written to a fresh C-contiguous array.
     """
     x = _as_f64(x)
     if x.ndim != 3:

@@ -186,7 +186,9 @@ def depth_distribution(
     ``intrinsics`` must already be rescaled to the feature stride. The
     flattened (row-major) inverse intrinsic matrix is embedded by a linear
     layer into one scale per channel, features are gated channelwise, reduced
-    to depth logits by a 1x1 conv, and normalized by softmax over bins.
+    to depth logits by a 1x1 conv, and normalized by softmax over bins. The
+    conv is linear, so the channel scales go into its weights, not into a
+    scaled copy of the features.
     """
     f_pv = np.asarray(f_pv, dtype=np.float64)
     if f_pv.ndim != 3:
@@ -196,7 +198,11 @@ def depth_distribution(
         raise ShapeError(
             f"embedding yields {scale.shape[0]} channels, features have {f_pv.shape[0]}"
         )
-    logits = conv2d(f_pv * scale[:, None, None], params.depth_conv)
+    conv = params.depth_conv
+    if conv.in_channels != f_pv.shape[0]:
+        # checked here, not by conv2d: a one-channel conv would take the scales by broadcasting
+        raise ShapeError(f"input has {f_pv.shape[0]} channels, weights expect {conv.in_channels}")
+    logits = conv2d(f_pv, replace(conv, weights=conv.weights * scale[:, None, None]))
     return DepthDistributionMap(softmax(logits, axis=0), bins, stride)
 
 

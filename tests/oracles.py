@@ -2,13 +2,15 @@
 
 These deliberately avoid the vectorized code paths they verify: the
 convolution oracle is six nested loops, the sigmoid oracle splits its input
-by boolean masks, the footprint oracle projects one scene object at a time
-in Python floats, the scalar samplers read one point's corners at a time, the view-transformation oracle walks voxels one at a time
-through those samplers, the depth-loss oracle scores one target's disk at a
-time, the target-build oracle projects one radar point at a time in plain
-Python floats and the experiment oracle runs one seed and arm at a time
-through scalar draws, per-return noise, rendered true-depth maps and a
-per-target disk loop.
+by boolean masks, the attention-fusion oracle builds every gated map in the
+paper's order through the nested-loop convolution, the footprint oracle
+projects one scene object at a time in Python floats, the scalar samplers
+read one point's corners at a time, the view-transformation oracle walks
+voxels one at a time through those samplers, the depth-loss oracle scores
+one target's disk at a time, the target-build oracle projects one radar
+point at a time in plain Python floats and the experiment oracle runs one
+seed and arm at a time through scalar draws, per-return noise, rendered
+true-depth maps and a per-target disk loop.
 """
 
 from __future__ import annotations
@@ -63,6 +65,40 @@ def sigmoid_two_branch(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def _mlp_reference(x: np.ndarray, params) -> np.ndarray:
+    """The layer stack as explicit products, a rectifier between layers."""
+    for i, layer in enumerate(params.layers):
+        if i:
+            x = np.maximum(x, 0.0)
+        x = layer.weights @ x + layer.bias
+    return x
+
+
+def csa_fusion_reference(f_radar, f_image, params) -> np.ndarray:
+    """Attention fusion in the paper's order, every conv through
+    :func:`conv2d_naive`: the channel-gated maps ``w * f``, the spatially
+    gated maps ``s * (w * f)``, then ``out_conv`` over their concatenation."""
+    f_radar = np.asarray(f_radar, dtype=np.float64)
+    f_image = np.asarray(f_image, dtype=np.float64)
+
+    def conv(x, p):
+        return conv2d_naive(x, p.weights, p.bias, p.padding, p.stride)
+
+    f_in = conv(np.concatenate([f_radar, f_image]), params.in_conv)
+    gap, gmp = f_in.mean(axis=(1, 2)), f_in.max(axis=(1, 2))
+    mid = []
+    for f, mlp in ((f_radar, params.channel_mlp_radar), (f_image, params.channel_mlp_image)):
+        w = sigmoid_two_branch(_mlp_reference(gap, mlp) + _mlp_reference(gmp, mlp))
+        mid.append(w[:, None, None] * f)
+    f_mid = conv(np.concatenate(mid), params.mid_conv)
+    stats = np.stack([f_mid.max(axis=0), f_mid.mean(axis=0)])
+    out = [
+        sigmoid_two_branch(conv(stats, spatial)) * m
+        for m, spatial in zip(mid, (params.spatial_conv_radar, params.spatial_conv_image))
+    ]
+    return conv(np.concatenate(out), params.out_conv)
 
 
 def bilinear_sample(fmap: np.ndarray, uv) -> np.ndarray:
@@ -337,10 +373,10 @@ def generate_objects_reference(seed, n_objects, extents) -> list[SceneObject]:
     return objects
 
 
-def apply_measurement_noise(cam_point, model, rng) -> np.ndarray:
-    """Perturb one camera-frame point in spherical coordinates about the
-    camera: radar forward is camera z, lateral x and up -y."""
-    x, y, z = (float(c) for c in cam_point)
+def apply_measurement_noise(point, model, rng) -> np.ndarray:
+    """Perturb one radar-frame point in spherical coordinates about the
+    radar's origin: forward is z, lateral x and up -y, as in the camera."""
+    x, y, z = (float(c) for c in point)
     fwd, lat, up = z, x, -y
     rho = math.sqrt(fwd * fwd + lat * lat + up * up)
     theta = math.atan2(lat, fwd)
@@ -357,8 +393,8 @@ def apply_measurement_noise(cam_point, model, rng) -> np.ndarray:
 
 def simulate_radar_reference(objects, model, seed, radar_to_camera) -> list[RadarPoint]:
     """Noisy returns one point at a time: every surface sample first (scalar
-    dx, dy per return), then each sample's noise draws, each noisy
-    camera-frame point mapped into the radar frame on its own."""
+    dx, dy per return), then each sample mapped into the radar frame on its
+    own and perturbed there by its noise draws."""
     rng = np.random.default_rng(seed)
     camera_to_radar = radar_to_camera.inverse()
     samples = []
@@ -371,7 +407,7 @@ def simulate_radar_reference(objects, model, seed, radar_to_camera) -> list[Rada
             samples.append((np.array([cx + dx, cy + dy, z]), obj))
     points = []
     for cam_point, obj in samples:
-        noisy = camera_to_radar.apply(apply_measurement_noise(cam_point, model, rng))
+        noisy = apply_measurement_noise(camera_to_radar.apply(cam_point), model, rng)
         points.append(RadarPoint(float(noisy[0]), float(noisy[1]), float(noisy[2]), rcs_dbsm=obj.rcs_dbsm))
     return points
 

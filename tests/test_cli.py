@@ -655,6 +655,24 @@ class TestFuse:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists()
 
+    def test_mid_conv_that_changes_the_map_size_exits_2_without_output(self, tmp_path, monkeypatch, capsys):
+        """A manifest's convs load same-padded at stride 1, so the loader is
+        made to hand back a strided mid_conv, as a stride key would."""
+        manifest, argv = write_fuse_inputs(tmp_path, "csa")
+        (tmp_path / "params.json").write_text(json.dumps(manifest))
+        read_conv = lxlt.read_conv
+
+        def strided(entry, root, name):
+            conv = read_conv(entry, root, name)
+            return dataclasses.replace(conv, stride=2) if name == "mid_conv" else conv
+
+        monkeypatch.setattr(lxlt, "read_conv", strided)
+        out = tmp_path / "fused.lxlt"
+        assert main(argv + ["--params", str(tmp_path / "params.json"), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: mid_conv must keep the map size") and "Traceback" not in err
+        assert not out.exists()
+
     def test_manifest_that_is_not_an_object_exits_2(self, tmp_path, capsys):
         _, argv = write_fuse_inputs(tmp_path, "csa")
         (tmp_path / "params.json").write_text("[1, 2]")

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from radarcam import lxlt
+from radarcam import fusion, lxlt
 from radarcam.fusion import (
     CSAFusionParams,
     ConcatFusionParams,
@@ -17,16 +17,19 @@ from radarcam.fusion import (
     csa_params_from_manifest,
     spatial_attention,
 )
-from radarcam.tensor_ops import Conv2DParams, LinearParams, MLPParams, ShapeError
+from radarcam.tensor_ops import Conv2DParams, LinearParams, MLPParams, ShapeError, conv2d
 
 from helpers import (
     identity_conv,
+    random_conv,
     random_csa_params,
+    random_mlp,
     selection_conv,
     zero_conv,
     zero_csa_params,
     zero_mlp,
 )
+from oracles import csa_fusion_reference
 
 C, Y, X = 6, 4, 5
 
@@ -34,6 +37,15 @@ C, Y, X = 6, 4, 5
 def random_maps(seed):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(C, Y, X)), rng.normal(size=(C, Y, X))
+
+
+def concatenated(f_r, f_i):
+    return np.concatenate([f_r, f_i], axis=0)
+
+
+def scaled_error(got, want):
+    assert got.shape == want.shape
+    return np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want)))
 
 
 class TestConcatFusion:
@@ -66,11 +78,9 @@ class TestConcatFusion:
 class TestChannelAttention:
     def test_zero_params_halve_the_features(self):
         f_r, f_i = random_maps(3)
-        mid_r, mid_i, w_r, w_i = channel_attention(f_r, f_i, zero_csa_params(C))
+        w_r, w_i = channel_attention(concatenated(f_r, f_i), zero_csa_params(C))
         np.testing.assert_array_equal(w_r, np.full(C, 0.5))
         np.testing.assert_array_equal(w_i, np.full(C, 0.5))
-        np.testing.assert_array_equal(mid_r, 0.5 * f_r)
-        np.testing.assert_array_equal(mid_i, 0.5 * f_i)
 
     def test_saturating_bias_passes_features_through(self):
         f_r, f_i = random_maps(4)
@@ -79,50 +89,62 @@ class TestChannelAttention:
             in_conv=params.in_conv,
             channel_mlp_radar=zero_mlp(C, final_bias=40.0),
             channel_mlp_image=zero_mlp(C, final_bias=40.0),
-            mid_conv=params.mid_conv,
+            mid_conv=random_conv(np.random.default_rng(4), C, 2 * C, 3),
             spatial_conv_radar=params.spatial_conv_radar,
             spatial_conv_image=params.spatial_conv_image,
             out_conv=params.out_conv,
         )
-        mid_r, _, w_r, _ = channel_attention(f_r, f_i, saturated)
-        assert np.all(w_r > 1.0 - 1e-6)
-        np.testing.assert_allclose(mid_r, f_r, rtol=1e-6)
+        x = concatenated(f_r, f_i)
+        w_r, w_i = channel_attention(x, saturated)
+        np.testing.assert_array_equal(w_r, np.ones(C))  # sigmoid(40.0) == 1.0
+        # unit gates fold into mid_conv as no change at all
+        ones = np.ones(C)
+        for got, want in zip(spatial_attention(x, w_r, w_i, saturated), spatial_attention(x, ones, ones, saturated)):
+            np.testing.assert_array_equal(got, want)
 
     def test_weights_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(5)
         f_r, f_i = random_maps(5)
-        _, _, w_r, w_i = channel_attention(f_r, f_i, random_csa_params(rng, C))
+        w_r, w_i = channel_attention(concatenated(f_r, f_i), random_csa_params(rng, C))
         for w in (w_r, w_i):
+            assert w.shape == (C,)
             assert np.all(w > 0.0) and np.all(w < 1.0)
 
 
 class TestSpatialAttention:
     def test_zero_params_halve_the_features(self):
         f_r, f_i = random_maps(6)
-        out_r, out_i, w_r, w_i = spatial_attention(f_r, f_i, zero_csa_params(C))
-        np.testing.assert_array_equal(w_r, np.full((1, Y, X), 0.5))
-        np.testing.assert_array_equal(w_i, np.full((1, Y, X), 0.5))
-        np.testing.assert_array_equal(out_r, 0.5 * f_r)
-        np.testing.assert_array_equal(out_i, 0.5 * f_i)
+        half = np.full(C, 0.5)
+        s_r, s_i = spatial_attention(concatenated(f_r, f_i), half, half, zero_csa_params(C))
+        np.testing.assert_array_equal(s_r, np.full((1, Y, X), 0.5))
+        np.testing.assert_array_equal(s_i, np.full((1, Y, X), 0.5))
 
     def test_constant_input_gives_spatially_constant_weights(self):
         rng = np.random.default_rng(7)
         params = random_csa_params(rng, C)
         f_r = np.ones((C, 12, 14)) * 0.3
         f_i = np.ones((C, 12, 14)) * -0.7
-        _, _, w_r, w_i = spatial_attention(f_r, f_i, params)
+        ones = np.ones(C)
+        s_r, s_i = spatial_attention(concatenated(f_r, f_i), ones, ones, params)
         # zero padding contaminates a 4-pixel band (3x3 then 7x7 kernels);
         # translation invariance holds on the interior
-        for w in (w_r, w_i):
-            assert np.ptp(w[0, 4:-4, 4:-4]) < 1e-12
+        for s in (s_r, s_i):
+            assert np.ptp(s[0, 4:-4, 4:-4]) < 1e-12
 
     def test_weight_maps_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(8)
         f_r, f_i = random_maps(8)
-        _, _, w_r, w_i = spatial_attention(f_r, f_i, random_csa_params(rng, C))
-        for w in (w_r, w_i):
-            assert w.shape == (1, Y, X)
-            assert np.all(w > 0.0) and np.all(w < 1.0)
+        params = random_csa_params(rng, C)
+        x = concatenated(f_r, f_i)
+        s_r, s_i = spatial_attention(x, *channel_attention(x, params), params)
+        for s in (s_r, s_i):
+            assert s.shape == (1, Y, X)
+            assert np.all(s > 0.0) and np.all(s < 1.0)
+
+    def test_gates_of_the_wrong_length_rejected(self):
+        f_r, f_i = random_maps(9)
+        with pytest.raises(ShapeError, match=f"channel gates hold \\({2 * C - 1},\\) weights, the conv takes {2 * C}"):
+            spatial_attention(concatenated(f_r, f_i), np.ones(C), np.ones(C - 1), zero_csa_params(C))
 
 
 class TestCSAFusion:
@@ -174,20 +196,25 @@ class TestCSAFusion:
         np.testing.assert_allclose(out, swapped, atol=1e-12)
 
     def test_gate_factorization_identity(self):
+        """The fused map is out_conv over the maps gated by both stages'
+        gates, and the same as the paper's order of gated copies."""
         rng = np.random.default_rng(12)
         params = random_csa_params(rng, C)
         f_r, f_i = random_maps(12)
-        mid_r, mid_i, wc_r, wc_i = channel_attention(f_r, f_i, params)
-        out_r, out_i, ws_r, ws_i = spatial_attention(mid_r, mid_i, params)
-        np.testing.assert_allclose(out_r, wc_r[:, None, None] * ws_r * f_r, atol=1e-6)
-        np.testing.assert_allclose(out_i, wc_i[:, None, None] * ws_i * f_i, atol=1e-6)
+        x = concatenated(f_r, f_i)
+        wc_r, wc_i = channel_attention(x, params)
+        ws_r, ws_i = spatial_attention(x, wc_r, wc_i, params)
+        gated = concatenated(wc_r[:, None, None] * ws_r * f_r, wc_i[:, None, None] * ws_i * f_i)
+        got = csa_fusion(f_r, f_i, params)
+        assert scaled_error(got, conv2d(gated, params.out_conv)) <= 1e-12
+        assert scaled_error(got, csa_fusion_reference(f_r, f_i, params)) <= 1e-12
 
     def test_degenerate_image_still_gates_and_responds_to_radar(self):
         rng = np.random.default_rng(13)
         params = random_csa_params(rng, C)
         f_r, _ = random_maps(13)
         zero_img = np.zeros((C, Y, X))
-        _, _, wc_r, wc_i = channel_attention(f_r, zero_img, params)
+        _, wc_i = channel_attention(concatenated(f_r, zero_img), params)
         assert np.all((wc_i > 0.0) & (wc_i < 1.0))
         out_a = csa_fusion(f_r, zero_img, params)
         out_b = csa_fusion(f_r + 0.5, zero_img, params)
@@ -239,6 +266,114 @@ class TestCSAFusion:
     def test_mixing_convs_take_both_modalities(self, name):
         with pytest.raises(ShapeError, match=rf"{name} takes {2 * C - 1} channels, needs 2 x {C}"):
             dataclasses.replace(zero_csa_params(C), **{name: zero_conv(C, 2 * C - 1, 3)})
+
+
+def conv_of(rng, out_ch, in_ch, kernel, stride=1):
+    """A same-padded conv with random weights and a (kh, kw) kernel."""
+    w = rng.normal(0.0, 0.5, size=(out_ch, in_ch, *kernel))
+    return Conv2DParams.same(w, rng.normal(0.0, 0.1, size=out_ch), stride)
+
+
+class TestCSAFusionMatchesReference:
+    """The folded gates give the paper's gated copies' result: the oracle
+    builds ``w * f`` and ``s * (w * f)`` and runs every conv as nested loops."""
+
+    @pytest.mark.parametrize(
+        "c,shape,mix,spatial,in_stride,out_stride",
+        [
+            (1, (3, 4), (3, 3), (7, 7), 1, 1),
+            (2, (5, 6), (1, 1), (3, 3), 1, 1),
+            (3, (4, 5), (3, 5), (7, 7), 2, 1),
+            (4, (6, 3), (5, 5), (5, 3), 1, 2),
+            (5, (7, 8), (3, 3), (7, 7), 2, 2),
+        ],
+    )
+    def test_equals_the_gated_copies(self, c, shape, mix, spatial, in_stride, out_stride):
+        rng = np.random.default_rng(c)
+        params = CSAFusionParams(
+            in_conv=conv_of(rng, c, 2 * c, mix, in_stride),
+            channel_mlp_radar=random_mlp(rng, c),
+            channel_mlp_image=random_mlp(rng, c),
+            mid_conv=conv_of(rng, c, 2 * c, mix),
+            spatial_conv_radar=conv_of(rng, 1, 2, spatial),
+            spatial_conv_image=conv_of(rng, 1, 2, spatial),
+            out_conv=conv_of(rng, c, 2 * c, mix, out_stride),
+        )
+        f_r, f_i = rng.normal(size=(c, *shape)), rng.normal(size=(c, *shape))
+        assert scaled_error(csa_fusion(f_r, f_i, params), csa_fusion_reference(f_r, f_i, params)) <= 1e-12
+
+    def test_inputs_unchanged_and_read_only_inputs_accepted(self):
+        """The spatial gates scale csa_fusion's own concatenation in place,
+        never an input."""
+        params = random_csa_params(np.random.default_rng(15), C)
+        f_r, f_i = random_maps(15)
+        want = csa_fusion(f_r.copy(), f_i.copy(), params)
+        keep_r, keep_i = f_r.copy(), f_i.copy()
+        for f in (f_r, f_i):
+            f.setflags(write=False)
+        np.testing.assert_array_equal(csa_fusion(f_r, f_i, params), want)
+        np.testing.assert_array_equal(f_r, keep_r)
+        np.testing.assert_array_equal(f_i, keep_i)
+
+
+class TestCSAStages:
+    def test_one_call_makes_five_convs_and_calls_each_stage_once(self, monkeypatch):
+        """The bench tracer wraps these names in ``radarcam.fusion``; a
+        refactor that stops calling them would read its CSA metrics as 0."""
+        calls = {}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("conv2d", "channel_attention", "spatial_attention"):
+            monkeypatch.setattr(fusion, name, counting(name, getattr(fusion, name)))
+        csa_fusion(*random_maps(16), random_csa_params(np.random.default_rng(16), C))
+        assert calls == {"conv2d": 5, "channel_attention": 1, "spatial_attention": 1}
+
+
+class TestCSAKeepsTheMapSize:
+    """``mid_conv`` and the spatial convs gate the input pixel by pixel, so
+    each must give a map of the input's size."""
+
+    @pytest.mark.parametrize("name", ["mid_conv", "spatial_conv_radar", "spatial_conv_image"])
+    @pytest.mark.parametrize(
+        "pad,stride",
+        [
+            (lambda h: (h, h, h, h), 2),  # strided
+            (lambda h: (0, 0, 0, 0), 1),  # unpadded
+            (lambda h: (0, 0, h, h), 1),  # rows unpadded
+            (lambda h: (h, h, h, h + 1), 1),  # one column too many
+        ],
+        ids=["strided", "unpadded", "rows-unpadded", "columns-overpadded"],
+    )
+    def test_size_changing_conv_rejected_naming_the_entry(self, name, pad, stride):
+        params = zero_csa_params(C)
+        conv = getattr(params, name)
+        padding = pad(conv.weights.shape[2] // 2)
+        bad = Conv2DParams(conv.weights, conv.bias, padding, stride)
+        message = rf"^{name} must keep the map size .* got stride {stride} and padding \({', '.join(map(str, padding))}\)"
+        with pytest.raises(ShapeError, match=message):
+            dataclasses.replace(params, **{name: bad})
+
+    def test_one_row_mid_conv_no_longer_broadcasts(self):
+        """A mid_conv that shrinks (4, 3, 6) maps to one row used to have its
+        gate broadcast over every row."""
+        rng = np.random.default_rng(17)
+        params = random_csa_params(rng, 4)
+        shrinking = Conv2DParams(params.mid_conv.weights, params.mid_conv.bias, (0, 0, 1, 1))
+        with pytest.raises(ShapeError, match=r"^mid_conv must keep the map size"):
+            dataclasses.replace(params, mid_conv=shrinking)
+
+    def test_uneven_padding_that_keeps_the_size_accepted(self):
+        params = zero_csa_params(C)
+        conv = params.mid_conv
+        shifted = dataclasses.replace(params, mid_conv=Conv2DParams(conv.weights, conv.bias, (2, 0, 0, 2)))
+        f_r, f_i = random_maps(18)
+        assert csa_fusion(f_r, f_i, shifted).shape == (C, Y, X)
 
 
 def write_csa_manifest(root, params: CSAFusionParams) -> dict:

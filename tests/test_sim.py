@@ -354,6 +354,36 @@ class TestExtrinsics:
         np.testing.assert_allclose(got[:, 2:], want[:, 2:], rtol=0, atol=1e-9)
 
 
+class TestNoiseAboutTheRadar:
+    """The noise acts about the radar's origin, so a mount's lever arm and
+    rotation change where a return lands; without noise every mount lands
+    its returns where the identity mount does."""
+
+    MOUNTS = [
+        RigidTransform(rotation_about_y(3.0), np.array([0.5, -0.2, 1.0])),
+        RigidTransform(np.eye(3), np.array([0.5, 0.0, 0.0])),  # 0.5 m lateral
+        RigidTransform(np.eye(3), np.array([0.0, 0.0, 2.0])),  # 2 m ahead of the camera
+        RigidTransform(np.eye(3), np.array([0.0, -1.5, 0.0])),  # 1.5 m above it (y points down)
+    ]
+
+    @staticmethod
+    def hit_rates(cfg, mount=None):
+        if mount is not None:
+            cfg = dataclasses.replace(cfg, calibration=dataclasses.replace(cfg.calibration, radar_to_camera=mount))
+        return {name: arm["mean_hit_rate"] for name, arm in run_experiment(cfg).summary["arms"].items()}
+
+    @pytest.mark.parametrize("mount", MOUNTS)
+    def test_a_mount_changes_the_hit_rates_at_the_packaged_noise(self, mount):
+        cfg = small_config(num_seeds=40)
+        assert self.hit_rates(cfg, mount) != self.hit_rates(cfg)
+
+    @pytest.mark.parametrize("mount", MOUNTS)
+    def test_no_mount_changes_the_hit_rates_without_noise(self, mount):
+        base = default_experiment_config().noise
+        cfg = small_config(num_seeds=40, noise=dataclasses.replace(base, delta_theta=0.0, delta_phi=0.0, range_sigma=0.0))
+        assert self.hit_rates(cfg, mount) == self.hit_rates(cfg)
+
+
 class TestArmsGroupedByRadius:
     """Arms of equal radius settings and RCS use share one target table and
     one selection; the results still equal the per-arm reference bit for bit."""

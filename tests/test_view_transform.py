@@ -1,5 +1,6 @@
 """Tests for occupancy, depth-distribution estimation and the sampling VT."""
 
+import dataclasses
 import math
 import re
 import warnings
@@ -33,7 +34,7 @@ from radarcam.view_transform import (
     voxel_centers,
 )
 
-from helpers import identity_conv, random_vt_params, selection_conv
+from helpers import identity_conv, random_conv, random_vt_params, selection_conv
 from oracles import bilinear_sample, conv2d_naive, sample_volume_reference, sample_vt_reference, trilinear_sample
 
 K = CameraIntrinsics(fx=100.0, fy=100.0, cx=10.0, cy=6.0)
@@ -191,6 +192,33 @@ class TestDepthDistribution:
         np.testing.assert_allclose(flat8[focal], 8.0 * flat1[focal], rtol=1e-12)
         np.testing.assert_allclose(flat8[invariant], flat1[invariant], rtol=1e-12)
         assert flat8[8] == flat1[8] == 1.0
+
+    @pytest.mark.parametrize("kernel", [1, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_the_scaled_copy_through_the_naive_conv(self, seed, kernel):
+        """The embedding's scales folded into depth_conv's weights give what
+        a scaled copy of the features through depth_conv gives."""
+        rng = np.random.default_rng(seed)
+        c, d = int(rng.integers(1, 6)), int(rng.integers(2, 12))
+        params = make_params(c=c, z=2, d=d, radar_channels=2, rng=rng)
+        params = dataclasses.replace(params, depth_conv=random_conv(rng, d, c, kernel))
+        f_pv = rng.normal(size=(c, int(rng.integers(1, 7)), int(rng.integers(1, 7))))
+        bins = DepthBinSpec(0.0, 40.0, d)
+        scale = params.embedding.weights @ K.inverse_matrix().reshape(-1) + params.embedding.bias
+        conv = params.depth_conv
+        logits = conv2d_naive(f_pv * scale[:, None, None], conv.weights, conv.bias, conv.padding, conv.stride)
+        want = np.exp(logits - logits.max(axis=0))
+        want /= want.sum(axis=0)
+        got = depth_distribution(f_pv, K, params, bins, stride=8).data
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_one_channel_depth_conv_rejected(self):
+        """A one-channel conv would take every channel's scale by
+        broadcasting instead of failing."""
+        params = make_params(c=3, z=2, d=6, radar_channels=2)
+        params = dataclasses.replace(params, depth_conv=Conv2DParams.same(np.ones((6, 1, 1, 1)), np.zeros(6)))
+        with pytest.raises(ShapeError, match="input has 3 channels, weights expect 1"):
+            depth_distribution(np.zeros((3, 4, 4)), K, params, DepthBinSpec(0.0, 40.0, 6), stride=8)
 
     def test_channel_mismatch_rejected(self):
         params = make_params(c=3, z=2, d=6, radar_channels=2)
