@@ -11,7 +11,6 @@ from .geometry import (
     CameraIntrinsics,
     RigidTransform,
     SensorCalibration,
-    SphericalPoint,
     empirical_projection_error,
     max_pixel_position_error,
     project_to_pixel,

@@ -15,11 +15,16 @@ and layers by ``VoxelGridSpec.from_dict``, ``DepthBinSpec.from_dict`` and
 ``vt_params_from_manifest``; a ``fuse`` manifest by ``csa_params_from_manifest``
 or ``concat_params_from_manifest``. An absent optional key, like an unset
 flag, takes the dataclass default; an absent required key fails as a null.
+``simulate`` reads the radar's angular resolution from the config's ``noise``,
+not from the calibration's required ``delta_*_deg`` keys. ``depth-targets``
+writes and ``loss`` reads an LXLT table of (u, v, d_gt, radius) rows; ``loss``
+rounds u and v half to even and writes them as integers.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import errno
 import json
@@ -37,21 +42,20 @@ from .depth_supervision import (
     DepthBinSpec,
     LossConfig,
     RadiusConfig,
-    build_depth_targets,
+    _target_table,
+    as_target_table,
     one_to_many_loss,
     read_radar_points_csv,
-    targets_from_array,
-    targets_to_array,
 )
 from .fusion import concat_fusion, concat_params_from_manifest, csa_fusion, csa_params_from_manifest
 from .geometry import (
     SensorCalibration,
-    SphericalPoint,
     empirical_projection_error,
     json_number,
     json_object,
     load_json,
     max_pixel_position_error,
+    per_element,
     scale_intrinsics,
 )
 from .gradcheck import MIN_BINS, MIN_SIZE, run_grad_check
@@ -82,6 +86,14 @@ def _write_json(path: str | Path, data: dict) -> None:
     with open(path, "w") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_csv(path: str | Path | None, header: list, rows) -> None:
+    """Write a CSV of ``header`` and ``rows`` to ``path``, or to stdout where it is None."""
+    with open(path, "w", newline="") if path is not None else contextlib.nullcontext(sys.stdout) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _check_outputs(*paths) -> None:
@@ -133,11 +145,12 @@ def cmd_depth_targets(args) -> int:
     points = read_radar_points_csv(args.points)
     calib = SensorCalibration.load(args.calib)
     stride = json_number(config.get("stride", DEFAULT_STRIDE), "stride", whole=True)
-    if "fixed_r" not in config and any(p.rcs_dbsm is None for p in points):
+    if "fixed_r" not in config and np.isnan(points[:, 3]).any():
         config["fixed_r"] = RadiusConfig.FALLBACK_FIXED_R
     cfg = RadiusConfig.from_dict(config)
-    result = build_depth_targets(points, calib, stride, cfg)
-    lxlt.write_tensor(args.output, targets_to_array(result.targets))
+    table, kept = _target_table(points, calib, stride, cfg)
+    num_dropped = len(kept) - len(table)
+    lxlt.write_tensor(args.output, table)
     _write_json(
         sidecar,
         {
@@ -145,43 +158,35 @@ def cmd_depth_targets(args) -> int:
             "k": cfg.k,
             "r_max": cfg.r_max,
             "fixed_r": cfg.fixed_r,
-            "num_input_points": result.num_input,
-            "num_dropped": result.num_dropped,
-            "num_targets": len(result.targets),
+            "num_input_points": len(kept),
+            "num_dropped": num_dropped,
+            "num_targets": len(table),
             "calibration": calib.to_dict(),
         },
     )
-    print(
-        f"wrote {len(result.targets)} targets ({result.num_dropped} points dropped)",
-        file=sys.stderr,
-    )
+    print(f"wrote {len(table)} targets ({num_dropped} points dropped)", file=sys.stderr)
     return 0
 
 
 def cmd_loss(args) -> int:
     _check_outputs(args.per_target or None)
     depth_map = lxlt.read_tensor(args.depth_map)
-    targets = targets_from_array(lxlt.read_tensor(args.targets))
+    table = as_target_table(lxlt.read_tensor(args.targets))
+    table[:, :2] = np.rint(table[:, :2])  # the nearest pixel, halves to even as round() does
     spec = DepthBinSpec(args.d_min, args.d_max, args.num_bins)
     cfg = LossConfig(
         **_given(lambda1=args.lambda1, lambda2=args.lambda2, neighborhood_agg=args.agg, strategy=args.strategy)
     )
-    result = one_to_many_loss(depth_map, targets, spec, cfg)
+    result = one_to_many_loss(depth_map, table, spec, cfg)
     if args.per_target:
-        with open(args.per_target, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["index", "u", "v", "d_gt", "radius", "n_pixels", "loss", "selected_u", "selected_v"]
-            )
-            for i, (target, per) in enumerate(zip(targets, result.per_target)):
-                writer.writerow(
-                    [
-                        i, target.u, target.v,
-                        f"{target.d_gt:.9g}", f"{target.radius:.9g}",
-                        per.num_pixels, f"{per.loss:.12g}",
-                        per.pixel[0], per.pixel[1],
-                    ]
-                )
+        _write_csv(
+            args.per_target,
+            ["index", "u", "v", "d_gt", "radius", "n_pixels", "loss", "selected_u", "selected_v"],
+            (
+                (i, int(u), int(v), f"{d:.9g}", f"{r:.9g}", per.num_pixels, f"{per.loss:.12g}", *per.pixel)
+                for i, ((u, v, d, r), per) in enumerate(zip(table.tolist(), result.per_target))
+            ),
+        )
     print(f"{result.total:.12g}")
     return 0
 
@@ -254,25 +259,16 @@ def cmd_simulate(args) -> int:
     else:
         cfg = default_experiment_config()
     result = run_experiment(cfg)
-    with open(args.output_csv, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed", "arm", "hit_rate", "depth_mae", "n_targets"])
-        for row in result.rows:
-            writer.writerow(
-                [
-                    row.seed, row.arm,
-                    f"{row.metrics.hit_rate:.9g}", f"{row.metrics.depth_mae:.9g}",
-                    row.metrics.n_targets,
-                ]
-            )
+    metrics = [
+        (row.seed, row.arm, f"{row.metrics.hit_rate:.9g}", f"{row.metrics.depth_mae:.9g}", row.metrics.n_targets)
+        for row in result.rows
+    ]
+    _write_csv(args.output_csv, ["seed", "arm", "hit_rate", "depth_mae", "n_targets"], metrics)
     _write_json(args.summary, result.summary)
     if args.emit_plot_data:
-        with open(args.emit_plot_data, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["seed", "arm", "metric", "value"])
-            for row in result.rows:
-                writer.writerow([row.seed, row.arm, "hit_rate", f"{row.metrics.hit_rate:.9g}"])
-                writer.writerow([row.seed, row.arm, "depth_mae", f"{row.metrics.depth_mae:.9g}"])
+        names = ("hit_rate", "depth_mae")
+        tidy = [(seed, arm, name, value) for seed, arm, *values, _ in metrics for name, value in zip(names, values)]
+        _write_csv(args.emit_plot_data, ["seed", "arm", "metric", "value"], tidy)
     ok = result.summary["all_orderings_hold"]
     print(f"orderings hold: {ok}", file=sys.stderr)
     return 0
@@ -291,39 +287,27 @@ def cmd_error_model(args) -> int:
             "error-model models a radar at the camera's origin and axes: calibration radar_to_camera must be the identity"
         )
     e_u, e_v, e = max_pixel_position_error(calib.intrinsics, res)
-    rows = []
-    for rho in (5.0, 10.0, 20.0, 50.0, 100.0):
-        for theta_deg in range(-20, 21, 5):
-            for phi_deg in (-10, 0, 10):
-                point = SphericalPoint(rho, math.radians(theta_deg), math.radians(phi_deg))
-                emp = empirical_projection_error(point, res, calib.intrinsics)
-                rows.append(
-                    (rho, theta_deg, phi_deg, emp, e_u, e_v, e, abs(emp - e_u) / e_u)
-                )
-
-    def emit(fh):
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["rho_m", "theta_deg", "phi_deg", "empirical_px", "e_u_px", "e_v_px", "e_px", "rel_deviation"]
-        )
-        for rho, theta_deg, phi_deg, emp, eu, ev, ee, dev in rows:
-            writer.writerow(
-                [f"{rho:g}", theta_deg, phi_deg, f"{emp:.9g}", f"{eu:.9g}", f"{ev:.9g}", f"{ee:.9g}", f"{dev:.3g}"]
-            )
-
-    if args.output:
-        with open(args.output, "w", newline="") as fh:
-            emit(fh)
-    else:
-        emit(sys.stdout)
+    cells = [(rho, t, p) for rho in (5.0, 10.0, 20.0, 50.0, 100.0) for t in range(-20, 21, 5) for p in (-10, 0, 10)]
+    rho, theta_deg, phi_deg = np.array(cells).T
+    emp = empirical_projection_error(
+        rho, per_element(math.radians, theta_deg), per_element(math.radians, phi_deg), res, calib.intrinsics
+    )
+    dev = np.abs(emp - e_u) / e_u
+    rows = [
+        (f"{rho:g}", t, p, f"{em:.9g}", f"{de:.3g}")
+        for (rho, t, p), em, de in zip(cells, emp.tolist(), dev.tolist())
+    ]
+    bound = [f"{x:.9g}" for x in (e_u, e_v, e)]
+    _write_csv(
+        args.output or None,
+        ["rho_m", "theta_deg", "phi_deg", "empirical_px", "e_u_px", "e_v_px", "e_px", "rel_deviation"],
+        ((r, t, p, em, *bound, de) for r, t, p, em, de in rows),
+    )
     if args.emit_plot_data:
-        with open(args.emit_plot_data, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["rho_m", "theta_deg", "phi_deg", "metric", "value"])
-            for rho, theta_deg, phi_deg, emp, _, _, _, dev in rows:
-                writer.writerow([f"{rho:g}", theta_deg, phi_deg, "empirical_px", f"{emp:.9g}"])
-                writer.writerow([f"{rho:g}", theta_deg, phi_deg, "rel_deviation", f"{dev:.3g}"])
-    worst = max(r[-1] for r in rows)
+        names = ("empirical_px", "rel_deviation")
+        tidy = [(r, t, p, name, value) for r, t, p, *values in rows for name, value in zip(names, values)]
+        _write_csv(args.emit_plot_data, ["rho_m", "theta_deg", "phi_deg", "metric", "value"], tidy)
+    worst = float(dev.max())
     print(f"worst relative deviation from fx*dtheta: {worst:.3g}", file=sys.stderr)
     return 0
 
@@ -381,7 +365,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("simulate", help="run the synthetic supervision experiment")
-    p.add_argument("--config", help="experiment JSON (default: packaged configuration)")
+    p.add_argument(
+        "--config", help="experiment JSON (default: packaged); its noise, not its calibration, sets the radar resolution"
+    )
     p.add_argument("--output-csv", required=True, help="per-seed metrics CSV")
     p.add_argument("--summary", required=True, help="summary JSON with ordering checks")
     p.add_argument("--emit-plot-data", help="optional tidy CSV for plotting")

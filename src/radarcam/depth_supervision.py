@@ -114,9 +114,9 @@ class RadiusConfig:
         return cls(**json_numbers(data, prefix, keys))
 
 
-@dataclass(frozen=True)
-class DepthTarget:
-    """A projected radar point on the feature grid: pixel, depth, radius."""
+class DepthTarget(NamedTuple):
+    """A row (u, v, d_gt, radius) of the target table: a projected radar
+    point's pixel on the feature grid, its depth and its radius."""
 
     u: int
     v: int
@@ -153,6 +153,9 @@ def neighborhood_radius(
     without one it falls back to ``cfg.fixed_r``. Both paths clamp at
     ``cfg.r_max`` so a zero ceiling degenerates cleanly to single-pixel
     supervision. Arrays give arrays; ``np.float_power`` rounds like ``**``, ``np.power`` may not.
+    A factor that overflows clamps at ``cfg.r_max``; a radius that is still
+    not finite (an infinite ``r_max``, or ``0 * inf``) raises ``ValueError``
+    naming its point.
     """
     depth = np.asarray(depth, dtype=np.float64)
     if not np.all(depth > 0):
@@ -162,11 +165,20 @@ def neighborhood_radius(
         if not np.all(np.isfinite(rcs)):
             raise ValueError(f"RCS must be finite, got {rcs_dbsm}")
         f = math.sqrt(intrinsics.fx * intrinsics.fy)
-        r = np.minimum(cfg.r_max, cfg.k * f / (stride * depth) * np.float_power(10.0, rcs / 20.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = np.minimum(cfg.r_max, cfg.k * f / (stride * depth) * np.float_power(10.0, rcs / 20.0))
     elif cfg.fixed_r is None:
         raise ValueError("point has no RCS and no fixed_r is configured")
     else:
         r = np.full(depth.shape, min(cfg.r_max, cfg.fixed_r), dtype=np.float64)
+    bad = ~np.isfinite(r)
+    if bad.any():
+        i = int(np.argmax(bad.ravel()))
+        d, c = (np.broadcast_to(a, r.shape).ravel()[i] for a in (depth, np.nan if rcs_dbsm is None else rcs))
+        raise ValueError(
+            f"radius {r.ravel()[i]} of the point at depth {d} m, RCS {c} dBsm, is not finite "
+            f"(k = {cfg.k}, r_max = {cfg.r_max})"
+        )
     return float(r) if r.ndim == 0 else r
 
 
@@ -207,7 +219,7 @@ def _target_table(
         raise ValueError(f"stride must be a positive integer, got {stride}")
     rcs = points[:, 3]
     u, v, depth, in_front = project_points(calib.radar_to_camera.apply_many(points[:, :3]), calib.intrinsics)
-    us, vs = np.floor(u / stride), np.floor(v / stride)
+    us, vs = np.floor(u / stride) + 0.0, np.floor(v / stride) + 0.0  # + 0.0: a -0.0 pixel is written as 0.0
     keep = in_front & (0 <= us) & (us < calib.image_width // stride)
     keep &= (0 <= vs) & (vs < calib.image_height // stride)
     with_rcs, without_rcs = keep & ~np.isnan(rcs), keep & np.isnan(rcs)
@@ -283,19 +295,28 @@ class LossResult:
     per_target: tuple[TargetLoss, ...]
 
 
-def _check_target_table(table: np.ndarray, shape: tuple[int, int] | None = None) -> None:
-    """Name the first (u, v, d_gt, radius) row without finite values and a
-    non-negative radius or, given the map ``shape`` (H, W), a pixel on it."""
+def as_target_table(targets) -> np.ndarray:
+    """The (N, 4) float64 table of ``targets``: an array or a sequence of (u, v, d_gt,
+    radius) rows. An empty sequence is (0, 4); any other shape raises ``ValueError``."""
+    table = np.asarray(targets, dtype=np.float64)
+    if table.shape == (0,):
+        return table.reshape(0, 4)
+    if table.ndim != 2 or table.shape[1] != 4:
+        raise ValueError(f"target table must be (N, 4), got shape {table.shape}")
+    return table
+
+
+def _check_target_table(table: np.ndarray, shape: tuple[int, int]) -> None:
+    """Name the first (u, v, d_gt, radius) row without finite values, a
+    non-negative radius and a pixel on the map of ``shape`` (H, W)."""
+    u, v = table[:, 0], table[:, 1]
     ok = np.isfinite(table).all(axis=1) & (table[:, 3] >= 0.0)
-    if shape is not None:
-        u, v = table[:, 0], table[:, 1]
-        ok &= (0 <= u) & (u < shape[1]) & (0 <= v) & (v < shape[0])
+    ok &= (0 <= u) & (u < shape[1]) & (0 <= v) & (v < shape[0])
     if not ok.all():
         i = int(np.argmin(ok))
-        on_map = "" if shape is None else f" and a pixel on the (H, W) = {shape} map"
         raise ValueError(
             f"target {i} (u, v, d_gt, radius) = {tuple(table[i].tolist())} needs finite "
-            f"values, a non-negative radius{on_map}"
+            f"values, a non-negative radius and a pixel on the (H, W) = {shape} map"
         )
 
 
@@ -393,7 +414,7 @@ def _loss_selection(depth_map, targets, spec: DepthBinSpec, cfg: LossConfig):
     expected depths and the selection, which the loss and its gradient share.
     """
     depth_map = validate_depth_volume(depth_map, spec.num_bins)
-    table = targets_to_array(targets)
+    table = as_target_table(targets)
     shape = depth_map.shape[1:]
     expectation = _expectations(depth_map, spec)
 
@@ -416,9 +437,11 @@ def one_to_many_loss(
 
     For each target the per-pixel loss is evaluated on its neighborhood and
     aggregated with min (default) or max; the one-to-one strategy restricts
-    the neighborhood to the target pixel itself. An empty target list yields
-    a total of zero. A target off the map, or with a non-finite depth or a
-    negative or non-finite radius, raises a ``ValueError`` naming its index.
+    the neighborhood to the target pixel itself. ``targets`` is anything
+    :func:`as_target_table` takes, with whole-number u and v. An empty table
+    yields a total of zero. A target off the map, or with a non-finite depth
+    or a negative or non-finite radius, raises a ``ValueError`` naming its
+    index.
     """
     *_, sel = _loss_selection(depth_map, targets, spec, cfg)
     columns = (sel.cost, sel.u, sel.v, sel.count)
@@ -460,62 +483,43 @@ def one_to_many_loss_grad(
     return grad
 
 
-def targets_to_array(targets) -> np.ndarray:
-    """Pack targets into an (N, 4) array with rows (u, v, d_gt, radius)."""
-    rows = [(t.u, t.v, t.d_gt, t.radius) for t in targets]
-    return np.array(rows, dtype=np.float64).reshape(len(rows), 4)
-
-
-def targets_from_array(arr: np.ndarray) -> tuple[DepthTarget, ...]:
-    """Unpack an (N, 4) array of (u, v, d_gt, radius) rows."""
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 4:
-        raise ValueError(f"target table must be (N, 4), got shape {arr.shape}")
-    _check_target_table(arr)
-    return tuple(
-        DepthTarget(int(round(r[0])), int(round(r[1])), float(r[2]), float(r[3])) for r in arr
-    )
-
-
-def read_radar_points_csv(path: str | Path) -> list[RadarPoint]:
-    """Read points from a CSV with header x,y,z[,rcs_dbsm[,doppler]].
+def read_radar_points_csv(path: str | Path) -> np.ndarray:
+    """Read points from a CSV with header x,y,z[,rcs_dbsm[,doppler]] into an
+    (N, 4) array of radar-frame rows (x, y, z, rcs_dbsm).
 
     The RCS and Doppler columns are optional and individual cells may be
     empty or missing at the end of a row, in which case the field is absent
-    for that point. Doppler values are checked but not kept. A row without
-    x, y and z, with more fields than the header or with a value that is not
-    a finite number raises a ``ValueError`` naming the file and line. The
-    file is UTF-8, with or without a byte-order mark.
+    for that point: an absent RCS reads as NaN. Doppler values are checked
+    but not kept. A header that repeats a column, a row without x, y and z,
+    with more fields than the header or with a value that is not a finite
+    number raises a ``ValueError`` naming the file and the column or line.
+    The file is UTF-8, with or without a byte-order mark.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        reader.fieldnames = fields = [f.strip() for f in reader.fieldnames or ()]
+        reader = csv.reader(fh)
+        fields = [f.strip() for f in next(reader, ())]
         if fields[:3] != ["x", "y", "z"]:
             raise ValueError(f"{path}: expected a header starting with x,y,z")
+        repeated = [f for i, f in enumerate(fields) if f in fields[:i]]
+        if repeated:
+            raise ValueError(f"{path}: the header repeats the column {repeated[0]!r}")
         extra = set(fields[3:])
         if not extra <= {"rcs_dbsm", "doppler"}:
             raise ValueError(f"{path}: unexpected columns {sorted(extra - {'rcs_dbsm', 'doppler'})}")
-        points = []
-        for row in reader:
+        rows = []
+        for cells in reader:
+            if not cells:
+                continue
             where = f"{path}, line {reader.line_num}"
-            if None in row or row["z"] is None:
-                raise ValueError(f"{where}: a row needs x, y and z and at most {len(fields)} fields")
-
-            def opt(name: str) -> float | None:
-                value = row.get(name)
-                return float(value) if value not in (None, "") else None
-
             try:
-                point = RadarPoint(
-                    float(row["x"]),
-                    float(row["y"]),
-                    float(row["z"]),
-                    rcs_dbsm=opt("rcs_dbsm"),
-                )
-                doppler = opt("doppler")
-                if doppler is not None and not math.isfinite(doppler):
-                    raise ValueError(f"radar point Doppler must be finite, got {doppler}")
+                row = {f: float(c) for f, c in zip(fields, cells) if c}  # an empty cell is absent
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
-            points.append(point)
-    return points
+            if len(cells) > len(fields) or not {"x", "y", "z"} <= row.keys():
+                raise ValueError(f"{where}: a row needs x, y and z and at most {len(fields)} fields")
+            for name, value in row.items():
+                if not math.isfinite(value):
+                    what = {"rcs_dbsm": "RCS", "doppler": "Doppler"}.get(name, "coordinates")
+                    raise ValueError(f"{where}: radar point {what} must be finite, got {value}")
+            rows.append((row["x"], row["y"], row["z"], row.get("rcs_dbsm", math.nan)))
+    return np.array(rows, dtype=np.float64).reshape(-1, 4)

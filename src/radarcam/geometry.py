@@ -188,21 +188,6 @@ class RigidTransform:
 
 
 @dataclass(frozen=True)
-class SphericalPoint:
-    """Range (m), azimuth and elevation (rad) in the camera field-of-view regime."""
-
-    range_m: float
-    azimuth: float
-    elevation: float
-
-    def __post_init__(self):
-        if self.range_m < 0:
-            raise ValueError(f"range must be non-negative, got {self.range_m}")
-        if abs(self.azimuth) >= math.pi / 2 or abs(self.elevation) >= math.pi / 2:
-            raise ValueError("azimuth and elevation must lie strictly inside +-pi/2")
-
-
-@dataclass(frozen=True)
 class AngularResolution:
     """Azimuth and elevation resolution of the radar sensor, in radians.
 
@@ -302,26 +287,37 @@ def max_pixel_position_error(
 
 
 def empirical_projection_error(
-    p: SphericalPoint, res: AngularResolution, intrinsics: CameraIntrinsics
-) -> float:
+    rho, azimuth, elevation, res: AngularResolution, intrinsics: CameraIntrinsics
+) -> np.ndarray:
     """Horizontal pixel distance caused by one azimuth-resolution step.
 
-    The point, spherical about the camera axes, is displaced by the
-    worst-case lateral position error of a single azimuth step,
+    Each point, at range ``rho`` (m), ``azimuth`` and ``elevation`` (rad)
+    about the camera axes (arrays or floats, which broadcast), is displaced
+    by the worst-case lateral position error of a single azimuth step,
     e = range * cos(elevation) * dtheta * cos(azimuth), at its measured
     depth, and both positions are pushed through the actual pinhole
-    projection. The returned distance equals fx * dtheta for every range,
-    azimuth and elevation, which is exactly the range-independence this
-    function exists to verify.
+    projection. The distance equals fx * dtheta at every range, azimuth and
+    elevation: the range-independence this function exists to verify. A
+    negative range, an angle outside (-pi/2, pi/2) or a point at the camera
+    plane raises ``ValueError`` naming the first such element.
     """
-    cam = np.array(spherical_to_camera(p.range_m, p.azimuth, p.elevation))
-    lateral_error = (
-        p.range_m * math.cos(p.elevation) * res.delta_theta * math.cos(p.azimuth)
-    )
-    displaced = cam + np.array([lateral_error, 0.0, 0.0])
-    u0, _, _ = project_to_pixel(cam, intrinsics)
-    u1, _, _ = project_to_pixel(displaced, intrinsics)
-    return abs(u1 - u0)
+    rho, azimuth, elevation = np.broadcast_arrays(*(np.asarray(a, dtype=np.float64) for a in (rho, azimuth, elevation)))
+    for name, values, ok, needs in (
+        ("range", rho, rho >= 0, "non-negative"),
+        ("azimuth", azimuth, np.abs(azimuth) < math.pi / 2, "strictly inside +-pi/2"),
+        ("elevation", elevation, np.abs(elevation) < math.pi / 2, "strictly inside +-pi/2"),
+    ):
+        if not ok.all():
+            i = int(np.argmin(ok.ravel()))
+            raise ValueError(f"{name} must be {needs}, got {values.ravel()[i]} at element {i}")
+    x, y, z = spherical_to_camera(rho, azimuth, elevation)
+    lateral_error = rho * per_element(math.cos, elevation) * res.delta_theta * per_element(math.cos, azimuth)
+    u0, _, _, in_front = project_points(np.stack([x, y, z], axis=-1), intrinsics)
+    if not np.all(in_front):
+        i = int(np.argmin(np.ravel(in_front)))
+        raise BehindCameraError(f"point {i} has non-positive depth z={np.ravel(z)[i]}")
+    u1, _, _, _ = project_points(np.stack([x + lateral_error, y, z], axis=-1), intrinsics)
+    return np.abs(u1 - u0)
 
 
 @dataclass(frozen=True)

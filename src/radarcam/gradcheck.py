@@ -33,7 +33,7 @@ MIN_SIZE = 3  # fewest pixels per side of a random instance
 @dataclass(frozen=True)
 class GradCheckInstance:
     logits: np.ndarray
-    targets: tuple[DepthTarget, ...]
+    targets: np.ndarray | tuple[DepthTarget, ...]  # as the loss takes them: (N, 4) rows
     spec: DepthBinSpec
     cfg: LossConfig
 
@@ -61,14 +61,12 @@ def random_instance(rng: np.random.Generator, max_bins: int = 16, max_size: int 
         spec = DepthBinSpec(0.0, float(num_bins), num_bins)
         logits = rng.normal(0.0, 1.0, size=(num_bins, height, width))
         n_targets = int(rng.integers(1, 4))
-        targets = tuple(
-            DepthTarget(
-                int(rng.integers(0, width)),
-                int(rng.integers(0, height)),
-                float(rng.uniform(0.0, num_bins)),
-                float(rng.uniform(0.0, 2.5)),
-            )
-            for _ in range(n_targets)
+        targets = np.array(
+            [
+                (rng.integers(0, width), rng.integers(0, height), rng.uniform(0.0, num_bins), rng.uniform(0.0, 2.5))
+                for _ in range(n_targets)
+            ],
+            dtype=np.float64,
         )
         # 70% min aggregation, 80% one-to-many
         cfg = LossConfig(

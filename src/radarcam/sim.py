@@ -433,6 +433,9 @@ class ExperimentArm:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The supervision experiment. ``noise`` sets the radar's angular resolution;
+    ``calibration.angular_resolution`` (its required ``delta_*_deg`` keys) is not read."""
+
     calibration: SensorCalibration
     stride: int
     bins: DepthBinSpec

@@ -13,7 +13,7 @@ import pytest
 
 from radarcam import lxlt
 from radarcam.cli import main
-from radarcam.depth_supervision import DepthBinSpec, DepthTarget, LossConfig, one_to_many_loss, targets_to_array
+from radarcam.depth_supervision import DepthBinSpec, DepthTarget, LossConfig, RadiusConfig, one_to_many_loss
 from radarcam.fusion import concat_fusion, concat_params_from_manifest, csa_fusion, csa_params_from_manifest
 from radarcam.geometry import (
     AngularResolution,
@@ -211,8 +211,9 @@ SPEC = DepthBinSpec(0.0, 8.0, 8)
 
 
 def write_loss_inputs(tmp_path, depth_map, targets):
+    """LXLT inputs of ``loss``: the map and ``targets``, rows (u, v, d_gt, radius)."""
     lxlt.write_tensor(tmp_path / "map.lxlt", depth_map)
-    lxlt.write_tensor(tmp_path / "targets.lxlt", targets_to_array(targets))
+    lxlt.write_tensor(tmp_path / "targets.lxlt", np.array(targets, dtype=np.float64))
     return [
         "loss", "--depth-map", str(tmp_path / "map.lxlt"), "--targets", str(tmp_path / "targets.lxlt"),
         "--d-min", "0", "--d-max", "8", "--num-bins", "8", "--per-target", str(tmp_path / "per.csv"),
@@ -234,6 +235,43 @@ class TestLoss:
         rows = (tmp_path / "per.csv").read_text().splitlines()
         assert rows[0] == "index,u,v,d_gt,radius,n_pixels,loss,selected_u,selected_v"
         assert len(rows) == 3
+
+    def test_outputs_are_pinned(self, tmp_path, capsys):
+        """sha256 of stdout and the per-target CSV, recorded before the loss
+        took the LXLT table without unpacking it into targets."""
+        targets = [DepthTarget(1, 2, 3.25, 1.5), DepthTarget(5, 4, 6.5, 0.0)]
+        assert main(write_loss_inputs(tmp_path, float32_map(0), targets)) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "213acc9cb0f4595a8b04c5300197b35f5be4565ddf416fb2924809b8c24c7595"
+        )
+        assert hashlib.sha256((tmp_path / "per.csv").read_bytes()).hexdigest() == (
+            "5d2bef19cee9ee173bb909c4f61c038ebfe729a08bf709cf92d8cfffa634749f"
+        )
+
+    def test_pixels_round_half_to_even_and_write_as_integers(self, tmp_path, capsys):
+        """u = -0.4 writes 0, not -0 or 0.0; hashes recorded as for the pin above."""
+        table = [(-0.4, 2.0, 3.25, 1.5), (4.6, 3.5, 6.5, 1.0), (2.5, 0.5, 1.0, 2.0)]
+        assert main(write_loss_inputs(tmp_path, float32_map(0), table)) == 0
+        rows = read_csv(tmp_path / "per.csv")
+        assert [(r["u"], r["v"]) for r in rows] == [("0", "2"), ("5", "4"), ("2", "0")]
+        rounded = [DepthTarget(0, 2, 3.25, 1.5), DepthTarget(5, 4, 6.5, 1.0), DepthTarget(2, 0, 1.0, 2.0)]
+        want = one_to_many_loss(float32_map(0), rounded, SPEC, LossConfig())
+        assert capsys.readouterr().out == f"{want.total:.12g}\n"
+        assert hashlib.sha256(f"{want.total:.12g}\n".encode()).hexdigest() == (
+            "16de225d17e663d84df2d1db836c26cbab4c52f1be72ad6435efa5b8d4c7f509"
+        )
+        assert hashlib.sha256((tmp_path / "per.csv").read_bytes()).hexdigest() == (
+            "5ab3d52b15eb9f9c6d1d8f261bf9fdb8a3045e644ec0e1fd8849d70767c82104"
+        )
+
+    @pytest.mark.parametrize("table", [np.zeros((2, 3)), np.zeros(4), np.zeros((2, 4, 1))])
+    def test_table_of_the_wrong_shape_exits_2_without_output(self, tmp_path, table, capsys):
+        argv = write_loss_inputs(tmp_path, float32_map(0), [DepthTarget(1, 1, 3.0, 1.0)])
+        lxlt.write_tensor(tmp_path / "targets.lxlt", table)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"target table must be (N, 4), got shape {table.shape}" in captured.err and captured.out == ""
+        assert not (tmp_path / "per.csv").exists()
 
     @pytest.mark.parametrize(
         "flags,cfg",
@@ -317,6 +355,42 @@ class TestDepthTargets:
         assert table[1, 3] == 2.0  # the point without RCS takes the default fixed radius
         sidecar = json.loads((tmp_path / "targets.lxlt.json").read_text())
         assert (sidecar["num_input_points"], sidecar["num_dropped"], sidecar["num_targets"]) == (3, 1, 2)
+
+    def test_outputs_are_pinned(self, tmp_path):
+        """sha256 of the LXLT table and the sidecar, recorded before the
+        command built its table without per-point objects."""
+        assert main(self.argv(tmp_path)) == 0
+        assert hashlib.sha256((tmp_path / "targets.lxlt").read_bytes()).hexdigest() == (
+            "8906b41531ff6fb485eead9607c61b0958ae570da67afb3aacfa4ffe5d075f0c"
+        )
+        assert hashlib.sha256((tmp_path / "targets.lxlt.json").read_bytes()).hexdigest() == (
+            "30146e4a2398424e222eca705e0db40f73f9444690a26e304ca4a40d0242a20e"
+        )
+
+    def test_pixel_that_divides_to_minus_zero_is_written_as_zero(self, tmp_path):
+        """u = -5e-324 over stride 8 rounds to -0.0, which passes 0 <= u."""
+        points = "x,y,z,rcs_dbsm\n10.0,5e-323,0.0,3.5\n"
+        assert main(self.argv(tmp_path, points=points, calib=calibration(fx=1.0, cx=0.0))) == 0
+        table = lxlt.read_tensor(tmp_path / "targets.lxlt")
+        assert table[:, :2].tolist() == [[0.0, 3.0]] and not np.signbit(table[0, 0])
+
+    def test_rcs_factor_that_overflows_clamps_without_a_warning(self, tmp_path, capsys):
+        assert main(self.argv(tmp_path, points="x,y,z,rcs_dbsm\n10.0,0.5,0.25,7000\n")) == 0
+        assert lxlt.read_tensor(tmp_path / "targets.lxlt")[0, 3] == RadiusConfig.r_max
+        assert "Warning" not in capsys.readouterr().err
+
+    def test_radius_that_is_not_finite_exits_2_without_output(self, tmp_path, capsys):
+        argv = self.argv(tmp_path, points="x,y,z,rcs_dbsm\n10.0,0.5,0.25,-7000\n") + ["--k", "1e308"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: radius nan of the point at depth 10.0 m, RCS -7000.0 dBsm, is not finite")
+        assert not (tmp_path / "targets.lxlt").exists() and not (tmp_path / "targets.lxlt.json").exists()
+
+    def test_header_that_repeats_a_column_exits_2_naming_it(self, tmp_path, capsys):
+        assert main(self.argv(tmp_path, points="x,y,z,rcs_dbsm,rcs_dbsm\n0.5,0.1,10,abc,5\n")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "the header repeats the column 'rcs_dbsm'" in err
+        assert not (tmp_path / "targets.lxlt").exists()
 
     def test_fixed_r_from_config_is_a_number(self, tmp_path):
         assert main(self.argv(tmp_path, config={"fixed_r": "1.5", "r_max": "4"})) == 0

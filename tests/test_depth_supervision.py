@@ -14,14 +14,14 @@ from radarcam.depth_supervision import (
     RadiusConfig,
     build_depth_targets,
     _select_in_disks,
+    _target_table,
     nearest_bin,
     neighborhood_pixels,
     neighborhood_radius,
     one_to_many_loss,
     one_to_many_loss_grad,
+    as_target_table,
     read_radar_points_csv,
-    targets_from_array,
-    targets_to_array,
 )
 from radarcam.geometry import (
     AngularResolution,
@@ -114,6 +114,24 @@ class TestNeighborhoodRadius:
         f = math.sqrt(K.fx * K.fy)
         want = [0.1 * f / (8 * d) * 10.0 ** (r / 20.0) for d, r in zip(depth.tolist(), rcs.tolist())]
         assert got.tolist() == want
+
+    def test_overflowing_factor_clamps_at_the_ceiling(self):
+        cfg = RadiusConfig(k=0.1, r_max=2.0)
+        assert neighborhood_radius(20.0, K, 8, cfg, rcs_dbsm=7000.0) == 2.0
+        got = neighborhood_radius(np.array([20.0, 20.0]), K, 8, cfg, np.array([0.0, 7000.0]))
+        assert got.tolist() == [neighborhood_radius(20.0, K, 8, cfg, rcs_dbsm=0.0), 2.0]
+
+    @pytest.mark.parametrize(
+        "cfg,rcs,message",
+        [
+            (RadiusConfig(k=1e308), np.array([0.0, -7000.0]), "radius nan of the point at depth 40.0 m, RCS -7000.0 "),
+            (RadiusConfig(r_max=math.inf), np.array([0.0, 7000.0]), "radius inf of the point at depth 40.0 m, RCS 7000.0 "),
+            (RadiusConfig(r_max=math.inf, fixed_r=math.inf), None, "radius inf of the point at depth 20.0 m, RCS nan "),
+        ],
+    )
+    def test_radius_that_is_not_finite_names_its_point(self, cfg, rcs, message):
+        with pytest.raises(ValueError, match=message):
+            neighborhood_radius(np.array([20.0, 40.0]), K, 8, cfg, rcs)
 
     def test_array_errors(self):
         with pytest.raises(ValueError, match="depth"):
@@ -632,11 +650,11 @@ class TestTargetValidation:
     def test_table_with_nan_depth_is_rejected(self):
         table = np.array([[1.0, 1.0, 5.0, 1.0], [1.0, 1.0, math.nan, 1.0]])
         with pytest.raises(ValueError, match="target 1 "):
-            targets_from_array(table)
+            one_to_many_loss(uniform_map(16, 4, 4), table, self.SPEC, LossConfig())
 
     def test_table_with_negative_radius_is_rejected(self):
         with pytest.raises(ValueError, match="target 0 "):
-            targets_from_array(np.array([[1.0, 1.0, 5.0, -1.0]]))
+            one_to_many_loss_grad(uniform_map(16, 4, 4), np.array([[1.0, 1.0, 5.0, -1.0]]), self.SPEC, LossConfig())
 
 
 class TestDepthMapValidation:
@@ -736,17 +754,46 @@ class TestLossGradient:
 class TestTargetSerialization:
     def test_array_roundtrip(self):
         targets = (DepthTarget(3, 4, 12.5, 1.5), DepthTarget(0, 0, 3.0, 0.0))
-        back = targets_from_array(targets_to_array(targets))
-        assert back == targets
+        table = as_target_table(targets)
+        assert table.dtype == np.float64
+        assert table.tolist() == [[3.0, 4.0, 12.5, 1.5], [0.0, 0.0, 3.0, 0.0]]
+        assert tuple(DepthTarget(int(u), int(v), d, r) for u, v, d, r in table.tolist()) == targets
 
     def test_empty_roundtrip(self):
-        arr = targets_to_array(())
-        assert arr.shape == (0, 4)
-        assert targets_from_array(arr) == ()
+        assert as_target_table(()).shape == (0, 4)
+
+    @pytest.mark.parametrize("empty", [[], np.zeros((0, 4))])
+    def test_any_empty_input_is_a_0_by_4_table(self, empty):
+        assert as_target_table(empty).shape == (0, 4)
 
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError, match="N, 4"):
-            targets_from_array(np.zeros((3, 3)))
+            as_target_table(np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("bad", [np.zeros(4), np.zeros((2, 4, 1)), [(1, 2, 3.0)]])
+    def test_other_shapes_rejected(self, bad):
+        with pytest.raises(ValueError, match="N, 4"):
+            as_target_table(bad)
+
+    @pytest.mark.parametrize("agg", ["min", "max"])
+    @pytest.mark.parametrize("strategy", ["one-to-one", "one-to-many"])
+    def test_rows_and_table_give_identical_loss_and_gradient(self, agg, strategy):
+        rng = np.random.default_rng(19)
+        spec = DepthBinSpec(0.0, 12.0, 12)
+        depth_map = softmax(rng.normal(size=(12, 7, 8)), axis=0)
+        u, v = rng.integers(0, 8, 9).tolist(), rng.integers(0, 7, 9).tolist()
+        targets = tuple(map(DepthTarget, u, v, rng.uniform(0, 12, 9).tolist(), rng.uniform(0, 3, 9).tolist()))
+        table = np.array(targets, dtype=np.float64)
+        cfg = LossConfig(neighborhood_agg=agg, strategy=strategy)
+        from_rows, from_table = (one_to_many_loss(depth_map, t, spec, cfg) for t in (targets, table))
+        assert from_rows.total == from_table.total
+        assert from_rows.per_target == from_table.per_target
+        assert np.array_equal(
+            one_to_many_loss_grad(depth_map, targets, spec, cfg), one_to_many_loss_grad(depth_map, table, spec, cfg)
+        )
+
+
+NAN = math.nan
 
 
 class TestRadarCsv:
@@ -754,27 +801,38 @@ class TestRadarCsv:
         path = tmp_path / "pts.csv"
         path.write_text("x,y,z,rcs_dbsm,doppler\n1.0,2.0,3.0,5.5,-0.25\n4,5,6,,\n")
         pts = read_radar_points_csv(path)
-        assert pts == [RadarPoint(1.0, 2.0, 3.0, 5.5), RadarPoint(4.0, 5.0, 6.0)]
+        np.testing.assert_array_equal(pts, [[1.0, 2.0, 3.0, 5.5], [4.0, 5.0, 6.0, NAN]])
+        assert pts.dtype == np.float64
 
     def test_minimal_columns(self, tmp_path):
         path = tmp_path / "pts.csv"
         path.write_text("x,y,z\n1,2,3\n")
-        assert read_radar_points_csv(path) == [RadarPoint(1.0, 2.0, 3.0)]
+        np.testing.assert_array_equal(read_radar_points_csv(path), [[1.0, 2.0, 3.0, NAN]])
 
     def test_empty_file_has_no_points(self, tmp_path):
         path = tmp_path / "pts.csv"
         path.write_text("x,y,z,rcs_dbsm,doppler\n")
-        assert read_radar_points_csv(path) == []
+        assert read_radar_points_csv(path).shape == (0, 4)
 
     def test_padded_header_names_keep_their_columns(self, tmp_path):
         path = tmp_path / "pts.csv"
         path.write_text("x, y, z, rcs_dbsm\n1,2,3,4.5\n")
-        assert read_radar_points_csv(path) == [RadarPoint(1.0, 2.0, 3.0, 4.5)]
+        np.testing.assert_array_equal(read_radar_points_csv(path), [[1.0, 2.0, 3.0, 4.5]])
 
     def test_missing_trailing_optional_cells_are_absent(self, tmp_path):
         path = tmp_path / "pts.csv"
         path.write_text("x,y,z,rcs_dbsm,doppler\n1,2,3\n")
-        assert read_radar_points_csv(path) == [RadarPoint(1.0, 2.0, 3.0)]
+        np.testing.assert_array_equal(read_radar_points_csv(path), [[1.0, 2.0, 3.0, NAN]])
+
+    def test_rows_build_the_targets_the_radar_points_do(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_text("x,y,z,rcs_dbsm\n0.5,0.1,10,3\n-1,0.2,20,\n0,0,-4,1\n")
+        points = read_radar_points_csv(path)
+        calib, cfg = make_calib(), RadiusConfig(fixed_r=1.5)
+        rows = [RadarPoint(x, y, z, None if math.isnan(r) else r) for x, y, z, r in points.tolist()]
+        table, kept = _target_table(points, calib, 8, cfg)
+        assert kept.tolist() == [True, True, False]
+        assert table.tolist() == as_target_table(build_depth_targets(rows, calib, 8, cfg).targets).tolist()
 
     @pytest.mark.parametrize(
         "text,message",
@@ -796,4 +854,14 @@ class TestRadarCsv:
         path = tmp_path / "pts.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError, match="header"):
+            read_radar_points_csv(path)
+
+    @pytest.mark.parametrize(
+        "header,column",
+        [("x,y,z,rcs_dbsm,rcs_dbsm", "rcs_dbsm"), ("x,y,z,doppler, doppler", "doppler"), ("x,y,z,x", "x")],
+    )
+    def test_header_that_repeats_a_column_is_rejected(self, tmp_path, header, column):
+        path = tmp_path / "pts.csv"
+        path.write_text(f"{header}\n0.5,0.1,10,abc,5\n")
+        with pytest.raises(ValueError, match=f"pts.csv: the header repeats the column '{column}'"):
             read_radar_points_csv(path)

@@ -13,7 +13,6 @@ from radarcam.geometry import (
     CameraIntrinsics,
     RigidTransform,
     SensorCalibration,
-    SphericalPoint,
     camera_to_spherical,
     empirical_projection_error,
     per_element,
@@ -150,10 +149,24 @@ class TestSpherical:
         assert camera_to_spherical(0.0, 0.0, 0.0) == (0.0, 0.0, 0.0)
 
     def test_invalid_angles_rejected(self):
+        res = AngularResolution.from_degrees(1, 1)
         with pytest.raises(ValueError):
-            SphericalPoint(1.0, math.pi / 2, 0.0)
+            empirical_projection_error(1.0, math.pi / 2, 0.0, res, K)
         with pytest.raises(ValueError):
-            SphericalPoint(-1.0, 0.0, 0.0)
+            empirical_projection_error(-1.0, 0.0, 0.0, res, K)
+
+    @pytest.mark.parametrize(
+        "point,message",
+        [
+            ((1.0, 0.0, -math.pi / 2), "elevation must be strictly inside"),
+            (([5.0, 6.0, math.nan], 0.0, 0.0), "range must be non-negative, got nan at element 2"),
+            ((0.0, 0.0, 0.0), "point 0 has non-positive depth"),
+            ((5.0, [0.0, 0.1, 2.0, -2.0], 0.0), "azimuth must be strictly inside [+]-pi/2, got 2.0 at element 2"),
+        ],
+    )
+    def test_invalid_points_rejected_naming_the_first(self, point, message):
+        with pytest.raises(ValueError, match=message):
+            empirical_projection_error(*point, AngularResolution.from_degrees(1, 1), K)
 
 
 def spherical_to_camera_scalar(rho, azimuth, elevation):
@@ -266,29 +279,33 @@ class TestPositionErrorModel:
 
     def test_error_ratio_is_exactly_delta_theta(self):
         # lateral displacement over depth cancels all position terms
-        p = SphericalPoint(7.0, 0.0, 0.0)
-        err = empirical_projection_error(p, self.RES, K)
+        err = empirical_projection_error(7.0, 0.0, 0.0, self.RES, K)
         assert err / K.fx == pytest.approx(self.RES.delta_theta, rel=1e-12)
 
     def test_range_independence_within_budget(self):
         e_u = K.fx * self.RES.delta_theta
-        for rho in (5.0, 10.0, 20.0, 50.0, 100.0):
-            for theta_deg in range(-20, 21, 4):
-                for phi_deg in (-10, -5, 0, 5, 10):
-                    p = SphericalPoint(rho, math.radians(theta_deg), math.radians(phi_deg))
-                    err = empirical_projection_error(p, self.RES, K)
-                    assert abs(err - e_u) / e_u < 0.02
+        rho, theta_deg, phi_deg = np.meshgrid(
+            [5.0, 10.0, 20.0, 50.0, 100.0], np.arange(-20, 21, 4), [-10, -5, 0, 5, 10], indexing="ij"
+        )
+        err = empirical_projection_error(rho, np.radians(theta_deg), np.radians(phi_deg), self.RES, K)
+        assert err.shape == rho.shape
+        assert np.all(np.abs(err - e_u) / e_u < 0.02)
+
+    def test_a_grid_equals_its_points_one_by_one(self):
+        rho, azimuth, elevation = np.array([5.0, 37.5, 100.0]), np.array([-0.3, 0.05, 0.2]), np.array([[-0.1], [0.15]])
+        grid = empirical_projection_error(rho, azimuth, elevation, self.RES, K)
+        for (j, i), got in np.ndenumerate(grid):
+            assert got == empirical_projection_error(rho[i], azimuth[i], elevation[j, 0], self.RES, K)
 
     def test_identical_at_near_and_far_range(self):
-        near = empirical_projection_error(SphericalPoint(5.0, 0.0, 0.0), self.RES, K)
-        far = empirical_projection_error(SphericalPoint(100.0, 0.0, 0.0), self.RES, K)
+        near = empirical_projection_error(5.0, 0.0, 0.0, self.RES, K)
+        far = empirical_projection_error(100.0, 0.0, 0.0, self.RES, K)
         assert near == pytest.approx(far, rel=1e-2)
         assert near == pytest.approx(K.fx * self.RES.delta_theta, rel=1e-2)
 
     def test_zero_resolution_gives_zero_error(self):
         res = AngularResolution(0.0, 0.0)
-        p = SphericalPoint(10.0, 0.2, 0.1)
-        assert empirical_projection_error(p, res, K) == 0.0
+        assert empirical_projection_error(10.0, 0.2, 0.1, res, K) == 0.0
 
 
 class TestSensorCalibration:

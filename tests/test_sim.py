@@ -19,7 +19,6 @@ from radarcam.geometry import (
     CameraIntrinsics,
     RigidTransform,
     SensorCalibration,
-    SphericalPoint,
     camera_to_spherical,
     empirical_projection_error,
     spherical_to_camera,
@@ -561,7 +560,7 @@ class TestNoNumpyTrigonometry:
         camera_to_spherical(*spherical_to_camera(5.0, 0.1, -0.05))
         cfg = default_experiment_config()
         res = AngularResolution(cfg.noise.delta_theta, cfg.noise.delta_phi)
-        assert empirical_projection_error(SphericalPoint(20.0, 0.2, 0.1), res, cfg.calibration.intrinsics) > 0
+        assert empirical_projection_error(20.0, 0.2, 0.1, res, cfg.calibration.intrinsics) > 0
         scene = generate_scene([0, 1], 12, cfg.extents, cfg.calibration, cfg.stride)
         points, counts = simulate_radar(scene, cfg.noise, [1, 2])
         assert counts.sum() == len(points) > 0
