@@ -34,7 +34,6 @@ from .tensor_ops import (
     LinearParams,
     MLPParams,
     ShapeError,
-    channel_reduce,
     conv2d,
     global_pool,
     linear,
@@ -71,3 +70,4 @@ from .sim import (
     run_experiment,
     simulate_radar,
 )
+from . import lxlt

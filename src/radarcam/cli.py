@@ -12,9 +12,10 @@ Each JSON input's keys are defined by one reader: a calibration by
 ``RadiusConfig.from_dict`` plus ``stride``; ``simulate --config`` by
 ``ExperimentConfig.from_dict``; a ``vt`` manifest's ``grid``, ``depth_bins``
 and layers by ``VoxelGridSpec.from_dict``, ``DepthBinSpec.from_dict`` and
-``vt_params_from_manifest``; a ``fuse`` manifest by ``csa_params_from_manifest``
-or ``concat_params_from_manifest``. An absent optional key, like an unset
-flag, takes the dataclass default; an absent required key fails as a null.
+``lxlt.read_params`` of ``VTParams``; a ``fuse`` manifest by
+``lxlt.read_params`` of ``CSAFusionParams`` or ``ConcatFusionParams``. An
+absent optional key, like an unset flag, takes the dataclass default; an
+absent required key fails as a null.
 ``simulate`` reads the radar's angular resolution from the config's ``noise``,
 not from the calibration's required ``delta_*_deg`` keys. ``depth-targets``
 writes and ``loss`` reads an LXLT table of (u, v, d_gt, radius) rows; ``loss``
@@ -47,7 +48,7 @@ from .depth_supervision import (
     one_to_many_loss,
     read_radar_points_csv,
 )
-from .fusion import concat_fusion, concat_params_from_manifest, csa_fusion, csa_params_from_manifest
+from .fusion import ConcatFusionParams, CSAFusionParams, concat_fusion, csa_fusion
 from .geometry import (
     SensorCalibration,
     empirical_projection_error,
@@ -61,13 +62,7 @@ from .geometry import (
 from .gradcheck import MIN_BINS, MIN_SIZE, run_grad_check
 from .sim import ExperimentConfig, default_experiment_config, run_experiment
 from .tensor_ops import ShapeError
-from .view_transform import (
-    VoxelGridSpec,
-    depth_distribution,
-    occupancy_from_bev,
-    sample_vt,
-    vt_params_from_manifest,
-)
+from .view_transform import VTParams, VoxelGridSpec, depth_distribution, occupancy_from_bev, sample_vt
 
 
 DEFAULT_STRIDE = 8  # feature-map stride of depth-targets
@@ -228,7 +223,7 @@ def cmd_vt(args) -> int:
     bins = DepthBinSpec.from_dict(
         json_object(manifest.get("depth_bins"), "manifest depth_bins"), "manifest depth_bins."
     )
-    params = vt_params_from_manifest(manifest, root)
+    params = lxlt.read_params(VTParams, manifest, root)
     occupancy = occupancy_from_bev(f_radar, params)
     d_map = depth_distribution(f_pv, scale_intrinsics(calib.intrinsics, stride), params, bins, stride)
     bev = sample_vt(f_pv, d_map, occupancy, grid, calib.intrinsics, calib.radar_to_camera, params)
@@ -244,9 +239,9 @@ def cmd_fuse(args) -> int:
     manifest = load_json(args.params)
     root = Path(args.params).parent
     if args.mode == "concat":
-        fused = concat_fusion(f_radar, f_image, concat_params_from_manifest(manifest, root))
+        fused = concat_fusion(f_radar, f_image, lxlt.read_params(ConcatFusionParams, manifest, root))
     else:
-        fused = csa_fusion(f_radar, f_image, csa_params_from_manifest(manifest, root))
+        fused = csa_fusion(f_radar, f_image, lxlt.read_params(CSAFusionParams, manifest, root))
     lxlt.write_tensor(args.output, fused)
     print(f"wrote fused map of shape {fused.shape}", file=sys.stderr)
     return 0

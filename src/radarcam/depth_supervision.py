@@ -308,7 +308,8 @@ def as_target_table(targets) -> np.ndarray:
 
 def _check_target_table(table: np.ndarray, shape: tuple[int, int]) -> None:
     """Name the first (u, v, d_gt, radius) row without finite values, a
-    non-negative radius and a pixel on the map of ``shape`` (H, W)."""
+    non-negative radius and a pixel on the map of ``shape`` (H, W), then the
+    first whose u or v is not a whole number."""
     u, v = table[:, 0], table[:, 1]
     ok = np.isfinite(table).all(axis=1) & (table[:, 3] >= 0.0)
     ok &= (0 <= u) & (u < shape[1]) & (0 <= v) & (v < shape[0])
@@ -317,6 +318,13 @@ def _check_target_table(table: np.ndarray, shape: tuple[int, int]) -> None:
         raise ValueError(
             f"target {i} (u, v, d_gt, radius) = {tuple(table[i].tolist())} needs finite "
             f"values, a non-negative radius and a pixel on the (H, W) = {shape} map"
+        )
+    whole = (u == np.floor(u)) & (v == np.floor(v))
+    if not whole.all():
+        i = int(np.argmin(whole))
+        raise ValueError(
+            f"target {i} (u, v, d_gt, radius) = {tuple(table[i].tolist())} needs a whole-number "
+            "pixel (u, v): a fractional one would be supervised at the pixel it truncates to"
         )
 
 
@@ -439,9 +447,9 @@ def one_to_many_loss(
     aggregated with min (default) or max; the one-to-one strategy restricts
     the neighborhood to the target pixel itself. ``targets`` is anything
     :func:`as_target_table` takes, with whole-number u and v. An empty table
-    yields a total of zero. A target off the map, or with a non-finite depth
-    or a negative or non-finite radius, raises a ``ValueError`` naming its
-    index.
+    yields a total of zero. A target off the map, with a fractional u or v,
+    or with a non-finite depth or a negative or non-finite radius, raises a
+    ``ValueError`` naming its index.
     """
     *_, sel = _loss_selection(depth_map, targets, spec, cfg)
     columns = (sel.cost, sel.u, sel.v, sel.count)

@@ -21,12 +21,9 @@ gates, which vary per pixel, scale that concatenation in place before
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
-from . import lxlt
-from .geometry import json_list, json_object
 from .tensor_ops import (
     Conv2DParams,
     MLPParams,
@@ -182,31 +179,3 @@ def csa_fusion(f_radar: np.ndarray, f_image: np.ndarray, params: CSAFusionParams
     x[:c] *= s_radar
     x[c:] *= s_image
     return conv2d(x, _fold_gates(params.out_conv, w_radar, w_image))
-
-
-def _read_mlp(entry: dict, root: str | Path, name: str) -> MLPParams:
-    layers = enumerate(json_list(json_object(entry, name).get("layers"), f"{name}.layers"))
-    return MLPParams(tuple(lxlt.read_linear(layer, root, f"{name}.layers[{i}]") for i, layer in layers))
-
-
-def csa_params_from_manifest(manifest: dict, root: str | Path) -> CSAFusionParams:
-    """Load attention-fusion parameters from a JSON manifest of LXLT files."""
-    params = lxlt.manifest_params(manifest)
-    return CSAFusionParams(
-        in_conv=lxlt.read_conv(params.get("in_conv"), root, "in_conv"),
-        channel_mlp_radar=_read_mlp(params.get("channel_mlp_radar"), root, "channel_mlp_radar"),
-        channel_mlp_image=_read_mlp(params.get("channel_mlp_image"), root, "channel_mlp_image"),
-        mid_conv=lxlt.read_conv(params.get("mid_conv"), root, "mid_conv"),
-        spatial_conv_radar=lxlt.read_conv(params.get("spatial_conv_radar"), root, "spatial_conv_radar"),
-        spatial_conv_image=lxlt.read_conv(params.get("spatial_conv_image"), root, "spatial_conv_image"),
-        out_conv=lxlt.read_conv(params.get("out_conv"), root, "out_conv"),
-    )
-
-
-def concat_params_from_manifest(manifest: dict, root: str | Path) -> ConcatFusionParams:
-    """Load baseline-fusion parameters from a JSON manifest of LXLT files."""
-    params = lxlt.manifest_params(manifest)
-    return ConcatFusionParams(
-        first=lxlt.read_conv(params.get("first"), root, "first"),
-        second=lxlt.read_conv(params.get("second"), root, "second"),
-    )

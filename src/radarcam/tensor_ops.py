@@ -120,14 +120,14 @@ class MLPParams:
         object.__setattr__(self, "layers", layers)
 
 
-def _zero_padded(x: np.ndarray, padding: tuple[int, int, int, int], rows_outer: bool) -> np.ndarray:
-    """A zero-padded copy of the (C, H, W) map ``x``: (Hp, C, Wp) in memory
-    when ``rows_outer``, else (C, Hp, Wp). Only the borders are zeroed."""
+def _zero_padded(x: np.ndarray, padding: tuple[int, int, int, int]) -> np.ndarray:
+    """A zero-padded copy of the (C, H, W) map ``x``, (Hp, C, Wp) in memory.
+    Only the borders are zeroed."""
     c, h, w = x.shape
     pt, pb, pl, pr = padding
     hp, wp = h + pt + pb, w + pl + pr
-    buf = np.empty((hp, c, wp) if rows_outer else (c, hp, wp), dtype=np.float64)
-    view = buf.transpose(1, 0, 2) if rows_outer else buf  # (C, Hp, Wp) either way
+    buf = np.empty((hp, c, wp), dtype=np.float64)
+    view = buf.transpose(1, 0, 2)  # (C, Hp, Wp)
     view[:, :pt] = 0.0
     view[:, pt + h :] = 0.0
     view[:, pt : pt + h, :pl] = 0.0
@@ -143,15 +143,16 @@ def conv2d(x: np.ndarray, params: Conv2DParams) -> np.ndarray:
     where the output extent follows the usual (H + pad - k) // stride + 1
     rule.
 
-    A 1x1 conv is one GEMM over the (C_in, Hp·Wp) input plus the bias. A
-    larger kernel reads a zero-padded copy laid out (Hp, C_in, Wp), in which
-    one row step is C_in·Wp elements: the kernel rows (ky, c) of every
-    output row then form one K axis of stride Wp over overlapping views of
-    the copy, with no im2col buffer (MEC lowering, arXiv 1706.06873). Each
-    kernel column kx is one batched matmul, one GEMM of K = kh·C_in per
-    output row, into an (H', C_out, Wp - kw + 1) accumulator; a stride
-    skips rows in the view and columns at the end. The transpose and the
-    bias are then written to a fresh C-contiguous array.
+    An unpadded 1x1 conv is one GEMM over the (C_in, H·W) input plus the
+    bias. Any other conv reads a zero-padded copy laid out (Hp, C_in, Wp),
+    in which one row step is C_in·Wp elements: the kernel rows (ky, c) of
+    every output row then form one K axis of stride Wp over overlapping
+    views of the copy, with no im2col buffer (MEC lowering, arXiv
+    1706.06873). Each kernel column kx is one batched matmul, one GEMM of
+    K = kh·C_in per output row, into an (H', C_out, Wp - kw + 1)
+    accumulator; a stride skips rows in the view and columns at the end.
+    The transpose and the bias are then written to a fresh C-contiguous
+    array.
     """
     x = _as_f64(x)
     if x.ndim != 3:
@@ -164,12 +165,10 @@ def conv2d(x: np.ndarray, params: Conv2DParams) -> np.ndarray:
     if hp < kh or wp < kw:
         raise ShapeError(f"padded input {hp}x{wp} smaller than kernel {kh}x{kw}")
     s = params.stride
-    if kh == kw == 1:
-        xp = _zero_padded(x, params.padding, rows_outer=False) if any(params.padding) else x
-        acc = np.matmul(params.weights[:, :, 0, 0], xp.reshape(in_ch, hp * wp))
-        del xp  # a padded copy is freed before the output is allocated
+    if kh == kw == 1 and not any(params.padding):
+        acc = np.matmul(params.weights[:, :, 0, 0], x.reshape(in_ch, hp * wp))
         return acc.reshape(out_ch, hp, wp)[:, ::s, ::s] + params.bias[:, None, None]
-    xp = _zero_padded(x, params.padding, rows_outer=True)
+    xp = _zero_padded(x, params.padding)
     out_h, out_w = (hp - kh) // s + 1, wp - kw + 1
     # w_cols[kx] is (C_out, kh·C_in), its K axis in the views' (ky, c) order
     w_cols = params.weights.transpose(3, 0, 2, 1).reshape(kw, out_ch, kh * in_ch)
@@ -243,15 +242,3 @@ def global_pool(x: np.ndarray, mode: str) -> np.ndarray:
     if mode == "max":
         return np.max(x, axis=(1, 2))
     raise ValueError(f"unknown pooling mode {mode!r}")
-
-
-def channel_reduce(x: np.ndarray, mode: str) -> np.ndarray:
-    """Reduce a (C, H, W) map across channels to (1, H, W)."""
-    x = _as_f64(x)
-    if x.ndim != 3 or x.shape[0] < 1:
-        raise ShapeError(f"channel_reduce input must be (C>=1, H, W), got {x.shape}")
-    if mode == "max":
-        return np.max(x, axis=0, keepdims=True)
-    if mode == "mean":
-        return np.mean(x, axis=0, keepdims=True)
-    raise ValueError(f"unknown reduction mode {mode!r}")

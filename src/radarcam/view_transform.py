@@ -37,14 +37,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from .geometry import CameraIntrinsics, RigidTransform, project_points, scale_intrinsics
-from .geometry import json_list, json_number, json_object
+from .geometry import json_number, json_object
 from .depth_supervision import DepthBinSpec, validate_depth_volume
-from . import lxlt
 from .tensor_ops import Conv2DParams, LinearParams, ShapeError, conv2d, linear, sigmoid, softmax
 
 # Voxels sampled per call, so that the gather's temporaries stay in cache.
@@ -425,18 +423,3 @@ def sample_vt(
     for conv in rest:
         out = conv2d(out, conv)
     return out
-
-
-def vt_params_from_manifest(manifest: dict, root: str | Path) -> VTParams:
-    """Load view-transformation parameters from a JSON manifest of LXLT files."""
-    params = lxlt.manifest_params(manifest)
-    return VTParams(
-        occupancy_conv=lxlt.read_conv(params.get("occupancy_conv"), root, "occupancy_conv"),
-        depth_conv=lxlt.read_conv(params.get("depth_conv"), root, "depth_conv"),
-        embedding=lxlt.read_linear(params.get("embedding"), root, "embedding"),
-        post_convs=tuple(
-            lxlt.read_conv(entry, root, f"post_convs[{i}]")
-            for i, entry in enumerate(json_list(params.get("post_convs"), "post_convs"))
-        ),
-    )
-

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import numpy as np
 
+from radarcam import lxlt
 from radarcam.fusion import CSAFusionParams, ConcatFusionParams
 from radarcam.tensor_ops import Conv2DParams, LinearParams, MLPParams
 from radarcam.view_transform import VTParams
@@ -105,3 +109,21 @@ def random_vt_params(
             random_conv(rng, c, c, 3),
         ),
     )
+
+
+def write_manifest(root, params) -> dict:
+    """Every tensor of the parameter dataclass ``params`` written as LXLT
+    under ``root``, named after its entry; returns the JSON manifest naming
+    them."""
+
+    def entry(name, value):
+        if isinstance(value, (Conv2DParams, LinearParams)):
+            lxlt.write_tensor(root / f"{name}.w.lxlt", value.weights)
+            lxlt.write_tensor(root / f"{name}.b.lxlt", value.bias)
+            return {"weights": f"{name}.w.lxlt", "bias": f"{name}.b.lxlt"}
+        if isinstance(value, tuple):
+            return [entry(f"{name}{i}", x) for i, x in enumerate(value)]
+        return {f.name: entry(f"{name}.{f.name}", getattr(value, f.name)) for f in dataclasses.fields(value)}
+
+    fields = dataclasses.fields(params)
+    return json.loads(json.dumps({"params": {f.name: entry(f.name, getattr(params, f.name)) for f in fields}}))

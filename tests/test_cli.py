@@ -14,7 +14,7 @@ import pytest
 from radarcam import lxlt
 from radarcam.cli import main
 from radarcam.depth_supervision import DepthBinSpec, DepthTarget, LossConfig, RadiusConfig, one_to_many_loss
-from radarcam.fusion import concat_fusion, concat_params_from_manifest, csa_fusion, csa_params_from_manifest
+from radarcam.fusion import ConcatFusionParams, CSAFusionParams, concat_fusion, csa_fusion
 from radarcam.geometry import (
     AngularResolution,
     CameraIntrinsics,
@@ -22,16 +22,10 @@ from radarcam.geometry import (
     SensorCalibration,
     scale_intrinsics,
 )
-from radarcam.tensor_ops import MLPParams, softmax
-from radarcam.view_transform import (
-    VoxelGridSpec,
-    depth_distribution,
-    occupancy_from_bev,
-    sample_vt,
-    vt_params_from_manifest,
-)
+from radarcam.tensor_ops import softmax
+from radarcam.view_transform import VTParams, VoxelGridSpec, depth_distribution, occupancy_from_bev, sample_vt
 
-from helpers import random_concat_params, random_csa_params, random_linear, random_vt_params
+from helpers import random_concat_params, random_csa_params, random_linear, random_vt_params, write_manifest
 
 
 def reduced_config(tmp_path, **overrides):
@@ -546,7 +540,7 @@ class TestVT:
         monkeypatch.chdir(elsewhere)
         assert main(["vt", "--manifest", "../inputs/manifest.json", "--output", "bev.lxlt"]) == 0
 
-        loaded = vt_params_from_manifest(manifest, inputs)
+        loaded = lxlt.read_params(VTParams, manifest, inputs)
         calib = SensorCalibration.from_dict(calibration())
         f_pv = lxlt.read_tensor(inputs / "f_pv.lxlt")
         d_map = depth_distribution(
@@ -646,23 +640,11 @@ def write_fuse_inputs(tmp_path, mode, seed=0):
     returns (manifest, argv without --params and --output)."""
     rng = np.random.default_rng(seed)
     params = random_csa_params(rng, FUSE_CHANNELS) if mode == "csa" else random_concat_params(rng, FUSE_CHANNELS)
-
-    def entry(name, layer):
-        lxlt.write_tensor(tmp_path / f"{name}.w.lxlt", layer.weights)
-        lxlt.write_tensor(tmp_path / f"{name}.b.lxlt", layer.bias)
-        return {"weights": f"{name}.w.lxlt", "bias": f"{name}.b.lxlt"}
-
-    entries = {}
-    for field in dataclasses.fields(params):
-        value = getattr(params, field.name)
-        if isinstance(value, MLPParams):
-            entries[field.name] = {"layers": [entry(f"{field.name}.{i}", x) for i, x in enumerate(value.layers)]}
-        else:
-            entries[field.name] = entry(field.name, value)
+    manifest = write_manifest(tmp_path, params)
     lxlt.write_tensor(tmp_path / "radar.lxlt", rng.normal(size=(FUSE_CHANNELS, 4, 5)))
     lxlt.write_tensor(tmp_path / "image.lxlt", rng.normal(size=(FUSE_CHANNELS, 4, 5)))
     argv = ["fuse", "--radar", str(tmp_path / "radar.lxlt"), "--image", str(tmp_path / "image.lxlt"), "--mode", mode]
-    return {"params": entries}, argv
+    return manifest, argv
 
 
 class TestFuse:
@@ -674,9 +656,9 @@ class TestFuse:
         assert main(argv + ["--params", str(tmp_path / "params.json"), "--output", str(out)]) == 0
         radar, image = lxlt.read_tensor(tmp_path / "radar.lxlt"), lxlt.read_tensor(tmp_path / "image.lxlt")
         if mode == "csa":
-            want = csa_fusion(radar, image, csa_params_from_manifest(manifest, tmp_path))
+            want = csa_fusion(radar, image, lxlt.read_params(CSAFusionParams, manifest, tmp_path))
         else:
-            want = concat_fusion(radar, image, concat_params_from_manifest(manifest, tmp_path))
+            want = concat_fusion(radar, image, lxlt.read_params(ConcatFusionParams, manifest, tmp_path))
         np.testing.assert_array_equal(lxlt.read_tensor(out), want.astype(np.float32))
 
     @pytest.mark.parametrize(
@@ -734,13 +716,13 @@ class TestFuse:
         made to hand back a strided mid_conv, as a stride key would."""
         manifest, argv = write_fuse_inputs(tmp_path, "csa")
         (tmp_path / "params.json").write_text(json.dumps(manifest))
-        read_conv = lxlt.read_conv
+        read_entry = lxlt._read_entry
 
-        def strided(entry, root, name):
-            conv = read_conv(entry, root, name)
-            return dataclasses.replace(conv, stride=2) if name == "mid_conv" else conv
+        def strided(tp, entry, root, name):
+            value = read_entry(tp, entry, root, name)
+            return dataclasses.replace(value, stride=2) if name == "mid_conv" else value
 
-        monkeypatch.setattr(lxlt, "read_conv", strided)
+        monkeypatch.setattr(lxlt, "_read_entry", strided)
         out = tmp_path / "fused.lxlt"
         assert main(argv + ["--params", str(tmp_path / "params.json"), "--output", str(out)]) == 2
         err = capsys.readouterr().err

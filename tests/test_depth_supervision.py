@@ -656,6 +656,18 @@ class TestTargetValidation:
         with pytest.raises(ValueError, match="target 0 "):
             one_to_many_loss_grad(uniform_map(16, 4, 4), np.array([[1.0, 1.0, 5.0, -1.0]]), self.SPEC, LossConfig())
 
+    def test_fractional_pixel_is_rejected_by_the_loss(self):
+        """A fractional u would be supervised at the pixel it truncates to."""
+        table = np.array([[1.0, 1.0, 5.0, 1.0], [2.7, 1.0, 3.0, 0.0]])
+        with pytest.raises(ValueError, match=r"^target 1 \(u, v, d_gt, radius\) = \(2\.7, .* whole-number pixel"):
+            one_to_many_loss(uniform_map(16, 4, 4), table, self.SPEC, LossConfig())
+
+    @pytest.mark.parametrize("strategy", ["one-to-one", "one-to-many"])
+    def test_fractional_pixel_is_rejected_by_the_gradient(self, strategy):
+        table = np.array([[1.0, 2.5, 5.0, 1.0]])
+        with pytest.raises(ValueError, match=r"^target 0 .* whole-number pixel"):
+            one_to_many_loss_grad(uniform_map(16, 4, 4), table, self.SPEC, LossConfig(strategy=strategy))
+
 
 class TestDepthMapValidation:
     SPEC = DepthBinSpec(0.0, 4.0, 4)

@@ -1,7 +1,6 @@
 """Tests for the concatenation baseline and the attention fusion block."""
 
 import dataclasses
-import json
 import re
 
 import numpy as np
@@ -14,7 +13,6 @@ from radarcam.fusion import (
     channel_attention,
     concat_fusion,
     csa_fusion,
-    csa_params_from_manifest,
     spatial_attention,
 )
 from radarcam.tensor_ops import Conv2DParams, LinearParams, MLPParams, ShapeError, conv2d
@@ -25,6 +23,7 @@ from helpers import (
     random_csa_params,
     random_mlp,
     selection_conv,
+    write_manifest,
     zero_conv,
     zero_csa_params,
     zero_mlp,
@@ -376,30 +375,11 @@ class TestCSAKeepsTheMapSize:
         assert csa_fusion(f_r, f_i, shifted).shape == (C, Y, X)
 
 
-def write_csa_manifest(root, params: CSAFusionParams) -> dict:
-    """Write every tensor of ``params`` as LXLT under ``root``; returns the manifest."""
-
-    def entry(name, layer):
-        lxlt.write_tensor(root / f"{name}.w.lxlt", layer.weights)
-        lxlt.write_tensor(root / f"{name}.b.lxlt", layer.bias)
-        return {"weights": f"{name}.w.lxlt", "bias": f"{name}.b.lxlt"}
-
-    manifest = {}
-    for field in dataclasses.fields(params):
-        value = getattr(params, field.name)
-        if isinstance(value, MLPParams):
-            layers = [entry(f"{field.name}.{i}", layer) for i, layer in enumerate(value.layers)]
-            manifest[field.name] = {"layers": layers}
-        else:
-            manifest[field.name] = entry(field.name, value)
-    return {"params": manifest}
-
-
 class TestCSAManifest:
     def test_roundtrip(self, tmp_path):
         params = random_csa_params(np.random.default_rng(5), C)
-        manifest = json.loads(json.dumps(write_csa_manifest(tmp_path, params)))
-        loaded = csa_params_from_manifest(manifest, tmp_path)
+        manifest = write_manifest(tmp_path, params)
+        loaded = lxlt.read_params(CSAFusionParams, manifest, tmp_path)
         f_r, f_i = random_maps(6)
         np.testing.assert_allclose(
             csa_fusion(f_r, f_i, loaded), csa_fusion(f_r, f_i, params), rtol=1e-5, atol=1e-5
@@ -410,16 +390,16 @@ class TestCSAManifest:
         [(("mid_conv",), "mid_conv"), (("channel_mlp_image", "layers", 1), "channel_mlp_image.layers[1]")],
     )
     def test_missing_bias_names_the_entry(self, tmp_path, path, name):
-        manifest = write_csa_manifest(tmp_path, zero_csa_params(C))
+        manifest = write_manifest(tmp_path, zero_csa_params(C))
         entry = manifest["params"]
         for key in path:
             entry = entry[key]
         del entry["bias"]
         with pytest.raises(ValueError, match=re.escape(f"{name}: manifest entry is missing 'bias'")):
-            csa_params_from_manifest(manifest, tmp_path)
+            lxlt.read_params(CSAFusionParams, manifest, tmp_path)
 
     def test_entry_that_is_not_an_object_is_named(self, tmp_path):
-        manifest = write_csa_manifest(tmp_path, zero_csa_params(C))
+        manifest = write_manifest(tmp_path, zero_csa_params(C))
         manifest["params"]["out_conv"] = "out_conv.w.lxlt"
         with pytest.raises(ValueError, match="^out_conv: manifest entry must map"):
-            csa_params_from_manifest(manifest, tmp_path)
+            lxlt.read_params(CSAFusionParams, manifest, tmp_path)

@@ -1,4 +1,5 @@
-"""Every import in the library modules is used.
+"""Every import in the library modules is used, only the CLI reads LXLT
+files, and the package exposes ``lxlt`` on import.
 
 ``__init__.py`` is left out: its imports are the package's public names.
 An import marked ``# noqa: F401`` is kept on purpose, for a name that
@@ -6,6 +7,9 @@ An import marked ``# noqa: F401`` is kept on purpose, for a name that
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +47,34 @@ def test_no_unused_import(path):
 def test_an_unused_import_is_found():
     text = "from __future__ import annotations\nimport os, sys\nfrom math import pi  # noqa: F401\nprint(sys)\n"
     assert unused_imports(text) == ["line 2: os"]
+
+
+def imports_lxlt(text: str) -> bool:
+    """Whether ``text`` imports the ``lxlt`` module or a name from it."""
+    for node in ast.walk(ast.parse(text)):
+        modules = [alias.name for alias in node.names] if isinstance(node, (ast.Import, ast.ImportFrom)) else []
+        if isinstance(node, ast.ImportFrom) and node.module:
+            modules.append(node.module)
+        if any(module.split(".")[-1] == "lxlt" for module in modules):
+            return True
+    return False
+
+
+def test_only_the_cli_imports_lxlt():
+    assert [path.name for path in MODULES if imports_lxlt(path.read_text())] == ["cli.py"]
+
+
+def test_an_lxlt_import_is_found():
+    assert imports_lxlt("from . import lxlt\n")
+    assert imports_lxlt("from .lxlt import read_params\n")
+    assert imports_lxlt("import radarcam.lxlt as io\n")
+    assert not imports_lxlt("from .geometry import json_list\nlxlt = 1\n")
+
+
+def test_the_package_exposes_lxlt_in_a_fresh_interpreter():
+    """``bench/`` reaches the file format as ``radarcam.lxlt`` after a plain
+    ``import radarcam``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SOURCE.parent), os.environ.get("PYTHONPATH")]))}
+    code = "import radarcam; radarcam.lxlt.read_tensor, radarcam.lxlt.read_params"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

@@ -1,6 +1,8 @@
-"""Tests for the LXLT binary tensor format."""
+"""Tests for the LXLT binary tensor format and its parameter manifests."""
 
+import dataclasses
 import math
+import re
 import struct
 
 import numpy as np
@@ -8,6 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from radarcam import lxlt
+from radarcam.fusion import ConcatFusionParams, CSAFusionParams
+from radarcam.view_transform import VTParams
+
+from helpers import random_concat_params, random_csa_params, random_vt_params, write_manifest
 
 
 def test_roundtrip_preserves_shape_and_values(tmp_path):
@@ -173,3 +179,63 @@ def test_empty_shape_too_large_to_represent_is_a_format_error(tmp_path):
     path.write_bytes(b"LXLT\x01\x00\x03" + struct.pack("<3I", 0, 0xFFFFFFFF, 0xFFFFFFFF))
     with pytest.raises(lxlt.TensorFormatError, match="too large"):
         lxlt.read_tensor(path)
+
+
+PARAMS = {
+    "vt": (VTParams, lambda rng: random_vt_params(rng, 2, 3, 4, 3)),
+    "csa": (CSAFusionParams, lambda rng: random_csa_params(rng, 3)),
+    "concat": (ConcatFusionParams, lambda rng: random_concat_params(rng, 3)),
+}
+
+
+def float32_exact(value):
+    """``value``, a parameter dataclass or one of its fields, with every
+    array rounded to float32 as an LXLT file stores it."""
+    if isinstance(value, np.ndarray):
+        return value.astype(np.float32).astype(np.float64)
+    if isinstance(value, tuple):
+        return tuple(map(float32_exact, value))
+    if dataclasses.is_dataclass(value):
+        return dataclasses.replace(value, **{f.name: float32_exact(getattr(value, f.name)) for f in dataclasses.fields(value)})
+    return value
+
+
+class TestReadParams:
+    @pytest.mark.parametrize("kind", sorted(PARAMS))
+    def test_roundtrip(self, tmp_path, kind):
+        cls, make = PARAMS[kind]
+        params = make(np.random.default_rng(4))
+        loaded = lxlt.read_params(cls, write_manifest(tmp_path, params), tmp_path)
+        assert type(loaded) is cls
+        np.testing.assert_equal(dataclasses.astuple(loaded), dataclasses.astuple(float32_exact(params)))
+
+    def test_manifest_without_params_key_is_read_whole(self, tmp_path):
+        params = random_concat_params(np.random.default_rng(5), 3)
+        manifest = write_manifest(tmp_path, params)
+        loaded = lxlt.read_params(ConcatFusionParams, manifest["params"], tmp_path)
+        np.testing.assert_equal(dataclasses.astuple(loaded), dataclasses.astuple(float32_exact(params)))
+
+    @pytest.mark.parametrize(
+        "kind,edit,message",
+        [
+            ("vt", lambda p: p["post_convs"][1].pop("bias"), "post_convs[1]: manifest entry is missing 'bias'"),
+            ("vt", lambda p: p.update(post_convs="post_convs0.w.lxlt"), "post_convs must be a JSON list, got 'post_convs0.w.lxlt'"),
+            (
+                "vt",
+                lambda p: p.update(embedding="embedding.w.lxlt"),
+                "embedding: manifest entry must map 'weights' and 'bias' to file names, got 'embedding.w.lxlt'",
+            ),
+            ("concat", lambda p: p["second"].pop("weights"), "second: manifest entry is missing 'weights'"),
+        ],
+        ids=["post_conv_without_bias", "post_convs_not_a_list", "embedding_as_a_string", "concat_without_weights"],
+    )
+    def test_bad_entry_is_named(self, tmp_path, kind, edit, message):
+        cls, make = PARAMS[kind]
+        manifest = write_manifest(tmp_path, make(np.random.default_rng(6)))
+        edit(manifest["params"])
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            lxlt.read_params(cls, manifest, tmp_path)
+
+    def test_params_that_is_a_list_is_named(self, tmp_path):
+        with pytest.raises(ValueError, match=re.escape("manifest params must be a JSON object, got [{'weights': 'a'}]")):
+            lxlt.read_params(VTParams, {"params": [{"weights": "a"}]}, tmp_path)

@@ -13,7 +13,6 @@ from radarcam.tensor_ops import (
     LinearParams,
     MLPParams,
     ShapeError,
-    channel_reduce,
     conv2d,
     global_pool,
     linear,
@@ -377,22 +376,6 @@ class TestPooling:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             global_pool(np.zeros((1, 2, 2)), "median")
-
-
-class TestChannelReduce:
-    def test_single_channel_unchanged(self):
-        x = np.random.default_rng(2).normal(size=(1, 3, 4))
-        np.testing.assert_array_equal(channel_reduce(x, "max"), x)
-        np.testing.assert_array_equal(channel_reduce(x, "mean"), x)
-
-    def test_two_channel_example(self):
-        x = np.stack([np.full((2, 2), -1.0), np.full((2, 2), 5.0)])
-        np.testing.assert_array_equal(channel_reduce(x, "max"), np.full((1, 2, 2), 5.0))
-        np.testing.assert_array_equal(channel_reduce(x, "mean"), np.full((1, 2, 2), 2.0))
-
-    def test_constant_tensor(self):
-        x = np.full((4, 2, 2), 1.5)
-        np.testing.assert_array_equal(channel_reduce(x, "mean"), np.full((1, 2, 2), 1.5))
 
 
 class TestBilinearSample:
