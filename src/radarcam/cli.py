@@ -7,15 +7,16 @@ written, so a command writes all of its outputs or none. All commands are
 deterministic for fixed seeds, so re-running a command reproduces its output
 files byte for byte.
 
-Each JSON input's keys are defined by one reader: a calibration by
-``SensorCalibration.from_dict``; ``depth-targets --config`` by
-``RadiusConfig.from_dict`` plus ``stride``; ``simulate --config`` by
-``ExperimentConfig.from_dict``; a ``vt`` manifest's ``grid``, ``depth_bins``
-and layers by ``VoxelGridSpec.from_dict``, ``DepthBinSpec.from_dict`` and
-``lxlt.read_params`` of ``VTParams``; a ``fuse`` manifest by
-``lxlt.read_params`` of ``CSAFusionParams`` or ``ConcatFusionParams``. An
-absent optional key, like an unset flag, takes the dataclass default; an
-absent required key fails as a null.
+Each JSON input's keys are defined by one reader, ``geometry.read_json``,
+as the fields of a dataclass: ``depth-targets --config`` is ``stride`` plus a
+``RadiusConfig``; ``simulate --config`` an ``ExperimentConfig``; a ``vt``
+manifest's ``grid``, ``depth_bins`` and ``params`` a ``VoxelGridSpec``, a
+``DepthBinSpec`` and, through ``lxlt.read_params``, a ``VTParams``; a
+``fuse`` manifest's ``params`` a ``CSAFusionParams`` or
+``ConcatFusionParams``. The one exception is a calibration, whose flat keys
+``SensorCalibration.from_dict`` defines. An absent optional key, like an
+unset flag, takes the dataclass default; an absent required key fails as a
+null; a key that names no field fails.
 ``simulate`` reads the radar's angular resolution from the config's ``noise``,
 not from the calibration's required ``delta_*_deg`` keys. ``depth-targets``
 writes and ``loss`` reads an LXLT table of (u, v, d_gt, radius) rows; ``loss``
@@ -57,6 +58,7 @@ from .geometry import (
     load_json,
     max_pixel_position_error,
     per_element,
+    read_json,
     scale_intrinsics,
 )
 from .gradcheck import MIN_BINS, MIN_SIZE, run_grad_check
@@ -66,6 +68,7 @@ from .view_transform import VTParams, VoxelGridSpec, depth_distribution, occupan
 
 
 DEFAULT_STRIDE = 8  # feature-map stride of depth-targets
+VT_MANIFEST_KEYS = ("feature_map", "radar_bev", "grid", "calibration", "stride", "depth_bins", "params")
 
 
 class _UsageError(Exception):
@@ -139,10 +142,10 @@ def cmd_depth_targets(args) -> int:
     config.update(_given(stride=args.stride, k=args.k, r_max=args.r_max, fixed_r=args.fixed_r))
     points = read_radar_points_csv(args.points)
     calib = SensorCalibration.load(args.calib)
-    stride = json_number(config.get("stride", DEFAULT_STRIDE), "stride", whole=True)
+    stride = json_number(config.pop("stride", DEFAULT_STRIDE), "stride", whole=True)
     if "fixed_r" not in config and np.isnan(points[:, 3]).any():
         config["fixed_r"] = RadiusConfig.FALLBACK_FIXED_R
-    cfg = RadiusConfig.from_dict(config)
+    cfg = read_json(RadiusConfig, config, "")
     table, kept = _target_table(points, calib, stride, cfg)
     num_dropped = len(kept) - len(table)
     lxlt.write_tensor(args.output, table)
@@ -213,16 +216,14 @@ def cmd_grad_check(args) -> int:
 
 def cmd_vt(args) -> int:
     _check_outputs(args.output)
-    manifest = load_json(args.manifest)
+    manifest = json_object(load_json(args.manifest), "manifest", VT_MANIFEST_KEYS)
     root = Path(args.manifest).parent
     f_pv = lxlt.read_tensor(_manifest_file(manifest, "feature_map", root))
     f_radar = lxlt.read_tensor(_manifest_file(manifest, "radar_bev", root))
-    grid = VoxelGridSpec.from_dict(_object_or_file(manifest, "grid", root))
+    grid = read_json(VoxelGridSpec, _object_or_file(manifest, "grid", root), "grid")
     calib = SensorCalibration.from_dict(_object_or_file(manifest, "calibration", root))
     stride = json_number(manifest.get("stride"), "manifest stride", whole=True)
-    bins = DepthBinSpec.from_dict(
-        json_object(manifest.get("depth_bins"), "manifest depth_bins"), "manifest depth_bins."
-    )
+    bins = read_json(DepthBinSpec, manifest.get("depth_bins"), "manifest depth_bins")
     params = lxlt.read_params(VTParams, manifest, root)
     occupancy = occupancy_from_bev(f_radar, params)
     d_map = depth_distribution(f_pv, scale_intrinsics(calib.intrinsics, stride), params, bins, stride)
@@ -237,6 +238,8 @@ def cmd_fuse(args) -> int:
     f_radar = lxlt.read_tensor(args.radar)
     f_image = lxlt.read_tensor(args.image)
     manifest = load_json(args.params)
+    if "params" in manifest:  # a manifest without it is checked whole by read_params
+        json_object(manifest, "manifest", ("params",))
     root = Path(args.params).parent
     if args.mode == "concat":
         fused = concat_fusion(f_radar, f_image, lxlt.read_params(ConcatFusionParams, manifest, root))

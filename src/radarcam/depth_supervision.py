@@ -23,7 +23,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, SensorCalibration, json_number, json_numbers, project_points
+from .geometry import CameraIntrinsics, SensorCalibration, project_points
 from .geometry import project_to_pixel  # noqa: F401 -- bench/tracing.py wraps the name in this module
 from .tensor_ops import ShapeError
 
@@ -69,12 +69,6 @@ class DepthBinSpec:
             raise ValueError(f"need at least one bin, got {self.num_bins}")
         object.__setattr__(self, "num_bins", int(self.num_bins))
 
-    @classmethod
-    def from_dict(cls, data: dict, prefix: str = "") -> "DepthBinSpec":
-        """Bins from a JSON object; errors name each key as ``prefix + key``."""
-        keys = ("d_min", "d_max", "num_bins")
-        return cls(*(json_number(data.get(key), prefix + key, key == "num_bins") for key in keys))
-
     @property
     def bin_width(self) -> float:
         return (self.d_max - self.d_min) / self.num_bins
@@ -83,9 +77,6 @@ class DepthBinSpec:
         """Center depth of every bin, strictly increasing."""
         idx = np.arange(self.num_bins, dtype=np.float64)
         return self.d_min + (idx + 0.5) * self.bin_width
-
-    def midpoint(self, index: int) -> float:
-        return self.d_min + (index + 0.5) * self.bin_width
 
 
 @dataclass(frozen=True)
@@ -105,13 +96,6 @@ class RadiusConfig:
             raise ValueError(f"r_max must be non-negative, got {self.r_max}")
         if self.fixed_r is not None and not self.fixed_r >= 0:
             raise ValueError(f"fixed_r must be non-negative, got {self.fixed_r}")
-
-    @classmethod
-    def from_dict(cls, data: dict, prefix: str = "") -> "RadiusConfig":
-        """Settings from a JSON object (a null ``fixed_r`` is none); errors
-        name each key as ``prefix + key``."""
-        keys = ("k", "r_max") if data.get("fixed_r") is None else ("k", "r_max", "fixed_r")
-        return cls(**json_numbers(data, prefix, keys))
 
 
 class DepthTarget(NamedTuple):

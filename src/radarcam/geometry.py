@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -55,16 +56,14 @@ def json_number(value, name: str, whole: bool = False) -> float | int:
     return int(number)
 
 
-def json_numbers(data: dict, prefix: str, keys, whole=()) -> dict:
-    """The ``keys`` present in ``data`` as :func:`json_number` values named
-    ``prefix + key``; absent keys are left out, so dataclass defaults apply."""
-    return {key: json_number(data[key], prefix + key, key in whole) for key in keys if key in data}
-
-
-def json_object(value, name: str) -> dict:
-    """``value`` if it is a JSON object; otherwise ``ValueError`` naming ``name``."""
+def json_object(value, name: str, keys=None) -> dict:
+    """``value`` if it is a JSON object holding no key outside ``keys``
+    (any key where ``keys`` is None); otherwise ``ValueError`` naming ``name``."""
     if not isinstance(value, dict):
         raise ValueError(f"{name} must be a JSON object, got {value!r}")
+    unknown = [key for key in value if key not in keys] if keys is not None else []
+    if unknown:
+        raise ValueError(f"{name} has no key {unknown[0]!r}")
     return value
 
 
@@ -79,6 +78,57 @@ def load_json(path: str | Path) -> dict:
     """The JSON object that a file holds at its top level."""
     with open(path) as fh:
         return json_object(json.load(fh), f"{path}: the top level")
+
+
+def read_json(tp, value, name: str, leaf=None):
+    """The ``tp`` value that the JSON ``value`` holds, read by its declared type:
+
+    - ``float``, and ``int`` as a whole number: :func:`json_number`;
+    - ``str`` and ``bool``: that JSON type;
+    - ``X | None``: null, or an ``X``;
+    - ``tuple[X, ...]``: a JSON list of ``X``; ``tuple[X, Y, Z]``: a JSON
+      list of one ``X``, one ``Y`` and one ``Z``;
+    - :class:`SensorCalibration`: its flat format, see
+      :meth:`SensorCalibration.from_dict`;
+    - any other dataclass: a JSON object whose keys are its field names. An
+      absent key takes the field's default; an absent required key is read
+      as a null. A key that names no field is refused.
+
+    ``leaf`` maps further types to their readers, ``reader(value, name)``,
+    which are tried first. Errors are ``ValueError`` naming the value by its
+    path from ``name``, such as ``arms[0].radius.k``; an empty ``name`` is
+    the top level.
+    """
+    if leaf and tp in leaf:
+        return leaf[tp](value, name)
+    if tp is float or tp is int:
+        return json_number(value, name, whole=tp is int)
+    if tp is str or tp is bool:
+        if not isinstance(value, tp):
+            raise ValueError(f"{name} must be {'a string' if tp is str else 'true or false'}, got {value!r}")
+        return value
+    args = get_args(tp)
+    if type(None) in args:
+        return None if value is None else read_json(args[0], value, name, leaf)
+    if get_origin(tp) is tuple:
+        items = json_list(value, name)
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(items)
+        elif len(items) != len(args):
+            raise ValueError(f"{name} must be a JSON list of {len(args)} items, got {value!r}")
+        return tuple(read_json(t, x, f"{name}[{i}]", leaf) for i, (t, x) in enumerate(zip(args, items)))
+    if tp is SensorCalibration:
+        return SensorCalibration.from_dict(value)
+    data = json_object(value, name or "the top level", [f.name for f in fields(tp)])
+    prefix = f"{name}." if name else ""
+    hints = get_type_hints(tp)
+    return tp(
+        **{
+            f.name: read_json(hints[f.name], data.get(f.name), prefix + f.name, leaf)
+            for f in fields(tp)
+            if f.name in data or (f.default is MISSING and f.default_factory is MISSING)
+        }
+    )
 
 
 @dataclass(frozen=True)
@@ -96,13 +146,6 @@ class CameraIntrinsics:
                 raise ValueError(f"intrinsics {name} must be finite, got {getattr(self, name)}")
         if not (self.fx > 0 and self.fy > 0):
             raise ValueError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
-
-    def matrix(self) -> np.ndarray:
-        """3x3 intrinsic matrix."""
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]],
-            dtype=np.float64,
-        )
 
     def inverse_matrix(self) -> np.ndarray:
         """Closed-form inverse of the intrinsic matrix."""
@@ -341,7 +384,7 @@ class SensorCalibration:
             "image_width", "image_height",
             "radar_to_camera", "delta_theta_deg", "delta_phi_deg",
         }
-        json_object(data, "calibration")
+        json_object(data, "calibration", required)
         missing = required - set(data)
         if missing:
             raise ValueError(f"calibration is missing keys: {sorted(missing)}")

@@ -16,31 +16,29 @@ Zero-size dimensions are permitted (an empty target table is a valid file).
 Non-finite values are refused in both directions, and so are values that
 overflow float32 when written.
 
-A parameter manifest is a JSON object whose ``params`` object (or, without
-that key, the manifest itself) names the LXLT files of one parameter
-dataclass, such as ``VTParams``, ``CSAFusionParams`` or
-``ConcatFusionParams``. Each key is a field name, and :func:`read_params`
-reads its entry by the field's declared type:
+A parameter manifest is a JSON object whose ``params`` object names the
+LXLT files of one parameter dataclass, such as ``VTParams``,
+``CSAFusionParams`` or ``ConcatFusionParams``. A manifest without that key
+is itself that object, so it holds layer entries and nothing else.
+:func:`read_params` reads it with :func:`~radarcam.geometry.read_json`: each
+key is a field name, read by the field's declared type, and a
+``Conv2DParams`` (loaded same-padded at stride 1) or ``LinearParams`` entry
+is ``{"weights": file, "bias": file}``, file names relative to ``root``.
+Any other key is refused.
 
-- ``Conv2DParams`` (loaded same-padded at stride 1) and ``LinearParams``:
-  ``{"weights": file, "bias": file}``, file names relative to ``root``;
-- ``tuple[...]``: a JSON list of entries of the item type;
-- any other dataclass, such as ``MLPParams``: a JSON object of its fields.
-
-Errors name the entry as a path of field names: ``post_convs[1]``,
-``channel_mlp_image.layers[0]``.
+Errors name the entry as a path of field names: ``manifest
+params.post_convs[1]``, ``manifest params.channel_mlp_image.layers[0]``.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import fields
+from functools import partial
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .geometry import json_list, json_object
+from .geometry import json_object, read_json
 from .tensor_ops import Conv2DParams, LinearParams
 
 MAGIC = b"LXLT"
@@ -117,26 +115,22 @@ def read_tensor(path: str | Path) -> np.ndarray:
 def read_params(cls, manifest: dict, root: str | Path):
     """The ``cls`` parameters that ``manifest`` names: its ``params`` object,
     or the manifest itself, read as described in the module docstring."""
-    return _read_entry(cls, manifest.get("params", manifest), Path(root), "")
+    root = Path(root)
+    leaf = {
+        Conv2DParams: partial(_read_layer, Conv2DParams.same, root),
+        LinearParams: partial(_read_layer, LinearParams, root),
+    }
+    name = "manifest params" if "params" in manifest else ""
+    return read_json(cls, manifest.get("params", manifest), name, leaf)
 
 
-def _read_entry(tp, entry, root: Path, name: str):
-    """The ``tp`` value that manifest ``entry`` describes; a missing or
-    malformed entry is named ``name`` (empty for the top-level object)."""
-    if tp is Conv2DParams or tp is LinearParams:
-        try:
-            weights, bias = read_tensor(root / entry["weights"]), read_tensor(root / entry["bias"])
-        except KeyError as exc:
-            raise ValueError(f"{name}: manifest entry is missing {exc}") from None
-        except TypeError:
-            raise ValueError(
-                f"{name}: manifest entry must map 'weights' and 'bias' to file names, got {entry!r}"
-            ) from None
-        return Conv2DParams.same(weights, bias) if tp is Conv2DParams else LinearParams(weights, bias)
-    if get_origin(tp) is tuple:
-        item = get_args(tp)[0]
-        return tuple(_read_entry(item, x, root, f"{name}[{i}]") for i, x in enumerate(json_list(entry, name)))
-    entry = json_object(entry, name or "manifest params")
-    prefix = f"{name}." if name else ""
-    hints = get_type_hints(tp)
-    return tp(**{f.name: _read_entry(hints[f.name], entry.get(f.name), root, prefix + f.name) for f in fields(tp)})
+def _read_layer(make, root: Path, entry, name: str):
+    """``make(weights, bias)`` of the LXLT files that manifest ``entry`` names."""
+    try:
+        weights, bias = read_tensor(root / entry["weights"]), read_tensor(root / entry["bias"])
+    except KeyError as exc:
+        raise ValueError(f"{name}: manifest entry is missing {exc}") from None
+    except TypeError:
+        raise ValueError(f"{name}: manifest entry must map 'weights' and 'bias' to file names, got {entry!r}") from None
+    json_object(entry, name, ("weights", "bias"))
+    return make(weights, bias)

@@ -81,12 +81,9 @@ from .depth_supervision import (
 from .geometry import (
     SensorCalibration,
     camera_to_spherical,
-    json_list,
-    json_number,
-    json_numbers,
-    json_object,
     load_json,
     per_element,
+    read_json,
     spherical_to_camera,
 )
 
@@ -131,17 +128,6 @@ class SceneExtents:
         for key in ("large_size_range", "small_size_range"):
             if min(getattr(self, key)) <= 0:
                 raise ValueError(f"scene {key} must hold positive sizes, got {getattr(self, key)}")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SceneExtents":
-        kwargs = json_numbers(data, "scene ", ("azimuth_max_deg", "elevation_max_deg", "large_fraction"))
-        for key in ("large_depth_range", "small_depth_range", "large_size_range", "small_size_range"):
-            if key in data:
-                value = data[key]
-                if not (isinstance(value, list) and len(value) == 2):
-                    raise ValueError(f"scene {key} must be a list of two numbers, got {value!r}")
-                kwargs[key] = tuple(json_number(x, f"scene {key}") for x in value)
-        return cls(**kwargs)
 
 
 EMPTY_BOX = (0, -1, 0, -1)  # (u0, u1, v0, v1) of an object that covers no feature cell
@@ -238,39 +224,25 @@ class RadarNoiseModel:
     Azimuth and elevation are perturbed uniformly within half a resolution
     cell on each side; range noise is clipped at three sigma so the
     worst-case tangential error bound stays analytic. The number of returns
-    per object grows with the square root of its frontal area.
+    per object grows with the square root of its frontal area. Angular
+    resolutions are in degrees. The model holds no seed: each experiment
+    seed draws its own returns.
     """
 
-    delta_theta: float
-    delta_phi: float
+    delta_theta_deg: float
+    delta_phi_deg: float
     range_sigma: float = 0.0
     points_base: float = 0.0
     points_size_scale: float = 2.0
 
     def __post_init__(self):
-        for key, value in (
-            ("delta_theta_deg", math.degrees(self.delta_theta)),
-            ("delta_phi_deg", math.degrees(self.delta_phi)),
-            ("range_sigma", self.range_sigma),
-            ("points_base", self.points_base),
-            ("points_size_scale", self.points_size_scale),
-        ):
-            if not math.isfinite(value):
-                raise ValueError(f"noise {key} must be finite, got {value}")
-        if self.delta_theta < 0 or self.delta_phi < 0:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"noise {f.name} must be finite, got {getattr(self, f.name)}")
+        if self.delta_theta_deg < 0 or self.delta_phi_deg < 0:
             raise ValueError("angular resolutions must be non-negative")
         if self.range_sigma < 0:
             raise ValueError("range_sigma must be non-negative")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RadarNoiseModel":
-        """The model from a JSON object; angular resolutions are in degrees
-        (``*_deg``). No seed is read: each experiment seed draws its own."""
-        return cls(
-            delta_theta=math.radians(json_number(data.get("delta_theta_deg"), "noise delta_theta_deg")),
-            delta_phi=math.radians(json_number(data.get("delta_phi_deg"), "noise delta_phi_deg")),
-            **json_numbers(data, "noise ", ("range_sigma", "points_base", "points_size_scale")),
-        )
 
     def points_for(self, size_m2: np.ndarray) -> np.ndarray:
         """The number of returns of objects of the given frontal areas, at least one each."""
@@ -318,9 +290,10 @@ def simulate_radar(scene: Scene, model: RadarNoiseModel, seeds) -> tuple[np.ndar
     hits = np.column_stack((source[:, 0] + offsets[:, 0], source[:, 1] + offsets[:, 1], source[:, 2]))
     radar = scene.calibration.radar_to_camera.inverse().apply_many(hits)
     rho, theta, phi = camera_to_spherical(radar[:, 0], radar[:, 1], radar[:, 2])
-    theta_lo, phi_lo = -model.delta_theta / 2.0, -model.delta_phi / 2.0
-    theta = theta + (theta_lo + (model.delta_theta / 2.0 - theta_lo) * draws[:, 0])
-    phi = phi + (phi_lo + (model.delta_phi / 2.0 - phi_lo) * draws[:, 1])
+    delta_theta, delta_phi = math.radians(model.delta_theta_deg), math.radians(model.delta_phi_deg)
+    theta_lo, phi_lo = -delta_theta / 2.0, -delta_phi / 2.0
+    theta = theta + (theta_lo + (delta_theta / 2.0 - theta_lo) * draws[:, 0])
+    phi = phi + (phi_lo + (delta_phi / 2.0 - phi_lo) * draws[:, 1])
     if sigma > 0:
         # normal(0.0, sigma) is 0.0 + sigma * standard_normal(); the 0.0 only turns -0.0 into
         # +0.0, which the sum with rho >= +0.0 cannot show.
@@ -405,30 +378,15 @@ class ExperimentArm:
 
     name: str
     strategy: str
-    radius: RadiusConfig
+    radius: RadiusConfig = RadiusConfig()
     agg: str = "min"
     use_rcs: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.name, str):
-            raise ValueError(f"arm name must be a string, got {self.name!r}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"arm {self.name!r}: unknown strategy {self.strategy!r}")
         if self.agg not in AGGREGATIONS:
             raise ValueError(f"arm {self.name!r}: unknown aggregation {self.agg!r}")
-        if not isinstance(self.use_rcs, bool):
-            raise ValueError(f"arm {self.name!r} use_rcs must be true or false, got {self.use_rcs!r}")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentArm":
-        """An arm from a JSON object; its optional ``radius`` is a RadiusConfig object."""
-        radius = json_object(data.get("radius", {}), f"arm {data.get('name')!r} radius")
-        return cls(
-            name=data.get("name"),
-            strategy=data.get("strategy"),
-            radius=RadiusConfig.from_dict(radius, "arm radius "),
-            **{key: data[key] for key in ("agg", "use_rcs") if key in data},
-        )
 
 
 @dataclass(frozen=True)
@@ -439,9 +397,9 @@ class ExperimentConfig:
     calibration: SensorCalibration
     stride: int
     bins: DepthBinSpec
-    extents: SceneExtents
     noise: RadarNoiseModel
     arms: tuple[ExperimentArm, ...]
+    scene: SceneExtents = SceneExtents()
     n_objects: int = 8
     seed_start: int = 0
     num_seeds: int = 150
@@ -469,39 +427,14 @@ class ExperimentConfig:
             raise ValueError(f"num_seeds must be at least 2 to bootstrap orderings, got {self.num_seeds}")
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        """The experiment from a JSON object; ``scene``, the counts and ``orderings`` are optional."""
-        data = json_object(data, "experiment config")
-        counts = ("n_objects", "seed_start", "num_seeds", "bootstrap_samples", "bootstrap_seed")
-        kwargs = json_numbers(data, "", counts, whole=counts)
-        if "orderings" in data:
-            orderings = json_list(data["orderings"], "orderings")
-            for i, pair in enumerate(orderings):
-                if not isinstance(pair, list) or len(pair) != 2:
-                    raise ValueError(f"orderings[{i}] must be a pair of arm names, got {pair!r}")
-            kwargs["orderings"] = tuple((str(a), str(b)) for a, b in orderings)
-        return cls(
-            calibration=SensorCalibration.from_dict(data.get("calibration")),
-            stride=json_number(data.get("stride"), "stride", whole=True),
-            bins=DepthBinSpec.from_dict(json_object(data.get("bins"), "bins"), "bins "),
-            extents=SceneExtents.from_dict(json_object(data.get("scene", {}), "scene")),
-            noise=RadarNoiseModel.from_dict(json_object(data.get("noise"), "noise")),
-            arms=tuple(
-                ExperimentArm.from_dict(json_object(a, f"arms[{i}]"))
-                for i, a in enumerate(json_list(data.get("arms"), "arms"))
-            ),
-            **kwargs,
-        )
-
-    @classmethod
     def load(cls, path: str | Path) -> "ExperimentConfig":
-        return cls.from_dict(load_json(path))
+        return read_json(cls, load_json(path), "")
 
 
 def default_experiment_config() -> ExperimentConfig:
     """The packaged default experiment (seed range, noise model and arms)."""
     text = resources.files("radarcam").joinpath("configs/default_experiment.json").read_text()
-    return ExperimentConfig.from_dict(json.loads(text))
+    return read_json(ExperimentConfig, json.loads(text), "")
 
 
 @dataclass(frozen=True)
@@ -547,7 +480,7 @@ def _evaluate_arms(cfg: ExperimentConfig, seeds: range) -> dict[str, tuple[Super
     settings and RCS use share one target table, and their distinct
     (strategy, agg) picks one selection. The scene and returns are dropped
     on return, before the bootstrap allocates its resamples."""
-    scene = generate_scene(seeds, cfg.n_objects, cfg.extents, cfg.calibration, cfg.stride)
+    scene = generate_scene(seeds, cfg.n_objects, cfg.scene, cfg.calibration, cfg.stride)
     points, counts = simulate_radar(scene, cfg.noise, [seed + 1 for seed in seeds])
     # Arms without RCS see the same returns with the RCS column absent (NaN).
     no_rcs = None if all(arm.use_rcs for arm in cfg.arms) else np.column_stack((points[:, :3], np.full(len(points), np.nan)))

@@ -41,7 +41,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import CameraIntrinsics, RigidTransform, project_points, scale_intrinsics
-from .geometry import json_number, json_object
 from .depth_supervision import DepthBinSpec, validate_depth_volume
 from .tensor_ops import Conv2DParams, LinearParams, ShapeError, conv2d, linear, sigmoid, softmax
 
@@ -69,24 +68,6 @@ class VoxelGridSpec:
             if not lo < hi:
                 raise ValueError(f"{name} axis extent must satisfy min < max, got [{lo}, {hi}]")
             object.__setattr__(self, name, (float(lo), float(hi), int(count)))
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "VoxelGridSpec":
-        """The grid from a JSON object mapping each axis to ``[min, max, count]``."""
-        data = json_object(data, "grid")
-
-        def axis(name: str) -> tuple[float, float, int]:
-            raw = data.get(name)
-            if not isinstance(raw, (list, tuple)) or len(raw) != 3:
-                raise ValueError(f"grid {name} must be [min, max, count], got {raw!r}")
-            lo, hi, count = raw
-            return (
-                json_number(lo, f"grid {name} min"),
-                json_number(hi, f"grid {name} max"),
-                json_number(count, f"grid {name} count", whole=True),
-            )
-
-        return cls(axis("x"), axis("y"), axis("z"))
 
     @property
     def counts(self) -> tuple[int, int, int]:

@@ -381,8 +381,9 @@ def apply_measurement_noise(point, model, rng) -> np.ndarray:
     rho = math.sqrt(fwd * fwd + lat * lat + up * up)
     theta = math.atan2(lat, fwd)
     phi = math.asin(up / rho) if rho > 0 else 0.0
-    theta += rng.uniform(-model.delta_theta / 2.0, model.delta_theta / 2.0)
-    phi += rng.uniform(-model.delta_phi / 2.0, model.delta_phi / 2.0)
+    delta_theta, delta_phi = math.radians(model.delta_theta_deg), math.radians(model.delta_phi_deg)
+    theta += rng.uniform(-delta_theta / 2.0, delta_theta / 2.0)
+    phi += rng.uniform(-delta_phi / 2.0, delta_phi / 2.0)
     dr = rng.normal(0.0, model.range_sigma) if model.range_sigma > 0 else 0.0
     rho += float(np.clip(dr, -3.0 * model.range_sigma, 3.0 * model.range_sigma))
     rho = max(rho, 0.0)
@@ -430,7 +431,7 @@ def run_experiment_reference(cfg) -> ExperimentResult:
     """The supervision experiment one seed, then one arm, at a time."""
     rows = []
     for seed in range(cfg.seed_start, cfg.seed_start + cfg.num_seeds):
-        objects = generate_objects_reference(seed, cfg.n_objects, cfg.extents)
+        objects = generate_objects_reference(seed, cfg.n_objects, cfg.scene)
         depth_map = render_depth_map(objects, cfg.calibration, cfg.stride)
         points = simulate_radar_reference(objects, cfg.noise, seed + 1, cfg.calibration.radar_to_camera)
         stripped = [replace(p, rcs_dbsm=None) for p in points]

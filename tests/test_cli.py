@@ -20,6 +20,7 @@ from radarcam.geometry import (
     CameraIntrinsics,
     RigidTransform,
     SensorCalibration,
+    read_json,
     scale_intrinsics,
 )
 from radarcam.tensor_ops import softmax
@@ -75,11 +76,12 @@ class TestSimulate:
         [
             (lambda data: data.update(stride=[8]), "stride must be a number, got [8]"),
             (lambda data: data.update(num_seeds=6.5), "num_seeds must be a whole number, got 6.5"),
-            (lambda data: data["bins"].update(num_bins="many"), "bins num_bins must be a number"),
-            (lambda data: data["arms"][0]["radius"].update(k=[0.1]), "arm radius k must be a number"),
+            (lambda data: data["bins"].update(num_bins="many"), "bins.num_bins must be a number"),
+            (lambda data: data["arms"][0]["radius"].update(k=[0.1]), "arms[0].radius.k must be a number"),
             (lambda data: data["calibration"].update(fx=[1150.0]), "calibration fx must be a number"),
-            (lambda data: data.update(scene={"large_fraction": "half"}), "scene large_fraction must be a number"),
-            (lambda data: data.update(scene={"large_depth_range": ["a", 40]}), "scene large_depth_range must be"),
+            (lambda data: data.update(scene={"large_fraction": "half"}), "scene.large_fraction must be a number"),
+            (lambda data: data.update(scene={"large_depth_range": ["a", 40]}), "scene.large_depth_range[0] must be a number"),
+            (lambda data: data.update(scene={"large_depth_range": [10]}), "scene.large_depth_range must be a JSON list of 2"),
         ],
     )
     def test_wrong_json_type_in_config_exits_2(self, tmp_path, edit_config, message, capsys):
@@ -133,8 +135,8 @@ class TestSimulate:
             ("noise", [1], "noise must be a JSON object, got [1]"),
             ("bins", [1], "bins must be a JSON object, got [1]"),
             ("scene", 5, "scene must be a JSON object, got 5"),
-            ("orderings", [5], "orderings[0] must be a pair of arm names, got 5"),
-            ("orderings", [["a"]], "orderings[0] must be a pair of arm names, got ['a']"),
+            ("orderings", [5], "orderings[0] must be a JSON list, got 5"),
+            ("orderings", [["a"]], "orderings[0] must be a JSON list of 2 items, got ['a']"),
         ],
     )
     def test_wrong_container_type_in_config_exits_2(self, tmp_path, key, value, message, capsys):
@@ -144,6 +146,26 @@ class TestSimulate:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+        assert not csv_path.exists() and not summary.exists()
+
+    @pytest.mark.parametrize(
+        "edit_config,message",
+        [
+            (lambda data: data.update(num_seed=3), "the top level has no key 'num_seed'"),
+            (lambda data: data["noise"].update(range_sigm=0.5), "noise has no key 'range_sigm'"),
+            (lambda data: data["arms"][2]["radius"].update(rmax=4.0), "arms[2].radius has no key 'rmax'"),
+            (lambda data: data["calibration"].update(skew=0.0), "calibration has no key 'skew'"),
+        ],
+    )
+    def test_key_that_names_no_field_exits_2_naming_it(self, tmp_path, edit_config, message, capsys):
+        config = reduced_config(tmp_path)
+        data = json.loads(config.read_text())
+        edit_config(data)
+        config.write_text(json.dumps(data))
+        csv_path, summary = tmp_path / "rows.csv", tmp_path / "summary.json"
+        argv = ["simulate", "--config", str(config), "--output-csv", str(csv_path), "--summary", str(summary)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not csv_path.exists() and not summary.exists()
 
     def test_one_seed_runs_without_orderings(self, tmp_path):
@@ -434,6 +456,8 @@ class TestDepthTargets:
             ({"points": "x,y,z\n1,2,3,4\n"}, "points.csv, line 2: a row needs"),
             ({"points": "x,y,z\n1,2,nan\n"}, "points.csv, line 2: radar point coordinates must be finite"),
             ({"config": {"fixed_r": "wide"}}, "'wide'"),
+            ({"config": {"k": 0.2, "rmax": 4.0}}, "the top level has no key 'rmax'"),
+            ({"calib": calibration(skew=0.0)}, "calibration has no key 'skew'"),
         ],
     )
     def test_invalid_input_exits_2_without_output(self, tmp_path, case, message, capsys):
@@ -548,7 +572,7 @@ class TestVT:
         )
         occupancy = occupancy_from_bev(lxlt.read_tensor(inputs / "radar.lxlt"), loaded)
         want = sample_vt(
-            f_pv, d_map, occupancy, VoxelGridSpec.from_dict(VT_GRID), calib.intrinsics, RADAR_TO_CAMERA, loaded
+            f_pv, d_map, occupancy, read_json(VoxelGridSpec, VT_GRID, "grid"), calib.intrinsics, RADAR_TO_CAMERA, loaded
         )
         assert want.shape == (VT_CHANNELS, 4, 4) and np.abs(want).max() > 0
         np.testing.assert_array_equal(lxlt.read_tensor(elsewhere / "bev.lxlt"), want.astype(np.float32))
@@ -566,7 +590,9 @@ class TestVT:
             ({"depth_bins": [0.0, 16.0, 4]}, "manifest depth_bins must be a JSON object"),
             ({"depth_bins": {**VT_BINS, "d_max": "Infinity"}}, "depth bins d_max must be finite"),
             ({"grid": 5}, "manifest grid must be a file name, got 5"),
-            ({"grid": {**VT_GRID, "x": [2.0, 10.0, 4.5]}}, "grid x count must be a whole number, got 4.5"),
+            ({"grid": {**VT_GRID, "x": [2.0, 10.0, 4.5]}}, "grid.x[2] must be a whole number, got 4.5"),
+            ({"grid": {**VT_GRID, "w": [0.0, 1.0, 1]}}, "grid has no key 'w'"),
+            ({"use_extrinsics_embedding": True}, "manifest has no key 'use_extrinsics_embedding'"),
             ({"grid": {**VT_GRID, "y": [-4.0, 1e999, 4]}}, "y axis extent must be finite"),
             ({"calibration": 3}, "manifest calibration must be a file name, got 3"),
             ({"calibration": calibration(fx=[1150.0])}, "calibration fx must be a number, got [1150.0]"),
@@ -621,8 +647,8 @@ class TestVT:
 
     def test_embedding_with_extrinsic_inputs_exits_2(self, tmp_path, capsys):
         """A 25-input embedding (intrinsics plus a flattened 4x4 extrinsic
-        matrix) fails the embedding width check, whatever the manifest says."""
-        manifest, inputs = write_vt_inputs(tmp_path, np.random.default_rng(8), use_extrinsics_embedding=True)
+        matrix) fails the embedding width check."""
+        manifest, inputs = write_vt_inputs(tmp_path, np.random.default_rng(8))
         wide = random_linear(np.random.default_rng(9), VT_CHANNELS, 25)
         lxlt.write_tensor(inputs / "emb.w.lxlt", wide.weights)
         out = tmp_path / "bev.lxlt"
@@ -682,6 +708,10 @@ class TestFuse:
             ("concat", lambda m: m["params"].pop("second"), "second: manifest entry must map"),
             ("concat", lambda m: m["params"].update(first=[1]), "first: manifest entry must map 'weights' and 'bias'"),
             ("concat", lambda m: m.update(params={}), "first: manifest entry must map 'weights' and 'bias' to file names, got None"),
+            ("concat", lambda m: m["params"]["first"].update(stride=2), "manifest params.first has no key 'stride'"),
+            ("concat", lambda m: m["params"].update(secnd=m["params"]["second"]), "manifest params has no key 'secnd'"),
+            ("csa", lambda m: m.update(mode="concat"), "manifest has no key 'mode'"),
+            ("csa", lambda m: m.update(m.pop("params"), mode="concat"), "the top level has no key 'mode'"),
         ],
     )
     def test_wrong_manifest_container_exits_2_without_output(self, tmp_path, mode, edit, message, capsys):
@@ -713,16 +743,16 @@ class TestFuse:
 
     def test_mid_conv_that_changes_the_map_size_exits_2_without_output(self, tmp_path, monkeypatch, capsys):
         """A manifest's convs load same-padded at stride 1, so the loader is
-        made to hand back a strided mid_conv, as a stride key would."""
+        made to hand back a strided mid_conv."""
         manifest, argv = write_fuse_inputs(tmp_path, "csa")
         (tmp_path / "params.json").write_text(json.dumps(manifest))
-        read_entry = lxlt._read_entry
+        read_params = lxlt.read_params
 
-        def strided(tp, entry, root, name):
-            value = read_entry(tp, entry, root, name)
-            return dataclasses.replace(value, stride=2) if name == "mid_conv" else value
+        def strided(cls, manifest, root):
+            params = read_params(cls, manifest, root)
+            return dataclasses.replace(params, mid_conv=dataclasses.replace(params.mid_conv, stride=2))
 
-        monkeypatch.setattr(lxlt, "_read_entry", strided)
+        monkeypatch.setattr(lxlt, "read_params", strided)
         out = tmp_path / "fused.lxlt"
         assert main(argv + ["--params", str(tmp_path / "params.json"), "--output", str(out)]) == 2
         err = capsys.readouterr().err

@@ -28,6 +28,7 @@ from radarcam.geometry import (
     CameraIntrinsics,
     RigidTransform,
     SensorCalibration,
+    read_json,
 )
 from radarcam.gradcheck import analytic_grad, finite_difference_grad, random_instance, relative_error
 from radarcam.tensor_ops import softmax
@@ -293,7 +294,7 @@ class TestBins:
 
     def test_nearest_midpoint(self):
         assert nearest_bin(10.4, self.SPEC) == 10
-        assert self.SPEC.midpoint(10) == pytest.approx(10.5)
+        assert self.SPEC.midpoints()[10] == pytest.approx(10.5)
 
     def test_lower_edge(self):
         assert nearest_bin(0.0, self.SPEC) == 0
@@ -313,7 +314,7 @@ class TestBins:
     def test_expected_depth_one_hot(self):
         dist = np.zeros(50)
         dist[7] = 1.0
-        assert expected_depth(dist, self.SPEC) == pytest.approx(self.SPEC.midpoint(7))
+        assert expected_depth(dist, self.SPEC) == pytest.approx(self.SPEC.midpoints()[7])
 
     def test_expected_depth_two_bins(self):
         spec = DepthBinSpec(0.0, 4.0, 2)
@@ -343,44 +344,48 @@ class TestBins:
         spec = DepthBinSpec(0.0, 64.0, 4.0)
         assert spec.num_bins == 4 and isinstance(spec.num_bins, int)
 
-    def test_from_dict_converts_numeric_strings(self):
-        spec = DepthBinSpec.from_dict({"d_min": "1", "d_max": 9, "num_bins": 4.0})
+    def test_json_numeric_strings_convert(self):
+        spec = read_json(DepthBinSpec, {"d_min": "1", "d_max": 9, "num_bins": 4.0}, "bins")
         assert (spec.d_min, spec.d_max, spec.num_bins) == (1.0, 9.0, 4) and isinstance(spec.num_bins, int)
 
     @pytest.mark.parametrize(
         "data,message",
         [
-            ({"d_min": [0.0], "d_max": 8, "num_bins": 4}, r"bins d_min must be a number, got \[0.0\]"),
-            ({"d_min": 0, "num_bins": 4}, "bins d_max must be a number, got None"),
-            ({"d_min": 0, "d_max": 8, "num_bins": 4.5}, "bins num_bins must be a whole number, got 4.5"),
+            ({"d_min": [0.0], "d_max": 8, "num_bins": 4}, r"^bins\.d_min must be a number, got \[0.0\]"),
+            ({"d_min": 0, "num_bins": 4}, r"^bins\.d_max must be a number, got None"),
+            ({"d_min": 0, "d_max": 8, "num_bins": 4.5}, r"^bins\.num_bins must be a whole number, got 4.5"),
         ],
     )
-    def test_from_dict_names_each_key_with_the_prefix(self, data, message):
+    def test_json_errors_name_each_key_by_its_path(self, data, message):
         with pytest.raises(ValueError, match=message):
-            DepthBinSpec.from_dict(data, "bins ")
+            read_json(DepthBinSpec, data, "bins")
 
 
-class TestRadiusConfigFromDict:
+class TestRadiusConfigFromJson:
     def test_absent_keys_take_the_dataclass_defaults(self):
-        assert RadiusConfig.from_dict({}) == RadiusConfig()
-        assert RadiusConfig.from_dict({"r_max": "4", "other": "ignored"}) == RadiusConfig(r_max=4.0)
+        assert read_json(RadiusConfig, {}, "") == RadiusConfig()
+        assert read_json(RadiusConfig, {"r_max": "4"}, "") == RadiusConfig(r_max=4.0)
+
+    def test_a_key_that_names_no_field_is_refused(self):
+        with pytest.raises(ValueError, match="^radius has no key 'other'$"):
+            read_json(RadiusConfig, {"r_max": "4", "other": "ignored"}, "radius")
 
     def test_null_fixed_r_means_none(self):
-        assert RadiusConfig.from_dict({"k": 0.3, "fixed_r": None}) == RadiusConfig(k=0.3)
-        assert RadiusConfig.from_dict({"fixed_r": 1}).fixed_r == 1.0
+        assert read_json(RadiusConfig, {"k": 0.3, "fixed_r": None}, "") == RadiusConfig(k=0.3)
+        assert read_json(RadiusConfig, {"fixed_r": 1}, "").fixed_r == 1.0
 
     @pytest.mark.parametrize(
         "data,message",
         [
-            ({"k": {"value": 0.1}}, r"^arm radius k must be a number, got \{'value': 0.1\}"),
-            ({"r_max": True}, "^arm radius r_max must be a number, got True"),
-            ({"fixed_r": "wide"}, "^arm radius fixed_r must be a number, got 'wide'"),
+            ({"k": {"value": 0.1}}, r"^radius\.k must be a number, got \{'value': 0.1\}"),
+            ({"r_max": True}, r"^radius\.r_max must be a number, got True"),
+            ({"fixed_r": "wide"}, r"^radius\.fixed_r must be a number, got 'wide'"),
             ({"k": 0}, "^k must be positive"),
         ],
     )
-    def test_errors_name_each_key_with_the_prefix(self, data, message):
+    def test_errors_name_each_key_by_its_path(self, data, message):
         with pytest.raises(ValueError, match=message):
-            RadiusConfig.from_dict(data, "arm radius ")
+            read_json(RadiusConfig, data, "radius")
 
 
 class TestPixelDepthLoss:
@@ -389,7 +394,7 @@ class TestPixelDepthLoss:
     def test_perfect_one_hot_is_zero(self):
         dist = np.zeros(50)
         dist[10] = 1.0
-        assert pixel_loss(dist, self.SPEC.midpoint(10), self.SPEC) == 0.0
+        assert pixel_loss(dist, self.SPEC.midpoints()[10], self.SPEC) == 0.0
 
     def test_uniform_mid_range(self):
         loss = pixel_loss(np.full(50, 0.02), 25.0, self.SPEC, lambda1=0.1, lambda2=0.1)
@@ -403,7 +408,7 @@ class TestPixelDepthLoss:
         dist = np.zeros(50)
         dist[49] = 1.0
         loss = pixel_loss(dist, 60.0, self.SPEC, lambda1=0.0, lambda2=1.0)
-        assert loss == pytest.approx(60.0 - self.SPEC.midpoint(49))
+        assert loss == pytest.approx(60.0 - self.SPEC.midpoints()[49])
 
 
 class TestNeighborhoodPixels:
@@ -498,7 +503,7 @@ class TestOneToManyLoss:
         one_hot = np.zeros(16)
         one_hot[gt_bin] = 1.0
         depth_map[:, 2, 3] = one_hot  # neighbor of (2, 2)
-        targets = [DepthTarget(2, 2, self.SPEC.midpoint(gt_bin), 1.0)]
+        targets = [DepthTarget(2, 2, self.SPEC.midpoints()[gt_bin], 1.0)]
         result = one_to_many_loss(depth_map, targets, self.SPEC, LossConfig())
         assert result.total == 0.0
         assert result.per_target[0].pixel == (3, 2)
@@ -508,7 +513,7 @@ class TestOneToManyLoss:
         one_hot = np.zeros(16)
         one_hot[9] = 1.0
         depth_map[:, 2, 3] = one_hot
-        targets = [DepthTarget(2, 2, self.SPEC.midpoint(9), 1.0)]
+        targets = [DepthTarget(2, 2, self.SPEC.midpoints()[9], 1.0)]
         result = one_to_many_loss(
             depth_map, targets, self.SPEC, LossConfig(neighborhood_agg="max")
         )
@@ -547,7 +552,7 @@ class TestOneToManyLoss:
             one_hot = np.zeros(16)
             one_hot[gt_bin] = 1.0
             depth_map[:, v, u] = one_hot
-            targets.append(DepthTarget(u, v, self.SPEC.midpoint(gt_bin), 1.5))
+            targets.append(DepthTarget(u, v, self.SPEC.midpoints()[gt_bin], 1.5))
         result = one_to_many_loss(depth_map, targets, self.SPEC, LossConfig())
         assert result.total == 0.0
         # perturbing any neighborhood away from one-hot makes it positive

@@ -401,5 +401,5 @@ class TestCSAManifest:
     def test_entry_that_is_not_an_object_is_named(self, tmp_path):
         manifest = write_manifest(tmp_path, zero_csa_params(C))
         manifest["params"]["out_conv"] = "out_conv.w.lxlt"
-        with pytest.raises(ValueError, match="^out_conv: manifest entry must map"):
+        with pytest.raises(ValueError, match="^manifest params.out_conv: manifest entry must map"):
             lxlt.read_params(CSAFusionParams, manifest, tmp_path)

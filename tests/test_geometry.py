@@ -1,7 +1,9 @@
 """Tests for projection, transforms and the radar position-error model."""
 
+import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from radarcam.geometry import (
     max_pixel_position_error,
     project_points,
     project_to_pixel,
+    read_json,
     scale_intrinsics,
     spherical_to_camera,
 )
@@ -333,6 +336,11 @@ class TestSensorCalibration:
         with pytest.raises(ValueError, match="missing"):
             SensorCalibration.from_dict({"fx": 1.0})
 
+    def test_a_key_outside_the_nine_is_rejected(self):
+        data = {**SensorCalibration(K, RigidTransform.identity(), 10, 10, AngularResolution(0.0, 0.0)).to_dict(), "skew": 0}
+        with pytest.raises(ValueError, match="^calibration has no key 'skew'$"):
+            SensorCalibration.from_dict(data)
+
     @pytest.mark.parametrize(
         "key,index,value,message",
         [
@@ -365,3 +373,74 @@ class TestSensorCalibration:
         data["radar_to_camera"] = [1, 0, 0]
         with pytest.raises(ValueError, match="16"):
             SensorCalibration.from_dict(data)
+
+
+@dataclasses.dataclass(frozen=True)
+class Inner:
+    k: float
+    n: int = 3
+
+
+@dataclasses.dataclass(frozen=True)
+class Outer:
+    name: str
+    flag: bool
+    inner: Inner
+    items: tuple[Inner, ...] = ()
+    triple: tuple[float, float, int] = (0.0, 1.0, 2)
+    maybe: float | None = 1.0
+
+
+class TestReadJson:
+    """The rules of the one JSON reader, on dataclasses of every field kind."""
+
+    MINIMAL = {"name": "a", "flag": True, "inner": {"k": 1}}
+
+    def fails(self, tp, value, message, name=""):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            read_json(tp, value, name)
+
+    def test_numeric_strings_convert_and_a_fraction_fails_as_an_int(self):
+        assert read_json(Inner, {"k": "2.5", "n": "4"}, "inner") == Inner(2.5, 4)
+        assert read_json(tuple[float, float, int], ["1e3", 2, 7.0], "triple") == (1000.0, 2.0, 7)
+        self.fails(Inner, {"k": 1, "n": 4.5}, "inner.n must be a whole number, got 4.5", "inner")
+
+    def test_strings_and_booleans_are_their_json_types(self):
+        self.fails(bool, "false", "flag must be true or false, got 'false'", "flag")
+        self.fails(bool, 0, "flag must be true or false, got 0", "flag")
+        self.fails(str, 5, "name must be a string, got 5", "name")
+        assert read_json(bool, False, "flag") is False and read_json(str, "x", "name") == "x"
+
+    def test_null_reads_as_none_where_the_type_allows_it(self):
+        assert read_json(Outer, {**self.MINIMAL, "maybe": None}, "").maybe is None
+        assert read_json(Outer, {**self.MINIMAL, "maybe": "2"}, "").maybe == 2.0
+        self.fails(Inner, {"k": None}, "k must be a number, got None")
+
+    def test_a_fixed_tuple_of_the_wrong_length_fails(self):
+        self.fails(Outer, {**self.MINIMAL, "triple": [0, 1]}, "triple must be a JSON list of 3 items, got [0, 1]")
+        self.fails(Outer, {**self.MINIMAL, "triple": {"0": 1}}, "triple must be a JSON list, got {'0': 1}")
+
+    def test_names_are_paths_of_indices_and_fields(self):
+        items = [{"k": 1}, {"k": "x"}]
+        self.fails(Outer, {**self.MINIMAL, "items": items}, "items[1].k must be a number, got 'x'")
+        self.fails(Outer, {**self.MINIMAL, "items": items}, "cfg.items[1].k must be a number, got 'x'", "cfg")
+        self.fails(Outer, {**self.MINIMAL, "inner": {"k": [1]}}, "cfg.inner.k must be a number, got [1]", "cfg")
+        self.fails(Outer, {**self.MINIMAL, "items": [5]}, "items[0] must be a JSON object, got 5")
+
+    def test_an_absent_key_takes_the_default_and_an_absent_required_key_fails_as_null(self):
+        assert read_json(Outer, self.MINIMAL, "") == Outer("a", True, Inner(1.0))
+        for key, message in (
+            ("name", "name must be a string, got None"),
+            ("flag", "flag must be true or false, got None"),
+            ("inner", "inner must be a JSON object, got None"),
+        ):
+            self.fails(Outer, {k: v for k, v in self.MINIMAL.items() if k != key}, message)
+
+    def test_a_key_that_names_no_field_fails(self):
+        self.fails(Outer, {**self.MINIMAL, "extra": 1}, "the top level has no key 'extra'")
+        self.fails(Outer, {**self.MINIMAL, "inner": {"k": 1, "m": 2}}, "cfg.inner has no key 'm'", "cfg")
+
+    def test_a_calibration_reads_its_flat_format(self):
+        data = SensorCalibration(K, RigidTransform.identity(), 10, 10, AngularResolution(0.0, 0.0)).to_dict()
+        assert read_json(SensorCalibration, data, "calibration").to_dict() == SensorCalibration.from_dict(data).to_dict()
+        self.fails(SensorCalibration, [1], "calibration must be a JSON object, got [1]", "calibration")

@@ -1,5 +1,6 @@
 """Every import in the library modules is used, only the CLI reads LXLT
-files, and the package exposes ``lxlt`` on import.
+files, only the calibration has its own JSON reader, and the package
+exposes ``lxlt`` on import.
 
 ``__init__.py`` is left out: its imports are the package's public names.
 An import marked ``# noqa: F401`` is kept on purpose, for a name that
@@ -69,6 +70,30 @@ def test_an_lxlt_import_is_found():
     assert imports_lxlt("from .lxlt import read_params\n")
     assert imports_lxlt("import radarcam.lxlt as io\n")
     assert not imports_lxlt("from .geometry import json_list\nlxlt = 1\n")
+
+
+def from_dict_owners(text: str) -> list[str]:
+    """The names of the classes in ``text`` that define a ``from_dict``,
+    and ``<module>`` for one defined at the top level."""
+    return [
+        getattr(node, "name", "<module>")
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, (ast.Module, ast.ClassDef))
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name == "from_dict"
+    ]
+
+
+def test_only_the_calibration_defines_from_dict():
+    """Every other JSON input is read from its dataclass fields by
+    ``geometry.read_json``; a calibration's flat keys need their own reader."""
+    assert [name for path in MODULES for name in from_dict_owners(path.read_text())] == ["SensorCalibration"]
+
+
+def test_a_from_dict_is_found():
+    text = "class A:\n    @classmethod\n    def from_dict(cls, data):\n        pass\n\n\ndef from_dict(data):\n    pass\n"
+    assert sorted(from_dict_owners(text)) == ["<module>", "A"]
+    assert from_dict_owners("class B:\n    def to_dict(self):\n        pass\n") == []
 
 
 def test_the_package_exposes_lxlt_in_a_fresh_interpreter():

@@ -215,19 +215,40 @@ class TestReadParams:
         loaded = lxlt.read_params(ConcatFusionParams, manifest["params"], tmp_path)
         np.testing.assert_equal(dataclasses.astuple(loaded), dataclasses.astuple(float32_exact(params)))
 
+    def test_manifest_without_params_key_holds_only_layer_entries(self, tmp_path):
+        manifest = write_manifest(tmp_path, random_concat_params(np.random.default_rng(5), 3))["params"]
+        manifest["feature_map"] = "f.lxlt"
+        with pytest.raises(ValueError, match="^the top level has no key 'feature_map'$"):
+            lxlt.read_params(ConcatFusionParams, manifest, tmp_path)
+
     @pytest.mark.parametrize(
         "kind,edit,message",
         [
-            ("vt", lambda p: p["post_convs"][1].pop("bias"), "post_convs[1]: manifest entry is missing 'bias'"),
-            ("vt", lambda p: p.update(post_convs="post_convs0.w.lxlt"), "post_convs must be a JSON list, got 'post_convs0.w.lxlt'"),
+            ("vt", lambda p: p["post_convs"][1].pop("bias"), "manifest params.post_convs[1]: manifest entry is missing 'bias'"),
+            (
+                "vt",
+                lambda p: p.update(post_convs="post_convs0.w.lxlt"),
+                "manifest params.post_convs must be a JSON list, got 'post_convs0.w.lxlt'",
+            ),
             (
                 "vt",
                 lambda p: p.update(embedding="embedding.w.lxlt"),
-                "embedding: manifest entry must map 'weights' and 'bias' to file names, got 'embedding.w.lxlt'",
+                "manifest params.embedding: manifest entry must map 'weights' and 'bias' to file names, got 'embedding.w.lxlt'",
             ),
-            ("concat", lambda p: p["second"].pop("weights"), "second: manifest entry is missing 'weights'"),
+            ("concat", lambda p: p["second"].pop("weights"), "manifest params.second: manifest entry is missing 'weights'"),
+            ("concat", lambda p: p["second"].update(stride=2), "manifest params.second has no key 'stride'"),
+            ("csa", lambda p: p["channel_mlp_radar"].update(hidden=1), "manifest params.channel_mlp_radar has no key 'hidden'"),
+            (
+                "vt",
+                lambda p: p.update(post_convs=p["post_convs"][:1]),
+                "manifest params.post_convs must be a JSON list of 3 items, "
+                "got [{'weights': 'post_convs0.w.lxlt', 'bias': 'post_convs0.b.lxlt'}]",
+            ),
         ],
-        ids=["post_conv_without_bias", "post_convs_not_a_list", "embedding_as_a_string", "concat_without_weights"],
+        ids=[
+            "post_conv_without_bias", "post_convs_not_a_list", "embedding_as_a_string", "concat_without_weights",
+            "layer_with_a_stride", "mlp_with_an_unknown_key", "two_post_convs",
+        ],
     )
     def test_bad_entry_is_named(self, tmp_path, kind, edit, message):
         cls, make = PARAMS[kind]

@@ -21,6 +21,7 @@ from radarcam.geometry import (
     SensorCalibration,
     camera_to_spherical,
     empirical_projection_error,
+    read_json,
     spherical_to_camera,
 )
 from radarcam.sim import (
@@ -115,9 +116,9 @@ def evaluate_reference(objects, calib, stride, points, radius_cfg, strategy, agg
 @pytest.mark.parametrize("seed", [0, 7, 31])
 def test_every_arm_matches_the_per_target_loop(seed):
     cfg = default_experiment_config()
-    scene = generate_scene([seed], cfg.n_objects, cfg.extents, cfg.calibration, cfg.stride)
+    scene = generate_scene([seed], cfg.n_objects, cfg.scene, cfg.calibration, cfg.stride)
     points, counts = simulate_radar(scene, cfg.noise, [seed + 1])
-    objects = generate_objects_reference(seed, cfg.n_objects, cfg.extents)
+    objects = generate_objects_reference(seed, cfg.n_objects, cfg.scene)
     for arm in cfg.arms:
         arm_points = points if arm.use_rcs else without_rcs(points)
         ((got,),) = evaluate_supervision(scene, arm_points, counts, cfg.bins, arm.radius, [(arm.strategy, arm.agg)])
@@ -182,13 +183,13 @@ class TestEvaluateSupervision:
         arm = cfg.arms[2]
         pick = [(arm.strategy, arm.agg)]
         seeds = [3, 4, 5]
-        scene = generate_scene(seeds, 12, cfg.extents, cfg.calibration, cfg.stride)
+        scene = generate_scene(seeds, 12, cfg.scene, cfg.calibration, cfg.stride)
         points, counts = simulate_radar(scene, cfg.noise, [seed + 9 for seed in seeds])
         points, counts = points[: counts[:2].sum()], [counts[0], counts[1], 0]
         (got,) = evaluate_supervision(scene, points, counts, cfg.bins, arm.radius, pick)
         alone = []
         for seed, n in zip(seeds, counts):
-            one = generate_scene([seed], 12, cfg.extents, cfg.calibration, cfg.stride)
+            one = generate_scene([seed], 12, cfg.scene, cfg.calibration, cfg.stride)
             one_points, _ = simulate_radar(one, cfg.noise, [seed + 9])
             alone.append(evaluate_supervision(one, one_points[:n], [n], cfg.bins, arm.radius, pick)[0][0])
         assert got == tuple(alone)
@@ -209,14 +210,14 @@ class TestTrueDepth:
     def test_depth_map_equals_the_rendered_map(self):
         cfg = default_experiment_config()
         seeds = [0, 11]
-        scene = generate_scene(seeds, 12, cfg.extents, cfg.calibration, cfg.stride)
+        scene = generate_scene(seeds, 12, cfg.scene, cfg.calibration, cfg.stride)
         for depth_map, seed in zip(depth_maps(scene), seeds):
-            objects = generate_objects_reference(seed, 12, cfg.extents)
+            objects = generate_objects_reference(seed, 12, cfg.scene)
             np.testing.assert_array_equal(depth_map, render_depth_map(objects, cfg.calibration, cfg.stride))
 
     def test_scene_without_objects_sees_nothing(self):
         cfg = default_experiment_config()
-        scene = generate_scene([0, 1], 0, cfg.extents, cfg.calibration, cfg.stride)
+        scene = generate_scene([0, 1], 0, cfg.scene, cfg.calibration, cfg.stride)
         assert scene.boxes.shape == (2, 0, 5) and np.isposinf(depth_maps(scene)).all()
 
 
@@ -316,7 +317,7 @@ class TestMatchesPerSeedReference:
             num_seeds=4,
             seed_start=seed_start,
             n_objects=n_objects,
-            extents=dataclasses.replace(base.extents, large_fraction=large_fraction),
+            scene=dataclasses.replace(base.scene, large_fraction=large_fraction),
             noise=dataclasses.replace(base.noise, range_sigma=range_sigma, points_base=points_base),
         )
         assert run_experiment(cfg) == run_experiment_reference(cfg)
@@ -340,7 +341,7 @@ class TestExtrinsics:
         radius = cfg.arms[2].radius
 
         def targets(calib):
-            scene = generate_scene(seeds, cfg.n_objects, cfg.extents, calib, cfg.stride)
+            scene = generate_scene(seeds, cfg.n_objects, cfg.scene, calib, cfg.stride)
             points, _ = simulate_radar(scene, RadarNoiseModel(0.0, 0.0), [seed + 1 for seed in seeds])
             return points, *_target_table(points, calib, cfg.stride, radius)
 
@@ -379,7 +380,7 @@ class TestNoiseAboutTheRadar:
     @pytest.mark.parametrize("mount", MOUNTS)
     def test_no_mount_changes_the_hit_rates_without_noise(self, mount):
         base = default_experiment_config().noise
-        cfg = small_config(num_seeds=40, noise=dataclasses.replace(base, delta_theta=0.0, delta_phi=0.0, range_sigma=0.0))
+        cfg = small_config(num_seeds=40, noise=dataclasses.replace(base, delta_theta_deg=0.0, delta_phi_deg=0.0, range_sigma=0.0))
         assert self.hit_rates(cfg, mount) == self.hit_rates(cfg)
 
 
@@ -521,11 +522,11 @@ class TestDrawsMatchTheScalarPipeline:
         differs from libm on about one input in two hundred, would show."""
         cfg = default_experiment_config()
         seeds = range(0, 4000, 10)
-        scene = generate_scene(seeds, 12, cfg.extents, cfg.calibration, cfg.stride)
+        scene = generate_scene(seeds, 12, cfg.scene, cfg.calibration, cfg.stride)
         points, counts = simulate_radar(scene, cfg.noise, [seed + 1 for seed in seeds])
         objects, returns = [], []
         for seed in seeds:
-            objects += generate_objects_reference(seed, 12, cfg.extents)
+            objects += generate_objects_reference(seed, 12, cfg.scene)
             mount = cfg.calibration.radar_to_camera
             returns.append(simulate_radar_reference(objects[-12:], cfg.noise, seed + 1, mount))
 
@@ -559,9 +560,9 @@ class TestNoNumpyTrigonometry:
         camera_to_spherical(*spherical_to_camera(rho, az, el))
         camera_to_spherical(*spherical_to_camera(5.0, 0.1, -0.05))
         cfg = default_experiment_config()
-        res = AngularResolution(cfg.noise.delta_theta, cfg.noise.delta_phi)
+        res = AngularResolution.from_degrees(cfg.noise.delta_theta_deg, cfg.noise.delta_phi_deg)
         assert empirical_projection_error(20.0, 0.2, 0.1, res, cfg.calibration.intrinsics) > 0
-        scene = generate_scene([0, 1], 12, cfg.extents, cfg.calibration, cfg.stride)
+        scene = generate_scene([0, 1], 12, cfg.scene, cfg.calibration, cfg.stride)
         points, counts = simulate_radar(scene, cfg.noise, [1, 2])
         assert counts.sum() == len(points) > 0
 
@@ -570,7 +571,7 @@ def reference_returns(cfg, noise, seeds, n_objects):
     """Every seed's returns from the one-point-at-a-time oracle, with their counts."""
     returns = [
         simulate_radar_reference(
-            generate_objects_reference(seed, n_objects, cfg.extents), noise, seed + 1, cfg.calibration.radar_to_camera
+            generate_objects_reference(seed, n_objects, cfg.scene), noise, seed + 1, cfg.calibration.radar_to_camera
         )
         for seed in seeds
     ]
@@ -595,14 +596,13 @@ class TestSimulateRadarBeyondThePackagedNoise:
     )
     def test_returns_equal_the_per_point_reference(self, range_sigma, delta_deg, depths):
         base = default_experiment_config()
-        extents = base.extents
+        extents = base.scene
         if depths is not None:
             extents = dataclasses.replace(extents, large_depth_range=depths, small_depth_range=depths)
-        cfg = dataclasses.replace(base, extents=extents)
-        delta = math.radians(delta_deg)
-        noise = dataclasses.replace(base.noise, range_sigma=range_sigma, delta_theta=delta, delta_phi=delta)
+        cfg = dataclasses.replace(base, scene=extents)
+        noise = dataclasses.replace(base.noise, range_sigma=range_sigma, delta_theta_deg=delta_deg, delta_phi_deg=delta_deg)
         seeds = range(0, 1000, 25)
-        scene = generate_scene(seeds, 12, cfg.extents, cfg.calibration, cfg.stride)
+        scene = generate_scene(seeds, 12, cfg.scene, cfg.calibration, cfg.stride)
         points, counts = simulate_radar(scene, noise, [seed + 1 for seed in seeds])
         want, want_counts = reference_returns(cfg, noise, seeds, 12)
         assert counts.tolist() == want_counts
@@ -612,7 +612,7 @@ class TestSimulateRadarBeyondThePackagedNoise:
 
     def test_no_objects_give_an_empty_table_and_zero_counts(self):
         cfg = default_experiment_config()
-        scene = generate_scene([0, 1, 2], 0, cfg.extents, cfg.calibration, cfg.stride)
+        scene = generate_scene([0, 1, 2], 0, cfg.scene, cfg.calibration, cfg.stride)
         for noise in (cfg.noise, RadarNoiseModel(0.0, 0.0)):
             points, counts = simulate_radar(scene, noise, [1, 2, 3])
             assert points.shape == (0, 4) and counts.tolist() == [0, 0, 0]
@@ -633,7 +633,7 @@ class TestConfigValidation:
                 lambda d: d["orderings"].append(["one-to-one", "no-such-arm"]),
                 "ordering 'one-to-one' >= 'no-such-arm' names unknown arm 'no-such-arm'",
             ),
-            (lambda d: d["arms"][0].update(use_rcs="false"), "arm 'one-to-one' use_rcs must be true or false"),
+            (lambda d: d["arms"][0].update(use_rcs="false"), r"^arms\[0\]\.use_rcs must be true or false, got 'false'"),
             (lambda d: d.update(num_seeds=0), "num_seeds must be at least 1, got 0"),
             (lambda d: d.update(bootstrap_samples=0), "bootstrap_samples must be at least 1, got 0"),
             (lambda d: d.update(stride=0), "stride must be at least 1, got 0"),
@@ -645,29 +645,29 @@ class TestConfigValidation:
         data = packaged_config_data()
         edit(data)
         with pytest.raises(ValueError, match=message):
-            ExperimentConfig.from_dict(data)
+            read_json(ExperimentConfig, data, "")
 
     def test_absent_keys_take_the_dataclass_defaults(self):
         data = packaged_config_data()
         minimal = {key: data[key] for key in ("calibration", "stride", "bins", "arms")}
         minimal["noise"] = {"delta_theta_deg": 1.0, "delta_phi_deg": 2.0}
         minimal["arms"] = [{"name": "a", "strategy": "one-to-one"}]
-        cfg = ExperimentConfig.from_dict(minimal)
+        cfg = read_json(ExperimentConfig, minimal, "")
         want = ExperimentConfig(
             calibration=cfg.calibration,
             stride=data["stride"],
             bins=DepthBinSpec(**data["bins"]),
-            extents=SceneExtents(),
-            noise=RadarNoiseModel(math.radians(1.0), math.radians(2.0)),
-            arms=(ExperimentArm("a", "one-to-one", RadiusConfig()),),
+            noise=RadarNoiseModel(1.0, 2.0),
+            arms=(ExperimentArm("a", "one-to-one"),),
         )
-        assert cfg == want
+        assert cfg == want and cfg.scene == SceneExtents() and cfg.arms[0].radius == RadiusConfig()
 
-    def test_noise_seed_key_is_not_read(self):
+    def test_noise_seed_key_is_refused(self):
         # every experiment seed draws its returns from its own noise seed
         data = packaged_config_data()
         data["noise"]["seed"] = -1
-        assert ExperimentConfig.from_dict(data).noise == ExperimentConfig.from_dict(packaged_config_data()).noise
+        with pytest.raises(ValueError, match="^noise has no key 'seed'$"):
+            read_json(ExperimentConfig, data, "")
 
     @pytest.mark.parametrize(
         "edit,message",
@@ -677,15 +677,15 @@ class TestConfigValidation:
             (lambda d: d.pop("noise"), "^noise must be a JSON object, got None"),
             (lambda d: d.pop("calibration"), "^calibration must be a JSON object, got None"),
             (lambda d: d.pop("stride"), "^stride must be a number, got None"),
-            (lambda d: d["bins"].pop("d_min"), "^bins d_min must be a number, got None"),
-            (lambda d: d["noise"].pop("delta_phi_deg"), "^noise delta_phi_deg must be a number, got None"),
-            (lambda d: d["arms"][0].pop("name"), "^arm name must be a string, got None"),
-            (lambda d: d["arms"][0].pop("strategy"), "^arm 'one-to-one': unknown strategy None"),
-            (lambda d: d["arms"][0].update(radius=[1]), r"^arm 'one-to-one' radius must be a JSON object, got \[1\]"),
+            (lambda d: d["bins"].pop("d_min"), r"^bins\.d_min must be a number, got None"),
+            (lambda d: d["noise"].pop("delta_phi_deg"), r"^noise\.delta_phi_deg must be a number, got None"),
+            (lambda d: d["arms"][0].pop("name"), r"^arms\[0\]\.name must be a string, got None"),
+            (lambda d: d["arms"][0].pop("strategy"), r"^arms\[0\]\.strategy must be a string, got None"),
+            (lambda d: d["arms"][0].update(radius=[1]), r"^arms\[0\]\.radius must be a JSON object, got \[1\]"),
         ],
     )
     def test_absent_required_key_is_named(self, edit, message):
         data = packaged_config_data()
         edit(data)
         with pytest.raises(ValueError, match=message):
-            ExperimentConfig.from_dict(data)
+            read_json(ExperimentConfig, data, "")

@@ -15,6 +15,7 @@ from radarcam.geometry import (
     CameraIntrinsics,
     RigidTransform,
     project_to_pixel,
+    read_json,
     scale_intrinsics,
 )
 from radarcam.tensor_ops import Conv2DParams, LinearParams, ShapeError
@@ -70,10 +71,8 @@ class TestVoxelGrid:
         with pytest.raises(ValueError):
             VoxelGridSpec((2.0, 0.0, 2), (0.0, 1.0, 1), (0.0, 1.0, 1))
 
-    def test_from_dict(self):
-        spec = VoxelGridSpec.from_dict(
-            {"x": [0, 8, 4], "y": [-2, 2, 2], "z": [0, 3, 3]}
-        )
+    def test_from_json(self):
+        spec = read_json(VoxelGridSpec, {"x": [0, 8, 4], "y": [-2, 2, 2], "z": [0, 3, 3]}, "grid")
         assert spec.counts == (3, 2, 4)
 
     @pytest.mark.parametrize(
@@ -94,17 +93,17 @@ class TestVoxelGrid:
     @pytest.mark.parametrize(
         "axes,message",
         [
-            ({"x": [0, 51.2, 8.7]}, "grid x count must be a whole number, got 8.7"),
-            ({"y": [0, "wide", 4]}, "grid y max must be a number, got 'wide'"),
-            ({"z": [0, 2, [3]]}, r"grid z count must be a number, got \[3\]"),
-            ({"x": [0, 8]}, "grid x must be \\[min, max, count\\]"),
-            ({"y": 5}, "grid y must be"),
+            ({"x": [0, 51.2, 8.7]}, r"^grid\.x\[2\] must be a whole number, got 8.7$"),
+            ({"y": [0, "wide", 4]}, r"^grid\.y\[1\] must be a number, got 'wide'$"),
+            ({"z": [0, 2, [3]]}, r"^grid\.z\[2\] must be a number, got \[3\]$"),
+            ({"x": [0, 8]}, r"^grid\.x must be a JSON list of 3 items, got \[0, 8\]$"),
+            ({"y": 5}, r"^grid\.y must be a JSON list, got 5$"),
         ],
     )
-    def test_from_dict_names_the_bad_axis(self, axes, message):
+    def test_json_names_the_bad_axis(self, axes, message):
         data = {"x": [0, 8, 4], "y": [-2, 2, 2], "z": [0, 3, 3], **axes}
         with pytest.raises(ValueError, match=message):
-            VoxelGridSpec.from_dict(data)
+            read_json(VoxelGridSpec, data, "grid")
 
     def test_whole_float_count_becomes_an_int(self):
         spec = VoxelGridSpec((0, 8, 4.0), (-2, 2, 2), (0, 3, 3))
