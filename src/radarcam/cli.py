@@ -17,10 +17,10 @@ manifest's ``grid``, ``depth_bins`` and ``params`` a ``VoxelGridSpec``, a
 ``SensorCalibration.from_dict`` defines. An absent optional key, like an
 unset flag, takes the dataclass default; an absent required key fails as a
 null; a key that names no field fails.
-``simulate`` reads the radar's angular resolution from the config's ``noise``,
-not from the calibration's required ``delta_*_deg`` keys. ``depth-targets``
-writes and ``loss`` reads an LXLT table of (u, v, d_gt, radius) rows; ``loss``
-rounds u and v half to even and writes them as integers.
+``depth-targets`` writes and ``loss`` reads an LXLT table of (u, v, d_gt,
+radius) rows; ``loss`` rounds u and v half to even and writes them as
+integers. A target of radius 0 is one-to-one: ``depth-targets --r-max 0``
+builds targets that ``loss`` scores at the struck pixel alone.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ import numpy as np
 from . import __version__, lxlt
 from .depth_supervision import (
     AGGREGATIONS,
-    STRATEGIES,
     DepthBinSpec,
     LossConfig,
     RadiusConfig,
@@ -172,9 +171,7 @@ def cmd_loss(args) -> int:
     table = as_target_table(lxlt.read_tensor(args.targets))
     table[:, :2] = np.rint(table[:, :2])  # the nearest pixel, halves to even as round() does
     spec = DepthBinSpec(args.d_min, args.d_max, args.num_bins)
-    cfg = LossConfig(
-        **_given(lambda1=args.lambda1, lambda2=args.lambda2, neighborhood_agg=args.agg, strategy=args.strategy)
-    )
+    cfg = LossConfig(**_given(lambda1=args.lambda1, lambda2=args.lambda2, neighborhood_agg=args.agg))
     result = one_to_many_loss(depth_map, table, spec, cfg)
     if args.per_target:
         _write_csv(
@@ -321,7 +318,7 @@ def build_parser() -> _Parser:
     p.add_argument("--config", help="JSON with default stride/k/r_max/fixed_r")
     p.add_argument("--stride", type=int, help=f"feature-map stride (default {DEFAULT_STRIDE})")
     p.add_argument("--k", type=float, help=f"radius scale (default {RadiusConfig.k})")
-    p.add_argument("--r-max", type=float, help=f"radius ceiling in px (default {RadiusConfig.r_max})")
+    p.add_argument("--r-max", type=float, help=f"radius ceiling in px, 0 for one-to-one (default {RadiusConfig.r_max})")
     p.add_argument("--fixed-r", type=float, help=f"radius without RCS (default {RadiusConfig.FALLBACK_FIXED_R})")
     p.add_argument("--output", required=True, help="output LXLT file, rows (u,v,d_gt,radius)")
     p.add_argument("--sidecar", help="config sidecar JSON (default OUTPUT.json)")
@@ -336,7 +333,6 @@ def build_parser() -> _Parser:
     p.add_argument("--lambda1", type=float, help=f"cross-entropy weight (default {LossConfig.lambda1})")
     p.add_argument("--lambda2", type=float, help=f"L1 weight (default {LossConfig.lambda2})")
     p.add_argument("--agg", choices=AGGREGATIONS, help=f"default {LossConfig.neighborhood_agg}")
-    p.add_argument("--strategy", choices=STRATEGIES, help=f"default {LossConfig.strategy}")
     p.add_argument("--per-target", help="optional per-target CSV output")
     p.set_defaults(func=cmd_loss)
 
@@ -363,9 +359,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("simulate", help="run the synthetic supervision experiment")
-    p.add_argument(
-        "--config", help="experiment JSON (default: packaged); its noise, not its calibration, sets the radar resolution"
-    )
+    p.add_argument("--config", help="experiment JSON (default: packaged)")
     p.add_argument("--output-csv", required=True, help="per-seed metrics CSV")
     p.add_argument("--summary", required=True, help="summary JSON with ordering checks")
     p.add_argument("--emit-plot-data", help="optional tidy CSV for plotting")

@@ -29,7 +29,6 @@ from .tensor_ops import ShapeError
 
 LOG_PROB_FLOOR = 1e-12
 NORMALIZATION_TOL = 1e-5
-STRATEGIES = ("one-to-one", "one-to-many")  # supervise the struck pixel, or the best of its disk
 AGGREGATIONS = ("min", "max")  # a target's loss: its disk's lowest or highest pixel loss
 
 
@@ -113,15 +112,12 @@ class LossConfig:
     lambda1: float = 0.1
     lambda2: float = 0.1
     neighborhood_agg: str = "min"
-    strategy: str = "one-to-many"
 
     def __post_init__(self):
         if not (0 <= self.lambda1 < math.inf and 0 <= self.lambda2 < math.inf):
             raise ValueError(f"loss weights must be finite and non-negative, got {self.lambda1}, {self.lambda2}")
         if self.neighborhood_agg not in AGGREGATIONS:
             raise ValueError(f"unknown aggregation {self.neighborhood_agg!r}")
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
 
 
 def neighborhood_radius(
@@ -342,59 +338,49 @@ class _Selection(NamedTuple):
 
 
 def _select_in_disks(
-    table: np.ndarray, shape: tuple[int, int], picks: tuple[tuple[str, str], ...], cost_at
+    table: np.ndarray, shape: tuple[int, int], aggs: tuple[str, ...], cost_at
 ) -> tuple[_Selection, ...]:
-    """For every (u, v, d_gt, radius) row, one selection per (strategy, agg)
-    pick: the pixel of its disk whose ``cost_at(rows, uu, vv)`` is lowest
-    (``agg="min"``) or highest, ties going to the first candidate in
-    row-major order; or, under one-to-one, the struck pixel itself.
+    """For every (u, v, d_gt, radius) row, one selection per aggregation in
+    ``aggs``: the pixel of its disk whose ``cost_at(rows, uu, vv)`` is lowest
+    (``"min"``) or highest (``"max"``), ties going to the first candidate in
+    row-major order. A disk of radius below 1, such as radius 0, holds the
+    struck pixel alone: that is one-to-one supervision.
 
-    The candidates are scored once for all picks: each target's one-to-many
-    disk when any pick is one-to-many, else the struck pixel alone. A
-    one-to-one pick reads the disk's centre candidate; ``cost_at`` is
-    elementwise, so that cost is the one the pixel alone would get.
-
-    Targets are scored in groups of equal stencil half-width (the floor of
-    the radius, clipped to the map). A group's stencil is the
-    :func:`neighborhood_pixels` disk of its largest radius, so one wide disk
-    does not widen the candidates of every other target; ``mask`` marks the
-    candidates on the map and in each target's own disk.
+    The candidates are scored once for all aggregations. Targets are scored
+    in groups of equal stencil half-width (the floor of the radius, clipped
+    to the map). A group's stencil is the :func:`neighborhood_pixels` disk
+    of its largest radius, so one wide disk does not widen the candidates of
+    every other target; ``mask`` marks the candidates on the map and in each
+    target's own disk.
     """
     _check_target_table(table, shape)
     height, width = shape
-    many = any(strategy == "one-to-many" for strategy, _ in picks)
-    radius = table[:, 3] if many else np.zeros(len(table))
+    radius = table[:, 3]
     halves = np.minimum(np.floor(radius), max(shape) - 1).astype(np.intp)
     selections = [
         _Selection(*(np.zeros(len(table), t) for t in (np.intp, np.intp, float, np.intp)), [])
-        for _ in picks
+        for _ in aggs
     ]
     for half in np.unique(halves).tolist():
         rows = np.flatnonzero(halves == half)
         size = 2 * half + 1
         du, dv = (np.array(neighborhood_pixels(half, half, radius[rows].max(), size, size)) - half).T
-        # A disk is point-symmetric, so its centre is its middle candidate.
-        centre = len(du) // 2
         u, v, r = table[rows, 0:1].astype(np.intp), table[rows, 1:2].astype(np.intp), radius[rows, None]
         uu, vv = u + du, v + dv
         mask = (du * du + dv * dv <= r * r) & (0 <= uu) & (uu < width) & (0 <= vv) & (vv < height)
         uu, vv = np.where(mask, uu, u), np.where(mask, vv, v)
         raw = cost_at(rows, uu, vv)
         at = np.arange(len(rows))
-        for (strategy, agg), sel in zip(picks, selections):
+        for agg, sel in zip(aggs, selections):
             sign = 1.0 if agg == "min" else -1.0
-            if strategy == "one-to-one":
-                costs = sign * raw[:, centre : centre + 1]
-                sel.u[rows], sel.v[rows], sel.cost[rows], sel.count[rows] = u[:, 0], v[:, 0], raw[:, centre], 1
-            else:
-                costs = np.where(mask, sign * raw, np.inf)
-                pick = np.argmin(costs, axis=1)
-                # The pick lands off the disk only when every candidate costs
-                # +inf; the disk's first candidate then wins, as in any other tie.
-                pick = np.where(mask[at, pick], pick, np.argmax(mask, axis=1))
-                sel.u[rows], sel.v[rows] = uu[at, pick], vv[at, pick]
-                sel.cost[rows] = sign * costs[at, pick]
-                sel.count[rows] = mask.sum(axis=1)
+            costs = np.where(mask, sign * raw, np.inf)
+            pick = np.argmin(costs, axis=1)
+            # The pick lands off the disk only when every candidate costs
+            # +inf; the disk's first candidate then wins, as in any other tie.
+            pick = np.where(mask[at, pick], pick, np.argmax(mask, axis=1))
+            sel.u[rows], sel.v[rows] = uu[at, pick], vv[at, pick]
+            sel.cost[rows] = sign * costs[at, pick]
+            sel.count[rows] = mask.sum(axis=1)
             sel.costs.append(costs)
     return tuple(sel._replace(costs=tuple(sel.costs)) for sel in selections)
 
@@ -415,7 +401,7 @@ def _loss_selection(depth_map, targets, spec: DepthBinSpec, cfg: LossConfig):
         p_gt = depth_map[nearest_bin(d_gt, spec), vv, uu]
         return _depth_loss(p_gt, expectation[vv, uu], d_gt, cfg)
 
-    (sel,) = _select_in_disks(table, shape, ((cfg.strategy, cfg.neighborhood_agg),), cost_at)
+    (sel,) = _select_in_disks(table, shape, (cfg.neighborhood_agg,), cost_at)
     return depth_map, table, expectation, sel
 
 
@@ -428,12 +414,12 @@ def one_to_many_loss(
     """Mean over targets of the aggregated neighborhood depth loss.
 
     For each target the per-pixel loss is evaluated on its neighborhood and
-    aggregated with min (default) or max; the one-to-one strategy restricts
-    the neighborhood to the target pixel itself. ``targets`` is anything
-    :func:`as_target_table` takes, with whole-number u and v. An empty table
-    yields a total of zero. A target off the map, with a fractional u or v,
-    or with a non-finite depth or a negative or non-finite radius, raises a
-    ``ValueError`` naming its index.
+    aggregated with min (default) or max; a target of radius 0 is
+    one-to-one: its neighborhood is the target pixel itself. ``targets`` is
+    anything :func:`as_target_table` takes, with whole-number u and v. An
+    empty table yields a total of zero. A target off the map, with a
+    fractional u or v, or with a non-finite depth or a negative or
+    non-finite radius, raises a ``ValueError`` naming its index.
     """
     *_, sel = _loss_selection(depth_map, targets, spec, cfg)
     columns = (sel.cost, sel.u, sel.v, sel.count)

@@ -97,7 +97,9 @@ def read_json(tp, value, name: str, leaf=None):
     ``leaf`` maps further types to their readers, ``reader(value, name)``,
     which are tried first. Errors are ``ValueError`` naming the value by its
     path from ``name``, such as ``arms[0].radius.k``; an empty ``name`` is
-    the top level.
+    the top level. A dataclass's own range check keeps its error type and is
+    prefixed with the object's path, such as ``arms[2].radius: k must be
+    positive``; at the top level its message is unchanged.
     """
     if leaf and tp in leaf:
         return leaf[tp](value, name)
@@ -122,13 +124,15 @@ def read_json(tp, value, name: str, leaf=None):
     data = json_object(value, name or "the top level", [f.name for f in fields(tp)])
     prefix = f"{name}." if name else ""
     hints = get_type_hints(tp)
-    return tp(
-        **{
-            f.name: read_json(hints[f.name], data.get(f.name), prefix + f.name, leaf)
-            for f in fields(tp)
-            if f.name in data or (f.default is MISSING and f.default_factory is MISSING)
-        }
-    )
+    kwargs = {
+        f.name: read_json(hints[f.name], data.get(f.name), prefix + f.name, leaf)
+        for f in fields(tp)
+        if f.name in data or (f.default is MISSING and f.default_factory is MISSING)
+    }
+    try:
+        return tp(**kwargs)
+    except ValueError as exc:  # a range check of the object as a whole: name it by its path
+        raise (type(exc)(f"{name}: {exc}") if name else exc) from None
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ import numpy as np
 
 from .depth_supervision import (
     AGGREGATIONS,
-    STRATEGIES,
     DepthBinSpec,
     DepthTarget,
     LossConfig,
@@ -68,11 +67,10 @@ def random_instance(rng: np.random.Generator, max_bins: int = 16, max_size: int 
             ],
             dtype=np.float64,
         )
-        # 70% min aggregation, 80% one-to-many
-        cfg = LossConfig(
-            neighborhood_agg=AGGREGATIONS[rng.uniform() >= 0.7],
-            strategy=STRATEGIES[rng.uniform() < 0.8],
-        )
+        # 70% min aggregation; 20% one-to-one, every radius 0
+        cfg = LossConfig(neighborhood_agg=AGGREGATIONS[rng.uniform() >= 0.7])
+        if rng.uniform() >= 0.8:
+            targets[:, 3] = 0.0
         inst = GradCheckInstance(logits, targets, spec, cfg)
         if _is_well_separated(softmax(logits, axis=0), inst):
             return inst

@@ -18,11 +18,11 @@ objects a scene, NumPy's per-call overhead costs more than the scalar
 Python it would replace. The arms are grouped by radius settings and RCS
 use, which fix the target table; each group scores every seed in one target
 table and one neighbourhood selection whose candidate costs serve all of
-its (strategy, agg) picks, a one-to-one pick reading the centre of each
-target's disk. True depth is not rendered as a map: the selection looks it
-up at its candidate pixels from the scene's object boxes
-(:func:`true_depth_at`), one object slot at a time. All orderings are
-bootstrapped over one resample index.
+its aggregations. A target of radius 0 is one-to-one: its disk is the
+struck pixel, so a one-to-one arm is an arm of radius 0. True depth is not
+rendered as a map: the selection looks it up at its candidate pixels from
+the scene's object boxes (:func:`true_depth_at`), one object slot at a
+time. All orderings are bootstrapped over one resample index.
 
 Objects live in the camera frame. :func:`simulate_radar` maps each surface
 point into the radar frame with the inverse of ``radar_to_camera`` and
@@ -52,8 +52,6 @@ Results are bit-identical to drawing and scoring one seed at a time:
   differ from libm in the last bit on some inputs.
 - A seed's mean depth error is ``np.add.reduce`` over its own slice divided
   by its size, which is what ``np.mean`` computes.
-- A one-to-one pick's cost is its disk's centre candidate: the cost is
-  elementwise, so it equals the struck pixel's cost scored alone.
 - Every ordering's resamples are one ``bootstrap_seed`` draw, the same
   draw each ordering made on its own.
 """
@@ -70,7 +68,6 @@ import numpy as np
 
 from .depth_supervision import (
     AGGREGATIONS,
-    STRATEGIES,
     DepthBinSpec,
     RadiusConfig,
     _select_in_disks,
@@ -119,7 +116,7 @@ class SceneExtents:
         for f in fields(self):
             value = getattr(self, f.name)
             if not np.all(np.isfinite(value)):
-                raise ValueError(f"scene {f.name} must be finite, got {value}")
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if not 0.0 <= self.large_fraction <= 1.0:
             raise ValueError("large_fraction must lie in [0, 1]")
         for name, rng in (("large", self.large_depth_range), ("small", self.small_depth_range)):
@@ -127,7 +124,7 @@ class SceneExtents:
                 raise ValueError(f"bad {name} depth range {rng}")
         for key in ("large_size_range", "small_size_range"):
             if min(getattr(self, key)) <= 0:
-                raise ValueError(f"scene {key} must hold positive sizes, got {getattr(self, key)}")
+                raise ValueError(f"{key} must hold positive sizes, got {getattr(self, key)}")
 
 
 EMPTY_BOX = (0, -1, 0, -1)  # (u0, u1, v0, v1) of an object that covers no feature cell
@@ -224,13 +221,11 @@ class RadarNoiseModel:
     Azimuth and elevation are perturbed uniformly within half a resolution
     cell on each side; range noise is clipped at three sigma so the
     worst-case tangential error bound stays analytic. The number of returns
-    per object grows with the square root of its frontal area. Angular
-    resolutions are in degrees. The model holds no seed: each experiment
-    seed draws its own returns.
+    per object grows with the square root of its frontal area. The angular
+    resolution is the calibration's. The model holds no seed: each
+    experiment seed draws its own returns.
     """
 
-    delta_theta_deg: float
-    delta_phi_deg: float
     range_sigma: float = 0.0
     points_base: float = 0.0
     points_size_scale: float = 2.0
@@ -238,9 +233,7 @@ class RadarNoiseModel:
     def __post_init__(self):
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"noise {f.name} must be finite, got {getattr(self, f.name)}")
-        if self.delta_theta_deg < 0 or self.delta_phi_deg < 0:
-            raise ValueError("angular resolutions must be non-negative")
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.range_sigma < 0:
             raise ValueError("range_sigma must be non-negative")
 
@@ -260,8 +253,9 @@ def simulate_radar(scene: Scene, model: RadarNoiseModel, seeds) -> tuple[np.ndar
     surface points are mapped into the radar frame with the inverse of
     ``radar_to_camera`` and perturbed there, in spherical coordinates about
     the radar's origin (:func:`~radarcam.geometry.camera_to_spherical`):
-    azimuth, elevation and range draws per return. So a mount's lever arm
-    and rotation change where the noise moves a return in the image.
+    azimuth and elevation draws within the calibration's
+    ``angular_resolution`` and a range draw per return. So a mount's lever
+    arm and rotation change where the noise moves a return in the image.
 
     Only the noise draws are scalar: per return ``rng.random()`` twice, then
     ``rng.standard_normal()`` when ``range_sigma > 0``, in return order, so
@@ -290,7 +284,8 @@ def simulate_radar(scene: Scene, model: RadarNoiseModel, seeds) -> tuple[np.ndar
     hits = np.column_stack((source[:, 0] + offsets[:, 0], source[:, 1] + offsets[:, 1], source[:, 2]))
     radar = scene.calibration.radar_to_camera.inverse().apply_many(hits)
     rho, theta, phi = camera_to_spherical(radar[:, 0], radar[:, 1], radar[:, 2])
-    delta_theta, delta_phi = math.radians(model.delta_theta_deg), math.radians(model.delta_phi_deg)
+    res = scene.calibration.angular_resolution
+    delta_theta, delta_phi = res.delta_theta, res.delta_phi
     theta_lo, phi_lo = -delta_theta / 2.0, -delta_phi / 2.0
     theta = theta + (theta_lo + (delta_theta / 2.0 - theta_lo) * draws[:, 0])
     phi = phi + (phi_lo + (delta_phi / 2.0 - phi_lo) * draws[:, 1])
@@ -315,29 +310,27 @@ def evaluate_supervision(
     counts,
     bins: DepthBinSpec,
     radius_cfg: RadiusConfig,
-    picks: tuple[tuple[str, str], ...],
+    aggs: tuple[str, ...],
 ) -> tuple[tuple[SupervisionMetrics, ...], ...]:
     """Score each seed's depth targets against its true depth, once per
-    (strategy, agg) pick.
+    aggregation in ``aggs``.
 
     ``points`` holds the (N, 4) radar returns (x, y, z, rcs_dbsm) of every
     seed of ``scene``, seed by seed, and ``counts`` the number of returns of
     each seed; a NaN RCS is absent and the radius then falls back to
     ``radius_cfg.fixed_r``. All seeds are scored in one target table and one
-    selection, whose candidates serve every pick.
+    selection, whose candidates serve every aggregation.
 
-    Under a one-to-many pick each target selects the neighborhood pixel
-    whose true depth is closest to its measured depth (``agg="min"``;
-    ``"max"`` selects the farthest, modeling worst-pixel aggregation); under
-    one-to-one it reads the struck pixel, the centre of its disk. A target
-    hits when the selected pixel's true depth lies within half a bin of the
-    measured depth; the mean absolute error is reported over targets whose
-    selected pixel sees any object at all. The metrics come back one tuple
-    per pick, in pick order, each holding one row per seed in seed order.
+    Each target selects the neighborhood pixel whose true depth is closest
+    to its measured depth (``"min"``; ``"max"`` selects the farthest,
+    modeling worst-pixel aggregation); a target of radius 0 reads the struck
+    pixel. A target hits when the selected pixel's true depth lies within
+    half a bin of the measured depth; the mean absolute error is reported
+    over targets whose selected pixel sees any object at all. The metrics
+    come back one tuple per aggregation, in ``aggs`` order, each holding one
+    row per seed in seed order.
     """
-    for strategy, agg in picks:
-        if strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r}")
+    for agg in aggs:
         if agg not in AGGREGATIONS:
             raise ValueError(f"unknown aggregation {agg!r}")
     n_seeds = len(scene.table)
@@ -358,7 +351,7 @@ def evaluate_supervision(
     n_targets = np.bincount(seed_of, minlength=n_seeds).tolist()
     ends = np.cumsum(n_targets).tolist()
     out = []
-    for sel in _select_in_disks(table, shape, picks, cost_at):
+    for sel in _select_in_disks(table, shape, aggs, cost_at):
         err = sel.cost
         hits = np.bincount(seed_of[err <= bins.bin_width / 2.0], minlength=n_seeds).tolist()
         finite = np.isfinite(err)
@@ -374,25 +367,23 @@ def evaluate_supervision(
 
 @dataclass(frozen=True)
 class ExperimentArm:
-    """One supervision configuration evaluated across all seeds."""
+    """One supervision configuration evaluated across all seeds. An arm
+    whose radius is 0 is one-to-one."""
 
     name: str
-    strategy: str
     radius: RadiusConfig = RadiusConfig()
     agg: str = "min"
     use_rcs: bool = False
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"arm {self.name!r}: unknown strategy {self.strategy!r}")
         if self.agg not in AGGREGATIONS:
             raise ValueError(f"arm {self.name!r}: unknown aggregation {self.agg!r}")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """The supervision experiment. ``noise`` sets the radar's angular resolution;
-    ``calibration.angular_resolution`` (its required ``delta_*_deg`` keys) is not read."""
+    """The supervision experiment. The calibration's ``delta_*_deg`` keys set
+    the radar's angular resolution, ``noise`` its range noise and returns."""
 
     calibration: SensorCalibration
     stride: int
@@ -478,7 +469,7 @@ class ExperimentResult:
 def _evaluate_arms(cfg: ExperimentConfig, seeds: range) -> dict[str, tuple[SupervisionMetrics, ...]]:
     """Per arm, in arm order, one metrics row per seed. Arms of equal radius
     settings and RCS use share one target table, and their distinct
-    (strategy, agg) picks one selection. The scene and returns are dropped
+    aggregations one selection. The scene and returns are dropped
     on return, before the bootstrap allocates its resamples."""
     scene = generate_scene(seeds, cfg.n_objects, cfg.scene, cfg.calibration, cfg.stride)
     points, counts = simulate_radar(scene, cfg.noise, [seed + 1 for seed in seeds])
@@ -489,10 +480,10 @@ def _evaluate_arms(cfg: ExperimentConfig, seeds: range) -> dict[str, tuple[Super
         groups.setdefault((arm.radius, arm.use_rcs), []).append(arm)
     by_arm = {}
     for (radius, use_rcs), arms in groups.items():
-        picks = tuple(dict.fromkeys((arm.strategy, arm.agg) for arm in arms))
-        scored = evaluate_supervision(scene, points if use_rcs else no_rcs, counts, cfg.bins, radius, picks)
-        by_pick = dict(zip(picks, scored))
-        by_arm.update({arm.name: by_pick[arm.strategy, arm.agg] for arm in arms})
+        aggs = tuple(dict.fromkeys(arm.agg for arm in arms))
+        scored = evaluate_supervision(scene, points if use_rcs else no_rcs, counts, cfg.bins, radius, aggs)
+        by_agg = dict(zip(aggs, scored))
+        by_arm.update({arm.name: by_agg[arm.agg] for arm in arms})
     return {arm.name: by_arm[arm.name] for arm in cfg.arms}
 
 

@@ -233,18 +233,15 @@ def target_losses_reference(depth_map, targets, spec, cfg) -> list[tuple[float, 
     """Per-target loop of the neighborhood loss.
 
     For each target: (selected loss, selected pixel, disk size, the loss of
-    every disk pixel in row-major order). The one-to-one strategy scores the
-    target pixel alone.
+    every disk pixel in row-major order). A target of radius 0 scores its
+    pixel alone.
     """
     depth_map = np.asarray(depth_map, dtype=np.float64)
     _, height, width = depth_map.shape
     midpoints = spec.midpoints()
     out = []
     for t in targets:
-        if cfg.strategy == "one-to-one":
-            pixels = [(t.u, t.v)]
-        else:
-            pixels = disk_pixels(t.u, t.v, t.radius, width, height)
+        pixels = disk_pixels(t.u, t.v, t.radius, width, height)
         us = np.array([p[0] for p in pixels], dtype=np.intp)
         vs = np.array([p[1] for p in pixels], dtype=np.intp)
         dists = depth_map[:, vs, us]
@@ -373,15 +370,16 @@ def generate_objects_reference(seed, n_objects, extents) -> list[SceneObject]:
     return objects
 
 
-def apply_measurement_noise(point, model, rng) -> np.ndarray:
+def apply_measurement_noise(point, model, res, rng) -> np.ndarray:
     """Perturb one radar-frame point in spherical coordinates about the
-    radar's origin: forward is z, lateral x and up -y, as in the camera."""
+    radar's origin, within the angular resolution ``res``: forward is z,
+    lateral x and up -y, as in the camera."""
     x, y, z = (float(c) for c in point)
     fwd, lat, up = z, x, -y
     rho = math.sqrt(fwd * fwd + lat * lat + up * up)
     theta = math.atan2(lat, fwd)
     phi = math.asin(up / rho) if rho > 0 else 0.0
-    delta_theta, delta_phi = math.radians(model.delta_theta_deg), math.radians(model.delta_phi_deg)
+    delta_theta, delta_phi = res.delta_theta, res.delta_phi
     theta += rng.uniform(-delta_theta / 2.0, delta_theta / 2.0)
     phi += rng.uniform(-delta_phi / 2.0, delta_phi / 2.0)
     dr = rng.normal(0.0, model.range_sigma) if model.range_sigma > 0 else 0.0
@@ -392,12 +390,12 @@ def apply_measurement_noise(point, model, rng) -> np.ndarray:
     return np.array([lat, -up, fwd])
 
 
-def simulate_radar_reference(objects, model, seed, radar_to_camera) -> list[RadarPoint]:
+def simulate_radar_reference(objects, model, seed, calib) -> list[RadarPoint]:
     """Noisy returns one point at a time: every surface sample first (scalar
-    dx, dy per return), then each sample mapped into the radar frame on its
-    own and perturbed there by its noise draws."""
+    dx, dy per return), then each sample mapped into the radar frame of
+    ``calib`` on its own and perturbed there by its noise draws."""
     rng = np.random.default_rng(seed)
-    camera_to_radar = radar_to_camera.inverse()
+    camera_to_radar = calib.radar_to_camera.inverse()
     samples = []
     for obj in objects:
         half = obj.half_extent
@@ -408,19 +406,18 @@ def simulate_radar_reference(objects, model, seed, radar_to_camera) -> list[Rada
             samples.append((np.array([cx + dx, cy + dy, z]), obj))
     points = []
     for cam_point, obj in samples:
-        noisy = apply_measurement_noise(camera_to_radar.apply(cam_point), model, rng)
+        noisy = apply_measurement_noise(camera_to_radar.apply(cam_point), model, calib.angular_resolution, rng)
         points.append(RadarPoint(float(noisy[0]), float(noisy[1]), float(noisy[2]), rcs_dbsm=obj.rcs_dbsm))
     return points
 
 
-def evaluate_supervision_reference(depth_map, calib, stride, points, bins, radius_cfg, strategy, agg):
+def evaluate_supervision_reference(depth_map, calib, stride, points, bins, radius_cfg, agg):
     """One scene's metrics from a per-target loop over its rendered map."""
     targets, _, _ = build_depth_targets_reference(points, calib, stride, radius_cfg)
     height, width = depth_map.shape
     errors = []
     for t in targets:
-        pixels = [(t.u, t.v)] if strategy == "one-to-one" else disk_pixels(t.u, t.v, t.radius, width, height)
-        errs = [abs(depth_map[v, u] - t.d_gt) for u, v in pixels]
+        errs = [abs(depth_map[v, u] - t.d_gt) for u, v in disk_pixels(t.u, t.v, t.radius, width, height)]
         errors.append(min(errs) if agg == "min" else max(errs))
     finite = [e for e in errors if math.isfinite(e)]
     hit_rate = sum(e <= bins.bin_width / 2.0 for e in errors) / len(errors) if errors else 0.0
@@ -433,12 +430,12 @@ def run_experiment_reference(cfg) -> ExperimentResult:
     for seed in range(cfg.seed_start, cfg.seed_start + cfg.num_seeds):
         objects = generate_objects_reference(seed, cfg.n_objects, cfg.scene)
         depth_map = render_depth_map(objects, cfg.calibration, cfg.stride)
-        points = simulate_radar_reference(objects, cfg.noise, seed + 1, cfg.calibration.radar_to_camera)
+        points = simulate_radar_reference(objects, cfg.noise, seed + 1, cfg.calibration)
         stripped = [replace(p, rcs_dbsm=None) for p in points]
         for arm in cfg.arms:
             metrics = evaluate_supervision_reference(
                 depth_map, cfg.calibration, cfg.stride, points if arm.use_rcs else stripped,
-                cfg.bins, arm.radius, arm.strategy, arm.agg,
+                cfg.bins, arm.radius, arm.agg,
             )
             rows.append(SeedResult(seed, arm.name, metrics))
 

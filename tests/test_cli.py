@@ -99,15 +99,15 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "edit_config,key",
         [
-            (lambda data: data["noise"].update(range_sigma=math.nan), "noise range_sigma"),
-            (lambda data: data["noise"].update(delta_theta_deg=math.nan), "noise delta_theta_deg"),
-            (lambda data: data["noise"].update(delta_phi_deg=-math.inf), "noise delta_phi_deg"),
-            (lambda data: data["noise"].update(points_base=math.nan), "noise points_base"),
-            (lambda data: data["noise"].update(points_size_scale=math.inf), "noise points_size_scale"),
-            (lambda data: data["scene"].update(small_size_range=[0.2, math.inf]), "scene small_size_range"),
-            (lambda data: data["scene"].update(large_size_range=[0.0, 9.0]), "scene large_size_range"),
-            (lambda data: data["scene"].update(azimuth_max_deg=math.nan), "scene azimuth_max_deg"),
-            (lambda data: data["scene"].update(large_depth_range=[math.nan, 40.0]), "scene large_depth_range"),
+            (lambda data: data["noise"].update(range_sigma=math.nan), "noise: range_sigma"),
+            (lambda data: data["calibration"].update(delta_theta_deg=math.nan), "angular resolution delta_theta"),
+            (lambda data: data["calibration"].update(delta_phi_deg=-math.inf), "angular resolution delta_phi"),
+            (lambda data: data["noise"].update(points_base=math.nan), "noise: points_base"),
+            (lambda data: data["noise"].update(points_size_scale=math.inf), "noise: points_size_scale"),
+            (lambda data: data["scene"].update(small_size_range=[0.2, math.inf]), "scene: small_size_range"),
+            (lambda data: data["scene"].update(large_size_range=[0.0, 9.0]), "scene: large_size_range"),
+            (lambda data: data["scene"].update(azimuth_max_deg=math.nan), "scene: azimuth_max_deg"),
+            (lambda data: data["scene"].update(large_depth_range=[math.nan, 40.0]), "scene: large_depth_range"),
             (lambda data: data.update(seed_start=-3), "seed_start"),
             (lambda data: data.update(bootstrap_seed=-1), "bootstrap_seed"),
             # One seed's bootstrap returns the gap itself as its CI95 lower bound.
@@ -155,9 +155,33 @@ class TestSimulate:
             (lambda data: data["noise"].update(range_sigm=0.5), "noise has no key 'range_sigm'"),
             (lambda data: data["arms"][2]["radius"].update(rmax=4.0), "arms[2].radius has no key 'rmax'"),
             (lambda data: data["calibration"].update(skew=0.0), "calibration has no key 'skew'"),
+            # The spellings before one-to-one became a radius of 0 and the noise
+            # took the calibration's angular resolution.
+            (lambda data: data["arms"][0].update(strategy="one-to-one"), "arms[0] has no key 'strategy'"),
+            (lambda data: data["noise"].update(delta_theta_deg=1.0), "noise has no key 'delta_theta_deg'"),
         ],
     )
     def test_key_that_names_no_field_exits_2_naming_it(self, tmp_path, edit_config, message, capsys):
+        self.assert_exits_2_with(tmp_path, edit_config, message, capsys)
+
+    @pytest.mark.parametrize(
+        "edit_config,message",
+        [
+            (lambda data: data["arms"][2]["radius"].update(k=0), "arms[2].radius: k must be positive, got 0.0"),
+            (lambda data: data["noise"].update(range_sigma=-1), "noise: range_sigma must be non-negative"),
+            (
+                lambda data: data["arms"][1].update(agg="mean"),
+                "arms[1]: arm 'fixed-one-to-many': unknown aggregation 'mean'",
+            ),
+            (lambda data: data.update(stride=0), "stride must be at least 1, got 0"),  # the top level: no path
+        ],
+    )
+    def test_range_error_names_the_path_of_its_object(self, tmp_path, edit_config, message, capsys):
+        self.assert_exits_2_with(tmp_path, edit_config, message, capsys)
+
+    @staticmethod
+    def assert_exits_2_with(tmp_path, edit_config, message, capsys):
+        """The reduced config edited by ``edit_config`` exits 2 with ``message`` alone and writes nothing."""
         config = reduced_config(tmp_path)
         data = json.loads(config.read_text())
         edit_config(data)
@@ -165,7 +189,7 @@ class TestSimulate:
         csv_path, summary = tmp_path / "rows.csv", tmp_path / "summary.json"
         argv = ["simulate", "--config", str(config), "--output-csv", str(csv_path), "--summary", str(summary)]
         assert main(argv) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not csv_path.exists() and not summary.exists()
 
     def test_one_seed_runs_without_orderings(self, tmp_path):
@@ -292,7 +316,7 @@ class TestLoss:
     @pytest.mark.parametrize(
         "flags,cfg",
         [
-            (["--agg", "max", "--strategy", "one-to-one"], LossConfig(neighborhood_agg="max", strategy="one-to-one")),
+            (["--agg", "max"], LossConfig(neighborhood_agg="max")),
             (["--lambda1", "0.3"], LossConfig(lambda1=0.3)),
             (["--lambda2", "0.7", "--agg", "max"], LossConfig(lambda2=0.7, neighborhood_agg="max")),
         ],
@@ -514,6 +538,51 @@ class TestDepthTargets:
         assert not (tmp_path / "targets.lxlt").exists() and not (tmp_path / "targets.lxlt.json").exists()
 
 
+def scattered_points(n=40, seed=5) -> str:
+    """A radar CSV of ``n`` points in view of :func:`calibration`, rows
+    (forward, lateral, vertical, rcs_dbsm), every fourth without RCS."""
+    rng = np.random.default_rng(seed)
+    fwd = rng.uniform(1.5, 7.5, n)
+    lat, up, rcs = rng.uniform(-0.7, 0.7, n) * fwd, rng.uniform(-0.5, 0.5, n) * fwd, rng.uniform(-10.0, 20.0, n)
+    rows = [
+        f"{f:.4f},{x:.4f},{z:.4f}," + ("" if i % 4 == 3 else f"{c:.2f}")
+        for i, (f, x, z, c) in enumerate(zip(fwd, lat, up, rcs))
+    ]
+    return "\n".join(["x,y,z,rcs_dbsm", *rows]) + "\n"
+
+
+class TestOneToOneIsRadiusZero:
+    def test_radius_zero_targets_reproduce_the_one_to_one_loss(self, tmp_path, capsys):
+        """sha256 of ``loss --strategy one-to-one`` on default-radius targets
+        and of its per-target CSV without the radius column, recorded before
+        the strategy option was deleted: targets of radius 0 reproduce both."""
+        (tmp_path / "points.csv").write_text(scattered_points())
+        (tmp_path / "calib.json").write_text(json.dumps(calibration()))
+        argv = [
+            "depth-targets", "--points", str(tmp_path / "points.csv"), "--calib", str(tmp_path / "calib.json"),
+            "--stride", "4", "--r-max", "0", "--output", str(tmp_path / "radius0.lxlt"),
+        ]
+        assert main(argv) == 0
+        table = lxlt.read_tensor(tmp_path / "radius0.lxlt")
+        assert table.shape == (40, 4) and not table[:, 3].any()
+        assert main(write_loss_inputs(tmp_path, float32_map(3, height=12, width=16), table)) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "dba8667afad481b63572091fc47a92ac06bbfc8a76cee52fc1e73e66929a6234"
+        )
+        with open(tmp_path / "per.csv", newline="") as fh:
+            without_radius = "".join(",".join(cells[:4] + cells[5:]) + "\n" for cells in csv.reader(fh))
+        assert hashlib.sha256(without_radius.encode()).hexdigest() == (
+            "1b8ae893268f9b82a02d73e6b7c0f6815a012234b4b940c53488af8792de6780"
+        )
+
+    def test_the_strategy_flag_is_gone(self, tmp_path, capsys):
+        argv = write_loss_inputs(tmp_path, float32_map(0), [DepthTarget(1, 2, 3.25, 0.0)])
+        assert main(argv + ["--strategy", "one-to-one"]) == 1
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --strategy one-to-one" in captured.err and captured.out == ""
+        assert not (tmp_path / "per.csv").exists()
+
+
 VT_GRID = {"x": [2.0, 10.0, 4], "y": [-4.0, 4.0, 4], "z": [-1.0, 1.0, 2]}
 VT_BINS = {"d_min": 0.0, "d_max": 16.0, "num_bins": 4}
 VT_CHANNELS = 2
@@ -642,7 +711,9 @@ class TestVT:
         out = tmp_path / "bev.lxlt"
         assert main(["vt", "--manifest", str(inputs / "manifest.json"), "--output", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: post_convs[1] takes {VT_CHANNELS + 1} channels, post_convs[0] gives {VT_CHANNELS}")
+        assert err.startswith(
+            f"error: manifest params: post_convs[1] takes {VT_CHANNELS + 1} channels, post_convs[0] gives {VT_CHANNELS}"
+        )
         assert not out.exists()
 
     def test_embedding_with_extrinsic_inputs_exits_2(self, tmp_path, capsys):
@@ -654,7 +725,7 @@ class TestVT:
         out = tmp_path / "bev.lxlt"
         assert main(["vt", "--manifest", str(inputs / "manifest.json"), "--output", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: embedding expects 25 inputs") and "Traceback" not in err
+        assert err.startswith("error: manifest params: embedding expects 25 inputs") and "Traceback" not in err
         assert not out.exists()
 
 
@@ -738,7 +809,7 @@ class TestFuse:
         lxlt.write_tensor(tmp_path / f"{layer}.w.lxlt", wide)
         out = tmp_path / "fused.lxlt"
         assert main(argv + ["--params", str(tmp_path / "params.json"), "--output", str(out)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert capsys.readouterr().err.startswith(f"error: manifest params: {message}")
         assert not out.exists()
 
     def test_mid_conv_that_changes_the_map_size_exits_2_without_output(self, tmp_path, monkeypatch, capsys):

@@ -54,7 +54,7 @@ def uniform_map(num_bins, height, width):
 
 def pixel_loss(dist, d_gt, spec, lambda1=0.1, lambda2=0.1):
     """One pixel's depth loss: a one-to-one target on a 1x1 map of ``dist``."""
-    cfg = LossConfig(lambda1, lambda2, strategy="one-to-one")
+    cfg = LossConfig(lambda1, lambda2)
     depth_map = np.asarray(dist, dtype=np.float64).reshape(-1, 1, 1)
     return one_to_many_loss(depth_map, [DepthTarget(0, 0, d_gt, 0.0)], spec, cfg).total
 
@@ -380,7 +380,7 @@ class TestRadiusConfigFromJson:
             ({"k": {"value": 0.1}}, r"^radius\.k must be a number, got \{'value': 0.1\}"),
             ({"r_max": True}, r"^radius\.r_max must be a number, got True"),
             ({"fixed_r": "wide"}, r"^radius\.fixed_r must be a number, got 'wide'"),
-            ({"k": 0}, "^k must be positive"),
+            ({"k": 0}, "^radius: k must be positive, got 0.0$"),  # a range check names its object
         ],
     )
     def test_errors_name_each_key_by_its_path(self, data, message):
@@ -435,7 +435,7 @@ class TestNeighborhoodPixels:
         assert got == [(u, v) for v in range(4) for u in range(3)]
 
 
-def _selected_candidates(table, shape, strategy="one-to-many"):
+def _selected_candidates(table, shape):
     """Run the selection with a constant cost and collect every candidate
     grid the cost was asked for, with the target rows of each."""
     seen = []
@@ -444,7 +444,7 @@ def _selected_candidates(table, shape, strategy="one-to-many"):
         seen.append((rows, uu, vv))
         return np.zeros(uu.shape)
 
-    (sel,) = _select_in_disks(np.asarray(table, dtype=np.float64), shape, ((strategy, "min"),), cost_at)
+    (sel,) = _select_in_disks(np.asarray(table, dtype=np.float64), shape, ("min",), cost_at)
     return sel, seen
 
 
@@ -468,7 +468,7 @@ class TestDiskStencil:
                 assert (sel.u[row], sel.v[row]) == disk[0]
 
     def test_one_to_one_is_the_target_pixel(self):
-        sel, seen = _selected_candidates([[3, 2, 1.0, 5.0]], (6, 6), strategy="one-to-one")
+        sel, seen = _selected_candidates([[3, 2, 1.0, 0.0]], (6, 6))
         assert [uu.shape for _, uu, _ in seen] == [(1, 1)]
         assert (sel.u[0], sel.v[0], sel.count[0]) == (3, 2, 1)
 
@@ -492,10 +492,8 @@ class TestOneToManyLoss:
         depth_map = softmax(rng.normal(size=(16, 6, 6)), axis=0)
         targets = [DepthTarget(2, 3, 7.3, 0.0)]
         many = one_to_many_loss(depth_map, targets, self.SPEC, LossConfig())
-        one = one_to_many_loss(
-            depth_map, targets, self.SPEC, LossConfig(strategy="one-to-one")
-        )
-        assert many.total == one.total
+        assert many.total == pixel_loss(depth_map[:, 3, 2], 7.3, self.SPEC)
+        assert many.per_target[0].num_pixels == 1
 
     def test_min_absorbs_a_perfect_neighbor(self):
         depth_map = uniform_map(16, 5, 5).copy()
@@ -531,7 +529,8 @@ class TestOneToManyLoss:
             for _ in range(5)
         ]
         many = one_to_many_loss(depth_map, targets, self.SPEC, LossConfig())
-        one = one_to_many_loss(depth_map, targets, self.SPEC, LossConfig(strategy="one-to-one"))
+        struck = [t._replace(radius=0.0) for t in targets]  # one-to-one
+        one = one_to_many_loss(depth_map, struck, self.SPEC, LossConfig())
         assert many.total <= one.total
         for m, o in zip(many.per_target, one.per_target):
             assert m.loss <= o.loss
@@ -569,19 +568,21 @@ class TestOneToManyLoss:
 @st.composite
 def loss_instances(draw):
     """A random map, targets anywhere on it (depths past both ends of the
-    bin range included) and a loss configuration."""
+    bin range included; every radius 0, one-to-one, in about half the
+    instances) and a loss configuration."""
     seed = draw(st.integers(0, 2**32 - 1))
     num_bins = draw(st.integers(2, 12))
     height = draw(st.integers(1, 9))
     width = draw(st.integers(1, 9))
     rng = np.random.default_rng(seed)
     depth_map = softmax(rng.normal(0.0, 2.0, size=(num_bins, height, width)), axis=0)
+    max_radius = draw(st.sampled_from([0.0, 3.5]))
     targets = [
         DepthTarget(
             draw(st.integers(0, width - 1)),
             draw(st.integers(0, height - 1)),
             draw(st.floats(-2.0, num_bins + 2.0)),
-            draw(st.floats(0.0, 3.5)),
+            draw(st.floats(0.0, max_radius)),
         )
         for _ in range(draw(st.integers(0, 6)))
     ]
@@ -589,7 +590,6 @@ def loss_instances(draw):
         lambda1=draw(st.floats(0.0, 1.0)),
         lambda2=draw(st.floats(0.0, 1.0)),
         neighborhood_agg=draw(st.sampled_from(["min", "max"])),
-        strategy=draw(st.sampled_from(["one-to-one", "one-to-many"])),
     )
     return depth_map, targets, DepthBinSpec(0.0, float(num_bins), num_bins), cfg
 
@@ -632,7 +632,6 @@ class TestTargetValidation:
     SPEC = DepthBinSpec(0.0, 16.0, 16)
     GOOD = DepthTarget(1, 1, 5.0, 1.0)
 
-    @pytest.mark.parametrize("strategy", ["one-to-one", "one-to-many"])
     @pytest.mark.parametrize(
         "bad",
         [
@@ -646,11 +645,10 @@ class TestTargetValidation:
             DepthTarget(1, 1, 5.0, math.inf),
         ],
     )
-    def test_bad_target_is_named(self, bad, strategy):
-        cfg = LossConfig(strategy=strategy)
+    def test_bad_target_is_named(self, bad):
         for fn in (one_to_many_loss, one_to_many_loss_grad):
             with pytest.raises(ValueError, match="target 1 "):
-                fn(uniform_map(16, 4, 4), [self.GOOD, bad], self.SPEC, cfg)
+                fn(uniform_map(16, 4, 4), [self.GOOD, bad], self.SPEC, LossConfig())
 
     def test_table_with_nan_depth_is_rejected(self):
         table = np.array([[1.0, 1.0, 5.0, 1.0], [1.0, 1.0, math.nan, 1.0]])
@@ -667,11 +665,11 @@ class TestTargetValidation:
         with pytest.raises(ValueError, match=r"^target 1 \(u, v, d_gt, radius\) = \(2\.7, .* whole-number pixel"):
             one_to_many_loss(uniform_map(16, 4, 4), table, self.SPEC, LossConfig())
 
-    @pytest.mark.parametrize("strategy", ["one-to-one", "one-to-many"])
-    def test_fractional_pixel_is_rejected_by_the_gradient(self, strategy):
-        table = np.array([[1.0, 2.5, 5.0, 1.0]])
+    @pytest.mark.parametrize("radius", [0.0, 1.0])
+    def test_fractional_pixel_is_rejected_by_the_gradient(self, radius):
+        table = np.array([[1.0, 2.5, 5.0, radius]])
         with pytest.raises(ValueError, match=r"^target 0 .* whole-number pixel"):
-            one_to_many_loss_grad(uniform_map(16, 4, 4), table, self.SPEC, LossConfig(strategy=strategy))
+            one_to_many_loss_grad(uniform_map(16, 4, 4), table, self.SPEC, LossConfig())
 
 
 class TestDepthMapValidation:
@@ -740,7 +738,7 @@ class TestLossGradient:
         rng = np.random.default_rng(7)
         logits = rng.normal(size=(8, 5, 5))
         spec = DepthBinSpec(0.0, 8.0, 8)
-        cfg = LossConfig(strategy="one-to-one")
+        cfg = LossConfig()
         targets = (DepthTarget(2, 2, 4.7, 0.0),)
         from radarcam.gradcheck import GradCheckInstance
 
@@ -793,15 +791,15 @@ class TestTargetSerialization:
             as_target_table(bad)
 
     @pytest.mark.parametrize("agg", ["min", "max"])
-    @pytest.mark.parametrize("strategy", ["one-to-one", "one-to-many"])
-    def test_rows_and_table_give_identical_loss_and_gradient(self, agg, strategy):
+    @pytest.mark.parametrize("max_radius", [0.0, 3.0])
+    def test_rows_and_table_give_identical_loss_and_gradient(self, agg, max_radius):
         rng = np.random.default_rng(19)
         spec = DepthBinSpec(0.0, 12.0, 12)
         depth_map = softmax(rng.normal(size=(12, 7, 8)), axis=0)
         u, v = rng.integers(0, 8, 9).tolist(), rng.integers(0, 7, 9).tolist()
-        targets = tuple(map(DepthTarget, u, v, rng.uniform(0, 12, 9).tolist(), rng.uniform(0, 3, 9).tolist()))
+        targets = tuple(map(DepthTarget, u, v, rng.uniform(0, 12, 9).tolist(), rng.uniform(0, max_radius, 9).tolist()))
         table = np.array(targets, dtype=np.float64)
-        cfg = LossConfig(neighborhood_agg=agg, strategy=strategy)
+        cfg = LossConfig(neighborhood_agg=agg)
         from_rows, from_table = (one_to_many_loss(depth_map, t, spec, cfg) for t in (targets, table))
         assert from_rows.total == from_table.total
         assert from_rows.per_target == from_table.per_target

@@ -25,6 +25,7 @@ from radarcam.geometry import (
     scale_intrinsics,
     spherical_to_camera,
 )
+from radarcam.tensor_ops import ShapeError
 
 K = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0)
 
@@ -391,6 +392,20 @@ class Outer:
     maybe: float | None = 1.0
 
 
+@dataclasses.dataclass(frozen=True)
+class Checked:
+    width: int
+
+    def __post_init__(self):
+        if self.width < 1:
+            raise ShapeError(f"width must be positive, got {self.width}")
+
+
+@dataclasses.dataclass(frozen=True)
+class Holder:
+    items: tuple[Checked, ...]
+
+
 class TestReadJson:
     """The rules of the one JSON reader, on dataclasses of every field kind."""
 
@@ -439,6 +454,15 @@ class TestReadJson:
     def test_a_key_that_names_no_field_fails(self):
         self.fails(Outer, {**self.MINIMAL, "extra": 1}, "the top level has no key 'extra'")
         self.fails(Outer, {**self.MINIMAL, "inner": {"k": 1, "m": 2}}, "cfg.inner has no key 'm'", "cfg")
+
+    def test_a_range_check_keeps_its_type_and_is_named_by_its_objects_path(self):
+        with pytest.raises(ShapeError, match=r"^cfg\.items\[1\]: width must be positive, got 0$"):
+            read_json(Holder, {"items": [{"width": 2}, {"width": 0}]}, "cfg")
+        with pytest.raises(ShapeError, match=r"^items\[0\]: width must be positive, got -1$"):
+            read_json(Holder, {"items": [{"width": -1}]}, "")
+        # At the top level the message is the check's own.
+        with pytest.raises(ShapeError, match=r"^width must be positive, got 0$"):
+            read_json(Checked, {"width": 0}, "")
 
     def test_a_calibration_reads_its_flat_format(self):
         data = SensorCalibration(K, RigidTransform.identity(), 10, 10, AngularResolution(0.0, 0.0)).to_dict()

@@ -100,15 +100,14 @@ def as_radar_points(points):
     return [RadarPoint(x, y, z, None if math.isnan(rcs) else rcs) for x, y, z, rcs in points.tolist()]
 
 
-def evaluate_reference(objects, calib, stride, points, radius_cfg, strategy, agg):
+def evaluate_reference(objects, calib, stride, points, radius_cfg, agg):
     """Per-target loop over each target's disk of the rendered true depths."""
     build = build_depth_targets(as_radar_points(points), calib, stride, radius_cfg)
     depth_map = render_depth_map(objects, calib, stride)
     height, width = depth_map.shape
     errors = []
     for t in build.targets:
-        pixels = [(t.u, t.v)] if strategy == "one-to-one" else disk_pixels(t.u, t.v, t.radius, width, height)
-        errs = [abs(depth_map[v, u] - t.d_gt) for u, v in pixels]
+        errs = [abs(depth_map[v, u] - t.d_gt) for u, v in disk_pixels(t.u, t.v, t.radius, width, height)]
         errors.append(min(errs) if agg == "min" else max(errs))
     return errors
 
@@ -121,8 +120,8 @@ def test_every_arm_matches_the_per_target_loop(seed):
     objects = generate_objects_reference(seed, cfg.n_objects, cfg.scene)
     for arm in cfg.arms:
         arm_points = points if arm.use_rcs else without_rcs(points)
-        ((got,),) = evaluate_supervision(scene, arm_points, counts, cfg.bins, arm.radius, [(arm.strategy, arm.agg)])
-        errors = evaluate_reference(objects, cfg.calibration, cfg.stride, arm_points, arm.radius, arm.strategy, arm.agg)
+        ((got,),) = evaluate_supervision(scene, arm_points, counts, cfg.bins, arm.radius, [arm.agg])
+        errors = evaluate_reference(objects, cfg.calibration, cfg.stride, arm_points, arm.radius, arm.agg)
         finite = [e for e in errors if math.isfinite(e)]
         assert got.n_targets == len(errors)
         assert got.hit_rate == sum(e <= cfg.bins.bin_width / 2.0 for e in errors) / len(errors)
@@ -154,34 +153,29 @@ class TestEvaluateSupervision:
     BINS = DepthBinSpec(0.0, 64.0, 64)
     POINTS = np.array([[0.0, 0.0, 10.0, np.nan]])  # strikes pixel (5, 5), next to the object
 
-    @pytest.mark.parametrize(
-        "strategy,agg,hit_rate",
-        [("one-to-one", "min", 0.0), ("one-to-many", "min", 1.0), ("one-to-many", "max", 0.0)],
-    )
-    def test_neighbor_rescues_a_miss(self, strategy, agg, hit_rate):
+    @pytest.mark.parametrize("fixed_r,agg,hit_rate", [(0.0, "min", 0.0), (1.0, "min", 1.0), (1.0, "max", 0.0)])
+    def test_neighbor_rescues_a_miss(self, fixed_r, agg, hit_rate):
+        """A radius of 0 is one-to-one: the struck pixel alone, which misses."""
         ((got,),) = evaluate_supervision(
-            tiny_scene(), self.POINTS, [1], self.BINS, RadiusConfig(fixed_r=1.0), [(strategy, agg)]
+            tiny_scene(), self.POINTS, [1], self.BINS, RadiusConfig(fixed_r=fixed_r), [agg]
         )
         assert (got.hit_rate, got.depth_mae, got.n_targets) == (hit_rate, 0.0, 1)
 
     def test_no_points(self):
         ((got,),) = evaluate_supervision(
-            tiny_scene(), np.empty((0, 4)), [0], self.BINS, RadiusConfig(fixed_r=1.0), [("one-to-many", "min")]
+            tiny_scene(), np.empty((0, 4)), [0], self.BINS, RadiusConfig(fixed_r=1.0), ["min"]
         )
         assert (got.hit_rate, got.depth_mae, got.n_targets) == (0.0, 0.0, 0)
 
-    @pytest.mark.parametrize("strategy,agg", [("nearest", "min"), ("one-to-many", "mean")])
-    def test_unknown_options_rejected(self, strategy, agg):
-        with pytest.raises(ValueError, match="unknown"):
-            evaluate_supervision(
-                tiny_scene(), self.POINTS, [1], self.BINS, RadiusConfig(fixed_r=1.0), [(strategy, agg)]
-            )
+    def test_unknown_aggregation_rejected(self):
+        with pytest.raises(ValueError, match="unknown aggregation 'mean'"):
+            evaluate_supervision(tiny_scene(), self.POINTS, [1], self.BINS, RadiusConfig(fixed_r=1.0), ["min", "mean"])
 
     def test_a_batch_equals_each_seed_scored_alone(self):
         """Also for a seed without returns, scored next to seeds with them."""
         cfg = default_experiment_config()
         arm = cfg.arms[2]
-        pick = [(arm.strategy, arm.agg)]
+        pick = [arm.agg]
         seeds = [3, 4, 5]
         scene = generate_scene(seeds, 12, cfg.scene, cfg.calibration, cfg.stride)
         points, counts = simulate_radar(scene, cfg.noise, [seed + 9 for seed in seeds])
@@ -202,7 +196,7 @@ class TestEvaluateSupervision:
     def test_counts_must_cover_the_returns(self, points, counts):
         with pytest.raises(ValueError, match="one return count per seed"):
             evaluate_supervision(
-                tiny_scene(), points, counts, self.BINS, RadiusConfig(fixed_r=1.0), [("one-to-many", "min")]
+                tiny_scene(), points, counts, self.BINS, RadiusConfig(fixed_r=1.0), ["min"]
             )
 
 
@@ -268,6 +262,12 @@ def small_config(**overrides):
     """The packaged experiment on fewer seeds and bootstrap samples."""
     overrides = {"num_seeds": 8, "bootstrap_samples": 50, **overrides}
     return dataclasses.replace(default_experiment_config(), **overrides)
+
+
+def without_noise(cfg):
+    """``cfg`` with its radar's angular resolution and range noise at 0."""
+    calib = dataclasses.replace(cfg.calibration, angular_resolution=AngularResolution(0.0, 0.0))
+    return dataclasses.replace(cfg, calibration=calib, noise=dataclasses.replace(cfg.noise, range_sigma=0.0))
 
 
 def rotation_about_y(degrees):
@@ -336,13 +336,13 @@ class TestExtrinsics:
         ],
     )
     def test_mount_leaves_the_targets_in_place_at_zero_noise(self, mount):
-        cfg = default_experiment_config()
+        cfg = without_noise(default_experiment_config())
         seeds = range(20)
         radius = cfg.arms[2].radius
 
         def targets(calib):
             scene = generate_scene(seeds, cfg.n_objects, cfg.scene, calib, cfg.stride)
-            points, _ = simulate_radar(scene, RadarNoiseModel(0.0, 0.0), [seed + 1 for seed in seeds])
+            points, _ = simulate_radar(scene, cfg.noise, [seed + 1 for seed in seeds])
             return points, *_target_table(points, calib, cfg.stride, radius)
 
         aligned, want, want_keep = targets(cfg.calibration)
@@ -379,27 +379,28 @@ class TestNoiseAboutTheRadar:
 
     @pytest.mark.parametrize("mount", MOUNTS)
     def test_no_mount_changes_the_hit_rates_without_noise(self, mount):
-        base = default_experiment_config().noise
-        cfg = small_config(num_seeds=40, noise=dataclasses.replace(base, delta_theta_deg=0.0, delta_phi_deg=0.0, range_sigma=0.0))
+        cfg = without_noise(small_config(num_seeds=40))
         assert self.hit_rates(cfg, mount) == self.hit_rates(cfg)
 
 
 class TestArmsGroupedByRadius:
     """Arms of equal radius settings and RCS use share one target table and
-    one selection; the results still equal the per-arm reference bit for bit."""
+    one selection; the results still equal the per-arm reference bit for bit.
+    An arm whose radius is 0 is one-to-one."""
 
     DYNAMIC = RadiusConfig(k=0.1, r_max=2.0)
     SHARED = RadiusConfig(k=0.3, r_max=3.0, fixed_r=1.5)
+    ZERO = RadiusConfig(k=0.3, r_max=0.0, fixed_r=1.5)  # every radius clamps to 0
     ARMS = (
-        ExperimentArm("dynamic", "one-to-many", DYNAMIC, use_rcs=True),
-        ExperimentArm("dynamic-twin", "one-to-many", DYNAMIC, use_rcs=True),
-        ExperimentArm("one-to-one-max", "one-to-one", SHARED, agg="max"),
-        ExperimentArm("one-to-one", "one-to-one", SHARED),
-        ExperimentArm("shared-many-max", "one-to-many", SHARED, agg="max"),
-        ExperimentArm("one-to-one-rcs", "one-to-one", SHARED, use_rcs=True),
-        ExperimentArm("shared-many-rcs", "one-to-many", SHARED, use_rcs=True),
-        # alone in its group: the candidates are the struck pixels only
-        ExperimentArm("one-to-one-alone", "one-to-one", RadiusConfig(k=0.5, r_max=6.0), use_rcs=True),
+        ExperimentArm("dynamic", DYNAMIC, use_rcs=True),
+        ExperimentArm("dynamic-twin", DYNAMIC, use_rcs=True),
+        ExperimentArm("one-to-one-max", ZERO, agg="max"),
+        ExperimentArm("one-to-one", ZERO),
+        ExperimentArm("shared-many-max", SHARED, agg="max"),
+        ExperimentArm("one-to-one-rcs", ZERO, use_rcs=True),
+        ExperimentArm("shared-many-rcs", SHARED, use_rcs=True),
+        # radius 0 spelled as the packaged one-to-one arm spells it
+        ExperimentArm("one-to-one-fixed", RadiusConfig(fixed_r=0.0)),
     )
     ORDERINGS = (
         ("dynamic", "one-to-one"),
@@ -416,12 +417,13 @@ class TestArmsGroupedByRadius:
         assert result == run_experiment_reference(cfg)
         by_arm = {name: [r.metrics for r in result.rows if r.arm == name] for name in result.summary["arms"]}
         assert by_arm["dynamic"] == by_arm["dynamic-twin"]
-        assert by_arm["one-to-one"] == by_arm["one-to-one-max"]
+        assert by_arm["one-to-one"] == by_arm["one-to-one-max"] == by_arm["one-to-one-fixed"]
         assert list(result.summary["arms"]) == [arm.name for arm in self.ARMS]
         orderings = result.summary["orderings"]
         assert orderings["dynamic>=one-to-one"]["gap_mean"] == -orderings["one-to-one>=dynamic"]["gap_mean"]
 
-    def test_packaged_run_scores_two_candidate_sets_and_draws_one_index(self, monkeypatch):
+    def test_packaged_run_scores_three_candidate_sets_and_draws_one_index(self, monkeypatch):
+        """One selection per radius group: 0, fixed 1 and dynamic (min and max)."""
         calls, indices = Counter(), []
 
         def counted(name, fn):
@@ -440,7 +442,7 @@ class TestArmsGroupedByRadius:
         monkeypatch.setattr(sim, "bootstrap_gap", gap)
         cfg = default_experiment_config()
         run_experiment(cfg)
-        assert calls == {"_select_in_disks": 2, "bootstrap_index": 1}
+        assert calls == {"_select_in_disks": 3, "bootstrap_index": 1}
         assert len(indices) == len(cfg.orderings) == 3
         assert all(index is indices[0] for index in indices)
 
@@ -527,8 +529,7 @@ class TestDrawsMatchTheScalarPipeline:
         objects, returns = [], []
         for seed in seeds:
             objects += generate_objects_reference(seed, 12, cfg.scene)
-            mount = cfg.calibration.radar_to_camera
-            returns.append(simulate_radar_reference(objects[-12:], cfg.noise, seed + 1, mount))
+            returns.append(simulate_radar_reference(objects[-12:], cfg.noise, seed + 1, cfg.calibration))
 
         def hexes(rows):
             return [float(x).hex() for row in rows for x in row]
@@ -560,7 +561,7 @@ class TestNoNumpyTrigonometry:
         camera_to_spherical(*spherical_to_camera(rho, az, el))
         camera_to_spherical(*spherical_to_camera(5.0, 0.1, -0.05))
         cfg = default_experiment_config()
-        res = AngularResolution.from_degrees(cfg.noise.delta_theta_deg, cfg.noise.delta_phi_deg)
+        res = cfg.calibration.angular_resolution
         assert empirical_projection_error(20.0, 0.2, 0.1, res, cfg.calibration.intrinsics) > 0
         scene = generate_scene([0, 1], 12, cfg.scene, cfg.calibration, cfg.stride)
         points, counts = simulate_radar(scene, cfg.noise, [1, 2])
@@ -571,7 +572,7 @@ def reference_returns(cfg, noise, seeds, n_objects):
     """Every seed's returns from the one-point-at-a-time oracle, with their counts."""
     returns = [
         simulate_radar_reference(
-            generate_objects_reference(seed, n_objects, cfg.scene), noise, seed + 1, cfg.calibration.radar_to_camera
+            generate_objects_reference(seed, n_objects, cfg.scene), noise, seed + 1, cfg.calibration
         )
         for seed in seeds
     ]
@@ -599,8 +600,10 @@ class TestSimulateRadarBeyondThePackagedNoise:
         extents = base.scene
         if depths is not None:
             extents = dataclasses.replace(extents, large_depth_range=depths, small_depth_range=depths)
-        cfg = dataclasses.replace(base, scene=extents)
-        noise = dataclasses.replace(base.noise, range_sigma=range_sigma, delta_theta_deg=delta_deg, delta_phi_deg=delta_deg)
+        res = AngularResolution.from_degrees(delta_deg, delta_deg)
+        calib = dataclasses.replace(base.calibration, angular_resolution=res)
+        cfg = dataclasses.replace(base, scene=extents, calibration=calib)
+        noise = dataclasses.replace(base.noise, range_sigma=range_sigma)
         seeds = range(0, 1000, 25)
         scene = generate_scene(seeds, 12, cfg.scene, cfg.calibration, cfg.stride)
         points, counts = simulate_radar(scene, noise, [seed + 1 for seed in seeds])
@@ -613,7 +616,7 @@ class TestSimulateRadarBeyondThePackagedNoise:
     def test_no_objects_give_an_empty_table_and_zero_counts(self):
         cfg = default_experiment_config()
         scene = generate_scene([0, 1, 2], 0, cfg.scene, cfg.calibration, cfg.stride)
-        for noise in (cfg.noise, RadarNoiseModel(0.0, 0.0)):
+        for noise in (cfg.noise, RadarNoiseModel()):
             points, counts = simulate_radar(scene, noise, [1, 2, 3])
             assert points.shape == (0, 4) and counts.tolist() == [0, 0, 0]
 
@@ -627,8 +630,11 @@ class TestConfigValidation:
         "edit,message",
         [
             (lambda d: d["arms"].append(dict(d["arms"][0])), "duplicate arm name 'one-to-one'"),
-            (lambda d: d["arms"][1].update(strategy="nearest"), "arm 'fixed-one-to-many': unknown strategy 'nearest'"),
-            (lambda d: d["arms"][3].update(agg="mean"), "arm 'dynamic-one-to-many-max': unknown aggregation 'mean'"),
+            (lambda d: d["arms"][1].update(strategy="one-to-one"), r"^arms\[1\] has no key 'strategy'$"),
+            (
+                lambda d: d["arms"][3].update(agg="mean"),
+                r"^arms\[3\]: arm 'dynamic-one-to-many-max': unknown aggregation 'mean'$",
+            ),
             (
                 lambda d: d["orderings"].append(["one-to-one", "no-such-arm"]),
                 "ordering 'one-to-one' >= 'no-such-arm' names unknown arm 'no-such-arm'",
@@ -650,15 +656,15 @@ class TestConfigValidation:
     def test_absent_keys_take_the_dataclass_defaults(self):
         data = packaged_config_data()
         minimal = {key: data[key] for key in ("calibration", "stride", "bins", "arms")}
-        minimal["noise"] = {"delta_theta_deg": 1.0, "delta_phi_deg": 2.0}
-        minimal["arms"] = [{"name": "a", "strategy": "one-to-one"}]
+        minimal["noise"] = {"range_sigma": 0.5}
+        minimal["arms"] = [{"name": "a"}]
         cfg = read_json(ExperimentConfig, minimal, "")
         want = ExperimentConfig(
             calibration=cfg.calibration,
             stride=data["stride"],
             bins=DepthBinSpec(**data["bins"]),
-            noise=RadarNoiseModel(1.0, 2.0),
-            arms=(ExperimentArm("a", "one-to-one"),),
+            noise=RadarNoiseModel(0.5),
+            arms=(ExperimentArm("a"),),
         )
         assert cfg == want and cfg.scene == SceneExtents() and cfg.arms[0].radius == RadiusConfig()
 
@@ -678,9 +684,9 @@ class TestConfigValidation:
             (lambda d: d.pop("calibration"), "^calibration must be a JSON object, got None"),
             (lambda d: d.pop("stride"), "^stride must be a number, got None"),
             (lambda d: d["bins"].pop("d_min"), r"^bins\.d_min must be a number, got None"),
-            (lambda d: d["noise"].pop("delta_phi_deg"), r"^noise\.delta_phi_deg must be a number, got None"),
+            (lambda d: d["calibration"].pop("delta_phi_deg"), r"^calibration is missing keys: \['delta_phi_deg'\]"),
             (lambda d: d["arms"][0].pop("name"), r"^arms\[0\]\.name must be a string, got None"),
-            (lambda d: d["arms"][0].pop("strategy"), r"^arms\[0\]\.strategy must be a string, got None"),
+            (lambda d: d["arms"][0].update(agg=None), r"^arms\[0\]\.agg must be a string, got None"),
             (lambda d: d["arms"][0].update(radius=[1]), r"^arms\[0\]\.radius must be a JSON object, got \[1\]"),
         ],
     )
