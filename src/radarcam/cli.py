@@ -145,7 +145,7 @@ def cmd_depth_targets(args) -> int:
     if "fixed_r" not in config and np.isnan(points[:, 3]).any():
         config["fixed_r"] = RadiusConfig.FALLBACK_FIXED_R
     cfg = read_json(RadiusConfig, config, "")
-    table, kept = _target_table(points, calib, stride, cfg)
+    table, kept = _target_table(points, calib, stride, [(cfg, True)])
     num_dropped = len(kept) - len(table)
     lxlt.write_tensor(args.output, table)
     _write_json(

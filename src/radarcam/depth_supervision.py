@@ -183,31 +183,37 @@ def build_depth_targets(
     """
     # RadarPoint admits only finite RCS values, so NaN marks a missing one.
     rows = [(p.x, p.y, p.z, np.nan if p.rcs_dbsm is None else p.rcs_dbsm) for p in points]
-    table, _ = _target_table(np.array(rows, dtype=np.float64).reshape(-1, 4), calib, stride, cfg)
+    table, _ = _target_table(np.array(rows, dtype=np.float64).reshape(-1, 4), calib, stride, [(cfg, True)])
     targets = tuple(DepthTarget(int(u), int(v), d, r) for u, v, d, r in table.tolist())
     return TargetBuildResult(targets, len(rows), len(rows) - len(targets))
 
 
 def _target_table(
-    points: np.ndarray, calib: SensorCalibration, stride: int, cfg: RadiusConfig
+    points: np.ndarray, calib: SensorCalibration, stride: int, settings
 ) -> tuple[np.ndarray, np.ndarray]:
     """The target build on an (N, 4) array of radar-frame rows (x, y, z,
-    rcs_dbsm), a NaN RCS marking a missing one: the (M, 4) target table
-    (u, v, d_gt, radius) of the kept points, in input order, and the (N,)
-    mask of the kept points."""
+    rcs_dbsm), a NaN RCS marking a missing one: the (M, 3 + R) target table
+    (u, v, d_gt, then one radius column per ``(cfg, use_rcs)`` pair of
+    ``settings``) of the kept points, in input order, and the (N,) mask of the
+    kept points. The points are projected once for every column. A column
+    that uses RCS falls back to ``cfg.fixed_r`` where the RCS is missing; a
+    column that does not takes ``cfg.fixed_r`` for every point."""
     if stride < 1:
         raise ValueError(f"stride must be a positive integer, got {stride}")
-    rcs = points[:, 3]
     u, v, depth, in_front = project_points(calib.radar_to_camera.apply_many(points[:, :3]), calib.intrinsics)
     us, vs = np.floor(u / stride) + 0.0, np.floor(v / stride) + 0.0  # + 0.0: a -0.0 pixel is written as 0.0
     keep = in_front & (0 <= us) & (us < calib.image_width // stride)
     keep &= (0 <= vs) & (vs < calib.image_height // stride)
-    with_rcs, without_rcs = keep & ~np.isnan(rcs), keep & np.isnan(rcs)
-    radius = np.zeros(len(rcs))
-    radius[with_rcs] = neighborhood_radius(depth[with_rcs], calib.intrinsics, stride, cfg, rcs[with_rcs])
-    if without_rcs.any():
-        radius[without_rcs] = neighborhood_radius(depth[without_rcs], calib.intrinsics, stride, cfg)
-    return np.stack([us[keep], vs[keep], depth[keep], radius[keep]], axis=1), keep
+    depth, rcs = depth[keep], points[keep, 3]
+    columns = [us[keep], vs[keep], depth]
+    for cfg, use_rcs in settings:
+        with_rcs = ~np.isnan(rcs) & use_rcs
+        radius = np.empty(len(depth))
+        radius[with_rcs] = neighborhood_radius(depth[with_rcs], calib.intrinsics, stride, cfg, rcs[with_rcs])
+        if not with_rcs.all():
+            radius[~with_rcs] = neighborhood_radius(depth[~with_rcs], calib.intrinsics, stride, cfg)
+        columns.append(radius)
+    return np.stack(columns, axis=1), keep
 
 
 def nearest_bin(d, spec: DepthBinSpec):
@@ -287,11 +293,11 @@ def as_target_table(targets) -> np.ndarray:
 
 
 def _check_target_table(table: np.ndarray, shape: tuple[int, int]) -> None:
-    """Name the first (u, v, d_gt, radius) row without finite values, a
-    non-negative radius and a pixel on the map of ``shape`` (H, W), then the
+    """Name the first (u, v, d_gt, radius, ...) row without finite values,
+    non-negative radii and a pixel on the map of ``shape`` (H, W), then the
     first whose u or v is not a whole number."""
     u, v = table[:, 0], table[:, 1]
-    ok = np.isfinite(table).all(axis=1) & (table[:, 3] >= 0.0)
+    ok = np.isfinite(table).all(axis=1) & (table[:, 3:] >= 0.0).all(axis=1)
     ok &= (0 <= u) & (u < shape[1]) & (0 <= v) & (v < shape[0])
     if not ok.all():
         i = int(np.argmin(ok))
@@ -338,40 +344,51 @@ class _Selection(NamedTuple):
 
 
 def _select_in_disks(
-    table: np.ndarray, shape: tuple[int, int], aggs: tuple[str, ...], cost_at
+    table: np.ndarray, shape: tuple[int, int], picks: tuple[tuple[int, str], ...], cost_at
 ) -> tuple[_Selection, ...]:
-    """For every (u, v, d_gt, radius) row, one selection per aggregation in
-    ``aggs``: the pixel of its disk whose ``cost_at(rows, uu, vv)`` is lowest
-    (``"min"``) or highest (``"max"``), ties going to the first candidate in
-    row-major order. A disk of radius below 1, such as radius 0, holds the
-    struck pixel alone: that is one-to-one supervision.
+    """For every (u, v, d_gt, radius, ...) row, one selection per
+    ``(column, agg)`` pick: among the pixels of the disk whose radius is the
+    row's radius column ``column`` (0 is the table's column 3), the one whose
+    ``cost_at(rows, uu, vv)`` is lowest (``"min"``) or highest (``"max"``),
+    ties going to the first candidate in row-major order. A disk of radius
+    below 1, such as radius 0, holds the struck pixel alone: that is
+    one-to-one supervision.
 
-    The candidates are scored once for all aggregations. Targets are scored
-    in groups of equal stencil half-width (the floor of the radius, clipped
+    The candidates are scored once for all picks, which is what lets one
+    call serve every arm of an experiment. Targets are scored in groups of
+    equal stencil half-width (the floor of the row's largest radius, clipped
     to the map). A group's stencil is the :func:`neighborhood_pixels` disk
     of its largest radius, so one wide disk does not widen the candidates of
-    every other target; ``mask`` marks the candidates on the map and in each
-    target's own disk.
+    every other target, and ``cost_at`` is called once per group. Each
+    pick's disk is a mask over that stencil: the candidates on the map
+    within the pick's radius. A row-major stencil keeps its order under the
+    mask and ``cost_at`` is elementwise, so a pick selects what a table of
+    its radius column alone would.
     """
     _check_target_table(table, shape)
     height, width = shape
-    radius = table[:, 3]
-    halves = np.minimum(np.floor(radius), max(shape) - 1).astype(np.intp)
+    radii = table[:, 3:]
+    widest = radii.max(axis=1)
+    halves = np.minimum(np.floor(widest), max(shape) - 1).astype(np.intp)
     selections = [
         _Selection(*(np.zeros(len(table), t) for t in (np.intp, np.intp, float, np.intp)), [])
-        for _ in aggs
+        for _ in picks
     ]
     for half in np.unique(halves).tolist():
         rows = np.flatnonzero(halves == half)
         size = 2 * half + 1
-        du, dv = (np.array(neighborhood_pixels(half, half, radius[rows].max(), size, size)) - half).T
-        u, v, r = table[rows, 0:1].astype(np.intp), table[rows, 1:2].astype(np.intp), radius[rows, None]
+        du, dv = (np.array(neighborhood_pixels(half, half, widest[rows].max(), size, size)) - half).T
+        u, v = table[rows, 0:1].astype(np.intp), table[rows, 1:2].astype(np.intp)
         uu, vv = u + du, v + dv
-        mask = (du * du + dv * dv <= r * r) & (0 <= uu) & (uu < width) & (0 <= vv) & (vv < height)
-        uu, vv = np.where(mask, uu, u), np.where(mask, vv, v)
+        on_map = (0 <= uu) & (uu < width) & (0 <= vv) & (vv < height)
+        r = radii[rows, :, None]
+        disks = (du * du + dv * dv <= r * r) & on_map[:, None]  # (rows, radius columns, stencil)
+        looked_up = disks.any(axis=1)  # the disk of the row's largest radius
+        uu, vv = np.where(looked_up, uu, u), np.where(looked_up, vv, v)
         raw = cost_at(rows, uu, vv)
         at = np.arange(len(rows))
-        for agg, sel in zip(aggs, selections):
+        for (column, agg), sel in zip(picks, selections):
+            mask = disks[:, column]
             sign = 1.0 if agg == "min" else -1.0
             costs = np.where(mask, sign * raw, np.inf)
             pick = np.argmin(costs, axis=1)
@@ -401,7 +418,7 @@ def _loss_selection(depth_map, targets, spec: DepthBinSpec, cfg: LossConfig):
         p_gt = depth_map[nearest_bin(d_gt, spec), vv, uu]
         return _depth_loss(p_gt, expectation[vv, uu], d_gt, cfg)
 
-    (sel,) = _select_in_disks(table, shape, (cfg.neighborhood_agg,), cost_at)
+    (sel,) = _select_in_disks(table, shape, ((0, cfg.neighborhood_agg),), cost_at)
     return depth_map, table, expectation, sel
 
 

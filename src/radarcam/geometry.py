@@ -252,6 +252,11 @@ class AngularResolution:
 
     @classmethod
     def from_degrees(cls, theta_deg: float, phi_deg: float) -> "AngularResolution":
+        """The resolution of ``delta_theta_deg`` and ``delta_phi_deg``, each
+        checked in the degrees given before it is converted."""
+        for name, value in (("delta_theta_deg", theta_deg), ("delta_phi_deg", phi_deg)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"angular resolution {name} must be finite and non-negative, got {value}")
         return cls(math.radians(theta_deg), math.radians(phi_deg))
 
 

@@ -15,14 +15,17 @@ centre x, y, depth; frontal area; RCS), filled in one vector pass, and
 :func:`simulate_radar` returns every seed's radar returns as one (N, 4)
 table plus per-seed counts. The batch spans the run, not one scene: at ~8
 objects a scene, NumPy's per-call overhead costs more than the scalar
-Python it would replace. The arms are grouped by radius settings and RCS
-use, which fix the target table; each group scores every seed in one target
-table and one neighbourhood selection whose candidate costs serve all of
-its aggregations. A target of radius 0 is one-to-one: its disk is the
-struck pixel, so a one-to-one arm is an arm of radius 0. True depth is not
-rendered as a map: the selection looks it up at its candidate pixels from
-the scene's object boxes (:func:`true_depth_at`), one object slot at a
-time. All orderings are bootstrapped over one resample index.
+Python it would replace. The arms differ only in the radius a return
+supervises, so one :func:`evaluate_supervision` call scores every arm on
+every seed: one target table holds each target's pixel and depth once, with
+one radius column per distinct radius setting and RCS use, and one
+neighbourhood selection looks each target's candidate costs up once, over
+the disk of its largest radius, for every arm's radius and aggregation. A
+target of radius 0 is one-to-one: its disk is the struck pixel, so a
+one-to-one arm is an arm of radius 0. True depth is not rendered as a map:
+the selection looks it up at its candidate pixels from the scene's object
+boxes (:func:`true_depth_at`), one object slot at a time. All orderings are
+bootstrapped over one resample index.
 
 Objects live in the camera frame. :func:`simulate_radar` maps each surface
 point into the radar frame with the inverse of ``radar_to_camera`` and
@@ -304,22 +307,45 @@ class SupervisionMetrics:
     n_targets: int
 
 
+@dataclass(frozen=True)
+class ExperimentArm:
+    """One supervision configuration evaluated across all seeds. An arm
+    whose radius is 0 is one-to-one. An arm without RCS takes its radius
+    from ``radius.fixed_r``, so it must set one."""
+
+    name: str
+    radius: RadiusConfig = RadiusConfig()
+    agg: str = "min"
+    use_rcs: bool = False
+
+    def __post_init__(self):
+        if self.agg not in AGGREGATIONS:
+            raise ValueError(f"arm {self.name!r}: unknown aggregation {self.agg!r}")
+        if not self.use_rcs and self.radius.fixed_r is None:
+            raise ValueError(f"arm {self.name!r}: an arm without RCS needs a radius.fixed_r")
+
+
 def evaluate_supervision(
     scene: Scene,
     points: np.ndarray,
     counts,
     bins: DepthBinSpec,
-    radius_cfg: RadiusConfig,
-    aggs: tuple[str, ...],
+    arms: tuple[ExperimentArm, ...],
 ) -> tuple[tuple[SupervisionMetrics, ...], ...]:
-    """Score each seed's depth targets against its true depth, once per
-    aggregation in ``aggs``.
+    """Score each seed's depth targets against its true depth, once per arm
+    of ``arms``.
 
     ``points`` holds the (N, 4) radar returns (x, y, z, rcs_dbsm) of every
     seed of ``scene``, seed by seed, and ``counts`` the number of returns of
-    each seed; a NaN RCS is absent and the radius then falls back to
-    ``radius_cfg.fixed_r``. All seeds are scored in one target table and one
-    selection, whose candidates serve every aggregation.
+    each seed, whole and non-negative. An arm that uses RCS scales its radius
+    by it, falling back to ``radius.fixed_r`` where it is NaN (absent); an
+    arm without RCS takes ``radius.fixed_r`` for every return.
+
+    Every arm shares the returns, so it shares each target's pixel, depth
+    and kept mask: one target table holds them with one radius column per
+    distinct ``(radius, use_rcs)`` setting, and one selection looks the true
+    depths up once per target, over the disk of its largest radius, for
+    every distinct ``(column, agg)`` pick.
 
     Each target selects the neighborhood pixel whose true depth is closest
     to its measured depth (``"min"``; ``"max"`` selects the farthest,
@@ -327,18 +353,23 @@ def evaluate_supervision(
     pixel. A target hits when the selected pixel's true depth lies within
     half a bin of the measured depth; the mean absolute error is reported
     over targets whose selected pixel sees any object at all. The metrics
-    come back one tuple per aggregation, in ``aggs`` order, each holding one
-    row per seed in seed order.
+    come back one tuple per arm, in ``arms`` order, each holding one row per
+    seed in seed order.
     """
-    for agg in aggs:
-        if agg not in AGGREGATIONS:
-            raise ValueError(f"unknown aggregation {agg!r}")
     n_seeds = len(scene.table)
-    if len(counts) != n_seeds or np.sum(counts) != len(points) or np.shape(points)[1:] != (4,):
-        raise ValueError(f"need (N, 4) returns and one return count per seed summing to N, got {counts} for {n_seeds}")
+    counts = np.asarray(counts)
+    whole = (counts >= 0).all() and (counts == np.floor(counts)).all()
+    if counts.shape != (n_seeds,) or not whole or counts.sum() != len(points) or np.shape(points)[1:] != (4,):
+        raise ValueError(
+            "need (N, 4) returns and one return count per seed, whole and non-negative, summing to N, "
+            f"got {counts.tolist()} for {n_seeds}"
+        )
+    settings = list(dict.fromkeys((arm.radius, arm.use_rcs) for arm in arms))
+    pick_of = [(settings.index((arm.radius, arm.use_rcs)), arm.agg) for arm in arms]
+    picks = tuple(dict.fromkeys(pick_of))
     calib, stride = scene.calibration, scene.stride
-    table, keep = _target_table(points, calib, stride, radius_cfg)
-    seed_of = np.repeat(np.arange(n_seeds), counts)[keep]
+    table, keep = _target_table(points, calib, stride, settings)
+    seed_of = np.repeat(np.arange(n_seeds), counts.astype(np.intp))[keep]
     boxes = scene.boxes.swapaxes(0, 1)  # one (seeds, 5) box table per object slot
 
     def cost_at(rows, uu, vv):
@@ -350,8 +381,8 @@ def evaluate_supervision(
     shape = (calib.image_height // stride, calib.image_width // stride)
     n_targets = np.bincount(seed_of, minlength=n_seeds).tolist()
     ends = np.cumsum(n_targets).tolist()
-    out = []
-    for sel in _select_in_disks(table, shape, aggs, cost_at):
+    scored = {}
+    for pick, sel in zip(picks, _select_in_disks(table, shape, picks, cost_at)):
         err = sel.cost
         hits = np.bincount(seed_of[err <= bins.bin_width / 2.0], minlength=n_seeds).tolist()
         finite = np.isfinite(err)
@@ -361,23 +392,8 @@ def evaluate_supervision(
             # np.add.reduce(seen) / seen.size is what np.mean(seen) computes.
             mae = float(np.add.reduce(seen) / seen.size) if seen.size else 0.0
             metrics.append(SupervisionMetrics(hit / n if n else 0.0, mae, n))
-        out.append(tuple(metrics))
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class ExperimentArm:
-    """One supervision configuration evaluated across all seeds. An arm
-    whose radius is 0 is one-to-one."""
-
-    name: str
-    radius: RadiusConfig = RadiusConfig()
-    agg: str = "min"
-    use_rcs: bool = False
-
-    def __post_init__(self):
-        if self.agg not in AGGREGATIONS:
-            raise ValueError(f"arm {self.name!r}: unknown aggregation {self.agg!r}")
+        scored[pick] = tuple(metrics)
+    return tuple(scored[pick] for pick in pick_of)
 
 
 @dataclass(frozen=True)
@@ -466,38 +482,21 @@ class ExperimentResult:
     summary: dict
 
 
-def _evaluate_arms(cfg: ExperimentConfig, seeds: range) -> dict[str, tuple[SupervisionMetrics, ...]]:
-    """Per arm, in arm order, one metrics row per seed. Arms of equal radius
-    settings and RCS use share one target table, and their distinct
-    aggregations one selection. The scene and returns are dropped
-    on return, before the bootstrap allocates its resamples."""
-    scene = generate_scene(seeds, cfg.n_objects, cfg.scene, cfg.calibration, cfg.stride)
-    points, counts = simulate_radar(scene, cfg.noise, [seed + 1 for seed in seeds])
-    # Arms without RCS see the same returns with the RCS column absent (NaN).
-    no_rcs = None if all(arm.use_rcs for arm in cfg.arms) else np.column_stack((points[:, :3], np.full(len(points), np.nan)))
-    groups: dict[tuple[RadiusConfig, bool], list[ExperimentArm]] = {}
-    for arm in cfg.arms:
-        groups.setdefault((arm.radius, arm.use_rcs), []).append(arm)
-    by_arm = {}
-    for (radius, use_rcs), arms in groups.items():
-        aggs = tuple(dict.fromkeys(arm.agg for arm in arms))
-        scored = evaluate_supervision(scene, points if use_rcs else no_rcs, counts, cfg.bins, radius, aggs)
-        by_agg = dict(zip(aggs, scored))
-        by_arm.update({arm.name: by_agg[arm.agg] for arm in arms})
-    return {arm.name: by_arm[arm.name] for arm in cfg.arms}
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Evaluate every arm over the seed range and summarize pairwise orderings.
 
     One scene table holds every seed's objects and one table every seed's
-    radar returns, each seed drawing from its own generator; each group of
-    arms with equal radius settings then scores all seeds at once. The rows come
-    out one per seed and arm, seeds in increasing order. Every ordering is
-    bootstrapped over one resample index.
+    radar returns, each seed drawing from its own generator; one
+    :func:`evaluate_supervision` call then scores every arm on all seeds at
+    once. The rows come out one per seed and arm, seeds in increasing order.
+    Every ordering is bootstrapped over one resample index.
     """
     seeds = range(cfg.seed_start, cfg.seed_start + cfg.num_seeds)
-    by_arm = _evaluate_arms(cfg, seeds)
+    scene = generate_scene(seeds, cfg.n_objects, cfg.scene, cfg.calibration, cfg.stride)
+    points, counts = simulate_radar(scene, cfg.noise, [seed + 1 for seed in seeds])
+    scored = evaluate_supervision(scene, points, counts, cfg.bins, cfg.arms)
+    del scene, points  # before the bootstrap allocates its resamples
+    by_arm = {arm.name: metrics for arm, metrics in zip(cfg.arms, scored)}
     rows = tuple(SeedResult(seed, arm.name, by_arm[arm.name][i]) for i, seed in enumerate(seeds) for arm in cfg.arms)
 
     arm_summaries = {}

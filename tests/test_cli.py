@@ -100,8 +100,8 @@ class TestSimulate:
         "edit_config,key",
         [
             (lambda data: data["noise"].update(range_sigma=math.nan), "noise: range_sigma"),
-            (lambda data: data["calibration"].update(delta_theta_deg=math.nan), "angular resolution delta_theta"),
-            (lambda data: data["calibration"].update(delta_phi_deg=-math.inf), "angular resolution delta_phi"),
+            (lambda data: data["calibration"].update(delta_theta_deg=math.nan), "angular resolution delta_theta_deg"),
+            (lambda data: data["calibration"].update(delta_phi_deg=-math.inf), "angular resolution delta_phi_deg"),
             (lambda data: data["noise"].update(points_base=math.nan), "noise: points_base"),
             (lambda data: data["noise"].update(points_size_scale=math.inf), "noise: points_size_scale"),
             (lambda data: data["scene"].update(small_size_range=[0.2, math.inf]), "scene: small_size_range"),
@@ -172,6 +172,10 @@ class TestSimulate:
             (
                 lambda data: data["arms"][1].update(agg="mean"),
                 "arms[1]: arm 'fixed-one-to-many': unknown aggregation 'mean'",
+            ),
+            (
+                lambda data: data["arms"][0]["radius"].pop("fixed_r"),
+                "arms[0]: arm 'one-to-one': an arm without RCS needs a radius.fixed_r",
             ),
             (lambda data: data.update(stride=0), "stride must be at least 1, got 0"),  # the top level: no path
         ],

@@ -444,7 +444,7 @@ def _selected_candidates(table, shape):
         seen.append((rows, uu, vv))
         return np.zeros(uu.shape)
 
-    (sel,) = _select_in_disks(np.asarray(table, dtype=np.float64), shape, ("min",), cost_at)
+    (sel,) = _select_in_disks(np.asarray(table, dtype=np.float64), shape, ((0, "min"),), cost_at)
     return sel, seen
 
 
@@ -477,6 +477,56 @@ class TestDiskStencil:
         sel, seen = _selected_candidates(table, (64, 64))
         assert sum(uu.size for _, uu, _ in seen) <= 199 * 13 + len(neighborhood_pixels(60, 60, 60.0, 121, 121))
         assert sel.count[-1] == len(neighborhood_pixels(32, 32, 60.0, 64, 64))
+
+
+@st.composite
+def multi_radius_selections(draw):
+    """A map shape, an (N, 3 + R) table whose targets favour the map's edges
+    and whose R radius columns mix 0 to 4, and a cost field: random with
+    ties, constant, or all +inf."""
+    height, width = draw(st.integers(1, 7)), draw(st.integers(1, 9))
+    n_columns = draw(st.integers(1, 4))
+    radius = st.one_of(st.sampled_from([0.0, 1.0, 1.5, 2.0, 4.0]), st.floats(0.0, 4.0))
+
+    def edge_or_inside(size):
+        return st.one_of(st.sampled_from([0, size - 1]), st.integers(0, size - 1))
+
+    row = st.tuples(edge_or_inside(width), edge_or_inside(height), st.sampled_from([0.0, 1.0, 2.5]))
+    rows = draw(st.lists(st.tuples(row, st.lists(radius, min_size=n_columns, max_size=n_columns)), max_size=8))
+    table = np.array([[*target, *radii] for target, radii in rows], dtype=np.float64).reshape(-1, 3 + n_columns)
+    kind = draw(st.sampled_from(["ties", "constant", "inf"]))
+    if kind == "ties":
+        field = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, np.inf]), min_size=height * width,
+                                       max_size=height * width))).reshape(height, width)
+    else:
+        field = np.full((height, width), 1.0 if kind == "constant" else np.inf)
+    return (height, width), table, field
+
+
+class TestSharedSelection:
+    """One selection over several radius columns equals one single-column
+    selection per column, bit for bit."""
+
+    @given(case=multi_radius_selections())
+    @settings(max_examples=200, deadline=None)
+    def test_each_pick_equals_its_column_alone(self, case):
+        shape, table, field = case
+
+        def cost_at_in(targets):
+            def cost_at(rows, uu, vv):
+                return np.abs(field[vv, uu] - targets[rows, 2:3])
+
+            return cost_at
+
+        n_columns = table.shape[1] - 3
+        picks = tuple((column, agg) for column in range(n_columns) for agg in ("min", "max"))
+        shared = _select_in_disks(table, shape, picks, cost_at_in(table))
+        for (column, agg), got in zip(picks, shared):
+            alone = table[:, [0, 1, 2, 3 + column]]
+            (want,) = _select_in_disks(alone, shape, ((0, agg),), cost_at_in(alone))
+            for name in ("u", "v", "cost", "count"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (column, agg, name)
 
 
 class TestOneToManyLoss:
@@ -845,7 +895,7 @@ class TestRadarCsv:
         points = read_radar_points_csv(path)
         calib, cfg = make_calib(), RadiusConfig(fixed_r=1.5)
         rows = [RadarPoint(x, y, z, None if math.isnan(r) else r) for x, y, z, r in points.tolist()]
-        table, kept = _target_table(points, calib, 8, cfg)
+        table, kept = _target_table(points, calib, 8, [(cfg, True)])
         assert kept.tolist() == [True, True, False]
         assert table.tolist() == as_target_table(build_depth_targets(rows, calib, 8, cfg).targets).tolist()
 

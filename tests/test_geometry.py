@@ -367,6 +367,16 @@ class TestSensorCalibration:
         with pytest.raises(ValueError, match=message):
             SensorCalibration.from_dict(data)
 
+    @pytest.mark.parametrize("key", ["delta_theta_deg", "delta_phi_deg"])
+    def test_a_negative_resolution_is_named_in_degrees(self, key):
+        data = SensorCalibration(
+            K, RigidTransform.identity(), 10, 10, AngularResolution.from_degrees(1, 1)
+        ).to_dict()
+        data[key] = -1
+        message = f"^angular resolution {key} must be finite and non-negative, got -1.0$"
+        with pytest.raises(ValueError, match=message):
+            SensorCalibration.from_dict(data)
+
     def test_bad_extrinsics_length_rejected(self):
         data = SensorCalibration(
             K, RigidTransform.identity(), 10, 10, AngularResolution.from_degrees(1, 1)

@@ -13,7 +13,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from radarcam import sim
-from radarcam.depth_supervision import DepthBinSpec, RadarPoint, RadiusConfig, _target_table, build_depth_targets
+from radarcam.depth_supervision import (
+    DepthBinSpec,
+    RadarPoint,
+    RadiusConfig,
+    _select_in_disks,
+    _target_table,
+    build_depth_targets,
+)
 from radarcam.geometry import (
     AngularResolution,
     CameraIntrinsics,
@@ -120,7 +127,7 @@ def test_every_arm_matches_the_per_target_loop(seed):
     objects = generate_objects_reference(seed, cfg.n_objects, cfg.scene)
     for arm in cfg.arms:
         arm_points = points if arm.use_rcs else without_rcs(points)
-        ((got,),) = evaluate_supervision(scene, arm_points, counts, cfg.bins, arm.radius, [arm.agg])
+        ((got,),) = evaluate_supervision(scene, points, counts, cfg.bins, [arm])
         errors = evaluate_reference(objects, cfg.calibration, cfg.stride, arm_points, arm.radius, arm.agg)
         finite = [e for e in errors if math.isfinite(e)]
         assert got.n_targets == len(errors)
@@ -135,16 +142,17 @@ def depth_maps(scene):
     return true_depth_at(scene.boxes[:, :, None, None].swapaxes(0, 1), uu, vv)
 
 
-def tiny_scene():
-    """A 10x10 image at stride 1 that sees one object at 10 m on pixel (6, 5) only."""
+def tiny_scene(n_seeds=1):
+    """A 10x10 image at stride 1 that sees one object at 10 m on pixel (6, 5)
+    only, in each of ``n_seeds`` seeds."""
     calib = SensorCalibration(
         CameraIntrinsics(10.0, 10.0, 5.0, 5.0), RigidTransform.identity(), 10, 10,
         AngularResolution.from_degrees(1.0, 1.0),
     )
     # Half extent 0.4 m: the rectangle spans u in [6.1, 6.9] and v in [5.1, 5.9].
-    scene = Scene(np.array([[[1.5, 0.5, 10.0, 0.64, rcs_from_size(0.64)]]]), 1, calib)
-    want = np.full((1, 10, 10), np.inf)
-    want[0, 5, 6] = 10.0
+    scene = Scene(np.array([[[1.5, 0.5, 10.0, 0.64, rcs_from_size(0.64)]]] * n_seeds), 1, calib)
+    want = np.full((n_seeds, 10, 10), np.inf)
+    want[:, 5, 6] = 10.0
     np.testing.assert_array_equal(depth_maps(scene), want)
     return scene
 
@@ -152,52 +160,57 @@ def tiny_scene():
 class TestEvaluateSupervision:
     BINS = DepthBinSpec(0.0, 64.0, 64)
     POINTS = np.array([[0.0, 0.0, 10.0, np.nan]])  # strikes pixel (5, 5), next to the object
+    ARM = ExperimentArm("arm", RadiusConfig(fixed_r=1.0))
 
     @pytest.mark.parametrize("fixed_r,agg,hit_rate", [(0.0, "min", 0.0), (1.0, "min", 1.0), (1.0, "max", 0.0)])
     def test_neighbor_rescues_a_miss(self, fixed_r, agg, hit_rate):
         """A radius of 0 is one-to-one: the struck pixel alone, which misses."""
         ((got,),) = evaluate_supervision(
-            tiny_scene(), self.POINTS, [1], self.BINS, RadiusConfig(fixed_r=fixed_r), [agg]
+            tiny_scene(), self.POINTS, [1], self.BINS, [ExperimentArm("arm", RadiusConfig(fixed_r=fixed_r), agg)]
         )
         assert (got.hit_rate, got.depth_mae, got.n_targets) == (hit_rate, 0.0, 1)
 
     def test_no_points(self):
-        ((got,),) = evaluate_supervision(
-            tiny_scene(), np.empty((0, 4)), [0], self.BINS, RadiusConfig(fixed_r=1.0), ["min"]
-        )
+        ((got,),) = evaluate_supervision(tiny_scene(), np.empty((0, 4)), [0], self.BINS, [self.ARM])
         assert (got.hit_rate, got.depth_mae, got.n_targets) == (0.0, 0.0, 0)
 
     def test_unknown_aggregation_rejected(self):
         with pytest.raises(ValueError, match="unknown aggregation 'mean'"):
-            evaluate_supervision(tiny_scene(), self.POINTS, [1], self.BINS, RadiusConfig(fixed_r=1.0), ["min", "mean"])
+            arms = [self.ARM, dataclasses.replace(self.ARM, name="mean", agg="mean")]
+            evaluate_supervision(tiny_scene(), self.POINTS, [1], self.BINS, arms)
 
     def test_a_batch_equals_each_seed_scored_alone(self):
         """Also for a seed without returns, scored next to seeds with them."""
         cfg = default_experiment_config()
         arm = cfg.arms[2]
-        pick = [arm.agg]
         seeds = [3, 4, 5]
         scene = generate_scene(seeds, 12, cfg.scene, cfg.calibration, cfg.stride)
         points, counts = simulate_radar(scene, cfg.noise, [seed + 9 for seed in seeds])
         points, counts = points[: counts[:2].sum()], [counts[0], counts[1], 0]
-        (got,) = evaluate_supervision(scene, points, counts, cfg.bins, arm.radius, pick)
+        (got,) = evaluate_supervision(scene, points, counts, cfg.bins, [arm])
         alone = []
         for seed, n in zip(seeds, counts):
             one = generate_scene([seed], 12, cfg.scene, cfg.calibration, cfg.stride)
             one_points, _ = simulate_radar(one, cfg.noise, [seed + 9])
-            alone.append(evaluate_supervision(one, one_points[:n], [n], cfg.bins, arm.radius, pick)[0][0])
+            alone.append(evaluate_supervision(one, one_points[:n], [n], cfg.bins, [arm])[0][0])
         assert got == tuple(alone)
         assert got[2].n_targets == 0 and got[0].n_targets > 0
 
     @pytest.mark.parametrize(
-        "points,counts",
-        [(POINTS, []), (POINTS, [2]), (POINTS, [0, 1]), (np.zeros((1, 3)), [1]), (np.zeros(4), [1])],
+        "points,counts,n_seeds",
+        [
+            (POINTS, [], 1),
+            (POINTS, [2], 1),
+            (POINTS, [0, 1], 1),
+            (np.zeros((1, 3)), [1], 1),
+            (np.zeros(4), [1], 1),
+            (POINTS, [2, -1], 2),  # sums to N, but a count is negative
+            (POINTS, [0.5, 0.5], 2),
+        ],
     )
-    def test_counts_must_cover_the_returns(self, points, counts):
+    def test_counts_must_cover_the_returns(self, points, counts, n_seeds):
         with pytest.raises(ValueError, match="one return count per seed"):
-            evaluate_supervision(
-                tiny_scene(), points, counts, self.BINS, RadiusConfig(fixed_r=1.0), ["min"]
-            )
+            evaluate_supervision(tiny_scene(n_seeds), points, counts, self.BINS, [self.ARM])
 
 
 class TestTrueDepth:
@@ -343,7 +356,7 @@ class TestExtrinsics:
         def targets(calib):
             scene = generate_scene(seeds, cfg.n_objects, cfg.scene, calib, cfg.stride)
             points, _ = simulate_radar(scene, cfg.noise, [seed + 1 for seed in seeds])
-            return points, *_target_table(points, calib, cfg.stride, radius)
+            return points, *_target_table(points, calib, cfg.stride, [(radius, True)])
 
         aligned, want, want_keep = targets(cfg.calibration)
         mounted, got, got_keep = targets(dataclasses.replace(cfg.calibration, radar_to_camera=mount))
@@ -384,9 +397,10 @@ class TestNoiseAboutTheRadar:
 
 
 class TestArmsGroupedByRadius:
-    """Arms of equal radius settings and RCS use share one target table and
-    one selection; the results still equal the per-arm reference bit for bit.
-    An arm whose radius is 0 is one-to-one."""
+    """Every arm of a run shares one target table, with one radius column per
+    distinct radius setting and RCS use, and one candidate lookup; the
+    results still equal the per-arm reference bit for bit. An arm whose
+    radius is 0 is one-to-one."""
 
     DYNAMIC = RadiusConfig(k=0.1, r_max=2.0)
     SHARED = RadiusConfig(k=0.3, r_max=3.0, fixed_r=1.5)
@@ -422,8 +436,11 @@ class TestArmsGroupedByRadius:
         orderings = result.summary["orderings"]
         assert orderings["dynamic>=one-to-one"]["gap_mean"] == -orderings["one-to-one>=dynamic"]["gap_mean"]
 
-    def test_packaged_run_scores_three_candidate_sets_and_draws_one_index(self, monkeypatch):
-        """One selection per radius group: 0, fixed 1 and dynamic (min and max)."""
+    @staticmethod
+    def count_calls(monkeypatch):
+        """Count the calls of ``evaluate_supervision``, ``_select_in_disks``,
+        the ``cost_at`` lookups it is handed and ``bootstrap_index``; collect
+        every index ``bootstrap_gap`` is handed."""
         calls, indices = Counter(), []
 
         def counted(name, fn):
@@ -433,18 +450,40 @@ class TestArmsGroupedByRadius:
 
             return wrapper
 
+        def select(table, shape, picks, cost_at):
+            calls["_select_in_disks"] += 1
+            return _select_in_disks(table, shape, picks, counted("cost_at", cost_at))
+
         def gap(a, b, index):
             indices.append(index)
             return bootstrap_gap(a, b, index)
 
-        monkeypatch.setattr(sim, "_select_in_disks", counted("_select_in_disks", sim._select_in_disks))
+        monkeypatch.setattr(sim, "evaluate_supervision", counted("evaluate_supervision", sim.evaluate_supervision))
+        monkeypatch.setattr(sim, "_select_in_disks", select)
         monkeypatch.setattr(sim, "bootstrap_index", counted("bootstrap_index", sim.bootstrap_index))
         monkeypatch.setattr(sim, "bootstrap_gap", gap)
+        return calls, indices
+
+    def test_packaged_run_scores_every_arm_in_one_selection_and_draws_one_index(self, monkeypatch):
+        """The four arms share one target table and one candidate lookup."""
+        calls, indices = self.count_calls(monkeypatch)
         cfg = default_experiment_config()
         run_experiment(cfg)
-        assert calls == {"_select_in_disks": 3, "bootstrap_index": 1}
+        # One lookup per stencil half-width: a target's widest disk, max(0, 1, dynamic), has half-width 1 or 2.
+        assert calls == {"evaluate_supervision": 1, "_select_in_disks": 1, "cost_at": 2, "bootstrap_index": 1}
         assert len(indices) == len(cfg.orderings) == 3
         assert all(index is indices[0] for index in indices)
+
+    def test_a_radius_sweep_looks_costs_up_as_often_as_its_widest_arm(self, monkeypatch):
+        """20 fixed radii from 0 to 3.8 cost as many lookups as radius 3.8 alone."""
+        calls, _ = self.count_calls(monkeypatch)
+        arms = tuple(ExperimentArm(f"r{i}", RadiusConfig(fixed_r=0.2 * i)) for i in range(20))
+        run_experiment(small_config(arms=arms, orderings=()))
+        sweep = calls["cost_at"]
+        calls.clear()
+        run_experiment(small_config(arms=arms[-1:], orderings=()))
+        assert calls["cost_at"] == sweep >= 1
+        assert calls["_select_in_disks"] == 1
 
     def test_calls_every_span_the_bench_tracer_wraps(self, monkeypatch):
         """The traced ``sim.*`` metrics stay live. ``build_depth_targets``
@@ -640,6 +679,10 @@ class TestConfigValidation:
                 "ordering 'one-to-one' >= 'no-such-arm' names unknown arm 'no-such-arm'",
             ),
             (lambda d: d["arms"][0].update(use_rcs="false"), r"^arms\[0\]\.use_rcs must be true or false, got 'false'"),
+            (
+                lambda d: d["arms"][1]["radius"].pop("fixed_r"),
+                r"^arms\[1\]: arm 'fixed-one-to-many': an arm without RCS needs a radius\.fixed_r$",
+            ),
             (lambda d: d.update(num_seeds=0), "num_seeds must be at least 1, got 0"),
             (lambda d: d.update(bootstrap_samples=0), "bootstrap_samples must be at least 1, got 0"),
             (lambda d: d.update(stride=0), "stride must be at least 1, got 0"),
@@ -657,14 +700,14 @@ class TestConfigValidation:
         data = packaged_config_data()
         minimal = {key: data[key] for key in ("calibration", "stride", "bins", "arms")}
         minimal["noise"] = {"range_sigma": 0.5}
-        minimal["arms"] = [{"name": "a"}]
+        minimal["arms"] = [{"name": "a", "use_rcs": True}]  # without RCS an arm needs radius.fixed_r
         cfg = read_json(ExperimentConfig, minimal, "")
         want = ExperimentConfig(
             calibration=cfg.calibration,
             stride=data["stride"],
             bins=DepthBinSpec(**data["bins"]),
             noise=RadarNoiseModel(0.5),
-            arms=(ExperimentArm("a"),),
+            arms=(ExperimentArm("a", use_rcs=True),),
         )
         assert cfg == want and cfg.scene == SceneExtents() and cfg.arms[0].radius == RadiusConfig()
 
