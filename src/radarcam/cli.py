@@ -249,20 +249,19 @@ def cmd_fuse(args) -> int:
 
 def cmd_simulate(args) -> int:
     _check_outputs(args.output_csv, args.summary, args.emit_plot_data or None)
-    if args.config:
-        cfg = ExperimentConfig.load(args.config)
-    else:
-        cfg = default_experiment_config()
-    result = run_experiment(cfg)
-    metrics = [
-        (row.seed, row.arm, f"{row.metrics.hit_rate:.9g}", f"{row.metrics.depth_mae:.9g}", row.metrics.n_targets)
-        for row in result.rows
-    ]
-    _write_csv(args.output_csv, ["seed", "arm", "hit_rate", "depth_mae", "n_targets"], metrics)
+    result = run_experiment(ExperimentConfig.load(args.config) if args.config else default_experiment_config())
+    # Every metric's (arms, seeds) cells: rates and errors to 9 significant digits, counts as they are.
+    metrics = result.metrics._asdict()
+    plotted = [name for name, values in metrics.items() if values.dtype.kind == "f"]
+    cells = {name: values.tolist() for name, values in metrics.items()}
+    for name in plotted:
+        cells[name] = [[f"{x:.9g}" for x in row] for row in cells[name]]
+    order = [(s, seed, a, arm) for s, seed in enumerate(result.seeds) for a, arm in enumerate(result.arms)]
+    rows = [(seed, arm, *(column[a][s] for column in cells.values())) for s, seed, a, arm in order]
+    _write_csv(args.output_csv, ["seed", "arm", *cells], rows)
     _write_json(args.summary, result.summary)
     if args.emit_plot_data:
-        names = ("hit_rate", "depth_mae")
-        tidy = [(seed, arm, name, value) for seed, arm, *values, _ in metrics for name, value in zip(names, values)]
+        tidy = [(seed, arm, name, cells[name][a][s]) for s, seed, a, arm in order for name in plotted]
         _write_csv(args.emit_plot_data, ["seed", "arm", "metric", "value"], tidy)
     ok = result.summary["all_orderings_hold"]
     print(f"orderings hold: {ok}", file=sys.stderr)

@@ -236,28 +236,34 @@ class RigidTransform:
 
 @dataclass(frozen=True)
 class AngularResolution:
-    """Azimuth and elevation resolution of the radar sensor, in radians.
+    """Azimuth and elevation resolution of the radar sensor, held in the
+    degrees a calibration is written in; :attr:`delta_theta` and
+    :attr:`delta_phi` give it in radians.
 
     Zero is allowed as the degenerate perfect-resolution case.
     """
 
-    delta_theta: float
-    delta_phi: float
+    delta_theta_deg: float
+    delta_phi_deg: float
 
     def __post_init__(self):
-        for name in ("delta_theta", "delta_phi"):
+        for name in ("delta_theta_deg", "delta_phi_deg"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"angular resolution {name} must be finite and non-negative, got {value}")
 
+    @property
+    def delta_theta(self) -> float:
+        return math.radians(self.delta_theta_deg)
+
+    @property
+    def delta_phi(self) -> float:
+        return math.radians(self.delta_phi_deg)
+
     @classmethod
     def from_degrees(cls, theta_deg: float, phi_deg: float) -> "AngularResolution":
-        """The resolution of ``delta_theta_deg`` and ``delta_phi_deg``, each
-        checked in the degrees given before it is converted."""
-        for name, value in (("delta_theta_deg", theta_deg), ("delta_phi_deg", phi_deg)):
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"angular resolution {name} must be finite and non-negative, got {value}")
-        return cls(math.radians(theta_deg), math.radians(phi_deg))
+        """The constructor itself, kept because ``bench/workloads.py`` calls it."""
+        return cls(theta_deg, phi_deg)
 
 
 def project_points(cam, intrinsics: CameraIntrinsics) -> tuple[np.ndarray, ...]:
@@ -410,9 +416,7 @@ class SensorCalibration:
             radar_to_camera=RigidTransform.from_matrix(raw.reshape(4, 4)),
             image_width=number("image_width", whole=True),
             image_height=number("image_height", whole=True),
-            angular_resolution=AngularResolution.from_degrees(
-                number("delta_theta_deg"), number("delta_phi_deg")
-            ),
+            angular_resolution=AngularResolution(number("delta_theta_deg"), number("delta_phi_deg")),
         )
 
     def to_dict(self) -> dict:
@@ -424,8 +428,8 @@ class SensorCalibration:
             "image_width": self.image_width,
             "image_height": self.image_height,
             "radar_to_camera": [float(x) for x in self.radar_to_camera.matrix().reshape(-1)],
-            "delta_theta_deg": math.degrees(self.angular_resolution.delta_theta),
-            "delta_phi_deg": math.degrees(self.angular_resolution.delta_phi),
+            "delta_theta_deg": self.angular_resolution.delta_theta_deg,
+            "delta_phi_deg": self.angular_resolution.delta_phi_deg,
         }
 
     @classmethod

@@ -20,12 +20,13 @@ supervises, so one :func:`evaluate_supervision` call scores every arm on
 every seed: one target table holds each target's pixel and depth once, with
 one radius column per distinct radius setting and RCS use, and one
 neighbourhood selection looks each target's candidate costs up once, over
-the disk of its largest radius, for every arm's radius and aggregation. A
-target of radius 0 is one-to-one: its disk is the struck pixel, so a
-one-to-one arm is an arm of radius 0. True depth is not rendered as a map:
-the selection looks it up at its candidate pixels from the scene's object
-boxes (:func:`true_depth_at`), one object slot at a time. All orderings are
-bootstrapped over one resample index.
+the disk of its largest radius, for every arm's radius and aggregation. It
+returns each metric as one (arms, seeds) array. A target of radius 0 is
+one-to-one: its disk is the struck pixel, so a one-to-one arm is an arm of
+radius 0. True depth is not rendered as a map: the selection looks it up at
+its candidate pixels from the scene's object boxes (:func:`true_depth_at`),
+one object slot at a time. All orderings are bootstrapped over one resample
+index.
 
 Objects live in the camera frame. :func:`simulate_radar` maps each surface
 point into the radar frame with the inverse of ``radar_to_camera`` and
@@ -53,8 +54,9 @@ Results are bit-identical to drawing and scoring one seed at a time:
   ``cos``, ``log10``) run once per element on Python floats
   (:func:`~radarcam.geometry.per_element`): NumPy's vectorised versions
   differ from libm in the last bit on some inputs.
-- A seed's mean depth error is ``np.add.reduce`` over its own slice divided
-  by its size, which is what ``np.mean`` computes.
+- A seed's mean depth error is ``np.add.reduce`` over its slice of an arm's
+  finite errors divided by their count, which is what ``np.mean`` computes;
+  ``np.add.reduceat`` sums a slice sequentially, not pairwise.
 - Every ordering's resamples are one ``bootstrap_seed`` draw, the same
   draw each ordering made on its own.
 """
@@ -66,6 +68,7 @@ import math
 from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -300,11 +303,13 @@ def simulate_radar(scene: Scene, model: RadarNoiseModel, seeds) -> tuple[np.ndar
     return np.column_stack((radar, source[:, 4])), per_seed
 
 
-@dataclass(frozen=True)
-class SupervisionMetrics:
-    hit_rate: float
-    depth_mae: float
-    n_targets: int
+class SupervisionMetrics(NamedTuple):
+    """Each metric as one (arms, seeds) array, rows in arm order. Every arm
+    shares the targets, so every row of the integer ``n_targets`` is equal."""
+
+    hit_rate: np.ndarray
+    depth_mae: np.ndarray
+    n_targets: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -331,7 +336,7 @@ def evaluate_supervision(
     counts,
     bins: DepthBinSpec,
     arms: tuple[ExperimentArm, ...],
-) -> tuple[tuple[SupervisionMetrics, ...], ...]:
+) -> SupervisionMetrics:
     """Score each seed's depth targets against its true depth, once per arm
     of ``arms``.
 
@@ -345,17 +350,18 @@ def evaluate_supervision(
     and kept mask: one target table holds them with one radius column per
     distinct ``(radius, use_rcs)`` setting, and one selection looks the true
     depths up once per target, over the disk of its largest radius, for
-    every distinct ``(column, agg)`` pick.
+    every arm's ``(column, agg)`` pick.
 
     Each target selects the neighborhood pixel whose true depth is closest
     to its measured depth (``"min"``; ``"max"`` selects the farthest,
     modeling worst-pixel aggregation); a target of radius 0 reads the struck
     pixel. A target hits when the selected pixel's true depth lies within
     half a bin of the measured depth; the mean absolute error is reported
-    over targets whose selected pixel sees any object at all. The metrics
-    come back one tuple per arm, in ``arms`` order, each holding one row per
-    seed in seed order.
+    over targets whose selected pixel sees any object at all (0 where none
+    does). Each metric is one (arms, seeds) array, rows in ``arms`` order.
     """
+    if not arms:
+        raise ValueError("evaluate_supervision needs at least one arm")
     n_seeds = len(scene.table)
     counts = np.asarray(counts)
     whole = (counts >= 0).all() and (counts == np.floor(counts)).all()
@@ -365,8 +371,7 @@ def evaluate_supervision(
             f"got {counts.tolist()} for {n_seeds}"
         )
     settings = list(dict.fromkeys((arm.radius, arm.use_rcs) for arm in arms))
-    pick_of = [(settings.index((arm.radius, arm.use_rcs)), arm.agg) for arm in arms]
-    picks = tuple(dict.fromkeys(pick_of))
+    picks = tuple((settings.index((arm.radius, arm.use_rcs)), arm.agg) for arm in arms)
     calib, stride = scene.calibration, scene.stride
     table, keep = _target_table(points, calib, stride, settings)
     seed_of = np.repeat(np.arange(n_seeds), counts.astype(np.intp))[keep]
@@ -379,21 +384,21 @@ def evaluate_supervision(
         return np.abs(cost, out=cost)
 
     shape = (calib.image_height // stride, calib.image_width // stride)
-    n_targets = np.bincount(seed_of, minlength=n_seeds).tolist()
-    ends = np.cumsum(n_targets).tolist()
-    scored = {}
-    for pick, sel in zip(picks, _select_in_disks(table, shape, picks, cost_at)):
+    n_targets = np.bincount(seed_of, minlength=n_seeds)
+    hits = np.empty((len(arms), n_seeds), dtype=n_targets.dtype)
+    sums, n_seen = np.empty((len(arms), n_seeds)), np.empty_like(hits)
+    for a, sel in enumerate(_select_in_disks(table, shape, picks, cost_at)):
         err = sel.cost
-        hits = np.bincount(seed_of[err <= bins.bin_width / 2.0], minlength=n_seeds).tolist()
+        hits[a] = np.bincount(seed_of[err <= bins.bin_width / 2.0], minlength=n_seeds)
         finite = np.isfinite(err)
-        metrics = []
-        for n, hit, lo, hi in zip(n_targets, hits, [0, *ends], ends):
-            seen = err[lo:hi][finite[lo:hi]]
-            # np.add.reduce(seen) / seen.size is what np.mean(seen) computes.
-            mae = float(np.add.reduce(seen) / seen.size) if seen.size else 0.0
-            metrics.append(SupervisionMetrics(hit / n if n else 0.0, mae, n))
-        scored[pick] = tuple(metrics)
-    return tuple(scored[pick] for pick in pick_of)
+        seen = err[finite]
+        n_seen[a] = np.bincount(seed_of[finite], minlength=n_seeds)
+        ends = np.cumsum(n_seen[a]).tolist()
+        # One reduce per slice keeps np.mean's pairwise sum; np.add.reduceat sums sequentially.
+        sums[a] = [np.add.reduce(seen[lo:hi]) for lo, hi in zip([0, *ends], ends)]
+    hit_rate = np.divide(hits, n_targets, out=np.zeros(hits.shape), where=n_targets > 0)
+    depth_mae = np.divide(sums, n_seen, out=np.zeros(sums.shape), where=n_seen > 0)
+    return SupervisionMetrics(hit_rate, depth_mae, np.tile(n_targets, (len(arms), 1)))
 
 
 @dataclass(frozen=True)
@@ -421,6 +426,8 @@ class ExperimentConfig:
         ):
             if getattr(self, key) < least:
                 raise ValueError(f"{key} must be at least {least}, got {getattr(self, key)}")
+        if not self.arms:
+            raise ValueError("arms must hold at least one arm")
         names = [arm.name for arm in self.arms]
         for i, name in enumerate(names):
             if name in names[:i]:
@@ -442,13 +449,6 @@ def default_experiment_config() -> ExperimentConfig:
     """The packaged default experiment (seed range, noise model and arms)."""
     text = resources.files("radarcam").joinpath("configs/default_experiment.json").read_text()
     return read_json(ExperimentConfig, json.loads(text), "")
-
-
-@dataclass(frozen=True)
-class SeedResult:
-    seed: int
-    arm: str
-    metrics: SupervisionMetrics
 
 
 def bootstrap_index(size: int, n_samples: int, seed: int) -> np.ndarray:
@@ -476,9 +476,14 @@ def bootstrap_gap(a: np.ndarray, b: np.ndarray, index: np.ndarray) -> tuple[floa
     return float(diffs.mean()), float(np.percentile(samples, 5.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentResult:
-    rows: tuple[SeedResult, ...]
+    """Increasing ``seeds``, arm names, the (arms, seeds) ``metrics`` and the
+    JSON ``summary``. The arrays make ``==`` ambiguous, so it is identity."""
+
+    seeds: tuple[int, ...]
+    arms: tuple[str, ...]
+    metrics: SupervisionMetrics
     summary: dict
 
 
@@ -488,36 +493,27 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     One scene table holds every seed's objects and one table every seed's
     radar returns, each seed drawing from its own generator; one
     :func:`evaluate_supervision` call then scores every arm on all seeds at
-    once. The rows come out one per seed and arm, seeds in increasing order.
-    Every ordering is bootstrapped over one resample index.
+    once, one (arms, seeds) array per metric. An arm's summary holds the
+    ``mean_<metric>`` of its row of each; an ordering compares two arms'
+    ``hit_rate`` rows, every ordering over one bootstrap resample index.
     """
-    seeds = range(cfg.seed_start, cfg.seed_start + cfg.num_seeds)
+    seeds = tuple(range(cfg.seed_start, cfg.seed_start + cfg.num_seeds))
     scene = generate_scene(seeds, cfg.n_objects, cfg.scene, cfg.calibration, cfg.stride)
     points, counts = simulate_radar(scene, cfg.noise, [seed + 1 for seed in seeds])
-    scored = evaluate_supervision(scene, points, counts, cfg.bins, cfg.arms)
+    metrics = evaluate_supervision(scene, points, counts, cfg.bins, cfg.arms)
     del scene, points  # before the bootstrap allocates its resamples
-    by_arm = {arm.name: metrics for arm, metrics in zip(cfg.arms, scored)}
-    rows = tuple(SeedResult(seed, arm.name, by_arm[arm.name][i]) for i, seed in enumerate(seeds) for arm in cfg.arms)
-
-    arm_summaries = {}
-    for name, metrics in by_arm.items():
-        arm_summaries[name] = {
-            "mean_hit_rate": float(np.mean([m.hit_rate for m in metrics])),
-            "mean_depth_mae": float(np.mean([m.depth_mae for m in metrics])),
-            "mean_n_targets": float(np.mean([m.n_targets for m in metrics])),
-        }
+    names = tuple(arm.name for arm in cfg.arms)
+    arm_summaries = {
+        name: {"mean_" + field: float(np.mean(values[a])) for field, values in zip(metrics._fields, metrics)}
+        for a, name in enumerate(names)
+    }
 
     orderings = {}
     index = bootstrap_index(cfg.num_seeds, cfg.bootstrap_samples, cfg.bootstrap_seed) if cfg.orderings else None
     for better, worse in cfg.orderings:
-        a = np.array([m.hit_rate for m in by_arm[better]])
-        b = np.array([m.hit_rate for m in by_arm[worse]])
+        a, b = metrics.hit_rate[names.index(better)], metrics.hit_rate[names.index(worse)]
         gap, low = bootstrap_gap(a, b, index)
-        orderings[f"{better}>={worse}"] = {
-            "gap_mean": gap,
-            "gap_ci95_low": low,
-            "holds": bool(low > 0.0),
-        }
+        orderings[f"{better}>={worse}"] = {"gap_mean": gap, "gap_ci95_low": low, "holds": bool(low > 0.0)}
 
     summary = {
         "num_seeds": cfg.num_seeds,
@@ -526,4 +522,4 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         "orderings": orderings,
         "all_orderings_hold": bool(all(o["holds"] for o in orderings.values())),
     }
-    return ExperimentResult(rows, summary)
+    return ExperimentResult(seeds, names, metrics, summary)

@@ -1,4 +1,4 @@
-"""Shared builders for test parameters."""
+"""Shared builders for test parameters, and the comparison of experiment results."""
 
 from __future__ import annotations
 
@@ -127,3 +127,12 @@ def write_manifest(root, params) -> dict:
 
     fields = dataclasses.fields(params)
     return json.loads(json.dumps({"params": {f.name: entry(f.name, getattr(params, f.name)) for f in fields}}))
+
+
+def assert_results_equal(got, want) -> None:
+    """Two ``ExperimentResult``s are equal: their seeds, arm names and
+    summary by ``==``, and each metric array exactly, with the same dtype."""
+    assert (got.seeds, got.arms, got.summary) == (want.seeds, want.arms, want.summary)
+    assert got.metrics._fields == want.metrics._fields
+    for name, values, wanted in zip(got.metrics._fields, got.metrics, want.metrics):
+        np.testing.assert_array_equal(values, wanted, err_msg=name, strict=True)

@@ -23,7 +23,7 @@ import numpy as np
 
 from radarcam.depth_supervision import DepthTarget, RadarPoint
 from radarcam.geometry import scale_intrinsics
-from radarcam.sim import EMPTY_BOX, ExperimentResult, SeedResult, SupervisionMetrics, bootstrap_gap, rcs_from_size
+from radarcam.sim import EMPTY_BOX, ExperimentResult, SupervisionMetrics, bootstrap_gap, rcs_from_size
 from radarcam.tensor_ops import ShapeError, conv2d
 from radarcam.view_transform import depth_to_bin_coordinate, voxel_centers
 
@@ -412,7 +412,7 @@ def simulate_radar_reference(objects, model, seed, calib) -> list[RadarPoint]:
 
 
 def evaluate_supervision_reference(depth_map, calib, stride, points, bins, radius_cfg, agg):
-    """One scene's metrics from a per-target loop over its rendered map."""
+    """One scene's (hit rate, depth MAE, target count) from a per-target loop over its rendered map."""
     targets, _, _ = build_depth_targets_reference(points, calib, stride, radius_cfg)
     height, width = depth_map.shape
     errors = []
@@ -421,37 +421,39 @@ def evaluate_supervision_reference(depth_map, calib, stride, points, bins, radiu
         errors.append(min(errs) if agg == "min" else max(errs))
     finite = [e for e in errors if math.isfinite(e)]
     hit_rate = sum(e <= bins.bin_width / 2.0 for e in errors) / len(errors) if errors else 0.0
-    return SupervisionMetrics(hit_rate, float(np.mean(finite)) if finite else 0.0, len(errors))
+    return hit_rate, float(np.mean(finite)) if finite else 0.0, len(errors)
 
 
 def run_experiment_reference(cfg) -> ExperimentResult:
-    """The supervision experiment one seed, then one arm, at a time."""
-    rows = []
-    for seed in range(cfg.seed_start, cfg.seed_start + cfg.num_seeds):
+    """The supervision experiment one seed, then one arm, at a time; the
+    per-seed metric triples are stacked into (arms, seeds) arrays at the end."""
+    seeds = tuple(range(cfg.seed_start, cfg.seed_start + cfg.num_seeds))
+    by_arm = {arm.name: [] for arm in cfg.arms}
+    for seed in seeds:
         objects = generate_objects_reference(seed, cfg.n_objects, cfg.scene)
         depth_map = render_depth_map(objects, cfg.calibration, cfg.stride)
         points = simulate_radar_reference(objects, cfg.noise, seed + 1, cfg.calibration)
         stripped = [replace(p, rcs_dbsm=None) for p in points]
         for arm in cfg.arms:
-            metrics = evaluate_supervision_reference(
-                depth_map, cfg.calibration, cfg.stride, points if arm.use_rcs else stripped,
-                cfg.bins, arm.radius, arm.agg,
+            by_arm[arm.name].append(
+                evaluate_supervision_reference(
+                    depth_map, cfg.calibration, cfg.stride, points if arm.use_rcs else stripped,
+                    cfg.bins, arm.radius, arm.agg,
+                )
             )
-            rows.append(SeedResult(seed, arm.name, metrics))
 
-    by_arm = {arm.name: [r.metrics for r in rows if r.arm == arm.name] for arm in cfg.arms}
     arms = {
         name: {
-            "mean_hit_rate": float(np.mean([m.hit_rate for m in metrics])),
-            "mean_depth_mae": float(np.mean([m.depth_mae for m in metrics])),
-            "mean_n_targets": float(np.mean([m.n_targets for m in metrics])),
+            "mean_hit_rate": float(np.mean([hit_rate for hit_rate, _, _ in triples])),
+            "mean_depth_mae": float(np.mean([depth_mae for _, depth_mae, _ in triples])),
+            "mean_n_targets": float(np.mean([n_targets for _, _, n_targets in triples])),
         }
-        for name, metrics in by_arm.items()
+        for name, triples in by_arm.items()
     }
     orderings = {}
     for better, worse in cfg.orderings:
-        a = np.array([m.hit_rate for m in by_arm[better]])
-        b = np.array([m.hit_rate for m in by_arm[worse]])
+        a = np.array([hit_rate for hit_rate, _, _ in by_arm[better]])
+        b = np.array([hit_rate for hit_rate, _, _ in by_arm[worse]])
         index = np.random.default_rng(cfg.bootstrap_seed).integers(0, a.size, size=(cfg.bootstrap_samples, a.size))
         gap, low = bootstrap_gap(a, b, index)
         orderings[f"{better}>={worse}"] = {"gap_mean": gap, "gap_ci95_low": low, "holds": bool(low > 0.0)}
@@ -462,4 +464,7 @@ def run_experiment_reference(cfg) -> ExperimentResult:
         "orderings": orderings,
         "all_orderings_hold": bool(all(o["holds"] for o in orderings.values())),
     }
-    return ExperimentResult(tuple(rows), summary)
+    metrics = SupervisionMetrics(
+        *(np.array([[triple[i] for triple in triples] for triples in by_arm.values()]) for i in range(3))
+    )
+    return ExperimentResult(seeds, tuple(by_arm), metrics, summary)

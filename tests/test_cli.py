@@ -178,6 +178,7 @@ class TestSimulate:
                 "arms[0]: arm 'one-to-one': an arm without RCS needs a radius.fixed_r",
             ),
             (lambda data: data.update(stride=0), "stride must be at least 1, got 0"),  # the top level: no path
+            (lambda data: data.update(arms=[]), "arms must hold at least one arm"),  # before its orderings are checked
         ],
     )
     def test_range_error_names_the_path_of_its_object(self, tmp_path, edit_config, message, capsys):
@@ -226,6 +227,16 @@ class TestSimulate:
         )
         assert hashlib.sha256(summary.read_bytes()).hexdigest() == (
             "47e73d45c48b2ada2b46e13e7bdd99ff9d0059045fa810a903fffbf3e100a46e"
+        )
+
+    def test_packaged_plot_data_is_pinned(self, tmp_path):
+        """sha256 of the packaged experiment's tidy plot data, recorded
+        before the CSVs were written from the (arms, seeds) metric arrays."""
+        csv_path, summary, plot = tmp_path / "rows.csv", tmp_path / "summary.json", tmp_path / "plot.csv"
+        argv = ["simulate", "--output-csv", str(csv_path), "--summary", str(summary), "--emit-plot-data", str(plot)]
+        assert main(argv) == 0
+        assert hashlib.sha256(plot.read_bytes()).hexdigest() == (
+            "83471fc85f17c1a31d589cde827ba00cc8d7c8aa883d5b5c9adfa9a42577e38d"
         )
 
     @pytest.mark.parametrize(

@@ -333,6 +333,14 @@ class TestSensorCalibration:
             calib.angular_resolution.delta_phi
         )
 
+    @pytest.mark.parametrize("tenths", range(1, 101))
+    def test_resolution_in_degrees_round_trips_exactly(self, tenths):
+        """0.1 to 10.0 degrees in steps of 0.1: a calibration writes back the
+        degrees it read, bit for bit; radians are derived, never stored."""
+        data = SensorCalibration(K, RigidTransform.identity(), 10, 10, AngularResolution(0.0, 0.0)).to_dict()
+        data.update(delta_theta_deg=tenths / 10, delta_phi_deg=tenths / 10)
+        assert SensorCalibration.from_dict(data).to_dict() == data
+
     def test_missing_keys_rejected(self):
         with pytest.raises(ValueError, match="missing"):
             SensorCalibration.from_dict({"fx": 1.0})

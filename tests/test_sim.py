@@ -49,6 +49,7 @@ from radarcam.sim import (
     true_depth_at,
 )
 
+from helpers import assert_results_equal
 from oracles import (
     SceneObject,
     box_rows_reference,
@@ -90,12 +91,13 @@ class TestPackagedExperiment:
             assert ordering["holds"], name
         assert packaged.summary["all_orderings_hold"]
 
-    def test_rows_come_in_seed_then_arm_order(self, packaged):
+    def test_metrics_are_one_row_per_arm_and_one_column_per_seed(self, packaged):
         cfg = default_experiment_config()
-        arms = [arm.name for arm in cfg.arms]
-        assert [(r.seed, r.arm) for r in packaged.rows] == [
-            (seed, arm) for seed in range(cfg.num_seeds) for arm in arms
-        ]
+        assert packaged.seeds == tuple(range(cfg.num_seeds))
+        assert packaged.arms == tuple(arm.name for arm in cfg.arms)
+        want = (len(cfg.arms), cfg.num_seeds)
+        assert [(values.shape, values.dtype.kind) for values in packaged.metrics] == [(want, "f"), (want, "f"), (want, "i")]
+        assert (packaged.metrics.n_targets == packaged.metrics.n_targets[0]).all()
 
 
 def without_rcs(points):
@@ -119,20 +121,23 @@ def evaluate_reference(objects, calib, stride, points, radius_cfg, agg):
     return errors
 
 
-@pytest.mark.parametrize("seed", [0, 7, 31])
-def test_every_arm_matches_the_per_target_loop(seed):
+def test_every_arm_matches_the_per_target_loop():
+    """Seeds 0, 7 and 31 scored in one call; the adjacent seeds exercise the per-seed slices."""
     cfg = default_experiment_config()
-    scene = generate_scene([seed], cfg.n_objects, cfg.scene, cfg.calibration, cfg.stride)
-    points, counts = simulate_radar(scene, cfg.noise, [seed + 1])
-    objects = generate_objects_reference(seed, cfg.n_objects, cfg.scene)
-    for arm in cfg.arms:
-        arm_points = points if arm.use_rcs else without_rcs(points)
-        ((got,),) = evaluate_supervision(scene, points, counts, cfg.bins, [arm])
-        errors = evaluate_reference(objects, cfg.calibration, cfg.stride, arm_points, arm.radius, arm.agg)
-        finite = [e for e in errors if math.isfinite(e)]
-        assert got.n_targets == len(errors)
-        assert got.hit_rate == sum(e <= cfg.bins.bin_width / 2.0 for e in errors) / len(errors)
-        assert got.depth_mae == float(np.mean(finite))
+    seeds = [0, 7, 31]
+    scene = generate_scene(seeds, cfg.n_objects, cfg.scene, cfg.calibration, cfg.stride)
+    points, counts = simulate_radar(scene, cfg.noise, [seed + 1 for seed in seeds])
+    got = evaluate_supervision(scene, points, counts, cfg.bins, cfg.arms)
+    ends = np.cumsum(counts).tolist()
+    for s, (seed, lo, hi) in enumerate(zip(seeds, [0, *ends], ends)):
+        objects = generate_objects_reference(seed, cfg.n_objects, cfg.scene)
+        for a, arm in enumerate(cfg.arms):
+            arm_points = points[lo:hi] if arm.use_rcs else without_rcs(points[lo:hi])
+            errors = evaluate_reference(objects, cfg.calibration, cfg.stride, arm_points, arm.radius, arm.agg)
+            finite = [e for e in errors if math.isfinite(e)]
+            assert got.n_targets[a, s] == len(errors)
+            assert got.hit_rate[a, s] == sum(e <= cfg.bins.bin_width / 2.0 for e in errors) / len(errors)
+            assert got.depth_mae[a, s] == float(np.mean(finite))
 
 
 def depth_maps(scene):
@@ -165,14 +170,18 @@ class TestEvaluateSupervision:
     @pytest.mark.parametrize("fixed_r,agg,hit_rate", [(0.0, "min", 0.0), (1.0, "min", 1.0), (1.0, "max", 0.0)])
     def test_neighbor_rescues_a_miss(self, fixed_r, agg, hit_rate):
         """A radius of 0 is one-to-one: the struck pixel alone, which misses."""
-        ((got,),) = evaluate_supervision(
+        got = evaluate_supervision(
             tiny_scene(), self.POINTS, [1], self.BINS, [ExperimentArm("arm", RadiusConfig(fixed_r=fixed_r), agg)]
         )
-        assert (got.hit_rate, got.depth_mae, got.n_targets) == (hit_rate, 0.0, 1)
+        assert [values.tolist() for values in got] == [[[hit_rate]], [[0.0]], [[1]]]
 
     def test_no_points(self):
-        ((got,),) = evaluate_supervision(tiny_scene(), np.empty((0, 4)), [0], self.BINS, [self.ARM])
-        assert (got.hit_rate, got.depth_mae, got.n_targets) == (0.0, 0.0, 0)
+        got = evaluate_supervision(tiny_scene(), np.empty((0, 4)), [0], self.BINS, [self.ARM])
+        assert [values.tolist() for values in got] == [[[0.0]], [[0.0]], [[0]]]
+
+    def test_no_arms_rejected(self):
+        with pytest.raises(ValueError, match="^evaluate_supervision needs at least one arm$"):
+            evaluate_supervision(tiny_scene(), self.POINTS, [1], self.BINS, ())
 
     def test_unknown_aggregation_rejected(self):
         with pytest.raises(ValueError, match="unknown aggregation 'mean'"):
@@ -187,14 +196,13 @@ class TestEvaluateSupervision:
         scene = generate_scene(seeds, 12, cfg.scene, cfg.calibration, cfg.stride)
         points, counts = simulate_radar(scene, cfg.noise, [seed + 9 for seed in seeds])
         points, counts = points[: counts[:2].sum()], [counts[0], counts[1], 0]
-        (got,) = evaluate_supervision(scene, points, counts, cfg.bins, [arm])
-        alone = []
-        for seed, n in zip(seeds, counts):
+        got = evaluate_supervision(scene, points, counts, cfg.bins, [arm])
+        for s, (seed, n) in enumerate(zip(seeds, counts)):
             one = generate_scene([seed], 12, cfg.scene, cfg.calibration, cfg.stride)
             one_points, _ = simulate_radar(one, cfg.noise, [seed + 9])
-            alone.append(evaluate_supervision(one, one_points[:n], [n], cfg.bins, [arm])[0][0])
-        assert got == tuple(alone)
-        assert got[2].n_targets == 0 and got[0].n_targets > 0
+            alone = evaluate_supervision(one, one_points[:n], [n], cfg.bins, [arm])
+            assert [values[:, s].tolist() for values in got] == [values[:, 0].tolist() for values in alone]
+        assert got.n_targets[0, 2] == 0 and got.n_targets[0, 0] > 0
 
     @pytest.mark.parametrize(
         "points,counts,n_seeds",
@@ -289,31 +297,31 @@ def rotation_about_y(degrees):
 
 
 class TestMatchesPerSeedReference:
-    """Rows and summary equal (``==``) the one-seed-at-a-time pipeline."""
+    """Metric arrays and summary equal, exactly, the one-seed-at-a-time pipeline."""
 
     @pytest.mark.parametrize("seed_start", [0, 150 * (301 * 10**6 + 1)])
     def test_seed_blocks(self, seed_start):
         cfg = small_config(seed_start=seed_start)
-        assert run_experiment(cfg) == run_experiment_reference(cfg)
+        assert_results_equal(run_experiment(cfg), run_experiment_reference(cfg))
 
     def test_mounted_radar(self):
         mount = RigidTransform(rotation_about_y(3.0), np.array([0.5, -0.2, 1.0]))
         cfg = small_config(calibration=dataclasses.replace(default_experiment_config().calibration, radar_to_camera=mount))
-        assert run_experiment(cfg) == run_experiment_reference(cfg)
+        assert_results_equal(run_experiment(cfg), run_experiment_reference(cfg))
 
     def test_seeds_without_targets(self):
         """No object, or no object in view: every arm reports zero targets."""
         cfg = small_config(n_objects=0)
         result = run_experiment(cfg)
-        assert result == run_experiment_reference(cfg)
-        assert {r.metrics.n_targets for r in result.rows} == {0}
+        assert_results_equal(result, run_experiment_reference(cfg))
+        assert (result.metrics.n_targets == 0).all()
         # The principal point far left of the image: every object lies right of the view.
         calib = cfg.calibration
         aside = dataclasses.replace(calib, intrinsics=dataclasses.replace(calib.intrinsics, cx=-5000.0))
         cfg = small_config(n_objects=3, calibration=aside)
         result = run_experiment(cfg)
-        assert result == run_experiment_reference(cfg)
-        assert {r.metrics.n_targets for r in result.rows} == {0}
+        assert_results_equal(result, run_experiment_reference(cfg))
+        assert (result.metrics.n_targets == 0).all()
 
     @given(
         seed_start=st.integers(0, 2**40),
@@ -333,7 +341,7 @@ class TestMatchesPerSeedReference:
             scene=dataclasses.replace(base.scene, large_fraction=large_fraction),
             noise=dataclasses.replace(base.noise, range_sigma=range_sigma, points_base=points_base),
         )
-        assert run_experiment(cfg) == run_experiment_reference(cfg)
+        assert_results_equal(run_experiment(cfg), run_experiment_reference(cfg))
 
 
 class TestExtrinsics:
@@ -428,10 +436,12 @@ class TestArmsGroupedByRadius:
     def test_equals_the_per_arm_reference(self, seed_start, n_objects):
         cfg = small_config(arms=self.ARMS, orderings=self.ORDERINGS, seed_start=seed_start, n_objects=n_objects)
         result = run_experiment(cfg)
-        assert result == run_experiment_reference(cfg)
-        by_arm = {name: [r.metrics for r in result.rows if r.arm == name] for name in result.summary["arms"]}
-        assert by_arm["dynamic"] == by_arm["dynamic-twin"]
-        assert by_arm["one-to-one"] == by_arm["one-to-one-max"] == by_arm["one-to-one-fixed"]
+        assert_results_equal(result, run_experiment_reference(cfg))
+        row = {name: a for a, name in enumerate(result.arms)}
+        for values in result.metrics:
+            np.testing.assert_array_equal(values[row["dynamic"]], values[row["dynamic-twin"]])
+            for name in ("one-to-one-max", "one-to-one-fixed"):
+                np.testing.assert_array_equal(values[row["one-to-one"]], values[row[name]])
         assert list(result.summary["arms"]) == [arm.name for arm in self.ARMS]
         orderings = result.summary["orderings"]
         assert orderings["dynamic>=one-to-one"]["gap_mean"] == -orderings["one-to-one>=dynamic"]["gap_mean"]
@@ -669,6 +679,7 @@ class TestConfigValidation:
         "edit,message",
         [
             (lambda d: d["arms"].append(dict(d["arms"][0])), "duplicate arm name 'one-to-one'"),
+            (lambda d: d.update(arms=[]), "^arms must hold at least one arm$"),
             (lambda d: d["arms"][1].update(strategy="one-to-one"), r"^arms\[1\] has no key 'strategy'$"),
             (
                 lambda d: d["arms"][3].update(agg="mean"),
