@@ -13,10 +13,10 @@ as the fields of a dataclass: ``depth-targets --config`` is ``stride`` plus a
 manifest's ``grid``, ``depth_bins`` and ``params`` a ``VoxelGridSpec``, a
 ``DepthBinSpec`` and, through ``lxlt.read_params``, a ``VTParams``; a
 ``fuse`` manifest's ``params`` a ``CSAFusionParams`` or
-``ConcatFusionParams``. The one exception is a calibration, whose flat keys
-``SensorCalibration.from_dict`` defines. An absent optional key, like an
-unset flag, takes the dataclass default; an absent required key fails as a
-null; a key that names no field fails.
+``ConcatFusionParams``; a calibration a ``SensorCalibration``, whose keys
+are flat. An absent optional key, like an unset flag, takes the dataclass
+default; an absent required key fails as a null; a key that names no field
+fails.
 ``depth-targets`` writes and ``loss`` reads an LXLT table of (u, v, d_gt,
 radius) rows; ``loss`` rounds u and v half to even and writes them as
 integers. A target of radius 0 is one-to-one: ``depth-targets --r-max 0``
@@ -56,7 +56,6 @@ from .geometry import (
     json_object,
     load_json,
     max_pixel_position_error,
-    per_element,
     read_json,
     scale_intrinsics,
 )
@@ -218,7 +217,7 @@ def cmd_vt(args) -> int:
     f_pv = lxlt.read_tensor(_manifest_file(manifest, "feature_map", root))
     f_radar = lxlt.read_tensor(_manifest_file(manifest, "radar_bev", root))
     grid = read_json(VoxelGridSpec, _object_or_file(manifest, "grid", root), "grid")
-    calib = SensorCalibration.from_dict(_object_or_file(manifest, "calibration", root))
+    calib = read_json(SensorCalibration, _object_or_file(manifest, "calibration", root), "calibration")
     stride = json_number(manifest.get("stride"), "manifest stride", whole=True)
     bins = read_json(DepthBinSpec, manifest.get("depth_bins"), "manifest depth_bins")
     params = lxlt.read_params(VTParams, manifest, root)
@@ -283,9 +282,7 @@ def cmd_error_model(args) -> int:
     e_u, e_v, e = max_pixel_position_error(calib.intrinsics, res)
     cells = [(rho, t, p) for rho in (5.0, 10.0, 20.0, 50.0, 100.0) for t in range(-20, 21, 5) for p in (-10, 0, 10)]
     rho, theta_deg, phi_deg = np.array(cells).T
-    emp = empirical_projection_error(
-        rho, per_element(math.radians, theta_deg), per_element(math.radians, phi_deg), res, calib.intrinsics
-    )
+    emp = empirical_projection_error(rho, np.radians(theta_deg), np.radians(phi_deg), res, calib.intrinsics)
     dev = np.abs(emp - e_u) / e_u
     rows = [
         (f"{rho:g}", t, p, f"{em:.9g}", f"{de:.3g}")

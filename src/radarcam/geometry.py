@@ -18,9 +18,10 @@ Pinhole projection (:func:`project_points`): u = fx * x / z + cx, v = fy * y / z
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -38,19 +39,22 @@ def json_number(value, name: str, whole: bool = False) -> float | int:
 
     Numbers and numeric strings convert, and a JSON integer stays exact
     where ``whole`` is set. Any other JSON type (list, object, boolean,
-    null), or a value with a fractional part where ``whole`` is set, raises
-    ``ValueError`` naming ``name``.
+    null), an integer too large for a float, or a value with a fractional
+    part where ``whole`` is set, raises ``ValueError`` naming ``name``.
     """
     try:
         if isinstance(value, bool):
             raise TypeError
-        if whole and isinstance(value, int):
-            return value
         number = float(value)
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:  # an integer past the float range
+        digits = len(str(abs(value)))
+        raise ValueError(f"{name} must be within the float range, got an integer of {digits} digits") from None
+    except (TypeError, ValueError):
         raise ValueError(f"{name} must be a number, got {value!r}") from None
     if not whole:
         return number
+    if isinstance(value, int):
+        return value
     if not number.is_integer():
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     return int(number)
@@ -80,6 +84,14 @@ def load_json(path: str | Path) -> dict:
         return json_object(json.load(fh), f"{path}: the top level")
 
 
+@functools.cache
+def _json_fields(tp) -> tuple[dict, tuple[str, ...]]:
+    """The dataclass ``tp``'s field types by name and its JSON object's keys, found once per type."""
+    hints = get_type_hints(tp)
+    keys = (_json_fields(hints[f.name])[1] if f.metadata.get("flat") else [f.name] for f in fields(tp))
+    return hints, tuple(key for group in keys for key in group)
+
+
 def read_json(tp, value, name: str, leaf=None):
     """The ``tp`` value that the JSON ``value`` holds, read by its declared type:
 
@@ -88,11 +100,13 @@ def read_json(tp, value, name: str, leaf=None):
     - ``X | None``: null, or an ``X``;
     - ``tuple[X, ...]``: a JSON list of ``X``; ``tuple[X, Y, Z]``: a JSON
       list of one ``X``, one ``Y`` and one ``Z``;
-    - :class:`SensorCalibration`: its flat format, see
-      :meth:`SensorCalibration.from_dict`;
+    - :class:`RigidTransform`: a JSON list of its 4x4 matrix's 16 numbers,
+      row-major;
     - any other dataclass: a JSON object whose keys are its field names. An
       absent key takes the field's default; an absent required key is read
-      as a null. A key that names no field is refused.
+      as a null. A key that names no field is refused. A field whose
+      metadata sets ``flat`` has no key: its dataclass's keys are this
+      object's, and it is read from those that this object holds.
 
     ``leaf`` maps further types to their readers, ``reader(value, name)``,
     which are tried first. Errors are ``ValueError`` naming the value by its
@@ -119,18 +133,24 @@ def read_json(tp, value, name: str, leaf=None):
         elif len(items) != len(args):
             raise ValueError(f"{name} must be a JSON list of {len(args)} items, got {value!r}")
         return tuple(read_json(t, x, f"{name}[{i}]", leaf) for i, (t, x) in enumerate(zip(args, items)))
-    if tp is SensorCalibration:
-        return SensorCalibration.from_dict(value)
-    data = json_object(value, name or "the top level", [f.name for f in fields(tp)])
-    prefix = f"{name}." if name else ""
-    hints = get_type_hints(tp)
-    kwargs = {
-        f.name: read_json(hints[f.name], data.get(f.name), prefix + f.name, leaf)
-        for f in fields(tp)
-        if f.name in data or (f.default is MISSING and f.default_factory is MISSING)
-    }
+    if tp is RigidTransform:
+        matrix = read_json(tuple[float, ...], value, name)
+        if len(matrix) != 16:
+            raise ValueError(f"{name} must hold 16 row-major numbers, got {value!r}")
+        make, kwargs = RigidTransform.from_matrix, {"m": np.reshape(matrix, (4, 4))}
+    else:
+        hints, keys = _json_fields(tp)
+        data = json_object(value, name or "the top level", keys)
+        prefix = f"{name}." if name else ""
+        make, kwargs = tp, {}
+        for f in fields(tp):
+            t = hints[f.name]
+            if f.metadata.get("flat"):
+                kwargs[f.name] = read_json(t, {k: data[k] for k in _json_fields(t)[1] if k in data}, name, leaf)
+            elif f.name in data or (f.default is MISSING and f.default_factory is MISSING):
+                kwargs[f.name] = read_json(t, data.get(f.name), prefix + f.name, leaf)
     try:
-        return tp(**kwargs)
+        return make(**kwargs)
     except ValueError as exc:  # a range check of the object as a whole: name it by its path
         raise (type(exc)(f"{name}: {exc}") if name else exc) from None
 
@@ -380,58 +400,33 @@ def empirical_projection_error(
 
 @dataclass(frozen=True)
 class SensorCalibration:
-    """Camera intrinsics, radar-to-camera extrinsics and sensor resolutions."""
+    """Camera intrinsics, radar-to-camera extrinsics and sensor resolutions.
 
-    intrinsics: CameraIntrinsics
+    Its JSON form (:func:`read_json`, :meth:`to_dict`) is one flat object of
+    nine keys: ``fx fy cx cy``, ``image_width image_height``,
+    ``radar_to_camera`` as 16 row-major numbers, and ``delta_theta_deg
+    delta_phi_deg``.
+    """
+
+    intrinsics: CameraIntrinsics = field(metadata={"flat": True})
     radar_to_camera: RigidTransform
     image_width: int
     image_height: int
-    angular_resolution: AngularResolution
+    angular_resolution: AngularResolution = field(metadata={"flat": True})
 
     def __post_init__(self):
         if self.image_width < 1 or self.image_height < 1:
             raise ValueError("image dimensions must be positive")
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SensorCalibration":
-        required = {
-            "fx", "fy", "cx", "cy",
-            "image_width", "image_height",
-            "radar_to_camera", "delta_theta_deg", "delta_phi_deg",
-        }
-        json_object(data, "calibration", required)
-        missing = required - set(data)
-        if missing:
-            raise ValueError(f"calibration is missing keys: {sorted(missing)}")
-        matrix = data["radar_to_camera"]
-        if not isinstance(matrix, (list, tuple)) or len(matrix) != 16:
-            raise ValueError("radar_to_camera must hold 16 row-major numbers")
-        raw = np.array([json_number(x, f"calibration radar_to_camera[{i}]") for i, x in enumerate(matrix)])
-
-        def number(key: str, whole: bool = False):
-            return json_number(data[key], f"calibration {key}", whole)
-
-        return cls(
-            intrinsics=CameraIntrinsics(number("fx"), number("fy"), number("cx"), number("cy")),
-            radar_to_camera=RigidTransform.from_matrix(raw.reshape(4, 4)),
-            image_width=number("image_width", whole=True),
-            image_height=number("image_height", whole=True),
-            angular_resolution=AngularResolution(number("delta_theta_deg"), number("delta_phi_deg")),
-        )
-
     def to_dict(self) -> dict:
         return {
-            "fx": self.intrinsics.fx,
-            "fy": self.intrinsics.fy,
-            "cx": self.intrinsics.cx,
-            "cy": self.intrinsics.cy,
+            **vars(self.intrinsics),
+            "radar_to_camera": [float(x) for x in self.radar_to_camera.matrix().reshape(-1)],
             "image_width": self.image_width,
             "image_height": self.image_height,
-            "radar_to_camera": [float(x) for x in self.radar_to_camera.matrix().reshape(-1)],
-            "delta_theta_deg": self.angular_resolution.delta_theta_deg,
-            "delta_phi_deg": self.angular_resolution.delta_phi_deg,
+            **vars(self.angular_resolution),
         }
 
     @classmethod
     def load(cls, path: str | Path) -> "SensorCalibration":
-        return cls.from_dict(load_json(path))
+        return read_json(cls, load_json(path), "calibration")

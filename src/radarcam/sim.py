@@ -50,10 +50,10 @@ Results are bit-identical to drawing and scoring one seed at a time:
   ``range_sigma > 0``): ``Generator.standard_normal`` consumes a variable
   number of words per sample, so a batched draw would reorder the stream.
   Only these draws are a Python loop.
-- Libm functions (``radians``, ``tan``, ``atan2``, ``asin``, ``sin``,
-  ``cos``, ``log10``) run once per element on Python floats
-  (:func:`~radarcam.geometry.per_element`): NumPy's vectorised versions
-  differ from libm in the last bit on some inputs.
+- Libm functions (``tan``, ``atan2``, ``asin``, ``sin``, ``cos``, ``log10``)
+  run once per element on Python floats (:func:`~radarcam.geometry.per_element`):
+  NumPy's versions differ from libm in the last bit on some inputs, except
+  ``np.radians``, which multiplies by the same rounded pi / 180.
 - A seed's mean depth error is ``np.add.reduce`` over its slice of an arm's
   finite errors divided by their count, which is what ``np.mean`` computes;
   ``np.add.reduceat`` sums a slice sequentially, not pairwise.
@@ -215,7 +215,7 @@ def generate_scene(
     depth = np.where(large, uniform(extents.large_depth_range, u_depth), uniform(extents.small_depth_range, u_depth))
     az, el = extents.azimuth_max_deg, extents.elevation_max_deg
     angles = np.stack([uniform((-az, az), u_az), uniform((-el, el), u_el)])
-    tan = per_element(math.tan, per_element(math.radians, angles))
+    tan = per_element(math.tan, np.radians(angles))
     rcs = per_element(rcs_from_size, size)
     return Scene(np.stack([depth * tan[0], depth * tan[1], depth, size, rcs], axis=-1), stride, calib)
 

@@ -78,7 +78,11 @@ class TestSimulate:
             (lambda data: data.update(num_seeds=6.5), "num_seeds must be a whole number, got 6.5"),
             (lambda data: data["bins"].update(num_bins="many"), "bins.num_bins must be a number"),
             (lambda data: data["arms"][0]["radius"].update(k=[0.1]), "arms[0].radius.k must be a number"),
-            (lambda data: data["calibration"].update(fx=[1150.0]), "calibration fx must be a number"),
+            (lambda data: data["calibration"].update(fx=[1150.0]), "calibration.fx must be a number, got [1150.0]"),
+            (
+                lambda data: data["calibration"].update(radar_to_camera=[1.0, 0.0, 0.0]),
+                "calibration.radar_to_camera must hold 16 row-major numbers, got [1.0, 0.0, 0.0]",
+            ),
             (lambda data: data.update(scene={"large_fraction": "half"}), "scene.large_fraction must be a number"),
             (lambda data: data.update(scene={"large_depth_range": ["a", 40]}), "scene.large_depth_range[0] must be a number"),
             (lambda data: data.update(scene={"large_depth_range": [10]}), "scene.large_depth_range must be a JSON list of 2"),
@@ -100,8 +104,11 @@ class TestSimulate:
         "edit_config,key",
         [
             (lambda data: data["noise"].update(range_sigma=math.nan), "noise: range_sigma"),
-            (lambda data: data["calibration"].update(delta_theta_deg=math.nan), "angular resolution delta_theta_deg"),
-            (lambda data: data["calibration"].update(delta_phi_deg=-math.inf), "angular resolution delta_phi_deg"),
+            (lambda data: data["calibration"].update(delta_theta_deg=math.nan), "calibration: angular resolution delta_theta_deg"),
+            (lambda data: data["calibration"].update(delta_phi_deg=-math.inf), "calibration: angular resolution delta_phi_deg"),
+            # An integer too large for a float, refused where it is read.
+            (lambda data: data.update(stride=10**400), "stride"),
+            (lambda data: data["bins"].update(num_bins=10**400), "bins.num_bins"),
             (lambda data: data["noise"].update(points_base=math.nan), "noise: points_base"),
             (lambda data: data["noise"].update(points_size_scale=math.inf), "noise: points_size_scale"),
             (lambda data: data["scene"].update(small_size_range=[0.2, math.inf]), "scene: small_size_range"),
@@ -391,12 +398,12 @@ def calibration(**overrides) -> dict:
 class TestDepthTargets:
     POINTS = "x,y,z,rcs_dbsm\n10.0,0.5,0.25,3.5\n6.0,-1.0,0.0,\n-4.0,0.0,0.0,12.0\n"
 
-    def argv(self, tmp_path, points=POINTS, calib=None, config=None):
+    def argv(self, tmp_path, points=POINTS, calib=None, config=None, flags=()):
         (tmp_path / "points.csv").write_text(points)
         (tmp_path / "calib.json").write_text(json.dumps(calib or calibration()))
         argv = [
             "depth-targets", "--points", str(tmp_path / "points.csv"),
-            "--calib", str(tmp_path / "calib.json"), "--output", str(tmp_path / "targets.lxlt"),
+            "--calib", str(tmp_path / "calib.json"), "--output", str(tmp_path / "targets.lxlt"), *flags,
         ]
         if config is not None:
             (tmp_path / "config.json").write_text(json.dumps(config))
@@ -421,6 +428,14 @@ class TestDepthTargets:
         assert hashlib.sha256((tmp_path / "targets.lxlt.json").read_bytes()).hexdigest() == (
             "30146e4a2398424e222eca705e0db40f73f9444690a26e304ca4a40d0242a20e"
         )
+
+    @pytest.mark.parametrize("tenths", range(1, 101))
+    def test_sidecar_calibration_equals_its_input(self, tmp_path, tenths, capsys):
+        """0.1 to 10.0 degrees in steps of 0.1: the sidecar writes back the
+        calibration it read, resolution degrees bit for bit."""
+        calib = calibration(delta_theta_deg=tenths / 10, delta_phi_deg=tenths / 20)
+        assert main(self.argv(tmp_path, calib=calib)) == 0
+        assert json.loads((tmp_path / "targets.lxlt.json").read_text())["calibration"] == calib
 
     def test_pixel_that_divides_to_minus_zero_is_written_as_zero(self, tmp_path):
         """u = -5e-324 over stride 8 rounds to -0.0, which passes 0 <= u."""
@@ -537,13 +552,14 @@ class TestDepthTargets:
             ({"config": {"stride": 8.5}}, "stride must be a whole number, got 8.5"),
             ({"config": {"k": {"value": 0.1}}}, "k must be a number, got {'value': 0.1}"),
             ({"config": {"r_max": True}}, "r_max must be a number, got True"),
-            ({"calib": calibration(fx=[1150.0])}, "calibration fx must be a number, got [1150.0]"),
-            ({"calib": calibration(image_width="wide")}, "calibration image_width must be a number"),
-            ({"calib": calibration(image_height=48.5)}, "calibration image_height must be a whole number"),
+            ({"calib": calibration(fx=[1150.0])}, "calibration.fx must be a number, got [1150.0]"),
+            ({"calib": calibration(image_width="wide")}, "calibration.image_width must be a number"),
+            ({"calib": calibration(image_height=48.5)}, "calibration.image_height must be a whole number"),
             (
                 {"calib": calibration(radar_to_camera=[[0.0]] + calibration()["radar_to_camera"][1:])},
-                "calibration radar_to_camera[0] must be a number",
+                "calibration.radar_to_camera[0] must be a number",
             ),
+            ({"flags": ["--stride", "1" + "0" * 400]}, "stride must be within the float range, got an integer of 401 digits"),
         ],
     )
     def test_wrong_json_type_exits_2_without_output(self, tmp_path, case, message, capsys):
@@ -649,7 +665,7 @@ class TestVT:
         assert main(["vt", "--manifest", "../inputs/manifest.json", "--output", "bev.lxlt"]) == 0
 
         loaded = lxlt.read_params(VTParams, manifest, inputs)
-        calib = SensorCalibration.from_dict(calibration())
+        calib = read_json(SensorCalibration, calibration(), "calibration")
         f_pv = lxlt.read_tensor(inputs / "f_pv.lxlt")
         d_map = depth_distribution(
             f_pv, scale_intrinsics(calib.intrinsics, 8), loaded, DepthBinSpec(**VT_BINS), 8
@@ -679,8 +695,9 @@ class TestVT:
             ({"use_extrinsics_embedding": True}, "manifest has no key 'use_extrinsics_embedding'"),
             ({"grid": {**VT_GRID, "y": [-4.0, 1e999, 4]}}, "y axis extent must be finite"),
             ({"calibration": 3}, "manifest calibration must be a file name, got 3"),
-            ({"calibration": calibration(fx=[1150.0])}, "calibration fx must be a number, got [1150.0]"),
+            ({"calibration": calibration(fx=[1150.0])}, "calibration.fx must be a number, got [1150.0]"),
             ({"feature_map": 7}, "manifest feature_map must be a file name, got 7"),
+            ({"grid": {**VT_GRID, "z": [-1.0, 1.0, 10**400]}}, "grid.z[2] must be within the float range, got an integer of 401 digits"),
         ],
     )
     def test_wrong_manifest_value_exits_2_without_output(self, tmp_path, overrides, message, capsys):
@@ -944,8 +961,8 @@ class TestErrorModel:
     @pytest.mark.parametrize(
         "calib,message",
         [
-            (calibration(fx=[1150.0]), "calibration fx must be a number, got [1150.0]"),
-            (calibration(delta_theta_deg=None), "calibration delta_theta_deg must be a number, got None"),
+            (calibration(fx=[1150.0]), "calibration.fx must be a number, got [1150.0]"),
+            (calibration(delta_theta_deg=None), "calibration.delta_theta_deg must be a number, got None"),
             (calibration(delta_theta_deg=0), "error-model needs calibration delta_theta_deg > 0, got 0"),
             (calibration(radar_to_camera=yawed_shifted_mount()), "calibration radar_to_camera must be the identity"),
             ([1], "calib.json: the top level must be a JSON object, got [1]"),

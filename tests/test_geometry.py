@@ -339,16 +339,18 @@ class TestSensorCalibration:
         degrees it read, bit for bit; radians are derived, never stored."""
         data = SensorCalibration(K, RigidTransform.identity(), 10, 10, AngularResolution(0.0, 0.0)).to_dict()
         data.update(delta_theta_deg=tenths / 10, delta_phi_deg=tenths / 10)
-        assert SensorCalibration.from_dict(data).to_dict() == data
+        assert read_json(SensorCalibration, data, "calibration").to_dict() == data
 
     def test_missing_keys_rejected(self):
-        with pytest.raises(ValueError, match="missing"):
-            SensorCalibration.from_dict({"fx": 1.0})
+        with pytest.raises(ValueError, match=r"^calibration\.fy must be a number, got None$"):
+            read_json(SensorCalibration, {"fx": 1.0}, "calibration")
 
-    def test_a_key_outside_the_nine_is_rejected(self):
+    def test_a_key_outside_the_nine_is_rejected(self, tmp_path):
         data = {**SensorCalibration(K, RigidTransform.identity(), 10, 10, AngularResolution(0.0, 0.0)).to_dict(), "skew": 0}
+        path = tmp_path / "calib.json"
+        path.write_text(json.dumps(data))
         with pytest.raises(ValueError, match="^calibration has no key 'skew'$"):
-            SensorCalibration.from_dict(data)
+            SensorCalibration.load(path)
 
     @pytest.mark.parametrize(
         "key,index,value,message",
@@ -373,7 +375,7 @@ class TestSensorCalibration:
         else:
             data[key][index] = value
         with pytest.raises(ValueError, match=message):
-            SensorCalibration.from_dict(data)
+            read_json(SensorCalibration, data, "calibration")
 
     @pytest.mark.parametrize("key", ["delta_theta_deg", "delta_phi_deg"])
     def test_a_negative_resolution_is_named_in_degrees(self, key):
@@ -381,17 +383,17 @@ class TestSensorCalibration:
             K, RigidTransform.identity(), 10, 10, AngularResolution.from_degrees(1, 1)
         ).to_dict()
         data[key] = -1
-        message = f"^angular resolution {key} must be finite and non-negative, got -1.0$"
+        message = f"^calibration: angular resolution {key} must be finite and non-negative, got -1.0$"
         with pytest.raises(ValueError, match=message):
-            SensorCalibration.from_dict(data)
+            read_json(SensorCalibration, data, "calibration")
 
     def test_bad_extrinsics_length_rejected(self):
         data = SensorCalibration(
             K, RigidTransform.identity(), 10, 10, AngularResolution.from_degrees(1, 1)
         ).to_dict()
         data["radar_to_camera"] = [1, 0, 0]
-        with pytest.raises(ValueError, match="16"):
-            SensorCalibration.from_dict(data)
+        with pytest.raises(ValueError, match=r"^calibration\.radar_to_camera must hold 16 row-major numbers, got \[1, 0, 0\]$"):
+            read_json(SensorCalibration, data, "calibration")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -408,6 +410,12 @@ class Outer:
     items: tuple[Inner, ...] = ()
     triple: tuple[float, float, int] = (0.0, 1.0, 2)
     maybe: float | None = 1.0
+
+
+@dataclasses.dataclass(frozen=True)
+class Flat:
+    inner: Inner = dataclasses.field(metadata={"flat": True})
+    name: str = "a"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -482,7 +490,29 @@ class TestReadJson:
         with pytest.raises(ShapeError, match=r"^width must be positive, got 0$"):
             read_json(Checked, {"width": 0}, "")
 
+    def test_an_integer_too_large_for_a_float_fails_naming_its_key(self):
+        for tp in (int, float):
+            self.fails(tp, 10**400, "n must be within the float range, got an integer of 401 digits", "n")
+        self.fails(Inner, {"k": -(10**309)}, "inner.k must be within the float range, got an integer of 310 digits", "inner")
+        assert read_json(int, 10**308, "n") == 10**308
+
+    def test_a_flat_fields_keys_are_its_parents(self):
+        assert read_json(Flat, {"k": 2, "n": 5, "name": "b"}, "") == Flat(Inner(2.0, 5), "b")
+        assert read_json(Flat, {"k": 2}, "") == Flat(Inner(2.0))
+        self.fails(Flat, {"name": "b"}, "cfg.k must be a number, got None", "cfg")
+        self.fails(Flat, {"k": 2, "inner": {"k": 2}}, "cfg has no key 'inner'", "cfg")
+        self.fails(Flat, {"k": 2, "m": 1}, "the top level has no key 'm'")
+
     def test_a_calibration_reads_its_flat_format(self):
-        data = SensorCalibration(K, RigidTransform.identity(), 10, 10, AngularResolution(0.0, 0.0)).to_dict()
-        assert read_json(SensorCalibration, data, "calibration").to_dict() == SensorCalibration.from_dict(data).to_dict()
+        calib = SensorCalibration(
+            K, RigidTransform.from_matrix(np.array([[0, -1, 0, 0.5], [0, 0, -1, 0], [1, 0, 0, -2], [0, 0, 0, 1]])),
+            640, 480, AngularResolution(1.5, 0.25),
+        )
+        data = calib.to_dict()
+        assert sorted(data) == sorted(
+            ["fx", "fy", "cx", "cy", "image_width", "image_height", "radar_to_camera", "delta_theta_deg", "delta_phi_deg"]
+        )
+        assert read_json(SensorCalibration, data, "calibration").to_dict() == data
         self.fails(SensorCalibration, [1], "calibration must be a JSON object, got [1]", "calibration")
+        with pytest.raises(ValueError, match=r"^calibration\.radar_to_camera: rotation is not orthonormal within 1e-6$"):
+            read_json(SensorCalibration, {**data, "radar_to_camera": [2.0] + data["radar_to_camera"][1:]}, "calibration")

@@ -84,10 +84,9 @@ def from_dict_owners(text: str) -> list[str]:
     ]
 
 
-def test_only_the_calibration_defines_from_dict():
-    """Every other JSON input is read from its dataclass fields by
-    ``geometry.read_json``; a calibration's flat keys need their own reader."""
-    assert [name for path in MODULES for name in from_dict_owners(path.read_text())] == ["SensorCalibration"]
+def test_no_module_defines_from_dict():
+    """Every JSON input is read from its dataclass fields by ``geometry.read_json``."""
+    assert [name for path in MODULES for name in from_dict_owners(path.read_text())] == []
 
 
 def test_a_from_dict_is_found():

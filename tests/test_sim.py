@@ -738,7 +738,7 @@ class TestConfigValidation:
             (lambda d: d.pop("calibration"), "^calibration must be a JSON object, got None"),
             (lambda d: d.pop("stride"), "^stride must be a number, got None"),
             (lambda d: d["bins"].pop("d_min"), r"^bins\.d_min must be a number, got None"),
-            (lambda d: d["calibration"].pop("delta_phi_deg"), r"^calibration is missing keys: \['delta_phi_deg'\]"),
+            (lambda d: d["calibration"].pop("delta_phi_deg"), r"^calibration\.delta_phi_deg must be a number, got None$"),
             (lambda d: d["arms"][0].pop("name"), r"^arms\[0\]\.name must be a string, got None"),
             (lambda d: d["arms"][0].update(agg=None), r"^arms\[0\]\.agg must be a string, got None"),
             (lambda d: d["arms"][0].update(radius=[1]), r"^arms\[0\]\.radius must be a JSON object, got \[1\]"),
