@@ -141,8 +141,6 @@ def cmd_depth_targets(args) -> int:
     points = read_radar_points_csv(args.points)
     calib = SensorCalibration.load(args.calib)
     stride = json_number(config.pop("stride", DEFAULT_STRIDE), "stride", whole=True)
-    if "fixed_r" not in config and np.isnan(points[:, 3]).any():
-        config["fixed_r"] = RadiusConfig.FALLBACK_FIXED_R
     cfg = read_json(RadiusConfig, config, "")
     table, kept = _target_table(points, calib, stride, [(cfg, True)])
     num_dropped = len(kept) - len(table)
@@ -151,9 +149,7 @@ def cmd_depth_targets(args) -> int:
         sidecar,
         {
             "stride": stride,
-            "k": cfg.k,
-            "r_max": cfg.r_max,
-            "fixed_r": cfg.fixed_r,
+            **vars(cfg),
             "num_input_points": len(kept),
             "num_dropped": num_dropped,
             "num_targets": len(table),
@@ -315,7 +311,7 @@ def build_parser() -> _Parser:
     p.add_argument("--stride", type=int, help=f"feature-map stride (default {DEFAULT_STRIDE})")
     p.add_argument("--k", type=float, help=f"radius scale (default {RadiusConfig.k})")
     p.add_argument("--r-max", type=float, help=f"radius ceiling in px, 0 for one-to-one (default {RadiusConfig.r_max})")
-    p.add_argument("--fixed-r", type=float, help=f"radius without RCS (default {RadiusConfig.FALLBACK_FIXED_R})")
+    p.add_argument("--fixed-r", type=float, help=f"radius without RCS (default {RadiusConfig.fixed_r})")
     p.add_argument("--output", required=True, help="output LXLT file, rows (u,v,d_gt,radius)")
     p.add_argument("--sidecar", help="config sidecar JSON (default OUTPUT.json)")
     p.set_defaults(func=cmd_depth_targets)

@@ -19,7 +19,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import ClassVar, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,20 +80,19 @@ class DepthBinSpec:
 
 @dataclass(frozen=True)
 class RadiusConfig:
-    """Neighborhood radius settings. ``fixed_r`` is used when RCS is absent."""
+    """Neighborhood radius settings. A point without RCS takes the radius
+    ``fixed_r``, 2.0 px unless set; ``r_max`` clamps both."""
 
     k: float = 0.1
     r_max: float = 2.0
-    fixed_r: float | None = None
-    # fixed_r of a CLI target build with points lacking RCS and no fixed_r set
-    FALLBACK_FIXED_R: ClassVar[float] = 2.0
+    fixed_r: float = 2.0
 
     def __post_init__(self):
         if not self.k > 0:
             raise ValueError(f"k must be positive, got {self.k}")
         if not self.r_max >= 0:
             raise ValueError(f"r_max must be non-negative, got {self.r_max}")
-        if self.fixed_r is not None and not self.fixed_r >= 0:
+        if not self.fixed_r >= 0:
             raise ValueError(f"fixed_r must be non-negative, got {self.fixed_r}")
 
 
@@ -130,7 +129,7 @@ def neighborhood_radius(
     """Supervision radius in feature-map pixels for a point at ``depth`` meters.
 
     With an RCS value the radius follows the size-proportional formula above;
-    without one it falls back to ``cfg.fixed_r``. Both paths clamp at
+    without one it is ``cfg.fixed_r`` (2.0 px by default). Both paths clamp at
     ``cfg.r_max`` so a zero ceiling degenerates cleanly to single-pixel
     supervision. Arrays give arrays; ``np.float_power`` rounds like ``**``, ``np.power`` may not.
     A factor that overflows clamps at ``cfg.r_max``; a radius that is still
@@ -147,8 +146,6 @@ def neighborhood_radius(
         f = math.sqrt(intrinsics.fx * intrinsics.fy)
         with np.errstate(over="ignore", invalid="ignore"):
             r = np.minimum(cfg.r_max, cfg.k * f / (stride * depth) * np.float_power(10.0, rcs / 20.0))
-    elif cfg.fixed_r is None:
-        raise ValueError("point has no RCS and no fixed_r is configured")
     else:
         r = np.full(depth.shape, min(cfg.r_max, cfg.fixed_r), dtype=np.float64)
     bad = ~np.isfinite(r)

@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
@@ -316,7 +317,7 @@ class SupervisionMetrics(NamedTuple):
 class ExperimentArm:
     """One supervision configuration evaluated across all seeds. An arm
     whose radius is 0 is one-to-one. An arm without RCS takes its radius
-    from ``radius.fixed_r``, so it must set one."""
+    from ``radius.fixed_r``, 2.0 px unless set."""
 
     name: str
     radius: RadiusConfig = RadiusConfig()
@@ -326,8 +327,6 @@ class ExperimentArm:
     def __post_init__(self):
         if self.agg not in AGGREGATIONS:
             raise ValueError(f"arm {self.name!r}: unknown aggregation {self.agg!r}")
-        if not self.use_rcs and self.radius.fixed_r is None:
-            raise ValueError(f"arm {self.name!r}: an arm without RCS needs a radius.fixed_r")
 
 
 def evaluate_supervision(
@@ -343,8 +342,8 @@ def evaluate_supervision(
     ``points`` holds the (N, 4) radar returns (x, y, z, rcs_dbsm) of every
     seed of ``scene``, seed by seed, and ``counts`` the number of returns of
     each seed, whole and non-negative. An arm that uses RCS scales its radius
-    by it, falling back to ``radius.fixed_r`` where it is NaN (absent); an
-    arm without RCS takes ``radius.fixed_r`` for every return.
+    by it; an arm without RCS takes ``radius.fixed_r`` (2.0 px unless set),
+    as does a return whose RCS is NaN (absent).
 
     Every arm shares the returns, so it shares each target's pixel, depth
     and kept mask: one target table holds them with one radius column per
@@ -426,6 +425,10 @@ class ExperimentConfig:
         ):
             if getattr(self, key) < least:
                 raise ValueError(f"{key} must be at least {least}, got {getattr(self, key)}")
+        for key in ("num_seeds", "bootstrap_samples", "n_objects"):
+            # A count is a range() length or an array dimension, both C ssize_t.
+            if getattr(self, key) > sys.maxsize:
+                raise ValueError(f"{key} must be at most {sys.maxsize}, got {getattr(self, key)}")
         if not self.arms:
             raise ValueError("arms must hold at least one arm")
         names = [arm.name for arm in self.arms]

@@ -278,8 +278,6 @@ def build_depth_targets_reference(points, calib, stride, cfg) -> tuple[list[Dept
         if p.rcs_dbsm is not None:
             scale = 10.0 ** (p.rcs_dbsm / 20.0)
             radius = min(cfg.r_max, cfg.k * math.sqrt(k.fx * k.fy) / (stride * z) * scale)
-        elif cfg.fixed_r is None:
-            raise ValueError("point has no RCS and no fixed_r is configured")
         else:
             radius = min(cfg.r_max, cfg.fixed_r)
         targets.append(DepthTarget(us, vs, z, radius))

@@ -119,6 +119,11 @@ class TestSimulate:
             (lambda data: data.update(bootstrap_seed=-1), "bootstrap_seed"),
             # One seed's bootstrap returns the gap itself as its CI95 lower bound.
             (lambda data: data.update(num_seeds=1), "num_seeds"),
+            # A count past a C ssize_t, refused before range() or NumPy sees it.
+            pytest.param(lambda data: data.update(num_seeds=10**30), "num_seeds", id="num_seeds=10**30"),
+            pytest.param(lambda data: data.update(num_seeds=2**63), "num_seeds", id="num_seeds=2**63"),
+            (lambda data: data.update(n_objects=10**30), "n_objects"),
+            (lambda data: data.update(bootstrap_samples=10**30), "bootstrap_samples"),
         ],
     )
     def test_non_finite_or_out_of_range_value_exits_2_naming_the_key(self, tmp_path, edit_config, key, capsys):
@@ -180,16 +185,26 @@ class TestSimulate:
                 lambda data: data["arms"][1].update(agg="mean"),
                 "arms[1]: arm 'fixed-one-to-many': unknown aggregation 'mean'",
             ),
-            (
-                lambda data: data["arms"][0]["radius"].pop("fixed_r"),
-                "arms[0]: arm 'one-to-one': an arm without RCS needs a radius.fixed_r",
-            ),
+            (lambda data: data["arms"][0]["radius"].update(fixed_r=None), "arms[0].radius.fixed_r must be a number, got None"),
             (lambda data: data.update(stride=0), "stride must be at least 1, got 0"),  # the top level: no path
             (lambda data: data.update(arms=[]), "arms must hold at least one arm"),  # before its orderings are checked
         ],
     )
     def test_range_error_names_the_path_of_its_object(self, tmp_path, edit_config, message, capsys):
         self.assert_exits_2_with(tmp_path, edit_config, message, capsys)
+
+    def test_an_arm_without_fixed_r_runs_at_the_default_radius(self, tmp_path):
+        data = json.loads(reduced_config(tmp_path).read_text())
+        assert data["arms"][1]["radius"] == {"fixed_r": 1.0}  # a fixed radius arm without RCS
+        outputs = []
+        for run, radius in (("absent", {}), ("given", {"fixed_r": 2.0})):
+            data["arms"][1]["radius"] = radius
+            config, csv_path, summary = (tmp_path / f"{run}{suffix}" for suffix in (".config.json", ".csv", ".json"))
+            config.write_text(json.dumps(data))
+            argv = ["simulate", "--config", str(config), "--output-csv", str(csv_path), "--summary", str(summary)]
+            assert main(argv) == 0
+            outputs.append((csv_path.read_bytes(), summary.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     @staticmethod
     def assert_exits_2_with(tmp_path, edit_config, message, capsys):
@@ -477,12 +492,13 @@ class TestDepthTargets:
         points = "x,y,z,rcs_dbsm\n10.0,0.5,0.25,3.5\n"
         assert main(self.argv(tmp_path, points=points)) == 0
         sidecar = json.loads((tmp_path / "targets.lxlt.json").read_text())
-        assert (sidecar["stride"], sidecar["k"], sidecar["r_max"], sidecar["fixed_r"]) == (8, 0.1, 2.0, None)
+        assert (sidecar["stride"], sidecar["k"], sidecar["r_max"], sidecar["fixed_r"]) == (8, 0.1, 2.0, 2.0)
 
-    def test_null_fixed_r_leaves_points_without_rcs_unsupervised(self, tmp_path, capsys):
-        assert main(self.argv(tmp_path, config={"fixed_r": None})) == 2
-        assert "no fixed_r is configured" in capsys.readouterr().err
-        assert not (tmp_path / "targets.lxlt").exists()
+    @pytest.mark.parametrize("points", [POINTS, "x,y,z,rcs_dbsm\n10.0,0.5,0.25,3.5\n"], ids=["some-without-rcs", "all-rcs"])
+    def test_null_fixed_r_exits_2_without_output(self, tmp_path, points, capsys):
+        assert main(self.argv(tmp_path, points=points, config={"fixed_r": None})) == 2
+        assert capsys.readouterr().err == "error: fixed_r must be a number, got None\n"
+        assert not (tmp_path / "targets.lxlt").exists() and not (tmp_path / "targets.lxlt.json").exists()
 
     @pytest.mark.parametrize(
         "sidecar,message",

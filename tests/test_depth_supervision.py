@@ -81,8 +81,9 @@ class TestNeighborhoodRadius:
     def test_errors(self):
         with pytest.raises(ValueError, match="depth"):
             neighborhood_radius(0.0, K, 8, RadiusConfig(fixed_r=1.0))
-        with pytest.raises(ValueError, match="fixed_r"):
-            neighborhood_radius(10.0, K, 8, RadiusConfig(), rcs_dbsm=None)
+        # Without RCS the default config gives its fixed_r, 2.0, clamped by r_max; it does not raise.
+        assert neighborhood_radius(10.0, K, 8, RadiusConfig(), rcs_dbsm=None) == 2.0
+        assert neighborhood_radius(10.0, K, 8, RadiusConfig(r_max=0.5), rcs_dbsm=None) == 0.5
 
     @given(st.floats(-20, 30), st.floats(1, 100))
     @settings(max_examples=60, deadline=None)
@@ -139,8 +140,8 @@ class TestNeighborhoodRadius:
             neighborhood_radius(np.array([3.0, 0.0]), K, 8, RadiusConfig(fixed_r=1.0))
         with pytest.raises(ValueError, match="RCS"):
             neighborhood_radius(np.array([3.0, 4.0]), K, 8, RadiusConfig(), np.array([1.0, np.inf]))
-        with pytest.raises(ValueError, match="fixed_r"):
-            neighborhood_radius(np.array([3.0]), K, 8, RadiusConfig())
+        assert neighborhood_radius(np.array([3.0, 4.0]), K, 8, RadiusConfig()).tolist() == [2.0, 2.0]
+        assert neighborhood_radius(np.array([3.0]), K, 8, RadiusConfig(r_max=0.5)).tolist() == [0.5]
 
 
 @st.composite
@@ -181,7 +182,7 @@ def target_build_instances(draw):
     cfg = RadiusConfig(
         k=draw(st.floats(0.01, 1.0)),
         r_max=draw(st.floats(0.0, 50.0)),
-        fixed_r=draw(st.none() | st.floats(0.0, 10.0)),
+        fixed_r=draw(st.floats(0.0, 10.0)),
     )
     return points, calib, draw(st.integers(1, 16)), cfg
 
@@ -191,12 +192,7 @@ class TestBuildMatchesReference:
     @settings(max_examples=150, deadline=None)
     def test_targets_match_the_per_point_loop_bitwise(self, instance):
         points, calib, stride, cfg = instance
-        try:
-            want, num_input, num_dropped = build_depth_targets_reference(points, calib, stride, cfg)
-        except ValueError as exc:
-            with pytest.raises(ValueError, match=str(exc)):
-                build_depth_targets(points, calib, stride, cfg)
-            return
+        want, num_input, num_dropped = build_depth_targets_reference(points, calib, stride, cfg)
         got = build_depth_targets(points, calib, stride, cfg)
         assert (got.num_input, got.num_dropped) == (num_input, num_dropped)
 
@@ -206,14 +202,11 @@ class TestBuildMatchesReference:
         assert bits(got.targets) == bits(want)
         assert all(type(t.u) is int and type(t.v) is int for t in got.targets)
 
-    def test_missing_fixed_r_matters_only_for_kept_points(self):
-        calib = make_calib()
-        behind, off_map = RadarPoint(0.0, 0.0, -5.0), RadarPoint(100.0, 0.0, 1.0)
-        on_map = RadarPoint(0.0, 0.0, 10.0, rcs_dbsm=3.0)
-        result = build_depth_targets([behind, off_map, on_map], calib, 8, RadiusConfig())
-        assert len(result.targets) == 1 and result.num_dropped == 2
-        with pytest.raises(ValueError, match="no fixed_r"):
-            build_depth_targets([on_map, RadarPoint(0.0, 0.0, 10.0)], calib, 8, RadiusConfig())
+    def test_a_point_without_rcs_takes_the_default_fixed_r(self):
+        points = [RadarPoint(0.0, 0.0, 10.0, rcs_dbsm=3.0), RadarPoint(0.0, 0.0, 10.0)]
+        for r_max, radius in ((5.0, 2.0), (1.0, 1.0)):  # fixed_r 2.0, clamped by r_max
+            result = build_depth_targets(points, make_calib(), 8, RadiusConfig(r_max=r_max))
+            assert result.targets[1].radius == radius
 
     def test_point_at_the_camera_plane_is_dropped(self):
         pts = [RadarPoint(1.0, 0.0, 1e-310), RadarPoint(0.0, 0.0, 0.0)]
@@ -370,8 +363,9 @@ class TestRadiusConfigFromJson:
         with pytest.raises(ValueError, match="^radius has no key 'other'$"):
             read_json(RadiusConfig, {"r_max": "4", "other": "ignored"}, "radius")
 
-    def test_null_fixed_r_means_none(self):
-        assert read_json(RadiusConfig, {"k": 0.3, "fixed_r": None}, "") == RadiusConfig(k=0.3)
+    def test_null_fixed_r_is_refused_naming_it(self):
+        with pytest.raises(ValueError, match=r"^radius\.fixed_r must be a number, got None$"):
+            read_json(RadiusConfig, {"k": 0.3, "fixed_r": None}, "radius")
         assert read_json(RadiusConfig, {"fixed_r": 1}, "").fixed_r == 1.0
 
     @pytest.mark.parametrize(

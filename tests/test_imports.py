@@ -1,10 +1,11 @@
 """Every import in the library modules is used, only the CLI reads LXLT
-files, only the calibration has its own JSON reader, and the package
-exposes ``lxlt`` on import.
+files, no module has its own JSON reader, and the package exposes ``lxlt``
+on import.
 
 ``__init__.py`` is left out: its imports are the package's public names.
 An import marked ``# noqa: F401`` is kept on purpose, for a name that
-``bench/tracing.py`` wraps in the importing module.
+``bench/tracing.py`` wraps in the importing module; once the bench stops
+wrapping it, the import is flagged.
 """
 
 import ast
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "radarcam"
+TRACING = SOURCE.parent.parent / "bench" / "tracing.py"
 MODULES = sorted(path for path in SOURCE.glob("*.py") if path.name != "__init__.py")
 
 
@@ -48,6 +50,45 @@ def test_no_unused_import(path):
 def test_an_unused_import_is_found():
     text = "from __future__ import annotations\nimport os, sys\nfrom math import pi  # noqa: F401\nprint(sys)\n"
     assert unused_imports(text) == ["line 2: os"]
+
+
+def traced_names(text: str) -> set[tuple[str, str]]:
+    """The (module, attribute) pairs that the ``SPANS`` and ``COUNTERS``
+    tuples of ``text``, the source of ``bench/tracing.py``, wrap."""
+    pairs = set()
+    for node in ast.parse(text).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) in ("SPANS", "COUNTERS") for t in node.targets):
+            pairs |= {(module, attribute) for module, attribute, _ in ast.literal_eval(node.value)}
+    return pairs
+
+
+def untraced_kept_imports(module: str, text: str, traced: set[tuple[str, str]]) -> list[str]:
+    """The names that ``text``, the source of ``module``, imports on a line
+    marked ``# noqa: F401`` and that no pair of ``traced`` wraps there."""
+    lines = text.splitlines()
+    return [
+        f"line {alias.lineno}: {alias.asname or alias.name}"
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if "# noqa: F401" in lines[alias.lineno - 1] and (module, alias.asname or alias.name) not in traced
+    ]
+
+
+def test_every_kept_import_is_wrapped_by_the_bench_tracer():
+    traced = traced_names(TRACING.read_text())
+    assert traced  # the tracer's tables were found
+    stray = {path.name: untraced_kept_imports(f"radarcam.{path.stem}", path.read_text(), traced) for path in MODULES}
+    assert {name: found for name, found in stray.items() if found} == {}
+
+
+def test_a_kept_import_the_tracer_does_not_wrap_is_found():
+    tracing = 'SPANS = (("radarcam.sim", "run", "sim.run"),)\nCOUNTERS = (("radarcam.m", "f", "m.f.calls"),)\nOTHER = 1\n'
+    traced = traced_names(tracing)
+    assert traced == {("radarcam.sim", "run"), ("radarcam.m", "f")}
+    text = "from .a import (\n    f,  # noqa: F401\n    g,  # noqa: F401\n)\nfrom .b import h\n"
+    assert untraced_kept_imports("radarcam.m", text, traced) == ["line 3: g"]
+    assert untraced_kept_imports("radarcam.n", text, traced) == ["line 2: f", "line 3: g"]
 
 
 def imports_lxlt(text: str) -> bool:

@@ -691,8 +691,8 @@ class TestConfigValidation:
             ),
             (lambda d: d["arms"][0].update(use_rcs="false"), r"^arms\[0\]\.use_rcs must be true or false, got 'false'"),
             (
-                lambda d: d["arms"][1]["radius"].pop("fixed_r"),
-                r"^arms\[1\]: arm 'fixed-one-to-many': an arm without RCS needs a radius\.fixed_r$",
+                lambda d: d["arms"][1]["radius"].update(fixed_r=None),
+                r"^arms\[1\]\.radius\.fixed_r must be a number, got None$",
             ),
             (lambda d: d.update(num_seeds=0), "num_seeds must be at least 1, got 0"),
             (lambda d: d.update(bootstrap_samples=0), "bootstrap_samples must be at least 1, got 0"),
@@ -711,14 +711,14 @@ class TestConfigValidation:
         data = packaged_config_data()
         minimal = {key: data[key] for key in ("calibration", "stride", "bins", "arms")}
         minimal["noise"] = {"range_sigma": 0.5}
-        minimal["arms"] = [{"name": "a", "use_rcs": True}]  # without RCS an arm needs radius.fixed_r
+        minimal["arms"] = [{"name": "a"}]
         cfg = read_json(ExperimentConfig, minimal, "")
         want = ExperimentConfig(
             calibration=cfg.calibration,
             stride=data["stride"],
             bins=DepthBinSpec(**data["bins"]),
             noise=RadarNoiseModel(0.5),
-            arms=(ExperimentArm("a", use_rcs=True),),
+            arms=(ExperimentArm("a"),),
         )
         assert cfg == want and cfg.scene == SceneExtents() and cfg.arms[0].radius == RadiusConfig()
 
