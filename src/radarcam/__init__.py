@@ -43,7 +43,6 @@ from .tensor_ops import (
 )
 from .view_transform import (
     DepthDistributionMap,
-    OccupancyGrid,
     VTParams,
     VoxelGridSpec,
     depth_distribution,

@@ -229,9 +229,7 @@ def cmd_fuse(args) -> int:
     _check_outputs(args.output)
     f_radar = lxlt.read_tensor(args.radar)
     f_image = lxlt.read_tensor(args.image)
-    manifest = load_json(args.params)
-    if "params" in manifest:  # a manifest without it is checked whole by read_params
-        json_object(manifest, "manifest", ("params",))
+    manifest = json_object(load_json(args.params), "manifest", ("params",))
     root = Path(args.params).parent
     if args.mode == "concat":
         fused = concat_fusion(f_radar, f_image, lxlt.read_params(ConcatFusionParams, manifest, root))

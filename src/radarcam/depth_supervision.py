@@ -62,6 +62,8 @@ class DepthBinSpec:
                 raise ValueError(f"depth bins {name} must be finite, got {getattr(self, name)}")
         if not self.d_min < self.d_max:
             raise ValueError(f"need d_min < d_max, got [{self.d_min}, {self.d_max})")
+        if not math.isfinite(self.d_max - self.d_min):
+            raise ValueError(f"depth bins width d_max - d_min must be finite, got [{self.d_min}, {self.d_max})")
         if not float(self.num_bins).is_integer():
             raise ValueError(f"depth bins num_bins must be a whole number, got {self.num_bins}")
         if self.num_bins < 1:
@@ -124,14 +126,15 @@ def neighborhood_radius(
     intrinsics: CameraIntrinsics,
     stride: int,
     cfg: RadiusConfig,
-    rcs_dbsm: float | np.ndarray | None = None,
+    rcs_dbsm: float | np.ndarray = math.nan,
 ) -> float | np.ndarray:
     """Supervision radius in feature-map pixels for a point at ``depth`` meters.
 
     With an RCS value the radius follows the size-proportional formula above;
-    without one it is ``cfg.fixed_r`` (2.0 px by default). Both paths clamp at
-    ``cfg.r_max`` so a zero ceiling degenerates cleanly to single-pixel
-    supervision. Arrays give arrays; ``np.float_power`` rounds like ``**``, ``np.power`` may not.
+    a NaN RCS marks a missing one and takes ``cfg.fixed_r`` (2.0 px by
+    default). Both clamp at ``cfg.r_max`` so a zero ceiling degenerates
+    cleanly to single-pixel supervision; an infinite RCS raises
+    ``ValueError``. Arrays give arrays; ``np.float_power`` rounds like ``**``, ``np.power`` may not.
     A factor that overflows clamps at ``cfg.r_max``; a radius that is still
     not finite (an infinite ``r_max``, or ``0 * inf``) raises ``ValueError``
     naming its point.
@@ -139,19 +142,17 @@ def neighborhood_radius(
     depth = np.asarray(depth, dtype=np.float64)
     if not np.all(depth > 0):
         raise ValueError(f"depth must be positive, got {depth}")
-    if rcs_dbsm is not None:
-        rcs = np.asarray(rcs_dbsm, dtype=np.float64)
-        if not np.all(np.isfinite(rcs)):
-            raise ValueError(f"RCS must be finite, got {rcs_dbsm}")
-        f = math.sqrt(intrinsics.fx * intrinsics.fy)
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = np.minimum(cfg.r_max, cfg.k * f / (stride * depth) * np.float_power(10.0, rcs / 20.0))
-    else:
-        r = np.full(depth.shape, min(cfg.r_max, cfg.fixed_r), dtype=np.float64)
+    rcs = np.asarray(rcs_dbsm, dtype=np.float64)
+    if np.any(np.isinf(rcs)):
+        raise ValueError(f"RCS must be finite or NaN for a missing one, got {rcs_dbsm}")
+    f = math.sqrt(intrinsics.fx * intrinsics.fy)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = cfg.k * f / (stride * depth) * np.float_power(10.0, rcs / 20.0)
+        r = np.minimum(cfg.r_max, np.where(np.isnan(rcs), cfg.fixed_r, scaled))
     bad = ~np.isfinite(r)
     if bad.any():
         i = int(np.argmax(bad.ravel()))
-        d, c = (np.broadcast_to(a, r.shape).ravel()[i] for a in (depth, np.nan if rcs_dbsm is None else rcs))
+        d, c = (np.broadcast_to(a, r.shape).ravel()[i] for a in (depth, rcs))
         raise ValueError(
             f"radius {r.ravel()[i]} of the point at depth {d} m, RCS {c} dBsm, is not finite "
             f"(k = {cfg.k}, r_max = {cfg.r_max})"
@@ -204,12 +205,7 @@ def _target_table(
     depth, rcs = depth[keep], points[keep, 3]
     columns = [us[keep], vs[keep], depth]
     for cfg, use_rcs in settings:
-        with_rcs = ~np.isnan(rcs) & use_rcs
-        radius = np.empty(len(depth))
-        radius[with_rcs] = neighborhood_radius(depth[with_rcs], calib.intrinsics, stride, cfg, rcs[with_rcs])
-        if not with_rcs.all():
-            radius[~with_rcs] = neighborhood_radius(depth[~with_rcs], calib.intrinsics, stride, cfg)
-        columns.append(radius)
+        columns.append(neighborhood_radius(depth, calib.intrinsics, stride, cfg, rcs if use_rcs else math.nan))
     return np.stack(columns, axis=1), keep
 
 
@@ -219,7 +215,8 @@ def nearest_bin(d, spec: DepthBinSpec):
     d = np.asarray(d, dtype=np.float64)
     if not np.all(np.isfinite(d)):
         raise ValueError(f"depth must be finite, got {d}")
-    idx = np.clip(np.floor((d - spec.d_min) / spec.bin_width), 0, spec.num_bins - 1).astype(np.intp)
+    with np.errstate(over="ignore"):  # a coordinate that overflows clamps like any other
+        idx = np.clip(np.floor((d - spec.d_min) / spec.bin_width), 0, spec.num_bins - 1).astype(np.intp)
     return int(idx) if idx.ndim == 0 else idx
 
 
@@ -239,10 +236,10 @@ def _expectations(volume: np.ndarray, spec: DepthBinSpec) -> np.ndarray:
 def _depth_loss(p_gt, expectation, d_gt, cfg: LossConfig):
     """Per-pixel loss: cross entropy against the ground-truth bin's
     probability, floored at ``LOG_PROB_FLOOR``, plus the L1 distance of the
-    expected depth from ``d_gt``."""
-    return cfg.lambda1 * -np.log(np.maximum(p_gt, LOG_PROB_FLOOR)) + cfg.lambda2 * np.abs(
-        expectation - d_gt
-    )
+    expected depth from ``d_gt``. A loss that overflows is +inf (or NaN for
+    ``0 * inf``), with no warning; the loss and its gradient refuse it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return cfg.lambda1 * -np.log(np.maximum(p_gt, LOG_PROB_FLOOR)) + cfg.lambda2 * np.abs(expectation - d_gt)
 
 
 def validate_depth_volume(volume: np.ndarray, num_bins: int) -> np.ndarray:
@@ -309,6 +306,14 @@ def _check_target_table(table: np.ndarray, shape: tuple[int, int]) -> None:
             f"target {i} (u, v, d_gt, radius) = {tuple(table[i].tolist())} needs a whole-number "
             "pixel (u, v): a fractional one would be supervised at the pixel it truncates to"
         )
+
+
+def _check_finite_per_target(table: np.ndarray, finite: np.ndarray, what: str) -> None:
+    """Name the first target of ``table`` whose ``what`` is not ``finite``:
+    its depth or a loss weight is so large that float64 overflows."""
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"target {i} (u, v, d_gt, radius) = {tuple(table[i].tolist())} has a {what} that is not finite")
 
 
 def neighborhood_pixels(
@@ -404,6 +409,7 @@ def _loss_selection(depth_map, targets, spec: DepthBinSpec, cfg: LossConfig):
 
     Returns the validated map, the (N, 4) target table, the (H, W) map of
     expected depths and the selection, which the loss and its gradient share.
+    A selected cost that is not finite raises ``ValueError`` naming its target.
     """
     depth_map = validate_depth_volume(depth_map, spec.num_bins)
     table = as_target_table(targets)
@@ -416,6 +422,7 @@ def _loss_selection(depth_map, targets, spec: DepthBinSpec, cfg: LossConfig):
         return _depth_loss(p_gt, expectation[vv, uu], d_gt, cfg)
 
     (sel,) = _select_in_disks(table, shape, ((0, cfg.neighborhood_agg),), cost_at)
+    _check_finite_per_target(table, np.isfinite(sel.cost), "loss")
     return depth_map, table, expectation, sel
 
 
@@ -455,7 +462,8 @@ def one_to_many_loss_grad(
     The distributions are treated as softmax outputs, so the gradient is a
     function of the probabilities alone. Aggregation routes each target's
     gradient entirely to the pixel :func:`one_to_many_loss` selects; both
-    share one selection and one expectation map.
+    share one selection and one expectation map. A target whose gradient
+    is not finite raises ``ValueError`` naming it.
     """
     depth_map, table, expectation, sel = _loss_selection(depth_map, targets, spec, cfg)
     grad = np.zeros_like(depth_map)
@@ -469,8 +477,10 @@ def one_to_many_loss_grad(
     e = expectation[v, u]
     p_minus_one_hot = p.copy()
     p_minus_one_hot[bins, rows] -= 1.0
-    g = np.where(p[bins, rows] > LOG_PROB_FLOOR, cfg.lambda1 * p_minus_one_hot, 0.0)
-    g += cfg.lambda2 * np.sign(e - d_gt) * p * (midpoints[:, None] - e)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.where(p[bins, rows] > LOG_PROB_FLOOR, cfg.lambda1 * p_minus_one_hot, 0.0)
+        g += cfg.lambda2 * np.sign(e - d_gt) * p * (midpoints[:, None] - e)
+    _check_finite_per_target(table, np.isfinite(g).all(axis=0), "gradient")
     np.add.at(grad, (slice(None), v, u), (1.0 / len(table)) * g)
     return grad
 

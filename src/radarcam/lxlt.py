@@ -18,13 +18,12 @@ overflow float32 when written.
 
 A parameter manifest is a JSON object whose ``params`` object names the
 LXLT files of one parameter dataclass, such as ``VTParams``,
-``CSAFusionParams`` or ``ConcatFusionParams``. A manifest without that key
-is itself that object, so it holds layer entries and nothing else.
-:func:`read_params` reads it with :func:`~radarcam.geometry.read_json`: each
-key is a field name, read by the field's declared type, and a
-``Conv2DParams`` (loaded same-padded at stride 1) or ``LinearParams`` entry
-is ``{"weights": file, "bias": file}``, file names relative to ``root``.
-Any other key is refused.
+``CSAFusionParams`` or ``ConcatFusionParams``; a manifest without it is
+refused. :func:`read_params` reads that object with
+:func:`~radarcam.geometry.read_json`: each key is a field name, read by
+the field's declared type, and a ``Conv2DParams`` (loaded same-padded at
+stride 1) or ``LinearParams`` entry is ``{"weights": file, "bias":
+file}``, file names relative to ``root``. Any other key is refused.
 
 Errors name the entry as a path of field names: ``manifest
 params.post_convs[1]``, ``manifest params.channel_mlp_image.layers[0]``.
@@ -114,14 +113,13 @@ def read_tensor(path: str | Path) -> np.ndarray:
 
 def read_params(cls, manifest: dict, root: str | Path):
     """The ``cls`` parameters that ``manifest`` names: its ``params`` object,
-    or the manifest itself, read as described in the module docstring."""
+    read as described in the module docstring."""
     root = Path(root)
     leaf = {
         Conv2DParams: partial(_read_layer, Conv2DParams.same, root),
         LinearParams: partial(_read_layer, LinearParams, root),
     }
-    name = "manifest params" if "params" in manifest else ""
-    return read_json(cls, manifest.get("params", manifest), name, leaf)
+    return read_json(cls, manifest.get("params"), "manifest params", leaf)
 
 
 def _read_layer(make, root: Path, entry, name: str):

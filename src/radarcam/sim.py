@@ -87,6 +87,7 @@ from .geometry import (
     camera_to_spherical,
     load_json,
     per_element,
+    project_points,
     read_json,
     spherical_to_camera,
 )
@@ -162,10 +163,10 @@ class Scene:
     centre (x, y, depth), its frontal area in m² and its RCS in dBsm.
     ``boxes`` is (S, n_objects, 5), one row (u0, u1, v0, v1, depth) per
     object: the inclusive feature cells its projected rectangle touches
-    (:data:`EMPTY_BOX` when it misses the map) and its true depth. A cell is
-    covered when the rectangle touches it, which keeps true depth consistent
-    with the floor-based pixel assignment of the target builder: a point on
-    an object always lands on a covered cell.
+    (:data:`EMPTY_BOX` when it misses the map) and its true depth. The
+    corners are projected and floored as the target builder does a point,
+    and a cell is covered when the rectangle touches it, so a point on an
+    object always lands on a covered cell.
     """
 
     table: np.ndarray
@@ -180,12 +181,14 @@ class Scene:
         if not (table[..., 2:4] > 0).all():
             raise ValueError("object size and depth must be positive")
         x, y, depth = table[..., 0], table[..., 1], table[..., 2]
-        half = np.sqrt(table[..., 3]) / 2.0
-        k, s = self.calibration.intrinsics, self.stride
-        u0 = np.maximum(0.0, np.floor((k.fx * (x - half) / depth + k.cx) / s))
-        u1 = np.minimum(self.calibration.image_width // s - 1, np.floor((k.fx * (x + half) / depth + k.cx) / s))
-        v0 = np.maximum(0.0, np.floor((k.fy * (y - half) / depth + k.cy) / s))
-        v1 = np.minimum(self.calibration.image_height // s - 1, np.floor((k.fy * (y + half) / depth + k.cy) / s))
+        sides = np.array([-1.0, 1.0])[:, None, None] * (np.sqrt(table[..., 3]) / 2.0)
+        corners = np.stack([x + sides, y + sides, np.broadcast_to(depth, sides.shape)], axis=-1)
+        u, v, _, _ = project_points(corners, self.calibration.intrinsics)
+        s = self.stride
+        u0 = np.maximum(0.0, np.floor(u[0] / s))
+        u1 = np.minimum(self.calibration.image_width // s - 1, np.floor(u[1] / s))
+        v0 = np.maximum(0.0, np.floor(v[0] / s))
+        v1 = np.minimum(self.calibration.image_height // s - 1, np.floor(v[1] / s))
         boxes = np.stack([u0, u1, v0, v1, depth], axis=-1)
         boxes[(u0 > u1) | (v0 > v1), :4] = EMPTY_BOX
         object.__setattr__(self, "table", table)

@@ -1,4 +1,4 @@
-"""Occupancy grids, intrinsics-embedded depth distributions, and the
+"""Radar occupancy, intrinsics-embedded depth distributions, and the
 occupancy-assisted depth-based sampling view transformation.
 
 The view transformation lifts perspective-view image features to a
@@ -94,21 +94,6 @@ def voxel_centers(spec: VoxelGridSpec) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class OccupancyGrid:
-    """Per-voxel occupancy probabilities, shaped (Z, Y, X), values in [0, 1]."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        if data.ndim != 3:
-            raise ShapeError(f"occupancy grid must be (Z, Y, X), got shape {data.shape}")
-        if data.size and not (data.min() >= 0.0 and data.max() <= 1.0):
-            raise ValueError("occupancy values must lie in [0, 1]")
-        object.__setattr__(self, "data", data)
-
-
-@dataclass(frozen=True)
 class DepthDistributionMap:
     """Per-pixel depth distribution (D, H, W) at a given feature stride."""
 
@@ -147,10 +132,10 @@ class VTParams:
         object.__setattr__(self, "post_convs", tuple(self.post_convs))
 
 
-def occupancy_from_bev(f_bev_radar: np.ndarray, params: VTParams) -> OccupancyGrid:
-    """Predict per-voxel occupancy from radar BEV features: sigmoid of a 1x1 conv."""
-    logits = conv2d(f_bev_radar, params.occupancy_conv)
-    return OccupancyGrid(sigmoid(logits))
+def occupancy_from_bev(f_bev_radar: np.ndarray, params: VTParams) -> np.ndarray:
+    """Per-voxel occupancy from radar BEV features: the sigmoid of a 1x1 conv, one
+    output channel per height, as the (Z, Y, X) float64 array :func:`sample_cells` checks."""
+    return sigmoid(conv2d(f_bev_radar, params.occupancy_conv))
 
 
 def depth_distribution(
@@ -291,7 +276,8 @@ def sample_cells(
     cell-major then height, so the gather's (M*Z, 2, C) output is the rows
     with no copy; a voxel outside the frustum reads every corner off both
     maps and so samples exact zeros. Every other cell of the volume is zero.
-    ``in_channels``, the first conv's input width, must be 2*C*Z; it is
+    The (Z, Y, X) ``occupancy`` must lie in [0, 1] (NaN fails), and
+    ``in_channels``, the first conv's input width, must be 2*C*Z; both are
     checked before anything is sampled.
     """
     f_pv = np.asarray(f_pv, dtype=np.float64)
@@ -305,6 +291,8 @@ def sample_cells(
     occupancy = np.asarray(occupancy, dtype=np.float64)
     if occupancy.shape != (nz, ny, nx):
         raise ShapeError(f"occupancy shape {occupancy.shape} != grid counts {(nz, ny, nx)}")
+    if occupancy.size and not (occupancy.min() >= 0.0 and occupancy.max() <= 1.0):
+        raise ValueError("occupancy values must lie in [0, 1]")
     if in_channels != 2 * c * nz:
         raise ShapeError(f"sampled volume has {2 * c * nz} channels, weights expect {in_channels}")
     u, v, depth, valid = project_voxel_centers(grid, intrinsics, world_to_camera, stride)
@@ -377,7 +365,7 @@ def conv2d_cells(cells: np.ndarray, rows: np.ndarray, shape: tuple[int, int], co
 def sample_vt(
     f_pv: np.ndarray,
     d_map: DepthDistributionMap,
-    occupancy: OccupancyGrid,
+    occupancy: np.ndarray,
     grid: VoxelGridSpec,
     intrinsics: CameraIntrinsics,
     world_to_camera: RigidTransform,
@@ -385,14 +373,15 @@ def sample_vt(
 ) -> np.ndarray:
     """Occupancy-assisted depth-based sampling view transformation.
 
-    Returns the (C, Y, X) BEV feature map produced by running the sampled
-    volume through the three-convolution mixing stack; the first conv reads
-    the sampled cells alone, its input channels permuted from the volume's
-    (half, c, z) order to the rows' (z, half, c) order.
+    ``occupancy`` is :func:`occupancy_from_bev`'s array. Returns the (C, Y,
+    X) BEV feature map produced by running the sampled volume through the
+    three-convolution mixing stack; the first conv reads the sampled cells
+    alone, its input channels permuted from the volume's (half, c, z) order
+    to the rows' (z, half, c) order.
     """
     first, *rest = params.post_convs
     cells, rows = sample_cells(
-        f_pv, d_map.data, d_map.spec, d_map.stride, occupancy.data,
+        f_pv, d_map.data, d_map.spec, d_map.stride, occupancy,
         grid, intrinsics, world_to_camera, first.in_channels,
     )
     nz, ny, nx = grid.counts

@@ -203,7 +203,7 @@ def sample_volume_reference(f_pv, d_map, occupancy, grid, intrinsics, world_to_c
                 b = float(depth_to_bin_coordinate(np.array(cam[2]), d_map.spec))
                 likelihood = trilinear_sample(d_map.data, (u, v, b))
                 top[:, k, j, i] = feat * likelihood
-                bottom[:, k, j, i] = feat * occupancy.data[k, j, i]
+                bottom[:, k, j, i] = feat * occupancy[k, j, i]
     return np.concatenate([top, bottom], axis=0).reshape(2 * c * nz, ny, nx)
 
 

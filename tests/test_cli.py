@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -382,6 +383,29 @@ class TestLoss:
         assert "loss weights must be finite and non-negative" in captured.err and captured.out == ""
         assert not (tmp_path / "per.csv").exists()
 
+    @pytest.mark.parametrize(
+        "d_gt,flags,message",
+        [
+            (3.0, ["--d-min=-1e308", "--d-max=1e308", "--num-bins", "2"], "depth bins width d_max - d_min must be finite"),
+            (
+                3e38,
+                ["--d-min", "0", "--d-max", "4", "--num-bins", "2", "--lambda2", "1e300"],
+                "target 0 (u, v, d_gt, radius) = (1.0, 1.0, 3.0000000054977558e+38, 1.0) has a loss that is not finite",
+            ),
+        ],
+    )
+    def test_loss_that_overflows_exits_2_without_output(self, tmp_path, d_gt, flags, message, capsys):
+        depth_map = softmax(np.random.default_rng(3).normal(size=(2, 4, 5)), axis=0)
+        argv = write_loss_inputs(tmp_path, depth_map, [(1, 1, d_gt, 1.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert "Warning" not in captured.err and "Traceback" not in captured.err
+        assert not (tmp_path / "per.csv").exists()
+
     def test_negative_probabilities_exit_2(self, tmp_path, capsys):
         depth_map = np.full((8, 3, 3), 0.125)
         depth_map[:2, 1, 1] = [0.5, -0.25]
@@ -735,6 +759,7 @@ class TestVT:
             (lambda m: m.pop("stride"), "manifest stride must be a number, got None"),
             (lambda m: m.pop("depth_bins"), "manifest depth_bins must be a JSON object, got None"),
             (lambda m: m.pop("radar_bev"), "manifest radar_bev must be a file name, got None"),
+            (lambda m: m.pop("params"), "manifest params must be a JSON object, got None"),
             (
                 lambda m: m.update(depth_bins={"d_min": 0.0, "d_max": 16.0}),
                 "manifest depth_bins.num_bins must be a number, got None",
@@ -830,7 +855,7 @@ class TestFuse:
             ("concat", lambda m: m["params"]["first"].update(stride=2), "manifest params.first has no key 'stride'"),
             ("concat", lambda m: m["params"].update(secnd=m["params"]["second"]), "manifest params has no key 'secnd'"),
             ("csa", lambda m: m.update(mode="concat"), "manifest has no key 'mode'"),
-            ("csa", lambda m: m.update(m.pop("params"), mode="concat"), "the top level has no key 'mode'"),
+            ("csa", lambda m: m.update(m.pop("params")), "manifest has no key 'in_conv'"),
         ],
     )
     def test_wrong_manifest_container_exits_2_without_output(self, tmp_path, mode, edit, message, capsys):
@@ -885,6 +910,54 @@ class TestFuse:
         assert main(argv + ["--params", str(tmp_path / "params.json"), "--output", str(out)]) == 2
         assert "params.json: the top level must be a JSON object, got [1, 2]" in capsys.readouterr().err
         assert not out.exists()
+
+
+def depth_targets_inputs(tmp_path):
+    (tmp_path / "points.csv").write_text(scattered_points())
+    (tmp_path / "calib.json").write_text(json.dumps(calibration()))
+    argv = ["depth-targets", "--points", str(tmp_path / "points.csv"), "--calib", str(tmp_path / "calib.json")]
+    return argv, [("--output", "targets.lxlt")]
+
+
+def loss_inputs(tmp_path):
+    targets = [DepthTarget(1, 2, 3.25, 1.5), DepthTarget(5, 4, 6.5, 0.0), DepthTarget(2, 1, 0.5, 2.0)]
+    return write_loss_inputs(tmp_path, float32_map(4), targets), [("--per-target", "per.csv")]
+
+
+def vt_inputs(tmp_path):
+    _, inputs = write_vt_inputs(tmp_path, np.random.default_rng(12))
+    return ["vt", "--manifest", str(inputs / "manifest.json")], [("--output", "bev.lxlt")]
+
+
+def fuse_inputs(mode):
+    def write(tmp_path):
+        manifest, argv = write_fuse_inputs(tmp_path, mode, seed=3)
+        (tmp_path / "params.json").write_text(json.dumps(manifest))
+        return argv + ["--params", str(tmp_path / "params.json")], [("--output", "fused.lxlt")]
+
+    return write
+
+
+class TestRerun:
+    @pytest.mark.parametrize(
+        "inputs",
+        [depth_targets_inputs, loss_inputs, vt_inputs, fuse_inputs("csa"), fuse_inputs("concat")],
+        ids=["depth-targets", "loss", "vt", "fuse-csa", "fuse-concat"],
+    )
+    def test_rerun_into_fresh_paths_is_byte_identical(self, tmp_path, inputs, capsys):
+        """A rerun reproduces every output file and stdout byte for byte.
+        The outputs are compared with each other, not pinned: the VT and
+        fusion convs go through BLAS, whose last bits may differ between
+        hosts."""
+        argv, outputs = inputs(tmp_path)
+        runs = []
+        for name in ("first", "second"):
+            run = tmp_path / name
+            run.mkdir()
+            assert main(argv + [arg for flag, file in outputs for arg in (flag, str(run / file))]) == 0
+            runs.append(({path.name: path.read_bytes() for path in sorted(run.iterdir())}, capsys.readouterr().out))
+        assert set(runs[0][0]) >= {file for _, file in outputs}
+        assert runs[0] == runs[1]
 
 
 class TestGradCheck:

@@ -1,6 +1,8 @@
 """Tests for target generation, the depth loss and its gradient."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -76,14 +78,15 @@ class TestNeighborhoodRadius:
 
     def test_rcs_absent_uses_fixed_radius(self):
         cfg = RadiusConfig(fixed_r=2.0)
-        assert neighborhood_radius(20.0, K, 8, cfg, rcs_dbsm=None) == 2.0
+        assert neighborhood_radius(20.0, K, 8, cfg) == 2.0
+        assert neighborhood_radius(20.0, K, 8, cfg, rcs_dbsm=math.nan) == 2.0
 
     def test_errors(self):
         with pytest.raises(ValueError, match="depth"):
             neighborhood_radius(0.0, K, 8, RadiusConfig(fixed_r=1.0))
         # Without RCS the default config gives its fixed_r, 2.0, clamped by r_max; it does not raise.
-        assert neighborhood_radius(10.0, K, 8, RadiusConfig(), rcs_dbsm=None) == 2.0
-        assert neighborhood_radius(10.0, K, 8, RadiusConfig(r_max=0.5), rcs_dbsm=None) == 0.5
+        assert neighborhood_radius(10.0, K, 8, RadiusConfig()) == 2.0
+        assert neighborhood_radius(10.0, K, 8, RadiusConfig(r_max=0.5)) == 0.5
 
     @given(st.floats(-20, 30), st.floats(1, 100))
     @settings(max_examples=60, deadline=None)
@@ -98,7 +101,7 @@ class TestNeighborhoodRadius:
     def test_zero_ceiling_gives_zero_radius_on_both_paths(self):
         cfg = RadiusConfig(k=0.1, r_max=0.0, fixed_r=2.0)
         assert neighborhood_radius(5.0, K, 8, cfg, rcs_dbsm=10.0) == 0.0
-        assert neighborhood_radius(5.0, K, 8, cfg, rcs_dbsm=None) == 0.0
+        assert neighborhood_radius(5.0, K, 8, cfg, rcs_dbsm=math.nan) == 0.0
 
     def test_arrays_match_scalar_calls(self):
         depth = np.array([1.5, 20.0, 73.25])
@@ -128,7 +131,7 @@ class TestNeighborhoodRadius:
         [
             (RadiusConfig(k=1e308), np.array([0.0, -7000.0]), "radius nan of the point at depth 40.0 m, RCS -7000.0 "),
             (RadiusConfig(r_max=math.inf), np.array([0.0, 7000.0]), "radius inf of the point at depth 40.0 m, RCS 7000.0 "),
-            (RadiusConfig(r_max=math.inf, fixed_r=math.inf), None, "radius inf of the point at depth 20.0 m, RCS nan "),
+            (RadiusConfig(r_max=math.inf, fixed_r=math.inf), math.nan, "radius inf of the point at depth 20.0 m, RCS nan "),
         ],
     )
     def test_radius_that_is_not_finite_names_its_point(self, cfg, rcs, message):
@@ -741,9 +744,45 @@ class TestNonFiniteInputs:
         with pytest.raises(ValueError, match="RCS"):
             RadarPoint(0.0, 0.0, 10.0, rcs_dbsm=math.nan)
 
-    def test_radius_rejects_nan_rcs(self):
-        with pytest.raises(ValueError, match="RCS"):
-            neighborhood_radius(10.0, K, 8, RadiusConfig(), rcs_dbsm=math.nan)
+    def test_radius_takes_fixed_r_for_nan_rcs_and_rejects_infinite_rcs(self):
+        cfg = RadiusConfig(fixed_r=1.5)
+        assert neighborhood_radius(10.0, K, 8, cfg, rcs_dbsm=math.nan) == 1.5
+        got = neighborhood_radius(np.array([10.0, 20.0]), K, 8, cfg, np.array([math.nan, 0.0]))
+        assert got.tolist() == [1.5, neighborhood_radius(20.0, K, 8, cfg, rcs_dbsm=0.0)]
+        for rcs in (math.inf, -math.inf):
+            with pytest.raises(ValueError, match="RCS must be finite or NaN"):
+                neighborhood_radius(10.0, K, 8, cfg, rcs_dbsm=rcs)
+
+    def test_depth_bins_reject_an_infinite_width(self):
+        with pytest.raises(ValueError, match=r"width d_max - d_min must be finite"):
+            DepthBinSpec(-1e308, 1e308, 2)
+
+    @pytest.mark.parametrize(
+        "spec,d_gt,lambda2,what",
+        [
+            # the L1 term overflows
+            (DepthBinSpec(0.0, 4.0, 2), 3e38, 1e300, "loss"),
+            # 0 * inf: the L1 distance overflows and its weight is zero
+            (DepthBinSpec(1e308, 1.5e308, 2), -1e308, 0.0, "loss"),
+            # the loss is 5e307, its gradient 1e308 * 0.5 * 10 overflows
+            (DepthBinSpec(0.0, 40.0, 2), 20.5, 1e308, "gradient"),
+        ],
+    )
+    def test_loss_and_gradient_refuse_overflow(self, spec, d_gt, lambda2, what):
+        depth_map = np.full((2, 4, 5), 0.5)
+        cfg = LossConfig(lambda2=lambda2)
+        message = "^" + re.escape(f"target 1 (u, v, d_gt, radius) = {(1.0, 1.0, d_gt, 1.0)} has a {what} that is not finite")
+        # target 0 sits at the expected depth, so its loss and gradient are finite
+        targets = [(0, 0, spec.d_min + (spec.d_max - spec.d_min) / 2, 0.0), (1, 1, d_gt, 1.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if what == "loss":
+                with pytest.raises(ValueError, match=message):
+                    one_to_many_loss(depth_map, targets, spec, cfg)
+            else:
+                assert math.isfinite(one_to_many_loss(depth_map, targets, spec, cfg).total)
+            with pytest.raises(ValueError, match=message):
+                one_to_many_loss_grad(depth_map, targets, spec, cfg)
 
     @pytest.mark.parametrize(
         "kwargs", [{"k": math.nan}, {"r_max": math.nan}, {"fixed_r": math.nan}]

@@ -209,17 +209,10 @@ class TestReadParams:
         assert type(loaded) is cls
         np.testing.assert_equal(dataclasses.astuple(loaded), dataclasses.astuple(float32_exact(params)))
 
-    def test_manifest_without_params_key_is_read_whole(self, tmp_path):
-        params = random_concat_params(np.random.default_rng(5), 3)
-        manifest = write_manifest(tmp_path, params)
-        loaded = lxlt.read_params(ConcatFusionParams, manifest["params"], tmp_path)
-        np.testing.assert_equal(dataclasses.astuple(loaded), dataclasses.astuple(float32_exact(params)))
-
-    def test_manifest_without_params_key_holds_only_layer_entries(self, tmp_path):
-        manifest = write_manifest(tmp_path, random_concat_params(np.random.default_rng(5), 3))["params"]
-        manifest["feature_map"] = "f.lxlt"
-        with pytest.raises(ValueError, match="^the top level has no key 'feature_map'$"):
-            lxlt.read_params(ConcatFusionParams, manifest, tmp_path)
+    def test_manifest_without_params_key_is_refused(self, tmp_path):
+        bare = write_manifest(tmp_path, random_concat_params(np.random.default_rng(5), 3))["params"]
+        with pytest.raises(ValueError, match="^manifest params must be a JSON object, got None$"):
+            lxlt.read_params(ConcatFusionParams, bare, tmp_path)
 
     @pytest.mark.parametrize(
         "kind,edit,message",

@@ -21,7 +21,6 @@ from radarcam.geometry import (
 from radarcam.tensor_ops import Conv2DParams, LinearParams, ShapeError
 from radarcam.view_transform import (
     DepthDistributionMap,
-    OccupancyGrid,
     VoxelGridSpec,
     VTParams,
     conv2d_cells,
@@ -120,8 +119,9 @@ class TestOccupancy:
             embedding=params.embedding,
             post_convs=params.post_convs,
         )
-        grid = occupancy_from_bev(f_bev, zero)
-        np.testing.assert_array_equal(grid.data, np.full((6, 3, 5), 0.5))
+        occupancy = occupancy_from_bev(f_bev, zero)
+        assert isinstance(occupancy, np.ndarray) and occupancy.dtype == np.float64
+        np.testing.assert_array_equal(occupancy, np.full((6, 3, 5), 0.5))
 
     def test_large_negative_bias_empties_the_grid(self):
         f_bev = np.zeros((4, 3, 5))
@@ -132,23 +132,25 @@ class TestOccupancy:
             embedding=params.embedding,
             post_convs=params.post_convs,
         )
-        assert occupancy_from_bev(f_bev, empty).data.max() < 1e-20
+        assert occupancy_from_bev(f_bev, empty).max() < 1e-20
 
     def test_random_input_stays_in_unit_interval(self):
         rng = np.random.default_rng(1)
         params = make_params(c=2, z=6, d=4, radar_channels=4, rng=rng)
-        grid = occupancy_from_bev(rng.normal(size=(4, 5, 5)), params)
-        assert grid.data.min() > 0.0 and grid.data.max() < 1.0
+        occupancy = occupancy_from_bev(rng.normal(size=(4, 5, 5)), params)
+        assert occupancy.min() > 0.0 and occupancy.max() < 1.0
 
-    def test_occupancy_grid_validates_range(self):
-        with pytest.raises(ValueError, match="0, 1"):
-            OccupancyGrid(np.full((1, 1, 1), 1.5))
+    def test_sample_vt_refuses_occupancy_above_one(self):
+        f_pv, d_map, _, grid, w2c, params = small_instance(0, grid_counts=(1, 1, 1))
+        with pytest.raises(ValueError, match=r"^occupancy values must lie in \[0, 1\]$"):
+            sample_vt(f_pv, d_map, np.full((1, 1, 1), 1.5), grid, K, w2c, params)
 
-    def test_occupancy_grid_rejects_nan(self):
+    def test_sample_vt_refuses_nan_occupancy(self):
+        f_pv, d_map, _, grid, w2c, params = small_instance(0, grid_counts=(2, 2, 2))
         data = np.full((2, 2, 2), 0.5)
         data[1, 0, 1] = np.nan
-        with pytest.raises(ValueError, match="0, 1"):
-            OccupancyGrid(data)
+        with pytest.raises(ValueError, match=r"^occupancy values must lie in \[0, 1\]$"):
+            sample_vt(f_pv, d_map, data, grid, K, w2c, params)
 
 
 class TestDepthDistribution:
@@ -251,7 +253,7 @@ def small_instance(seed, c=3, grid_counts=(2, 3, 4), hw=(6, 10), d=5, stride=8):
         bins,
         stride,
     )
-    occupancy = OccupancyGrid(rng.uniform(0.0, 1.0, size=(nz, ny, nx)))
+    occupancy = rng.uniform(0.0, 1.0, size=(nz, ny, nx))
     params = random_vt_params(rng, c, nz, d, radar_channels=2)
     return f_pv, d_map, occupancy, grid, world_to_camera, params
 
@@ -280,7 +282,7 @@ def frustum_instance(seed, counts=(2, 48, 20), yaw_deg=0.0, first=None, c=2, d=6
     d_map = DepthDistributionMap(
         np.transpose(rng.dirichlet(np.ones(d), size=hw), (2, 0, 1)), bins, stride=1
     )
-    occupancy = OccupancyGrid(rng.uniform(size=counts))
+    occupancy = rng.uniform(size=counts)
     params = random_vt_params(rng, c, nz, d, radar_channels=2)
     if first is not None:
         params = VTParams(
@@ -303,7 +305,7 @@ def conv_of(kh, kw, padding=None, stride=1):
 
 def cells_of(f_pv, d_map, occupancy, grid, intrinsics, w2c, params):
     return sample_cells(
-        f_pv, d_map.data, d_map.spec, d_map.stride, occupancy.data, grid, intrinsics, w2c,
+        f_pv, d_map.data, d_map.spec, d_map.stride, occupancy, grid, intrinsics, w2c,
         params.post_convs[0].in_channels,
     )
 
@@ -341,7 +343,7 @@ class TestSampleVT:
         data = np.zeros((d, 4, 6))
         data[1] = 1.0  # one-hot at the bin containing depth 15
         d_map = DepthDistributionMap(data, bins, stride)
-        occupancy = OccupancyGrid(np.ones((1, 1, 1)))
+        occupancy = np.ones((1, 1, 1))
         params = VTParams(
             occupancy_conv=Conv2DParams.same(np.zeros((1, 1, 1, 1)), np.zeros(1)),
             depth_conv=Conv2DParams.same(np.zeros((d, c, 1, 1)), np.zeros(d)),
@@ -361,7 +363,7 @@ class TestSampleVT:
     def test_all_voxels_behind_camera_give_zero_volume(self):
         f_pv, d_map, occupancy, _, _, params = small_instance(0)
         grid = VoxelGridSpec((-1.0, 1.0, 4), (-1.0, 1.0, 3), (-30.0, -10.0, 2))
-        occupancy = OccupancyGrid(np.random.default_rng(0).uniform(size=grid.counts))
+        occupancy = np.random.default_rng(0).uniform(size=grid.counts)
         cells, rows = cells_of(f_pv, d_map, occupancy, grid, K, RigidTransform.identity(), params)
         assert cells.shape == (0,) and rows.shape == (0, 2 * f_pv.shape[0] * grid.counts[0])
         want = sample_volume_reference(f_pv, d_map, occupancy, grid, K, RigidTransform.identity())
@@ -370,14 +372,14 @@ class TestSampleVT:
     def test_gating_halves_behave_independently(self):
         f_pv, d_map, occupancy, grid, w2c, params = small_instance(5)
         nz = grid.counts[0]
-        zero_occ = OccupancyGrid(np.zeros_like(occupancy.data))
+        zero_occ = np.zeros_like(occupancy)
         cells, rows = cells_of(f_pv, d_map, zero_occ, grid, K, w2c, params)
         assert cells.size
         # occupancy half is identically zero, depth half is not
         assert np.max(np.abs(halves(rows, nz)[:, :, 1])) == 0.0
         assert np.max(np.abs(halves(rows, nz)[:, :, 0])) > 0.0
         cells, rows = sample_cells(
-            f_pv, np.zeros_like(d_map.data), d_map.spec, d_map.stride, zero_occ.data, grid, K, w2c,
+            f_pv, np.zeros_like(d_map.data), d_map.spec, d_map.stride, zero_occ, grid, K, w2c,
             params.post_convs[0].in_channels,
         )
         assert cells.size
@@ -388,7 +390,7 @@ class TestSampleVT:
         nz = grid.counts[0]
         alpha = 0.37
         base_cells, base = cells_of(f_pv, d_map, occupancy, grid, K, w2c, params)
-        scaled_occ = OccupancyGrid(alpha * occupancy.data)
+        scaled_occ = alpha * occupancy
         cells, scaled = cells_of(f_pv, d_map, scaled_occ, grid, K, w2c, params)
         assert base_cells.size
         np.testing.assert_array_equal(cells, base_cells)
@@ -415,7 +417,7 @@ class TestSampleVT:
         by_height = halves(rows, 3)[0]
         np.testing.assert_array_equal(by_height[:2], np.zeros_like(by_height[:2]))
         b = depth_to_bin_coordinate(depth[2:], d_map.spec)
-        want = gather_gated(f_pv, d_map.data, occupancy.data.reshape(-1)[2:], u[2:], v[2:], b)
+        want = gather_gated(f_pv, d_map.data, occupancy.reshape(-1)[2:], u[2:], v[2:], b)
         assert np.any(want)
         np.testing.assert_array_equal(by_height[2], want[0])
 
@@ -438,7 +440,7 @@ class TestSampleVT:
         # a grid that reaches behind the camera and past every image edge
         f_pv, d_map, occupancy, _, w2c, params = small_instance(seed, grid_counts=(6, 5, 7))
         grid = VoxelGridSpec((-30.0, 30.0, 7), (-8.0, 8.0, 5), (-6.0, 44.0, 6))
-        occupancy = OccupancyGrid(np.random.default_rng(seed).uniform(size=grid.counts))
+        occupancy = np.random.default_rng(seed).uniform(size=grid.counts)
         cells, rows = cells_of(f_pv, d_map, occupancy, grid, K, w2c, params)
         want = sample_volume_reference(f_pv, d_map, occupancy, grid, K, w2c)
         assert 0 < np.count_nonzero(np.abs(want).sum(axis=0)) < grid.counts[1] * grid.counts[2]
@@ -493,7 +495,7 @@ class TestSampleVT:
         got = sample_vt(f_pv, d_map, occupancy, grid, intrinsics, w2c, params)
         want = sample_vt_reference(f_pv, d_map, occupancy, grid, intrinsics, w2c, params)
         cells, _ = sample_cells(
-            f_pv, d_map.data, d_map.spec, d_map.stride, occupancy.data, grid, intrinsics, w2c,
+            f_pv, d_map.data, d_map.spec, d_map.stride, occupancy, grid, intrinsics, w2c,
             params.post_convs[0].in_channels,
         )
         assert cells.size == 0
@@ -674,7 +676,7 @@ class TestValidation:
         f_pv, d_map, occupancy, grid, w2c, params = small_instance(0)
         with pytest.raises(ShapeError, match="depth volume shape"):
             sample_cells(
-                f_pv, np.full(shape, 0.2), d_map.spec, d_map.stride, occupancy.data, grid, K, w2c,
+                f_pv, np.full(shape, 0.2), d_map.spec, d_map.stride, occupancy, grid, K, w2c,
                 params.post_convs[0].in_channels,
             )
 
