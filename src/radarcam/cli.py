@@ -1,11 +1,12 @@
 """File-based command line front end.
 
-Exit codes: 0 success, 1 usage error, 2 data or shape error. Diagnostics go
-to stderr; machine-readable output goes to files or stdout. Every output
-path is checked and every input read and validated before any output is
-written, so a command writes all of its outputs or none. All commands are
-deterministic for fixed seeds, so re-running a command reproduces its output
-files byte for byte.
+Exit codes: 0 success, 1 usage error, 2 data or shape error, or an input
+that needs more memory than there is. Diagnostics go to stderr;
+machine-readable output goes to files or stdout. Every output path is
+checked (no two may name one file) and every input read and validated
+before any output is written, so a command writes all of its outputs or
+none. All commands are deterministic for fixed seeds, so re-running a
+command reproduces its output files byte for byte.
 
 Each JSON input's keys are defined by one reader, ``geometry.read_json``,
 as the fields of a dataclass: ``depth-targets --config`` is ``stride`` plus a
@@ -95,7 +96,9 @@ def _write_csv(path: str | Path | None, header: list, rows) -> None:
 def _check_outputs(*paths) -> None:
     """Raise the error that creating an output file would raise, for the
     first of ``paths`` (None for an unset optional output) that is empty, is
-    a directory, or whose directory is missing or not writable."""
+    a directory, or whose directory is missing or not writable; then
+    ``ValueError`` if two of them name one file, as the later would
+    overwrite the earlier."""
     for path in paths:
         if path is None:
             continue
@@ -111,6 +114,11 @@ def _check_outputs(*paths) -> None:
         else:
             continue
         raise OSError(code, os.strerror(code), str(path))
+    given = [path for path in paths if path is not None]
+    real = [os.path.realpath(path) for path in given]
+    for i, path in enumerate(real):
+        if path in real[:i]:
+            raise ValueError(f"outputs {given[real.index(path)]} and {given[i]} name one file")
 
 
 def _manifest_file(manifest: dict, key: str, root: Path) -> Path:
@@ -379,6 +387,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (lxlt.TensorFormatError, ShapeError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an input that asks for more memory than there is
+        print(f"error: {str(exc) or 'the input needs more memory than is available'}", file=sys.stderr)
         return 2
 
 

@@ -305,29 +305,14 @@ def project_to_pixel(point, intrinsics: CameraIntrinsics) -> tuple[float, float,
     return float(u), float(v), float(z)
 
 
-def per_element(fn, *arrays) -> np.ndarray:
-    """``fn`` of each element of the broadcast ``arrays``, called once per
-    element on Python floats; a 0-d result comes back as a NumPy float.
-
-    Used for :mod:`math` functions (``sin``, ``atan2``, ...): libm's
-    results are pinned, and NumPy's vectorised versions differ from them in
-    the last bit on some inputs.
-    """
-    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=np.float64) for a in arrays))
-    values = map(fn, *(a.ravel().tolist() for a in arrays))
-    return np.fromiter(values, np.float64, arrays[0].size).reshape(arrays[0].shape)[()]
-
-
 def spherical_to_camera(rho, azimuth, elevation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Camera-frame (x, y, z) of points at range ``rho``, ``azimuth`` (from
     z towards x) and ``elevation`` (up, towards -y) about the camera axes.
 
-    Takes arrays or floats, which broadcast. ``sin`` and ``cos`` are libm's
-    (:func:`per_element`); the rest is NumPy arithmetic in scalar order.
+    Takes arrays or floats, which broadcast.
     """
-    rho_cos_el = rho * per_element(math.cos, elevation)
-    x = rho_cos_el * per_element(math.sin, azimuth)
-    return x, -(rho * per_element(math.sin, elevation)), rho_cos_el * per_element(math.cos, azimuth)
+    rho_cos_el = rho * np.cos(elevation)
+    return rho_cos_el * np.sin(azimuth), -(rho * np.sin(elevation)), rho_cos_el * np.cos(azimuth)
 
 
 def camera_to_spherical(x, y, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -336,7 +321,7 @@ def camera_to_spherical(x, y, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     x, y, z = (np.asarray(c, dtype=np.float64) for c in (x, y, z))
     rho = np.sqrt(z * z + x * x + y * y)
     sine = np.divide(-y, rho, out=np.zeros(np.shape(rho)), where=rho > 0)
-    return rho, per_element(math.atan2, x, z), per_element(math.asin, sine)
+    return rho, np.arctan2(x, z), np.arcsin(sine)
 
 
 def scale_intrinsics(intrinsics: CameraIntrinsics, s: float) -> CameraIntrinsics:
@@ -389,7 +374,7 @@ def empirical_projection_error(
             i = int(np.argmin(ok.ravel()))
             raise ValueError(f"{name} must be {needs}, got {values.ravel()[i]} at element {i}")
     x, y, z = spherical_to_camera(rho, azimuth, elevation)
-    lateral_error = rho * per_element(math.cos, elevation) * res.delta_theta * per_element(math.cos, azimuth)
+    lateral_error = rho * np.cos(elevation) * res.delta_theta * np.cos(azimuth)
     u0, _, _, in_front = project_points(np.stack([x, y, z], axis=-1), intrinsics)
     if not np.all(in_front):
         i = int(np.argmin(np.ravel(in_front)))

@@ -50,10 +50,8 @@ Results are bit-identical to drawing and scoring one seed at a time:
   ``range_sigma > 0``): ``Generator.standard_normal`` consumes a variable
   number of words per sample, so a batched draw would reorder the stream.
   Only these draws are a Python loop.
-- Libm functions (``tan``, ``atan2``, ``asin``, ``sin``, ``cos``, ``log10``)
-  run once per element on Python floats (:func:`~radarcam.geometry.per_element`):
-  NumPy's versions differ from libm in the last bit on some inputs, except
-  ``np.radians``, which multiplies by the same rounded pi / 180.
+- NumPy's ``tan``, ``sin``, ``cos``, ``arctan2``, ``arcsin`` and ``log10``
+  give an element the same bits inside any array as on its own.
 - A seed's mean depth error is ``np.add.reduce`` over its slice of an arm's
   finite errors divided by their count, which is what ``np.mean`` computes;
   ``np.add.reduceat`` sums a slice sequentially, not pairwise.
@@ -86,7 +84,6 @@ from .geometry import (
     SensorCalibration,
     camera_to_spherical,
     load_json,
-    per_element,
     project_points,
     read_json,
     spherical_to_camera,
@@ -95,11 +92,11 @@ from .geometry import (
 RCS_SIZE_CONSTANT_M2 = 1.0  # square meters of frontal area per 0 dBsm
 
 
-def rcs_from_size(size_m2: float) -> float:
-    """RCS in dBsm of an object with the given frontal area."""
-    if size_m2 <= 0:
-        raise ValueError(f"object size must be positive, got {size_m2}")
-    return 10.0 * math.log10(size_m2 / RCS_SIZE_CONSTANT_M2)
+def rcs_from_size(size_m2: float | np.ndarray) -> float | np.ndarray:
+    """RCS in dBsm of objects with the given frontal areas, a float or an array."""
+    if not (np.asarray(size_m2) > 0).all():
+        raise ValueError(f"object size must be positive, got {np.min(size_m2)}")
+    return 10.0 * np.log10(size_m2 / RCS_SIZE_CONSTANT_M2)
 
 
 @dataclass(frozen=True)
@@ -219,9 +216,8 @@ def generate_scene(
     depth = np.where(large, uniform(extents.large_depth_range, u_depth), uniform(extents.small_depth_range, u_depth))
     az, el = extents.azimuth_max_deg, extents.elevation_max_deg
     angles = np.stack([uniform((-az, az), u_az), uniform((-el, el), u_el)])
-    tan = per_element(math.tan, np.radians(angles))
-    rcs = per_element(rcs_from_size, size)
-    return Scene(np.stack([depth * tan[0], depth * tan[1], depth, size, rcs], axis=-1), stride, calib)
+    tan = np.tan(np.radians(angles))
+    return Scene(np.stack([depth * tan[0], depth * tan[1], depth, size, rcs_from_size(size)], axis=-1), stride, calib)
 
 
 @dataclass(frozen=True)
@@ -248,8 +244,16 @@ class RadarNoiseModel:
             raise ValueError("range_sigma must be non-negative")
 
     def points_for(self, size_m2: np.ndarray) -> np.ndarray:
-        """The number of returns of objects of the given frontal areas, at least one each."""
-        return np.maximum(1, np.rint(self.points_base + self.points_size_scale * np.sqrt(size_m2))).astype(np.intp)
+        """The number of returns of objects of the given frontal areas: at
+        least one each, and at most ``sys.maxsize``, the largest ``intp``, in all."""
+        with np.errstate(over="ignore"):  # an infinite count is refused below
+            counts = np.maximum(1, np.rint(self.points_base + self.points_size_scale * np.sqrt(size_m2)))
+            total = counts.sum()
+        if not total < sys.maxsize:  # sys.maxsize compares as 2.0**63, the first float past intp
+            raise ValueError(
+                f"points_base + points_size_scale * sqrt(size) must give at most {sys.maxsize} returns, got {total:g}"
+            )
+        return counts.astype(np.intp)
 
 
 def simulate_radar(scene: Scene, model: RadarNoiseModel, seeds) -> tuple[np.ndarray, np.ndarray]:
@@ -270,8 +274,7 @@ def simulate_radar(scene: Scene, model: RadarNoiseModel, seeds) -> tuple[np.ndar
     Only the noise draws are scalar: per return ``rng.random()`` twice, then
     ``rng.standard_normal()`` when ``range_sigma > 0``, in return order, so
     each seed's stream is the one-point-at-a-time stream. The spherical
-    round trip, the noise and the clip run on arrays over all N returns,
-    with libm's trigonometry called once per element for the pinned bits.
+    round trip, the noise and the clip run on arrays over all N returns.
     """
     if len(seeds) != len(scene.table):
         raise ValueError(f"need one noise seed per scene seed, got {len(seeds)} for {len(scene.table)}")

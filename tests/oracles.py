@@ -363,7 +363,7 @@ def generate_objects_reference(seed, n_objects, extents) -> list[SceneObject]:
         else:
             size = rng.uniform(*extents.small_size_range)
             depth = rng.uniform(*extents.small_depth_range)
-        center = (depth * math.tan(azimuth), depth * math.tan(elevation), depth)
+        center = (depth * np.tan(azimuth), depth * np.tan(elevation), depth)
         objects.append(SceneObject(center, size, depth, rcs_from_size(size)))
     return objects
 
@@ -375,16 +375,16 @@ def apply_measurement_noise(point, model, res, rng) -> np.ndarray:
     x, y, z = (float(c) for c in point)
     fwd, lat, up = z, x, -y
     rho = math.sqrt(fwd * fwd + lat * lat + up * up)
-    theta = math.atan2(lat, fwd)
-    phi = math.asin(up / rho) if rho > 0 else 0.0
+    theta = np.arctan2(lat, fwd)
+    phi = np.arcsin(up / rho) if rho > 0 else 0.0
     delta_theta, delta_phi = res.delta_theta, res.delta_phi
     theta += rng.uniform(-delta_theta / 2.0, delta_theta / 2.0)
     phi += rng.uniform(-delta_phi / 2.0, delta_phi / 2.0)
     dr = rng.normal(0.0, model.range_sigma) if model.range_sigma > 0 else 0.0
     rho += float(np.clip(dr, -3.0 * model.range_sigma, 3.0 * model.range_sigma))
     rho = max(rho, 0.0)
-    cos_phi = math.cos(phi)
-    fwd, lat, up = rho * cos_phi * math.cos(theta), rho * cos_phi * math.sin(theta), rho * math.sin(phi)
+    cos_phi = np.cos(phi)
+    fwd, lat, up = rho * cos_phi * np.cos(theta), rho * cos_phi * np.sin(theta), rho * np.sin(phi)
     return np.array([lat, -up, fwd])
 
 

@@ -125,6 +125,17 @@ class TestSimulate:
             pytest.param(lambda data: data.update(num_seeds=2**63), "num_seeds", id="num_seeds=2**63"),
             (lambda data: data.update(n_objects=10**30), "n_objects"),
             (lambda data: data.update(bootstrap_samples=10**30), "bootstrap_samples"),
+            # More returns than an intp counts, refused before the cast wraps them negative.
+            pytest.param(
+                lambda data: data["noise"].update(points_size_scale=1e300),
+                "points_base + points_size_scale * sqrt(size)",
+                id="points_size_scale=1e300",
+            ),
+            pytest.param(
+                lambda data: data["scene"].update(large_size_range=[1e300, 1e301]),
+                "points_base + points_size_scale * sqrt(size)",
+                id="large_size_range=1e300",
+            ),
         ],
     )
     def test_non_finite_or_out_of_range_value_exits_2_naming_the_key(self, tmp_path, edit_config, key, capsys):
@@ -219,6 +230,41 @@ class TestSimulate:
         assert main(argv) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not csv_path.exists() and not summary.exists()
+
+    @pytest.mark.parametrize(
+        "edit_config",
+        [
+            # PiB-scale requests: each fails where it is allocated, before any memory is used.
+            pytest.param(lambda data: data.update(bootstrap_samples=10**13), id="bootstrap_samples"),
+            pytest.param(lambda data: data.update(n_objects=10**13), id="n_objects"),
+            pytest.param(lambda data: data["noise"].update(points_size_scale=1e13), id="points_size_scale"),
+        ],
+    )
+    def test_a_config_that_needs_more_memory_than_there_is_exits_2(self, tmp_path, edit_config, capsys):
+        config = reduced_config(tmp_path)
+        data = json.loads(config.read_text())
+        edit_config(data)
+        config.write_text(json.dumps(data))
+        csv_path, summary = tmp_path / "rows.csv", tmp_path / "summary.json"
+        argv = ["simulate", "--config", str(config), "--output-csv", str(csv_path), "--summary", str(summary)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) > len("error: \n")
+        assert not csv_path.exists() and not summary.exists()
+
+    def test_a_memory_error_without_a_message_is_named(self, tmp_path, capsys):
+        """``tuple(range(10**13))`` raises a bare ``MemoryError``."""
+        message = "the input needs more memory than is available"
+        self.assert_exits_2_with(tmp_path, lambda data: data.update(num_seeds=10**13), message, capsys)
+
+    @pytest.mark.parametrize("flag", ["--summary", "--emit-plot-data"])
+    def test_two_outputs_that_name_one_file_exit_2_without_output(self, tmp_path, flag, capsys):
+        csv_path = tmp_path / "rows.csv"
+        argv = ["simulate", "--config", str(reduced_config(tmp_path)), "--output-csv", str(csv_path)]
+        argv += ["--summary", str(tmp_path / "s.json")] if flag != "--summary" else []
+        assert main(argv + [flag, f"{tmp_path}/./rows.csv"]) == 2
+        assert capsys.readouterr().err == f"error: outputs {csv_path} and {tmp_path}/./rows.csv name one file\n"
+        assert not csv_path.exists() and not (tmp_path / "s.json").exists()
 
     def test_one_seed_runs_without_orderings(self, tmp_path):
         config = reduced_config(tmp_path, num_seeds=1, orderings=[])
@@ -523,6 +569,14 @@ class TestDepthTargets:
         assert main(self.argv(tmp_path, points=points, config={"fixed_r": None})) == 2
         assert capsys.readouterr().err == "error: fixed_r must be a number, got None\n"
         assert not (tmp_path / "targets.lxlt").exists() and not (tmp_path / "targets.lxlt.json").exists()
+
+    def test_a_sidecar_that_names_the_output_exits_2_without_output(self, tmp_path, capsys):
+        """Written second, the sidecar would replace the table and the command exit 0."""
+        (tmp_path / "link").symlink_to(tmp_path)
+        sidecar = tmp_path / "link" / "targets.lxlt"
+        assert main(self.argv(tmp_path) + ["--sidecar", str(sidecar)]) == 2
+        assert capsys.readouterr().err == f"error: outputs {tmp_path / 'targets.lxlt'} and {sidecar} name one file\n"
+        assert not (tmp_path / "targets.lxlt").exists()
 
     @pytest.mark.parametrize(
         "sidecar,message",
@@ -1037,6 +1091,13 @@ class TestErrorModel:
         assert {r["metric"] for r in tidy} == {"empirical_px", "rel_deviation"}
         for row in tidy:
             assert rows[row["rho_m"], row["theta_deg"], row["phi_deg"]][row["metric"]] == row["value"]
+
+    def test_plot_data_that_names_the_output_exits_2_without_output(self, tmp_path, capsys):
+        out = tmp_path / "e.csv"
+        assert main(self.argv(tmp_path) + ["--output", str(out), "--emit-plot-data", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: outputs {out} and {out} name one file\n" and captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("to_file", [True, False])
     def test_unwritable_plot_data_leaves_no_table(self, tmp_path, to_file, capsys):

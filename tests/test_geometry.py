@@ -17,7 +17,6 @@ from radarcam.geometry import (
     SensorCalibration,
     camera_to_spherical,
     empirical_projection_error,
-    per_element,
     max_pixel_position_error,
     project_points,
     project_to_pixel,
@@ -174,14 +173,14 @@ class TestSpherical:
 
 
 def spherical_to_camera_scalar(rho, azimuth, elevation):
-    """The scalar :mod:`math` formulas, in the operation order the array code keeps."""
-    cos_el = math.cos(elevation)
-    return rho * cos_el * math.sin(azimuth), -(rho * math.sin(elevation)), rho * cos_el * math.cos(azimuth)
+    """The scalar formulas on Python floats, in the operation order the array code keeps."""
+    cos_el = np.cos(elevation)
+    return rho * cos_el * np.sin(azimuth), -(rho * np.sin(elevation)), rho * cos_el * np.cos(azimuth)
 
 
 def camera_to_spherical_scalar(x, y, z):
     rho = math.sqrt(z * z + x * x + y * y)
-    return rho, math.atan2(x, z), math.asin(-y / rho) if rho > 0 else 0.0
+    return rho, np.arctan2(x, z), np.arcsin(-y / rho) if rho > 0 else 0.0
 
 
 def hexes(values):
@@ -204,9 +203,8 @@ COORDINATES = st.one_of(SIGNED_ZEROS, st.floats(1e-6, 1e4), st.floats(-1e4, -1e-
 
 
 class TestSphericalArraysEqualTheScalarFormulas:
-    """The array conversions call libm once per element and keep the
-    scalar operation order, so they equal the :mod:`math` formulas bit for
-    bit, for arrays and for Python floats alike."""
+    """The array conversions keep the scalar operation order, so they equal
+    the scalar formulas bit for bit, for arrays and for Python floats alike."""
 
     @given(st.lists(st.tuples(RANGES, ANGLES, ELEVATIONS), max_size=40))
     @example([(0.0, 0.0, 0.0), (-0.0, -0.0, -0.0), (1e4, NEAR_HALF_PI, -NEAR_HALF_PI), (5.0, -0.0, HALF_PI)])
@@ -230,11 +228,37 @@ class TestSphericalArraysEqualTheScalarFormulas:
         for point in points:
             assert hexes(camera_to_spherical(*point)) == hexes(camera_to_spherical_scalar(*point))
 
-    def test_per_element_keeps_shape_and_broadcasts(self):
-        got = per_element(math.atan2, np.ones((2, 3)), np.array([1.0, -1.0, 0.0]))
-        assert got.shape == (2, 3) and got[1, 1] == math.atan2(1.0, -1.0)
-        assert type(per_element(math.sin, 0.5)) is np.float64 and per_element(math.sin, 0.5) == math.sin(0.5)
-        assert per_element(math.cos, np.empty((0, 2))).shape == (0, 2)
+
+class TestNumpyFunctionsGiveAnElementItsBitsAnywhere:
+    """The library calls NumPy's trigonometry and ``log10`` on arrays, and
+    the per-point oracles (``tests/oracles.py``, the scalar formulas above)
+    call the same functions on Python floats. Their ``float.hex`` equality
+    rests on each function giving an element the same bits on its own, in a
+    contiguous array and in a strided view; a NumPy build whose vectorised
+    loop rounds otherwise fails here first."""
+
+    @staticmethod
+    def inputs(name, n=4096):
+        rng = np.random.default_rng(20260)
+        if name == "arcsin":
+            return (rng.uniform(-1.0, 1.0, n),)
+        if name == "log10":
+            return (np.exp(rng.uniform(-20.0, 20.0, n)),)
+        if name == "arctan2":
+            return rng.uniform(-50.0, 50.0, n), rng.uniform(-50.0, 50.0, n)
+        return (np.concatenate([rng.uniform(-1.6, 1.6, n // 2), rng.uniform(-1e3, 1e3, n - n // 2)]),)
+
+    @pytest.mark.parametrize("name", ["sin", "cos", "tan", "arcsin", "arctan2", "log10"])
+    def test_a_python_float_gets_the_bits_it_gets_inside_an_array(self, name):
+        fn, args = getattr(np, name), self.inputs(name)
+        contiguous = hexes(fn(*args))
+        strided = hexes(fn(*(np.repeat(a, 3)[1::3] for a in args)))
+        alone = hexes(fn(*xs) for xs in zip(*(a.tolist() for a in args)))
+        differ = [i for i, (c, s, a) in enumerate(zip(contiguous, strided, alone)) if not c == s == a]
+        assert not differ, (
+            f"np.{name} gives {len(differ)} of {len(alone)} inputs other bits inside an array than on its own, "
+            f"first at {[float(a[differ[0]]) for a in args]}: the per-point oracles no longer equal the library bit for bit"
+        )
 
 
 class TestScaleIntrinsics:

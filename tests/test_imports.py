@@ -1,6 +1,6 @@
 """Every import in the library modules is used, only the CLI reads LXLT
-files, no module has its own JSON reader, and the package exposes ``lxlt``
-on import.
+files, no module has its own JSON reader or calls libm's trigonometry, and
+the package exposes ``lxlt`` on import.
 
 ``__init__.py`` is left out: its imports are the package's public names.
 An import marked ``# noqa: F401`` is kept on purpose, for a name that
@@ -134,6 +134,35 @@ def test_a_from_dict_is_found():
     text = "class A:\n    @classmethod\n    def from_dict(cls, data):\n        pass\n\n\ndef from_dict(data):\n    pass\n"
     assert sorted(from_dict_owners(text)) == ["<module>", "A"]
     assert from_dict_owners("class B:\n    def to_dict(self):\n        pass\n") == []
+
+
+LIBM_ONLY = ("sin", "cos", "tan", "asin", "atan2", "log10")
+
+
+def libm_calls(text: str) -> list[str]:
+    """The :mod:`math` functions of ``LIBM_ONLY`` that ``text`` names, by
+    attribute (``math.sin``) or by import (``from math import sin``), with
+    their lines."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "math" and node.attr in LIBM_ONLY:
+            found.append(f"line {node.lineno}: math.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [f"line {node.lineno}: math.{alias.name}" for alias in node.names if alias.name in LIBM_ONLY]
+    return found
+
+
+def test_no_module_calls_libm_trigonometry():
+    """The geometry and the experiment use NumPy's ``sin``, ``cos``, ``tan``,
+    ``arcsin``, ``arctan2`` and ``log10``, on arrays and on Python floats
+    alike: one numeric policy. ``math.radians`` and ``math.isfinite`` stay."""
+    assert {path.name: found for path in MODULES if (found := libm_calls(path.read_text()))} == {}
+
+
+def test_a_libm_call_is_found():
+    text = "import math\nfrom math import atan2, hypot\nx = math.sin(1.0) + math.radians(2.0) + math.isfinite(3.0)\n"
+    assert libm_calls(text) == ["line 2: math.atan2", "line 3: math.sin"]
+    assert libm_calls("import numpy as np\nnp.sin(1.0)\n") == []
 
 
 def test_the_package_exposes_lxlt_in_a_fresh_interpreter():

@@ -4,6 +4,8 @@ import dataclasses
 import importlib.util
 import json
 import math
+import sys
+import warnings
 from collections import Counter
 from importlib import resources
 from pathlib import Path
@@ -26,10 +28,7 @@ from radarcam.geometry import (
     CameraIntrinsics,
     RigidTransform,
     SensorCalibration,
-    camera_to_spherical,
-    empirical_projection_error,
     read_json,
-    spherical_to_camera,
 )
 from radarcam.sim import (
     EMPTY_BOX,
@@ -569,8 +568,8 @@ class TestDrawsMatchTheScalarPipeline:
         assert [x.hex() for x in batched] == [float(x).hex() for x in scalar]
 
     def test_scenes_and_returns_equal_the_scalar_pipeline(self):
-        """Over enough draws that a vectorised trigonometric function, which
-        differs from libm on about one input in two hundred, would show."""
+        """Over enough draws that a NumPy function giving an element other
+        bits inside an array than on its own would show."""
         cfg = default_experiment_config()
         seeds = range(0, 4000, 10)
         scene = generate_scene(seeds, 12, cfg.scene, cfg.calibration, cfg.stride)
@@ -590,31 +589,36 @@ class TestDrawsMatchTheScalarPipeline:
         assert hexes(points.tolist()) == hexes((p.x, p.y, p.z, p.rcs_dbsm) for r in returns for p in r)
 
 
-class TestNoNumpyTrigonometry:
-    """The spherical geometry and the experiment call libm, never NumPy's
-    vectorised functions. NumPy's ``sin`` and ``cos`` equal libm's on some
-    hosts, so the ``float.hex`` tests alone cannot see a swap there; with
-    the NumPy functions made to raise, the swap fails on every host."""
+class TestRcsAndReturnCounts:
+    def test_rcs_of_an_array_equals_the_scalar_call_per_element(self):
+        sizes = np.random.default_rng(3).uniform(0.05, 12.0, (40, 7))
+        got = rcs_from_size(sizes)
+        assert got.shape == sizes.shape
+        assert [x.hex() for x in got.ravel().tolist()] == [float(rcs_from_size(x)).hex() for x in sizes.ravel().tolist()]
 
-    PATCHED = ("sin", "cos", "tan", "arcsin", "arctan2", "log10")
+    @pytest.mark.parametrize("bad", [0.0, -1.5, math.nan])
+    def test_rcs_refuses_a_size_that_is_not_positive(self, bad):
+        sizes = np.full((2, 4), 3.0)
+        sizes[1, 2] = bad
+        for size in (sizes, bad):
+            with pytest.raises(ValueError, match=f"^object size must be positive, got {bad}$"):
+                rcs_from_size(size)
 
-    def test_geometry_and_experiment_run_without_numpy_trigonometry(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a NumPy trigonometric or log function was called")
-
-        for name in self.PATCHED:
-            monkeypatch.setattr(np, name, refuse)
-        with pytest.raises(AssertionError):
-            np.arctan2(1.0, 1.0)
-        rho, az, el = np.array([1.0, 5.0, 40.0]), np.array([0.1, -0.3, 0.0]), np.array([0.0, 0.05, -0.2])
-        camera_to_spherical(*spherical_to_camera(rho, az, el))
-        camera_to_spherical(*spherical_to_camera(5.0, 0.1, -0.05))
-        cfg = default_experiment_config()
-        res = cfg.calibration.angular_resolution
-        assert empirical_projection_error(20.0, 0.2, 0.1, res, cfg.calibration.intrinsics) > 0
-        scene = generate_scene([0, 1], 12, cfg.scene, cfg.calibration, cfg.stride)
-        points, counts = simulate_radar(scene, cfg.noise, [1, 2])
-        assert counts.sum() == len(points) > 0
+    @pytest.mark.parametrize(
+        "model,sizes",
+        [
+            (RadarNoiseModel(points_size_scale=1e300), [4.0]),
+            (RadarNoiseModel(), [1e300, 1e301]),
+            (RadarNoiseModel(points_size_scale=1e300), [1e300]),  # the count overflows to inf
+            (RadarNoiseModel(points_size_scale=1e18), [9.0] * 8),  # each count fits intp, their sum does not
+        ],
+    )
+    def test_more_returns_than_intp_holds_are_refused_without_a_warning(self, model, sizes):
+        message = rf"^points_base \+ points_size_scale \* sqrt\(size\) must give at most {sys.maxsize} returns, got "
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                model.points_for(np.array(sizes))
 
 
 def reference_returns(cfg, noise, seeds, n_objects):
