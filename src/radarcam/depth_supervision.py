@@ -83,13 +83,17 @@ class DepthBinSpec:
 @dataclass(frozen=True)
 class RadiusConfig:
     """Neighborhood radius settings. A point without RCS takes the radius
-    ``fixed_r``, 2.0 px unless set; ``r_max`` clamps both."""
+    ``fixed_r``, 2.0 px unless set; ``r_max`` clamps both. Every setting is
+    finite, so that a radius and the JSON that records it are too."""
 
     k: float = 0.1
     r_max: float = 2.0
     fixed_r: float = 2.0
 
     def __post_init__(self):
+        for name in ("k", "r_max", "fixed_r"):
+            if math.isinf(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.k > 0:
             raise ValueError(f"k must be positive, got {self.k}")
         if not self.r_max >= 0:
@@ -136,8 +140,8 @@ def neighborhood_radius(
     cleanly to single-pixel supervision; an infinite RCS raises
     ``ValueError``. Arrays give arrays; ``np.float_power`` rounds like ``**``, ``np.power`` may not.
     A factor that overflows clamps at ``cfg.r_max``; a radius that is still
-    not finite (an infinite ``r_max``, or ``0 * inf``) raises ``ValueError``
-    naming its point.
+    not finite (``0 * inf``, an overflowing ``k`` times an underflowing RCS
+    factor) raises ``ValueError`` naming its point.
     """
     depth = np.asarray(depth, dtype=np.float64)
     if not np.all(depth > 0):
@@ -328,7 +332,8 @@ def neighborhood_pixels(
     us = np.arange(max(u - half, 0), min(u + half, width - 1) + 1)
     vs = np.arange(max(v - half, 0), min(v + half, height - 1) + 1)
     vv, uu = (a.ravel() for a in np.meshgrid(vs, us, indexing="ij"))
-    inside = (uu - u) ** 2 + (vv - v) ** 2 <= radius * radius
+    with np.errstate(over="ignore"):  # a radius squared to inf still compares right
+        inside = (uu - u) ** 2 + (vv - v) ** 2 <= radius * radius
     return list(zip(uu[inside].tolist(), vv[inside].tolist()))
 
 
@@ -384,7 +389,8 @@ def _select_in_disks(
         uu, vv = u + du, v + dv
         on_map = (0 <= uu) & (uu < width) & (0 <= vv) & (vv < height)
         r = radii[rows, :, None]
-        disks = (du * du + dv * dv <= r * r) & on_map[:, None]  # (rows, radius columns, stencil)
+        with np.errstate(over="ignore"):  # a radius squared to inf still compares right
+            disks = (du * du + dv * dv <= r * r) & on_map[:, None]  # (rows, radius columns, stencil)
         looked_up = disks.any(axis=1)  # the disk of the row's largest radius
         uu, vv = np.where(looked_up, uu, u), np.where(looked_up, vv, v)
         raw = cost_at(rows, uu, vv)

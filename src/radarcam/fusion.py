@@ -73,9 +73,6 @@ class CSAFusionParams:
     Channel MLPs bottleneck at floor(C / 3) but never below one unit; each
     modality owns one channel MLP (shared between average and max pooling)
     and one spatial convolution over the stacked channel max and mean.
-    ``mid_conv`` and both spatial convs must keep the map size (stride 1,
-    padding summing to k - 1 on each axis), because their output gates the
-    input map pixel by pixel.
     """
 
     in_conv: Conv2DParams
@@ -101,15 +98,6 @@ class CSAFusionParams:
         ):
             if conv.in_channels != 2 or conv.out_channels != 1:
                 raise ShapeError(f"spatial conv ({name}) must map 2 channels to 1")
-        for name in ("mid_conv", "spatial_conv_radar", "spatial_conv_image"):
-            conv = getattr(self, name)
-            _, _, kh, kw = conv.weights.shape
-            pt, pb, pl, pr = conv.padding
-            if conv.stride != 1 or pt + pb != kh - 1 or pl + pr != kw - 1:
-                raise ShapeError(
-                    f"{name} must keep the map size (stride 1, padding summing to k - 1 per axis), "
-                    f"got stride {conv.stride} and padding {conv.padding} for a {kh}x{kw} kernel"
-                )
 
     @classmethod
     def bottleneck_width(cls, channels: int) -> int:

@@ -97,7 +97,6 @@ def read_json(tp, value, name: str, leaf=None):
 
     - ``float``, and ``int`` as a whole number: :func:`json_number`;
     - ``str`` and ``bool``: that JSON type;
-    - ``X | None``: null, or an ``X``;
     - ``tuple[X, ...]``: a JSON list of ``X``; ``tuple[X, Y, Z]``: a JSON
       list of one ``X``, one ``Y`` and one ``Z``;
     - :class:`RigidTransform`: a JSON list of its 4x4 matrix's 16 numbers,
@@ -123,10 +122,8 @@ def read_json(tp, value, name: str, leaf=None):
         if not isinstance(value, tp):
             raise ValueError(f"{name} must be {'a string' if tp is str else 'true or false'}, got {value!r}")
         return value
-    args = get_args(tp)
-    if type(None) in args:
-        return None if value is None else read_json(args[0], value, name, leaf)
     if get_origin(tp) is tuple:
+        args = get_args(tp)
         items = json_list(value, name)
         if args[-1] is Ellipsis:
             args = args[:1] * len(items)

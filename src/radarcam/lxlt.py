@@ -21,9 +21,9 @@ LXLT files of one parameter dataclass, such as ``VTParams``,
 ``CSAFusionParams`` or ``ConcatFusionParams``; a manifest without it is
 refused. :func:`read_params` reads that object with
 :func:`~radarcam.geometry.read_json`: each key is a field name, read by
-the field's declared type, and a ``Conv2DParams`` (loaded same-padded at
-stride 1) or ``LinearParams`` entry is ``{"weights": file, "bias":
-file}``, file names relative to ``root``. Any other key is refused.
+the field's declared type, and a ``Conv2DParams`` or ``LinearParams``
+entry is ``{"weights": file, "bias": file}``, file names relative to
+``root``. Any other key is refused.
 
 Errors name the entry as a path of field names: ``manifest
 params.post_convs[1]``, ``manifest params.channel_mlp_image.layers[0]``.
@@ -116,7 +116,7 @@ def read_params(cls, manifest: dict, root: str | Path):
     read as described in the module docstring."""
     root = Path(root)
     leaf = {
-        Conv2DParams: partial(_read_layer, Conv2DParams.same, root),
+        Conv2DParams: partial(_read_layer, Conv2DParams, root),
         LinearParams: partial(_read_layer, LinearParams, root),
     }
     return read_json(cls, manifest.get("params"), "manifest params", leaf)

@@ -3,7 +3,8 @@ pooling.
 
 All operations are pure functions, evaluate forward only and compute in
 float64 regardless of the input dtype or memory layout. Feature maps follow
-the channels-first layout (C, H, W), and :func:`conv2d` returns them
+the channels-first layout (C, H, W). Every convolution is same-padded at
+stride 1, so :func:`conv2d` returns a map of its input's H and W,
 C-contiguous. A dense convolution larger than 1x1 runs as one batched GEMM
 per kernel column over overlapping views of a row-major (H, C, W) padded
 copy, with no im2col buffer. Continuous-coordinate sampling belongs to the
@@ -28,17 +29,15 @@ def _as_f64(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Conv2DParams:
-    """Parameters of a single 2D cross-correlation layer.
+    """Parameters of a single 2D cross-correlation layer, same-padded at
+    stride 1: its output keeps the input's H and W.
 
     ``weights`` has shape (out_ch, in_ch, kH, kW) with odd kernel sides,
-    ``bias`` has shape (out_ch,). ``padding`` is per-side zero padding
-    (top, bottom, left, right).
+    ``bias`` has shape (out_ch,).
     """
 
     weights: np.ndarray
     bias: np.ndarray
-    padding: tuple[int, int, int, int] = (0, 0, 0, 0)
-    stride: int = 1
 
     def __post_init__(self):
         w = _as_f64(self.weights)
@@ -50,22 +49,24 @@ class Conv2DParams:
             raise ShapeError(f"kernel sides must be odd, got {kh}x{kw}")
         if b.shape != (out_ch,):
             raise ShapeError(f"bias shape {b.shape} does not match {out_ch} output channels")
-        if len(self.padding) != 4 or any(p < 0 for p in self.padding):
-            raise ShapeError(f"padding must be 4 non-negative ints, got {self.padding}")
-        if self.stride < 1:
-            raise ShapeError(f"stride must be positive, got {self.stride}")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", b)
-        object.__setattr__(self, "padding", tuple(int(p) for p in self.padding))
 
     @classmethod
-    def same(cls, weights, bias, stride: int = 1) -> "Conv2DParams":
-        """Padding that preserves H and W for odd kernels at stride 1."""
-        w = _as_f64(weights)
-        if w.ndim != 4:
-            raise ShapeError(f"conv weights must be 4D, got shape {w.shape}")
-        ph, pw = (w.shape[2] - 1) // 2, (w.shape[3] - 1) // 2
-        return cls(w, bias, (ph, ph, pw, pw), stride)
+    def same(cls, weights, bias) -> "Conv2DParams":
+        """The constructor itself, kept because ``bench/workloads.py`` calls it."""
+        return cls(weights, bias)
+
+    @property
+    def padding(self) -> tuple[int, int, int, int]:
+        """Per-side zero padding (top, bottom, left, right) that keeps H and W."""
+        ph, pw = (self.weights.shape[2] - 1) // 2, (self.weights.shape[3] - 1) // 2
+        return (ph, ph, pw, pw)
+
+    @property
+    def stride(self) -> int:
+        """Always 1, kept because ``bench/workloads.py`` reads it."""
+        return 1
 
     @property
     def out_channels(self) -> int:
@@ -137,51 +138,44 @@ def _zero_padded(x: np.ndarray, padding: tuple[int, int, int, int]) -> np.ndarra
 
 
 def conv2d(x: np.ndarray, params: Conv2DParams) -> np.ndarray:
-    """2D cross-correlation with zero padding.
+    """2D cross-correlation, zero-padded to keep the map size.
 
-    ``x`` is (C_in, H, W); the result is a C-contiguous (C_out, H', W') array
-    where the output extent follows the usual (H + pad - k) // stride + 1
-    rule.
+    ``x`` is (C_in, H, W) with H, W >= 1; the result is a C-contiguous
+    (C_out, H, W) array.
 
-    An unpadded 1x1 conv is one GEMM over the (C_in, H·W) input plus the
-    bias. Any other conv reads a zero-padded copy laid out (Hp, C_in, Wp),
-    in which one row step is C_in·Wp elements: the kernel rows (ky, c) of
-    every output row then form one K axis of stride Wp over overlapping
-    views of the copy, with no im2col buffer (MEC lowering, arXiv
-    1706.06873). Each kernel column kx is one batched matmul, one GEMM of
-    K = kh·C_in per output row, into an (H', C_out, Wp - kw + 1)
-    accumulator; a stride skips rows in the view and columns at the end.
-    The transpose and the bias are then written to a fresh C-contiguous
-    array.
+    A 1x1 conv is one GEMM over the (C_in, H·W) input plus the bias. Any
+    other conv reads a zero-padded copy laid out (Hp, C_in, Wp), in which
+    one row step is C_in·Wp elements: the kernel rows (ky, c) of every
+    output row then form one K axis of stride Wp over overlapping views of
+    the copy, with no im2col buffer (MEC lowering, arXiv 1706.06873). Each
+    kernel column kx is one batched matmul, one GEMM of K = kh·C_in per
+    output row, into an (H, C_out, W) accumulator. The transpose and the
+    bias are then written to a fresh C-contiguous array.
     """
     x = _as_f64(x)
     if x.ndim != 3:
         raise ShapeError(f"conv2d input must be (C, H, W), got shape {x.shape}")
     out_ch, in_ch, kh, kw = params.weights.shape
-    if x.shape[0] != in_ch:
-        raise ShapeError(f"input has {x.shape[0]} channels, weights expect {in_ch}")
-    pt, pb, pl, pr = params.padding
-    hp, wp = x.shape[1] + pt + pb, x.shape[2] + pl + pr
-    if hp < kh or wp < kw:
-        raise ShapeError(f"padded input {hp}x{wp} smaller than kernel {kh}x{kw}")
-    s = params.stride
-    if kh == kw == 1 and not any(params.padding):
-        acc = np.matmul(params.weights[:, :, 0, 0], x.reshape(in_ch, hp * wp))
-        return acc.reshape(out_ch, hp, wp)[:, ::s, ::s] + params.bias[:, None, None]
+    in_x, h, w = x.shape
+    if in_x != in_ch:
+        raise ShapeError(f"input has {in_x} channels, weights expect {in_ch}")
+    if h < 1 or w < 1:
+        raise ShapeError(f"input map {h}x{w} is empty")
+    if kh == kw == 1:
+        acc = np.matmul(params.weights[:, :, 0, 0], x.reshape(in_ch, h * w))
+        return acc.reshape(out_ch, h, w) + params.bias[:, None, None]
     xp = _zero_padded(x, params.padding)
-    out_h, out_w = (hp - kh) // s + 1, wp - kw + 1
     # w_cols[kx] is (C_out, kh·C_in), its K axis in the views' (ky, c) order
     w_cols = params.weights.transpose(3, 0, 2, 1).reshape(kw, out_ch, kh * in_ch)
-    row, k_step, col = xp.strides
-    shape, strides = (out_h, kh * in_ch, out_w), (s * row, k_step, col)
-    acc = np.matmul(w_cols[0], as_strided(xp, shape, strides, writeable=False))
+    shape = (h, kh * in_ch, w)
+    acc = np.matmul(w_cols[0], as_strided(xp, shape, xp.strides, writeable=False))
     part = np.empty_like(acc)
     for kx in range(1, kw):
-        np.matmul(w_cols[kx], as_strided(xp[:, :, kx:], shape, strides, writeable=False), out=part)
+        np.matmul(w_cols[kx], as_strided(xp[:, :, kx:], shape, xp.strides, writeable=False), out=part)
         acc += part
     del xp, part  # the padded copy is freed before the output is allocated
-    out = np.empty((out_ch, out_h, (out_w - 1) // s + 1), dtype=np.float64)
-    np.add(acc.transpose(1, 0, 2)[:, :, ::s], params.bias[:, None, None], out=out)
+    out = np.empty((out_ch, h, w), dtype=np.float64)
+    np.add(acc.transpose(1, 0, 2), params.bias[:, None, None], out=out)
     return out
 
 

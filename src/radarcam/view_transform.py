@@ -19,12 +19,11 @@ A voxel of such a cell outside the frustum reads no map and samples exact
 zeros. The first conv's input channels are permuted once to the rows'
 order, and as the conv is linear it runs on those rows alone as a sparse
 convolution (arXiv 1711.10275): one GEMM gives every kernel tap's products
-at every cell, and each tap adds its products at a constant shift into a
-stride-1 accumulator with a margin, one slice add per run of cells that are
+at every cell, and each tap adds its products at a constant shift into an
+accumulator with a margin, one slice add per run of cells that are
 consecutive in the padded grid (the frustum makes one run per BEV row). The
-accumulator is cropped and subsampled by the stride, and the bias comes
-last. An output that reads no sampled cell is exactly the bias. The other
-convs run densely.
+accumulator is cropped, and the bias comes last. An output that reads no
+sampled cell is exactly the bias. The other convs run densely.
 
 Sampling uses the pixel-center convention: the center of pixel (row i,
 col j) sits at continuous coordinate (u=j, v=i), depth bin k's midpoint at
@@ -315,26 +314,26 @@ def conv2d_cells(cells: np.ndarray, rows: np.ndarray, shape: tuple[int, int], co
 
     ``cells`` holds strictly increasing raveled (Y, X) indices and ``rows``
     their (M, C_in) inputs. One GEMM gives every kernel tap's (C_out, M)
-    products. They are added at stride 1 into a flat accumulator of the
-    padded map, Wp columns a row, behind a margin of kh - 1 rows and kw - 1
-    columns: the tap (ky, kx) of every cell lands at the cell's padded flat
-    index minus ky * Wp + kx. The cells split into runs whose padded
-    indices are consecutive, and each tap, in row-major (ky, kx) order,
-    adds each run's products as one slice, with no mask. A product that
-    falls off the left edge wraps into the Wp - W' columns at the end of a
-    row, which straddle two rows and are cropped, and one that falls above
-    the top into the margin. The result is cropped, subsampled by the
-    stride and the bias added last, as in :func:`conv2d`; an output that
-    reads no cell is therefore exactly the bias. The products come from a
-    GEMM of another shape than :func:`conv2d`'s, so results agree with it
-    to rounding, not bit for bit.
+    products. They are added into a flat accumulator of the padded map, Wp
+    columns a row, behind a margin of kh - 1 rows and kw - 1 columns: the
+    tap (ky, kx) of every cell lands at the cell's padded flat index minus
+    ky * Wp + kx. The cells split into runs whose padded indices are
+    consecutive, and each tap, in row-major (ky, kx) order, adds each run's
+    products as one slice, with no mask. A product that falls off the left
+    edge wraps into the kw - 1 columns at the end of a row, which straddle
+    two rows and are cropped, and one that falls above the top into the
+    margin. The result is cropped and the bias added last, as in
+    :func:`conv2d`; an output that reads no cell is therefore exactly the
+    bias. The products come from a GEMM of another shape than
+    :func:`conv2d`'s, so results agree with it to rounding, not bit for
+    bit.
     """
     ny, nx = shape
     out_ch, in_ch, kh, kw = conv.weights.shape
+    if ny < 1 or nx < 1:
+        raise ShapeError(f"grid {ny}x{nx} is empty")
     pt, pb, pl, pr = conv.padding
     hp, wp = ny + pt + pb, nx + pl + pr
-    if hp < kh or wp < kw:
-        raise ShapeError(f"padded input {hp}x{wp} smaller than kernel {kh}x{kw}")
     cells = np.asarray(cells)
     if cells.ndim != 1 or not np.issubdtype(cells.dtype, np.integer):
         raise ShapeError(f"cells must be a 1D integer array, got {cells.dtype} of shape {cells.shape}")
@@ -344,7 +343,6 @@ def conv2d_cells(cells: np.ndarray, rows: np.ndarray, shape: tuple[int, int], co
         raise ShapeError(f"cells {cells[0]}..{cells[-1]} outside [0, {ny * nx}) of the {ny}x{nx} grid")
     if rows.shape != (cells.size, in_ch):
         raise ShapeError(f"rows shape {rows.shape} != (cells, in_channels) {(cells.size, in_ch)}")
-    out_h, out_w = hp - kh + 1, wp - kw + 1
     products = conv.weights.transpose(2, 3, 0, 1).reshape(kh * kw * out_ch, in_ch) @ rows.T
     margin = (kh - 1) * wp + kw - 1
     dest = cells + (cells // nx) * (pl + pr) + (margin + pt * wp + pl)
@@ -358,8 +356,8 @@ def conv2d_cells(cells: np.ndarray, rows: np.ndarray, shape: tuple[int, int], co
             for first, start, stop in runs:
                 d = first - shift
                 acc[:, d : d + stop - start] += products[tap : tap + out_ch, start:stop]
-    out = acc[:, margin : margin + out_h * wp].reshape(out_ch, out_h, wp)
-    return out[:, :: conv.stride, : out_w : conv.stride] + conv.bias[:, None, None]
+    out = acc[:, margin : margin + ny * wp].reshape(out_ch, ny, wp)
+    return out[:, :, :nx] + conv.bias[:, None, None]
 
 
 def sample_vt(

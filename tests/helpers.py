@@ -19,7 +19,7 @@ def identity_conv(channels: int, kernel: int = 3) -> Conv2DParams:
     mid = kernel // 2
     for c in range(channels):
         w[c, c, mid, mid] = 1.0
-    return Conv2DParams.same(w, np.zeros(channels))
+    return Conv2DParams(w, np.zeros(channels))
 
 
 def selection_conv(in_channels: int, out_channels: int, offset: int, kernel: int = 3) -> Conv2DParams:
@@ -28,13 +28,13 @@ def selection_conv(in_channels: int, out_channels: int, offset: int, kernel: int
     mid = kernel // 2
     for c in range(out_channels):
         w[c, offset + c, mid, mid] = 1.0
-    return Conv2DParams.same(w, np.zeros(out_channels))
+    return Conv2DParams(w, np.zeros(out_channels))
 
 
 def random_conv(rng: np.random.Generator, out_ch: int, in_ch: int, kernel: int) -> Conv2DParams:
     w = rng.normal(0.0, 0.5, size=(out_ch, in_ch, kernel, kernel))
     b = rng.normal(0.0, 0.1, size=out_ch)
-    return Conv2DParams.same(w, b)
+    return Conv2DParams(w, b)
 
 
 def random_linear(rng: np.random.Generator, out_f: int, in_f: int) -> LinearParams:
@@ -57,7 +57,7 @@ def zero_mlp(channels: int, final_bias: float = 0.0) -> MLPParams:
 
 
 def zero_conv(out_ch: int, in_ch: int, kernel: int, bias: float = 0.0) -> Conv2DParams:
-    return Conv2DParams.same(np.zeros((out_ch, in_ch, kernel, kernel)), np.full(out_ch, bias))
+    return Conv2DParams(np.zeros((out_ch, in_ch, kernel, kernel)), np.full(out_ch, bias))
 
 
 def zero_csa_params(channels: int) -> CSAFusionParams:

@@ -84,7 +84,7 @@ def csa_fusion_reference(f_radar, f_image, params) -> np.ndarray:
     f_image = np.asarray(f_image, dtype=np.float64)
 
     def conv(x, p):
-        return conv2d_naive(x, p.weights, p.bias, p.padding, p.stride)
+        return conv2d_naive(x, p.weights, p.bias, p.padding)
 
     f_in = conv(np.concatenate([f_radar, f_image]), params.in_conv)
     gap, gmp = f_in.mean(axis=(1, 2)), f_in.max(axis=(1, 2))

@@ -1,7 +1,6 @@
 """Tests for the command line front end, run through ``main(argv)``."""
 
 import csv
-import dataclasses
 import hashlib
 import json
 import math
@@ -192,6 +191,7 @@ class TestSimulate:
         "edit_config,message",
         [
             (lambda data: data["arms"][2]["radius"].update(k=0), "arms[2].radius: k must be positive, got 0.0"),
+            (lambda data: data["arms"][1]["radius"].update(fixed_r=math.inf), "arms[1].radius: fixed_r must be finite, got inf"),
             (lambda data: data["noise"].update(range_sigma=-1), "noise: range_sigma must be non-negative"),
             (
                 lambda data: data["arms"][1].update(agg="mean"),
@@ -662,6 +662,23 @@ class TestDepthTargets:
         assert err.startswith("error:") and message in err and "Traceback" not in err
         assert not (tmp_path / "targets.lxlt").exists() and not (tmp_path / "targets.lxlt.json").exists()
 
+    @pytest.mark.parametrize(
+        "case,message",
+        [
+            ({"flags": ["--r-max", "inf"]}, "r_max must be finite, got inf"),
+            ({"flags": ["--k", "inf"]}, "k must be finite, got inf"),
+            ({"flags": ["--fixed-r", "inf"]}, "fixed_r must be finite, got inf"),
+            ({"config": {"r_max": math.inf}}, "r_max must be finite, got inf"),  # json writes it as Infinity
+        ],
+    )
+    def test_infinite_radius_setting_exits_2_without_output(self, tmp_path, case, message, capsys):
+        """A sidecar that recorded it would hold ``Infinity``, which strict
+        JSON parsers refuse."""
+        assert main(self.argv(tmp_path, **case)) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "targets.lxlt").exists() and not (tmp_path / "targets.lxlt.json").exists()
+
 
 def scattered_points(n=40, seed=5) -> str:
     """A radar CSV of ``n`` points in view of :func:`calibration`, rows
@@ -937,24 +954,6 @@ class TestFuse:
         out = tmp_path / "fused.lxlt"
         assert main(argv + ["--params", str(tmp_path / "params.json"), "--output", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: manifest params: {message}")
-        assert not out.exists()
-
-    def test_mid_conv_that_changes_the_map_size_exits_2_without_output(self, tmp_path, monkeypatch, capsys):
-        """A manifest's convs load same-padded at stride 1, so the loader is
-        made to hand back a strided mid_conv."""
-        manifest, argv = write_fuse_inputs(tmp_path, "csa")
-        (tmp_path / "params.json").write_text(json.dumps(manifest))
-        read_params = lxlt.read_params
-
-        def strided(cls, manifest, root):
-            params = read_params(cls, manifest, root)
-            return dataclasses.replace(params, mid_conv=dataclasses.replace(params.mid_conv, stride=2))
-
-        monkeypatch.setattr(lxlt, "read_params", strided)
-        out = tmp_path / "fused.lxlt"
-        assert main(argv + ["--params", str(tmp_path / "params.json"), "--output", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: mid_conv must keep the map size") and "Traceback" not in err
         assert not out.exists()
 
     def test_manifest_that_is_not_an_object_exits_2(self, tmp_path, capsys):

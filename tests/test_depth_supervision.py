@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from radarcam.depth_supervision import (
+    AGGREGATIONS,
     DepthBinSpec,
     DepthTarget,
     LossConfig,
@@ -130,13 +132,23 @@ class TestNeighborhoodRadius:
         "cfg,rcs,message",
         [
             (RadiusConfig(k=1e308), np.array([0.0, -7000.0]), "radius nan of the point at depth 40.0 m, RCS -7000.0 "),
-            (RadiusConfig(r_max=math.inf), np.array([0.0, 7000.0]), "radius inf of the point at depth 40.0 m, RCS 7000.0 "),
-            (RadiusConfig(r_max=math.inf, fixed_r=math.inf), math.nan, "radius inf of the point at depth 20.0 m, RCS nan "),
         ],
     )
     def test_radius_that_is_not_finite_names_its_point(self, cfg, rcs, message):
         with pytest.raises(ValueError, match=message):
             neighborhood_radius(np.array([20.0, 40.0]), K, 8, cfg, rcs)
+
+    @pytest.mark.parametrize(
+        "cfg,rcs",
+        [
+            (RadiusConfig(r_max=sys.float_info.max), np.array([0.0, 7000.0])),
+            (RadiusConfig(r_max=sys.float_info.max, fixed_r=sys.float_info.max), math.nan),
+        ],
+    )
+    def test_the_largest_ceiling_clamps_an_overflowing_radius(self, cfg, rcs):
+        """The ceiling is finite, so a radius that overflows clamps at it."""
+        got = neighborhood_radius(np.array([20.0, 40.0]), K, 8, cfg, rcs)
+        assert got[1] == sys.float_info.max
 
     def test_array_errors(self):
         with pytest.raises(ValueError, match="depth"):
@@ -790,6 +802,35 @@ class TestNonFiniteInputs:
     def test_radius_config_rejects_nan(self, kwargs):
         with pytest.raises(ValueError):
             RadiusConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", ["k", "r_max", "fixed_r"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_radius_config_rejects_infinity(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got {value}$"):
+            RadiusConfig(**{name: value})
+
+    @pytest.mark.parametrize("agg", AGGREGATIONS)
+    @pytest.mark.parametrize("radius", [1.35e154, 1e200, sys.float_info.max])
+    def test_radius_that_squares_to_inf_selects_like_the_map_diagonal(self, radius, agg):
+        """Past ~1.34e154 a radius squares to inf, which still compares
+        right: the disk covers the map, as one the size of its diagonal does,
+        and no overflow warning is printed."""
+        spec, cfg = DepthBinSpec(0.0, 8.0, 4), LossConfig(neighborhood_agg=agg)
+        depth_map = softmax(np.random.default_rng(3).normal(size=(4, 3, 3)), axis=0)
+        diagonal = math.hypot(2.0, 2.0)
+
+        def targets(r):
+            return [(0.0, 1.0, 3.0, r), (2.0, 2.0, 5.5, 0.0), (1.0, 0.0, 1.0, r)]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = one_to_many_loss(depth_map, targets(radius), spec, cfg)
+            grad = one_to_many_loss_grad(depth_map, targets(radius), spec, cfg)
+            pixels = neighborhood_pixels(1, 1, radius, 3, 3)
+        assert got == one_to_many_loss(depth_map, targets(diagonal), spec, cfg)
+        assert [t.num_pixels for t in got.per_target] == [9, 1, 9]
+        np.testing.assert_array_equal(grad, one_to_many_loss_grad(depth_map, targets(diagonal), spec, cfg))
+        assert pixels == neighborhood_pixels(1, 1, diagonal, 3, 3) == [(u, v) for v in range(3) for u in range(3)]
 
     @pytest.mark.parametrize(
         "kwargs", [{"lambda1": math.nan}, {"lambda2": math.nan}, {"lambda1": math.inf}, {"lambda2": math.inf}]

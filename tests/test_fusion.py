@@ -179,7 +179,7 @@ class TestCSAFusion:
         def swap_blocks(conv):
             w = conv.weights.copy()
             swapped = np.concatenate([w[:, C:], w[:, :C]], axis=1)
-            return Conv2DParams.same(swapped, conv.bias)
+            return Conv2DParams(swapped, conv.bias)
 
         mirrored = CSAFusionParams(
             in_conv=swap_blocks(params.in_conv),
@@ -222,7 +222,7 @@ class TestCSAFusion:
     def test_saturated_gates_match_concat_fusion(self):
         rng = np.random.default_rng(14)
         f_r, f_i = random_maps(14)
-        out_conv = Conv2DParams.same(
+        out_conv = Conv2DParams(
             rng.normal(0.0, 0.5, size=(C, 2 * C, 3, 3)), rng.normal(0.0, 0.1, size=C)
         )
         saturated = CSAFusionParams(
@@ -267,10 +267,10 @@ class TestCSAFusion:
             dataclasses.replace(zero_csa_params(C), **{name: zero_conv(C, 2 * C - 1, 3)})
 
 
-def conv_of(rng, out_ch, in_ch, kernel, stride=1):
-    """A same-padded conv with random weights and a (kh, kw) kernel."""
+def conv_of(rng, out_ch, in_ch, kernel):
+    """A conv with random weights and a (kh, kw) kernel."""
     w = rng.normal(0.0, 0.5, size=(out_ch, in_ch, *kernel))
-    return Conv2DParams.same(w, rng.normal(0.0, 0.1, size=out_ch), stride)
+    return Conv2DParams(w, rng.normal(0.0, 0.1, size=out_ch))
 
 
 class TestCSAFusionMatchesReference:
@@ -278,25 +278,25 @@ class TestCSAFusionMatchesReference:
     builds ``w * f`` and ``s * (w * f)`` and runs every conv as nested loops."""
 
     @pytest.mark.parametrize(
-        "c,shape,mix,spatial,in_stride,out_stride",
+        "c,shape,mix,spatial",
         [
-            (1, (3, 4), (3, 3), (7, 7), 1, 1),
-            (2, (5, 6), (1, 1), (3, 3), 1, 1),
-            (3, (4, 5), (3, 5), (7, 7), 2, 1),
-            (4, (6, 3), (5, 5), (5, 3), 1, 2),
-            (5, (7, 8), (3, 3), (7, 7), 2, 2),
+            (1, (3, 4), (3, 3), (7, 7)),
+            (2, (5, 6), (1, 1), (3, 3)),
+            (3, (4, 5), (3, 5), (7, 7)),
+            (4, (6, 3), (5, 5), (5, 3)),
+            (5, (7, 8), (3, 3), (7, 7)),
         ],
     )
-    def test_equals_the_gated_copies(self, c, shape, mix, spatial, in_stride, out_stride):
+    def test_equals_the_gated_copies(self, c, shape, mix, spatial):
         rng = np.random.default_rng(c)
         params = CSAFusionParams(
-            in_conv=conv_of(rng, c, 2 * c, mix, in_stride),
+            in_conv=conv_of(rng, c, 2 * c, mix),
             channel_mlp_radar=random_mlp(rng, c),
             channel_mlp_image=random_mlp(rng, c),
             mid_conv=conv_of(rng, c, 2 * c, mix),
             spatial_conv_radar=conv_of(rng, 1, 2, spatial),
             spatial_conv_image=conv_of(rng, 1, 2, spatial),
-            out_conv=conv_of(rng, c, 2 * c, mix, out_stride),
+            out_conv=conv_of(rng, c, 2 * c, mix),
         )
         f_r, f_i = rng.normal(size=(c, *shape)), rng.normal(size=(c, *shape))
         assert scaled_error(csa_fusion(f_r, f_i, params), csa_fusion_reference(f_r, f_i, params)) <= 1e-12
@@ -332,47 +332,6 @@ class TestCSAStages:
             monkeypatch.setattr(fusion, name, counting(name, getattr(fusion, name)))
         csa_fusion(*random_maps(16), random_csa_params(np.random.default_rng(16), C))
         assert calls == {"conv2d": 5, "channel_attention": 1, "spatial_attention": 1}
-
-
-class TestCSAKeepsTheMapSize:
-    """``mid_conv`` and the spatial convs gate the input pixel by pixel, so
-    each must give a map of the input's size."""
-
-    @pytest.mark.parametrize("name", ["mid_conv", "spatial_conv_radar", "spatial_conv_image"])
-    @pytest.mark.parametrize(
-        "pad,stride",
-        [
-            (lambda h: (h, h, h, h), 2),  # strided
-            (lambda h: (0, 0, 0, 0), 1),  # unpadded
-            (lambda h: (0, 0, h, h), 1),  # rows unpadded
-            (lambda h: (h, h, h, h + 1), 1),  # one column too many
-        ],
-        ids=["strided", "unpadded", "rows-unpadded", "columns-overpadded"],
-    )
-    def test_size_changing_conv_rejected_naming_the_entry(self, name, pad, stride):
-        params = zero_csa_params(C)
-        conv = getattr(params, name)
-        padding = pad(conv.weights.shape[2] // 2)
-        bad = Conv2DParams(conv.weights, conv.bias, padding, stride)
-        message = rf"^{name} must keep the map size .* got stride {stride} and padding \({', '.join(map(str, padding))}\)"
-        with pytest.raises(ShapeError, match=message):
-            dataclasses.replace(params, **{name: bad})
-
-    def test_one_row_mid_conv_no_longer_broadcasts(self):
-        """A mid_conv that shrinks (4, 3, 6) maps to one row used to have its
-        gate broadcast over every row."""
-        rng = np.random.default_rng(17)
-        params = random_csa_params(rng, 4)
-        shrinking = Conv2DParams(params.mid_conv.weights, params.mid_conv.bias, (0, 0, 1, 1))
-        with pytest.raises(ShapeError, match=r"^mid_conv must keep the map size"):
-            dataclasses.replace(params, mid_conv=shrinking)
-
-    def test_uneven_padding_that_keeps_the_size_accepted(self):
-        params = zero_csa_params(C)
-        conv = params.mid_conv
-        shifted = dataclasses.replace(params, mid_conv=Conv2DParams(conv.weights, conv.bias, (2, 0, 0, 2)))
-        f_r, f_i = random_maps(18)
-        assert csa_fusion(f_r, f_i, shifted).shape == (C, Y, X)
 
 
 class TestCSAManifest:

@@ -5,7 +5,9 @@ the package exposes ``lxlt`` on import.
 ``__init__.py`` is left out: its imports are the package's public names.
 An import marked ``# noqa: F401`` is kept on purpose, for a name that
 ``bench/tracing.py`` wraps in the importing module; once the bench stops
-wrapping it, the import is flagged.
+wrapping it, the import is flagged. Likewise a name whose docstring says it
+is kept because ``bench/workloads.py`` uses it is flagged once the bench
+stops using it.
 """
 
 import ast
@@ -18,6 +20,7 @@ import pytest
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "radarcam"
 TRACING = SOURCE.parent.parent / "bench" / "tracing.py"
+WORKLOADS = SOURCE.parent.parent / "bench" / "workloads.py"
 MODULES = sorted(path for path in SOURCE.glob("*.py") if path.name != "__init__.py")
 
 
@@ -89,6 +92,59 @@ def test_a_kept_import_the_tracer_does_not_wrap_is_found():
     text = "from .a import (\n    f,  # noqa: F401\n    g,  # noqa: F401\n)\nfrom .b import h\n"
     assert untraced_kept_imports("radarcam.m", text, traced) == ["line 3: g"]
     assert untraced_kept_imports("radarcam.n", text, traced) == ["line 2: f", "line 3: g"]
+
+
+BENCH_HELD = "kept because ``bench/workloads.py``"
+
+
+def bench_held_names(text: str) -> list[str]:
+    """The functions and classes of ``text``, and the methods and properties
+    of its classes, whose docstring says they are kept because
+    ``bench/workloads.py`` uses them, as ``name`` or ``Class.name``."""
+    found = []
+
+    def visit(body, prefix):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if BENCH_HELD in (ast.get_docstring(node) or ""):
+                    found.append(prefix + node.name)
+                if isinstance(node, ast.ClassDef):
+                    visit(node.body, f"{prefix}{node.name}.")
+
+    visit(ast.parse(text).body, "")
+    return found
+
+
+def unused_held(held: list[str], bench: str) -> list[str]:
+    """The names of ``held`` that ``bench``, the source of
+    ``bench/workloads.py``, neither loads nor reads as an attribute. A name
+    is matched by its last part: the bench reads ``conv.stride`` from an
+    object whose type its source does not show."""
+    tree = ast.parse(bench)
+    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in held if name.rsplit(".", 1)[-1] not in used]
+
+
+def test_every_bench_held_name_is_still_used_by_the_bench():
+    """The library keeps these names only for the bench, so each one goes
+    once the bench stops using it, and a new one is added here on purpose."""
+    held = sorted(name for path in MODULES for name in bench_held_names(path.read_text()))
+    assert held == ["AngularResolution.from_degrees", "Conv2DParams.same", "Conv2DParams.stride"]
+    assert unused_held(held, WORKLOADS.read_text()) == []
+
+
+def test_a_bench_held_name_the_bench_no_longer_uses_is_found():
+    text = (
+        'class A:\n    """Not held."""\n\n    @property\n    def s(self):\n'
+        '        """Always 1, kept because ``bench/workloads.py`` reads it."""\n\n'
+        '    def t(self):\n        """Kept, but not because of the bench."""\n\n\n'
+        'def f():\n    """The constructor, kept because ``bench/workloads.py`` calls it."""\n'
+    )
+    held = bench_held_names(text)
+    assert held == ["A.s", "f"]
+    assert unused_held(held, "x = rc.f()\n") == ["A.s"]
+    assert unused_held(held, "x = f(conv.s)\n") == []
 
 
 def imports_lxlt(text: str) -> bool:

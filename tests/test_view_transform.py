@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from radarcam.depth_supervision import DepthBinSpec
 from radarcam.geometry import (
@@ -114,7 +114,7 @@ class TestOccupancy:
         f_bev = np.random.default_rng(0).normal(size=(4, 3, 5))
         params = make_params(c=2, z=6, d=4, radar_channels=4)
         zero = VTParams(
-            occupancy_conv=Conv2DParams.same(np.zeros((6, 4, 1, 1)), np.zeros(6)),
+            occupancy_conv=Conv2DParams(np.zeros((6, 4, 1, 1)), np.zeros(6)),
             depth_conv=params.depth_conv,
             embedding=params.embedding,
             post_convs=params.post_convs,
@@ -127,7 +127,7 @@ class TestOccupancy:
         f_bev = np.zeros((4, 3, 5))
         params = make_params(c=2, z=6, d=4, radar_channels=4)
         empty = VTParams(
-            occupancy_conv=Conv2DParams.same(np.zeros((6, 4, 1, 1)), np.full(6, -50.0)),
+            occupancy_conv=Conv2DParams(np.zeros((6, 4, 1, 1)), np.full(6, -50.0)),
             depth_conv=params.depth_conv,
             embedding=params.embedding,
             post_convs=params.post_convs,
@@ -160,8 +160,8 @@ class TestDepthDistribution:
         c, d = 3, 10
         f_pv = np.random.default_rng(0).normal(size=(c, 4, 6))
         params = VTParams(
-            occupancy_conv=Conv2DParams.same(np.zeros((2, 2, 1, 1)), np.zeros(2)),
-            depth_conv=Conv2DParams.same(np.zeros((d, c, 1, 1)), np.zeros(d)),
+            occupancy_conv=Conv2DParams(np.zeros((2, 2, 1, 1)), np.zeros(2)),
+            depth_conv=Conv2DParams(np.zeros((d, c, 1, 1)), np.zeros(d)),
             embedding=LinearParams(np.zeros((c, 9)), np.ones(c)),
             post_convs=(identity_conv(1), identity_conv(1), identity_conv(1)),
         )
@@ -207,7 +207,7 @@ class TestDepthDistribution:
         bins = DepthBinSpec(0.0, 40.0, d)
         scale = params.embedding.weights @ K.inverse_matrix().reshape(-1) + params.embedding.bias
         conv = params.depth_conv
-        logits = conv2d_naive(f_pv * scale[:, None, None], conv.weights, conv.bias, conv.padding, conv.stride)
+        logits = conv2d_naive(f_pv * scale[:, None, None], conv.weights, conv.bias, conv.padding)
         want = np.exp(logits - logits.max(axis=0))
         want /= want.sum(axis=0)
         got = depth_distribution(f_pv, K, params, bins, stride=8).data
@@ -217,7 +217,7 @@ class TestDepthDistribution:
         """A one-channel conv would take every channel's scale by
         broadcasting instead of failing."""
         params = make_params(c=3, z=2, d=6, radar_channels=2)
-        params = dataclasses.replace(params, depth_conv=Conv2DParams.same(np.ones((6, 1, 1, 1)), np.zeros(6)))
+        params = dataclasses.replace(params, depth_conv=Conv2DParams(np.ones((6, 1, 1, 1)), np.zeros(6)))
         with pytest.raises(ShapeError, match="input has 3 channels, weights expect 1"):
             depth_distribution(np.zeros((3, 4, 4)), K, params, DepthBinSpec(0.0, 40.0, 6), stride=8)
 
@@ -292,13 +292,12 @@ def frustum_instance(seed, counts=(2, 48, 20), yaw_deg=0.0, first=None, c=2, d=6
     return f_pv, d_map, occupancy, grid, intrinsics, w2c, params
 
 
-def conv_of(kh, kw, padding=None, stride=1):
-    """A random first conv of kernel kh x kw; same padding unless given."""
+def conv_of(kh, kw):
+    """A random first conv of kernel kh x kw."""
 
     def make(rng, out_ch, in_ch):
         weights = rng.normal(0.0, 0.5, size=(out_ch, in_ch, kh, kw))
-        pad = padding or ((kh - 1) // 2, (kh - 1) // 2, (kw - 1) // 2, (kw - 1) // 2)
-        return Conv2DParams(weights, rng.normal(0.0, 0.1, size=out_ch), pad, stride)
+        return Conv2DParams(weights, rng.normal(0.0, 0.1, size=out_ch))
 
     return make
 
@@ -345,8 +344,8 @@ class TestSampleVT:
         d_map = DepthDistributionMap(data, bins, stride)
         occupancy = np.ones((1, 1, 1))
         params = VTParams(
-            occupancy_conv=Conv2DParams.same(np.zeros((1, 1, 1, 1)), np.zeros(1)),
-            depth_conv=Conv2DParams.same(np.zeros((d, c, 1, 1)), np.zeros(d)),
+            occupancy_conv=Conv2DParams(np.zeros((1, 1, 1, 1)), np.zeros(1)),
+            depth_conv=Conv2DParams(np.zeros((d, c, 1, 1)), np.zeros(d)),
             embedding=LinearParams(np.zeros((c, 9)), np.ones(c)),
             post_convs=(
                 selection_conv(2 * c, c, offset=0),  # keep the depth-gated half
@@ -472,11 +471,7 @@ class TestSampleVT:
             (0.0, conv_of(1, 1)),
             (0.0, conv_of(5, 5)),
             (30.0, conv_of(3, 5)),
-            (0.0, conv_of(3, 3, padding=(0, 2, 2, 0))),
-            (30.0, conv_of(5, 3, padding=(3, 0, 0, 1))),
-            (0.0, conv_of(3, 3, stride=2)),
-            (30.0, conv_of(1, 1, stride=2)),
-            (0.0, conv_of(3, 5, padding=(2, 1, 0, 3), stride=2)),
+            (30.0, conv_of(5, 3)),
         ],
     )
     def test_frustum_matches_per_voxel_reference(self, yaw_deg, first):
@@ -515,13 +510,10 @@ def sparse_conv_instances(draw):
     mask = st.lists(st.booleans(), min_size=ny * nx, max_size=ny * nx)
     active = np.array(draw(mask), dtype=bool).reshape(ny, nx)
     kh, kw = draw(st.sampled_from((1, 3, 5))), draw(st.sampled_from((1, 3, 5)))
-    padding = tuple(draw(st.integers(0, 3)) for _ in range(4))
-    stride = draw(st.integers(1, 3))
-    assume(ny + padding[0] + padding[1] >= kh and nx + padding[2] + padding[3] >= kw)
     in_ch, out_ch = draw(st.integers(1, 3)), draw(st.integers(1, 2))
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     x = rng.normal(size=(in_ch, ny, nx)) * active
-    conv = Conv2DParams(rng.normal(size=(out_ch, in_ch, kh, kw)), rng.normal(size=out_ch), padding, stride)
+    conv = Conv2DParams(rng.normal(size=(out_ch, in_ch, kh, kw)), rng.normal(size=out_ch))
     return x, active, conv
 
 
@@ -530,29 +522,25 @@ def assert_sparse_conv_matches_dense(x, active, conv):
     and outputs that read no active cell are exactly the bias."""
     cells = np.flatnonzero(active)
     got = conv2d_cells(cells, x.reshape(x.shape[0], -1)[:, cells].T, active.shape, conv)
-    want = conv2d_naive(x, conv.weights, conv.bias, conv.padding, conv.stride)
+    _, _, kh, kw = conv.weights.shape
+    want = conv2d_naive(x, conv.weights, conv.bias, (kh // 2, kh // 2, kw // 2, kw // 2))
+    assert got.shape == want.shape == (conv.out_channels, *active.shape)
     assert scaled_error(got, want) < 1e-12
     # outputs whose receptive field holds no active cell are the bias, bit for bit
-    _, _, kh, kw = conv.weights.shape
-    pt, pb, pl, pr = conv.padding
-    s = conv.stride
-    padded = np.pad(active, ((pt, pb), (pl, pr)))
+    padded = np.pad(active, ((kh // 2, kh // 2), (kw // 2, kw // 2)))
     reads = np.array(
-        [[padded[oy * s : oy * s + kh, ox * s : ox * s + kw].any() for ox in range(got.shape[2])] for oy in range(got.shape[1])]
+        [[padded[oy : oy + kh, ox : ox + kw].any() for ox in range(got.shape[2])] for oy in range(got.shape[1])]
     ).reshape(got.shape[1:])
     assert np.all(got[:, ~reads] == conv.bias[:, None])
 
 
-# (raveled cells of a 5x6 grid, kernel side, padding, stride)
+# (raveled cells of a 5x6 grid, kernel side)
 RUN_EDGE_CASES = {
-    "run across a row boundary": ([3, 4, 5, 6, 7, 8], 3, (1, 1, 1, 1), 1),
-    "single-cell runs": ([0, 2, 9, 16, 29], 3, (1, 1, 1, 1), 1),
-    "runs on the left and right edges": ([0, 1, 10, 11, 12, 17, 24, 28, 29], 3, (1, 1, 1, 1), 1),
-    "runs on the edges with no padding": ([0, 1, 4, 5, 6, 11, 12, 13, 23, 24, 25, 29], 3, (0, 0, 0, 0), 1),
-    "full grid": (list(range(30)), 3, (1, 1, 1, 1), 1),
-    "full grid, 5x5 kernel": (list(range(30)), 5, (2, 1, 0, 2), 1),
-    "stride 2": ([1, 2, 3, 6, 7, 14, 15, 16, 17, 18, 19, 20, 27], 3, (1, 1, 1, 1), 2),
-    "stride 2, full grid": (list(range(30)), 3, (1, 1, 1, 1), 2),
+    "run across a row boundary": ([3, 4, 5, 6, 7, 8], 3),
+    "single-cell runs": ([0, 2, 9, 16, 29], 3),
+    "runs on the left and right edges": ([0, 1, 10, 11, 12, 17, 24, 28, 29], 3),
+    "full grid": (list(range(30)), 3),
+    "full grid, 5x5 kernel": (list(range(30)), 5),
 }
 
 
@@ -562,20 +550,21 @@ class TestConv2DCells:
     def test_matches_dense_oracle_and_leaves_unread_outputs_at_the_bias(self, instance):
         assert_sparse_conv_matches_dense(*instance)
 
-    @pytest.mark.parametrize("cells, k, padding, stride", RUN_EDGE_CASES.values(), ids=RUN_EDGE_CASES.keys())
-    def test_runs_of_cells_match_dense_oracle(self, cells, k, padding, stride):
+    @pytest.mark.parametrize("cells, k", RUN_EDGE_CASES.values(), ids=RUN_EDGE_CASES.keys())
+    def test_runs_of_cells_match_dense_oracle(self, cells, k):
         rng = np.random.default_rng(7)
         active = np.zeros(30, dtype=bool)
         active[cells] = True
         active = active.reshape(5, 6)
         x = rng.normal(size=(3, 5, 6)) * active
-        conv = Conv2DParams(rng.normal(size=(2, 3, k, k)), rng.normal(size=2), padding, stride)
+        conv = Conv2DParams(rng.normal(size=(2, 3, k, k)), rng.normal(size=2))
         assert_sparse_conv_matches_dense(x, active, conv)
 
-    def test_kernel_larger_than_the_padded_grid_is_rejected(self):
-        conv = Conv2DParams(np.ones((1, 2, 5, 3)), np.zeros(1), (1, 1, 0, 0))
-        with pytest.raises(ShapeError, match="padded input 4x3 smaller than kernel 5x3"):
-            conv2d_cells(np.array([0, 4]), np.ones((2, 2)), (2, 3), conv)
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0)])
+    def test_empty_grid_is_rejected(self, shape):
+        conv = Conv2DParams(np.ones((1, 2, 5, 3)), np.zeros(1))
+        with pytest.raises(ShapeError, match=rf"^grid {shape[0]}x{shape[1]} is empty$"):
+            conv2d_cells(np.array([], dtype=np.intp), np.ones((0, 2)), shape, conv)
 
     @pytest.mark.parametrize(
         "cells, message",
@@ -590,13 +579,13 @@ class TestConv2DCells:
         ids=["duplicated", "decreasing", "negative", "past the grid", "not integers"],
     )
     def test_bad_cells_are_rejected(self, cells, message):
-        conv = Conv2DParams.same(np.ones((1, 2, 3, 3)), np.zeros(1))
+        conv = Conv2DParams(np.ones((1, 2, 3, 3)), np.zeros(1))
         with pytest.raises(ShapeError, match=re.escape(message)):
             conv2d_cells(np.array(cells), np.ones((2, 2)), (4, 4), conv)
 
     @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (2,)])
     def test_rows_must_be_one_input_row_per_cell(self, shape):
-        conv = Conv2DParams.same(np.ones((1, 2, 3, 3)), np.zeros(1))
+        conv = Conv2DParams(np.ones((1, 2, 3, 3)), np.zeros(1))
         with pytest.raises(ShapeError, match=re.escape(f"rows shape {shape} != (cells, in_channels) (2, 2)")):
             conv2d_cells(np.array([1, 7]), np.ones(shape), (4, 4), conv)
 
@@ -699,8 +688,8 @@ class TestValidation:
         rng = np.random.default_rng(0)
         with pytest.raises(ShapeError, match="three"):
             VTParams(
-                occupancy_conv=Conv2DParams.same(np.zeros((2, 2, 1, 1)), np.zeros(2)),
-                depth_conv=Conv2DParams.same(np.zeros((4, 2, 1, 1)), np.zeros(4)),
+                occupancy_conv=Conv2DParams(np.zeros((2, 2, 1, 1)), np.zeros(2)),
+                depth_conv=Conv2DParams(np.zeros((4, 2, 1, 1)), np.zeros(4)),
                 embedding=LinearParams(np.zeros((2, 9)), np.zeros(2)),
                 post_convs=(identity_conv(2), identity_conv(2)),
             )
@@ -711,8 +700,8 @@ class TestValidation:
         post_convs[wide] = selection_conv(3, 2, offset=0)
         with pytest.raises(ShapeError, match=rf"post_convs\[{wide}\] takes 3 channels, post_convs\[{wide - 1}\] gives 2"):
             VTParams(
-                occupancy_conv=Conv2DParams.same(np.zeros((2, 2, 1, 1)), np.zeros(2)),
-                depth_conv=Conv2DParams.same(np.zeros((4, 2, 1, 1)), np.zeros(4)),
+                occupancy_conv=Conv2DParams(np.zeros((2, 2, 1, 1)), np.zeros(2)),
+                depth_conv=Conv2DParams(np.zeros((4, 2, 1, 1)), np.zeros(4)),
                 embedding=LinearParams(np.zeros((2, 9)), np.zeros(2)),
                 post_convs=tuple(post_convs),
             )
@@ -720,8 +709,8 @@ class TestValidation:
     def test_embedding_width_enforced(self):
         with pytest.raises(ShapeError, match="embedding"):
             VTParams(
-                occupancy_conv=Conv2DParams.same(np.zeros((2, 2, 1, 1)), np.zeros(2)),
-                depth_conv=Conv2DParams.same(np.zeros((4, 2, 1, 1)), np.zeros(4)),
+                occupancy_conv=Conv2DParams(np.zeros((2, 2, 1, 1)), np.zeros(2)),
+                depth_conv=Conv2DParams(np.zeros((4, 2, 1, 1)), np.zeros(4)),
                 embedding=LinearParams(np.zeros((2, 25)), np.zeros(2)),
                 post_convs=(identity_conv(2), identity_conv(2), identity_conv(2)),
             )
