@@ -11,13 +11,13 @@ command reproduces its output files byte for byte.
 Each JSON input's keys are defined by one reader, ``geometry.read_json``,
 as the fields of a dataclass: ``depth-targets --config`` is ``stride`` plus a
 ``RadiusConfig``; ``simulate --config`` an ``ExperimentConfig``; a ``vt``
-manifest's ``grid``, ``depth_bins`` and ``params`` a ``VoxelGridSpec``, a
-``DepthBinSpec`` and, through ``lxlt.read_params``, a ``VTParams``; a
-``fuse`` manifest's ``params`` a ``CSAFusionParams`` or
-``ConcatFusionParams``; a calibration a ``SensorCalibration``, whose keys
-are flat. An absent optional key, like an unset flag, takes the dataclass
-default; an absent required key fails as a null; a key that names no field
-fails.
+manifest a :class:`VTManifest`; a ``fuse`` manifest's ``params`` a
+``CSAFusionParams`` or ``ConcatFusionParams``; a calibration a
+``SensorCalibration``, whose keys are flat. A manifest, read by
+``lxlt.read_manifest``, holds its JSON values inline and names each array
+by an LXLT file relative to the manifest. An absent optional key, like an
+unset flag, takes the dataclass default; an absent required key fails as a
+null; a key that names no field fails.
 ``depth-targets`` writes and ``loss`` reads an LXLT table of (u, v, d_gt,
 radius) rows; ``loss`` rounds u and v half to even and writes them as
 integers. A target of radius 0 is one-to-one: ``depth-targets --r-max 0``
@@ -34,6 +34,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -62,12 +63,10 @@ from .geometry import (
 )
 from .gradcheck import MIN_BINS, MIN_SIZE, run_grad_check
 from .sim import ExperimentConfig, default_experiment_config, run_experiment
-from .tensor_ops import ShapeError
 from .view_transform import VTParams, VoxelGridSpec, depth_distribution, occupancy_from_bev, sample_vt
 
 
 DEFAULT_STRIDE = 8  # feature-map stride of depth-targets
-VT_MANIFEST_KEYS = ("feature_map", "radar_bev", "grid", "calibration", "stride", "depth_bins", "params")
 
 
 class _UsageError(Exception):
@@ -121,18 +120,19 @@ def _check_outputs(*paths) -> None:
             raise ValueError(f"outputs {given[real.index(path)]} and {given[i]} name one file")
 
 
-def _manifest_file(manifest: dict, key: str, root: Path) -> Path:
-    """A file a manifest names, relative to the manifest's directory."""
-    value = manifest.get(key)
-    if not isinstance(value, str):
-        raise ValueError(f"manifest {key} must be a file name, got {value!r}")
-    return root / value
+@dataclass(frozen=True)
+class VTManifest:
+    """The inputs of ``vt``: image features and radar BEV features (LXLT file
+    names), the voxel grid, the calibration, the image features' stride, the
+    depth bins and the learned weights."""
 
-
-def _object_or_file(manifest: dict, key: str, root: Path) -> dict:
-    """A manifest entry given inline as a JSON object or as a JSON file name."""
-    value = manifest.get(key)
-    return value if isinstance(value, dict) else load_json(_manifest_file(manifest, key, root))
+    feature_map: np.ndarray
+    radar_bev: np.ndarray
+    grid: VoxelGridSpec
+    calibration: SensorCalibration
+    stride: int
+    depth_bins: DepthBinSpec
+    params: VTParams
 
 
 def _given(**flags) -> dict:
@@ -141,7 +141,7 @@ def _given(**flags) -> dict:
 
 
 def cmd_depth_targets(args) -> int:
-    sidecar = args.sidecar or (str(args.output) + ".json")
+    sidecar = str(args.output) + ".json" if args.sidecar is None else args.sidecar
     _check_outputs(args.output, sidecar)
     # Flags override the config file, which overrides the defaults.
     config = load_json(args.config) if args.config else {}
@@ -169,14 +169,14 @@ def cmd_depth_targets(args) -> int:
 
 
 def cmd_loss(args) -> int:
-    _check_outputs(args.per_target or None)
+    _check_outputs(args.per_target)
     depth_map = lxlt.read_tensor(args.depth_map)
     table = as_target_table(lxlt.read_tensor(args.targets))
     table[:, :2] = np.rint(table[:, :2])  # the nearest pixel, halves to even as round() does
     spec = DepthBinSpec(args.d_min, args.d_max, args.num_bins)
     cfg = LossConfig(**_given(lambda1=args.lambda1, lambda2=args.lambda2, neighborhood_agg=args.agg))
     result = one_to_many_loss(depth_map, table, spec, cfg)
-    if args.per_target:
+    if args.per_target is not None:
         _write_csv(
             args.per_target,
             ["index", "u", "v", "d_gt", "radius", "n_pixels", "loss", "selected_u", "selected_v"],
@@ -216,18 +216,11 @@ def cmd_grad_check(args) -> int:
 
 def cmd_vt(args) -> int:
     _check_outputs(args.output)
-    manifest = json_object(load_json(args.manifest), "manifest", VT_MANIFEST_KEYS)
-    root = Path(args.manifest).parent
-    f_pv = lxlt.read_tensor(_manifest_file(manifest, "feature_map", root))
-    f_radar = lxlt.read_tensor(_manifest_file(manifest, "radar_bev", root))
-    grid = read_json(VoxelGridSpec, _object_or_file(manifest, "grid", root), "grid")
-    calib = read_json(SensorCalibration, _object_or_file(manifest, "calibration", root), "calibration")
-    stride = json_number(manifest.get("stride"), "manifest stride", whole=True)
-    bins = read_json(DepthBinSpec, manifest.get("depth_bins"), "manifest depth_bins")
-    params = lxlt.read_params(VTParams, manifest, root)
-    occupancy = occupancy_from_bev(f_radar, params)
-    d_map = depth_distribution(f_pv, scale_intrinsics(calib.intrinsics, stride), params, bins, stride)
-    bev = sample_vt(f_pv, d_map, occupancy, grid, calib.intrinsics, calib.radar_to_camera, params)
+    m = lxlt.read_manifest(VTManifest, load_json(args.manifest), "manifest", Path(args.manifest).parent)
+    k, params = m.calibration.intrinsics, m.params
+    occupancy = occupancy_from_bev(m.radar_bev, params)
+    d_map = depth_distribution(m.feature_map, scale_intrinsics(k, m.stride), params, m.depth_bins, m.stride)
+    bev = sample_vt(m.feature_map, d_map, occupancy, m.grid, k, m.calibration.radar_to_camera, params)
     lxlt.write_tensor(args.output, bev)
     print(f"wrote BEV map of shape {bev.shape}", file=sys.stderr)
     return 0
@@ -238,18 +231,16 @@ def cmd_fuse(args) -> int:
     f_radar = lxlt.read_tensor(args.radar)
     f_image = lxlt.read_tensor(args.image)
     manifest = json_object(load_json(args.params), "manifest", ("params",))
-    root = Path(args.params).parent
-    if args.mode == "concat":
-        fused = concat_fusion(f_radar, f_image, lxlt.read_params(ConcatFusionParams, manifest, root))
-    else:
-        fused = csa_fusion(f_radar, f_image, lxlt.read_params(CSAFusionParams, manifest, root))
+    cls, fuse = (ConcatFusionParams, concat_fusion) if args.mode == "concat" else (CSAFusionParams, csa_fusion)
+    params = lxlt.read_manifest(cls, manifest.get("params"), "manifest.params", Path(args.params).parent)
+    fused = fuse(f_radar, f_image, params)
     lxlt.write_tensor(args.output, fused)
     print(f"wrote fused map of shape {fused.shape}", file=sys.stderr)
     return 0
 
 
 def cmd_simulate(args) -> int:
-    _check_outputs(args.output_csv, args.summary, args.emit_plot_data or None)
+    _check_outputs(args.output_csv, args.summary, args.emit_plot_data)
     result = run_experiment(ExperimentConfig.load(args.config) if args.config else default_experiment_config())
     # Every metric's (arms, seeds) cells: rates and errors to 9 significant digits, counts as they are.
     metrics = result.metrics._asdict()
@@ -261,7 +252,7 @@ def cmd_simulate(args) -> int:
     rows = [(seed, arm, *(column[a][s] for column in cells.values())) for s, seed, a, arm in order]
     _write_csv(args.output_csv, ["seed", "arm", *cells], rows)
     _write_json(args.summary, result.summary)
-    if args.emit_plot_data:
+    if args.emit_plot_data is not None:
         tidy = [(seed, arm, name, cells[name][a][s]) for s, seed, a, arm in order for name in plotted]
         _write_csv(args.emit_plot_data, ["seed", "arm", "metric", "value"], tidy)
     ok = result.summary["all_orderings_hold"]
@@ -270,7 +261,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_error_model(args) -> int:
-    _check_outputs(args.output or None, args.emit_plot_data or None)
+    _check_outputs(args.output, args.emit_plot_data)
     calib = SensorCalibration.load(args.calib)
     res = calib.angular_resolution
     if res.delta_theta == 0:
@@ -292,11 +283,11 @@ def cmd_error_model(args) -> int:
     ]
     bound = [f"{x:.9g}" for x in (e_u, e_v, e)]
     _write_csv(
-        args.output or None,
+        args.output,
         ["rho_m", "theta_deg", "phi_deg", "empirical_px", "e_u_px", "e_v_px", "e_px", "rel_deviation"],
         ((r, t, p, em, *bound, de) for r, t, p, em, de in rows),
     )
-    if args.emit_plot_data:
+    if args.emit_plot_data is not None:
         names = ("empirical_px", "rel_deviation")
         tidy = [(r, t, p, name, value) for r, t, p, *values in rows for name, value in zip(names, values)]
         _write_csv(args.emit_plot_data, ["rho_m", "theta_deg", "phi_deg", "metric", "value"], tidy)
@@ -385,7 +376,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except (lxlt.TensorFormatError, ShapeError, ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # an input that asks for more memory than there is

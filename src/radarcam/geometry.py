@@ -92,7 +92,7 @@ def _json_fields(tp) -> tuple[dict, tuple[str, ...]]:
     return hints, tuple(key for group in keys for key in group)
 
 
-def read_json(tp, value, name: str, leaf=None):
+def read_json(tp, value, name: str, array=None):
     """The ``tp`` value that the JSON ``value`` holds, read by its declared type:
 
     - ``float``, and ``int`` as a whole number: :func:`json_number`;
@@ -101,21 +101,22 @@ def read_json(tp, value, name: str, leaf=None):
       list of one ``X``, one ``Y`` and one ``Z``;
     - :class:`RigidTransform`: a JSON list of its 4x4 matrix's 16 numbers,
       row-major;
+    - ``np.ndarray``: whatever the caller's ``array(value, name)`` reads,
+      such as an LXLT file name in :func:`radarcam.lxlt.read_manifest`;
     - any other dataclass: a JSON object whose keys are its field names. An
       absent key takes the field's default; an absent required key is read
       as a null. A key that names no field is refused. A field whose
       metadata sets ``flat`` has no key: its dataclass's keys are this
       object's, and it is read from those that this object holds.
 
-    ``leaf`` maps further types to their readers, ``reader(value, name)``,
-    which are tried first. Errors are ``ValueError`` naming the value by its
-    path from ``name``, such as ``arms[0].radius.k``; an empty ``name`` is
-    the top level. A dataclass's own range check keeps its error type and is
-    prefixed with the object's path, such as ``arms[2].radius: k must be
-    positive``; at the top level its message is unchanged.
+    Errors are ``ValueError`` naming the value by its path from ``name``,
+    such as ``arms[0].radius.k``; an empty ``name`` is the top level. A
+    dataclass's own range check keeps its error type and is prefixed with
+    the object's path, such as ``arms[2].radius: k must be positive``; at
+    the top level its message is unchanged.
     """
-    if leaf and tp in leaf:
-        return leaf[tp](value, name)
+    if tp is np.ndarray:
+        return array(value, name)
     if tp is float or tp is int:
         return json_number(value, name, whole=tp is int)
     if tp is str or tp is bool:
@@ -129,7 +130,7 @@ def read_json(tp, value, name: str, leaf=None):
             args = args[:1] * len(items)
         elif len(items) != len(args):
             raise ValueError(f"{name} must be a JSON list of {len(args)} items, got {value!r}")
-        return tuple(read_json(t, x, f"{name}[{i}]", leaf) for i, (t, x) in enumerate(zip(args, items)))
+        return tuple(read_json(t, x, f"{name}[{i}]", array) for i, (t, x) in enumerate(zip(args, items)))
     if tp is RigidTransform:
         matrix = read_json(tuple[float, ...], value, name)
         if len(matrix) != 16:
@@ -143,9 +144,9 @@ def read_json(tp, value, name: str, leaf=None):
         for f in fields(tp):
             t = hints[f.name]
             if f.metadata.get("flat"):
-                kwargs[f.name] = read_json(t, {k: data[k] for k in _json_fields(t)[1] if k in data}, name, leaf)
+                kwargs[f.name] = read_json(t, {k: data[k] for k in _json_fields(t)[1] if k in data}, name, array)
             elif f.name in data or (f.default is MISSING and f.default_factory is MISSING):
-                kwargs[f.name] = read_json(t, data.get(f.name), prefix + f.name, leaf)
+                kwargs[f.name] = read_json(t, data.get(f.name), prefix + f.name, array)
     try:
         return make(**kwargs)
     except ValueError as exc:  # a range check of the object as a whole: name it by its path
@@ -235,8 +236,9 @@ class RigidTransform:
     def apply_many(self, points: np.ndarray) -> np.ndarray:
         """R p + t for an (N, 3) array of points.
 
-        Written as explicit coordinate sums so batched and single-point
-        transforms agree bitwise.
+        Written as explicit coordinate sums, ``r[i, 0] * x + r[i, 1] * y +
+        r[i, 2] * z + t[i]``, in the order of the scalar target build in
+        ``tests/oracles.py``, which the target tests compare by ``float.hex``.
         """
         pts = np.asarray(points, dtype=np.float64)
         r, t = self.rotation, self.translation

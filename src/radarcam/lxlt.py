@@ -16,29 +16,26 @@ Zero-size dimensions are permitted (an empty target table is a valid file).
 Non-finite values are refused in both directions, and so are values that
 overflow float32 when written.
 
-A parameter manifest is a JSON object whose ``params`` object names the
-LXLT files of one parameter dataclass, such as ``VTParams``,
-``CSAFusionParams`` or ``ConcatFusionParams``; a manifest without it is
-refused. :func:`read_params` reads that object with
-:func:`~radarcam.geometry.read_json`: each key is a field name, read by
-the field's declared type, and a ``Conv2DParams`` or ``LinearParams``
-entry is ``{"weights": file, "bias": file}``, file names relative to
-``root``. Any other key is refused.
+A manifest is a JSON object that :func:`read_manifest` reads with
+:func:`~radarcam.geometry.read_json`, by the field types of a dataclass
+such as ``VTParams``, ``CSAFusionParams`` or ``ConcatFusionParams``: JSON
+values are inline, and each ``np.ndarray`` field, such as the ``weights``
+and ``bias`` of a ``Conv2DParams`` or ``LinearParams``, is the name of an
+LXLT file relative to the manifest's directory. Any other key is refused.
 
-Errors name the entry as a path of field names: ``manifest
-params.post_convs[1]``, ``manifest params.channel_mlp_image.layers[0]``.
+Errors name the entry as a path of field names:
+``manifest.params.post_convs[1].bias``,
+``manifest.params.channel_mlp_image.layers[0]``.
 """
 
 from __future__ import annotations
 
 import struct
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .geometry import json_object, read_json
-from .tensor_ops import Conv2DParams, LinearParams
+from .geometry import read_json
 
 MAGIC = b"LXLT"
 VERSION = 1
@@ -111,24 +108,14 @@ def read_tensor(path: str | Path) -> np.ndarray:
         raise TensorFormatError(f"{path}: shape {shape} is too large to represent") from None
 
 
-def read_params(cls, manifest: dict, root: str | Path):
-    """The ``cls`` parameters that ``manifest`` names: its ``params`` object,
-    read as described in the module docstring."""
-    root = Path(root)
-    leaf = {
-        Conv2DParams: partial(_read_layer, Conv2DParams, root),
-        LinearParams: partial(_read_layer, LinearParams, root),
-    }
-    return read_json(cls, manifest.get("params"), "manifest params", leaf)
+def read_manifest(tp, value, name: str, root: str | Path):
+    """The ``tp`` that the JSON ``value`` holds, named ``name`` in errors and
+    read as described in the module docstring, with LXLT file names
+    relative to ``root``."""
 
+    def array(file, path: str) -> np.ndarray:
+        if not isinstance(file, str):
+            raise ValueError(f"{path} must be a file name, got {file!r}")
+        return read_tensor(Path(root) / file)
 
-def _read_layer(make, root: Path, entry, name: str):
-    """``make(weights, bias)`` of the LXLT files that manifest ``entry`` names."""
-    try:
-        weights, bias = read_tensor(root / entry["weights"]), read_tensor(root / entry["bias"])
-    except KeyError as exc:
-        raise ValueError(f"{name}: manifest entry is missing {exc}") from None
-    except TypeError:
-        raise ValueError(f"{name}: manifest entry must map 'weights' and 'bias' to file names, got {entry!r}") from None
-    json_object(entry, name, ("weights", "bias"))
-    return make(weights, bias)
+    return read_json(tp, value, name, array)

@@ -435,6 +435,9 @@ class ExperimentConfig:
             # A count is a range() length or an array dimension, both C ssize_t.
             if getattr(self, key) > sys.maxsize:
                 raise ValueError(f"{key} must be at most {sys.maxsize}, got {getattr(self, key)}")
+        side = min(self.calibration.image_width, self.calibration.image_height)
+        if self.stride > side:  # a larger stride leaves no feature-map pixel to supervise
+            raise ValueError(f"stride must be at most {side}, the calibration's shorter image side, got {self.stride}")
         if not self.arms:
             raise ValueError("arms must hold at least one arm")
         names = [arm.name for arm in self.arms]

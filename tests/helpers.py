@@ -112,21 +112,26 @@ def random_vt_params(
 
 
 def write_manifest(root, params) -> dict:
-    """Every tensor of the parameter dataclass ``params`` written as LXLT
-    under ``root``, named after its entry; returns the JSON manifest naming
-    them."""
+    """Every array of the parameter dataclass ``params`` written as LXLT
+    under ``root``, named after its path, such as ``post_convs1.bias.lxlt``;
+    returns the JSON manifest ``{"params": ...}`` naming them."""
 
     def entry(name, value):
-        if isinstance(value, (Conv2DParams, LinearParams)):
-            lxlt.write_tensor(root / f"{name}.w.lxlt", value.weights)
-            lxlt.write_tensor(root / f"{name}.b.lxlt", value.bias)
-            return {"weights": f"{name}.w.lxlt", "bias": f"{name}.b.lxlt"}
+        if isinstance(value, np.ndarray):
+            lxlt.write_tensor(root / f"{name}.lxlt", value)
+            return f"{name}.lxlt"
         if isinstance(value, tuple):
             return [entry(f"{name}{i}", x) for i, x in enumerate(value)]
         return {f.name: entry(f"{name}.{f.name}", getattr(value, f.name)) for f in dataclasses.fields(value)}
 
     fields = dataclasses.fields(params)
     return json.loads(json.dumps({"params": {f.name: entry(f.name, getattr(params, f.name)) for f in fields}}))
+
+
+def read_params(cls, manifest: dict, root):
+    """The ``params`` entry of a ``write_manifest`` manifest, read as ``cls``
+    with its file names relative to ``root``, as ``fuse`` reads it."""
+    return lxlt.read_manifest(cls, manifest["params"], "manifest.params", root)
 
 
 def assert_results_equal(got, want) -> None:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from radarcam import lxlt
+from radarcam import cli, lxlt
 from radarcam.cli import main
 from radarcam.depth_supervision import DepthBinSpec, DepthTarget, LossConfig, RadiusConfig, one_to_many_loss
 from radarcam.fusion import ConcatFusionParams, CSAFusionParams, concat_fusion, csa_fusion
@@ -26,7 +26,7 @@ from radarcam.geometry import (
 from radarcam.tensor_ops import softmax
 from radarcam.view_transform import VTParams, VoxelGridSpec, depth_distribution, occupancy_from_bev, sample_vt
 
-from helpers import random_concat_params, random_csa_params, random_linear, random_vt_params, write_manifest
+from helpers import random_concat_params, random_csa_params, random_linear, random_vt_params, read_params, write_manifest
 
 
 def reduced_config(tmp_path, **overrides):
@@ -199,6 +199,7 @@ class TestSimulate:
             ),
             (lambda data: data["arms"][0]["radius"].update(fixed_r=None), "arms[0].radius.fixed_r must be a number, got None"),
             (lambda data: data.update(stride=0), "stride must be at least 1, got 0"),  # the top level: no path
+            (lambda data: data.update(stride=961), "stride must be at most 600, the calibration's shorter image side, got 961"),
             (lambda data: data.update(arms=[]), "arms must hold at least one arm"),  # before its orderings are checked
         ],
     )
@@ -329,6 +330,17 @@ class TestUsage:
     @pytest.mark.parametrize("argv", [[], ["simulate"], ["loss", "--depth-map", "x"], ["no-such-command"]])
     def test_usage_errors_exit_1(self, argv):
         assert main(argv) == 1
+
+    def test_a_key_error_inside_a_command_propagates(self, monkeypatch):
+        """No input reaches ``main`` as a ``KeyError``: one is a fault of the
+        program, and exit 2 with ``error: 'key'`` would hide its traceback."""
+
+        def broken(**kwargs):
+            raise KeyError("key")
+
+        monkeypatch.setattr(cli, "run_grad_check", broken)
+        with pytest.raises(KeyError, match="key"):
+            main(["grad-check", "--instances", "1"])
 
 
 SPEC = DepthBinSpec(0.0, 8.0, 8)
@@ -731,36 +743,22 @@ VT_CHANNELS = 2
 
 
 def write_vt_inputs(tmp_path, rng, **overrides):
-    """LXLT inputs, grid and calibration files and a manifest naming them,
-    under ``tmp_path / "inputs"``, with ``overrides`` replacing manifest
-    keys; returns (manifest, inputs dir)."""
+    """LXLT inputs and weights under ``tmp_path / "inputs"`` and a manifest
+    naming them, with the grid and calibration inline and ``overrides``
+    replacing manifest keys; returns (manifest, inputs dir)."""
     inputs = tmp_path / "inputs"
     inputs.mkdir()
     params = random_vt_params(rng, VT_CHANNELS, VT_GRID["z"][2], VT_BINS["num_bins"], 3)
-
-    def write(name, array):
-        lxlt.write_tensor(inputs / name, array)
-        return name
-
-    def entry(name, layer):
-        weights, bias = write(f"{name}.w.lxlt", layer.weights), write(f"{name}.b.lxlt", layer.bias)
-        return {"weights": weights, "bias": bias}
-
-    (inputs / "grid.json").write_text(json.dumps(VT_GRID))
-    (inputs / "calib.json").write_text(json.dumps(calibration()))
+    lxlt.write_tensor(inputs / "f_pv.lxlt", rng.normal(size=(VT_CHANNELS, 6, 8)))
+    lxlt.write_tensor(inputs / "radar.lxlt", rng.normal(size=(3, 4, 4)))
     manifest = {
-        "feature_map": write("f_pv.lxlt", rng.normal(size=(VT_CHANNELS, 6, 8))),
-        "radar_bev": write("radar.lxlt", rng.normal(size=(3, 4, 4))),
-        "grid": "grid.json",
-        "calibration": "calib.json",
+        "feature_map": "f_pv.lxlt",
+        "radar_bev": "radar.lxlt",
+        "grid": VT_GRID,
+        "calibration": calibration(),
         "stride": 8,
         "depth_bins": VT_BINS,
-        "params": {
-            "occupancy_conv": entry("occ", params.occupancy_conv),
-            "depth_conv": entry("depth", params.depth_conv),
-            "embedding": entry("emb", params.embedding),
-            "post_convs": [entry(f"post{i}", conv) for i, conv in enumerate(params.post_convs)],
-        },
+        **write_manifest(inputs, params),
         **overrides,
     }
     (inputs / "manifest.json").write_text(json.dumps(manifest))
@@ -775,7 +773,7 @@ class TestVT:
         monkeypatch.chdir(elsewhere)
         assert main(["vt", "--manifest", "../inputs/manifest.json", "--output", "bev.lxlt"]) == 0
 
-        loaded = lxlt.read_params(VTParams, manifest, inputs)
+        loaded = read_params(VTParams, manifest, inputs)
         calib = read_json(SensorCalibration, calibration(), "calibration")
         f_pv = lxlt.read_tensor(inputs / "f_pv.lxlt")
         d_map = depth_distribution(
@@ -791,24 +789,26 @@ class TestVT:
     @pytest.mark.parametrize(
         "overrides,message",
         [
-            ({"stride": [8]}, "manifest stride must be a number, got [8]"),
-            ({"stride": "eight"}, "manifest stride must be a number, got 'eight'"),
-            ({"stride": 7.5}, "manifest stride must be a whole number"),
-            ({"depth_bins": {**VT_BINS, "d_min": [0.0]}}, "manifest depth_bins.d_min must be a number"),
-            ({"depth_bins": {**VT_BINS, "d_max": None}}, "manifest depth_bins.d_max must be a number"),
-            ({"depth_bins": {**VT_BINS, "num_bins": 4.5}}, "manifest depth_bins.num_bins must be a whole number"),
-            ({"depth_bins": {**VT_BINS, "num_bins": {"n": 4}}}, "manifest depth_bins.num_bins must be a number"),
-            ({"depth_bins": [0.0, 16.0, 4]}, "manifest depth_bins must be a JSON object"),
-            ({"depth_bins": {**VT_BINS, "d_max": "Infinity"}}, "depth bins d_max must be finite"),
-            ({"grid": 5}, "manifest grid must be a file name, got 5"),
-            ({"grid": {**VT_GRID, "x": [2.0, 10.0, 4.5]}}, "grid.x[2] must be a whole number, got 4.5"),
-            ({"grid": {**VT_GRID, "w": [0.0, 1.0, 1]}}, "grid has no key 'w'"),
+            ({"stride": [8]}, "manifest.stride must be a number, got [8]"),
+            ({"stride": "eight"}, "manifest.stride must be a number, got 'eight'"),
+            ({"stride": 7.5}, "manifest.stride must be a whole number, got 7.5"),
+            ({"depth_bins": {**VT_BINS, "d_min": [0.0]}}, "manifest.depth_bins.d_min must be a number, got [0.0]"),
+            ({"depth_bins": {**VT_BINS, "d_max": None}}, "manifest.depth_bins.d_max must be a number, got None"),
+            ({"depth_bins": {**VT_BINS, "num_bins": 4.5}}, "manifest.depth_bins.num_bins must be a whole number, got 4.5"),
+            ({"depth_bins": {**VT_BINS, "num_bins": {"n": 4}}}, "manifest.depth_bins.num_bins must be a number, got {'n': 4}"),
+            ({"depth_bins": [0.0, 16.0, 4]}, "manifest.depth_bins must be a JSON object, got [0.0, 16.0, 4]"),
+            ({"depth_bins": {**VT_BINS, "d_max": "Infinity"}}, "manifest.depth_bins: depth bins d_max must be finite"),
+            ({"grid": 5}, "manifest.grid must be a JSON object, got 5"),
+            ({"grid": "grid.json"}, "manifest.grid must be a JSON object, got 'grid.json'"),
+            ({"grid": {**VT_GRID, "x": [2.0, 10.0, 4.5]}}, "manifest.grid.x[2] must be a whole number, got 4.5"),
+            ({"grid": {**VT_GRID, "w": [0.0, 1.0, 1]}}, "manifest.grid has no key 'w'"),
             ({"use_extrinsics_embedding": True}, "manifest has no key 'use_extrinsics_embedding'"),
-            ({"grid": {**VT_GRID, "y": [-4.0, 1e999, 4]}}, "y axis extent must be finite"),
-            ({"calibration": 3}, "manifest calibration must be a file name, got 3"),
-            ({"calibration": calibration(fx=[1150.0])}, "calibration.fx must be a number, got [1150.0]"),
-            ({"feature_map": 7}, "manifest feature_map must be a file name, got 7"),
-            ({"grid": {**VT_GRID, "z": [-1.0, 1.0, 10**400]}}, "grid.z[2] must be within the float range, got an integer of 401 digits"),
+            ({"grid": {**VT_GRID, "y": [-4.0, 1e999, 4]}}, "manifest.grid: y axis extent must be finite"),
+            ({"calibration": 3}, "manifest.calibration must be a JSON object, got 3"),
+            ({"calibration": "calib.json"}, "manifest.calibration must be a JSON object, got 'calib.json'"),
+            ({"calibration": calibration(fx=[1150.0])}, "manifest.calibration.fx must be a number, got [1150.0]"),
+            ({"feature_map": 7}, "manifest.feature_map must be a file name, got 7"),
+            ({"grid": {**VT_GRID, "z": [-1.0, 1.0, 10**400]}}, "manifest.grid.z[2] must be within the float range, got an integer of 401 digits"),
         ],
     )
     def test_wrong_manifest_value_exits_2_without_output(self, tmp_path, overrides, message, capsys):
@@ -822,20 +822,20 @@ class TestVT:
     @pytest.mark.parametrize(
         "edit,message",
         [
-            (lambda m: m.update(params="oops"), "manifest params must be a JSON object, got 'oops'"),
-            (lambda m: m["params"].update(post_convs=5), "post_convs must be a JSON list, got 5"),
-            (lambda m: m["params"].update(post_convs={"0": 1}), "post_convs must be a JSON list"),
-            (lambda m: m["params"].pop("depth_conv"), "depth_conv: manifest entry must map"),
-            (lambda m: m["params"]["post_convs"].__setitem__(1, [1]), "post_convs[1]: manifest entry must map"),
-            (lambda m: m.pop("stride"), "manifest stride must be a number, got None"),
-            (lambda m: m.pop("depth_bins"), "manifest depth_bins must be a JSON object, got None"),
-            (lambda m: m.pop("radar_bev"), "manifest radar_bev must be a file name, got None"),
-            (lambda m: m.pop("params"), "manifest params must be a JSON object, got None"),
+            (lambda m: m.update(params="oops"), "manifest.params must be a JSON object, got 'oops'"),
+            (lambda m: m["params"].update(post_convs=5), "manifest.params.post_convs must be a JSON list, got 5"),
+            (lambda m: m["params"].update(post_convs={"0": 1}), "manifest.params.post_convs must be a JSON list, got {'0': 1}"),
+            (lambda m: m["params"].pop("depth_conv"), "manifest.params.depth_conv must be a JSON object, got None"),
+            (lambda m: m["params"]["post_convs"].__setitem__(1, [1]), "manifest.params.post_convs[1] must be a JSON object, got [1]"),
+            (lambda m: m.pop("stride"), "manifest.stride must be a number, got None"),
+            (lambda m: m.pop("depth_bins"), "manifest.depth_bins must be a JSON object, got None"),
+            (lambda m: m.pop("radar_bev"), "manifest.radar_bev must be a file name, got None"),
+            (lambda m: m.pop("params"), "manifest.params must be a JSON object, got None"),
             (
                 lambda m: m.update(depth_bins={"d_min": 0.0, "d_max": 16.0}),
-                "manifest depth_bins.num_bins must be a number, got None",
+                "manifest.depth_bins.num_bins must be a number, got None",
             ),
-            (lambda m: m.update(grid=[1]), "manifest grid must be a file name, got [1]"),
+            (lambda m: m.update(grid=[1]), "manifest.grid must be a JSON object, got [1]"),
         ],
     )
     def test_wrong_container_in_manifest_exits_2_without_output(self, tmp_path, edit, message, capsys):
@@ -851,12 +851,12 @@ class TestVT:
     def test_post_conv_that_does_not_chain_exits_2_naming_it(self, tmp_path, capsys):
         _, inputs = write_vt_inputs(tmp_path, np.random.default_rng(10))
         wide = np.random.default_rng(11).normal(size=(VT_CHANNELS, VT_CHANNELS + 1, 3, 3))
-        lxlt.write_tensor(inputs / "post1.w.lxlt", wide)
+        lxlt.write_tensor(inputs / "post_convs1.weights.lxlt", wide)
         out = tmp_path / "bev.lxlt"
         assert main(["vt", "--manifest", str(inputs / "manifest.json"), "--output", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(
-            f"error: manifest params: post_convs[1] takes {VT_CHANNELS + 1} channels, post_convs[0] gives {VT_CHANNELS}"
+            f"error: manifest.params: post_convs[1] takes {VT_CHANNELS + 1} channels, post_convs[0] gives {VT_CHANNELS}"
         )
         assert not out.exists()
 
@@ -865,11 +865,11 @@ class TestVT:
         matrix) fails the embedding width check."""
         manifest, inputs = write_vt_inputs(tmp_path, np.random.default_rng(8))
         wide = random_linear(np.random.default_rng(9), VT_CHANNELS, 25)
-        lxlt.write_tensor(inputs / "emb.w.lxlt", wide.weights)
+        lxlt.write_tensor(inputs / "embedding.weights.lxlt", wide.weights)
         out = tmp_path / "bev.lxlt"
         assert main(["vt", "--manifest", str(inputs / "manifest.json"), "--output", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: manifest params: embedding expects 25 inputs") and "Traceback" not in err
+        assert err.startswith("error: manifest.params: embedding expects 25 inputs") and "Traceback" not in err
         assert not out.exists()
 
 
@@ -897,36 +897,37 @@ class TestFuse:
         assert main(argv + ["--params", str(tmp_path / "params.json"), "--output", str(out)]) == 0
         radar, image = lxlt.read_tensor(tmp_path / "radar.lxlt"), lxlt.read_tensor(tmp_path / "image.lxlt")
         if mode == "csa":
-            want = csa_fusion(radar, image, lxlt.read_params(CSAFusionParams, manifest, tmp_path))
+            want = csa_fusion(radar, image, read_params(CSAFusionParams, manifest, tmp_path))
         else:
-            want = concat_fusion(radar, image, lxlt.read_params(ConcatFusionParams, manifest, tmp_path))
+            want = concat_fusion(radar, image, read_params(ConcatFusionParams, manifest, tmp_path))
         np.testing.assert_array_equal(lxlt.read_tensor(out), want.astype(np.float32))
 
     @pytest.mark.parametrize(
         "mode,edit,message",
         [
-            ("csa", lambda m: m.update(params=[1]), "manifest params must be a JSON object, got [1]"),
-            ("csa", lambda m: m["params"].update(channel_mlp_radar="x"), "channel_mlp_radar must be a JSON object, got 'x'"),
+            ("csa", lambda m: m.update(params=[1]), "manifest.params must be a JSON object, got [1]"),
+            ("csa", lambda m: m["params"].update(channel_mlp_radar="x"), "manifest.params.channel_mlp_radar must be a JSON object, got 'x'"),
             (
                 "csa",
                 lambda m: m["params"].update(channel_mlp_radar={"layers": 5}),
-                "channel_mlp_radar.layers must be a JSON list, got 5",
+                "manifest.params.channel_mlp_radar.layers must be a JSON list, got 5",
             ),
-            ("csa", lambda m: m["params"].pop("channel_mlp_image"), "channel_mlp_image must be a JSON object, got None"),
+            ("csa", lambda m: m["params"].pop("channel_mlp_image"), "manifest.params.channel_mlp_image must be a JSON object, got None"),
             (
                 "csa",
                 lambda m: m["params"].pop("in_conv"),
-                "in_conv: manifest entry must map 'weights' and 'bias' to file names, got None",
+                "manifest.params.in_conv must be a JSON object, got None",
             ),
-            ("csa", lambda m: m["params"]["channel_mlp_radar"]["layers"].__setitem__(0, 3), "channel_mlp_radar.layers[0]:"),
-            ("concat", lambda m: m.update(params=[1]), "manifest params must be a JSON object, got [1]"),
-            ("concat", lambda m: m["params"].pop("second"), "second: manifest entry must map"),
-            ("concat", lambda m: m["params"].update(first=[1]), "first: manifest entry must map 'weights' and 'bias'"),
-            ("concat", lambda m: m.update(params={}), "first: manifest entry must map 'weights' and 'bias' to file names, got None"),
-            ("concat", lambda m: m["params"]["first"].update(stride=2), "manifest params.first has no key 'stride'"),
-            ("concat", lambda m: m["params"].update(secnd=m["params"]["second"]), "manifest params has no key 'secnd'"),
+            ("csa", lambda m: m["params"]["channel_mlp_radar"]["layers"].__setitem__(0, 3), "manifest.params.channel_mlp_radar.layers[0] must be a JSON object, got 3"),
+            ("concat", lambda m: m.update(params=[1]), "manifest.params must be a JSON object, got [1]"),
+            ("concat", lambda m: m["params"].pop("second"), "manifest.params.second must be a JSON object, got None"),
+            ("concat", lambda m: m["params"].update(first=[1]), "manifest.params.first must be a JSON object, got [1]"),
+            ("concat", lambda m: m.update(params={}), "manifest.params.first must be a JSON object, got None"),
+            ("concat", lambda m: m["params"]["first"].update(stride=2), "manifest.params.first has no key 'stride'"),
+            ("concat", lambda m: m["params"].update(secnd=m["params"]["second"]), "manifest.params has no key 'secnd'"),
             ("csa", lambda m: m.update(mode="concat"), "manifest has no key 'mode'"),
             ("csa", lambda m: m.update(m.pop("params")), "manifest has no key 'in_conv'"),
+            ("concat", lambda m: m.pop("params"), "manifest.params must be a JSON object, got None"),
         ],
     )
     def test_wrong_manifest_container_exits_2_without_output(self, tmp_path, mode, edit, message, capsys):
@@ -950,10 +951,10 @@ class TestFuse:
         manifest, argv = write_fuse_inputs(tmp_path, mode)
         (tmp_path / "params.json").write_text(json.dumps(manifest))
         wide = np.random.default_rng(1).normal(size=(FUSE_CHANNELS, FUSE_CHANNELS + 2, 3, 3))
-        lxlt.write_tensor(tmp_path / f"{layer}.w.lxlt", wide)
+        lxlt.write_tensor(tmp_path / f"{layer}.weights.lxlt", wide)
         out = tmp_path / "fused.lxlt"
         assert main(argv + ["--params", str(tmp_path / "params.json"), "--output", str(out)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: manifest params: {message}")
+        assert capsys.readouterr().err.startswith(f"error: manifest.params: {message}")
         assert not out.exists()
 
     def test_manifest_that_is_not_an_object_exits_2(self, tmp_path, capsys):
@@ -1123,3 +1124,26 @@ class TestErrorModel:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and message in captured.err and captured.out == ""
         assert not out.exists() and not plot.exists()
+
+
+EMPTY_OUTPUT_ARGV = {
+    "depth-targets --sidecar": lambda tmp: depth_targets_inputs(tmp)[0] + ["--output", str(tmp / "t.lxlt"), "--sidecar"],
+    "loss --per-target": lambda tmp: loss_inputs(tmp)[0][:-2] + ["--per-target"],
+    "simulate --emit-plot-data": lambda tmp: [
+        "simulate", "--config", str(reduced_config(tmp)), "--output-csv", str(tmp / "rows.csv"),
+        "--summary", str(tmp / "s.json"), "--emit-plot-data",
+    ],
+    "error-model --output": lambda tmp: TestErrorModel().argv(tmp) + ["--output"],
+    "error-model --emit-plot-data": lambda tmp: TestErrorModel().argv(tmp) + ["--output", str(tmp / "e.csv"), "--emit-plot-data"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_OUTPUT_ARGV))
+def test_an_empty_optional_output_path_exits_2_without_output(tmp_path, case, capsys):
+    """Only an absent flag leaves an optional output unset: an empty path
+    names no file, as it does for a required output."""
+    argv = EMPTY_OUTPUT_ARGV[case](tmp_path)
+    inputs = set(tmp_path.rglob("*"))
+    assert main(argv + [""]) == 2
+    assert capsys.readouterr() == ("", "error: [Errno 2] No such file or directory: ''\n")
+    assert set(tmp_path.rglob("*")) == inputs

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from radarcam import fusion, lxlt
+from radarcam import fusion
 from radarcam.fusion import (
     CSAFusionParams,
     ConcatFusionParams,
@@ -22,6 +22,7 @@ from helpers import (
     random_conv,
     random_csa_params,
     random_mlp,
+    read_params,
     selection_conv,
     write_manifest,
     zero_conv,
@@ -338,7 +339,7 @@ class TestCSAManifest:
     def test_roundtrip(self, tmp_path):
         params = random_csa_params(np.random.default_rng(5), C)
         manifest = write_manifest(tmp_path, params)
-        loaded = lxlt.read_params(CSAFusionParams, manifest, tmp_path)
+        loaded = read_params(CSAFusionParams, manifest, tmp_path)
         f_r, f_i = random_maps(6)
         np.testing.assert_allclose(
             csa_fusion(f_r, f_i, loaded), csa_fusion(f_r, f_i, params), rtol=1e-5, atol=1e-5
@@ -354,11 +355,11 @@ class TestCSAManifest:
         for key in path:
             entry = entry[key]
         del entry["bias"]
-        with pytest.raises(ValueError, match=re.escape(f"{name}: manifest entry is missing 'bias'")):
-            lxlt.read_params(CSAFusionParams, manifest, tmp_path)
+        with pytest.raises(ValueError, match="^" + re.escape(f"manifest.params.{name}.bias must be a file name, got None")):
+            read_params(CSAFusionParams, manifest, tmp_path)
 
     def test_entry_that_is_not_an_object_is_named(self, tmp_path):
         manifest = write_manifest(tmp_path, zero_csa_params(C))
-        manifest["params"]["out_conv"] = "out_conv.w.lxlt"
-        with pytest.raises(ValueError, match="^manifest params.out_conv: manifest entry must map"):
-            lxlt.read_params(CSAFusionParams, manifest, tmp_path)
+        manifest["params"]["out_conv"] = "out_conv.weights.lxlt"
+        with pytest.raises(ValueError, match="^manifest.params.out_conv must be a JSON object, got 'out_conv.weights.lxlt'$"):
+            read_params(CSAFusionParams, manifest, tmp_path)

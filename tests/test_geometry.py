@@ -107,21 +107,18 @@ class TestRigidTransform:
         with pytest.raises(ValueError, match="determinant"):
             RigidTransform(flip, np.zeros(3))
 
-    def test_apply_many_matches_apply(self):
+    def test_apply_many_is_the_scalar_coordinate_sums_bitwise(self):
+        """The target-build oracle, ``tests/oracles.py::build_depth_targets_reference``,
+        transforms each point as ``row[0] * x + row[1] * y + row[2] * z + t``,
+        and the target tests compare its results by ``float.hex``."""
         rng = np.random.default_rng(0)
-        angle = 0.3
-        rot = np.array(
-            [
-                [math.cos(angle), -math.sin(angle), 0.0],
-                [math.sin(angle), math.cos(angle), 0.0],
-                [0.0, 0.0, 1.0],
-            ]
-        )
-        t = RigidTransform(rot, np.array([0.5, -1.0, 2.0]))
-        pts = rng.normal(size=(10, 3))
-        batch = t.apply_many(pts)
-        for i in range(10):
-            np.testing.assert_allclose(batch[i], t.apply(pts[i]), atol=1e-12)
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))  # a rotation with no zero entry
+        t = RigidTransform(q * np.sign(np.linalg.det(q)), rng.normal(size=3))
+        pts = rng.normal(size=(200, 3)) * 30.0
+        r, tr = t.rotation.tolist(), t.translation.tolist()
+        want = [[row[0] * x + row[1] * y + row[2] * z + ti for row, ti in zip(r, tr)] for x, y, z in pts.tolist()]
+        got = t.apply_many(pts).tolist()
+        assert [list(map(float.hex, p)) for p in got] == [list(map(float.hex, p)) for p in want]
 
 
 class TestSpherical:

@@ -164,7 +164,7 @@ def test_only_the_cli_imports_lxlt():
 
 def test_an_lxlt_import_is_found():
     assert imports_lxlt("from . import lxlt\n")
-    assert imports_lxlt("from .lxlt import read_params\n")
+    assert imports_lxlt("from .lxlt import read_manifest\n")
     assert imports_lxlt("import radarcam.lxlt as io\n")
     assert not imports_lxlt("from .geometry import json_list\nlxlt = 1\n")
 
@@ -225,6 +225,6 @@ def test_the_package_exposes_lxlt_in_a_fresh_interpreter():
     """``bench/`` reaches the file format as ``radarcam.lxlt`` after a plain
     ``import radarcam``."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SOURCE.parent), os.environ.get("PYTHONPATH")]))}
-    code = "import radarcam; radarcam.lxlt.read_tensor, radarcam.lxlt.read_params"
+    code = "import radarcam; radarcam.lxlt.read_tensor, radarcam.lxlt.read_manifest"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr

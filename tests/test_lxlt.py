@@ -13,7 +13,7 @@ from radarcam import lxlt
 from radarcam.fusion import ConcatFusionParams, CSAFusionParams
 from radarcam.view_transform import VTParams
 
-from helpers import random_concat_params, random_csa_params, random_vt_params, write_manifest
+from helpers import random_concat_params, random_csa_params, random_vt_params, read_params, write_manifest
 
 
 def test_roundtrip_preserves_shape_and_values(tmp_path):
@@ -200,47 +200,43 @@ def float32_exact(value):
     return value
 
 
-class TestReadParams:
+class TestReadManifest:
     @pytest.mark.parametrize("kind", sorted(PARAMS))
     def test_roundtrip(self, tmp_path, kind):
         cls, make = PARAMS[kind]
         params = make(np.random.default_rng(4))
-        loaded = lxlt.read_params(cls, write_manifest(tmp_path, params), tmp_path)
+        loaded = read_params(cls, write_manifest(tmp_path, params), tmp_path)
         assert type(loaded) is cls
         np.testing.assert_equal(dataclasses.astuple(loaded), dataclasses.astuple(float32_exact(params)))
-
-    def test_manifest_without_params_key_is_refused(self, tmp_path):
-        bare = write_manifest(tmp_path, random_concat_params(np.random.default_rng(5), 3))["params"]
-        with pytest.raises(ValueError, match="^manifest params must be a JSON object, got None$"):
-            lxlt.read_params(ConcatFusionParams, bare, tmp_path)
 
     @pytest.mark.parametrize(
         "kind,edit,message",
         [
-            ("vt", lambda p: p["post_convs"][1].pop("bias"), "manifest params.post_convs[1]: manifest entry is missing 'bias'"),
+            ("vt", lambda p: p["post_convs"][1].pop("bias"), "manifest.params.post_convs[1].bias must be a file name, got None"),
             (
                 "vt",
-                lambda p: p.update(post_convs="post_convs0.w.lxlt"),
-                "manifest params.post_convs must be a JSON list, got 'post_convs0.w.lxlt'",
+                lambda p: p.update(post_convs="post_convs0.weights.lxlt"),
+                "manifest.params.post_convs must be a JSON list, got 'post_convs0.weights.lxlt'",
             ),
             (
                 "vt",
-                lambda p: p.update(embedding="embedding.w.lxlt"),
-                "manifest params.embedding: manifest entry must map 'weights' and 'bias' to file names, got 'embedding.w.lxlt'",
+                lambda p: p.update(embedding="embedding.weights.lxlt"),
+                "manifest.params.embedding must be a JSON object, got 'embedding.weights.lxlt'",
             ),
-            ("concat", lambda p: p["second"].pop("weights"), "manifest params.second: manifest entry is missing 'weights'"),
-            ("concat", lambda p: p["second"].update(stride=2), "manifest params.second has no key 'stride'"),
-            ("csa", lambda p: p["channel_mlp_radar"].update(hidden=1), "manifest params.channel_mlp_radar has no key 'hidden'"),
+            ("concat", lambda p: p["second"].pop("weights"), "manifest.params.second.weights must be a file name, got None"),
+            ("concat", lambda p: p["second"].update(weights=3), "manifest.params.second.weights must be a file name, got 3"),
+            ("concat", lambda p: p["second"].update(stride=2), "manifest.params.second has no key 'stride'"),
+            ("csa", lambda p: p["channel_mlp_radar"].update(hidden=1), "manifest.params.channel_mlp_radar has no key 'hidden'"),
             (
                 "vt",
                 lambda p: p.update(post_convs=p["post_convs"][:1]),
-                "manifest params.post_convs must be a JSON list of 3 items, "
-                "got [{'weights': 'post_convs0.w.lxlt', 'bias': 'post_convs0.b.lxlt'}]",
+                "manifest.params.post_convs must be a JSON list of 3 items, "
+                "got [{'weights': 'post_convs0.weights.lxlt', 'bias': 'post_convs0.bias.lxlt'}]",
             ),
         ],
         ids=[
             "post_conv_without_bias", "post_convs_not_a_list", "embedding_as_a_string", "concat_without_weights",
-            "layer_with_a_stride", "mlp_with_an_unknown_key", "two_post_convs",
+            "weights_as_a_number", "layer_with_a_stride", "mlp_with_an_unknown_key", "two_post_convs",
         ],
     )
     def test_bad_entry_is_named(self, tmp_path, kind, edit, message):
@@ -248,8 +244,9 @@ class TestReadParams:
         manifest = write_manifest(tmp_path, make(np.random.default_rng(6)))
         edit(manifest["params"])
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
-            lxlt.read_params(cls, manifest, tmp_path)
+            read_params(cls, manifest, tmp_path)
 
-    def test_params_that_is_a_list_is_named(self, tmp_path):
-        with pytest.raises(ValueError, match=re.escape("manifest params must be a JSON object, got [{'weights': 'a'}]")):
-            lxlt.read_params(VTParams, {"params": [{"weights": "a"}]}, tmp_path)
+    @pytest.mark.parametrize("value", [None, [{"weights": "a"}]])
+    def test_params_that_is_not_an_object_is_named(self, tmp_path, value):
+        with pytest.raises(ValueError, match=f"^manifest.params must be a JSON object, got {re.escape(repr(value))}$"):
+            read_params(VTParams, {"params": value}, tmp_path)

@@ -701,6 +701,7 @@ class TestConfigValidation:
             (lambda d: d.update(num_seeds=0), "num_seeds must be at least 1, got 0"),
             (lambda d: d.update(bootstrap_samples=0), "bootstrap_samples must be at least 1, got 0"),
             (lambda d: d.update(stride=0), "stride must be at least 1, got 0"),
+            (lambda d: d.update(stride=961), "^stride must be at most 600, the calibration's shorter image side, got 961$"),
             (lambda d: d.update(n_objects=-1), "n_objects must be at least 0, got -1"),
             (lambda d: d.update(num_seeds=1), "num_seeds must be at least 2 to bootstrap orderings, got 1"),
         ],
