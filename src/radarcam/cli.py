@@ -124,7 +124,10 @@ def _check_outputs(*paths) -> None:
 class VTManifest:
     """The inputs of ``vt``: image features and radar BEV features (LXLT file
     names), the voxel grid, the calibration, the image features' stride, the
-    depth bins and the learned weights."""
+    depth bins and the learned weights. ``vt`` refuses a stride below 1, and
+    a feature map whose (H, W) is not the calibration's image floored by the
+    stride, (image_height // stride, image_width // stride), as the target
+    build floors it."""
 
     feature_map: np.ndarray
     radar_bev: np.ndarray
@@ -217,6 +220,14 @@ def cmd_grad_check(args) -> int:
 def cmd_vt(args) -> int:
     _check_outputs(args.output)
     m = lxlt.read_manifest(VTManifest, load_json(args.manifest), "manifest", Path(args.manifest).parent)
+    if m.stride < 1:
+        raise ValueError(f"manifest.stride must be at least 1, got {m.stride}")
+    width, height = m.calibration.image_width, m.calibration.image_height
+    if m.feature_map.shape[1:] != (height // m.stride, width // m.stride):
+        raise ValueError(
+            f"manifest.stride is {m.stride}: the calibration's {width}x{height} image needs a "
+            f"(C, {height // m.stride}, {width // m.stride}) feature_map, got shape {m.feature_map.shape}"
+        )
     k, params = m.calibration.intrinsics, m.params
     occupancy = occupancy_from_bev(m.radar_bev, params)
     d_map = depth_distribution(m.feature_map, scale_intrinsics(k, m.stride), params, m.depth_bins, m.stride)

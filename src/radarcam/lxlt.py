@@ -70,7 +70,7 @@ def write_tensor(path: str | Path, array: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(dims)
-        fh.write(payload.tobytes())
+        fh.write(payload)
 
 
 def read_tensor(path: str | Path) -> np.ndarray:

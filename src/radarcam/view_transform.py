@@ -18,12 +18,22 @@ conv's (M, Z*2*C) GEMM rows in (z, half, c) order, with no copy or scatter.
 A voxel of such a cell outside the frustum reads no map and samples exact
 zeros. The first conv's input channels are permuted once to the rows'
 order, and as the conv is linear it runs on those rows alone as a sparse
-convolution (arXiv 1711.10275): one GEMM gives every kernel tap's products
-at every cell, and each tap adds its products at a constant shift into an
+convolution (arXiv 1711.10275): a GEMM gives every kernel tap's products
+at the cells, and each tap adds its products at a constant shift into an
 accumulator with a margin, one slice add per run of cells that are
 consecutive in the padded grid (the frustum makes one run per BEV row). The
 accumulator is cropped, and the bias comes last. An output that reads no
 sampled cell is exactly the bias. The other convs run densely.
+
+The frustum streams through the first conv in chunks of
+``max(1, GATHER_CHUNK // Z)`` cells, in ascending cell order: each chunk's
+rows are gathered, multiplied by one GEMM and added into the one
+accumulator, so neither the (M, Z*2*C) rows nor the (taps*C_out, M)
+products ever exist whole (the memory-bounded lowering of MEC, arXiv
+1706.06873). The adds into each accumulator element keep their order: an
+output's tap (ky, kx) reads the cell at offset (ky - kh // 2, kx - kw // 2),
+so taps in row-major order read cells in ascending order, and a later tap's
+cell is never in an earlier chunk.
 
 Sampling uses the pixel-center convention: the center of pixel (row i,
 col j) sits at continuous coordinate (u=j, v=i), depth bin k's midpoint at
@@ -35,6 +45,7 @@ map plus one trailing zero cell, and per-corner weights.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,7 +54,8 @@ from .geometry import CameraIntrinsics, RigidTransform, project_points, scale_in
 from .depth_supervision import DepthBinSpec, validate_depth_volume
 from .tensor_ops import Conv2DParams, LinearParams, ShapeError, conv2d, linear, sigmoid, softmax
 
-# Voxels sampled per call, so that the gather's temporaries stay in cache.
+# Voxels gathered per chunk of frustum cells, so that the gather's
+# temporaries stay in cache and the first conv's input never exists whole.
 GATHER_CHUNK = 8192
 
 
@@ -220,35 +232,31 @@ def _interpolate(table: np.ndarray, corners: tuple[list, list]) -> np.ndarray:
     return out
 
 
-def gather_gated(
-    f_pv: np.ndarray,
-    depth_volume: np.ndarray,
-    occupancy: np.ndarray,
-    u: np.ndarray,
-    v: np.ndarray,
-    b: np.ndarray,
-) -> np.ndarray:
-    """The two gated feature halves of the sampling VT at N projected points.
+def gather_gated(f_pv: np.ndarray, depth_volume: np.ndarray):
+    """The sampler of the two gated feature halves of the sampling VT.
 
-    ``f_pv`` (C, H, W) is read bilinearly at (u, v), ``depth_volume``
-    (D, H, W) trilinearly at (u, v, b), and each feature is multiplied once
-    by that depth likelihood and once by the point's ``occupancy``; the
-    result is (N, 2, C), the depth-gated half first. Corners outside either
-    map read zero; coordinates must be finite. Points are sampled
-    ``GATHER_CHUNK`` at a time.
+    Builds the lookup tables of ``f_pv`` (C, H, W) and ``depth_volume`` (D,
+    H, W) once and returns ``gather(occupancy, u, v, b)``, which at N
+    projected points reads ``f_pv`` bilinearly at (u, v), ``depth_volume``
+    trilinearly at (u, v, b), and multiplies each feature once by that depth
+    likelihood and once by the point's ``occupancy``; its result is (N, 2,
+    C), the depth-gated half first. Corners outside either map read zero;
+    coordinates must be finite.
     """
     c, h, w = f_pv.shape
     features = np.zeros((h * w + 1, c), dtype=np.float64)
     features[:-1] = f_pv.reshape(c, h * w).T
     depths = np.append(depth_volume.reshape(-1), 0.0)
-    out = np.empty((u.shape[0], 2, c), dtype=np.float64)
-    for start in range(0, u.shape[0], GATHER_CHUNK):
-        part = slice(start, start + GATHER_CHUNK)
-        f3d = _interpolate(features, _corners((v[part], u[part]), (h, w)))
-        d3d = _interpolate(depths, _corners((b[part], v[part], u[part]), depth_volume.shape))
-        np.multiply(f3d, d3d[:, None], out=out[part, 0])
-        np.multiply(f3d, occupancy[part, None], out=out[part, 1])
-    return out
+
+    def gather(occupancy: np.ndarray, u: np.ndarray, v: np.ndarray, b: np.ndarray) -> np.ndarray:
+        f3d = _interpolate(features, _corners((v, u), (h, w)))
+        d3d = _interpolate(depths, _corners((b, v, u), depth_volume.shape))
+        out = np.empty((u.shape[0], 2, c), dtype=np.float64)
+        np.multiply(f3d, d3d[:, None], out=out[:, 0])
+        np.multiply(f3d, occupancy[:, None], out=out[:, 1])
+        return out
+
+    return gather
 
 
 def depth_to_bin_coordinate(depth: np.ndarray, spec: DepthBinSpec) -> np.ndarray:
@@ -266,18 +274,21 @@ def sample_cells(
     intrinsics: CameraIntrinsics,
     world_to_camera: RigidTransform,
     in_channels: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The sampled volume at the BEV cells that hold a sampled voxel.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The sampled volume at the BEV cells that hold a sampled voxel, in
+    chunks of ``max(1, GATHER_CHUNK // Z)`` cells.
 
-    Returns the raveled (Y, X) indices of those cells in ascending order and
-    their (M, Z*2*C) rows in (z, half, c) order: each height's depth-gated
-    then occupancy-gated features. Every voxel of such a cell is gathered,
-    cell-major then height, so the gather's (M*Z, 2, C) output is the rows
-    with no copy; a voxel outside the frustum reads every corner off both
-    maps and so samples exact zeros. Every other cell of the volume is zero.
+    Yields (cells, rows) chunks: raveled (Y, X) cell indices, ascending
+    within and across chunks, and their (m, Z*2*C) rows in (z, half, c)
+    order: each height's depth-gated then occupancy-gated features. Every
+    voxel of a chunk's cells is gathered, cell-major then height, so the
+    gather's (m*Z, 2, C) output is the rows with no copy; a voxel outside
+    the frustum reads every corner off both maps and so samples exact zeros.
+    Every other cell of the volume is zero, and a frustum that misses the
+    grid yields no chunk. A chunk's rows are gathered when it is asked for.
     The (Z, Y, X) ``occupancy`` must lie in [0, 1] (NaN fails), and
     ``in_channels``, the first conv's input width, must be 2*C*Z; both are
-    checked before anything is sampled.
+    checked, and the voxels projected, when ``sample_cells`` is called.
     """
     f_pv = np.asarray(f_pv, dtype=np.float64)
     if f_pv.ndim != 3:
@@ -298,35 +309,52 @@ def sample_cells(
     # voxels in front of the camera with at least one in-image bilinear corner
     inside = valid & (u >= -1) & (u < w) & (v >= -1) & (v < h)
     cells = np.flatnonzero(inside.reshape(nz, ny * nx).any(axis=0))
-    # every voxel of those cells, by cell, then height
-    voxel = (cells[:, None] + np.arange(nz) * (ny * nx)).reshape(-1)
-    keep = inside[voxel]
-    # -2 puts both corners of every axis off the maps, so no coordinate of a
-    # voxel behind the camera or at an infinite pixel reaches the gather
-    u, v = np.where(keep, u[voxel], -2.0), np.where(keep, v[voxel], -2.0)
-    b = np.where(keep, depth_to_bin_coordinate(depth[voxel], bins), -2.0)
-    gathered = gather_gated(f_pv, depth_volume, np.where(keep, occupancy.reshape(-1)[voxel], 0.0), u, v, b)
-    return cells, gathered.reshape(cells.size, nz * 2 * c)
+    gather = gather_gated(f_pv, depth_volume)
+    occupancy = occupancy.reshape(-1)
+    heights = np.arange(nz) * (ny * nx)
+    per_chunk = max(1, GATHER_CHUNK // nz)
+
+    def chunks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for start in range(0, cells.size, per_chunk):
+            part = cells[start : start + per_chunk]
+            # every voxel of those cells, by cell, then height
+            voxel = (part[:, None] + heights).reshape(-1)
+            keep = inside[voxel]
+            # -2 puts both corners of every axis off the maps, so no coordinate
+            # of a voxel behind the camera or at an infinite pixel reaches the gather
+            pu, pv = np.where(keep, u[voxel], -2.0), np.where(keep, v[voxel], -2.0)
+            b = np.where(keep, depth_to_bin_coordinate(depth[voxel], bins), -2.0)
+            occ = np.where(keep, occupancy[voxel], 0.0)
+            # unnamed here, so a chunk's rows live only as long as the caller keeps them
+            yield part, gather(occ, pu, pv, b).reshape(part.size, nz * 2 * c)
+
+    return chunks()
 
 
-def conv2d_cells(cells: np.ndarray, rows: np.ndarray, shape: tuple[int, int], conv: Conv2DParams) -> np.ndarray:
-    """:func:`conv2d` of a (C_in, Y, X) map that is zero off ``cells``.
+def conv2d_cells(
+    chunks: Iterable[tuple[np.ndarray, np.ndarray]], shape: tuple[int, int], conv: Conv2DParams
+) -> np.ndarray:
+    """:func:`conv2d` of a (C_in, Y, X) map that is zero off the cells of
+    ``chunks``.
 
-    ``cells`` holds strictly increasing raveled (Y, X) indices and ``rows``
-    their (M, C_in) inputs. One GEMM gives every kernel tap's (C_out, M)
-    products. They are added into a flat accumulator of the padded map, Wp
-    columns a row, behind a margin of kh - 1 rows and kw - 1 columns: the
-    tap (ky, kx) of every cell lands at the cell's padded flat index minus
-    ky * Wp + kx. The cells split into runs whose padded indices are
-    consecutive, and each tap, in row-major (ky, kx) order, adds each run's
-    products as one slice, with no mask. A product that falls off the left
-    edge wraps into the kw - 1 columns at the end of a row, which straddle
-    two rows and are cropped, and one that falls above the top into the
-    margin. The result is cropped and the bias added last, as in
-    :func:`conv2d`; an output that reads no cell is therefore exactly the
-    bias. The products come from a GEMM of another shape than
-    :func:`conv2d`'s, so results agree with it to rounding, not bit for
-    bit.
+    Each chunk is (cells, rows): raveled (Y, X) indices, strictly increasing
+    within and across chunks, and their (m, C_in) inputs. Chunks are read
+    one at a time, and the accumulator is the only array that outlives one.
+    A chunk's GEMM gives every kernel tap's (C_out, m) products, which are
+    added into a flat accumulator of the padded map, Wp columns a row,
+    behind a margin of kh - 1 rows and kw - 1 columns: the tap (ky, kx) of
+    every cell lands at the cell's padded flat index minus ky * Wp + kx. A
+    chunk's cells split into runs whose padded indices are consecutive, and
+    each tap, in row-major (ky, kx) order, adds each run's products as one
+    slice, with no mask. A product that falls off the left edge wraps into
+    the kw - 1 columns at the end of a row, which straddle two rows and are
+    cropped, and one that falls above the top into the margin. An output's
+    taps in row-major order read ascending cells, so each accumulator
+    element receives its adds in tap order however the cells are chunked.
+    The result is cropped and the bias added last, as in :func:`conv2d`; an
+    output that reads no cell is therefore exactly the bias. The products
+    come from a GEMM of another shape than :func:`conv2d`'s, so results
+    agree with it to rounding, not bit for bit.
     """
     ny, nx = shape
     out_ch, in_ch, kh, kw = conv.weights.shape
@@ -334,28 +362,35 @@ def conv2d_cells(cells: np.ndarray, rows: np.ndarray, shape: tuple[int, int], co
         raise ShapeError(f"grid {ny}x{nx} is empty")
     pt, pb, pl, pr = conv.padding
     hp, wp = ny + pt + pb, nx + pl + pr
-    cells = np.asarray(cells)
-    if cells.ndim != 1 or not np.issubdtype(cells.dtype, np.integer):
-        raise ShapeError(f"cells must be a 1D integer array, got {cells.dtype} of shape {cells.shape}")
-    if np.any(cells[1:] <= cells[:-1]):
-        raise ShapeError("cells must be strictly increasing")
-    if cells.size and (cells[0] < 0 or cells[-1] >= ny * nx):
-        raise ShapeError(f"cells {cells[0]}..{cells[-1]} outside [0, {ny * nx}) of the {ny}x{nx} grid")
-    if rows.shape != (cells.size, in_ch):
-        raise ShapeError(f"rows shape {rows.shape} != (cells, in_channels) {(cells.size, in_ch)}")
-    products = conv.weights.transpose(2, 3, 0, 1).reshape(kh * kw * out_ch, in_ch) @ rows.T
+    taps = conv.weights.transpose(2, 3, 0, 1).reshape(kh * kw * out_ch, in_ch)
     margin = (kh - 1) * wp + kw - 1
-    dest = cells + (cells // nx) * (pl + pr) + (margin + pt * wp + pl)
-    # runs of consecutive destinations; dest >= 0, so the first cell starts one
-    starts = np.flatnonzero(np.diff(dest, prepend=-2) != 1)
-    runs = list(zip(dest[starts].tolist(), starts.tolist(), [*starts[1:].tolist(), dest.size]))
     acc = np.zeros((out_ch, margin + hp * wp), dtype=np.float64)
-    for ky in range(kh):
-        for kx in range(kw):
-            tap, shift = (ky * kw + kx) * out_ch, ky * wp + kx
-            for first, start, stop in runs:
-                d = first - shift
-                acc[:, d : d + stop - start] += products[tap : tap + out_ch, start:stop]
+    last = -1  # the previous chunk's last cell
+    for cells, rows in chunks:
+        cells = np.asarray(cells)
+        if cells.ndim != 1 or not np.issubdtype(cells.dtype, np.integer):
+            raise ShapeError(f"cells must be a 1D integer array, got {cells.dtype} of shape {cells.shape}")
+        if cells.size and (cells.min() < 0 or cells.max() >= ny * nx):
+            raise ShapeError(f"cells {cells.min()}..{cells.max()} outside [0, {ny * nx}) of the {ny}x{nx} grid")
+        if np.any(np.diff(cells, prepend=last) <= 0):
+            raise ShapeError("cells must be strictly increasing")
+        if rows.shape != (cells.size, in_ch):
+            raise ShapeError(f"rows shape {rows.shape} != (cells, in_channels) {(cells.size, in_ch)}")
+        if not cells.size:
+            continue
+        last = cells[-1]
+        products = taps @ rows.T
+        dest = cells + (cells // nx) * (pl + pr) + (margin + pt * wp + pl)
+        # runs of consecutive destinations; dest >= 0, so the first cell starts one
+        starts = np.flatnonzero(np.diff(dest, prepend=-2) != 1)
+        runs = list(zip(dest[starts].tolist(), starts.tolist(), [*starts[1:].tolist(), dest.size]))
+        for ky in range(kh):
+            for kx in range(kw):
+                tap, shift = (ky * kw + kx) * out_ch, ky * wp + kx
+                for first, start, stop in runs:
+                    d = first - shift
+                    acc[:, d : d + stop - start] += products[tap : tap + out_ch, start:stop]
+        del rows, products  # freed before the next chunk is gathered
     out = acc[:, margin : margin + ny * wp].reshape(out_ch, ny, wp)
     return out[:, :, :nx] + conv.bias[:, None, None]
 
@@ -374,11 +409,12 @@ def sample_vt(
     ``occupancy`` is :func:`occupancy_from_bev`'s array. Returns the (C, Y,
     X) BEV feature map produced by running the sampled volume through the
     three-convolution mixing stack; the first conv reads the sampled cells
-    alone, its input channels permuted from the volume's (half, c, z) order
-    to the rows' (z, half, c) order.
+    alone, one chunk of :func:`sample_cells` at a time, its input channels
+    permuted from the volume's (half, c, z) order to the rows' (z, half, c)
+    order.
     """
     first, *rest = params.post_convs
-    cells, rows = sample_cells(
+    chunks = sample_cells(
         f_pv, d_map.data, d_map.spec, d_map.stride, occupancy,
         grid, intrinsics, world_to_camera, first.in_channels,
     )
@@ -386,8 +422,7 @@ def sample_vt(
     out_ch, _, kh, kw = first.weights.shape
     weights = first.weights.reshape(out_ch, 2, -1, nz, kh, kw).transpose(0, 3, 1, 2, 4, 5)
     first = replace(first, weights=weights.reshape(first.weights.shape))
-    out = conv2d_cells(cells, rows, (ny, nx), first)
-    del rows  # freed before the dense convs allocate
+    out = conv2d_cells(chunks, (ny, nx), first)
     for conv in rest:
         out = conv2d(out, conv)
     return out

@@ -1,9 +1,11 @@
-"""Shared builders for test parameters, and the comparison of experiment results."""
+"""Shared builders for test parameters, the comparison of experiment
+results, and the traced peak of a call."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 
@@ -141,3 +143,13 @@ def assert_results_equal(got, want) -> None:
     assert got.metrics._fields == want.metrics._fields
     for name, values, wanted in zip(got.metrics._fields, got.metrics, want.metrics):
         np.testing.assert_array_equal(values, wanted, err_msg=name, strict=True)
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes that ``fn(*args)`` allocates, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

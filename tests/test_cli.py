@@ -848,6 +848,23 @@ class TestVT:
         assert err.startswith("error:") and message in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "stride,message",
+        [
+            (0, "manifest.stride must be at least 1, got 0"),
+            (4, "manifest.stride is 4: the calibration's 64x48 image needs a (C, 12, 16) feature_map, got shape (2, 6, 8)"),
+            (100, "manifest.stride is 100: the calibration's 64x48 image needs a (C, 0, 0) feature_map, got shape (2, 6, 8)"),
+        ],
+        ids=["0", "4", "100"],
+    )
+    def test_stride_that_does_not_give_the_feature_map_exits_2_naming_it(self, tmp_path, stride, message, capsys):
+        write_vt_inputs(tmp_path, np.random.default_rng(12), stride=stride)
+        out = tmp_path / "bev.lxlt"
+        assert main(["vt", "--manifest", str(tmp_path / "inputs" / "manifest.json"), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_post_conv_that_does_not_chain_exits_2_naming_it(self, tmp_path, capsys):
         _, inputs = write_vt_inputs(tmp_path, np.random.default_rng(10))
         wide = np.random.default_rng(11).normal(size=(VT_CHANNELS, VT_CHANNELS + 1, 3, 3))

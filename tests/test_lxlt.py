@@ -39,6 +39,18 @@ def test_header_layout_is_exact(tmp_path):
     assert struct.unpack("<4f", blob[15:]) == (1.0, 2.0, 3.0, 4.0)
 
 
+@pytest.mark.parametrize(
+    "view",
+    [lambda a: a.T, lambda a: a[:, ::2], lambda a: a[::-1], lambda a: a[:0]],
+    ids=["transposed", "strided", "reversed", "empty"],
+)
+def test_payload_of_a_view_is_its_row_major_float32_bytes(tmp_path, view):
+    arr = view(np.linspace(-2.0, 2.0, 24).reshape(4, 6))
+    path = tmp_path / "t.lxlt"
+    lxlt.write_tensor(path, arr)
+    assert path.read_bytes()[15:] == arr.astype("<f4").tobytes(order="C")
+
+
 def test_write_then_read_is_byte_stable(tmp_path):
     arr = np.linspace(-1, 1, 30).reshape(5, 6)
     a, b = tmp_path / "a.lxlt", tmp_path / "b.lxlt"

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,19 +21,10 @@ from radarcam.tensor_ops import (
     softmax,
 )
 
+from helpers import traced_peak
 from oracles import bilinear_reference, bilinear_sample, conv2d_naive, sigmoid_two_branch, trilinear_sample
 
 SIGMOID_SPECIALS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 40.0, -746.0)
-
-
-def traced_peak(fn, *args) -> int:
-    """Peak bytes that ``fn(*args)`` allocates, under tracemalloc."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestConv2D:
@@ -168,13 +158,7 @@ class TestConv2D:
         x = rng.normal(size=(128, 64, 64))
         params = Conv2DParams(rng.normal(size=(32, 128, 3, 3)), rng.normal(size=32))
         padded_bytes = x.shape[0] * 66 * 66 * 8
-        tracemalloc.start()
-        try:
-            conv2d(x, params)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * padded_bytes
+        assert traced_peak(conv2d, x, params) < 2 * padded_bytes
 
     def test_peak_memory_at_the_csa_shape_stays_below_twice_the_padded_input(self):
         # the shape of CSA's in_conv and mid_conv at tier L: 64 channels mixed down to 32

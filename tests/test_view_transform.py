@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from radarcam import view_transform
 from radarcam.depth_supervision import DepthBinSpec
 from radarcam.geometry import (
     BehindCameraError,
@@ -34,7 +35,7 @@ from radarcam.view_transform import (
     voxel_centers,
 )
 
-from helpers import identity_conv, random_conv, random_vt_params, selection_conv
+from helpers import identity_conv, random_conv, random_vt_params, selection_conv, traced_peak
 from oracles import bilinear_sample, conv2d_naive, sample_volume_reference, sample_vt_reference, trilinear_sample
 
 K = CameraIntrinsics(fx=100.0, fy=100.0, cx=10.0, cy=6.0)
@@ -302,11 +303,29 @@ def conv_of(kh, kw):
     return make
 
 
-def cells_of(f_pv, d_map, occupancy, grid, intrinsics, w2c, params):
-    return sample_cells(
-        f_pv, d_map.data, d_map.spec, d_map.stride, occupancy, grid, intrinsics, w2c,
-        params.post_convs[0].in_channels,
+def chunks_of(f_pv, d_map, occupancy, grid, intrinsics, w2c, params):
+    """Every (cells, rows) chunk that :func:`sample_cells` yields."""
+    return list(
+        sample_cells(
+            f_pv, d_map.data, d_map.spec, d_map.stride, occupancy, grid, intrinsics, w2c,
+            params.post_convs[0].in_channels,
+        )
     )
+
+
+def joined(chunks, width):
+    """(cells, rows) chunks joined into one cells array and one (M, width)
+    rows array; no chunk joins to zero cells."""
+    cells, rows = [np.empty(0, dtype=np.intp)], [np.empty((0, width))]
+    for part, part_rows in chunks:
+        cells.append(part)
+        rows.append(part_rows)
+    return np.concatenate(cells), np.concatenate(rows)
+
+
+def cells_of(*args):
+    """The frustum cells of an instance and their rows, all chunks joined."""
+    return joined(chunks_of(*args), args[-1].post_convs[0].in_channels)
 
 
 def halves(rows, nz):
@@ -363,8 +382,7 @@ class TestSampleVT:
         f_pv, d_map, occupancy, _, _, params = small_instance(0)
         grid = VoxelGridSpec((-1.0, 1.0, 4), (-1.0, 1.0, 3), (-30.0, -10.0, 2))
         occupancy = np.random.default_rng(0).uniform(size=grid.counts)
-        cells, rows = cells_of(f_pv, d_map, occupancy, grid, K, RigidTransform.identity(), params)
-        assert cells.shape == (0,) and rows.shape == (0, 2 * f_pv.shape[0] * grid.counts[0])
+        assert chunks_of(f_pv, d_map, occupancy, grid, K, RigidTransform.identity(), params) == []
         want = sample_volume_reference(f_pv, d_map, occupancy, grid, K, RigidTransform.identity())
         np.testing.assert_array_equal(want, np.zeros_like(want))
 
@@ -377,10 +395,11 @@ class TestSampleVT:
         # occupancy half is identically zero, depth half is not
         assert np.max(np.abs(halves(rows, nz)[:, :, 1])) == 0.0
         assert np.max(np.abs(halves(rows, nz)[:, :, 0])) > 0.0
-        cells, rows = sample_cells(
+        chunks = sample_cells(
             f_pv, np.zeros_like(d_map.data), d_map.spec, d_map.stride, zero_occ, grid, K, w2c,
             params.post_convs[0].in_channels,
         )
+        cells, rows = joined(chunks, params.post_convs[0].in_channels)
         assert cells.size
         np.testing.assert_array_equal(rows, np.zeros_like(rows))
 
@@ -416,7 +435,7 @@ class TestSampleVT:
         by_height = halves(rows, 3)[0]
         np.testing.assert_array_equal(by_height[:2], np.zeros_like(by_height[:2]))
         b = depth_to_bin_coordinate(depth[2:], d_map.spec)
-        want = gather_gated(f_pv, d_map.data, occupancy.reshape(-1)[2:], u[2:], v[2:], b)
+        want = gather_gated(f_pv, d_map.data)(occupancy.reshape(-1)[2:], u[2:], v[2:], b)
         assert np.any(want)
         np.testing.assert_array_equal(by_height[2], want[0])
 
@@ -489,11 +508,7 @@ class TestSampleVT:
         grid = VoxelGridSpec((-30.0, -6.0, 20), (-40.0, 40.0, 48), (-1.0, 1.0, 2))
         got = sample_vt(f_pv, d_map, occupancy, grid, intrinsics, w2c, params)
         want = sample_vt_reference(f_pv, d_map, occupancy, grid, intrinsics, w2c, params)
-        cells, _ = sample_cells(
-            f_pv, d_map.data, d_map.spec, d_map.stride, occupancy, grid, intrinsics, w2c,
-            params.post_convs[0].in_channels,
-        )
-        assert cells.size == 0
+        assert chunks_of(f_pv, d_map, occupancy, grid, intrinsics, w2c, params) == []
         assert scaled_error(got, want) < 1e-12
 
     def test_bin_coordinate_midpoint_alignment(self):
@@ -502,6 +517,47 @@ class TestSampleVT:
         np.testing.assert_allclose(
             depth_to_bin_coordinate(mids, bins), [0.0, 1.0, 2.0, 3.0], atol=1e-12
         )
+
+
+class TestStreamedChunks:
+    """``sample_vt`` streams the frustum through its first conv in chunks of
+    ``max(1, GATHER_CHUNK // Z)`` cells."""
+
+    @pytest.mark.parametrize(
+        "gather_chunk,first", [(7, None), (10, conv_of(5, 5)), (64, conv_of(3, 5))], ids=["3 cells", "5 cells", "32 cells"]
+    )
+    def test_chunks_equal_per_voxel_reference(self, monkeypatch, gather_chunk, first):
+        monkeypatch.setattr(view_transform, "GATHER_CHUNK", gather_chunk)
+        args = frustum_instance(3, yaw_deg=30.0, first=first)
+        nz, _, nx = args[3].counts
+        chunks = chunks_of(*args)
+        sizes = [part.size for part, _ in chunks]
+        per_chunk = gather_chunk // nz
+        assert len(sizes) > 2 and set(sizes[:-1]) == {per_chunk} and 0 < sizes[-1] <= per_chunk
+        # some chunk ends inside a BEV row, so a run of cells spans two chunks
+        assert any(a[-1] // nx == b[0] // nx and b[0] == a[-1] + 1 for (a, _), (b, _) in zip(chunks, chunks[1:]))
+        cells, rows = joined(chunks, args[-1].post_convs[0].in_channels)
+        assert_cells_equal_volume(cells, rows, sample_volume_reference(*args[:-1]), nz)
+        assert scaled_error(sample_vt(*args), sample_vt_reference(*args)) < 1e-12
+
+    def test_more_heights_than_the_chunk_gives_one_cell_a_chunk(self, monkeypatch):
+        monkeypatch.setattr(view_transform, "GATHER_CHUNK", 4)
+        args = frustum_instance(4, counts=(6, 24, 10))
+        chunks = chunks_of(*args)
+        assert len(chunks) > 1 and {part.size for part, _ in chunks} == {1}
+        cells, rows = joined(chunks, args[-1].post_convs[0].in_channels)
+        assert_cells_equal_volume(cells, rows, sample_volume_reference(*args[:-1]), 6)
+        assert scaled_error(sample_vt(*args), sample_vt_reference(*args)) < 1e-12
+
+    def test_traced_peak_stays_below_the_whole_rows(self):
+        # at the default chunk, four chunks of 1024 cells: the (M, 2*C*Z)
+        # rows and the first conv's (taps*C_out, M) products never exist whole
+        f_pv, d_map, occupancy, grid, w2c, params = small_instance(5, c=16, grid_counts=(8, 64, 64))
+        args = (f_pv, d_map, occupancy, grid, K, w2c, params)
+        cells, _ = cells_of(*args)
+        assert cells.size == 4096 == 4 * (view_transform.GATHER_CHUNK // 8)
+        whole_rows = cells.size * 2 * 16 * 8 * 8
+        assert traced_peak(sample_vt, *args) < whole_rows
 
 
 @st.composite
@@ -514,14 +570,17 @@ def sparse_conv_instances(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     x = rng.normal(size=(in_ch, ny, nx)) * active
     conv = Conv2DParams(rng.normal(size=(out_ch, in_ch, kh, kw)), rng.normal(size=out_ch))
-    return x, active, conv
+    return x, active, conv, draw(st.integers(1, ny * nx))
 
 
-def assert_sparse_conv_matches_dense(x, active, conv):
-    """``conv2d_cells`` on the active cells of ``x`` equals the dense oracle,
-    and outputs that read no active cell are exactly the bias."""
+def assert_sparse_conv_matches_dense(x, active, conv, chunk):
+    """``conv2d_cells`` on the active cells of ``x``, ``chunk`` cells a
+    chunk, equals the dense oracle, and outputs that read no active cell are
+    exactly the bias."""
     cells = np.flatnonzero(active)
-    got = conv2d_cells(cells, x.reshape(x.shape[0], -1)[:, cells].T, active.shape, conv)
+    rows = x.reshape(x.shape[0], -1)[:, cells].T
+    chunks = [(cells[i : i + chunk], rows[i : i + chunk]) for i in range(0, cells.size, chunk)]
+    got = conv2d_cells(chunks, active.shape, conv)
     _, _, kh, kw = conv.weights.shape
     want = conv2d_naive(x, conv.weights, conv.bias, (kh // 2, kh // 2, kw // 2, kw // 2))
     assert got.shape == want.shape == (conv.out_channels, *active.shape)
@@ -550,21 +609,42 @@ class TestConv2DCells:
     def test_matches_dense_oracle_and_leaves_unread_outputs_at_the_bias(self, instance):
         assert_sparse_conv_matches_dense(*instance)
 
+    @pytest.mark.parametrize("chunk", [30, 4, 1])
     @pytest.mark.parametrize("cells, k", RUN_EDGE_CASES.values(), ids=RUN_EDGE_CASES.keys())
-    def test_runs_of_cells_match_dense_oracle(self, cells, k):
+    def test_runs_of_cells_match_dense_oracle(self, cells, k, chunk):
         rng = np.random.default_rng(7)
         active = np.zeros(30, dtype=bool)
         active[cells] = True
         active = active.reshape(5, 6)
         x = rng.normal(size=(3, 5, 6)) * active
         conv = Conv2DParams(rng.normal(size=(2, 3, k, k)), rng.normal(size=2))
-        assert_sparse_conv_matches_dense(x, active, conv)
+        assert_sparse_conv_matches_dense(x, active, conv, chunk)
+
+    def test_chunks_add_in_the_order_of_one_chunk(self):
+        # each accumulator element receives its taps' adds in row-major tap
+        # order however the cells are chunked. One input channel makes every
+        # product one rounded multiply, the same bits from a GEMM of any
+        # width, so only the order of the adds could change a bit.
+        rng = np.random.default_rng(8)
+        cells = np.flatnonzero(rng.uniform(size=(9, 11)) < 0.6)
+        rows = rng.normal(size=(cells.size, 1))
+        conv = Conv2DParams(rng.normal(size=(3, 1, 3, 5)), rng.normal(size=3))
+        whole = conv2d_cells([(cells, rows)], (9, 11), conv)
+        for chunk in (1, 2, 7, 10):
+            chunks = [(cells[i : i + chunk], rows[i : i + chunk]) for i in range(0, cells.size, chunk)]
+            np.testing.assert_array_equal(conv2d_cells(chunks, (9, 11), conv), whole)
+
+    def test_no_chunk_gives_the_bias(self):
+        conv = Conv2DParams(np.ones((2, 3, 3, 3)), np.array([0.5, -1.25]))
+        for chunks in ([], [(np.array([], dtype=np.intp), np.ones((0, 3)))]):
+            out = conv2d_cells(chunks, (3, 4), conv)
+            np.testing.assert_array_equal(out, np.broadcast_to(conv.bias[:, None, None], (2, 3, 4)))
 
     @pytest.mark.parametrize("shape", [(0, 3), (2, 0)])
     def test_empty_grid_is_rejected(self, shape):
         conv = Conv2DParams(np.ones((1, 2, 5, 3)), np.zeros(1))
         with pytest.raises(ShapeError, match=rf"^grid {shape[0]}x{shape[1]} is empty$"):
-            conv2d_cells(np.array([], dtype=np.intp), np.ones((0, 2)), shape, conv)
+            conv2d_cells([(np.array([], dtype=np.intp), np.ones((0, 2)))], shape, conv)
 
     @pytest.mark.parametrize(
         "cells, message",
@@ -581,13 +661,25 @@ class TestConv2DCells:
     def test_bad_cells_are_rejected(self, cells, message):
         conv = Conv2DParams(np.ones((1, 2, 3, 3)), np.zeros(1))
         with pytest.raises(ShapeError, match=re.escape(message)):
-            conv2d_cells(np.array(cells), np.ones((2, 2)), (4, 4), conv)
+            conv2d_cells([(np.array(cells), np.ones((2, 2)))], (4, 4), conv)
+
+    @pytest.mark.parametrize("second", [[7, 9], [3, 9]], ids=["repeated", "decreasing"])
+    def test_cells_must_increase_across_chunks(self, second):
+        conv = Conv2DParams(np.ones((1, 2, 3, 3)), np.zeros(1))
+        # an empty chunk between the two changes nothing
+        chunks = [
+            (np.array([1, 7]), np.ones((2, 2))),
+            (np.array([], dtype=np.intp), np.ones((0, 2))),
+            (np.array(second), np.ones((2, 2))),
+        ]
+        with pytest.raises(ShapeError, match="cells must be strictly increasing"):
+            conv2d_cells(chunks, (4, 4), conv)
 
     @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (2,)])
     def test_rows_must_be_one_input_row_per_cell(self, shape):
         conv = Conv2DParams(np.ones((1, 2, 3, 3)), np.zeros(1))
         with pytest.raises(ShapeError, match=re.escape(f"rows shape {shape} != (cells, in_channels) (2, 2)")):
-            conv2d_cells(np.array([1, 7]), np.ones(shape), (4, 4), conv)
+            conv2d_cells([(np.array([1, 7]), np.ones(shape))], (4, 4), conv)
 
 
 def _edge_coordinates(extent: int) -> list[float]:
@@ -620,7 +712,7 @@ class TestGatherGated:
         # miss the image by up to two pixels and read bins below 0 or at and
         # beyond D; n = 0 and all-outside draws give no in-image corner
         f_pv, depth_volume, occupancy, u, v, b = instance
-        got = gather_gated(f_pv, depth_volume, occupancy, u, v, b)
+        got = gather_gated(f_pv, depth_volume)(occupancy, u, v, b)
         want = np.zeros((u.shape[0], 2, f_pv.shape[0]))
         for i in range(u.shape[0]):
             feat = bilinear_sample(f_pv, (u[i], v[i]))
@@ -632,13 +724,13 @@ class TestGatherGated:
         f_pv = np.ones((2, 3, 4))
         u = np.array([-1.5, 4.0, 1.0, 2.0, 7.0])
         v = np.array([1.0, 1.0, -1.25, 3.0, 9.0])
-        out = gather_gated(f_pv, np.ones((2, 3, 4)), np.ones(5), u, v, np.zeros(5))
+        out = gather_gated(f_pv, np.ones((2, 3, 4)))(np.ones(5), u, v, np.zeros(5))
         np.testing.assert_array_equal(out, np.zeros((5, 2, 2)))
 
     def test_corner_on_last_pixel_reads_it_alone(self):
         f_pv = np.arange(12.0).reshape(1, 3, 4)
         depth = np.full((2, 3, 4), 0.5)
-        out = gather_gated(f_pv, depth, np.array([0.25]), np.array([3.0]), np.array([2.0]), np.array([1.0]))
+        out = gather_gated(f_pv, depth)(np.array([0.25]), np.array([3.0]), np.array([2.0]), np.array([1.0]))
         assert out[0, 0, 0] == 11.0 * 0.5 and out[0, 1, 0] == 11.0 * 0.25
 
 
