@@ -35,8 +35,6 @@ from .tensor_ops import (
     MLPParams,
     ShapeError,
     conv2d,
-    global_pool,
-    linear,
     mlp,
     sigmoid,
     softmax,

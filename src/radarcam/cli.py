@@ -176,7 +176,7 @@ def cmd_loss(args) -> int:
     depth_map = lxlt.read_tensor(args.depth_map)
     table = as_target_table(lxlt.read_tensor(args.targets))
     table[:, :2] = np.rint(table[:, :2])  # the nearest pixel, halves to even as round() does
-    spec = DepthBinSpec(args.d_min, args.d_max, args.num_bins)
+    spec = DepthBinSpec(args.d_min, args.d_max, len(depth_map))
     cfg = LossConfig(**_given(lambda1=args.lambda1, lambda2=args.lambda2, neighborhood_agg=args.agg))
     result = one_to_many_loss(depth_map, table, spec, cfg)
     if args.per_target is not None:
@@ -329,7 +329,6 @@ def build_parser() -> _Parser:
     p.add_argument("--targets", required=True, help="LXLT target table (N,4)")
     p.add_argument("--d-min", type=float, default=0.0)
     p.add_argument("--d-max", type=float, default=64.0)
-    p.add_argument("--num-bins", type=int, default=64)
     p.add_argument("--lambda1", type=float, help=f"cross-entropy weight (default {LossConfig.lambda1})")
     p.add_argument("--lambda2", type=float, help=f"L1 weight (default {LossConfig.lambda2})")
     p.add_argument("--agg", choices=AGGREGATIONS, help=f"default {LossConfig.neighborhood_agg}")

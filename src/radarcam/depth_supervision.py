@@ -125,6 +125,12 @@ class LossConfig:
             raise ValueError(f"unknown aggregation {self.neighborhood_agg!r}")
 
 
+def check_stride(stride: int) -> None:
+    """Refuse a feature stride below 1."""
+    if stride < 1:
+        raise ValueError(f"stride must be a positive integer, got {stride}")
+
+
 def neighborhood_radius(
     depth: float | np.ndarray,
     intrinsics: CameraIntrinsics,
@@ -143,6 +149,7 @@ def neighborhood_radius(
     not finite (``0 * inf``, an overflowing ``k`` times an underflowing RCS
     factor) raises ``ValueError`` naming its point.
     """
+    check_stride(stride)
     depth = np.asarray(depth, dtype=np.float64)
     if not np.all(depth > 0):
         raise ValueError(f"depth must be positive, got {depth}")
@@ -199,9 +206,11 @@ def _target_table(
     ``settings``) of the kept points, in input order, and the (N,) mask of the
     kept points. The points are projected once for every column. A column
     that uses RCS falls back to ``cfg.fixed_r`` where the RCS is missing; a
-    column that does not takes ``cfg.fixed_r`` for every point."""
-    if stride < 1:
-        raise ValueError(f"stride must be a positive integer, got {stride}")
+    column that does not takes ``cfg.fixed_r`` for every point. A point at
+    image coordinates (u, v) lands in feature cell (floor(u / s), floor(v /
+    s)), so cell j spans [j*s, (j+1)*s); the view transformation's sampler
+    puts cell j's center at j*s instead (:mod:`radarcam.view_transform`)."""
+    check_stride(stride)
     u, v, depth, in_front = project_points(calib.radar_to_camera.apply_many(points[:, :3]), calib.intrinsics)
     us, vs = np.floor(u / stride) + 0.0, np.floor(v / stride) + 0.0  # + 0.0: a -0.0 pixel is written as 0.0
     keep = in_front & (0 <= us) & (us < calib.image_width // stride)
@@ -290,6 +299,13 @@ def as_target_table(targets) -> np.ndarray:
     return table
 
 
+def _refuse_targets(table: np.ndarray, ok: np.ndarray, what: str) -> None:
+    """Refuse the first row of ``table`` that is not ``ok``, naming it, then ``what`` is wrong."""
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(f"target {i} (u, v, d_gt, radius) = {tuple(table[i].tolist())} {what}")
+
+
 def _check_target_table(table: np.ndarray, shape: tuple[int, int]) -> None:
     """Name the first (u, v, d_gt, radius, ...) row without finite values,
     non-negative radii and a pixel on the map of ``shape`` (H, W), then the
@@ -297,27 +313,11 @@ def _check_target_table(table: np.ndarray, shape: tuple[int, int]) -> None:
     u, v = table[:, 0], table[:, 1]
     ok = np.isfinite(table).all(axis=1) & (table[:, 3:] >= 0.0).all(axis=1)
     ok &= (0 <= u) & (u < shape[1]) & (0 <= v) & (v < shape[0])
-    if not ok.all():
-        i = int(np.argmin(ok))
-        raise ValueError(
-            f"target {i} (u, v, d_gt, radius) = {tuple(table[i].tolist())} needs finite "
-            f"values, a non-negative radius and a pixel on the (H, W) = {shape} map"
-        )
-    whole = (u == np.floor(u)) & (v == np.floor(v))
-    if not whole.all():
-        i = int(np.argmin(whole))
-        raise ValueError(
-            f"target {i} (u, v, d_gt, radius) = {tuple(table[i].tolist())} needs a whole-number "
-            "pixel (u, v): a fractional one would be supervised at the pixel it truncates to"
-        )
-
-
-def _check_finite_per_target(table: np.ndarray, finite: np.ndarray, what: str) -> None:
-    """Name the first target of ``table`` whose ``what`` is not ``finite``:
-    its depth or a loss weight is so large that float64 overflows."""
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise ValueError(f"target {i} (u, v, d_gt, radius) = {tuple(table[i].tolist())} has a {what} that is not finite")
+    _refuse_targets(table, ok, f"needs finite values, a non-negative radius and a pixel on the (H, W) = {shape} map")
+    _refuse_targets(
+        table, (u == np.floor(u)) & (v == np.floor(v)),
+        "needs a whole-number pixel (u, v): a fractional one would be supervised at the pixel it truncates to",
+    )
 
 
 def neighborhood_pixels(
@@ -428,7 +428,7 @@ def _loss_selection(depth_map, targets, spec: DepthBinSpec, cfg: LossConfig):
         return _depth_loss(p_gt, expectation[vv, uu], d_gt, cfg)
 
     (sel,) = _select_in_disks(table, shape, ((0, cfg.neighborhood_agg),), cost_at)
-    _check_finite_per_target(table, np.isfinite(sel.cost), "loss")
+    _refuse_targets(table, np.isfinite(sel.cost), "has a loss that is not finite")
     return depth_map, table, expectation, sel
 
 
@@ -486,7 +486,7 @@ def one_to_many_loss_grad(
     with np.errstate(over="ignore", invalid="ignore"):
         g = np.where(p[bins, rows] > LOG_PROB_FLOOR, cfg.lambda1 * p_minus_one_hot, 0.0)
         g += cfg.lambda2 * np.sign(e - d_gt) * p * (midpoints[:, None] - e)
-    _check_finite_per_target(table, np.isfinite(g).all(axis=0), "gradient")
+    _refuse_targets(table, np.isfinite(g).all(axis=0), "has a gradient that is not finite")
     np.add.at(grad, (slice(None), v, u), (1.0 / len(table)) * g)
     return grad
 

@@ -24,15 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tensor_ops import (
-    Conv2DParams,
-    MLPParams,
-    ShapeError,
-    conv2d,
-    global_pool,
-    mlp,
-    sigmoid,
-)
+from .tensor_ops import Conv2DParams, MLPParams, ShapeError, conv2d, mlp, sigmoid
 
 
 def _check_same_shape(f_radar: np.ndarray, f_image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -123,8 +115,8 @@ def channel_attention(x: np.ndarray, params: CSAFusionParams) -> tuple[np.ndarra
     a sigmoid.
     """
     f_in = conv2d(x, params.in_conv)
-    gap = global_pool(f_in, "avg")
-    gmp = global_pool(f_in, "max")
+    gap = f_in.mean(axis=(1, 2))
+    gmp = f_in.max(axis=(1, 2))
     w_radar = sigmoid(mlp(gap, params.channel_mlp_radar) + mlp(gmp, params.channel_mlp_radar))
     w_image = sigmoid(mlp(gap, params.channel_mlp_image) + mlp(gmp, params.channel_mlp_image))
     return w_radar, w_image

@@ -77,6 +77,7 @@ from .depth_supervision import (
     RadiusConfig,
     _select_in_disks,
     _target_table,
+    check_stride,
     build_depth_targets,  # noqa: F401 -- bench/tracing.py wraps the name in this module
     neighborhood_pixels,  # noqa: F401 -- bench/tracing.py wraps the name in this module
 )
@@ -172,6 +173,7 @@ class Scene:
     boxes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        check_stride(self.stride)
         table = np.asarray(self.table, dtype=np.float64)
         if table.ndim != 3 or table.shape[2] != 5:
             raise ValueError(f"scene table must be (seeds, objects, 5), got shape {table.shape}")

@@ -1,5 +1,4 @@
-"""Dense numeric primitives: convolution, linear maps, activations and
-pooling.
+"""Dense numeric primitives: convolution, the MLP, softmax and sigmoid.
 
 All operations are pure functions, evaluate forward only and compute in
 float64 regardless of the input dtype or memory layout. Feature maps follow
@@ -179,28 +178,15 @@ def conv2d(x: np.ndarray, params: Conv2DParams) -> np.ndarray:
     return out
 
 
-def linear(x: np.ndarray, params: LinearParams) -> np.ndarray:
-    """Affine map of a vector: W x + b."""
-    x = _as_f64(x)
-    if x.ndim != 1:
-        raise ShapeError(f"linear input must be a vector, got shape {x.shape}")
-    if x.shape[0] != params.in_features:
-        raise ShapeError(f"input length {x.shape[0]} != weight columns {params.in_features}")
-    return params.weights @ x + params.bias
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(_as_f64(x), 0.0)
-
-
 def mlp(x: np.ndarray, params: MLPParams) -> np.ndarray:
-    """Apply the layer stack with a rectifier between consecutive layers."""
+    """Apply the layer stack, ``W x + b`` each, with a rectifier between
+    consecutive layers. :class:`MLPParams` checks that the widths chain."""
     out = _as_f64(x)
     last = len(params.layers) - 1
     for i, layer in enumerate(params.layers):
-        out = linear(out, layer)
+        out = layer.weights @ out + layer.bias
         if i != last:
-            out = relu(out)
+            out = np.maximum(out, 0.0)
     return out
 
 
@@ -224,15 +210,3 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.where(x >= 0, 1.0, e)
     out /= e + 1.0
     return out
-
-
-def global_pool(x: np.ndarray, mode: str) -> np.ndarray:
-    """Per-channel spatial reduction of a (C, H, W) map to a length-C vector."""
-    x = _as_f64(x)
-    if x.ndim != 3 or x.shape[1] < 1 or x.shape[2] < 1:
-        raise ShapeError(f"global_pool input must be (C, H>=1, W>=1), got {x.shape}")
-    if mode == "avg":
-        return np.mean(x, axis=(1, 2))
-    if mode == "max":
-        return np.max(x, axis=(1, 2))
-    raise ValueError(f"unknown pooling mode {mode!r}")

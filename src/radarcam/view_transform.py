@@ -37,7 +37,12 @@ cell is never in an earlier chunk.
 
 Sampling uses the pixel-center convention: the center of pixel (row i,
 col j) sits at continuous coordinate (u=j, v=i), depth bin k's midpoint at
-bin coordinate k, and corners outside a map read as zero. Both reads go
+bin coordinate k, and corners outside a map read as zero. With intrinsics
+rescaled by :func:`scale_intrinsics`, feature cell j's center is image
+coordinate j*s at stride s. The depth-target build and the simulated scenes
+differ: they floor u / s, so their cell j spans [j*s, (j+1)*s) with center
+(j + 1/2)*s, and a supervised point sits on average half a feature pixel
+right of and below where the sampler reads its depth. Both reads go
 through one n-linear corner builder: flat corner indices into the raveled
 map plus one trailing zero cell, and per-corner weights.
 """
@@ -52,7 +57,7 @@ import numpy as np
 
 from .geometry import CameraIntrinsics, RigidTransform, project_points, scale_intrinsics
 from .depth_supervision import DepthBinSpec, validate_depth_volume
-from .tensor_ops import Conv2DParams, LinearParams, ShapeError, conv2d, linear, sigmoid, softmax
+from .tensor_ops import Conv2DParams, LinearParams, ShapeError, conv2d, sigmoid, softmax
 
 # Voxels gathered per chunk of frustum cells, so that the gather's
 # temporaries stay in cache and the first conv's input never exists whole.
@@ -120,7 +125,8 @@ class DepthDistributionMap:
 
 @dataclass(frozen=True)
 class VTParams:
-    """Learnable-weight holders for the view transformation, loaded not trained."""
+    """Learnable-weight holders for the view transformation, loaded not trained.
+    Every layer width that does not depend on the input is checked here, once."""
 
     occupancy_conv: Conv2DParams
     depth_conv: Conv2DParams
@@ -132,6 +138,11 @@ class VTParams:
             raise ShapeError(
                 f"embedding expects {self.embedding.in_features} inputs, "
                 "needs 9 (the flattened inverse intrinsic matrix)"
+            )
+        if self.embedding.out_features != self.depth_conv.in_channels:
+            raise ShapeError(
+                f"embedding yields {self.embedding.out_features} channel scales, "
+                f"depth_conv takes {self.depth_conv.in_channels} channels"
             )
         if len(self.post_convs) != 3:
             raise ShapeError("the post-transform stack must hold exactly three convolutions")
@@ -163,20 +174,11 @@ def depth_distribution(
     layer into one scale per channel, features are gated channelwise, reduced
     to depth logits by a 1x1 conv, and normalized by softmax over bins. The
     conv is linear, so the channel scales go into its weights, not into a
-    scaled copy of the features.
+    scaled copy of the features. ``f_pv`` (C, H, W) must have the conv's
+    input width, which :func:`conv2d` checks.
     """
-    f_pv = np.asarray(f_pv, dtype=np.float64)
-    if f_pv.ndim != 3:
-        raise ShapeError(f"feature map must be (C, H, W), got shape {f_pv.shape}")
-    scale = linear(intrinsics.inverse_matrix().reshape(-1), params.embedding)
-    if scale.shape[0] != f_pv.shape[0]:
-        raise ShapeError(
-            f"embedding yields {scale.shape[0]} channels, features have {f_pv.shape[0]}"
-        )
-    conv = params.depth_conv
-    if conv.in_channels != f_pv.shape[0]:
-        # checked here, not by conv2d: a one-channel conv would take the scales by broadcasting
-        raise ShapeError(f"input has {f_pv.shape[0]} channels, weights expect {conv.in_channels}")
+    embedding, conv = params.embedding, params.depth_conv
+    scale = embedding.weights @ intrinsics.inverse_matrix().reshape(-1) + embedding.bias
     logits = conv2d(f_pv, replace(conv, weights=conv.weights * scale[:, None, None]))
     return DepthDistributionMap(softmax(logits, axis=0), bins, stride)
 

@@ -352,7 +352,7 @@ def write_loss_inputs(tmp_path, depth_map, targets):
     lxlt.write_tensor(tmp_path / "targets.lxlt", np.array(targets, dtype=np.float64))
     return [
         "loss", "--depth-map", str(tmp_path / "map.lxlt"), "--targets", str(tmp_path / "targets.lxlt"),
-        "--d-min", "0", "--d-max", "8", "--num-bins", "8", "--per-target", str(tmp_path / "per.csv"),
+        "--d-min", "0", "--d-max", "8", "--per-target", str(tmp_path / "per.csv"),
     ]
 
 
@@ -433,6 +433,21 @@ class TestLoss:
         assert "target 1 " in capsys.readouterr().err
         assert not (tmp_path / "per.csv").exists()
 
+    def test_an_8_bin_map_scores_with_no_bin_flag(self, tmp_path, capsys):
+        """The bin count is the map's first axis, which no flag restates."""
+        argv = write_loss_inputs(tmp_path, float32_map(1), [DepthTarget(2, 1, 5.5, 1.0)])
+        assert not any("bins" in arg for arg in argv)
+        assert main(argv) == 0
+        want = one_to_many_loss(float32_map(1), [DepthTarget(2, 1, 5.5, 1.0)], SPEC, LossConfig())
+        assert capsys.readouterr().out == f"{want.total:.12g}\n"
+
+    def test_num_bins_flag_exits_1(self, tmp_path, capsys):
+        argv = write_loss_inputs(tmp_path, float32_map(0), [DepthTarget(1, 1, 3.0, 1.0)])
+        assert main(argv + ["--num-bins", "8"]) == 1
+        captured = capsys.readouterr()
+        assert "--num-bins" in captured.err and captured.out == ""
+        assert not (tmp_path / "per.csv").exists()
+
     @pytest.mark.parametrize("flag", ["--lambda1", "--lambda2"])
     def test_infinite_weight_exits_2_without_output(self, tmp_path, flag, capsys):
         argv = write_loss_inputs(tmp_path, np.full((8, 3, 3), 0.125), [DepthTarget(1, 1, 3.0, 1.0)])
@@ -444,10 +459,10 @@ class TestLoss:
     @pytest.mark.parametrize(
         "d_gt,flags,message",
         [
-            (3.0, ["--d-min=-1e308", "--d-max=1e308", "--num-bins", "2"], "depth bins width d_max - d_min must be finite"),
+            (3.0, ["--d-min=-1e308", "--d-max=1e308"], "depth bins width d_max - d_min must be finite"),
             (
                 3e38,
-                ["--d-min", "0", "--d-max", "4", "--num-bins", "2", "--lambda2", "1e300"],
+                ["--d-min", "0", "--d-max", "4", "--lambda2", "1e300"],
                 "target 0 (u, v, d_gt, radius) = (1.0, 1.0, 3.0000000054977558e+38, 1.0) has a loss that is not finite",
             ),
         ],
@@ -887,6 +902,19 @@ class TestVT:
         assert main(["vt", "--manifest", str(inputs / "manifest.json"), "--output", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: manifest.params: embedding expects 25 inputs") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_embedding_wider_than_the_depth_conv_exits_2_at_read_time(self, tmp_path, capsys):
+        _, inputs = write_vt_inputs(tmp_path, np.random.default_rng(8))
+        wide = random_linear(np.random.default_rng(9), VT_CHANNELS + 1, 9)
+        lxlt.write_tensor(inputs / "embedding.weights.lxlt", wide.weights)
+        lxlt.write_tensor(inputs / "embedding.bias.lxlt", wide.bias)
+        out = tmp_path / "bev.lxlt"
+        assert main(["vt", "--manifest", str(inputs / "manifest.json"), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: manifest.params: embedding yields {VT_CHANNELS + 1} channel scales, "
+            f"depth_conv takes {VT_CHANNELS} channels\n"
+        )
         assert not out.exists()
 
 

@@ -35,6 +35,7 @@ from radarcam.geometry import (
     read_json,
 )
 from radarcam.gradcheck import analytic_grad, finite_difference_grad, random_instance, relative_error
+from radarcam.sim import SceneExtents, generate_scene
 from radarcam.tensor_ops import softmax
 
 from oracles import build_depth_targets_reference, target_losses_reference
@@ -295,6 +296,21 @@ class TestBuildDepthTargets:
         derived = {(t.u // 8, t.v // 8, round(t.d_gt, 9)) for t in at_unit.targets}
         # points surviving both paths must agree after integer division
         assert coarse <= derived
+
+
+@pytest.mark.parametrize("stride", [0, -1])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda s: build_depth_targets([RadarPoint(0.0, 0.0, 10.0)], make_calib(), s, RadiusConfig()),
+        lambda s: generate_scene([0], 3, SceneExtents(), make_calib(), s),
+        lambda s: neighborhood_radius(10.0, K, s, RadiusConfig(), 0.0),
+    ],
+    ids=["build_depth_targets", "generate_scene", "neighborhood_radius"],
+)
+def test_stride_below_one_is_refused(build, stride):
+    with pytest.raises(ValueError, match=f"^stride must be a positive integer, got {stride}$"):
+        build(stride)
 
 
 class TestBins:

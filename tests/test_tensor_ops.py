@@ -14,8 +14,6 @@ from radarcam.tensor_ops import (
     MLPParams,
     ShapeError,
     conv2d,
-    global_pool,
-    linear,
     mlp,
     sigmoid,
     softmax,
@@ -179,22 +177,20 @@ class TestConv2D:
 
 
 class TestLinear:
+    """A one-layer MLP is the affine map W x + b of its LinearParams."""
+
     def test_identity(self):
         x = np.array([1.0, -2.0, 3.0])
-        out = linear(x, LinearParams(np.eye(3), np.zeros(3)))
+        out = mlp(x, MLPParams((LinearParams(np.eye(3), np.zeros(3)),)))
         np.testing.assert_array_equal(out, x)
 
     def test_zero_weights_all_ones_bias(self):
-        out = linear(np.array([4.0, 5.0]), LinearParams(np.zeros((3, 2)), np.ones(3)))
+        out = mlp(np.array([4.0, 5.0]), MLPParams((LinearParams(np.zeros((3, 2)), np.ones(3)),)))
         np.testing.assert_array_equal(out, np.ones(3))
 
     def test_hand_example(self):
-        params = LinearParams(np.array([[2.0, 0.0], [0.0, 3.0]]), np.array([1.0, -1.0]))
-        np.testing.assert_array_equal(linear(np.array([4.0, 5.0]), params), [9.0, 14.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            linear(np.ones(3), LinearParams(np.eye(2), np.zeros(2)))
+        params = MLPParams((LinearParams(np.array([[2.0, 0.0], [0.0, 3.0]]), np.array([1.0, -1.0])),))
+        np.testing.assert_array_equal(mlp(np.array([4.0, 5.0]), params), [9.0, 14.0])
 
     def test_mlp_chains_and_rectifies(self):
         params = MLPParams(
@@ -314,27 +310,6 @@ class TestSigmoid:
         # the shape of tier-L occupancy logits
         x = np.random.default_rng(6).normal(size=(8, 128, 128))
         assert traced_peak(sigmoid, x) < 3.1 * x.nbytes
-
-
-class TestPooling:
-    def test_constant_channel(self):
-        x = np.full((2, 3, 3), 4.25)
-        np.testing.assert_array_equal(global_pool(x, "avg"), [4.25, 4.25])
-        np.testing.assert_array_equal(global_pool(x, "max"), [4.25, 4.25])
-
-    def test_small_example(self):
-        x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-        assert global_pool(x, "avg")[0] == pytest.approx(2.5)
-        assert global_pool(x, "max")[0] == pytest.approx(4.0)
-
-    def test_single_pixel_identity(self):
-        x = np.array([[[3.5]], [[-2.0]]])
-        np.testing.assert_array_equal(global_pool(x, "avg"), [3.5, -2.0])
-        np.testing.assert_array_equal(global_pool(x, "max"), [3.5, -2.0])
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            global_pool(np.zeros((1, 2, 2)), "median")
 
 
 class TestBilinearSample:

@@ -218,9 +218,8 @@ class TestDepthDistribution:
         """A one-channel conv would take every channel's scale by
         broadcasting instead of failing."""
         params = make_params(c=3, z=2, d=6, radar_channels=2)
-        params = dataclasses.replace(params, depth_conv=Conv2DParams(np.ones((6, 1, 1, 1)), np.zeros(6)))
-        with pytest.raises(ShapeError, match="input has 3 channels, weights expect 1"):
-            depth_distribution(np.zeros((3, 4, 4)), K, params, DepthBinSpec(0.0, 40.0, 6), stride=8)
+        with pytest.raises(ShapeError, match="embedding yields 3 channel scales, depth_conv takes 1 channels"):
+            dataclasses.replace(params, depth_conv=Conv2DParams(np.ones((6, 1, 1, 1)), np.zeros(6)))
 
     def test_channel_mismatch_rejected(self):
         params = make_params(c=3, z=2, d=6, radar_channels=2)
@@ -804,5 +803,15 @@ class TestValidation:
                 occupancy_conv=Conv2DParams(np.zeros((2, 2, 1, 1)), np.zeros(2)),
                 depth_conv=Conv2DParams(np.zeros((4, 2, 1, 1)), np.zeros(4)),
                 embedding=LinearParams(np.zeros((2, 25)), np.zeros(2)),
+                post_convs=(identity_conv(2), identity_conv(2), identity_conv(2)),
+            )
+
+    @pytest.mark.parametrize("scales", [1, 3])
+    def test_embedding_must_scale_each_depth_conv_channel(self, scales):
+        with pytest.raises(ShapeError, match=f"^embedding yields {scales} channel scales, depth_conv takes 2 channels$"):
+            VTParams(
+                occupancy_conv=Conv2DParams(np.zeros((2, 2, 1, 1)), np.zeros(2)),
+                depth_conv=Conv2DParams(np.zeros((4, 2, 1, 1)), np.zeros(4)),
+                embedding=LinearParams(np.zeros((scales, 9)), np.zeros(scales)),
                 post_convs=(identity_conv(2), identity_conv(2), identity_conv(2)),
             )
