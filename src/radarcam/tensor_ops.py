@@ -4,10 +4,12 @@ All operations are pure functions, evaluate forward only and compute in
 float64 regardless of the input dtype or memory layout. Feature maps follow
 the channels-first layout (C, H, W). Every convolution is same-padded at
 stride 1, so :func:`conv2d` returns a map of its input's H and W,
-C-contiguous. A dense convolution larger than 1x1 runs as one batched GEMM
-per kernel column over overlapping views of a row-major (H, C, W) padded
-copy, with no im2col buffer. Continuous-coordinate sampling belongs to the
-view transformation (:mod:`radarcam.view_transform`), its only user.
+C-contiguous. A dense convolution larger than 1x1 runs in bands of output
+rows: each band's zero-padded input is copied into one reused (rows, C,
+Wp) buffer, and each kernel column is one batched GEMM over overlapping
+views of it, with no im2col buffer and no padded copy or accumulator of
+the whole map. Continuous-coordinate sampling belongs to the view
+transformation (:mod:`radarcam.view_transform`), its only user.
 """
 
 from __future__ import annotations
@@ -16,6 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
+
+# Bytes of padded input per band of output rows in conv2d, so that the
+# band's buffers stay near cache size and no padded copy exists whole.
+CONV_BAND_BYTES = 1 << 20
 
 
 class ShapeError(ValueError):
@@ -120,22 +126,6 @@ class MLPParams:
         object.__setattr__(self, "layers", layers)
 
 
-def _zero_padded(x: np.ndarray, padding: tuple[int, int, int, int]) -> np.ndarray:
-    """A zero-padded copy of the (C, H, W) map ``x``, (Hp, C, Wp) in memory.
-    Only the borders are zeroed."""
-    c, h, w = x.shape
-    pt, pb, pl, pr = padding
-    hp, wp = h + pt + pb, w + pl + pr
-    buf = np.empty((hp, c, wp), dtype=np.float64)
-    view = buf.transpose(1, 0, 2)  # (C, Hp, Wp)
-    view[:, :pt] = 0.0
-    view[:, pt + h :] = 0.0
-    view[:, pt : pt + h, :pl] = 0.0
-    view[:, pt : pt + h, pl + w :] = 0.0
-    view[:, pt : pt + h, pl : pl + w] = x
-    return buf
-
-
 def conv2d(x: np.ndarray, params: Conv2DParams) -> np.ndarray:
     """2D cross-correlation, zero-padded to keep the map size.
 
@@ -143,13 +133,18 @@ def conv2d(x: np.ndarray, params: Conv2DParams) -> np.ndarray:
     (C_out, H, W) array.
 
     A 1x1 conv is one GEMM over the (C_in, H·W) input plus the bias. Any
-    other conv reads a zero-padded copy laid out (Hp, C_in, Wp), in which
-    one row step is C_in·Wp elements: the kernel rows (ky, c) of every
-    output row then form one K axis of stride Wp over overlapping views of
-    the copy, with no im2col buffer (MEC lowering, arXiv 1706.06873). Each
-    kernel column kx is one batched matmul, one GEMM of K = kh·C_in per
-    output row, into an (H, C_out, W) accumulator. The transpose and the
-    bias are then written to a fresh C-contiguous array.
+    other conv runs one band of output rows at a time, about
+    ``CONV_BAND_BYTES`` of input a band. Each band's padded input, with its
+    kh - 1 halo rows, is copied into one reused zero-bordered buffer laid
+    out (rows, C_in, Wp), in which one row step is C_in·Wp elements: the
+    kernel rows (ky, c) of every output row then form one K axis of stride
+    Wp over overlapping views of the buffer, with no im2col buffer (MEC
+    lowering, arXiv 1706.06873). Each kernel column kx is one batched
+    matmul, one GEMM of K = kh·C_in per output row: kx = 0 writes straight
+    into the output through its (H, C_out, W) transposed view, and each
+    later column adds through one band-sized buffer. The bias is added in
+    place last. No padded copy or accumulator of the whole map exists, and
+    each output row gets the same GEMMs and adds whatever the band size.
     """
     x = _as_f64(x)
     if x.ndim != 3:
@@ -163,18 +158,31 @@ def conv2d(x: np.ndarray, params: Conv2DParams) -> np.ndarray:
     if kh == kw == 1:
         acc = np.matmul(params.weights[:, :, 0, 0], x.reshape(in_ch, h * w))
         return acc.reshape(out_ch, h, w) + params.bias[:, None, None]
-    xp = _zero_padded(x, params.padding)
+    pt, _, pl, _ = params.padding
+    wp = w + kw - 1
+    rows = min(h, max(1, CONV_BAND_BYTES // (8 * max(1, in_ch) * wp)))
+    # the border columns are zeroed once; each band writes the interior
+    band = np.zeros((rows + kh - 1, in_ch, wp), dtype=np.float64)
+    interior = band[:, :, pl : pl + w].transpose(1, 0, 2)  # (C_in, rows + kh - 1, W)
     # w_cols[kx] is (C_out, kh·C_in), its K axis in the views' (ky, c) order
     w_cols = params.weights.transpose(3, 0, 2, 1).reshape(kw, out_ch, kh * in_ch)
-    shape = (h, kh * in_ch, w)
-    acc = np.matmul(w_cols[0], as_strided(xp, shape, xp.strides, writeable=False))
-    part = np.empty_like(acc)
-    for kx in range(1, kw):
-        np.matmul(w_cols[kx], as_strided(xp[:, :, kx:], shape, xp.strides, writeable=False), out=part)
-        acc += part
-    del xp, part  # the padded copy is freed before the output is allocated
     out = np.empty((out_ch, h, w), dtype=np.float64)
-    np.add(acc.transpose(1, 0, 2), params.bias[:, None, None], out=out)
+    out_rows = out.transpose(1, 0, 2)  # (H, C_out, W)
+    part = np.empty((rows, out_ch, w), dtype=np.float64)
+    for y0 in range(0, h, rows):
+        n = min(rows, h - y0)
+        # band row r holds input row y0 - pt + r, zero off the map
+        top, bottom = y0 - pt, y0 - pt + n + kh - 1
+        lo, hi = max(top, 0), min(bottom, h)
+        interior[:, : lo - top] = 0.0
+        interior[:, lo - top : hi - top] = x[:, lo:hi]
+        interior[:, hi - top : n + kh - 1] = 0.0
+        shape = (n, kh * in_ch, w)
+        np.matmul(w_cols[0], as_strided(band, shape, band.strides, writeable=False), out=out_rows[y0 : y0 + n])
+        for kx in range(1, kw):
+            np.matmul(w_cols[kx], as_strided(band[:, :, kx:], shape, band.strides, writeable=False), out=part[:n])
+            out_rows[y0 : y0 + n] += part[:n]
+    out += params.bias[:, None, None]
     return out
 
 

@@ -44,7 +44,10 @@ differ: they floor u / s, so their cell j spans [j*s, (j+1)*s) with center
 (j + 1/2)*s, and a supervised point sits on average half a feature pixel
 right of and below where the sampler reads its depth. Both reads go
 through one n-linear corner builder: flat corner indices into the raveled
-map plus one trailing zero cell, and per-corner weights.
+map and per-corner weights. A corner outside the map reads cell 0 in its
+place, and the value it reads is set to 0.0, so neither map is padded with
+a zero cell: the features are read from one (H*W, C) table and the depth
+volume in place, never copied.
 """
 
 from __future__ import annotations
@@ -199,20 +202,20 @@ def project_voxel_centers(
     return project_points(cam, scale_intrinsics(intrinsics, stride))
 
 
-def _corners(coords: tuple[np.ndarray, ...], shape: tuple[int, ...]) -> tuple[list, list]:
-    """Flat corner indices and weights of n-linear interpolation.
+def _corners(coords: tuple[np.ndarray, ...], shape: tuple[int, ...]) -> tuple[list, list, list]:
+    """Flat corner indices, weights and off-map masks of n-linear interpolation.
 
     ``coords`` holds one coordinate array per axis of ``shape``, leading axis
-    first, with cell centers on integers. Returns one (index, weight) array
-    pair per corner, corners ordered with the last axis varying fastest.
-    Indices address the raveled map plus one trailing zero cell at
-    ``prod(shape)``, which every corner outside the map reads. Each weight is
-    the product of its per-axis factors, leading axis to trailing.
+    first, with cell centers on integers. Returns one (index, weight, off)
+    array triple per corner, corners ordered with the last axis varying
+    fastest. Indices address the raveled map; a corner outside the map is
+    marked ``off`` and its index set to 0, so that it reads a real cell,
+    whose value the reader then sets to 0.0. Each weight is the product of
+    its per-axis factors, leading axis to trailing.
     """
-    size = int(np.prod(shape))
     idx = [np.zeros(coords[0].shape, dtype=np.intp)]
     wts = [None]
-    inside = [np.ones(coords[0].shape, dtype=bool)]
+    off = [np.zeros(coords[0].shape, dtype=bool)]
     for coord, n in zip(coords, shape):
         lo = np.floor(coord)
         frac = coord - lo
@@ -220,35 +223,40 @@ def _corners(coords: tuple[np.ndarray, ...], shape: tuple[int, ...]) -> tuple[li
         factors = ((lo, 1.0 - frac), (lo + 1, frac))
         idx = [i * n + c for i in idx for c, _ in factors]
         wts = [f if w is None else w * f for w in wts for _, f in factors]
-        inside = [ok & (c >= 0) & (c < n) for ok in inside for c, _ in factors]
-    return [np.where(ok, i, size) for i, ok in zip(idx, inside)], wts
+        off = [o | (c < 0) | (c >= n) for o in off for c, _ in factors]
+    return [np.where(o, 0, i) for i, o in zip(idx, off)], wts, off
 
 
-def _interpolate(table: np.ndarray, corners: tuple[list, list]) -> np.ndarray:
-    """Weighted sum of ``table`` rows over the corners, in corner order."""
-    idx, wts = corners
+def _interpolate(table: np.ndarray, corners: tuple[list, list, list]) -> np.ndarray:
+    """Weighted sum of ``table`` rows over the corners, in corner order; an
+    off-map corner's row reads as 0.0."""
     bcast = (-1,) + (1,) * (table.ndim - 1)
-    out = wts[0].reshape(bcast) * np.take(table, idx[0], axis=0)
-    for i, w in zip(idx[1:], wts[1:]):
-        out += w.reshape(bcast) * np.take(table, i, axis=0)
+    out = None
+    for i, w, o in zip(*corners):
+        rows = np.take(table, i, axis=0)
+        rows[o] = 0.0
+        rows *= w.reshape(bcast)
+        if out is None:
+            out = rows
+        else:
+            out += rows
     return out
 
 
 def gather_gated(f_pv: np.ndarray, depth_volume: np.ndarray):
     """The sampler of the two gated feature halves of the sampling VT.
 
-    Builds the lookup tables of ``f_pv`` (C, H, W) and ``depth_volume`` (D,
-    H, W) once and returns ``gather(occupancy, u, v, b)``, which at N
-    projected points reads ``f_pv`` bilinearly at (u, v), ``depth_volume``
-    trilinearly at (u, v, b), and multiplies each feature once by that depth
-    likelihood and once by the point's ``occupancy``; its result is (N, 2,
-    C), the depth-gated half first. Corners outside either map read zero;
-    coordinates must be finite.
+    Builds the (H*W, C) lookup table of ``f_pv`` (C, H, W) once, reads
+    ``depth_volume`` (D, H, W) in place and returns ``gather(occupancy, u,
+    v, b)``, which at N projected points reads ``f_pv`` bilinearly at (u,
+    v), ``depth_volume`` trilinearly at (u, v, b), and multiplies each
+    feature once by that depth likelihood and once by the point's
+    ``occupancy``; its result is (N, 2, C), the depth-gated half first.
+    Corners outside either map read zero; coordinates must be finite.
     """
     c, h, w = f_pv.shape
-    features = np.zeros((h * w + 1, c), dtype=np.float64)
-    features[:-1] = f_pv.reshape(c, h * w).T
-    depths = np.append(depth_volume.reshape(-1), 0.0)
+    features = np.ascontiguousarray(f_pv.reshape(c, h * w).T)
+    depths = depth_volume.reshape(-1)  # a view of a C-contiguous volume
 
     def gather(occupancy: np.ndarray, u: np.ndarray, v: np.ndarray, b: np.ndarray) -> np.ndarray:
         f3d = _interpolate(features, _corners((v, u), (h, w)))
@@ -308,6 +316,9 @@ def sample_cells(
     if in_channels != 2 * c * nz:
         raise ShapeError(f"sampled volume has {2 * c * nz} channels, weights expect {in_channels}")
     u, v, depth, valid = project_voxel_centers(grid, intrinsics, world_to_camera, stride)
+    # depth is a view of the camera-frame points; converting it here frees them
+    b = depth_to_bin_coordinate(depth, bins)
+    del depth
     # voxels in front of the camera with at least one in-image bilinear corner
     inside = valid & (u >= -1) & (u < w) & (v >= -1) & (v < h)
     cells = np.flatnonzero(inside.reshape(nz, ny * nx).any(axis=0))
@@ -325,10 +336,10 @@ def sample_cells(
             # -2 puts both corners of every axis off the maps, so no coordinate
             # of a voxel behind the camera or at an infinite pixel reaches the gather
             pu, pv = np.where(keep, u[voxel], -2.0), np.where(keep, v[voxel], -2.0)
-            b = np.where(keep, depth_to_bin_coordinate(depth[voxel], bins), -2.0)
+            pb = np.where(keep, b[voxel], -2.0)
             occ = np.where(keep, occupancy[voxel], 0.0)
             # unnamed here, so a chunk's rows live only as long as the caller keeps them
-            yield part, gather(occ, pu, pv, b).reshape(part.size, nz * 2 * c)
+            yield part, gather(occ, pu, pv, pb).reshape(part.size, nz * 2 * c)
 
     return chunks()
 

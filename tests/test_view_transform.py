@@ -732,6 +732,38 @@ class TestGatherGated:
         out = gather_gated(f_pv, depth)(np.array([0.25]), np.array([3.0]), np.array([2.0]), np.array([1.0]))
         assert out[0, 0, 0] == 11.0 * 0.5 and out[0, 1, 0] == 11.0 * 0.25
 
+    def test_off_map_corners_read_zero_not_a_clipped_cell(self):
+        # an off-map corner reads a real cell in its place; the first and
+        # last flat cells, where a clipped index lands, hold 1.0 in both maps
+        d, h, w = 3, 4, 5
+        f_pv, depth = np.zeros((1, h, w)), np.zeros((d, h, w))
+        for volume in (f_pv, depth):
+            volume.flat[0] = volume.flat[-1] = 1.0
+        first, last = np.zeros(3), np.array([w - 1.0, h - 1.0, d - 1.0])
+        points = [first, last]  # (u, v, b) on the two cells
+        for axis in range(3):
+            for below in (-2.0, -1.5, -1.0 - 1e-9):
+                points.append(first.copy())
+                points[-1][axis] = below
+            for past in (0.0, 0.5, 1.0):
+                points.append(last.copy())
+                points[-1][axis] += 1.0 + past
+        u, v, b = np.array(points).T
+        out = gather_gated(f_pv, depth)(np.ones(u.size), u, v, b)
+        # only the six points off the bins read a feature: it is 1.0, so
+        # their occupancy-gated half is 1.0 and the depth-gated half the depth
+        want = np.zeros((u.size, 2, 1))
+        want[:2] = want[-6:, 1] = 1.0
+        # bits, so that -0.0 fails too
+        np.testing.assert_array_equal(out.view(np.int64), want.view(np.int64))
+
+    def test_reads_the_depth_volume_in_place(self):
+        # tier-L shapes: building the sampler copies the features into a
+        # (H*W, C) table and never copies the depth volume
+        rng = np.random.default_rng(6)
+        f_pv, depth = rng.normal(size=(32, 76, 121)), rng.uniform(size=(64, 76, 121))
+        assert traced_peak(gather_gated, f_pv, depth) < depth.nbytes
+
 
 class TestValidation:
     def test_depth_map_normalization_enforced(self):
