@@ -193,7 +193,7 @@ def build_depth_targets(
     # RadarPoint admits only finite RCS values, so NaN marks a missing one.
     rows = [(p.x, p.y, p.z, np.nan if p.rcs_dbsm is None else p.rcs_dbsm) for p in points]
     table, _ = _target_table(np.array(rows, dtype=np.float64).reshape(-1, 4), calib, stride, [(cfg, True)])
-    targets = tuple(DepthTarget(int(u), int(v), d, r) for u, v, d, r in table.tolist())
+    targets = tuple(map(DepthTarget, *table[:, :2].T.astype(np.intp).tolist(), *table[:, 2:].T.tolist()))
     return TargetBuildResult(targets, len(rows), len(rows) - len(targets))
 
 
@@ -273,8 +273,7 @@ def validate_depth_volume(volume: np.ndarray, num_bins: int) -> np.ndarray:
     return volume
 
 
-@dataclass(frozen=True)
-class TargetLoss:
+class TargetLoss(NamedTuple):
     """Loss of one target with the pixel the aggregation selected."""
 
     loss: float
@@ -449,10 +448,7 @@ def one_to_many_loss(
     non-finite radius, raises a ``ValueError`` naming its index.
     """
     *_, sel = _loss_selection(depth_map, targets, spec, cfg)
-    columns = (sel.cost, sel.u, sel.v, sel.count)
-    per_target = tuple(
-        TargetLoss(loss, (u, v), n) for loss, u, v, n in zip(*(c.tolist() for c in columns))
-    )
+    per_target = tuple(map(TargetLoss, sel.cost.tolist(), zip(sel.u.tolist(), sel.v.tolist()), sel.count.tolist()))
     total = float(np.mean(sel.cost)) if per_target else 0.0
     return LossResult(total, per_target)
 
@@ -468,13 +464,14 @@ def one_to_many_loss_grad(
     The distributions are treated as softmax outputs, so the gradient is a
     function of the probabilities alone. Aggregation routes each target's
     gradient entirely to the pixel :func:`one_to_many_loss` selects; both
-    share one selection and one expectation map. A target whose gradient
+    share one selection and one expectation map. The gradients, each times
+    1 / N, are summed into the map by one flat ``np.bincount``, which adds
+    each element's terms from 0.0 in target order. A target whose gradient
     is not finite raises ``ValueError`` naming it.
     """
     depth_map, table, expectation, sel = _loss_selection(depth_map, targets, spec, cfg)
-    grad = np.zeros_like(depth_map)
     if not len(table):
-        return grad
+        return np.zeros(depth_map.shape)
     u, v, d_gt = sel.u, sel.v, table[:, 2]
     bins = nearest_bin(d_gt, spec)
     rows = np.arange(len(table))
@@ -487,8 +484,11 @@ def one_to_many_loss_grad(
         g = np.where(p[bins, rows] > LOG_PROB_FLOOR, cfg.lambda1 * p_minus_one_hot, 0.0)
         g += cfg.lambda2 * np.sign(e - d_gt) * p * (midpoints[:, None] - e)
     _refuse_targets(table, np.isfinite(g).all(axis=0), "has a gradient that is not finite")
-    np.add.at(grad, (slice(None), v, u), (1.0 / len(table)) * g)
-    return grad
+    _, height, width = depth_map.shape
+    flat = np.arange(len(midpoints))[:, None] * (height * width) + (v * width + u)  # bins outer, targets inner
+    g *= 1.0 / len(table)
+    scatter = np.bincount(flat.reshape(-1), g.reshape(-1), depth_map.size)
+    return scatter.reshape(depth_map.shape)
 
 
 def read_radar_points_csv(path: str | Path) -> np.ndarray:

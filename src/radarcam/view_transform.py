@@ -19,11 +19,11 @@ A voxel of such a cell outside the frustum reads no map and samples exact
 zeros. The first conv's input channels are permuted once to the rows'
 order, and as the conv is linear it runs on those rows alone as a sparse
 convolution (arXiv 1711.10275): a GEMM gives every kernel tap's products
-at the cells, and each tap adds its products at a constant shift into an
-accumulator with a margin, one slice add per run of cells that are
-consecutive in the padded grid (the frustum makes one run per BEV row). The
-accumulator is cropped, and the bias comes last. An output that reads no
-sampled cell is exactly the bias. The other convs run densely.
+at the cells, and each tap adds them into an accumulator of padded
+positions with a margin, at the cells' positions less a constant shift:
+one fancy-indexed add per tap and chunk. The accumulator is cropped, and
+the bias comes last. An output that reads no sampled cell is exactly the
+bias. The other convs run densely.
 
 The frustum streams through the first conv in chunks of
 ``max(1, GATHER_CHUNK // Z)`` cells, in ascending cell order: each chunk's
@@ -60,7 +60,7 @@ import numpy as np
 
 from .geometry import CameraIntrinsics, RigidTransform, project_points, scale_intrinsics
 from .depth_supervision import DepthBinSpec, validate_depth_volume
-from .tensor_ops import Conv2DParams, LinearParams, ShapeError, conv2d, sigmoid, softmax
+from .tensor_ops import CONV_BAND_BYTES, Conv2DParams, LinearParams, ShapeError, conv2d, sigmoid, softmax
 
 # Voxels gathered per chunk of frustum cells, so that the gather's
 # temporaries stay in cache and the first conv's input never exists whole.
@@ -354,20 +354,21 @@ def conv2d_cells(
     within and across chunks, and their (m, C_in) inputs. Chunks are read
     one at a time, and the accumulator is the only array that outlives one.
     A chunk's GEMM gives every kernel tap's (C_out, m) products, which are
-    added into a flat accumulator of the padded map, Wp columns a row,
-    behind a margin of kh - 1 rows and kw - 1 columns: the tap (ky, kx) of
-    every cell lands at the cell's padded flat index minus ky * Wp + kx. A
-    chunk's cells split into runs whose padded indices are consecutive, and
-    each tap, in row-major (ky, kx) order, adds each run's products as one
-    slice, with no mask. A product that falls off the left edge wraps into
-    the kw - 1 columns at the end of a row, which straddle two rows and are
-    cropped, and one that falls above the top into the margin. An output's
-    taps in row-major order read ascending cells, so each accumulator
-    element receives its adds in tap order however the cells are chunked.
-    The result is cropped and the bias added last, as in :func:`conv2d`; an
-    output that reads no cell is therefore exactly the bias. The products
-    come from a GEMM of another shape than :func:`conv2d`'s, so results
-    agree with it to rounding, not bit for bit.
+    added into an accumulator of C_out values per position of the padded
+    map, Wp positions a row, behind a margin of kh - 1 rows and kw - 1
+    columns: the tap (ky, kx) of every cell lands at the cell's padded flat
+    index minus ky * Wp + kx. Each tap, in row-major (ky, kx) order, adds the
+    chunk's products by one fancy-indexed add at those distinct positions,
+    with no mask. A product that falls off the left edge wraps into the kw -
+    1 columns at the end of a row, which straddle two rows and are cropped,
+    and one that falls above the top into the margin. An output's taps in
+    row-major order read ascending cells, so each accumulator element
+    receives its adds in tap order however the cells are chunked. The result
+    is cropped and the bias added last, as in :func:`conv2d`, into a
+    C-contiguous (C_out, Y, X) array one ``CONV_BAND_BYTES`` band of rows at
+    a time; an output that reads no cell is therefore exactly the bias. The
+    products come from a GEMM of another shape than :func:`conv2d`'s, so
+    results agree with it to rounding, not bit for bit.
     """
     ny, nx = shape
     out_ch, in_ch, kh, kw = conv.weights.shape
@@ -377,7 +378,7 @@ def conv2d_cells(
     hp, wp = ny + pt + pb, nx + pl + pr
     taps = conv.weights.transpose(2, 3, 0, 1).reshape(kh * kw * out_ch, in_ch)
     margin = (kh - 1) * wp + kw - 1
-    acc = np.zeros((out_ch, margin + hp * wp), dtype=np.float64)
+    acc = np.zeros((margin + hp * wp, out_ch), dtype=np.float64)
     last = -1  # the previous chunk's last cell
     for cells, rows in chunks:
         cells = np.asarray(cells)
@@ -392,20 +393,16 @@ def conv2d_cells(
         if not cells.size:
             continue
         last = cells[-1]
-        products = taps @ rows.T
+        products = (taps @ rows.T).T
         dest = cells + (cells // nx) * (pl + pr) + (margin + pt * wp + pl)
-        # runs of consecutive destinations; dest >= 0, so the first cell starts one
-        starts = np.flatnonzero(np.diff(dest, prepend=-2) != 1)
-        runs = list(zip(dest[starts].tolist(), starts.tolist(), [*starts[1:].tolist(), dest.size]))
-        for ky in range(kh):
-            for kx in range(kw):
-                tap, shift = (ky * kw + kx) * out_ch, ky * wp + kx
-                for first, start, stop in runs:
-                    d = first - shift
-                    acc[:, d : d + stop - start] += products[tap : tap + out_ch, start:stop]
+        for tap, shift in enumerate(ky * wp + kx for ky in range(kh) for kx in range(kw)):
+            acc[dest - shift] += products[:, tap * out_ch : (tap + 1) * out_ch]
         del rows, products  # freed before the next chunk is gathered
-    out = acc[:, margin : margin + ny * wp].reshape(out_ch, ny, wp)
-    return out[:, :, :nx] + conv.bias[:, None, None]
+    crop = acc[margin : margin + ny * wp].reshape(ny, wp, out_ch)[:, :nx].transpose(2, 0, 1)
+    out, band = np.empty(crop.shape), max(1, CONV_BAND_BYTES // (8 * out_ch * nx))
+    for y in range(0, ny, band):  # a transposing add over the whole map runs out of cache
+        np.add(crop[:, y : y + band], conv.bias[:, None, None], out=out[:, y : y + band])
+    return out
 
 
 def sample_vt(

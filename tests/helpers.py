@@ -1,5 +1,5 @@
 """Shared builders for test parameters, the comparison of experiment
-results, and the traced peak of a call."""
+results and of arrays bit for bit, and the traced peak of a call."""
 
 from __future__ import annotations
 
@@ -143,6 +143,27 @@ def assert_results_equal(got, want) -> None:
     assert got.metrics._fields == want.metrics._fields
     for name, values, wanted in zip(got.metrics._fields, got.metrics, want.metrics):
         np.testing.assert_array_equal(values, wanted, err_msg=name, strict=True)
+
+
+def assert_same_bits(got, want) -> None:
+    """``got`` and ``want`` have the same dtype, shape and raw bytes.
+
+    ``np.testing.assert_array_equal`` passes ``-0.0`` against ``0.0`` and a
+    NaN against any NaN, so it cannot back a claim that two results are
+    bit-identical; this can. A mismatch names the first element that differs.
+    """
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape), (
+        f"{got.dtype} {got.shape} != {want.dtype} {want.shape}"
+    )
+    if got.tobytes() != want.tobytes():
+        rows = [np.frombuffer(a.tobytes(), np.uint8).reshape(a.size, -1) for a in (got, want)]
+        differs = (rows[0] != rows[1]).any(axis=1)
+        first = np.unravel_index(int(np.argmax(differs)), got.shape)
+        raise AssertionError(
+            f"{int(differs.sum())} of {got.size} elements differ in their bits, "
+            f"first at {tuple(map(int, first))}: {got[first]!r} != {want[first]!r}"
+        )
 
 
 def traced_peak(fn, *args) -> int:

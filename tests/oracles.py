@@ -1,7 +1,8 @@
 """Independent brute-force reference implementations used only by tests.
 
 These deliberately avoid the vectorized code paths they verify: the
-convolution oracle is six nested loops, the sigmoid oracle splits its input
+convolution oracle is six nested loops, the sparse-convolution oracle adds
+one output's tap products one at a time, the sigmoid oracle splits its input
 by boolean masks, the attention-fusion oracle builds every gated map in the
 paper's order through the nested-loop convolution, the footprint oracle
 projects one scene object at a time in Python floats, the scalar samplers
@@ -52,6 +53,32 @@ def conv2d_naive(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
                             if 0 <= yy < h and 0 <= xx < w:
                                 acc += weights[o, i, ky, kx] * x[i, yy, xx]
                 out[o, oy, ox] = acc + bias[o]
+    return out
+
+
+def conv2d_cells_reference(cells, values, shape: tuple[int, int], weights, bias) -> np.ndarray:
+    """The same-padded conv of a one-channel (Y, X) map that holds ``values``
+    at the raveled ``cells`` and is zero elsewhere, as ``conv2d_cells``
+    defines it: each output starts at 0.0, adds the product of each tap
+    whose cell is one of ``cells``, taps in row-major (ky, kx) order, and
+    then its bias, one Python float operation at a time."""
+    ny, nx = shape
+    out_ch, in_ch, kh, kw = np.shape(weights)
+    if in_ch != 1:
+        raise ValueError(f"the oracle takes one input channel, got {in_ch}")
+    at = dict(zip(np.asarray(cells).tolist(), np.asarray(values, dtype=np.float64).reshape(-1).tolist()))
+    pt, pl = (kh - 1) // 2, (kw - 1) // 2
+    out = np.empty((out_ch, ny, nx))
+    for o in range(out_ch):
+        for oy in range(ny):
+            for ox in range(nx):
+                acc = 0.0
+                for ky in range(kh):
+                    for kx in range(kw):
+                        y, x = oy + ky - pt, ox + kx - pl
+                        if 0 <= y < ny and 0 <= x < nx and y * nx + x in at:
+                            acc += float(weights[o, 0, ky, kx]) * at[y * nx + x]
+                out[o, oy, ox] = acc + float(bias[o])
     return out
 
 

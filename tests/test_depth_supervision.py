@@ -38,6 +38,7 @@ from radarcam.gradcheck import analytic_grad, finite_difference_grad, random_ins
 from radarcam.sim import SceneExtents, generate_scene
 from radarcam.tensor_ops import softmax
 
+from helpers import assert_same_bits
 from oracles import build_depth_targets_reference, target_losses_reference
 
 K = CameraIntrinsics(fx=1600.0, fy=1600.0, cx=320.0, cy=240.0)
@@ -856,8 +857,29 @@ class TestNonFiniteInputs:
             LossConfig(**kwargs)
 
 
+@st.composite
+def shared_pixel_instances(draw):
+    """A softmax depth map of at most 3x3 pixels and a table of 10 to 24
+    radius-0 targets on it, so that several targets share a pixel."""
+    d, h, w, n = (draw(st.integers(*bounds)) for bounds in ((2, 10), (1, 3), (1, 3), (10, 24)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    depth_map = softmax(draw(st.sampled_from((0.5, 4.0))) * rng.normal(size=(d, h, w)), axis=0)
+    table = np.column_stack([rng.integers(0, w, n), rng.integers(0, h, n), rng.uniform(-1.0, 13.0, n), np.zeros(n)])
+    return depth_map, table.astype(np.float64)
+
+
 class TestLossGradient:
     SPEC = DepthBinSpec(0.0, 12.0, 12)
+
+    @given(shared_pixel_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_shared_pixels_sum_the_single_target_gradients_in_target_order_bitwise(self, instance):
+        depth_map, table = instance
+        spec, cfg = DepthBinSpec(0.0, 12.0, depth_map.shape[0]), LossConfig()
+        want = np.zeros(depth_map.shape)
+        for row in table:
+            want = want + (1.0 / len(table)) * one_to_many_loss_grad(depth_map, row[None], spec, cfg)
+        assert_same_bits(one_to_many_loss_grad(depth_map, table, spec, cfg), want)
 
     def test_zero_targets_zero_gradient(self):
         grad = one_to_many_loss_grad(uniform_map(12, 5, 5), [], self.SPEC, LossConfig())

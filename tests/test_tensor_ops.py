@@ -20,7 +20,7 @@ from radarcam.tensor_ops import (
     softmax,
 )
 
-from helpers import traced_peak
+from helpers import assert_same_bits, traced_peak
 from oracles import bilinear_reference, bilinear_sample, conv2d_naive, sigmoid_two_branch, trilinear_sample
 
 # A conv's traced peak beyond its output: one band of padded input and one
@@ -216,7 +216,7 @@ class TestConvBands:
             whole = self.banded(monkeypatch, x, params, h)
             for rows in {1, max(1, (h + 1) // 2), max(1, h - 1)}:
                 got = self.banded(monkeypatch, x, params, rows)
-                np.testing.assert_array_equal(got.view(np.int64), whole.view(np.int64))
+                assert_same_bits(got, whole)
         kh, kw = kernel
         want = conv2d_naive(x, params.weights, params.bias, (kh // 2, kh // 2, kw // 2, kw // 2))
         assert np.max(np.abs(whole - want)) / max(1.0, np.max(np.abs(want))) <= 1e-12
@@ -230,7 +230,7 @@ class TestConvBands:
         params = Conv2DParams(rng.normal(size=(3, 2, 7, 5)), rng.normal(size=3))
         got = self.banded(monkeypatch, x, params, rows)
         want = self.banded(monkeypatch, x, params, 9)
-        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        assert_same_bits(got, want)
         assert np.max(np.abs(got - conv2d_naive(x, params.weights, params.bias, params.padding))) < 1e-12
 
 

@@ -35,8 +35,15 @@ from radarcam.view_transform import (
     voxel_centers,
 )
 
-from helpers import identity_conv, random_conv, random_vt_params, selection_conv, traced_peak
-from oracles import bilinear_sample, conv2d_naive, sample_volume_reference, sample_vt_reference, trilinear_sample
+from helpers import assert_same_bits, identity_conv, random_conv, random_vt_params, selection_conv, traced_peak
+from oracles import (
+    bilinear_sample,
+    conv2d_cells_reference,
+    conv2d_naive,
+    sample_volume_reference,
+    sample_vt_reference,
+    trilinear_sample,
+)
 
 K = CameraIntrinsics(fx=100.0, fy=100.0, cx=10.0, cy=6.0)
 
@@ -339,7 +346,7 @@ def assert_cells_equal_volume(cells, rows, volume, nz):
     flat = volume.reshape(volume.shape[0], -1)
     assert np.all(np.diff(cells) > 0)
     want = flat[:, cells].T.reshape(cells.size, 2, -1, nz).transpose(0, 3, 1, 2)
-    np.testing.assert_array_equal(halves(rows, nz), want)
+    assert_same_bits(halves(rows, nz), want)
     assert not np.any(np.delete(flat, cells, axis=1))
 
 
@@ -631,7 +638,58 @@ class TestConv2DCells:
         whole = conv2d_cells([(cells, rows)], (9, 11), conv)
         for chunk in (1, 2, 7, 10):
             chunks = [(cells[i : i + chunk], rows[i : i + chunk]) for i in range(0, cells.size, chunk)]
-            np.testing.assert_array_equal(conv2d_cells(chunks, (9, 11), conv), whole)
+            assert_same_bits(conv2d_cells(chunks, (9, 11), conv), whole)
+
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.floats(-40.0, 40.0),
+        st.sampled_from((1, 3, 5)),
+        st.sampled_from((1, 3, 5)),
+        st.integers(1, 3),
+        st.sampled_from((1, 7, 64)),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_one_channel_frusta_equal_the_tap_order_oracle_bitwise(self, seed, yaw, kh, kw, out_ch, chunk):
+        # one input channel makes every product one rounded multiply, so
+        # only the order of each output's adds could move a bit
+        rng = np.random.default_rng(seed)
+        cells, _ = cells_of(*frustum_instance(seed % 1000, yaw_deg=yaw))
+        values = rng.normal(size=(cells.size, 1))
+        conv = Conv2DParams(rng.normal(size=(out_ch, 1, kh, kw)), rng.normal(size=out_ch))
+        chunks = [(cells[i : i + chunk], values[i : i + chunk]) for i in range(0, cells.size, chunk)]
+        want = conv2d_cells_reference(cells, values, (48, 20), conv.weights, conv.bias)
+        assert_same_bits(conv2d_cells(chunks, (48, 20), conv), want)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    @pytest.mark.parametrize("kernel", [(3, 5), (5, 3)])
+    def test_tall_grid_with_one_cell_a_row_equals_the_tap_order_oracle_bitwise(self, kernel, chunk):
+        # a chunk of several cells spans as many rows, and each tap's
+        # destinations are one a row
+        rng = np.random.default_rng(11)
+        ny, nx = 150, 7
+        cells = np.arange(ny) * nx + rng.integers(0, nx, size=ny)
+        values = rng.normal(size=(ny, 1))
+        conv = Conv2DParams(rng.normal(size=(3, 1, *kernel)), rng.normal(size=3))
+        chunks = [(cells[i : i + chunk], values[i : i + chunk]) for i in range(0, ny, chunk)]
+        want = conv2d_cells_reference(cells, values, (ny, nx), conv.weights, conv.bias)
+        assert_same_bits(conv2d_cells(chunks, (ny, nx), conv), want)
+
+    def test_narrow_frustum_on_a_wide_grid_stays_below_the_accumulator_and_output(self):
+        # Each tap scatters a chunk's products at its cells. A dense buffer
+        # over the positions a chunk spans, though bitwise and faster at the
+        # benchmark's tier M, grows with the rows the chunk covers: with one
+        # cell a row here, ~8 MiB per output channel for the one chunk.
+        rng = np.random.default_rng(12)
+        ny = nx = 1024
+        out_ch, in_ch, k = 2, 4, 3
+        cells = np.arange(ny) * nx + rng.integers(0, nx, size=ny)
+        rows = rng.normal(size=(ny, in_ch))
+        conv = Conv2DParams(rng.normal(size=(out_ch, in_ch, k, k)), rng.normal(size=out_ch))
+        chunks = [(cells[i : i + 1024], rows[i : i + 1024]) for i in range(0, ny, 1024)]
+        accumulator = 8 * out_ch * (ny + 2 * k) * (nx + k)  # the padded map and its margin, generously
+        output = 8 * out_ch * ny * nx
+        products = 8 * k * k * out_ch * 1024
+        assert traced_peak(conv2d_cells, chunks, (ny, nx), conv) < accumulator + output + 4 * products
 
     def test_no_chunk_gives_the_bias(self):
         conv = Conv2DParams(np.ones((2, 3, 3, 3)), np.array([0.5, -1.25]))
@@ -717,14 +775,14 @@ class TestGatherGated:
             feat = bilinear_sample(f_pv, (u[i], v[i]))
             want[i, 0] = feat * trilinear_sample(depth_volume, (u[i], v[i], b[i]))
             want[i, 1] = feat * occupancy[i]
-        np.testing.assert_array_equal(got, want)
+        assert_same_bits(got, want)
 
     def test_no_in_image_corner_gives_zero_halves(self):
         f_pv = np.ones((2, 3, 4))
         u = np.array([-1.5, 4.0, 1.0, 2.0, 7.0])
         v = np.array([1.0, 1.0, -1.25, 3.0, 9.0])
         out = gather_gated(f_pv, np.ones((2, 3, 4)))(np.ones(5), u, v, np.zeros(5))
-        np.testing.assert_array_equal(out, np.zeros((5, 2, 2)))
+        assert_same_bits(out, np.zeros((5, 2, 2)))
 
     def test_corner_on_last_pixel_reads_it_alone(self):
         f_pv = np.arange(12.0).reshape(1, 3, 4)
@@ -754,8 +812,7 @@ class TestGatherGated:
         # their occupancy-gated half is 1.0 and the depth-gated half the depth
         want = np.zeros((u.size, 2, 1))
         want[:2] = want[-6:, 1] = 1.0
-        # bits, so that -0.0 fails too
-        np.testing.assert_array_equal(out.view(np.int64), want.view(np.int64))
+        assert_same_bits(out, want)
 
     def test_reads_the_depth_volume_in_place(self):
         # tier-L shapes: building the sampler copies the features into a
