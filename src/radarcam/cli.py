@@ -19,7 +19,8 @@ by an LXLT file relative to the manifest. An absent optional key, like an
 unset flag, takes the dataclass default; an absent required key fails as a
 null; a key that names no field fails.
 ``depth-targets`` writes and ``loss`` reads an LXLT table of (u, v, d_gt,
-radius) rows; ``loss`` rounds u and v half to even and writes them as
+radius) rows, u and v the feature cell floor(u_img / s) of ``geometry``'s
+pixel convention; ``loss`` rounds them half to even and writes them as
 integers. A target of radius 0 is one-to-one: ``depth-targets --r-max 0``
 builds targets that ``loss`` scores at the struck pixel alone.
 """
@@ -125,9 +126,8 @@ class VTManifest:
     """The inputs of ``vt``: image features and radar BEV features (LXLT file
     names), the voxel grid, the calibration, the image features' stride, the
     depth bins and the learned weights. ``vt`` refuses a stride below 1, and
-    a feature map whose (H, W) is not the calibration's image floored by the
-    stride, (image_height // stride, image_width // stride), as the target
-    build floors it."""
+    a feature map whose (H, W) is not the calibration's
+    ``feature_shape(stride)``, the map the depth targets are built on."""
 
     feature_map: np.ndarray
     radar_bev: np.ndarray
@@ -222,11 +222,11 @@ def cmd_vt(args) -> int:
     m = lxlt.read_manifest(VTManifest, load_json(args.manifest), "manifest", Path(args.manifest).parent)
     if m.stride < 1:
         raise ValueError(f"manifest.stride must be at least 1, got {m.stride}")
-    width, height = m.calibration.image_width, m.calibration.image_height
-    if m.feature_map.shape[1:] != (height // m.stride, width // m.stride):
+    shape = m.calibration.feature_shape(m.stride)
+    if m.feature_map.shape[1:] != shape:
         raise ValueError(
-            f"manifest.stride is {m.stride}: the calibration's {width}x{height} image needs a "
-            f"(C, {height // m.stride}, {width // m.stride}) feature_map, got shape {m.feature_map.shape}"
+            f"manifest.stride is {m.stride}: the calibration's {m.calibration.image_width}x{m.calibration.image_height} "
+            f"image needs a (C, {shape[0]}, {shape[1]}) feature_map, got shape {m.feature_map.shape}"
         )
     k, params = m.calibration.intrinsics, m.params
     occupancy = occupancy_from_bev(m.radar_bev, params)
@@ -320,7 +320,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=float, help=f"radius scale (default {RadiusConfig.k})")
     p.add_argument("--r-max", type=float, help=f"radius ceiling in px, 0 for one-to-one (default {RadiusConfig.r_max})")
     p.add_argument("--fixed-r", type=float, help=f"radius without RCS (default {RadiusConfig.fixed_r})")
-    p.add_argument("--output", required=True, help="output LXLT file, rows (u,v,d_gt,radius)")
+    p.add_argument("--output", required=True, help="output LXLT rows (u,v,d_gt,radius), u,v cells floor(u_img/s)")
     p.add_argument("--sidecar", help="config sidecar JSON (default OUTPUT.json)")
     p.set_defaults(func=cmd_depth_targets)
 

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, SensorCalibration, project_points
+from .geometry import CameraIntrinsics, SensorCalibration, check_stride, feature_cell, project_points
 from .geometry import project_to_pixel  # noqa: F401 -- bench/tracing.py wraps the name in this module
 from .tensor_ops import ShapeError
 
@@ -125,12 +125,6 @@ class LossConfig:
             raise ValueError(f"unknown aggregation {self.neighborhood_agg!r}")
 
 
-def check_stride(stride: int) -> None:
-    """Refuse a feature stride below 1."""
-    if stride < 1:
-        raise ValueError(f"stride must be a positive integer, got {stride}")
-
-
 def neighborhood_radius(
     depth: float | np.ndarray,
     intrinsics: CameraIntrinsics,
@@ -203,18 +197,15 @@ def _target_table(
     """The target build on an (N, 4) array of radar-frame rows (x, y, z,
     rcs_dbsm), a NaN RCS marking a missing one: the (M, 3 + R) target table
     (u, v, d_gt, then one radius column per ``(cfg, use_rcs)`` pair of
-    ``settings``) of the kept points, in input order, and the (N,) mask of the
-    kept points. The points are projected once for every column. A column
-    that uses RCS falls back to ``cfg.fixed_r`` where the RCS is missing; a
-    column that does not takes ``cfg.fixed_r`` for every point. A point at
-    image coordinates (u, v) lands in feature cell (floor(u / s), floor(v /
-    s)), so cell j spans [j*s, (j+1)*s); the view transformation's sampler
-    puts cell j's center at j*s instead (:mod:`radarcam.view_transform`)."""
-    check_stride(stride)
+    ``settings``) of the kept points, in input order, (u, v) their
+    ``feature_cell``, and the (N,) mask of the kept points. The points are
+    projected once for every column. A column that uses RCS falls back to
+    ``cfg.fixed_r`` where the RCS is missing; a column that does not takes
+    it for every point."""
+    height, width = calib.feature_shape(stride)
     u, v, depth, in_front = project_points(calib.radar_to_camera.apply_many(points[:, :3]), calib.intrinsics)
-    us, vs = np.floor(u / stride) + 0.0, np.floor(v / stride) + 0.0  # + 0.0: a -0.0 pixel is written as 0.0
-    keep = in_front & (0 <= us) & (us < calib.image_width // stride)
-    keep &= (0 <= vs) & (vs < calib.image_height // stride)
+    us, vs = feature_cell(u, stride), feature_cell(v, stride)
+    keep = in_front & (0 <= us) & (us < width) & (0 <= vs) & (vs < height)
     depth, rcs = depth[keep], points[keep, 3]
     columns = [us[keep], vs[keep], depth]
     for cfg, use_rcs in settings:

@@ -14,6 +14,12 @@ z towards x and elevation from z up towards -y. ``error-model`` and
 elevation error.
 
 Pinhole projection (:func:`project_points`): u = fx * x / z + cx, v = fy * y / z + cy, d = z.
+
+Pixel convention: image pixel i spans [i, i+1), and at stride s feature
+cell j spans [j*s, (j+1)*s), so image point u lies in cell floor(u / s)
+(:func:`feature_cell`) of a map of :meth:`SensorCalibration.feature_shape`
+cells. Samplers put cell centres on integers, so they read u at u / s - 1/2
+(:func:`sampler_coordinate`): each cell at its centre, (j + 1/2)*s.
 """
 
 from __future__ import annotations
@@ -323,6 +329,22 @@ def camera_to_spherical(x, y, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rho, np.arctan2(x, z), np.arcsin(sine)
 
 
+def check_stride(stride: int) -> None:
+    """Refuse a feature stride below 1."""
+    if stride < 1:
+        raise ValueError(f"stride must be a positive integer, got {stride}")
+
+
+def feature_cell(u, stride: int):
+    """The feature cells floor(u / s) of image coordinates ``u``, as floats; + 0.0 writes -0.0 as 0.0."""
+    return np.floor(u / stride) + 0.0
+
+
+def sampler_coordinate(u):
+    """u - 1/2: where a sampler, cell centres on integers, reads feature coordinates ``u`` = u_img / s."""
+    return u - 0.5
+
+
 def scale_intrinsics(intrinsics: CameraIntrinsics, s: float) -> CameraIntrinsics:
     """Rescale intrinsics to a feature map downsampled by factor ``s``."""
     if s <= 0:
@@ -401,6 +423,11 @@ class SensorCalibration:
     def __post_init__(self):
         if self.image_width < 1 or self.image_height < 1:
             raise ValueError("image dimensions must be positive")
+
+    def feature_shape(self, stride: int) -> tuple[int, int]:
+        """The (H // s, W // s) cells of the image's stride-``s`` feature map."""
+        check_stride(stride)
+        return self.image_height // stride, self.image_width // stride
 
     def to_dict(self) -> dict:
         return {

@@ -77,13 +77,13 @@ from .depth_supervision import (
     RadiusConfig,
     _select_in_disks,
     _target_table,
-    check_stride,
     build_depth_targets,  # noqa: F401 -- bench/tracing.py wraps the name in this module
     neighborhood_pixels,  # noqa: F401 -- bench/tracing.py wraps the name in this module
 )
 from .geometry import (
     SensorCalibration,
     camera_to_spherical,
+    feature_cell,
     load_json,
     project_points,
     read_json,
@@ -161,10 +161,10 @@ class Scene:
     centre (x, y, depth), its frontal area in m² and its RCS in dBsm.
     ``boxes`` is (S, n_objects, 5), one row (u0, u1, v0, v1, depth) per
     object: the inclusive feature cells its projected rectangle touches
-    (:data:`EMPTY_BOX` when it misses the map) and its true depth. The
-    corners are projected and floored as the target builder does a point,
-    and a cell is covered when the rectangle touches it, so a point on an
-    object always lands on a covered cell.
+    (:data:`EMPTY_BOX` when it misses the map) and its true depth. A corner
+    lies in its ``geometry.feature_cell``, as a target's point does, and a
+    cell is covered when the rectangle touches it, so a point on an object
+    always lands on a covered cell.
     """
 
     table: np.ndarray
@@ -173,7 +173,7 @@ class Scene:
     boxes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        check_stride(self.stride)
+        height, width = self.calibration.feature_shape(self.stride)
         table = np.asarray(self.table, dtype=np.float64)
         if table.ndim != 3 or table.shape[2] != 5:
             raise ValueError(f"scene table must be (seeds, objects, 5), got shape {table.shape}")
@@ -183,11 +183,9 @@ class Scene:
         sides = np.array([-1.0, 1.0])[:, None, None] * (np.sqrt(table[..., 3]) / 2.0)
         corners = np.stack([x + sides, y + sides, np.broadcast_to(depth, sides.shape)], axis=-1)
         u, v, _, _ = project_points(corners, self.calibration.intrinsics)
-        s = self.stride
-        u0 = np.maximum(0.0, np.floor(u[0] / s))
-        u1 = np.minimum(self.calibration.image_width // s - 1, np.floor(u[1] / s))
-        v0 = np.maximum(0.0, np.floor(v[0] / s))
-        v1 = np.minimum(self.calibration.image_height // s - 1, np.floor(v[1] / s))
+        us, vs = feature_cell(u, self.stride), feature_cell(v, self.stride)
+        u0, u1 = np.maximum(0.0, us[0]), np.minimum(width - 1, us[1])
+        v0, v1 = np.maximum(0.0, vs[0]), np.minimum(height - 1, vs[1])
         boxes = np.stack([u0, u1, v0, v1, depth], axis=-1)
         boxes[(u0 > u1) | (v0 > v1), :4] = EMPTY_BOX
         object.__setattr__(self, "table", table)
@@ -379,8 +377,7 @@ def evaluate_supervision(
         )
     settings = list(dict.fromkeys((arm.radius, arm.use_rcs) for arm in arms))
     picks = tuple((settings.index((arm.radius, arm.use_rcs)), arm.agg) for arm in arms)
-    calib, stride = scene.calibration, scene.stride
-    table, keep = _target_table(points, calib, stride, settings)
+    table, keep = _target_table(points, scene.calibration, scene.stride, settings)
     seed_of = np.repeat(np.arange(n_seeds), counts.astype(np.intp))[keep]
     boxes = scene.boxes.swapaxes(0, 1)  # one (seeds, 5) box table per object slot
 
@@ -390,7 +387,7 @@ def evaluate_supervision(
         cost -= table[rows, 2:3]
         return np.abs(cost, out=cost)
 
-    shape = (calib.image_height // stride, calib.image_width // stride)
+    shape = scene.calibration.feature_shape(scene.stride)
     n_targets = np.bincount(seed_of, minlength=n_seeds)
     hits = np.empty((len(arms), n_seeds), dtype=n_targets.dtype)
     sums, n_seen = np.empty((len(arms), n_seeds)), np.empty_like(hits)

@@ -35,19 +35,15 @@ output's tap (ky, kx) reads the cell at offset (ky - kh // 2, kx - kw // 2),
 so taps in row-major order read cells in ascending order, and a later tap's
 cell is never in an earlier chunk.
 
-Sampling uses the pixel-center convention: the center of pixel (row i,
-col j) sits at continuous coordinate (u=j, v=i), depth bin k's midpoint at
-bin coordinate k, and corners outside a map read as zero. With intrinsics
-rescaled by :func:`scale_intrinsics`, feature cell j's center is image
-coordinate j*s at stride s. The depth-target build and the simulated scenes
-differ: they floor u / s, so their cell j spans [j*s, (j+1)*s) with center
-(j + 1/2)*s, and a supervised point sits on average half a feature pixel
-right of and below where the sampler reads its depth. Both reads go
-through one n-linear corner builder: flat corner indices into the raveled
-map and per-corner weights. A corner outside the map reads cell 0 in its
-place, and the value it reads is set to 0.0, so neither map is padded with
-a zero cell: the features are read from one (H*W, C) table and the depth
-volume in place, never copied.
+Sampling uses :mod:`radarcam.geometry`'s pixel convention: the center of
+feature cell (row i, col j), where the depth targets put it, sits at
+continuous coordinate (u=j, v=i), depth bin k's midpoint at bin coordinate
+k, and corners outside a map read as zero. Both reads go through one
+n-linear corner builder: flat corner indices into the raveled map and
+per-corner weights. A corner outside the map reads cell 0 in its place, and
+the value it reads is set to 0.0, so neither map is padded with a zero
+cell: the features are read from one (H*W, C) table and the depth volume
+in place, never copied.
 """
 
 from __future__ import annotations
@@ -58,7 +54,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, RigidTransform, project_points, scale_intrinsics
+from .geometry import CameraIntrinsics, RigidTransform, check_stride, project_points, sampler_coordinate, scale_intrinsics
 from .depth_supervision import DepthBinSpec, validate_depth_volume
 from .tensor_ops import CONV_BAND_BYTES, Conv2DParams, LinearParams, ShapeError, conv2d, sigmoid, softmax
 
@@ -121,8 +117,7 @@ class DepthDistributionMap:
     stride: int
 
     def __post_init__(self):
-        if self.stride < 1:
-            raise ValueError(f"stride must be positive, got {self.stride}")
+        check_stride(self.stride)
         object.__setattr__(self, "data", validate_depth_volume(self.data, self.spec.num_bins))
 
 
@@ -196,10 +191,11 @@ def project_voxel_centers(
 
     Returns flat arrays (u, v, depth, valid) over voxels in (Z, Y, X)
     row-major order; ``valid`` marks voxels in front of the camera. Pixel
-    coordinates use the intrinsics rescaled to ``stride``.
+    coordinates are the samplers' at ``stride`` (``geometry.sampler_coordinate``).
     """
     cam = world_to_camera.apply_many(voxel_centers(grid).reshape(3, -1).T)
-    return project_points(cam, scale_intrinsics(intrinsics, stride))
+    u, v, depth, valid = project_points(cam, scale_intrinsics(intrinsics, stride))
+    return sampler_coordinate(u), sampler_coordinate(v), depth, valid
 
 
 def _corners(coords: tuple[np.ndarray, ...], shape: tuple[int, ...]) -> tuple[list, list, list]:

@@ -224,8 +224,9 @@ def sample_volume_reference(f_pv, d_map, occupancy, grid, intrinsics, world_to_c
                 cam = world_to_camera.apply(world)
                 if cam[2] <= 0:
                     continue
-                u = scaled.fx * (cam[0] / cam[2]) + scaled.cx
-                v = scaled.fy * (cam[1] / cam[2]) + scaled.cy
+                # the feature coordinate less half a cell: cell j's centre is at j
+                u = scaled.fx * (cam[0] / cam[2]) + scaled.cx - 0.5
+                v = scaled.fy * (cam[1] / cam[2]) + scaled.cy - 0.5
                 feat = bilinear_sample(f_pv, (u, v))
                 b = float(depth_to_bin_coordinate(np.array(cam[2]), d_map.spec))
                 likelihood = trilinear_sample(d_map.data, (u, v, b))

@@ -37,6 +37,7 @@ from radarcam.geometry import (
 from radarcam.gradcheck import analytic_grad, finite_difference_grad, random_instance, relative_error
 from radarcam.sim import SceneExtents, generate_scene
 from radarcam.tensor_ops import softmax
+from radarcam.view_transform import DepthDistributionMap
 
 from helpers import assert_same_bits
 from oracles import build_depth_targets_reference, target_losses_reference
@@ -306,8 +307,10 @@ class TestBuildDepthTargets:
         lambda s: build_depth_targets([RadarPoint(0.0, 0.0, 10.0)], make_calib(), s, RadiusConfig()),
         lambda s: generate_scene([0], 3, SceneExtents(), make_calib(), s),
         lambda s: neighborhood_radius(10.0, K, s, RadiusConfig(), 0.0),
+        lambda s: make_calib().feature_shape(s),
+        lambda s: DepthDistributionMap(uniform_map(4, 2, 3), DepthBinSpec(0.0, 4.0, 4), s),
     ],
-    ids=["build_depth_targets", "generate_scene", "neighborhood_radius"],
+    ids=["build_depth_targets", "generate_scene", "neighborhood_radius", "feature_shape", "DepthDistributionMap"],
 )
 def test_stride_below_one_is_refused(build, stride):
     with pytest.raises(ValueError, match=f"^stride must be a positive integer, got {stride}$"):

@@ -17,14 +17,21 @@ from radarcam.geometry import (
     SensorCalibration,
     camera_to_spherical,
     empirical_projection_error,
+    feature_cell,
     max_pixel_position_error,
     project_points,
     project_to_pixel,
     read_json,
+    sampler_coordinate,
     scale_intrinsics,
     spherical_to_camera,
 )
+from radarcam.depth_supervision import DepthBinSpec, RadiusConfig, _target_table
+from radarcam.sim import EMPTY_BOX, Scene, SceneExtents, generate_scene
 from radarcam.tensor_ops import ShapeError
+from radarcam.view_transform import VoxelGridSpec, sample_cells
+
+from helpers import assert_same_bits
 
 K = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0)
 
@@ -274,6 +281,123 @@ class TestScaleIntrinsics:
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
             scale_intrinsics(K, 0)
+
+
+def symmetric_calibration(width=96, height=64, fx=40.0, cy=29.0):
+    """A calibration that mirrors left-right: cx = W/2 and identity extrinsics."""
+    return SensorCalibration(
+        CameraIntrinsics(fx, fx, width / 2, cy), RigidTransform.identity(), width, height, AngularResolution(1.0, 1.0)
+    )
+
+
+def random_rotation(rng):
+    """A proper rotation about a random axis by a random angle (Rodrigues)."""
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    cross = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]])
+    angle = rng.uniform(-0.3, 0.3)
+    return np.eye(3) + math.sin(angle) * cross + (1.0 - math.cos(angle)) * cross @ cross
+
+
+class TestPixelConvention:
+    """Image pixel i spans [i, i+1) and feature cell j spans [j*s, (j+1)*s):
+    targets, scene boxes and the VT's samplers all place a point by it."""
+
+    def test_feature_cell_floors_and_writes_no_negative_zero(self):
+        u = np.array([-0.0, 0.0, 7.999, 8.0, -1e-9, 95.5])
+        assert_same_bits(feature_cell(u, 8), np.array([0.0, 0.0, 0.0, 1.0, -1.0, 11.0]))
+
+    def test_a_cell_centre_is_read_on_its_integer(self):
+        s = 8
+        centres = (np.arange(12) + 0.5) * s
+        assert_same_bits(sampler_coordinate(centres / s), np.arange(12, dtype=np.float64))
+        assert_same_bits(feature_cell(centres, s), np.arange(12, dtype=np.float64))
+
+    def test_feature_shape_floors_the_image(self):
+        calib = symmetric_calibration(width=97, height=63)
+        assert calib.feature_shape(1) == (63, 97)
+        assert calib.feature_shape(8) == (7, 12)
+        assert calib.feature_shape(100) == (0, 0)
+        with pytest.raises(ValueError, match="^stride must be a positive integer, got 0$"):
+            calib.feature_shape(0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_the_vt_volume_mirrors_with_the_image(self, seed):
+        # A left-right mirror about the optical axis: the image features, the
+        # depth volume and the occupancy flip along W and X. The samplers read
+        # each cell at its centre, so the sampled volume flips with them.
+        rng = np.random.default_rng(seed)
+        c, d, s = 3, 5, 8
+        calib = symmetric_calibration()
+        h, w = calib.feature_shape(s)
+        grid = VoxelGridSpec((-6.0, 6.0, 12), (-1.0, 1.0, 2), (2.0, 30.0, 14))
+        nz, ny, nx = grid.counts
+        bins = DepthBinSpec(0.0, 32.0, d)
+        f_pv = rng.normal(size=(c, h, w))
+        depth = np.moveaxis(rng.dirichlet(np.ones(d), size=(h, w)), -1, 0)
+        occupancy = rng.uniform(size=grid.counts)
+
+        def volume(f_pv, depth, occupancy):
+            out = np.zeros((ny * nx, nz * 2 * c))
+            chunks = sample_cells(
+                f_pv, depth, bins, s, occupancy, grid, calib.intrinsics, calib.radar_to_camera, 2 * c * nz
+            )
+            for cells, rows in chunks:
+                out[cells] = rows
+            return out.reshape(ny, nx, -1)
+
+        want = volume(f_pv, depth, occupancy)
+        got = volume(f_pv[..., ::-1], depth[..., ::-1], occupancy[..., ::-1])
+        assert np.abs(want).max() > 0.5
+        np.testing.assert_allclose(got, want[:, ::-1], rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_targets_and_scene_boxes_mirror_with_the_image(self, seed):
+        rng = np.random.default_rng(seed)
+        s = 8
+        calib = symmetric_calibration()
+        _, w = calib.feature_shape(s)
+        points = np.column_stack([rng.uniform(-30, 30, (400, 2)), rng.uniform(-5, 40, 400), rng.uniform(-10, 20, 400)])
+        mirror = points * [-1.0, 1.0, 1.0, 1.0]
+        settings = [(RadiusConfig(), True)]
+        table, keep = _target_table(points, calib, s, settings)
+        table_m, keep_m = _target_table(mirror, calib, s, settings)
+        assert 0 < keep.sum() < keep.size
+        assert_same_bits(keep_m, keep)
+        # the mirror takes cell u to cell W/s - 1 - u
+        assert_same_bits(table_m[:, 0], w - 1 - table[:, 0])
+        assert_same_bits(table_m[:, 1:], table[:, 1:])
+        scene = generate_scene([seed], 40, SceneExtents(), calib, s)
+        boxes = scene.boxes
+        boxes_m = Scene(scene.table * [-1.0, 1.0, 1.0, 1.0, 1.0], s, calib).boxes
+        empty = (boxes[..., :4] == EMPTY_BOX).all(axis=-1)
+        assert 0 < (~empty).sum()
+        assert_same_bits(boxes_m[empty], boxes[empty])
+        assert_same_bits(boxes_m[~empty][:, [1, 0]], w - 1 - boxes[~empty][:, :2])
+        assert_same_bits(boxes_m[..., 2:], boxes[..., 2:])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_doubling_the_image_and_the_stride_moves_no_bit(self, seed):
+        # fx, fy, cx, cy, the image and the stride all times 2: every cell,
+        # every kept point and every box stays, bit for bit.
+        rng = np.random.default_rng(seed)
+        k = CameraIntrinsics(*rng.uniform(100, 2000, 2), *rng.uniform(0, 800, 2))
+        width, height = (int(x) for x in rng.integers(1, 900, 2))
+        s = int(rng.integers(1, 33))
+        extrinsics = RigidTransform(random_rotation(rng), rng.normal(0.0, 2.0, 3))
+        calib = SensorCalibration(k, extrinsics, width, height, AngularResolution(1.0, 1.0))
+        k2 = CameraIntrinsics(2 * k.fx, 2 * k.fy, 2 * k.cx, 2 * k.cy)
+        calib2 = SensorCalibration(k2, extrinsics, 2 * width, 2 * height, AngularResolution(1.0, 1.0))
+        points = np.column_stack([rng.uniform(-20, 20, (200, 2)), rng.uniform(-5, 60, 200), rng.uniform(-10, 20, 200)])
+        points[rng.random(200) < 0.3, 3] = np.nan  # points without RCS
+        settings = [(RadiusConfig(), True), (RadiusConfig(k=0.3, r_max=9.0), False)]
+        table, keep = _target_table(points, calib, s, settings)
+        table2, keep2 = _target_table(points, calib2, 2 * s, settings)
+        assert_same_bits(keep2, keep)
+        assert_same_bits(table2, table)
+        scene = generate_scene([seed], 12, SceneExtents(), calib, s)
+        assert_same_bits(Scene(scene.table, 2 * s, calib2).boxes, scene.boxes)
 
 
 class TestPositionErrorModel:

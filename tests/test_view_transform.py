@@ -361,7 +361,7 @@ class TestSampleVT:
         bins = DepthBinSpec(0.0, 40.0, d)
         grid = VoxelGridSpec((-0.5, 0.5, 1), (-0.5, 0.5, 1), (14.0, 16.0, 1))
         # voxel center (0, 0, 15) on the optical axis at the bin-1 midpoint
-        k = CameraIntrinsics(fx=80.0, fy=80.0, cx=24.0, cy=16.0)
+        k = CameraIntrinsics(fx=80.0, fy=80.0, cx=28.0, cy=20.0)
         stride = 8
         f_pv = np.random.default_rng(0).normal(size=(c, 4, 6))
         data = np.zeros((d, 4, 6))
@@ -379,10 +379,16 @@ class TestSampleVT:
             ),
         )
         out = sample_vt(f_pv, d_map, occupancy, grid, k, RigidTransform.identity(), params)
-        # projection: u = 80 * 0 / 15 + 24 = 24 full-res -> 3 at stride 8,
-        # v = 16 -> 2; bin coordinate (15 - 0) / 10 - 0.5 = 1.0 exactly,
-        # so the voxel reads pixel (3, 2) gated by likelihood 1
+        # projection: u = 80 * 0 / 15 + 28 = 28 full-res, the centre of
+        # cell 3 at stride 8, read at 28 / 8 - 0.5 = 3; v = 20 -> 2; bin
+        # coordinate (15 - 0) / 10 - 0.5 = 1.0 exactly, so the voxel reads
+        # pixel (3, 2) alone, gated by likelihood 1
         np.testing.assert_allclose(out[:, 0, 0], f_pv[:, 2, 3], atol=1e-12)
+        # image point (24, 16) is the corner that cells 2 and 3 and rows 1
+        # and 2 share: it reads their mean
+        k = dataclasses.replace(k, cx=24.0, cy=16.0)
+        out = sample_vt(f_pv, d_map, occupancy, grid, k, RigidTransform.identity(), params)
+        np.testing.assert_allclose(out[:, 0, 0], f_pv[:, 1:3, 2:4].mean(axis=(1, 2)), atol=1e-12)
 
     def test_all_voxels_behind_camera_give_zero_volume(self):
         f_pv, d_map, occupancy, _, _, params = small_instance(0)
@@ -457,7 +463,8 @@ class TestSampleVT:
                     project_to_pixel(cam, scaled)
                 continue
             su, sv, sd = project_to_pixel(cam, scaled)
-            assert su == u[i] and sv == v[i] and sd == depth[i]
+            # the samplers read the scaled projection half a cell up and left
+            assert su - 0.5 == u[i] and sv - 0.5 == v[i] and sd == depth[i]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_volume_equals_per_voxel_reference_bitwise(self, seed):
