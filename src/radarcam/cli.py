@@ -21,8 +21,8 @@ null; a key that names no field fails.
 ``depth-targets`` writes and ``loss`` reads an LXLT table of (u, v, d_gt,
 radius) rows, u and v the feature cell floor(u_img / s) of ``geometry``'s
 pixel convention; ``loss`` rounds them half to even and writes them as
-integers. A target of radius 0 is one-to-one: ``depth-targets --r-max 0``
-builds targets that ``loss`` scores at the struck pixel alone.
+integers. ``--r-max`` caps each radius and is that of a point without RCS;
+at 0, ``depth-targets`` builds one-to-one targets, scored at the struck pixel.
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ def cmd_depth_targets(args) -> int:
     _check_outputs(args.output, sidecar)
     # Flags override the config file, which overrides the defaults.
     config = load_json(args.config) if args.config else {}
-    config.update(_given(stride=args.stride, k=args.k, r_max=args.r_max, fixed_r=args.fixed_r))
+    config.update(_given(stride=args.stride, k=args.k, r_max=args.r_max))
     points = read_radar_points_csv(args.points)
     calib = SensorCalibration.load(args.calib)
     stride = json_number(config.pop("stride", DEFAULT_STRIDE), "stride", whole=True)
@@ -315,11 +315,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("depth-targets", help="project a radar point CSV into depth targets")
     p.add_argument("--points", required=True, help="radar point CSV (x,y,z[,rcs_dbsm[,doppler]])")
     p.add_argument("--calib", required=True, help="calibration JSON")
-    p.add_argument("--config", help="JSON with default stride/k/r_max/fixed_r")
+    p.add_argument("--config", help="JSON with default stride/k/r_max")
     p.add_argument("--stride", type=int, help=f"feature-map stride (default {DEFAULT_STRIDE})")
     p.add_argument("--k", type=float, help=f"radius scale (default {RadiusConfig.k})")
-    p.add_argument("--r-max", type=float, help=f"radius ceiling in px, 0 for one-to-one (default {RadiusConfig.r_max})")
-    p.add_argument("--fixed-r", type=float, help=f"radius without RCS (default {RadiusConfig.fixed_r})")
+    r_max_help = "radius ceiling in px, and the radius of a point without RCS; 0 for one-to-one"
+    p.add_argument("--r-max", type=float, help=f"{r_max_help} (default {RadiusConfig.r_max})")
     p.add_argument("--output", required=True, help="output LXLT rows (u,v,d_gt,radius), u,v cells floor(u_img/s)")
     p.add_argument("--sidecar", help="config sidecar JSON (default OUTPUT.json)")
     p.set_defaults(func=cmd_depth_targets)

@@ -82,24 +82,21 @@ class DepthBinSpec:
 
 @dataclass(frozen=True)
 class RadiusConfig:
-    """Neighborhood radius settings. A point without RCS takes the radius
-    ``fixed_r``, 2.0 px unless set; ``r_max`` clamps both. Every setting is
-    finite, so that a radius and the JSON that records it are too."""
+    """Neighborhood radius settings. ``r_max`` caps the RCS-scaled radius
+    and is the radius of a point without RCS. Every setting is finite, so
+    that a radius and the JSON that records it are too."""
 
     k: float = 0.1
     r_max: float = 2.0
-    fixed_r: float = 2.0
 
     def __post_init__(self):
-        for name in ("k", "r_max", "fixed_r"):
+        for name in ("k", "r_max"):
             if math.isinf(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.k > 0:
             raise ValueError(f"k must be positive, got {self.k}")
         if not self.r_max >= 0:
             raise ValueError(f"r_max must be non-negative, got {self.r_max}")
-        if not self.fixed_r >= 0:
-            raise ValueError(f"fixed_r must be non-negative, got {self.fixed_r}")
 
 
 class DepthTarget(NamedTuple):
@@ -134,11 +131,11 @@ def neighborhood_radius(
 ) -> float | np.ndarray:
     """Supervision radius in feature-map pixels for a point at ``depth`` meters.
 
-    With an RCS value the radius follows the size-proportional formula above;
-    a NaN RCS marks a missing one and takes ``cfg.fixed_r`` (2.0 px by
-    default). Both clamp at ``cfg.r_max`` so a zero ceiling degenerates
-    cleanly to single-pixel supervision; an infinite RCS raises
-    ``ValueError``. Arrays give arrays; ``np.float_power`` rounds like ``**``, ``np.power`` may not.
+    With an RCS value the radius follows the size-proportional formula above,
+    up to ``cfg.r_max``; a NaN RCS marks a missing one and takes ``cfg.r_max``,
+    so a zero ceiling degenerates cleanly to single-pixel supervision. An
+    infinite RCS raises ``ValueError``. Arrays give arrays; ``np.float_power``
+    rounds like ``**``, ``np.power`` may not.
     A factor that overflows clamps at ``cfg.r_max``; a radius that is still
     not finite (``0 * inf``, an overflowing ``k`` times an underflowing RCS
     factor) raises ``ValueError`` naming its point.
@@ -153,7 +150,7 @@ def neighborhood_radius(
     f = math.sqrt(intrinsics.fx * intrinsics.fy)
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = cfg.k * f / (stride * depth) * np.float_power(10.0, rcs / 20.0)
-        r = np.minimum(cfg.r_max, np.where(np.isnan(rcs), cfg.fixed_r, scaled))
+        r = np.minimum(cfg.r_max, np.where(np.isnan(rcs), cfg.r_max, scaled))
     bad = ~np.isfinite(r)
     if bad.any():
         i = int(np.argmax(bad.ravel()))
@@ -199,9 +196,9 @@ def _target_table(
     (u, v, d_gt, then one radius column per ``(cfg, use_rcs)`` pair of
     ``settings``) of the kept points, in input order, (u, v) their
     ``feature_cell``, and the (N,) mask of the kept points. The points are
-    projected once for every column. A column that uses RCS falls back to
-    ``cfg.fixed_r`` where the RCS is missing; a column that does not takes
-    it for every point."""
+    projected once for every column. A column that uses RCS takes
+    ``cfg.r_max`` where the RCS is missing; a column that does not takes it
+    for every point."""
     height, width = calib.feature_shape(stride)
     u, v, depth, in_front = project_points(calib.radar_to_camera.apply_many(points[:, :3]), calib.intrinsics)
     us, vs = feature_cell(u, stride), feature_cell(v, stride)

@@ -125,6 +125,9 @@ class SceneExtents:
                 raise ValueError(f"{f.name} must be finite, got {value}")
         if not 0.0 <= self.large_fraction <= 1.0:
             raise ValueError("large_fraction must lie in [0, 1]")
+        for key in ("azimuth_max_deg", "elevation_max_deg"):
+            if not 0.0 <= getattr(self, key) < 90.0:
+                raise ValueError(f"{key} must lie in [0, 90), got {getattr(self, key)}")
         for name, rng in (("large", self.large_depth_range), ("small", self.small_depth_range)):
             if rng[0] <= 0 or rng[0] >= rng[1]:
                 raise ValueError(f"bad {name} depth range {rng}")
@@ -321,9 +324,8 @@ class SupervisionMetrics(NamedTuple):
 
 @dataclass(frozen=True)
 class ExperimentArm:
-    """One supervision configuration evaluated across all seeds. An arm
-    whose radius is 0 is one-to-one. An arm without RCS takes its radius
-    from ``radius.fixed_r``, 2.0 px unless set."""
+    """One supervision configuration evaluated across all seeds. A radius of 0
+    is one-to-one; with ``use_rcs`` false the arm reads only ``radius.r_max``."""
 
     name: str
     radius: RadiusConfig = RadiusConfig()
@@ -348,8 +350,8 @@ def evaluate_supervision(
     ``points`` holds the (N, 4) radar returns (x, y, z, rcs_dbsm) of every
     seed of ``scene``, seed by seed, and ``counts`` the number of returns of
     each seed, whole and non-negative. An arm that uses RCS scales its radius
-    by it; an arm without RCS takes ``radius.fixed_r`` (2.0 px unless set),
-    as does a return whose RCS is NaN (absent).
+    by it, up to ``radius.r_max``; an arm without RCS, and a return whose
+    RCS is NaN (absent), take ``radius.r_max`` (2.0 px unless set).
 
     Every arm shares the returns, so it shares each target's pixel, depth
     and kept mask: one target table holds them with one radius column per

@@ -26,7 +26,7 @@ from radarcam.depth_supervision import DepthTarget, RadarPoint
 from radarcam.geometry import scale_intrinsics
 from radarcam.sim import EMPTY_BOX, ExperimentResult, SupervisionMetrics, bootstrap_gap, rcs_from_size
 from radarcam.tensor_ops import ShapeError, conv2d
-from radarcam.view_transform import depth_to_bin_coordinate, voxel_centers
+from radarcam.view_transform import voxel_centers
 
 
 def conv2d_naive(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
@@ -228,7 +228,7 @@ def sample_volume_reference(f_pv, d_map, occupancy, grid, intrinsics, world_to_c
                 u = scaled.fx * (cam[0] / cam[2]) + scaled.cx - 0.5
                 v = scaled.fy * (cam[1] / cam[2]) + scaled.cy - 0.5
                 feat = bilinear_sample(f_pv, (u, v))
-                b = float(depth_to_bin_coordinate(np.array(cam[2]), d_map.spec))
+                b = float((cam[2] - d_map.spec.d_min) / d_map.spec.bin_width - 0.5)  # bin b's midpoint is at b
                 likelihood = trilinear_sample(d_map.data, (u, v, b))
                 top[:, k, j, i] = feat * likelihood
                 bottom[:, k, j, i] = feat * occupancy[k, j, i]
@@ -307,7 +307,7 @@ def build_depth_targets_reference(points, calib, stride, cfg) -> tuple[list[Dept
             scale = 10.0 ** (p.rcs_dbsm / 20.0)
             radius = min(cfg.r_max, cfg.k * math.sqrt(k.fx * k.fy) / (stride * z) * scale)
         else:
-            radius = min(cfg.r_max, cfg.fixed_r)
+            radius = cfg.r_max
         targets.append(DepthTarget(us, vs, z, radius))
     return targets, len(points), dropped
 

@@ -1,6 +1,7 @@
 """Tests for the command line front end, run through ``main(argv)``."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -182,6 +183,8 @@ class TestSimulate:
             # took the calibration's angular resolution.
             (lambda data: data["arms"][0].update(strategy="one-to-one"), "arms[0] has no key 'strategy'"),
             (lambda data: data["noise"].update(delta_theta_deg=1.0), "noise has no key 'delta_theta_deg'"),
+            # The radius of a point without RCS before it became r_max.
+            (lambda data: data["arms"][1]["radius"].update(fixed_r=1.0), "arms[1].radius has no key 'fixed_r'"),
         ],
     )
     def test_key_that_names_no_field_exits_2_naming_it(self, tmp_path, edit_config, message, capsys):
@@ -191,13 +194,17 @@ class TestSimulate:
         "edit_config,message",
         [
             (lambda data: data["arms"][2]["radius"].update(k=0), "arms[2].radius: k must be positive, got 0.0"),
-            (lambda data: data["arms"][1]["radius"].update(fixed_r=math.inf), "arms[1].radius: fixed_r must be finite, got inf"),
+            (lambda data: data["arms"][1]["radius"].update(r_max=math.inf), "arms[1].radius: r_max must be finite, got inf"),
             (lambda data: data["noise"].update(range_sigma=-1), "noise: range_sigma must be non-negative"),
             (
                 lambda data: data["arms"][1].update(agg="mean"),
                 "arms[1]: arm 'fixed-one-to-many': unknown aggregation 'mean'",
             ),
-            (lambda data: data["arms"][0]["radius"].update(fixed_r=None), "arms[0].radius.fixed_r must be a number, got None"),
+            (lambda data: data["arms"][0]["radius"].update(r_max=None), "arms[0].radius.r_max must be a number, got None"),
+            (
+                lambda data: data["scene"].update(azimuth_max_deg=95.0),
+                "scene: azimuth_max_deg must lie in [0, 90), got 95.0",
+            ),
             (lambda data: data.update(stride=0), "stride must be at least 1, got 0"),  # the top level: no path
             (lambda data: data.update(stride=961), "stride must be at most 600, the calibration's shorter image side, got 961"),
             (lambda data: data.update(arms=[]), "arms must hold at least one arm"),  # before its orderings are checked
@@ -206,18 +213,18 @@ class TestSimulate:
     def test_range_error_names_the_path_of_its_object(self, tmp_path, edit_config, message, capsys):
         self.assert_exits_2_with(tmp_path, edit_config, message, capsys)
 
-    def test_an_arm_without_fixed_r_runs_at_the_default_radius(self, tmp_path):
+    def test_an_arm_without_r_max_runs_at_the_default_radius_whatever_its_k(self, tmp_path):
         data = json.loads(reduced_config(tmp_path).read_text())
-        assert data["arms"][1]["radius"] == {"fixed_r": 1.0}  # a fixed radius arm without RCS
+        assert data["arms"][1]["radius"] == {"r_max": 1.0}  # a fixed radius arm without RCS
         outputs = []
-        for run, radius in (("absent", {}), ("given", {"fixed_r": 2.0})):
+        for run, radius in (("absent", {}), ("given", {"r_max": 2.0}), ("unused-k", {"k": 0.5})):
             data["arms"][1]["radius"] = radius
             config, csv_path, summary = (tmp_path / f"{run}{suffix}" for suffix in (".config.json", ".csv", ".json"))
             config.write_text(json.dumps(data))
             argv = ["simulate", "--config", str(config), "--output-csv", str(csv_path), "--summary", str(summary)]
             assert main(argv) == 0
             outputs.append((csv_path.read_bytes(), summary.read_bytes()))
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
 
     @staticmethod
     def assert_exits_2_with(tmp_path, edit_config, message, capsys):
@@ -526,19 +533,20 @@ class TestDepthTargets:
         assert main(self.argv(tmp_path)) == 0
         table = lxlt.read_tensor(tmp_path / "targets.lxlt")
         assert table.shape == (2, 4)
-        assert table[1, 3] == 2.0  # the point without RCS takes the default fixed radius
+        assert table[1, 3] == 2.0  # the point without RCS takes the default r_max
         sidecar = json.loads((tmp_path / "targets.lxlt.json").read_text())
         assert (sidecar["num_input_points"], sidecar["num_dropped"], sidecar["num_targets"]) == (3, 1, 2)
 
     def test_outputs_are_pinned(self, tmp_path):
-        """sha256 of the LXLT table and the sidecar, recorded before the
-        command built its table without per-point objects."""
+        """sha256 of the LXLT table, recorded before the command built its
+        table without per-point objects, and of the sidecar, recorded when
+        its radius settings became k and r_max."""
         assert main(self.argv(tmp_path)) == 0
         assert hashlib.sha256((tmp_path / "targets.lxlt").read_bytes()).hexdigest() == (
             "8906b41531ff6fb485eead9607c61b0958ae570da67afb3aacfa4ffe5d075f0c"
         )
         assert hashlib.sha256((tmp_path / "targets.lxlt.json").read_bytes()).hexdigest() == (
-            "30146e4a2398424e222eca705e0db40f73f9444690a26e304ca4a40d0242a20e"
+            "00569368e8f21fadf7c31eef2a6074d2deef2fa70e1f5f4ae3346590220e5435"
         )
 
     @pytest.mark.parametrize("tenths", range(1, 101))
@@ -574,27 +582,28 @@ class TestDepthTargets:
         assert err.startswith("error:") and "the header repeats the column 'rcs_dbsm'" in err
         assert not (tmp_path / "targets.lxlt").exists()
 
-    def test_fixed_r_from_config_is_a_number(self, tmp_path):
-        assert main(self.argv(tmp_path, config={"fixed_r": "1.5", "r_max": "4"})) == 0
+    def test_r_max_from_config_is_a_number_and_the_radius_without_rcs(self, tmp_path):
+        assert main(self.argv(tmp_path, config={"r_max": "1.5"})) == 0
         assert lxlt.read_tensor(tmp_path / "targets.lxlt")[1, 3] == 1.5
-        assert json.loads((tmp_path / "targets.lxlt.json").read_text())["fixed_r"] == 1.5
+        assert json.loads((tmp_path / "targets.lxlt.json").read_text())["r_max"] == 1.5
 
     def test_flags_override_the_config_and_the_config_the_defaults(self, tmp_path):
         argv = self.argv(tmp_path, points=self.POINTS, config={"stride": 4, "k": 0.5, "r_max": "6"})
         assert main(argv + ["--stride", "8", "--k", "0.2"]) == 0
         sidecar = json.loads((tmp_path / "targets.lxlt.json").read_text())
-        assert (sidecar["stride"], sidecar["k"], sidecar["r_max"], sidecar["fixed_r"]) == (8, 0.2, 6.0, 2.0)
+        assert (sidecar["stride"], sidecar["k"], sidecar["r_max"]) == (8, 0.2, 6.0)
 
     def test_radius_defaults_come_from_radius_config(self, tmp_path):
         points = "x,y,z,rcs_dbsm\n10.0,0.5,0.25,3.5\n"
         assert main(self.argv(tmp_path, points=points)) == 0
         sidecar = json.loads((tmp_path / "targets.lxlt.json").read_text())
-        assert (sidecar["stride"], sidecar["k"], sidecar["r_max"], sidecar["fixed_r"]) == (8, 0.1, 2.0, 2.0)
+        assert (sidecar["stride"], sidecar["k"], sidecar["r_max"]) == (8, 0.1, 2.0)
+        assert "fixed_r" not in sidecar
 
     @pytest.mark.parametrize("points", [POINTS, "x,y,z,rcs_dbsm\n10.0,0.5,0.25,3.5\n"], ids=["some-without-rcs", "all-rcs"])
-    def test_null_fixed_r_exits_2_without_output(self, tmp_path, points, capsys):
-        assert main(self.argv(tmp_path, points=points, config={"fixed_r": None})) == 2
-        assert capsys.readouterr().err == "error: fixed_r must be a number, got None\n"
+    def test_null_r_max_exits_2_without_output(self, tmp_path, points, capsys):
+        assert main(self.argv(tmp_path, points=points, config={"r_max": None})) == 2
+        assert capsys.readouterr().err == "error: r_max must be a number, got None\n"
         assert not (tmp_path / "targets.lxlt").exists() and not (tmp_path / "targets.lxlt.json").exists()
 
     def test_a_sidecar_that_names_the_output_exits_2_without_output(self, tmp_path, capsys):
@@ -630,7 +639,9 @@ class TestDepthTargets:
             ({"points": "x,y,z,rcs_dbsm\n10.0,0.5,0.25,3.5\n1,2\n"}, "points.csv, line 3: a row needs"),
             ({"points": "x,y,z\n1,2,3,4\n"}, "points.csv, line 2: a row needs"),
             ({"points": "x,y,z\n1,2,nan\n"}, "points.csv, line 2: radar point coordinates must be finite"),
-            ({"config": {"fixed_r": "wide"}}, "'wide'"),
+            ({"config": {"r_max": "wide"}}, "'wide'"),
+            # The radius of a point without RCS before it became r_max.
+            ({"config": {"fixed_r": 1.0}}, "the top level has no key 'fixed_r'"),
             ({"config": {"k": 0.2, "rmax": 4.0}}, "the top level has no key 'rmax'"),
             ({"calib": calibration(skew=0.0)}, "calibration has no key 'skew'"),
         ],
@@ -694,7 +705,6 @@ class TestDepthTargets:
         [
             ({"flags": ["--r-max", "inf"]}, "r_max must be finite, got inf"),
             ({"flags": ["--k", "inf"]}, "k must be finite, got inf"),
-            ({"flags": ["--fixed-r", "inf"]}, "fixed_r must be finite, got inf"),
             ({"config": {"r_max": math.inf}}, "r_max must be finite, got inf"),  # json writes it as Infinity
         ],
     )
@@ -705,6 +715,24 @@ class TestDepthTargets:
         err = capsys.readouterr().err
         assert err == f"error: {message}\n"
         assert not (tmp_path / "targets.lxlt").exists() and not (tmp_path / "targets.lxlt.json").exists()
+
+    def test_the_fixed_r_flag_is_gone(self, tmp_path, capsys):
+        """A point without RCS takes --r-max, the radius ceiling."""
+        assert main(self.argv(tmp_path, flags=["--fixed-r", "1.0"])) == 1
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --fixed-r 1.0" in captured.err and captured.out == ""
+        assert not (tmp_path / "targets.lxlt").exists() and not (tmp_path / "targets.lxlt.json").exists()
+
+    def test_the_radius_flags_are_the_radius_config_fields(self, tmp_path):
+        """RadiusConfig, the parser and cmd_depth_targets each name the radius
+        settings by hand: a field added or removed in one of them fails here."""
+        names = [f.name for f in dataclasses.fields(RadiusConfig)]
+        args = vars(cli.build_parser().parse_args(["depth-targets", "--points", "p", "--calib", "c", "--output", "o"]))
+        assert set(args) - {"command", "func", "points", "calib", "config", "stride", "output", "sidecar"} == set(names)
+        flags = [arg for name in names for arg in (f"--{name.replace('_', '-')}", "0.75")]
+        assert main(self.argv(tmp_path, flags=flags)) == 0
+        sidecar = json.loads((tmp_path / "targets.lxlt.json").read_text())
+        assert {name: sidecar[name] for name in names} == dict.fromkeys(names, 0.75)
 
 
 def scattered_points(n=40, seed=5) -> str:

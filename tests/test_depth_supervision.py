@@ -81,15 +81,15 @@ class TestNeighborhoodRadius:
         cfg = RadiusConfig(k=0.1, r_max=2.0)
         assert neighborhood_radius(20.0, K, 8, cfg, rcs_dbsm=40.0) == 2.0
 
-    def test_rcs_absent_uses_fixed_radius(self):
-        cfg = RadiusConfig(fixed_r=2.0)
-        assert neighborhood_radius(20.0, K, 8, cfg) == 2.0
-        assert neighborhood_radius(20.0, K, 8, cfg, rcs_dbsm=math.nan) == 2.0
+    def test_rcs_absent_uses_the_ceiling(self):
+        cfg = RadiusConfig(k=0.3, r_max=1.5)
+        assert neighborhood_radius(20.0, K, 8, cfg) == 1.5
+        assert neighborhood_radius(20.0, K, 8, cfg, rcs_dbsm=math.nan) == 1.5
 
     def test_errors(self):
         with pytest.raises(ValueError, match="depth"):
-            neighborhood_radius(0.0, K, 8, RadiusConfig(fixed_r=1.0))
-        # Without RCS the default config gives its fixed_r, 2.0, clamped by r_max; it does not raise.
+            neighborhood_radius(0.0, K, 8, RadiusConfig(r_max=1.0))
+        # Without RCS a config gives its r_max, 2.0 by default; it does not raise.
         assert neighborhood_radius(10.0, K, 8, RadiusConfig()) == 2.0
         assert neighborhood_radius(10.0, K, 8, RadiusConfig(r_max=0.5)) == 0.5
 
@@ -104,17 +104,17 @@ class TestNeighborhoodRadius:
         assert farther == pytest.approx(base / 2.0, rel=1e-9)
 
     def test_zero_ceiling_gives_zero_radius_on_both_paths(self):
-        cfg = RadiusConfig(k=0.1, r_max=0.0, fixed_r=2.0)
+        cfg = RadiusConfig(k=0.1, r_max=0.0)
         assert neighborhood_radius(5.0, K, 8, cfg, rcs_dbsm=10.0) == 0.0
         assert neighborhood_radius(5.0, K, 8, cfg, rcs_dbsm=math.nan) == 0.0
 
     def test_arrays_match_scalar_calls(self):
         depth = np.array([1.5, 20.0, 73.25])
         rcs = np.array([-12.5, 0.0, 31.0])
-        cfg = RadiusConfig(k=0.3, r_max=4.0, fixed_r=1.5)
+        cfg = RadiusConfig(k=0.3, r_max=4.0)
         got = neighborhood_radius(depth, K, 4, cfg, rcs)
         assert got.tolist() == [neighborhood_radius(d, K, 4, cfg, r) for d, r in zip(depth, rcs)]
-        assert neighborhood_radius(depth, K, 4, cfg).tolist() == [1.5, 1.5, 1.5]
+        assert neighborhood_radius(depth, K, 4, cfg).tolist() == [4.0, 4.0, 4.0]
 
     def test_array_radii_round_like_python_power(self):
         rng = np.random.default_rng(7)
@@ -145,7 +145,7 @@ class TestNeighborhoodRadius:
         "cfg,rcs",
         [
             (RadiusConfig(r_max=sys.float_info.max), np.array([0.0, 7000.0])),
-            (RadiusConfig(r_max=sys.float_info.max, fixed_r=sys.float_info.max), math.nan),
+            (RadiusConfig(r_max=sys.float_info.max), math.nan),
         ],
     )
     def test_the_largest_ceiling_clamps_an_overflowing_radius(self, cfg, rcs):
@@ -155,7 +155,7 @@ class TestNeighborhoodRadius:
 
     def test_array_errors(self):
         with pytest.raises(ValueError, match="depth"):
-            neighborhood_radius(np.array([3.0, 0.0]), K, 8, RadiusConfig(fixed_r=1.0))
+            neighborhood_radius(np.array([3.0, 0.0]), K, 8, RadiusConfig(r_max=1.0))
         with pytest.raises(ValueError, match="RCS"):
             neighborhood_radius(np.array([3.0, 4.0]), K, 8, RadiusConfig(), np.array([1.0, np.inf]))
         assert neighborhood_radius(np.array([3.0, 4.0]), K, 8, RadiusConfig()).tolist() == [2.0, 2.0]
@@ -200,7 +200,6 @@ def target_build_instances(draw):
     cfg = RadiusConfig(
         k=draw(st.floats(0.01, 1.0)),
         r_max=draw(st.floats(0.0, 50.0)),
-        fixed_r=draw(st.floats(0.0, 10.0)),
     )
     return points, calib, draw(st.integers(1, 16)), cfg
 
@@ -220,28 +219,28 @@ class TestBuildMatchesReference:
         assert bits(got.targets) == bits(want)
         assert all(type(t.u) is int and type(t.v) is int for t in got.targets)
 
-    def test_a_point_without_rcs_takes_the_default_fixed_r(self):
+    def test_a_point_without_rcs_takes_r_max(self):
         points = [RadarPoint(0.0, 0.0, 10.0, rcs_dbsm=3.0), RadarPoint(0.0, 0.0, 10.0)]
-        for r_max, radius in ((5.0, 2.0), (1.0, 1.0)):  # fixed_r 2.0, clamped by r_max
+        for r_max in (5.0, 1.0):
             result = build_depth_targets(points, make_calib(), 8, RadiusConfig(r_max=r_max))
-            assert result.targets[1].radius == radius
+            assert result.targets[1].radius == r_max
 
     def test_point_at_the_camera_plane_is_dropped(self):
         pts = [RadarPoint(1.0, 0.0, 1e-310), RadarPoint(0.0, 0.0, 0.0)]
-        result = build_depth_targets(pts, make_calib(), 8, RadiusConfig(fixed_r=1.0))
+        result = build_depth_targets(pts, make_calib(), 8, RadiusConfig(r_max=1.0))
         assert result.targets == () and result.num_dropped == 2
 
 
 class TestBuildDepthTargets:
     def test_empty_input(self):
-        result = build_depth_targets([], make_calib(), 8, RadiusConfig(fixed_r=2.0))
+        result = build_depth_targets([], make_calib(), 8, RadiusConfig(r_max=2.0))
         assert result.targets == ()
         assert result.num_dropped == 0
 
     def test_single_point_on_axis(self):
         calib = make_calib(fx=500.0, fy=500.0)
         result = build_depth_targets(
-            [RadarPoint(0.0, 0.0, 10.0)], calib, 8, RadiusConfig(fixed_r=2.0)
+            [RadarPoint(0.0, 0.0, 10.0)], calib, 8, RadiusConfig(r_max=2.0)
         )
         assert len(result.targets) == 1
         t = result.targets[0]
@@ -252,7 +251,7 @@ class TestBuildDepthTargets:
     def test_coincident_points_each_keep_a_target(self):
         calib = make_calib(fx=500.0, fy=500.0)
         pts = [RadarPoint(0.0, 0.0, 8.0), RadarPoint(0.0, 0.0, 30.0)]
-        result = build_depth_targets(pts, calib, 8, RadiusConfig(fixed_r=2.0))
+        result = build_depth_targets(pts, calib, 8, RadiusConfig(r_max=2.0))
         assert len(result.targets) == 2
         assert {t.d_gt for t in result.targets} == {8.0, 30.0}
         assert len({(t.u, t.v) for t in result.targets}) == 1
@@ -264,7 +263,7 @@ class TestBuildDepthTargets:
             RadarPoint(100.0, 0.0, 1.0),
             RadarPoint(0.0, 0.0, 10.0),
         ]
-        result = build_depth_targets(pts, calib, 8, RadiusConfig(fixed_r=2.0))
+        result = build_depth_targets(pts, calib, 8, RadiusConfig(r_max=2.0))
         assert len(result.targets) == 1
         assert result.num_dropped == 2
         assert result.num_input == 3
@@ -276,7 +275,7 @@ class TestBuildDepthTargets:
             AngularResolution.from_degrees(1.0, 1.0),
         )
         result = build_depth_targets(
-            [RadarPoint(0.0, 0.0, 5.0)], calib, 8, RadiusConfig(fixed_r=1.0)
+            [RadarPoint(0.0, 0.0, 5.0)], calib, 8, RadiusConfig(r_max=1.0)
         )
         assert result.targets[0].d_gt == pytest.approx(10.0)
 
@@ -291,7 +290,7 @@ class TestBuildDepthTargets:
             )
             for _ in range(12)
         ]
-        cfg = RadiusConfig(fixed_r=2.0)
+        cfg = RadiusConfig(r_max=2.0)
         at_stride = build_depth_targets(pts, calib, 8, cfg)
         at_unit = build_depth_targets(pts, calib, 1, cfg)
         coarse = {(t.u, t.v, round(t.d_gt, 9)) for t in at_stride.targets}
@@ -398,17 +397,17 @@ class TestRadiusConfigFromJson:
         with pytest.raises(ValueError, match="^radius has no key 'other'$"):
             read_json(RadiusConfig, {"r_max": "4", "other": "ignored"}, "radius")
 
-    def test_null_fixed_r_is_refused_naming_it(self):
-        with pytest.raises(ValueError, match=r"^radius\.fixed_r must be a number, got None$"):
-            read_json(RadiusConfig, {"k": 0.3, "fixed_r": None}, "radius")
-        assert read_json(RadiusConfig, {"fixed_r": 1}, "").fixed_r == 1.0
+    def test_null_r_max_is_refused_naming_it(self):
+        with pytest.raises(ValueError, match=r"^radius\.r_max must be a number, got None$"):
+            read_json(RadiusConfig, {"k": 0.3, "r_max": None}, "radius")
+        assert read_json(RadiusConfig, {"r_max": 1}, "").r_max == 1.0
 
     @pytest.mark.parametrize(
         "data,message",
         [
             ({"k": {"value": 0.1}}, r"^radius\.k must be a number, got \{'value': 0.1\}"),
             ({"r_max": True}, r"^radius\.r_max must be a number, got True"),
-            ({"fixed_r": "wide"}, r"^radius\.fixed_r must be a number, got 'wide'"),
+            ({"k": "wide"}, r"^radius\.k must be a number, got 'wide'"),
             ({"k": 0}, "^radius: k must be positive, got 0.0$"),  # a range check names its object
         ],
     )
@@ -776,8 +775,8 @@ class TestNonFiniteInputs:
         with pytest.raises(ValueError, match="RCS"):
             RadarPoint(0.0, 0.0, 10.0, rcs_dbsm=math.nan)
 
-    def test_radius_takes_fixed_r_for_nan_rcs_and_rejects_infinite_rcs(self):
-        cfg = RadiusConfig(fixed_r=1.5)
+    def test_radius_takes_r_max_for_nan_rcs_and_rejects_infinite_rcs(self):
+        cfg = RadiusConfig(r_max=1.5)
         assert neighborhood_radius(10.0, K, 8, cfg, rcs_dbsm=math.nan) == 1.5
         got = neighborhood_radius(np.array([10.0, 20.0]), K, 8, cfg, np.array([math.nan, 0.0]))
         assert got.tolist() == [1.5, neighborhood_radius(20.0, K, 8, cfg, rcs_dbsm=0.0)]
@@ -817,13 +816,13 @@ class TestNonFiniteInputs:
                 one_to_many_loss_grad(depth_map, targets, spec, cfg)
 
     @pytest.mark.parametrize(
-        "kwargs", [{"k": math.nan}, {"r_max": math.nan}, {"fixed_r": math.nan}]
+        "kwargs", [{"k": math.nan}, {"r_max": math.nan}]
     )
     def test_radius_config_rejects_nan(self, kwargs):
         with pytest.raises(ValueError):
             RadiusConfig(**kwargs)
 
-    @pytest.mark.parametrize("name", ["k", "r_max", "fixed_r"])
+    @pytest.mark.parametrize("name", ["k", "r_max"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf])
     def test_radius_config_rejects_infinity(self, name, value):
         with pytest.raises(ValueError, match=rf"^{name} must be finite, got {value}$"):
@@ -1008,7 +1007,7 @@ class TestRadarCsv:
         path = tmp_path / "pts.csv"
         path.write_text("x,y,z,rcs_dbsm\n0.5,0.1,10,3\n-1,0.2,20,\n0,0,-4,1\n")
         points = read_radar_points_csv(path)
-        calib, cfg = make_calib(), RadiusConfig(fixed_r=1.5)
+        calib, cfg = make_calib(), RadiusConfig(r_max=1.5)
         rows = [RadarPoint(x, y, z, None if math.isnan(r) else r) for x, y, z, r in points.tolist()]
         table, kept = _target_table(points, calib, 8, [(cfg, True)])
         assert kept.tolist() == [True, True, False]

@@ -164,13 +164,13 @@ def tiny_scene(n_seeds=1):
 class TestEvaluateSupervision:
     BINS = DepthBinSpec(0.0, 64.0, 64)
     POINTS = np.array([[0.0, 0.0, 10.0, np.nan]])  # strikes pixel (5, 5), next to the object
-    ARM = ExperimentArm("arm", RadiusConfig(fixed_r=1.0))
+    ARM = ExperimentArm("arm", RadiusConfig(r_max=1.0))
 
-    @pytest.mark.parametrize("fixed_r,agg,hit_rate", [(0.0, "min", 0.0), (1.0, "min", 1.0), (1.0, "max", 0.0)])
-    def test_neighbor_rescues_a_miss(self, fixed_r, agg, hit_rate):
+    @pytest.mark.parametrize("r_max,agg,hit_rate", [(0.0, "min", 0.0), (1.0, "min", 1.0), (1.0, "max", 0.0)])
+    def test_neighbor_rescues_a_miss(self, r_max, agg, hit_rate):
         """A radius of 0 is one-to-one: the struck pixel alone, which misses."""
         got = evaluate_supervision(
-            tiny_scene(), self.POINTS, [1], self.BINS, [ExperimentArm("arm", RadiusConfig(fixed_r=fixed_r), agg)]
+            tiny_scene(), self.POINTS, [1], self.BINS, [ExperimentArm("arm", RadiusConfig(r_max=r_max), agg)]
         )
         assert [values.tolist() for values in got] == [[[hit_rate]], [[0.0]], [[1]]]
 
@@ -410,8 +410,8 @@ class TestArmsGroupedByRadius:
     radius is 0 is one-to-one."""
 
     DYNAMIC = RadiusConfig(k=0.1, r_max=2.0)
-    SHARED = RadiusConfig(k=0.3, r_max=3.0, fixed_r=1.5)
-    ZERO = RadiusConfig(k=0.3, r_max=0.0, fixed_r=1.5)  # every radius clamps to 0
+    SHARED = RadiusConfig(k=0.3, r_max=3.0)
+    ZERO = RadiusConfig(k=0.3, r_max=0.0)  # every radius clamps to 0
     ARMS = (
         ExperimentArm("dynamic", DYNAMIC, use_rcs=True),
         ExperimentArm("dynamic-twin", DYNAMIC, use_rcs=True),
@@ -421,7 +421,7 @@ class TestArmsGroupedByRadius:
         ExperimentArm("one-to-one-rcs", ZERO, use_rcs=True),
         ExperimentArm("shared-many-rcs", SHARED, use_rcs=True),
         # radius 0 spelled as the packaged one-to-one arm spells it
-        ExperimentArm("one-to-one-fixed", RadiusConfig(fixed_r=0.0)),
+        ExperimentArm("one-to-one-fixed", RadiusConfig(r_max=0.0)),
     )
     ORDERINGS = (
         ("dynamic", "one-to-one"),
@@ -486,7 +486,7 @@ class TestArmsGroupedByRadius:
     def test_a_radius_sweep_looks_costs_up_as_often_as_its_widest_arm(self, monkeypatch):
         """20 fixed radii from 0 to 3.8 cost as many lookups as radius 3.8 alone."""
         calls, _ = self.count_calls(monkeypatch)
-        arms = tuple(ExperimentArm(f"r{i}", RadiusConfig(fixed_r=0.2 * i)) for i in range(20))
+        arms = tuple(ExperimentArm(f"r{i}", RadiusConfig(r_max=0.2 * i)) for i in range(20))
         run_experiment(small_config(arms=arms, orderings=()))
         sweep = calls["cost_at"]
         calls.clear()
@@ -695,9 +695,10 @@ class TestConfigValidation:
             ),
             (lambda d: d["arms"][0].update(use_rcs="false"), r"^arms\[0\]\.use_rcs must be true or false, got 'false'"),
             (
-                lambda d: d["arms"][1]["radius"].update(fixed_r=None),
-                r"^arms\[1\]\.radius\.fixed_r must be a number, got None$",
+                lambda d: d["arms"][1]["radius"].update(r_max=None),
+                r"^arms\[1\]\.radius\.r_max must be a number, got None$",
             ),
+            (lambda d: d["arms"][1]["radius"].update(fixed_r=1.0), r"^arms\[1\]\.radius has no key 'fixed_r'$"),
             (lambda d: d.update(num_seeds=0), "num_seeds must be at least 1, got 0"),
             (lambda d: d.update(bootstrap_samples=0), "bootstrap_samples must be at least 1, got 0"),
             (lambda d: d.update(stride=0), "stride must be at least 1, got 0"),
@@ -710,6 +711,19 @@ class TestConfigValidation:
         data = packaged_config_data()
         edit(data)
         with pytest.raises(ValueError, match=message):
+            read_json(ExperimentConfig, data, "")
+
+    @pytest.mark.parametrize("key", ["azimuth_max_deg", "elevation_max_deg"])
+    @pytest.mark.parametrize("value", [90.0, 95.0, -1.0])
+    def test_a_scene_angle_outside_0_to_90_degrees_is_refused(self, key, value):
+        """tan folds an angle past 90 degrees back in front of the camera, so
+        such a maximum would draw objects at angles it does not name."""
+        with pytest.raises(ValueError, match=rf"^{key} must lie in \[0, 90\), got {value}$"):
+            SceneExtents(**{key: value})
+        data = packaged_config_data()
+        assert (data["scene"]["azimuth_max_deg"], data["scene"]["elevation_max_deg"]) == (16.0, 4.0)
+        data["scene"][key] = value
+        with pytest.raises(ValueError, match=rf"^scene: {key} must lie in \[0, 90\), got {value}$"):
             read_json(ExperimentConfig, data, "")
 
     def test_absent_keys_take_the_dataclass_defaults(self):
